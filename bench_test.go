@@ -782,8 +782,7 @@ func BenchmarkPredicateReplication(b *testing.B) {
 // over near-empty tables: join enumeration makes compilation (parse +
 // translate + rewrite + optimize) dominate the cold path, while a
 // cache hit skips all of it and pays only execution plus one LRU
-// lookup. The bench-compare gate requires the hit path to be at least
-// 5x faster than the cold path.
+// lookup.
 
 func planCacheBenchDB(b *testing.B, opts ...Option) (*DB, string) {
 	b.Helper()

@@ -48,7 +48,6 @@ var analyzers = []*analyzer{
 	datumCompareAnalyzer,
 	execPanicAnalyzer,
 	dmlDirectAnalyzer,
-	obsBypassAnalyzer,
 	ctxSharedAnalyzer,
 	apiBypassAnalyzer,
 	lockDisciplineAnalyzer,

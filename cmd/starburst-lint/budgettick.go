@@ -10,13 +10,13 @@ import (
 // budget-tick keeps the MaxRows/Timeout budgets enforceable as new
 // operators land: inside internal/exec and internal/storage, every
 // row-producing loop — a for/range whose body advances a storage
-// iterator — must call Ctx.tick or Ctx.countRow, the amortized budget
+// iterator — must call Ctx.tick or Ctx.tickRows, the amortized budget
 // checkpoints. Interior operators that only pull from other Streams
 // are exempt by construction (budgets are charged at the leaves and at
 // materialization boundaries, per DESIGN.md).
 var budgetTickAnalyzer = &analyzer{
 	name: "budget-tick",
-	doc:  "in internal/exec and internal/storage: every loop advancing a storage iterator calls Ctx.tick/countRow so row and time budgets stay enforced",
+	doc:  "in internal/exec and internal/storage: every loop advancing a storage iterator calls Ctx.tick/tickRows so row and time budgets stay enforced",
 	run:  runBudgetTick,
 }
 
@@ -55,15 +55,15 @@ func runBudgetTick(p *pass) {
 			})
 			if advances && !ticks {
 				p.report(pos,
-					"row-producing loop advances a storage iterator without calling Ctx.tick or Ctx.countRow; MaxRows/Timeout budgets are unenforced inside it")
+					"row-producing loop advances a storage iterator without calling Ctx.tick or Ctx.tickRows; MaxRows/Timeout budgets are unenforced inside it")
 			}
 			return true
 		})
 	}
 }
 
-// isTickCall matches method calls named tick, tickRows, or countRow —
-// the budget checkpoints on exec.Ctx (fixtures may declare their own
+// isTickCall matches method calls named tick or tickRows — the budget
+// checkpoints on exec.Ctx (fixtures may declare their own
 // Ctx; the name is the contract). tickRows is the batch-amortized
 // form: one call charges a whole batch of rows.
 func isTickCall(p *pass, call *ast.CallExpr) bool {
@@ -76,5 +76,5 @@ func isTickCall(p *pass, call *ast.CallExpr) bool {
 		return false
 	}
 	name := sel.Obj().Name()
-	return name == "tick" || name == "tickRows" || name == "countRow"
+	return name == "tick" || name == "tickRows"
 }

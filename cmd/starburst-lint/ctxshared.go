@@ -82,7 +82,7 @@ func runCtxShared(p *pass) {
 					}
 					if name, ok := ctxFieldWrite(p, lhs); ok {
 						p.report(lhs.Pos(),
-							"%s writes Ctx.%s, which is not worker-safe; operators reachable from an exchange must use the atomic shared record (tick/countRow/signalDone), and serial-only writers belong on the lint allowlist",
+							"%s writes Ctx.%s, which is not worker-safe; operators reachable from an exchange must use the atomic shared record (tick/tickRows/signalDone), and serial-only writers belong on the lint allowlist",
 							funcLabel(fd), name)
 					}
 				}

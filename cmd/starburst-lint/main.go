@@ -17,8 +17,6 @@
 //   - dml-direct-mutate: no direct catalog.Insert / Update / Delete in
 //     internal/exec — DML mutates through the InsertTx / UpdateTx /
 //     DeleteTx transaction entry points.
-//   - obs-bypass: every type in internal/exec implementing Stream must
-//     be a case in operatorKind, so instrumentation can name it.
 //   - ctx-shared-mutation: only the serial-only operator set may write
 //     non-atomic statement-wide Ctx fields.
 //   - api-bypass: in the root package, only the unexported statement
@@ -38,7 +36,7 @@
 //     the module, and every storage-iterator consumer consults
 //     storage.IterErr.
 //   - budget-tick: every row-producing loop in internal/exec and
-//     internal/storage calls Ctx.tick/tickRows/countRow.
+//     internal/storage calls Ctx.tick/tickRows.
 //   - wait-event: starburst:waits-annotated blocking sites must call
 //     a wait recorder and reference each declared event's constant.
 //   - vector-boxing: vector kernels (*kernel*-named functions in

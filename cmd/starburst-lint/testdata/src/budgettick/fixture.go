@@ -8,18 +8,17 @@ package fixtick
 import "repro/internal/storage"
 
 // Ctx mirrors exec.Ctx's budget surface; the analyzer matches the
-// tick/countRow method names.
+// tick/tickRows method names.
 type Ctx struct{}
 
 func (c *Ctx) tick() error          { return nil }
 func (c *Ctx) tickRows(n int) error { return nil }
-func (c *Ctx) countRow() error      { return nil }
 
 func firing(ctx *Ctx, rel storage.Relation) (int64, error) {
 	n := int64(0)
 	it := rel.Scan()
 	defer it.Close()
-	for { // want budget-tick "without calling Ctx.tick or Ctx.countRow"
+	for { // want budget-tick "without calling Ctx.tick or Ctx.tickRows"
 		_, _, ok := it.Next()
 		if !ok {
 			break

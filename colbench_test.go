@@ -1,11 +1,11 @@
 package starburst
 
-// Columnar-execution and cardinality-feedback benchmarks (PR 9). The
-// Col/Row pair is the headline gate: the same scan→filter→aggregate
-// statement through the fused columnar kernels vs the row-batch path
-// (benchcmp requires ≥1.5x). The feedback pair prices the loop: the
-// overhead of running armed (instrumented + capture walk), and the
-// post-fold replan cycle (generational invalidation + recompile).
+// Columnar-execution and cardinality-feedback benchmarks. The Col/Row
+// pair runs the same scan→filter→aggregate statement through the fused
+// columnar kernels and through the row operators. The feedback pair
+// prices the loop: the overhead of running armed (instrumented +
+// capture walk), and the post-fold replan cycle (generational
+// invalidation + recompile).
 
 import (
 	"fmt"

@@ -1,45 +1,48 @@
 package starburst
 
 // Columnar-execution equivalence and robustness: the random query
-// corpus must return identical results row-at-a-time, row-batched, and
-// columnar (serial and at DOP 4) — vectorization changes the plan's
-// execution shape, never its meaning — and the columnar operators must
-// survive the same fault / cancellation / budget matrix as the row
-// path. This file runs under -race in CI alongside parallel_test.go.
+// corpus must return identical results from the row operators (the
+// reference) and the columnar ones (serial and at DOP 4) —
+// vectorization changes the plan's execution shape, never its meaning —
+// the columnar operators must survive the same fault / cancellation /
+// budget matrix as the row path, and an instrumented build must be the
+// production build. This file runs under -race in CI alongside
+// parallel_test.go.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 )
 
 // execMode is one execution configuration of the same DB.
 type execMode struct {
 	name  string
 	vec   bool
-	batch int // 0 keeps the default size
+	width int // columnar batch width; 0 keeps the executor's constant
 }
 
-// threeWayModes is the row == batch == columnar comparison set, with
-// degenerate and odd batch sizes to stress container-boundary reuse.
-var threeWayModes = []execMode{
-	{name: "row", vec: false, batch: 1},
-	{name: "batch", vec: false, batch: 0},
-	{name: "batch-odd", vec: false, batch: 3},
-	{name: "columnar", vec: true, batch: 0},
-	{name: "columnar-tiny", vec: true, batch: 2},
+// execModes is the row-reference vs columnar comparison set; the
+// degenerate width stresses batch-boundary and container reuse.
+var execModes = []execMode{
+	{name: "row", vec: false},
+	{name: "columnar", vec: true},
+	{name: "columnar-tiny", vec: true, width: 2},
 }
 
 // runMode executes q under one mode at the given DOP.
 func runMode(t *testing.T, db *DB, m execMode, dop int, q string) string {
 	t.Helper()
 	db.SetVectorized(m.vec)
-	db.SetBatchSize(m.batch)
+	db.colWidth = m.width
 	db.SetParallelism(dop)
 	res, err := db.Exec(q, nil)
 	if err != nil {
@@ -48,56 +51,145 @@ func runMode(t *testing.T, db *DB, m execMode, dop int, q string) string {
 	return canonical(res)
 }
 
-// TestColumnarEquivalenceCorpus runs the random corpus through every
+// equivalenceCorpus is the statement set the mode matrix and the
+// instrumented-build guard share: the random corpus plus directed
+// aggregates (the generator emits none) and an inner equi-join whose
+// probe scan hosts a pushed join filter.
+func equivalenceCorpus() []string {
+	gen := &queryGen{rng: rand.New(rand.NewSource(29))}
+	var qs []string
+	for i := 0; i < 50; i++ {
+		if i%7 == 3 {
+			qs = append(qs, gen.lateralQuery())
+		} else {
+			qs = append(qs, gen.query())
+		}
+	}
+	return append(qs, aggregateCorpus...)
+}
+
+// unmergedCorpus runs with query rewrite off, which leaves derived
+// tables unmerged and so their predicates in FILTER nodes over a
+// columnar input: the only plans that build colFilterOp (a predicate
+// on a base table is pushed into its scan).
+var unmergedCorpus = []string{
+	"SELECT x.k, x.v FROM (SELECT k, v FROM ta) x WHERE x.v >= 5 AND x.k <> 3",
+	"SELECT k, COUNT(*), SUM(v) FROM (SELECT k, v FROM ta) x WHERE x.v >= 5 GROUP BY k",
+	"SELECT x.s FROM (SELECT s, k FROM tc) x WHERE x.s IS NOT NULL AND x.k < 7",
+}
+
+// corpusLeg is one rewrite setting with the statements to run under it.
+type corpusLeg struct {
+	skipRewrite bool
+	queries     []string
+}
+
+func corpusLegs() []corpusLeg {
+	return []corpusLeg{{false, equivalenceCorpus()}, {true, unmergedCorpus}}
+}
+
+// aggregateCorpus aims at the columnar group operator specifically:
+// the fused hash-aggregate kernels (typed COUNT/SUM/AVG lanes, boxed
+// MIN/MAX fallback, NULL group keys) deserve directed coverage.
+var aggregateCorpus = []string{
+	"SELECT k, COUNT(*), SUM(v) FROM ta GROUP BY k",
+	"SELECT k, MIN(v), MAX(v), AVG(v) FROM tb GROUP BY k",
+	"SELECT s, COUNT(v) FROM ta GROUP BY s",
+	"SELECT COUNT(*) FROM ta",
+	"SELECT SUM(v), AVG(v) FROM tb WHERE k > 3",
+	"SELECT k, COUNT(*) FROM ta WHERE v >= 5 AND s IS NOT NULL GROUP BY k",
+	"SELECT DISTINCT k FROM tc",
+	"SELECT x.k, COUNT(*) FROM ta x, tb y WHERE x.k = y.k GROUP BY x.k",
+}
+
+// TestColumnarEquivalenceCorpus runs the corpus through every
 // execution mode, serial and parallel, against the row-at-a-time
 // serial baseline.
 func TestColumnarEquivalenceCorpus(t *testing.T) {
 	db := genParallelDB(t, 17)
-	gen := &queryGen{rng: rand.New(rand.NewSource(29))}
-	for i := 0; i < 50; i++ {
-		q := gen.query()
-		if i%7 == 3 {
-			q = gen.lateralQuery()
-		}
-		want := runMode(t, db, threeWayModes[0], 1, q)
-		for _, m := range threeWayModes[1:] {
-			for _, dop := range []int{1, 4} {
-				if got := runMode(t, db, m, dop, q); got != want {
-					t.Fatalf("mode %s dop=%d diverged on %s\nrow:  %s\ngot:  %s",
-						m.name, dop, q, want, got)
+	for _, leg := range corpusLegs() {
+		db.SkipRewrite = leg.skipRewrite
+		for _, q := range leg.queries {
+			want := runMode(t, db, execModes[0], 1, q)
+			for _, m := range execModes {
+				for _, dop := range []int{1, 4} {
+					if got := runMode(t, db, m, dop, q); got != want {
+						t.Fatalf("mode %s dop=%d diverged on %s\nrow:  %s\ngot:  %s",
+							m.name, dop, q, want, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestColumnarAggregates aims the mode matrix at the columnar group
-// operator specifically: the corpus generator emits no aggregates, and
-// the fused hash-aggregate kernels (typed COUNT/SUM/AVG lanes, boxed
-// MIN/MAX fallback, NULL group keys) deserve directed coverage.
-func TestColumnarAggregates(t *testing.T) {
-	db := genParallelDB(t, 19)
-	queries := []string{
-		"SELECT k, COUNT(*), SUM(v) FROM ta GROUP BY k",
-		"SELECT k, MIN(v), MAX(v), AVG(v) FROM tb GROUP BY k",
-		"SELECT s, COUNT(v) FROM ta GROUP BY s",
-		"SELECT COUNT(*) FROM ta",
-		"SELECT SUM(v), AVG(v) FROM tb WHERE k > 3",
-		"SELECT k, COUNT(*) FROM ta WHERE v >= 5 AND s IS NOT NULL GROUP BY k",
-		"SELECT DISTINCT k FROM tc",
-		"SELECT x.k, COUNT(*) FROM ta x, tb y WHERE x.k = y.k GROUP BY x.k",
-	}
-	for _, q := range queries {
-		want := runMode(t, db, threeWayModes[0], 1, q)
-		for _, m := range threeWayModes[1:] {
-			for _, dop := range []int{1, 4} {
-				if got := runMode(t, db, m, dop, q); got != want {
-					t.Fatalf("mode %s dop=%d diverged on %s\nrow:  %s\ngot:  %s",
-						m.name, dop, q, want, got)
-				}
+// opTree renders the operator tree under a built stream as nested
+// type names ("hashJoinOp(colScanOp+jf,scanOp)"), reading the
+// executor's unexported fields reflectively. Stats decorators are
+// transparent: each is reported to onDecorator (with the type name of
+// the operator it wraps) and rendered as that operator.
+func opTree(s exec.Stream, onDecorator func(dec reflect.Value, inner string)) string {
+	streamT := reflect.TypeOf((*exec.Stream)(nil)).Elem()
+	seen := map[uintptr]bool{}
+	var render func(v reflect.Value) string
+	// children collects the streams reachable from a struct's fields,
+	// through executor-private helper structs (repartPool and the like)
+	// but not into other packages' data.
+	var children func(v reflect.Value, out *[]string)
+	children = func(v reflect.Value, out *[]string) {
+		switch v.Kind() {
+		case reflect.Interface:
+			if v.IsNil() {
+				return
+			}
+			if v.Type().Implements(streamT) {
+				*out = append(*out, render(v.Elem()))
+			}
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] || v.Type().Elem().Kind() != reflect.Struct ||
+				v.Type().Elem().PkgPath() != "repro/internal/exec" {
+				return
+			}
+			if v.Type().Implements(streamT) {
+				*out = append(*out, render(v))
+				return
+			}
+			seen[v.Pointer()] = true
+			children(v.Elem(), out)
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				children(v.Index(i), out)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				children(v.Field(i), out)
 			}
 		}
 	}
+	render = func(v reflect.Value) string {
+		name := v.Type().Elem().Name()
+		if name == "statsOp" || name == "colStatsOp" {
+			inner := v.Elem().FieldByName("inner").Elem()
+			tree := render(inner)
+			if onDecorator != nil {
+				// Decorators nest where a plan node builds no operator of its
+				// own (ACCESS); every layer wraps the same operator.
+				op, _, _ := strings.Cut(tree, "(")
+				onDecorator(v, strings.TrimSuffix(op, "+jf"))
+			}
+			return tree
+		}
+		if jf := v.Elem().FieldByName("jf"); jf.IsValid() && !jf.IsNil() {
+			name += "+jf"
+		}
+		var kids []string
+		children(v.Elem(), &kids)
+		if len(kids) == 0 {
+			return name
+		}
+		return name + "(" + strings.Join(kids, ",") + ")"
+	}
+	return render(reflect.ValueOf(s))
 }
 
 // TestColumnarBuildEngages guards the corpus against vacuity: a
@@ -125,6 +217,189 @@ func TestColumnarBuildEngages(t *testing.T) {
 		if _, ok := st.(exec.ColBatchStream); ok {
 			t.Fatalf("row build of %q produced a ColBatchStream (%T)", q, st)
 		}
+	}
+}
+
+// TestInstrumentedBuildIsProductionBuild: over the equivalence corpus,
+// at DOP 1 and 4, the instrumented build constructs exactly the
+// operators the uninstrumented vectorized build does — columnar kinds
+// included, the pushed join filter still hosted by the probe-side
+// colScanOp — and reports each under its plan node as
+// Instrumentation.Kind.
+func TestInstrumentedBuildIsProductionBuild(t *testing.T) {
+	db := genParallelDB(t, 17)
+	kinds := map[string]int{}
+	joinFilters := 0
+	for _, dop := range []int{1, 4} {
+		db.SetParallelism(dop)
+		for _, leg := range corpusLegs() {
+			db.SkipRewrite = leg.skipRewrite
+			for _, q := range leg.queries {
+				joinFilters += checkInstrumentedBuild(t, db, q, kinds)
+			}
+		}
+	}
+	for _, k := range []string{"colScanOp", "colFilterOp", "colProjectOp", "colGroupOp",
+		"hashJoinOp", "gatherOp", "morselScanOp"} {
+		if kinds[k] == 0 {
+			t.Errorf("corpus never built an instrumented %s; guard is vacuous for it (saw %v)", k, kinds)
+		}
+	}
+	if joinFilters == 0 {
+		t.Error("corpus never pushed a join filter into a probe-side colScanOp")
+	}
+}
+
+// checkInstrumentedBuild compares the two builds of one statement,
+// tallies the instrumented operator kinds, and returns how many scans
+// host a pushed join filter.
+func checkInstrumentedBuild(t *testing.T, db *DB, q string, kinds map[string]int) int {
+	t.Helper()
+	compiled := preparedPlan(q)(t, db)
+	plain, err := db.builder.Vectorized(true).Build(compiled.Root, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	instr := exec.NewInstrumentation()
+	decorated, err := db.builder.Vectorized(true).Instrumented(instr).Build(compiled.Root, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	nodeOf := map[uintptr]*plan.Node{}
+	walkPlan(compiled.Root, func(n *plan.Node) {
+		if st := instr.OpStats(n); st != nil {
+			nodeOf[reflect.ValueOf(st).Pointer()] = n
+		}
+	})
+	want := opTree(plain, nil)
+	got := opTree(decorated, func(dec reflect.Value, inner string) {
+		n := nodeOf[dec.Elem().FieldByName("st").Pointer()]
+		if n == nil {
+			return // a subplan's node, not on the main plan tree
+		}
+		if k := instr.Kind(n); k != inner {
+			t.Fatalf("%s: node %s reports kind %q but wraps %s", q, n.Op, k, inner)
+		}
+		kinds[inner]++
+	})
+	if got != want {
+		t.Fatalf("%s: instrumented build differs\nplain:        %s\ninstrumented: %s", q, want, got)
+	}
+	return strings.Count(want, "colScanOp+jf")
+}
+
+// TestInstrumentedRowsMatchAcrossEngines: the per-node actual rows
+// EXPLAIN ANALYZE prints are the same with vectorization on and off.
+// A scan hosting a pushed join filter reports the rows the filter
+// dropped separately, and the operators between it and its join see
+// only the survivors, so there the columnar count may be smaller.
+func TestInstrumentedRowsMatchAcrossEngines(t *testing.T) {
+	db := genParallelDB(t, 17)
+	db.SetParallelism(1)
+	compared := 0
+	for _, q := range equivalenceCorpus() {
+		db.SetVectorized(true)
+		compiled := preparedPlan(q)(t, db)
+		// LIMIT stops its input early: how far a producer got is then a
+		// matter of batch granularity, not of the data.
+		early := false
+		// belowJoinFilter marks the probe-side spine of every hash join.
+		belowJoinFilter := map[*plan.Node]bool{}
+		walkPlan(compiled.Root, func(n *plan.Node) {
+			early = early || n.Op == plan.OpLimit
+			if n.Op == plan.OpHSJoin {
+				for c := n.Inputs[0]; ; c = c.Inputs[0] {
+					belowJoinFilter[c] = true
+					if len(c.Inputs) != 1 {
+						break
+					}
+				}
+			}
+		})
+		if early {
+			continue
+		}
+		rows := map[bool]*exec.Instrumentation{}
+		for _, vec := range []bool{false, true} {
+			db.SetVectorized(vec)
+			rows[vec] = exec.NewInstrumentation()
+			if _, err := runInstrumented(db, rows[vec], compiled, nil, context.Background()); err != nil {
+				t.Fatalf("vec=%v %s: %v", vec, q, err)
+			}
+		}
+		walkPlan(compiled.Root, func(n *plan.Node) {
+			row, col := rows[false].OpStats(n), rows[true].OpStats(n)
+			if row == nil || col == nil {
+				if (row == nil) != (col == nil) {
+					t.Fatalf("%s: node %s built by one engine only", q, n.Op)
+				}
+				return
+			}
+			compared++
+			switch {
+			case n.Op == plan.OpScan && col.JoinFiltered > 0:
+				if col.Rows+col.JoinFiltered != row.Rows {
+					t.Fatalf("%s: SCAN rows %d + join-filtered %d != row engine's %d",
+						q, col.Rows, col.JoinFiltered, row.Rows)
+				}
+			case belowJoinFilter[n]:
+				if col.Rows > row.Rows {
+					t.Fatalf("%s: node %s under a join filter grew: %d > %d", q, n.Op, col.Rows, row.Rows)
+				}
+			case col.Rows != row.Rows:
+				t.Fatalf("%s: node %s actual rows: columnar %d, row %d\n%s",
+					q, n.Op, col.Rows, row.Rows, plan.RenderAnnotated(compiled.Root, rows[true].Annotate))
+			}
+		})
+	}
+	if compared < 100 {
+		t.Fatalf("only %d nodes compared; guard is vacuous", compared)
+	}
+}
+
+// TestObservedStatementsRunColumnar: whatever arms per-operator stats —
+// a span exporter alone, or with the slow-query log, cardinality
+// feedback or EXPLAIN ANALYZE on top — a scan→filter→aggregate
+// statement executes the columnar operators, as reported by the
+// operator spans of the statement that actually ran.
+func TestObservedStatementsRunColumnar(t *testing.T) {
+	// Rewrite off keeps the derived table unmerged, so its predicate is
+	// a FILTER node rather than a pushed scan predicate.
+	const q = `SELECT k, COUNT(*) FROM (SELECT k, v FROM ta) x WHERE x.v >= 5 GROUP BY k`
+	for _, c := range []struct {
+		name string
+		arm  func(db *DB)
+		sql  string
+	}{
+		{name: "span-exporter", arm: func(*DB) {}, sql: q},
+		{name: "slow-log", arm: func(db *DB) { db.SetSlowQueryThreshold(time.Hour) }, sql: q},
+		{name: "feedback", arm: func(db *DB) { db.SetCardinalityFeedback(true) }, sql: q},
+		{name: "explain-analyze", arm: func(*DB) {}, sql: "EXPLAIN ANALYZE " + q},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := genDB(t, 1)
+			db.SkipRewrite = true
+			c.arm(db)
+			ops := map[string]bool{}
+			db.SetSpanExporter(func(sp *StatementSpan) {
+				var walk func(*Span)
+				walk = func(s *Span) {
+					if s.Kind == "operator" {
+						ops[s.Attrs["operator"]] = true
+					}
+					for _, ch := range s.Children {
+						walk(ch)
+					}
+				}
+				walk(sp.Root)
+			})
+			mustExec(t, db, c.sql)
+			for _, want := range []string{"colScanOp", "colFilterOp", "colGroupOp"} {
+				if !ops[want] {
+					t.Fatalf("no %s among the executed operators %v", want, ops)
+				}
+			}
+		})
 	}
 }
 
@@ -239,7 +514,7 @@ func TestColumnarCancelAndBudgets(t *testing.T) {
 func TestColumnarFaultMatrixUnderTinyBatches(t *testing.T) {
 	for after := 0; after <= 6; after++ {
 		db := robustDB(t)
-		db.SetBatchSize(2)
+		db.colWidth = 2
 		db.InjectFaults(&Fault{Table: "items", Op: FaultScan, After: int64(after), Err: "boom"})
 		_, err := db.Exec(`SELECT tag, SUM(qty) FROM items WHERE qty > 0 GROUP BY tag`, nil)
 		var fe *FaultError

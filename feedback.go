@@ -19,11 +19,9 @@ import (
 // corrected estimates.
 //
 // The cost of the loop is the instrumentation itself: statements run
-// through the per-operator stats decorator (the row-oriented path, as
-// under EXPLAIN ANALYZE), so feedback is an opt-in learning mode —
-// enable it while a workload warms up or after bulk loads, and turn it
-// off once plans have settled to return to full-speed (vectorized)
-// execution. A fresh ANALYZE clears a table's learned corrections.
+// the same operators as always, each wrapped in the per-operator stats
+// decorator (as under EXPLAIN ANALYZE), plus the capture walk at
+// statement end. A fresh ANALYZE clears a table's learned corrections.
 
 // cardDivergence is the estimate-vs-actual ratio at which a scan's
 // cardinality is considered wrong enough to learn from. Below it the
@@ -77,7 +75,9 @@ func (db *DB) captureCardFeedback(o *observation) int64 {
 		if st == nil || atomic.LoadInt64(&st.Opens) != 1 {
 			return true
 		}
-		actual := float64(atomic.LoadInt64(&st.Rows))
+		// A join filter pushed into the scan drops rows the scan's own
+		// predicates passed; the estimate is about the predicates alone.
+		actual := float64(atomic.LoadInt64(&st.Rows) + atomic.LoadInt64(&st.JoinFiltered))
 		est := math.Max(1, n.Props.Rows)
 		a := math.Max(1, actual)
 		if a/est < cardDivergence && est/a < cardDivergence {

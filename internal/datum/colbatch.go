@@ -213,10 +213,10 @@ func (v *ColVec) ValueAt(i int) Value {
 // ascending order. Operators filter by shrinking Sel, never by moving
 // column data.
 //
-// Ownership follows the BatchStream contract: the producer owns the
-// batch and invalidates it at the next NextColBatch call. Consumers that
-// retain data must materialize rows (MaterializeInto allocates fresh
-// backing arrays).
+// Ownership follows the exec.ColBatchStream contract: the producer owns
+// the batch and invalidates it at the next NextColBatch call. Consumers
+// that retain data must materialize rows (MaterializeInto allocates
+// fresh backing arrays).
 type ColBatch struct {
 	Vecs []ColVec
 	Sel  []int

@@ -3,17 +3,16 @@
 // so the scan→filter→project→aggregate spine runs fused per-type
 // kernels instead of per-row interface dispatch.
 //
-// Every columnar operator also implements Stream and BatchStream by
-// materializing its batches back to rows, so any row-oriented parent —
-// joins, sorts, exchanges, the instrumentation wrapper, Run itself —
-// composes with a columnar child unchanged. Dispatch happens at
-// plan-refinement time: the builder emits a columnar operator only when
-// the node's expressions compile to kernels and (for non-leaf
-// operators) the child is columnar-native; otherwise it falls back to
-// the row operator. Fault-wrapped, durable and virtual relations whose
-// iterators lack the ColScanner capability are adapted row-by-row into
-// vectors, so the fault/budget/cancel machinery exercises the columnar
-// operators too.
+// Every columnar operator also implements Stream by materializing its
+// batches back to rows, so any row-oriented parent — joins, sorts,
+// exchanges, Run itself — composes with a columnar child unchanged.
+// Dispatch happens at plan-refinement time: the builder emits a
+// columnar operator only when the node's expressions compile to kernels
+// and (for non-leaf operators) the child is columnar-native; otherwise
+// it falls back to the row operator. Fault-wrapped, durable and virtual
+// relations whose iterators lack the ColScanner capability are adapted
+// row-by-row into vectors, so the fault/budget/cancel machinery
+// exercises the columnar operators too.
 package exec
 
 import (
@@ -27,31 +26,31 @@ import (
 	"repro/internal/txn"
 )
 
-// ColBatchStream is a batch stream that can also hand out its batches
-// in columnar form. NextColBatch follows the NextBatch ownership
-// contract: the producer owns the returned batch and invalidates it at
-// the next call; a final partial batch may arrive with ok=false, and an
-// exhausted stream returns (nil, false, nil).
+// ColBatchStream is the production batch protocol: a Stream that can
+// also hand out its output as columnar batches. The producer owns the
+// returned batch and invalidates it at the next NextColBatch (or
+// Close); a final partial batch may arrive with ok=false, an empty
+// ok=true batch means "keep pulling", and an exhausted stream returns
+// (nil, false, nil).
 type ColBatchStream interface {
-	BatchStream
+	Stream
 	NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error)
 }
 
-// defaultColBatchSize is the columnar batch capacity when the session
-// does not pin one. Columnar batches amortize per-batch work across
-// more rows than the row-batch default because their per-row cost is a
-// lane append, not a Value-slice allocation.
-const defaultColBatchSize = 1024
+// colBatchSize is the fill target of columnar leaf batches: wide enough
+// to amortize per-batch work, since the per-row cost is a lane append,
+// not a Value-slice allocation.
+const colBatchSize = 1024
 
-// colBatchLen is the fill target for columnar leaf batches.
-func (c *Ctx) colBatchLen() int {
-	switch {
-	case c.batchSize == 0:
-		return defaultColBatchSize
-	case c.batchSize <= 1:
-		return 1
+// SetColWidth overrides the columnar batch width so tests can land
+// faults and refills on batch boundaries; n <= 0 keeps colBatchSize.
+func (c *Ctx) SetColWidth(n int) { c.colWidth = n }
+
+func (c *Ctx) colBatchWidth() int {
+	if c.colWidth > 0 {
+		return c.colWidth
 	}
-	return c.batchSize
+	return colBatchSize
 }
 
 // colBatchSource is the producer side of rowFeed adaptation.
@@ -59,8 +58,8 @@ type colBatchSource interface {
 	NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error)
 }
 
-// rowFeed adapts a columnar producer to the Stream/BatchStream
-// interfaces by materializing each batch into retainable rows. The
+// rowFeed adapts a columnar producer to the Stream interface by
+// materializing each batch into retainable rows. The
 // rows slice is the reused batch container; trailing slots are cleared
 // before refill so it never pins rows from earlier batches.
 type rowFeed struct {
@@ -106,18 +105,6 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 	return r, true, nil
 }
 
-func (f *rowFeed) nextBatch(ctx *Ctx, src colBatchSource) ([]datum.Row, bool, error) {
-	if f.done {
-		return nil, false, nil
-	}
-	more, err := f.refill(ctx, src)
-	if err != nil {
-		return nil, false, err
-	}
-	f.done = !more
-	return f.rows, more, nil
-}
-
 // ---------------------------------------------------------------------
 // Columnar SCAN
 
@@ -135,6 +122,9 @@ type colScanOp struct {
 	// inside the scan kernel, before they travel up the pipeline.
 	jf     *joinFilter
 	jfKeys []int
+	// jfDropped counts the rows the join filter removed since the stats
+	// decorator last harvested it (see statsOp.Close).
+	jfDropped int64
 
 	it      storage.RowIterator
 	batch   *datum.ColBatch
@@ -155,7 +145,7 @@ func (s *colScanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	if s.batch == nil {
 		s.batch = datum.NewColBatch(s.types)
 	}
-	max := ctx.colBatchLen()
+	max := ctx.colBatchWidth()
 	for {
 		s.batch.Reset()
 		k, err := s.fill(ctx, max)
@@ -166,7 +156,9 @@ func (s *colScanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			return nil, false, err
 		}
 		if s.jf != nil {
+			before := s.batch.NumLive()
 			s.applyJoinFilter()
+			s.jfDropped += int64(before - s.batch.NumLive())
 		}
 		if s.batch.NumLive() > 0 {
 			return s.batch, true, nil
@@ -210,14 +202,16 @@ func (s *colScanOp) fill(ctx *Ctx, max int) (int, error) {
 	}
 	k := 0
 	for k < max {
+		s.tv.ReadLock()
 		r, rid, ok := s.it.Next()
+		r, live := txn.ResolveLocked(s.tv, rid, r, ctx.Snap)
+		s.tv.ReadUnlock()
 		if !ok {
 			break
 		}
 		if err := ctx.tick(); err != nil {
 			return k, err
 		}
-		r, live := txn.Resolve(s.tv, rid, r, ctx.Snap)
 		if !live {
 			continue
 		}
@@ -236,7 +230,7 @@ func (s *colScanOp) applyJoinFilter() {
 	}
 	b := s.batch
 	if s.nullBuf == nil {
-		s.nullBuf = make([]bool, 0, defaultColBatchSize)
+		s.nullBuf = make([]bool, 0, colBatchSize)
 	}
 	s.hashBuf, s.nullBuf = b.HashLive(s.jfKeys, s.hashBuf[:0], s.nullBuf[:0])
 	if b.Sel == nil {
@@ -264,10 +258,6 @@ func (s *colScanOp) applyJoinFilter() {
 
 func (s *colScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return s.feed.next(ctx, s)
-}
-
-func (s *colScanOp) NextBatch(ctx *Ctx) ([]datum.Row, bool, error) {
-	return s.feed.nextBatch(ctx, s)
 }
 
 func (s *colScanOp) Close(ctx *Ctx) error {
@@ -317,10 +307,6 @@ func (f *colFilterOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return f.feed.next(ctx, f)
 }
 
-func (f *colFilterOp) NextBatch(ctx *Ctx) ([]datum.Row, bool, error) {
-	return f.feed.nextBatch(ctx, f)
-}
-
 func (f *colFilterOp) Close(ctx *Ctx) error { return f.input.Close(ctx) }
 
 // ---------------------------------------------------------------------
@@ -353,10 +339,6 @@ func (p *colProjectOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 
 func (p *colProjectOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return p.feed.next(ctx, p)
-}
-
-func (p *colProjectOp) NextBatch(ctx *Ctx) ([]datum.Row, bool, error) {
-	return p.feed.nextBatch(ctx, p)
 }
 
 func (p *colProjectOp) Close(ctx *Ctx) error { return p.input.Close(ctx) }
@@ -465,20 +447,6 @@ func (g *colGroupOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return r, true, nil
 }
 
-func (g *colGroupOp) NextBatch(ctx *Ctx) ([]datum.Row, bool, error) {
-	if g.pos >= len(g.out) {
-		return nil, false, nil
-	}
-	n := ctx.batchLen()
-	if n <= 0 {
-		n = defaultBatchSize
-	}
-	end := min(g.pos+n, len(g.out))
-	batch := g.out[g.pos:end]
-	g.pos = end
-	return batch, end < len(g.out), nil
-}
-
 func (g *colGroupOp) Close(ctx *Ctx) error {
 	g.out, g.keyRows = nil, nil
 	g.mem.release(ctx)
@@ -551,15 +519,14 @@ func jfRehash(h uint64) uint64 {
 }
 
 // pushJoinFilter walks the probe-side subtree through slot-preserving
-// operators looking for a columnar scan to host the join filter,
-// remapping key slots through projections. LIMIT blocks the push: a
-// filter below LIMIT would change which rows fill the quota.
+// operators (and their stats decorators) looking for a columnar scan to
+// host the join filter, remapping key slots through projections. LIMIT
+// blocks the push: a filter below LIMIT would change which rows fill
+// the quota.
 func pushJoinFilter(s Stream, keys []int) (*colScanOp, []int) {
 	k := append([]int(nil), keys...)
 	for {
-		switch t := s.(type) {
-		case *passThrough:
-			s = t.input
+		switch t := undecorated(s).(type) {
 		case *filterOp:
 			s = t.input
 		case *colFilterOp:
@@ -589,17 +556,12 @@ func pushJoinFilter(s Stream, keys []int) (*colScanOp, []int) {
 // Builder dispatch
 
 // Vectorized returns a copy of the builder with columnar operator
-// dispatch switched on or off. Instrumented builds stay row-oriented
-// regardless: the per-node stats wrapper is a row boundary anyway, and
-// EXPLAIN ANALYZE row counts are defined against row operators.
+// dispatch switched on or off.
 func (b *Builder) Vectorized(on bool) *Builder {
 	nb := *b
 	nb.vec = on
 	return &nb
 }
-
-// vectorize reports whether this build may emit columnar operators.
-func (b *Builder) vectorize() bool { return b.vec && b.instr == nil }
 
 // tryColScan attempts a columnar-native scan; ok=false (with nil error)
 // means the node needs the row path.

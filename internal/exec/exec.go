@@ -70,9 +70,9 @@ type Ctx struct {
 	// exchanges still executes correctly (serially) at dop <= 1, which
 	// is how fault injection forces parallel plans back to one thread.
 	dop int
-	// batchSize is the row-batch granularity of the batched fast path;
-	// 0 means the default, <=1 disables batched draining.
-	batchSize int
+	// colWidth overrides the columnar batch width; 0 means colBatchSize.
+	// Only tests set it (see SetColWidth).
+	colWidth int
 	// par, when set, receives parallel-execution telemetry (worker
 	// lifecycle, batch sizes, backpressure) for the obs layer.
 	par *ParallelObs
@@ -94,26 +94,6 @@ func (c *Ctx) SetDOP(n int) { c.dop = n }
 
 // DOP reports the runtime degree of parallelism.
 func (c *Ctx) DOP() int { return c.dop }
-
-// SetBatchSize overrides the batched path's rows-per-batch; n <= 1
-// disables batched draining (every operator falls back to Next).
-func (c *Ctx) SetBatchSize(n int) { c.batchSize = n }
-
-// defaultBatchSize is the rows-per-batch of the batched fast path:
-// large enough to amortize per-batch overhead, small enough to keep a
-// batch within a few cache lines of row headers.
-const defaultBatchSize = 64
-
-// batchLen is the effective batch size; 0 when batching is disabled.
-func (c *Ctx) batchLen() int {
-	switch {
-	case c.batchSize == 0:
-		return defaultBatchSize
-	case c.batchSize <= 1:
-		return 0
-	}
-	return c.batchSize
-}
 
 // SetParallelObs installs the parallel-execution telemetry hooks.
 func (c *Ctx) SetParallelObs(p *ParallelObs) { c.par = p }
@@ -252,7 +232,8 @@ type Builder struct {
 	// custom maps DBC operator names to their build functions.
 	custom map[string]BuildFunc
 	// instr, when set, wraps every built operator with the stats
-	// decorator (see Instrumented); nil on the DB's shared builder.
+	// decorator (see Instrumented); nil on the DB's shared builder. Only
+	// Build reads it, so which operators get built never depends on it.
 	instr *Instrumentation
 	// morsel, when set, rebinds one SCAN plan node (by identity) to a
 	// morsel-claiming scan over a shared page dispenser. buildGather
@@ -299,7 +280,7 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 		if b.morsel != nil && b.morsel.node == n {
 			return b.buildMorselScan(n, corr)
 		}
-		if b.vectorize() {
+		if b.vec {
 			if s, ok, err := b.tryColScan(n, corr); err != nil {
 				return nil, err
 			} else if ok {
@@ -372,10 +353,11 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 	return nil, fmt.Errorf("exec: unknown plan operator %s", n.Op)
 }
 
-// Run drains a stream into a materialized result. On any failure —
-// including a failing Close — it returns a nil result, never partial
-// rows beside a non-nil error; Close always runs, and its error joins
-// the Next error rather than being discarded.
+// Run drains a stream into a materialized result, charging one work-
+// budget tick per result row. On any failure — including a failing
+// Close — it returns a nil result, never partial rows beside a non-nil
+// error; Close always runs, and its error joins the Next error rather
+// than being discarded.
 func Run(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
 	if err := s.Open(ctx); err != nil {
 		// Close even after a failed Open: a multi-input operator may have
@@ -389,34 +371,7 @@ func Run(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
 			rows = nil
 		}
 	}()
-	// When the drained stream is the stats decorator, its Next already
-	// charged the work budget through Ctx.countRow (the single row-
-	// accounting path); charging again here would double-bill the tuple.
-	counted := statsOf(s) != nil
 	var out []datum.Row
-	// Batched fast path: a batch-capable top operator hands over whole
-	// row slices, skipping one Next call (and its per-row bookkeeping)
-	// per tuple. The stats decorator is never batch-capable, so the
-	// instrumented path keeps exact per-Next timing.
-	if bs, ok := s.(BatchStream); ok && ctx.batchLen() > 0 {
-		for {
-			batch, ok, err := bs.NextBatch(ctx)
-			if err != nil {
-				return nil, err
-			}
-			for _, row := range batch {
-				if !counted {
-					if err := ctx.countRow(nil); err != nil {
-						return nil, err
-					}
-				}
-				out = append(out, row)
-			}
-			if !ok {
-				return out, nil
-			}
-		}
-	}
 	for {
 		row, ok, err := s.Next(ctx)
 		if err != nil {
@@ -425,10 +380,8 @@ func Run(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
 		if !ok {
 			return out, nil
 		}
-		if !counted {
-			if err := ctx.countRow(nil); err != nil {
-				return nil, err
-			}
+		if err := ctx.tick(); err != nil {
+			return nil, err
 		}
 		out = append(out, row)
 	}

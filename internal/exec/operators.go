@@ -47,8 +47,6 @@ type scanOp struct {
 	tv    *txn.TableVersions
 	preds []expr.Expr
 	it    storage.RowIterator
-	// buf is the reused row-pointer container of the batched path.
-	buf []datum.Row
 }
 
 func (b *Builder) buildScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -67,7 +65,10 @@ func (s *scanOp) Open(ctx *Ctx) error {
 
 func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	for {
+		s.tv.ReadLock()
 		row, rid, ok := s.it.Next()
+		row, live := txn.ResolveLocked(s.tv, rid, row, ctx.Snap)
+		s.tv.ReadUnlock()
 		if !ok {
 			// Iterators cannot fail from Next; fallible stores report a
 			// deferred error at exhaustion instead.
@@ -76,7 +77,6 @@ func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		if err := ctx.tick(); err != nil {
 			return nil, false, err
 		}
-		row, live := txn.Resolve(s.tv, rid, row, ctx.Snap)
 		if !live {
 			continue
 		}
@@ -178,25 +178,28 @@ func (s *indexScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		if err := ctx.tick(); err != nil {
 			return nil, false, err
 		}
+		// Fetch and version lookup are one step under the version map's
+		// read lock, for the reason ResolveLocked gives.
+		s.tv.ReadLock()
 		row, ok := s.rel.Fetch(e.RID)
+		v := s.tv.LookupLocked(e.RID)
+		s.tv.ReadUnlock()
 		if !ok {
 			continue // entry for a deleted record
 		}
-		if s.tv != nil {
-			if v := s.tv.Lookup(e.RID); v != nil {
-				vis, live := v.Visible(ctx.Snap, row)
-				if !live {
-					continue
-				}
-				// A row in flux may be linked under several keys (its
-				// current one plus stale old keys); only the entry
-				// matching the visible image's key yields the row, so
-				// each visible row surfaces exactly once.
-				if storage.CompareKeys(indexKeyOf(vis, s.keyCols), e.Key) != 0 {
-					continue
-				}
-				row = vis
+		if v != nil {
+			vis, live := v.Visible(ctx.Snap, row)
+			if !live {
+				continue
 			}
+			// A row in flux may be linked under several keys (its
+			// current one plus stale old keys); only the entry
+			// matching the visible image's key yields the row, so
+			// each visible row surfaces exactly once.
+			if storage.CompareKeys(indexKeyOf(vis, s.keyCols), e.Key) != 0 {
+				continue
+			}
+			row = vis
 		}
 		match, err := evalPreds(ctx, s.preds, row)
 		if err != nil {
@@ -219,31 +222,17 @@ func (s *indexScanOp) Close(ctx *Ctx) error {
 // ---------------------------------------------------------------------
 // ACCESS (identity relabel), FILTER, PROJECT, LIMIT, TEMP
 
-type passThrough struct {
-	input Stream
-	// buf is the reused batch container when the input is tuple-only.
-	buf []datum.Row
-}
-
+// buildAccess builds no operator: ACCESS only renames its input's
+// columns, which slot binding has already resolved, so the node is
+// served by its input's stream — a columnar input stays columnar for
+// the operator above.
 func (b *Builder) buildAccess(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	in, err := b.Build(n.Inputs[0], corr)
-	if err != nil {
-		return nil, err
-	}
-	return &passThrough{input: in}, nil
+	return b.Build(n.Inputs[0], corr)
 }
-
-func (p *passThrough) Open(ctx *Ctx) error { return p.input.Open(ctx) }
-func (p *passThrough) Next(ctx *Ctx) (datum.Row, bool, error) {
-	return p.input.Next(ctx)
-}
-func (p *passThrough) Close(ctx *Ctx) error { return p.input.Close(ctx) }
 
 type filterOp struct {
 	input Stream
 	preds []expr.Expr
-	// inBuf is the reused batch container when the input is tuple-only.
-	inBuf []datum.Row
 }
 
 func (b *Builder) buildFilter(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -260,7 +249,7 @@ func (b *Builder) buildFilter(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	if err != nil {
 		return nil, err
 	}
-	if b.vectorize() {
+	if b.vec {
 		if cin, ok := in.(ColBatchStream); ok {
 			if kernels, ok := compileColPreds(preds); ok {
 				return &colFilterOp{input: cin, preds: kernels}, nil
@@ -293,9 +282,6 @@ func (f *filterOp) Close(ctx *Ctx) error { return f.input.Close(ctx) }
 type projectOp struct {
 	input Stream
 	exprs []expr.Expr
-	// inBuf/outBuf are the reused batch containers of the batched path.
-	inBuf  []datum.Row
-	outBuf []datum.Row
 }
 
 func (b *Builder) buildProject(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -312,7 +298,7 @@ func (b *Builder) buildProject(n *plan.Node, corr map[plan.ColRef]int) (Stream, 
 	if err != nil {
 		return nil, err
 	}
-	if b.vectorize() {
+	if b.vec {
 		if p, ok := tryColProject(in, exprs, n.Types); ok {
 			return p, nil
 		}
@@ -345,8 +331,6 @@ type limitOp struct {
 	input Stream
 	nExpr expr.Expr
 	left  int64
-	// inBuf is the reused batch container when the input is tuple-only.
-	inBuf []datum.Row
 }
 
 func (b *Builder) buildLimit(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -655,7 +639,7 @@ func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 	// Push a join filter into a columnar scan feeding the probe side:
 	// inner joins only (an outer join must surface unmatched probe
 	// rows, so the scan may not drop them).
-	if b.vectorize() && (n.JoinKind == "" || n.JoinKind == plan.KindRegular) && len(n.EquiLeft) > 0 {
+	if b.vec && (n.JoinKind == "" || n.JoinKind == plan.KindRegular) && len(n.EquiLeft) > 0 {
 		if cs, keys := pushJoinFilter(l, n.EquiLeft); cs != nil {
 			j.filter = &joinFilter{}
 			cs.jf, cs.jfKeys = j.filter, keys
@@ -929,7 +913,7 @@ func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 		}
 		args[i] = bound
 	}
-	if b.vectorize() {
+	if b.vec {
 		if g, ok := tryColGroup(in, n, args); ok {
 			return g, nil
 		}

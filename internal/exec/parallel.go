@@ -138,7 +138,6 @@ type morselScanOp struct {
 	tv    *txn.TableVersions
 	preds []expr.Expr
 	it    storage.RowIterator
-	buf   []datum.Row
 }
 
 func (b *Builder) buildMorselScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -167,7 +166,10 @@ func (s *morselScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 			}
 			s.it = s.src.prs.ScanPages(lo, hi)
 		}
+		s.tv.ReadLock()
 		row, rid, ok := s.it.Next()
+		row, live := txn.ResolveLocked(s.tv, rid, row, ctx.Snap)
+		s.tv.ReadUnlock()
 		if !ok {
 			err := storage.IterErr(s.it)
 			s.it.Close()
@@ -180,7 +182,6 @@ func (s *morselScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		if err := ctx.tick(); err != nil {
 			return nil, false, err
 		}
-		row, live := txn.Resolve(s.tv, rid, row, ctx.Snap)
 		if !live {
 			continue
 		}
@@ -194,95 +195,39 @@ func (s *morselScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	}
 }
 
-// NextBatch implements BatchStream over morsels, using the storage
-// layer's arena batch reads when available.
-func (s *morselScanOp) NextBatch(ctx *Ctx) ([]datum.Row, bool, error) {
-	n := ctx.batchLen()
-	if n <= 0 {
-		n = defaultBatchSize
-	}
-	if cap(s.buf) < n {
-		s.buf = make([]datum.Row, n)
-	}
-	buf := s.buf[:n]
-	for {
-		if s.it == nil {
-			if ctx.doneSignaled() {
-				return nil, false, nil
-			}
-			lo, hi, ok := s.src.claim()
-			if !ok {
-				return nil, false, nil
-			}
-			s.it = s.src.prs.ScanPages(lo, hi)
-		}
-		bsc, fast := s.it.(storage.BatchScanner)
-		if !fast {
-			// Fall back to the tuple loop for this morsel's iterator.
-			out := buf[:0]
-			for len(out) < n {
-				row, ok, err := s.Next(ctx)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					return out, false, nil
-				}
-				out = append(out, row)
-			}
-			return out, true, nil
-		}
-		k, frozen := frozenFill(s.tv, func() int { return bsc.NextRows(buf) })
-		if !frozen {
-			// Unfrozen versions: resolve tuple-at-a-time (s.Next applies
-			// visibility per row).
-			out := buf[:0]
-			for len(out) < n {
-				row, ok, err := s.Next(ctx)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					return out, false, nil
-				}
-				out = append(out, row)
-			}
-			return out, true, nil
-		}
-		if k == 0 {
-			err := storage.IterErr(s.it)
-			s.it.Close()
-			s.it = nil
-			if err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		out := buf[:0]
-		for _, row := range buf[:k] {
-			if err := ctx.tick(); err != nil {
-				return nil, false, err
-			}
-			match, err := evalPreds(ctx, s.preds, row)
-			if err != nil {
-				return nil, false, err
-			}
-			if match {
-				out = append(out, row)
-			}
-		}
-		if len(out) > 0 {
-			return out, true, nil
-		}
-	}
-}
-
 func (s *morselScanOp) Close(ctx *Ctx) error {
 	if s.it != nil {
 		s.it.Close()
 		s.it = nil
 	}
 	return nil
+}
+
+// ---------------------------------------------------------------------
+// Exchange payloads
+
+// exchangeChunk is how many rows a worker gathers before handing them
+// to an exchange channel: enough to amortize the channel operation,
+// few enough that consumers start early and LIMIT stops workers soon.
+const exchangeChunk = 64
+
+// nextChunk refills buf (a worker-private, reused container) with up
+// to exchangeChunk rows pulled from s. A false second result marks s
+// exhausted; the final chunk may be short or empty. The rows are retainable, the
+// container is not: a sender copies it before the next refill.
+func nextChunk(ctx *Ctx, s Stream, buf []datum.Row) ([]datum.Row, bool, error) {
+	buf = buf[:0]
+	for len(buf) < exchangeChunk {
+		row, ok, err := s.Next(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			return buf, false, nil
+		}
+		buf = append(buf, row)
+	}
+	return buf, true, nil
 }
 
 // ---------------------------------------------------------------------
@@ -397,10 +342,6 @@ func (p *repartPool) produce(ctx *Ctx, ps Stream) (err error) {
 		return errors.Join(err, ps.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, ps.Close(ctx)) }()
-	n := ctx.batchLen()
-	if n <= 0 {
-		n = defaultBatchSize
-	}
 	out := make([][]datum.Row, p.parts)
 	flush := func(i int) bool {
 		if len(out[i]) == 0 {
@@ -424,21 +365,21 @@ func (p *repartPool) produce(ctx *Ctx, ps Stream) (err error) {
 			return false
 		}
 	}
-	var buf []datum.Row
+	chunk := make([]datum.Row, 0, exchangeChunk)
 	for {
 		if ctx.doneSignaled() {
 			// Early termination (LIMIT satisfied or sibling failure):
 			// stop producing; readers see their channels close.
 			return nil
 		}
-		batch, more, berr := nextBatchFrom(ctx, ps, &buf)
+		batch, more, berr := nextChunk(ctx, ps, chunk)
 		if berr != nil {
 			return berr
 		}
 		for _, row := range batch {
 			i := int(datum.HashRow(row, p.keys) % uint64(p.parts))
 			out[i] = append(out[i], row)
-			if len(out[i]) >= n && !flush(i) {
+			if len(out[i]) >= exchangeChunk && !flush(i) {
 				return nil
 			}
 		}
@@ -516,12 +457,8 @@ func (b *Builder) buildRepart(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	if b.repart == nil {
 		// Built outside a gather (shared plan subtree or hand-made
 		// plan): hash partitioning into one stream is the identity, so
-		// degrade to a pass-through over the producer subtree.
-		in, err := b.Build(n.Inputs[0], corr)
-		if err != nil {
-			return nil, err
-		}
-		return &passThrough{input: in}, nil
+		// the producer subtree serves the node directly.
+		return b.Build(n.Inputs[0], corr)
 	}
 	return &repartReaderOp{pool: b.repart.pool, part: b.repart.part}, nil
 }
@@ -618,7 +555,6 @@ type gatherOp struct {
 	delivered  bool
 	pending    []datum.Row
 	pi         int
-	outBuf     []datum.Row
 	// Ordered mode: one finished sorted run per worker plus a cursor.
 	runs    [][]datum.Row
 	runPos  []int
@@ -702,9 +638,9 @@ func (g *gatherOp) runWorker(ctx *Ctx, i int, w Stream) (err error) {
 		return errors.Join(err, w.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, w.Close(ctx)) }()
-	var buf []datum.Row
+	chunk := make([]datum.Row, 0, exchangeChunk)
 	for {
-		batch, more, berr := nextBatchFrom(ctx, w, &buf)
+		batch, more, berr := nextChunk(ctx, w, chunk)
 		if berr != nil {
 			return berr
 		}
@@ -777,52 +713,6 @@ func (g *gatherOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	}
 }
 
-// NextBatch lets unordered parallel gather hand merged batches onward
-// without re-tupling them; inline and ordered modes batch up their
-// tuple stream.
-func (g *gatherOp) NextBatch(ctx *Ctx) ([]datum.Row, bool, error) {
-	if !g.parallel || g.merge != nil {
-		n := ctx.batchLen()
-		if n <= 0 {
-			n = defaultBatchSize
-		}
-		if cap(g.outBuf) < n {
-			g.outBuf = make([]datum.Row, 0, n)
-		}
-		out := g.outBuf[:0]
-		for len(out) < n {
-			row, ok, err := g.Next(ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return out, false, nil
-			}
-			out = append(out, row)
-		}
-		return out, true, nil
-	}
-	if g.pi < len(g.pending) {
-		rest := g.pending[g.pi:]
-		g.pi = len(g.pending)
-		return rest, true, nil
-	}
-	batch, ok := <-g.batches
-	if !ok {
-		g.failedMu.Lock()
-		err := g.failed
-		if err != nil {
-			if g.delivered {
-				err = nil
-			}
-			g.delivered = true
-		}
-		g.failedMu.Unlock()
-		return nil, false, err
-	}
-	return batch, true, nil
-}
-
 // nextInline streams the workers one after another on the caller's
 // goroutine: with a morsel dispenser the first worker claims every
 // morsel and the rest come up empty, so the result is exactly the
@@ -879,11 +769,12 @@ func (g *gatherOp) Close(ctx *Ctx) (err error) {
 	if g.parallel {
 		if g.done != nil {
 			close(g.done)
-			g.done = nil
 		}
 		stalled := ctx.doneSignaled()
 		start := time.Now()
 		g.wg.Wait()
+		// Cleared only now: workers select on the field until they exit.
+		g.done = nil
 		if g.batches != nil {
 			for range g.batches {
 			}

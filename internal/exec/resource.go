@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/obs"
 )
 
 // This file bounds query execution: cancellation, a statement deadline,
@@ -106,24 +105,6 @@ func (c *Ctx) tick() error {
 		return nil
 	}
 	return c.tickSlow(t)
-}
-
-// countRow accounts one produced tuple crossing an observed boundary.
-// It is the single row-accounting path shared by the work budget and
-// the observability layer: the tuple pays one budget tick and, when the
-// producing operator is instrumented, one increment on its row counter
-// — so MaxRows accounting and EXPLAIN ANALYZE row counts can never
-// disagree about what counts as a row. A budget-rejected tuple is not
-// recorded as produced. The stats increment is atomic because exchange
-// workers share one OpStats per plan node.
-func (c *Ctx) countRow(st *obs.OpStats) error {
-	if err := c.tick(); err != nil {
-		return err
-	}
-	if st != nil {
-		atomic.AddInt64(&st.Rows, 1)
-	}
-	return nil
 }
 
 // tickRows counts n tuple boundaries in one atomic add — the columnar

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 
 // This file is the QES half of the observability layer: a stats
 // decorator wrapped around every operator an instrumented Builder
-// builds. An uninstrumented Builder (the default) never allocates a
-// decorator, so the tracing-off execution path is byte-for-byte the
-// pre-observability one.
+// builds. The decorator is protocol-transparent — over a columnar
+// operator it is itself a ColBatchStream — and charges nothing to the
+// work budget, so an instrumented build constructs, and bills, exactly
+// the operators an uninstrumented one does.
 
 // Instrumentation collects per-operator runtime statistics for one
 // execution of one plan. It is not safe for concurrent executions; an
@@ -70,17 +72,49 @@ func (in *Instrumentation) wrap(n *plan.Node, s Stream) Stream {
 		in.stats[n] = st
 		in.kinds[n] = operatorKind(s)
 	}
-	return &statsOp{inner: s, st: st}
+	op := statsOp{inner: s, st: st}
+	if cs, ok := s.(ColBatchStream); ok {
+		return &colStatsOp{statsOp: op, col: cs}
+	}
+	return &op
 }
 
-// statsOp is the decorator: it times Open/Next/Close, counts produced
-// rows through the shared Ctx.countRow accounting path, samples the
-// statement memory high-water mark, and harvests subquery-cache
-// statistics at Close.
+// operatorKind names the QES operator behind a stream by its Go type:
+// "scanOp" for this package's operators, the qualified "*pkg.Type" for
+// a DBC extension's. A plan node that builds no operator of its own
+// (ACCESS) is served by, and named after, its input's.
+func operatorKind(s Stream) string {
+	return strings.TrimPrefix(fmt.Sprintf("%T", undecorated(s)), "*exec.")
+}
+
+// undecorated strips the stats decorators off a stream.
+func undecorated(s Stream) Stream {
+	for {
+		d, ok := s.(interface{ decorated() Stream })
+		if !ok {
+			return s
+		}
+		s = d.decorated()
+	}
+}
+
+// statsOp is the decorator: it times Open/Next/Close, counts calls and
+// produced rows, samples the statement memory high-water mark, and
+// harvests subquery-cache and join-filter statistics at Close.
 type statsOp struct {
 	inner Stream
 	st    *obs.OpStats
 }
+
+// colStatsOp is the decorator over a columnar operator. Its consumer
+// pulls through exactly one protocol — NextColBatch when it is columnar
+// too, the row adaptation otherwise — so a row is counted once.
+type colStatsOp struct {
+	statsOp
+	col ColBatchStream
+}
+
+func (s *statsOp) decorated() Stream { return s.inner }
 
 // cacheStats is implemented by operators that evaluate subplans on
 // demand (subqOp); the decorator copies the statement-cumulative
@@ -110,14 +144,26 @@ func (s *statsOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	// countRow is the same accounting path the work budget uses, so
-	// the budget and the observed row count can never drift apart. A
-	// tuple rejected by the budget is not counted as produced.
-	if err := ctx.countRow(s.st); err != nil {
-		return nil, false, err
-	}
+	atomic.AddInt64(&s.st.Rows, 1)
 	s.sampleMem(ctx)
 	return row, true, nil
+}
+
+// NextColBatch forwards one batch: one timer pair and one Nexts count
+// per batch, Rows advanced by the batch's live rows.
+func (s *colStatsOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	start := time.Now()
+	b, more, err := s.col.NextColBatch(ctx)
+	atomic.AddInt64(&s.st.Nexts, 1)
+	atomic.AddInt64(&s.st.NextNanos, time.Since(start).Nanoseconds())
+	if err != nil {
+		return nil, false, err
+	}
+	if b != nil {
+		atomic.AddInt64(&s.st.Rows, int64(b.NumLive()))
+	}
+	s.sampleMem(ctx)
+	return b, more, nil
 }
 
 func (s *statsOp) Close(ctx *Ctx) error {
@@ -138,6 +184,10 @@ func (s *statsOp) Close(ctx *Ctx) error {
 		// workers before returning.
 		s.st.WorkerRows = wr.WorkerRowCounts()
 	}
+	if cs, ok := s.inner.(*colScanOp); ok && cs.jfDropped != 0 {
+		atomic.AddInt64(&s.st.JoinFiltered, cs.jfDropped)
+		cs.jfDropped = 0
+	}
 	return err
 }
 
@@ -149,86 +199,6 @@ func (s *statsOp) sampleMem(ctx *Ctx) {
 			return
 		}
 	}
-}
-
-// statsOf reports the stats record of a stream when it is the
-// decorator; Run uses it to avoid double-charging the work budget.
-func statsOf(s Stream) *obs.OpStats {
-	if so, ok := s.(*statsOp); ok {
-		return so.st
-	}
-	return nil
-}
-
-// operatorKind names the QES operator type behind a stream, for stats
-// labels and panic attribution. Every type in this package implementing
-// Stream must appear as a case: the starburst-lint obs-bypass check
-// enforces it, so no operator — present or future — can silently escape
-// the stats decorator's registration.
-func operatorKind(s Stream) string {
-	switch s.(type) {
-	case *scanOp:
-		return "scanOp"
-	case *indexScanOp:
-		return "indexScanOp"
-	case *passThrough:
-		return "passThrough"
-	case *chooseOp:
-		return "chooseOp"
-	case *filterOp:
-		return "filterOp"
-	case *projectOp:
-		return "projectOp"
-	case *limitOp:
-		return "limitOp"
-	case *tempOp:
-		return "tempOp"
-	case *sortOp:
-		return "sortOp"
-	case *nlJoinOp:
-		return "nlJoinOp"
-	case *hashJoinOp:
-		return "hashJoinOp"
-	case *mergeJoinOp:
-		return "mergeJoinOp"
-	case *subqOp:
-		return "subqOp"
-	case *groupOp:
-		return "groupOp"
-	case *distinctOp:
-		return "distinctOp"
-	case *setOp:
-		return "setOp"
-	case *valuesOp:
-		return "valuesOp"
-	case *tableFnOp:
-		return "tableFnOp"
-	case *recUnionOp:
-		return "recUnionOp"
-	case *recRefOp:
-		return "recRefOp"
-	case *insertOp:
-		return "insertOp"
-	case *updateDeleteOp:
-		return "updateDeleteOp"
-	case *gatherOp:
-		return "gatherOp"
-	case *morselScanOp:
-		return "morselScanOp"
-	case *repartReaderOp:
-		return "repartReaderOp"
-	case *colScanOp:
-		return "colScanOp"
-	case *colFilterOp:
-		return "colFilterOp"
-	case *colProjectOp:
-		return "colProjectOp"
-	case *colGroupOp:
-		return "colGroupOp"
-	case *statsOp:
-		return "statsOp"
-	}
-	return fmt.Sprintf("%T", s)
 }
 
 // MemHighWater returns the largest per-operator memory high-water mark
@@ -278,6 +248,9 @@ func (in *Instrumentation) Annotate(n *plan.Node) string {
 		st.MemHighWater)
 	if st.CacheHits+st.CacheMisses > 0 {
 		out += fmt.Sprintf(" cache=%d/%d", st.CacheHits, st.CacheHits+st.CacheMisses)
+	}
+	if st.JoinFiltered > 0 {
+		out += fmt.Sprintf(" join-filtered=%d", st.JoinFiltered)
 	}
 	if wr := st.WorkerRows; len(wr) > 0 {
 		out += " workers=["

@@ -655,7 +655,10 @@ func (u *updateDeleteOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	it := t.Rel.Scan()
 	ec := ctx.exprCtx()
 	for {
+		t.MVCC.ReadLock()
 		row, rid, ok := it.Next()
+		row, live := txn.ResolveLocked(t.MVCC, rid, row, ctx.Snap)
+		t.MVCC.ReadUnlock()
 		if !ok {
 			if err := storage.IterErr(it); err != nil {
 				it.Close()
@@ -667,7 +670,6 @@ func (u *updateDeleteOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 			it.Close()
 			return nil, false, err
 		}
-		row, live := txn.Resolve(t.MVCC, rid, row, ctx.Snap)
 		if !live {
 			continue
 		}

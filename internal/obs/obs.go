@@ -128,10 +128,13 @@ func (t *Trace) String() string {
 // (a nested-loop inner or recursive branch runs many times per
 // statement).
 type OpStats struct {
-	// Rows counts tuples the operator produced (successful Next calls).
+	// Rows counts tuples the operator produced, whichever protocol
+	// carried them.
 	Rows int64
-	// Opens/Nexts/Closes count calls; Nexts includes the final
-	// exhausted call.
+	// Opens/Nexts/Closes count protocol calls. Nexts counts one per
+	// Next (a row) or NextColBatch (a batch of up to 1024 rows), so it
+	// is a call count, not a row count; it includes the final exhausted
+	// call.
 	Opens, Nexts, Closes int64
 	// OpenNanos/NextNanos/CloseNanos are cumulative wall nanoseconds
 	// inside each call, children included (see SelfNanos in exec for the
@@ -143,6 +146,10 @@ type OpStats struct {
 	// CacheHits/CacheMisses are subquery-cache statistics, nonzero only
 	// for operators that evaluate subplans on demand.
 	CacheHits, CacheMisses int64
+	// JoinFiltered counts rows a pushed-down join filter dropped inside
+	// this scan, so Rows+JoinFiltered is what the scan's own predicates
+	// passed.
+	JoinFiltered int64
 
 	// WorkerRows breaks Rows down by exchange worker, set only for
 	// exchange operators. It is harvested at the exchange's Close —

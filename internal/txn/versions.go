@@ -214,11 +214,21 @@ func (tv *TableVersions) Count() int64 { return tv.count.Load() }
 
 // ReadLock takes the version map shared; a batch scan holds it across
 // the batch fill so no writer can slip an unfrozen row into the batch
-// after Count was checked.
-func (tv *TableVersions) ReadLock() { tv.mu.RLock() }
+// after Count was checked, and a row scan holds it from reading a
+// record to resolving it (see ResolveLocked). A nil tv (system/virtual
+// tables) has nothing to lock.
+func (tv *TableVersions) ReadLock() {
+	if tv != nil {
+		tv.mu.RLock()
+	}
+}
 
 // ReadUnlock releases ReadLock.
-func (tv *TableVersions) ReadUnlock() { tv.mu.RUnlock() }
+func (tv *TableVersions) ReadUnlock() {
+	if tv != nil {
+		tv.mu.RUnlock()
+	}
+}
 
 // Lookup returns the version entry for rid, nil when the row is
 // frozen. Callers either hold ReadLock or accept the entry state as of
@@ -233,8 +243,14 @@ func (tv *TableVersions) Lookup(rid storage.RID) *RowVersion {
 	return v
 }
 
-// LookupLocked is Lookup under a held ReadLock/WriteLock.
-func (tv *TableVersions) LookupLocked(rid storage.RID) *RowVersion { return tv.m[rid] }
+// LookupLocked is Lookup under a held ReadLock/WriteLock; nil for a
+// nil tv.
+func (tv *TableVersions) LookupLocked(rid storage.RID) *RowVersion {
+	if tv == nil {
+		return nil
+	}
+	return tv.m[rid]
+}
 
 // WriteLock takes the version map exclusively: version registration
 // and the physical row write it covers happen inside it, keeping the
@@ -270,9 +286,24 @@ func (tv *TableVersions) QuiesceWrites() { tv.ddlMu.Lock() }
 // ResumeWrites releases QuiesceWrites.
 func (tv *TableVersions) ResumeWrites() { tv.ddlMu.Unlock() }
 
+// ResolveLocked is Resolve for a scan that took ReadLock before it read
+// cur and still holds it. Reading and resolving must be one step: a
+// rollback deletes the record and drops its version entry under the
+// write lock, and a scan that read the record before and looked it up
+// after would find it unversioned — indistinguishable from frozen — and
+// surface an aborted row.
+func ResolveLocked(tv *TableVersions, rid storage.RID, cur datum.Row, snap Snapshot) (datum.Row, bool) {
+	if v := tv.LookupLocked(rid); v != nil {
+		return v.Visible(snap, cur)
+	}
+	return cur, true
+}
+
 // Resolve returns the image of the row at rid visible to snap, given
 // the newest physical image cur. A nil tv (system/virtual tables)
-// means no versioning: cur is visible.
+// means no versioning: cur is visible. The caller accepts the version
+// state as of the lookup, which may be later than cur's (see
+// ResolveLocked).
 func Resolve(tv *TableVersions, rid storage.RID, cur datum.Row, snap Snapshot) (datum.Row, bool) {
 	if tv == nil {
 		return cur, true

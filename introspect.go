@@ -203,15 +203,17 @@ type sessionReg struct {
 	m      map[int64]*Session
 }
 
-func (r *sessionReg) add(s *Session) int64 {
+// add registers s and assigns its id — under the lock, so a concurrent
+// snapshot never reads the id of a session it can already see unset.
+func (r *sessionReg) add(s *Session) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.m == nil {
 		r.m = map[int64]*Session{}
 	}
 	r.nextID++
-	r.m[r.nextID] = s
-	return r.nextID
+	s.id = r.nextID
+	r.m[s.id] = s
 }
 
 func (r *sessionReg) remove(id int64) {
@@ -297,7 +299,7 @@ func (db *DB) registerIntrospection() {
 		{"SYS.SESSIONS", []catalog.Column{
 			num("ID"), str("STATE"),
 			{Name: "SQL", Type: datum.TString},
-			num("DOP"), num("BATCH"),
+			num("DOP"),
 			{Name: "TRACING", Type: datum.TBool, NotNull: true},
 			num("STATEMENTS"),
 		}, db.sysSessions},
@@ -370,7 +372,7 @@ func (db *DB) sysSessions() ([]datum.Row, error) {
 		}
 		rows = append(rows, datum.Row{
 			datum.NewInt(s.id), datum.NewString(state), sqlVal,
-			datum.NewInt(int64(set.dop)), datum.NewInt(int64(set.batchSize)),
+			datum.NewInt(int64(set.dop)),
 			datum.NewBool(set.tracing), datum.NewInt(s.stmts.Load()),
 		})
 	}

@@ -27,8 +27,7 @@ import (
 //     drains all readers before its page waits even start.
 //
 // The two run identical statement streams against identical data, so
-// the ns/op ratio isolates the locking discipline. benchcmp gates the
-// MVCC side at ≤0.5x the RWMutex side (≥2x mixed throughput).
+// the ns/op ratio isolates the locking discipline.
 const mixedGoroutines = 8
 
 func mixedBenchDB(b *testing.B) *DB {

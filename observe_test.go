@@ -42,8 +42,9 @@ func walkPlan(n *plan.Node, f func(*plan.Node)) {
 
 // checkStatsInvariants asserts the structural invariants every
 // operator's stats must satisfy, in any outcome: counters non-negative,
-// rows never exceed Next calls, timings non-negative, and no counter
-// below its previous snapshot (cumulative monotonicity).
+// rows never exceed what the protocol calls could carry (one per Next,
+// a 1024-row batch per NextColBatch), timings non-negative, and no
+// counter below its previous snapshot (cumulative monotonicity).
 func checkStatsInvariants(t *testing.T, instr *exec.Instrumentation, root *plan.Node,
 	prev map[*plan.Node]obs.OpStats) map[*plan.Node]obs.OpStats {
 	t.Helper()
@@ -66,8 +67,12 @@ func checkStatsInvariants(t *testing.T, instr *exec.Instrumentation, root *plan.
 				t.Errorf("node %s: %s = %d < 0", n.Op, v.name, v.val)
 			}
 		}
-		if st.Rows > st.Nexts {
-			t.Errorf("node %s: produced %d rows in %d Next calls", n.Op, st.Rows, st.Nexts)
+		perCall := int64(1)
+		if strings.HasPrefix(instr.Kind(n), "col") {
+			perCall = 1024
+		}
+		if st.Rows > st.Nexts*perCall {
+			t.Errorf("node %s: produced %d rows in %d protocol calls", n.Op, st.Rows, st.Nexts)
 		}
 		if st.Rows > 0 && st.Opens == 0 {
 			t.Errorf("node %s: produced rows without being opened", n.Op)
@@ -94,7 +99,7 @@ func runInstrumented(db *DB, instr *exec.Instrumentation, compiled *plan.Compile
 		db.faults.SetInterrupt(goCtx.Done())
 		defer db.faults.SetInterrupt(nil)
 	}
-	s, err := db.builder.Instrumented(instr).Build(compiled.Root, nil)
+	s, err := db.builder.Vectorized(db.Vectorized()).Instrumented(instr).Build(compiled.Root, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -165,22 +170,77 @@ func TestAnalyzeInvariantsEveryOperator(t *testing.T) {
 	}
 }
 
-// TestInstrumentationKeepsBudgetSemantics is the row-accounting drift
-// guard: MaxRows enforcement must behave identically with and without
-// the stats decorator, because both share Ctx.countRow.
+// TestInstrumentationKeepsBudgetSemantics: observing a statement must
+// not change its verdict. The stats decorator charges nothing to the
+// work budget, so for every MaxRows from "always trips" to "never
+// trips" a statement fails or succeeds — and, failing, reports the same
+// ResourceError.Used — whether it runs plain, with the slow-query log
+// armed, with a span exporter installed, with cardinality feedback
+// armed, or under EXPLAIN ANALYZE.
 func TestInstrumentationKeepsBudgetSemantics(t *testing.T) {
-	for _, instrumented := range []bool{false, true} {
-		db := robustDB(t)
-		db.SetLimits(Limits{MaxRows: 5})
-		if instrumented {
-			db.SetSlowQueryThreshold(time.Hour) // arms instrumentation, never fires
+	queries := []string{
+		// Columnar scan under row filter/project fallbacks and a sort.
+		`SELECT a+1 FROM t WHERE b+0 < 100 ORDER BY a`,
+		// Columnar all the way into the hash aggregate.
+		`SELECT b, COUNT(*) FROM t WHERE a >= 0 GROUP BY b`,
+	}
+	modes := []struct {
+		name    string
+		arm     func(db *DB)
+		explain bool
+	}{
+		{name: "plain", arm: func(*DB) {}},
+		{name: "slow-log", arm: func(db *DB) { db.SetSlowQueryThreshold(time.Hour) }},
+		{name: "span-exporter", arm: func(db *DB) { db.SetSpanExporter(func(*StatementSpan) {}) }},
+		{name: "feedback", arm: func(db *DB) { db.SetCardinalityFeedback(true) }},
+		{name: "explain-analyze", arm: func(*DB) {}, explain: true},
+	}
+	limits := []int64{5, 255, 256, 600, 1000, 1500, 2000, 2600, 5000, 100000}
+	// verdict is -1 for success, else the ResourceError's Used.
+	type key struct {
+		q     string
+		limit int64
+	}
+	want := map[key]int64{}
+	for _, m := range modes {
+		db := Open()
+		mustExec(t, db, `CREATE TABLE t (a INT, b INT)`)
+		for i := 0; i < 600; i++ {
+			mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, i, i%7))
 		}
-		// Three-way cross join: enough tuple boundaries to cross the
-		// amortized enforcement interval.
-		_, err := db.Exec(`SELECT i.id FROM items i, orders o, items j`, nil)
-		var rerr *ResourceError
-		if !errors.As(err, &rerr) || rerr.Budget != "rows" {
-			t.Fatalf("instrumented=%v: want rows ResourceError, got %v", instrumented, err)
+		mustExec(t, db, `ANALYZE t`)
+		m.arm(db)
+		trips, passes := 0, 0
+		for _, q := range queries {
+			for _, limit := range limits {
+				db.SetLimits(Limits{MaxRows: limit})
+				sql := q
+				if m.explain {
+					sql = "EXPLAIN ANALYZE " + q
+				}
+				_, err := db.Exec(sql, nil)
+				verdict := int64(-1)
+				if err != nil {
+					var rerr *ResourceError
+					if !errors.As(err, &rerr) || rerr.Budget != "rows" {
+						t.Fatalf("%s MaxRows=%d: %s: want rows ResourceError or success, got %v", m.name, limit, q, err)
+					}
+					verdict = rerr.Used
+					trips++
+				} else {
+					passes++
+				}
+				k := key{q, limit}
+				if m.name == "plain" {
+					want[k] = verdict
+				} else if verdict != want[k] {
+					t.Errorf("%s MaxRows=%d: %s: verdict %d, plain run's %d (-1 = success, else ticks used)",
+						m.name, limit, q, verdict, want[k])
+				}
+			}
+		}
+		if trips == 0 || passes == 0 {
+			t.Fatalf("%s: sweep saw %d trips and %d successes; it must straddle the budget", m.name, trips, passes)
 		}
 	}
 }

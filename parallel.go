@@ -5,11 +5,11 @@ import (
 )
 
 // This file is the DB-level surface of intra-query parallelism: the
-// degree-of-parallelism and batch-size knobs, the parallel-execution
-// metrics, and the runtime safety interlock that forces serial
-// execution while a fault injector is attached (fault schedules count
-// operations deterministically, which concurrent workers would break)
-// — DML statements never parallelize in the first place, because the
+// degree-of-parallelism knob, the parallel-execution metrics, and the
+// runtime safety interlock that forces serial execution while a fault
+// injector is attached (fault schedules count operations
+// deterministically, which concurrent workers would break) — DML
+// statements never parallelize in the first place, because the
 // optimizer's exchange-insertion pass stops at DML operators.
 
 // Parallel-execution metric names (see Metrics).
@@ -60,12 +60,6 @@ func (db *DB) Parallelism() int {
 // the default. Mainly for tests and experiments on small tables.
 func (db *DB) SetParallelThreshold(n int64) { db.opt.SetParallelThreshold(n) }
 
-// SetBatchSize tunes the batched execution path: operators that support
-// it move rows in batches of n instead of one at a time. n <= 1
-// disables batching (pure tuple-at-a-time interpretation), n == 0
-// restores the default (64).
-func (db *DB) SetBatchSize(n int) { db.batchSize.Store(int32(n)) }
-
 // effectiveDOP is the DOP a statement actually runs with: the
 // snapshotted session value, forced to 1 while a fault injector is
 // attached.
@@ -95,6 +89,6 @@ func (db *DB) parallelObs() *exec.ParallelObs {
 // settings snapshot.
 func (db *DB) armParallel(ctx *exec.Ctx, set settings) {
 	ctx.SetDOP(db.effectiveDOP(set))
-	ctx.SetBatchSize(set.batchSize)
+	ctx.SetColWidth(db.colWidth)
 	ctx.SetParallelObs(db.parallelObs())
 }

@@ -1,14 +1,9 @@
-// Benchmarks for the PR-4 parallel/batched execution work. Two claims
-// are measured here and recorded in BENCH_PR4.json:
-//
-//   - exchange parallelism overlaps I/O waits: on a table whose scans
-//     carry a simulated per-page latency, DOP=4 finishes the same
-//     statement several times faster than DOP=1 (the container may
-//     have a single CPU, so the speedup must come from overlapping
-//     waits, exactly like real page I/O — CPU-bound gains would need
-//     real cores);
-//   - the batched row path allocates materially less than
-//     tuple-at-a-time interpretation for scan-filter-project plans.
+// Benchmarks for parallel execution. The claim measured here:
+// exchange parallelism overlaps I/O waits — on a table whose scans
+// carry a simulated per-page latency, DOP=4 finishes the same
+// statement several times faster than DOP=1 (the container may have a
+// single CPU, so the speedup must come from overlapping waits, exactly
+// like real page I/O — CPU-bound gains would need real cores).
 package starburst
 
 import (
@@ -83,50 +78,6 @@ func benchParallelScan(b *testing.B, dop int) {
 
 func BenchmarkParallelScanDOP1(b *testing.B) { benchParallelScan(b, 1) }
 func BenchmarkParallelScanDOP4(b *testing.B) { benchParallelScan(b, 4) }
-
-// scanFilterProjectDB is a plain (full-speed) table for the allocation
-// comparison; the workload is dominated by the per-row path, which is
-// what batching attacks.
-func scanFilterProjectDB(b *testing.B) *DB {
-	b.Helper()
-	db := Open()
-	mustExec(b, db, `CREATE TABLE sfp (k INT, v INT, w INT)`)
-	tbl, _ := db.cat.Table("sfp")
-	for i := 0; i < 4096; i++ {
-		row := datum.Row{
-			datum.NewInt(int64(i)),
-			datum.NewInt(int64(i % 512)),
-			datum.NewInt(int64(i % 7)),
-		}
-		if _, err := db.cat.Insert(tbl, row); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mustExec(b, db, "ANALYZE sfp")
-	return db
-}
-
-func benchScanFilterProject(b *testing.B, batchSize int) {
-	db := scanFilterProjectDB(b)
-	db.SetVectorized(false) // this pair measures the row path; see colbench_test.go
-	db.SetBatchSize(batchSize)
-	q := `SELECT k, v + w FROM sfp WHERE v < 400`
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Exec(q, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// Tuple-at-a-time (batching disabled) vs the default batched path.
-func BenchmarkScanFilterProjectTuple(b *testing.B)   { benchScanFilterProject(b, 1) }
-func BenchmarkScanFilterProjectBatched(b *testing.B) { benchScanFilterProject(b, 0) }
 
 // TestParallelBenchSanity keeps the benchmark fixtures honest outside
 // benchmark runs: the slow-scan DB parallelizes and returns the same

@@ -246,33 +246,6 @@ func TestParallelLimit(t *testing.T) {
 	}
 }
 
-// TestParallelBatchedEquivalence toggles the batched row path off and
-// on: results (and order, for ORDER BY) must be identical.
-func TestParallelBatchedEquivalence(t *testing.T) {
-	db := genParallelDB(t, 29)
-	gen := &queryGen{rng: rand.New(rand.NewSource(31))}
-	for _, dop := range []int{1, 4} {
-		db.SetParallelism(dop)
-		for i := 0; i < 20; i++ {
-			q := gen.query()
-			db.SetBatchSize(1) // tuple-at-a-time
-			tup, err := db.Exec(q, nil)
-			if err != nil {
-				t.Fatalf("tuple dop=%d: %s: %v", dop, q, err)
-			}
-			db.SetBatchSize(0) // default batching
-			bat, err := db.Exec(q, nil)
-			if err != nil {
-				t.Fatalf("batched dop=%d: %s: %v", dop, q, err)
-			}
-			if canonical(tup) != canonical(bat) {
-				t.Fatalf("batched diverged (dop=%d) on %s", dop, q)
-			}
-		}
-	}
-	db.SetBatchSize(0)
-}
-
 // parallelEligibleQuery is used throughout the fault matrix: a
 // scan-join the optimizer parallelizes on genParallelDB.
 const parallelEligibleQuery = "SELECT x.k, x.v, y.v FROM ta x, tb y WHERE x.k = y.k AND x.v < 18"

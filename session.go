@@ -13,8 +13,8 @@ import (
 // This file is the session layer of the public API. A DB is shared,
 // long-lived state — catalog, rule sets, plan cache, metrics. A Session
 // is a cheap per-client handle carrying the tuning knobs that used to
-// live only on the DB: degree of parallelism, batch size, per-statement
-// budgets, tracing, rewrite configuration. Each statement snapshots its
+// live only on the DB: degree of parallelism, per-statement budgets,
+// tracing, rewrite configuration. Each statement snapshots its
 // session's settings once at entry, so concurrent sessions never race
 // on shared knobs and a setting change mid-statement cannot tear.
 
@@ -26,8 +26,6 @@ type settings struct {
 	limits Limits
 	// dop is the degree of parallelism the optimizer plans for.
 	dop int
-	// batchSize tunes batched execution; 0 is the executor default.
-	batchSize int
 	// tracing attaches a phase trace to the statement's Result.
 	tracing bool
 	// skipRewrite bypasses the query rewrite phase.
@@ -43,7 +41,6 @@ func (db *DB) snapshot() settings {
 	return settings{
 		limits:      db.GetLimits(),
 		dop:         db.Parallelism(),
-		batchSize:   int(db.batchSize.Load()),
 		tracing:     db.tracing.Load(),
 		skipRewrite: db.SkipRewrite,
 		rewrite:     db.Rewrite,
@@ -111,7 +108,7 @@ type Session struct {
 // settings. Sessions appear in SYS.SESSIONS until Closed.
 func (db *DB) NewSession() *Session {
 	s := &Session{db: db, set: db.snapshot(), autocommit: true}
-	s.id = db.sessions.add(s)
+	db.sessions.add(s)
 	return s
 }
 
@@ -264,14 +261,6 @@ func (s *Session) Parallelism() int {
 	return s.set.dop
 }
 
-// SetBatchSize tunes this session's batched execution path; n <= 1
-// disables batching, 0 restores the executor default.
-func (s *Session) SetBatchSize(n int) {
-	s.mu.Lock()
-	s.set.batchSize = n
-	s.mu.Unlock()
-}
-
 // SetLimits installs this session's per-statement execution budgets;
 // the zero Limits removes them.
 func (s *Session) SetLimits(l Limits) {
@@ -341,12 +330,6 @@ type Option func(*DB)
 // SetParallelism).
 func WithParallelism(n int) Option {
 	return func(db *DB) { db.SetParallelism(n) }
-}
-
-// WithBatchSize sets the DB-wide default execution batch size (see
-// SetBatchSize).
-func WithBatchSize(n int) Option {
-	return func(db *DB) { db.SetBatchSize(n) }
 }
 
 // WithLimits sets the DB-wide default per-statement budgets (see

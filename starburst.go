@@ -189,10 +189,13 @@ type DB struct {
 	limits atomic.Pointer[exec.Limits]
 	// faults is the attached fault injector, nil until InjectFaults.
 	faults *storage.FaultInjector
-	// dop and batchSize configure parallel/batched execution (see
-	// SetParallelism and SetBatchSize in parallel.go).
-	dop       atomic.Int32
-	batchSize atomic.Int32
+	// dop is the default degree of parallelism (see SetParallelism in
+	// parallel.go).
+	dop atomic.Int32
+	// colWidth, when nonzero, overrides the executor's columnar batch
+	// width. Only tests set it, before running statements, so that
+	// faults and refills land on batch boundaries.
+	colWidth int
 	// vecDisabled switches off columnar (vectorized) execution; stored
 	// inverted so the zero value keeps vectorization on by default (see
 	// SetVectorized in session.go).
