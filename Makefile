@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json fmt race check faults torture obs introspect vectorize api mvcc
+.PHONY: all build test vet lint lint-json fmt race check stress api
 
 all: check
 
@@ -17,6 +17,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# race is the whole test suite under the race detector — every gate the
+# repo has is a test in it: the fault matrix and DML atomicity, the
+# crash-recovery torture matrix, the observability and SYS-introspection
+# suites with the shell goldens, the row == columnar == DOP-4
+# equivalence corpus, and the randomized MVCC schedules.
 race:
 	$(GO) test -race ./...
 
@@ -25,9 +30,9 @@ race:
 # analyzer fixture self-tests. The suite covers the original rules (qgm
 # mutation discipline, complete rewrite.Rule literals, no raw
 # datum.Value comparison, no naked panic in the execution engine, DML
-# through the undo log, worker-safe Ctx writes, the context-first
-# statement core) plus the call-graph
-# concurrency contracts: lock-discipline over the starburst:locks
+# through the transaction write log, worker-safe Ctx writes, the
+# context-first statement core) plus the call-graph concurrency
+# contracts: lock-discipline over the starburst:locks
 # annotations, goroutine-hygiene (joined goroutines, select-guarded
 # sends), error-discard (Close/IterErr/Rollback propagation),
 # budget-tick (row loops charge the execution budget), wait-event
@@ -56,65 +61,14 @@ fmt:
 api:
 	$(GO) test ./ -count=1 -run TestPublicAPIGolden
 
-# faults runs the robustness gate: the fault matrix (every QES operator
-# over a failing store), exhaustive DML atomicity, and a fuzz smoke over
-# random fault schedules.
-faults:
-	$(GO) test ./ -count=1 -run 'TestFaultMatrix|TestDMLAtomicity|TestCancelDuringFaultLatency|FuzzFaultSchedule'
+# stress is the one gate race does not run: a fuzz smoke over random
+# fault schedules (race replays only the seed corpus).
+stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
-
-# obs runs the observability gate: per-operator stats invariants over
-# every operator kind (clean, faulted, cancelled), metrics counters,
-# tracing, slow-query log, EXPLAIN ANALYZE end to end, and the shell
-# golden files.
-obs:
-	$(GO) test ./ -count=1 -run 'TestAnalyzeInvariants|TestInstrumentationKeeps|TestMetricsCounters|TestTracing|TestRewriteFirings|TestSlowQueryLog|TestExplainAnalyze|TestObsServer'
-	$(GO) test ./cmd/starburst -count=1
-	$(GO) test ./internal/obs -count=1
-
-# torture runs the crash-recovery matrix under the race detector: a
-# crash fault at every WAL append, WAL sync and checkpoint page write
-# over the mixed DDL+DML workload, plus the store-level crash tests and
-# the access-method fault matrix.
-torture:
-	$(GO) test ./ -count=1 -race -run 'TestCrashRecoveryTorture|TestCrashedStoreRefusesWork|TestDataDir|TestEngineCorpusOnDisk|TestAccessMethod'
-	$(GO) test ./internal/storage/disk -count=1 -race
-
-# introspect runs the observability-introspection gate: the SYS virtual
-# tables end to end through the normal query pipeline (goldens, joins
-# against SYS.WAITS, DML/DDL rejection, fault- and cancel-safety
-# mid-scan), wait-event profiling attribution, statement span export,
-# the metrics # HELP conformance check, and the slow-query log with its
-# top wait events at DOP 4 under the race detector.
-introspect:
-	$(GO) test ./ -count=1 -run 'TestSys|TestSpanExport|TestWaitProfile|TestIntrospection'
-	$(GO) test ./ -count=1 -race -run 'TestSlowQueryLogWaits|TestSysConcurrent'
-	$(GO) test ./internal/obs -count=1
-
-# vectorize runs the columnar-execution gate: the two-way
-# row == columnar equivalence corpus (serial and DOP 4, default and
-# degenerate batch width, under the race detector), the columnar
-# fault/cancel/budget matrix, the build-engagement and
-# instrumented-build-is-production-build guards, the rowFeed
-# buffer-hygiene tests, and the ColBatch unit tests.
-vectorize:
-	$(GO) test ./ -count=1 -run 'TestColumnar|TestInstrumented|TestObservedStatementsRunColumnar'
-	$(GO) test ./ -count=1 -race -run 'TestColumnarEquivalenceCorpus|TestCardinalityFeedback'
-	$(GO) test ./internal/datum -count=1
-	$(GO) test ./internal/exec -count=1
-
-# mvcc runs the transaction gate under the race detector: the
-# randomized concurrent-schedule generator with its snapshot-history
-# checker (readers during DDL, write-write conflict, rollback-heavy),
-# the deterministic Tx/Session API tests, the mid-statement fault
-# rollback, and the database/sql driver transaction conformance test.
-mvcc:
-	$(GO) test ./ -count=1 -race -run 'TestMVCC|TestTx|TestSession|TestDriverTransactions'
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite
-# (analyzers + fixture self-tests), the introspection gate, the
-# columnar-execution gate, the MVCC transaction gate, and the
-# exported-API golden diff. Performance is tracked by the standing
-# benchmark in bench/ (see bench/README.md), not by a per-PR gate.
-check: fmt vet build race lint introspect vectorize mvcc api
+# (analyzers + fixture self-tests), and the exported-API golden diff.
+# Performance is tracked by the standing benchmark in bench/ (see
+# bench/README.md), not by a per-PR gate.
+check: fmt vet build race lint api

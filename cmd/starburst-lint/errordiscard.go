@@ -18,7 +18,7 @@ import (
 //     or (*os.File).Close — a dropped flush/sync error is silent data
 //     loss, the OS's last chance to report a failed write;
 //  3. in internal/...: a function that advances a storage iterator
-//     (RowIterator.Next, EntryIterator.Next, BatchScanner.NextRows)
+//     (RowIterator.Next, EntryIterator.Next)
 //     must consult storage.IterErr — iterator errors surface only
 //     there, so a loop that never asks silently treats a faulted scan
 //     as clean EOF.
@@ -197,8 +197,8 @@ func isOSFileMethod(fn *types.Func) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "os" && obj.Name() == "File"
 }
 
-// advancesStorageIterator reports whether call is a Next/NextRows
-// method call resolved to the storage package's iterator interfaces.
+// advancesStorageIterator reports whether call is a Next method call
+// resolved to the storage package's iterator interfaces.
 func advancesStorageIterator(p *pass, call *ast.CallExpr, storagePath string) bool {
 	se, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -209,7 +209,7 @@ func advancesStorageIterator(p *pass, call *ast.CallExpr, storagePath string) bo
 		return false
 	}
 	m := sel.Obj()
-	if m.Name() != "Next" && m.Name() != "NextRows" {
+	if m.Name() != "Next" {
 		return false
 	}
 	return m.Pkg() != nil && m.Pkg().Path() == storagePath

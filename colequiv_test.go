@@ -88,6 +88,10 @@ func corpusLegs() []corpusLeg {
 	return []corpusLeg{{false, equivalenceCorpus()}, {true, unmergedCorpus}}
 }
 
+// engagementQuery is the scan→project→GROUP statement whose repart
+// producers must be the columnar operators the serial plan runs.
+const engagementQuery = "SELECT k, COUNT(*), SUM(v) FROM ta WHERE v < 15 GROUP BY k"
+
 // aggregateCorpus aims at the columnar group operator specifically:
 // the fused hash-aggregate kernels (typed COUNT/SUM/AVG lanes, boxed
 // MIN/MAX fallback, NULL group keys) deserve directed coverage.
@@ -98,6 +102,7 @@ var aggregateCorpus = []string{
 	"SELECT COUNT(*) FROM ta",
 	"SELECT SUM(v), AVG(v) FROM tb WHERE k > 3",
 	"SELECT k, COUNT(*) FROM ta WHERE v >= 5 AND s IS NOT NULL GROUP BY k",
+	engagementQuery,
 	"SELECT DISTINCT k FROM tc",
 	"SELECT x.k, COUNT(*) FROM ta x, tb y WHERE x.k = y.k GROUP BY x.k",
 }
@@ -129,6 +134,12 @@ func TestColumnarEquivalenceCorpus(t *testing.T) {
 // transparent: each is reported to onDecorator (with the type name of
 // the operator it wraps) and rendered as that operator.
 func opTree(s exec.Stream, onDecorator func(dec reflect.Value, inner string)) string {
+	return opTreeOf(reflect.ValueOf(s), onDecorator)
+}
+
+// opTreeOf is opTree over a reflected operator pointer, so a stream held
+// in an executor-private field (an exchange's worker clone) renders too.
+func opTreeOf(root reflect.Value, onDecorator func(dec reflect.Value, inner string)) string {
 	streamT := reflect.TypeOf((*exec.Stream)(nil)).Elem()
 	seen := map[uintptr]bool{}
 	var render func(v reflect.Value) string
@@ -189,7 +200,7 @@ func opTree(s exec.Stream, onDecorator func(dec reflect.Value, inner string)) st
 		}
 		return name + "(" + strings.Join(kids, ",") + ")"
 	}
-	return render(reflect.ValueOf(s))
+	return render(root)
 }
 
 // TestColumnarBuildEngages guards the corpus against vacuity: a
@@ -225,22 +236,27 @@ func TestColumnarBuildEngages(t *testing.T) {
 // operators the uninstrumented vectorized build does — columnar kinds
 // included, the pushed join filter still hosted by the probe-side
 // colScanOp — and reports each under its plan node as
-// Instrumentation.Kind.
+// Instrumentation.Kind. At DOP 4 the parallel build is the production
+// build too: every clone an exchange runs is the operator tree the
+// serial build makes of the same plan subtree.
 func TestInstrumentedBuildIsProductionBuild(t *testing.T) {
 	db := genParallelDB(t, 17)
 	kinds := map[string]int{}
-	joinFilters := 0
+	joinFilters, exchanges := 0, 0
 	for _, dop := range []int{1, 4} {
 		db.SetParallelism(dop)
 		for _, leg := range corpusLegs() {
 			db.SkipRewrite = leg.skipRewrite
 			for _, q := range leg.queries {
 				joinFilters += checkInstrumentedBuild(t, db, q, kinds)
+				if dop > 1 {
+					exchanges += checkParallelBuild(t, db, q)
+				}
 			}
 		}
 	}
 	for _, k := range []string{"colScanOp", "colFilterOp", "colProjectOp", "colGroupOp",
-		"hashJoinOp", "gatherOp", "morselScanOp"} {
+		"hashJoinOp", "gatherOp"} {
 		if kinds[k] == 0 {
 			t.Errorf("corpus never built an instrumented %s; guard is vacuous for it (saw %v)", k, kinds)
 		}
@@ -248,6 +264,67 @@ func TestInstrumentedBuildIsProductionBuild(t *testing.T) {
 	if joinFilters == 0 {
 		t.Error("corpus never pushed a join filter into a probe-side colScanOp")
 	}
+	if exchanges == 0 {
+		t.Error("corpus never built a parallel exchange")
+	}
+}
+
+// checkParallelBuild builds q's GATHER subtree and compares every clone
+// the exchange runs at DOP > 1 — its repart producers when it
+// repartitions, its workers otherwise — with the serial build of the
+// plan subtree they were cloned from. It returns the number of
+// exchanges checked (0 for a plan that stayed serial).
+func checkParallelBuild(t *testing.T, db *DB, q string) int {
+	t.Helper()
+	compiled := preparedPlan(q)(t, db)
+	var gather, repart *plan.Node
+	walkPlan(compiled.Root, func(n *plan.Node) {
+		switch n.Op {
+		case plan.OpGather:
+			gather = n
+		case plan.OpRepart:
+			repart = n
+		}
+	})
+	if gather == nil {
+		return 0
+	}
+	b := db.builder.Vectorized(true)
+	built, err := b.Build(gather, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	// The clones sit in executor-private fields; a rename must fail the
+	// test with a message, not panic on a zero reflect.Value.
+	field := func(v reflect.Value, name string) reflect.Value {
+		f := v.Elem().FieldByName(name)
+		if !f.IsValid() {
+			t.Fatalf("%s: %s has no field %q; update checkParallelBuild", q, v.Type(), name)
+		}
+		return f
+	}
+	g := reflect.ValueOf(built)
+	cloned, clones := gather.Inputs[0], field(g, "workers")
+	if repart != nil {
+		cloned, clones = repart.Inputs[0], field(field(g, "pool"), "producers")
+	}
+	serial, err := b.Build(cloned, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	want := opTree(serial, nil)
+	if clones.Len() != gather.DOP {
+		t.Fatalf("%s: exchange built %d clones at DOP %d", q, clones.Len(), gather.DOP)
+	}
+	for i := 0; i < clones.Len(); i++ {
+		if got := opTreeOf(clones.Index(i).Elem(), nil); got != want {
+			t.Fatalf("%s: exchange clone %d differs from the serial build\nserial: %s\nclone:  %s", q, i, want, got)
+		}
+	}
+	if q == engagementQuery && want != "colProjectOp(colScanOp)" {
+		t.Fatalf("%s: repart producers are %s, want colProjectOp(colScanOp)", q, want)
+	}
+	return 1
 }
 
 // checkInstrumentedBuild compares the two builds of one statement,
@@ -357,6 +434,26 @@ func TestInstrumentedRowsMatchAcrossEngines(t *testing.T) {
 	}
 }
 
+// exportOperatorSpans installs a span exporter on db and returns the map
+// it fills: the operator span of each operator kind the exported
+// statements executed (the last one, where a kind ran more than once).
+func exportOperatorSpans(db *DB) map[string]*Span {
+	ops := map[string]*Span{}
+	db.SetSpanExporter(func(sp *StatementSpan) {
+		var walk func(*Span)
+		walk = func(s *Span) {
+			if s.Kind == "operator" {
+				ops[s.Attrs["operator"]] = s
+			}
+			for _, ch := range s.Children {
+				walk(ch)
+			}
+		}
+		walk(sp.Root)
+	})
+	return ops
+}
+
 // TestObservedStatementsRunColumnar: whatever arms per-operator stats —
 // a span exporter alone, or with the slow-query log, cardinality
 // feedback or EXPLAIN ANALYZE on top — a scan→filter→aggregate
@@ -380,26 +477,37 @@ func TestObservedStatementsRunColumnar(t *testing.T) {
 			db := genDB(t, 1)
 			db.SkipRewrite = true
 			c.arm(db)
-			ops := map[string]bool{}
-			db.SetSpanExporter(func(sp *StatementSpan) {
-				var walk func(*Span)
-				walk = func(s *Span) {
-					if s.Kind == "operator" {
-						ops[s.Attrs["operator"]] = true
-					}
-					for _, ch := range s.Children {
-						walk(ch)
-					}
-				}
-				walk(sp.Root)
-			})
+			ops := exportOperatorSpans(db)
 			mustExec(t, db, c.sql)
 			for _, want := range []string{"colScanOp", "colFilterOp", "colGroupOp"} {
-				if !ops[want] {
+				if ops[want] == nil {
 					t.Fatalf("no %s among the executed operators %v", want, ops)
 				}
 			}
 		})
+	}
+}
+
+// TestParallelStatementsRunColumnar: at DOP 4 the engagement query
+// executes — and EXPLAIN ANALYZE reports, through the operator spans of
+// the statement that ran — columnar scans under the exchange, with the
+// scan node's actual rows summed over its four clones.
+func TestParallelStatementsRunColumnar(t *testing.T) {
+	db := genParallelDB(t, 17)
+	db.SetParallelism(4)
+	want := mustExec(t, db, "SELECT COUNT(*) FROM ta WHERE v < 15").Rows[0][0].Int()
+	ops := exportOperatorSpans(db)
+	mustExec(t, db, "EXPLAIN ANALYZE "+engagementQuery)
+	for _, k := range []string{"gatherOp", "repartReaderOp", "colProjectOp", "colScanOp"} {
+		if ops[k] == nil {
+			t.Fatalf("no %s among the executed operators %v", k, ops)
+		}
+	}
+	if ops["scanOp"] != nil {
+		t.Fatalf("a parallel leaf ran the row scan: %v", ops)
+	}
+	if got := ops["colScanOp"].Attrs["rows"]; got != fmt.Sprint(want) {
+		t.Fatalf("colScanOp under the exchange reports rows=%s, want %d", got, want)
 	}
 }
 
@@ -450,9 +558,12 @@ func TestColumnarFaultMatrix(t *testing.T) {
 // TestColumnarCancelAndBudgets drives the cancellation path and every
 // resource budget through vectorized statements: the batch-amortized
 // tick must still observe deadlines, row quotas, and the memory
-// charge, and cancellation must not strand the arena scan.
+// charge, and cancellation must not strand the arena scan. Every budget
+// runs serially at the production width and at DOP 4 with width-2
+// batches, where morsel boundaries land inside batches.
 func TestColumnarCancelAndBudgets(t *testing.T) {
-	t.Run("cancel", func(t *testing.T) {
+	// A stalled scan: the injector holds DOP at 1 whatever is configured.
+	t.Run("cancel-stalled", func(t *testing.T) {
 		db := robustDB(t)
 		db.InjectFaults(&Fault{Table: "items", Op: FaultScan, Latency: 10 * time.Second})
 		ctx, cancel := context.WithCancel(context.Background())
@@ -473,39 +584,74 @@ func TestColumnarCancelAndBudgets(t *testing.T) {
 		}
 	})
 
-	t.Run("timeout", func(t *testing.T) {
-		db := bigDB(t)
-		db.SetLimits(Limits{Timeout: time.Millisecond})
-		_, err := db.Exec(`SELECT COUNT(*) FROM nums a, nums b, nums c WHERE a.n < b.n AND b.n < c.n`, nil)
-		var re *ResourceError
-		if !errors.As(err, &re) || re.Budget != "time" {
-			t.Fatalf("want ResourceError(time), got %v", err)
+	const tripleJoin = `SELECT COUNT(*) FROM nums a, nums b, nums c WHERE a.n < b.n AND b.n < c.n`
+	for _, c := range []struct {
+		name       string
+		dop, width int
+	}{{"serial", 1, 0}, {"dop4-tiny", 4, 2}} {
+		open := func(t *testing.T) *DB {
+			db := bigDB(t)
+			db.SetParallelism(c.dop)
+			db.colWidth = c.width
+			db.opt.SetParallelThreshold(1)
+			if par := strings.Contains(explainText(t, db, tripleJoin), "GATHER"); par != (c.dop > 1) {
+				t.Fatalf("dop=%d: plan parallel=%v", c.dop, par)
+			}
+			return db
 		}
-	})
 
-	t.Run("rows", func(t *testing.T) {
-		db := bigDB(t)
-		db.SetLimits(Limits{MaxRows: 100})
-		_, err := db.Exec(`SELECT COUNT(*) FROM nums WHERE n >= 0`, nil)
-		var re *ResourceError
-		if !errors.As(err, &re) || re.Budget != "rows" {
-			t.Fatalf("want ResourceError(rows), got %v", err)
-		}
-		db.SetLimits(Limits{MaxRows: 1000_000})
-		mustExec(t, db, `SELECT COUNT(*) FROM nums WHERE n >= 0`)
-	})
+		t.Run(c.name+"/cancel", func(t *testing.T) {
+			db := open(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			_, err := db.ExecContext(ctx, tripleJoin, nil)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			// Uncancelled, the join runs for seconds.
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Fatalf("cancellation took %v, want < 500ms", elapsed)
+			}
+		})
 
-	t.Run("mem", func(t *testing.T) {
-		db := bigDB(t)
-		db.SetLimits(Limits{MaxMem: 100})
-		_, err := db.Exec(`SELECT n, COUNT(*) FROM nums GROUP BY n`, nil)
-		var re *ResourceError
-		if !errors.As(err, &re) || re.Budget != "mem" {
-			t.Fatalf("want ResourceError(mem), got %v", err)
-		}
-		db.SetLimits(Limits{MaxMem: 1 << 20})
-		mustExec(t, db, `SELECT n, COUNT(*) FROM nums GROUP BY n`)
-	})
+		t.Run(c.name+"/timeout", func(t *testing.T) {
+			db := open(t)
+			db.SetLimits(Limits{Timeout: time.Millisecond})
+			_, err := db.Exec(tripleJoin, nil)
+			var re *ResourceError
+			if !errors.As(err, &re) || re.Budget != "time" {
+				t.Fatalf("want ResourceError(time), got %v", err)
+			}
+		})
+
+		t.Run(c.name+"/rows", func(t *testing.T) {
+			db := open(t)
+			db.SetLimits(Limits{MaxRows: 100})
+			_, err := db.Exec(`SELECT COUNT(*) FROM nums WHERE n >= 0`, nil)
+			var re *ResourceError
+			if !errors.As(err, &re) || re.Budget != "rows" {
+				t.Fatalf("want ResourceError(rows), got %v", err)
+			}
+			db.SetLimits(Limits{MaxRows: 1000_000})
+			mustExec(t, db, `SELECT COUNT(*) FROM nums WHERE n >= 0`)
+		})
+
+		t.Run(c.name+"/mem", func(t *testing.T) {
+			db := open(t)
+			db.SetLimits(Limits{MaxMem: 100})
+			_, err := db.Exec(`SELECT n, COUNT(*) FROM nums GROUP BY n`, nil)
+			var re *ResourceError
+			if !errors.As(err, &re) || re.Budget != "mem" {
+				t.Fatalf("want ResourceError(mem), got %v", err)
+			}
+			db.SetLimits(Limits{MaxMem: 1 << 20})
+			mustExec(t, db, `SELECT n, COUNT(*) FROM nums GROUP BY n`)
+		})
+	}
 }
 
 // TestColumnarFaultMatrixUnderTinyBatches repeats the fault sweep with

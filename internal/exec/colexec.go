@@ -22,8 +22,6 @@ import (
 	"repro/internal/datum"
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/storage"
-	"repro/internal/txn"
 )
 
 // ColBatchStream is the production batch protocol: a Stream that can
@@ -112,8 +110,7 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 // and evaluates pushed-down predicate kernels plus an optional join
 // filter against them, emitting batches that are already filtered.
 type colScanOp struct {
-	rel   storage.Relation
-	tv    *txn.TableVersions
+	cur   tableCursor
 	types []datum.TypeID
 	preds []colPred
 
@@ -126,17 +123,15 @@ type colScanOp struct {
 	// decorator last harvested it (see statsOp.Close).
 	jfDropped int64
 
-	it      storage.RowIterator
 	batch   *datum.ColBatch
 	selBuf  []int
-	rowBuf  []datum.Row
 	hashBuf []uint64
 	nullBuf []bool
 	feed    rowFeed
 }
 
 func (s *colScanOp) Open(ctx *Ctx) error {
-	s.it = s.rel.Scan()
+	s.cur.open()
 	s.feed.reset()
 	return nil
 }
@@ -148,7 +143,7 @@ func (s *colScanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	max := ctx.colBatchWidth()
 	for {
 		s.batch.Reset()
-		k, err := s.fill(ctx, max)
+		k, err := s.cur.fill(ctx, s.batch, max)
 		if err != nil || k == 0 {
 			return nil, false, err
 		}
@@ -166,62 +161,6 @@ func (s *colScanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 		// Entire chunk filtered out; keep pulling. tickRows above keeps
 		// budget and cancellation responsive across empty chunks.
 	}
-}
-
-// fill pulls up to max rows into the batch, columnar-native when the
-// iterator supports it and row-by-row otherwise. It charges the rows it
-// pulled to the work budget and, at exhaustion, surfaces any deferred
-// iterator error (a faulted scan must not read as a clean EOF).
-func (s *colScanOp) fill(ctx *Ctx, max int) (int, error) {
-	if cs, ok := s.it.(storage.ColScanner); ok {
-		k, frozen := frozenFill(s.tv, func() int { return cs.NextCols(s.batch, max) })
-		if frozen {
-			if k == 0 {
-				return 0, storage.IterErr(s.it)
-			}
-			return k, ctx.tickRows(k)
-		}
-		// Unfrozen versions: fall through to the row loop, which
-		// resolves visibility per row.
-	} else if bs, ok := s.it.(storage.BatchScanner); ok {
-		if cap(s.rowBuf) < max {
-			s.rowBuf = make([]datum.Row, max)
-		}
-		buf := s.rowBuf[:max]
-		k, frozen := frozenFill(s.tv, func() int { return bs.NextRows(buf) })
-		if frozen {
-			if k == 0 {
-				return 0, storage.IterErr(s.it)
-			}
-			for _, r := range buf[:k] {
-				s.batch.AppendRow(r)
-			}
-			clear(buf)
-			return k, ctx.tickRows(k)
-		}
-	}
-	k := 0
-	for k < max {
-		s.tv.ReadLock()
-		r, rid, ok := s.it.Next()
-		r, live := txn.ResolveLocked(s.tv, rid, r, ctx.Snap)
-		s.tv.ReadUnlock()
-		if !ok {
-			break
-		}
-		if err := ctx.tick(); err != nil {
-			return k, err
-		}
-		if !live {
-			continue
-		}
-		s.batch.AppendRow(r)
-		k++
-	}
-	if k == 0 {
-		return 0, storage.IterErr(s.it)
-	}
-	return k, nil
 }
 
 func (s *colScanOp) applyJoinFilter() {
@@ -261,10 +200,7 @@ func (s *colScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 }
 
 func (s *colScanOp) Close(ctx *Ctx) error {
-	if s.it != nil {
-		s.it.Close()
-		s.it = nil
-	}
+	s.cur.close()
 	return nil
 }
 
@@ -579,8 +515,7 @@ func (b *Builder) tryColScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, bo
 		return nil, false, nil
 	}
 	return &colScanOp{
-		rel:   n.Table.Rel,
-		tv:    n.Table.MVCC,
+		cur:   b.cursorFor(n),
 		types: append([]datum.TypeID(nil), n.Types...),
 		preds: kernels,
 	}, true, nil

@@ -236,7 +236,7 @@ type Builder struct {
 	// Build reads it, so which operators get built never depends on it.
 	instr *Instrumentation
 	// morsel, when set, rebinds one SCAN plan node (by identity) to a
-	// morsel-claiming scan over a shared page dispenser. buildGather
+	// morsel-claiming cursor over a shared page dispenser. buildGather
 	// sets it on per-worker builder copies; the DB's shared builder
 	// never carries one.
 	morsel *morselBinding
@@ -277,9 +277,6 @@ func (b *Builder) Build(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) 
 func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
 	switch n.Op {
 	case plan.OpScan:
-		if b.morsel != nil && b.morsel.node == n {
-			return b.buildMorselScan(n, corr)
-		}
 		if b.vec {
 			if s, ok, err := b.tryColScan(n, corr); err != nil {
 				return nil, err

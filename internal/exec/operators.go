@@ -21,32 +21,14 @@ func indexKeyOf(row datum.Row, cols []int) datum.Row {
 	return k
 }
 
-// frozenFill runs one batch fill under the table's version read lock
-// when every physical row is frozen, so the arena fast paths stay
-// MVCC-sound: no writer can register an unfrozen version between the
-// count check and the rows leaving the iterator. It reports ok=false —
-// without filling — when the table has unfrozen versions; the caller
-// falls back to tuple-at-a-time resolution.
-func frozenFill(tv *txn.TableVersions, fill func() int) (int, bool) {
-	if tv == nil {
-		return fill(), true
-	}
-	tv.ReadLock()
-	defer tv.ReadUnlock()
-	if tv.Count() != 0 {
-		return 0, false
-	}
-	return fill(), true
-}
-
 // ---------------------------------------------------------------------
 // SCAN
 
+// scanOp is the row scan, and the row reference the equivalence corpus
+// compares the columnar scan against.
 type scanOp struct {
-	rel   storage.Relation
-	tv    *txn.TableVersions
+	cur   tableCursor
 	preds []expr.Expr
-	it    storage.RowIterator
 }
 
 func (b *Builder) buildScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -55,30 +37,19 @@ func (b *Builder) buildScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 	if err != nil {
 		return nil, err
 	}
-	return &scanOp{rel: n.Table.Rel, tv: n.Table.MVCC, preds: preds}, nil
+	return &scanOp{cur: b.cursorFor(n), preds: preds}, nil
 }
 
 func (s *scanOp) Open(ctx *Ctx) error {
-	s.it = s.rel.Scan()
+	s.cur.open()
 	return nil
 }
 
 func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	for {
-		s.tv.ReadLock()
-		row, rid, ok := s.it.Next()
-		row, live := txn.ResolveLocked(s.tv, rid, row, ctx.Snap)
-		s.tv.ReadUnlock()
-		if !ok {
-			// Iterators cannot fail from Next; fallible stores report a
-			// deferred error at exhaustion instead.
-			return nil, false, storage.IterErr(s.it)
-		}
-		if err := ctx.tick(); err != nil {
+		row, _, ok, err := s.cur.next(ctx)
+		if err != nil || !ok {
 			return nil, false, err
-		}
-		if !live {
-			continue
 		}
 		match, err := evalPreds(ctx, s.preds, row)
 		if err != nil {
@@ -91,10 +62,7 @@ func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 }
 
 func (s *scanOp) Close(ctx *Ctx) error {
-	if s.it != nil {
-		s.it.Close()
-		s.it = nil
-	}
+	s.cur.close()
 	return nil
 }
 
@@ -178,28 +146,16 @@ func (s *indexScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		if err := ctx.tick(); err != nil {
 			return nil, false, err
 		}
-		// Fetch and version lookup are one step under the version map's
-		// read lock, for the reason ResolveLocked gives.
-		s.tv.ReadLock()
-		row, ok := s.rel.Fetch(e.RID)
-		v := s.tv.LookupLocked(e.RID)
-		s.tv.ReadUnlock()
-		if !ok {
-			continue // entry for a deleted record
+		row, inFlux, live := s.tv.Fetch(s.rel, e.RID, ctx.Snap)
+		if !live {
+			continue // entry for a deleted record, or for a row this snapshot does not see
 		}
-		if v != nil {
-			vis, live := v.Visible(ctx.Snap, row)
-			if !live {
-				continue
-			}
-			// A row in flux may be linked under several keys (its
-			// current one plus stale old keys); only the entry
-			// matching the visible image's key yields the row, so
-			// each visible row surfaces exactly once.
-			if storage.CompareKeys(indexKeyOf(vis, s.keyCols), e.Key) != 0 {
-				continue
-			}
-			row = vis
+		// A row in flux may be linked under several keys (its current one
+		// plus stale old keys); only the entry matching the visible
+		// image's key yields the row, so each visible row surfaces
+		// exactly once.
+		if inFlux && storage.CompareKeys(indexKeyOf(row, s.keyCols), e.Key) != 0 {
+			continue
 		}
 		match, err := evalPreds(ctx, s.preds, row)
 		if err != nil {

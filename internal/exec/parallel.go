@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/storage"
-	"repro/internal/txn"
 )
 
 // This file implements intra-query parallelism: exchange operators
@@ -122,85 +120,11 @@ func (m *morselSource) claim() (lo, hi int64, ok bool) {
 	}
 }
 
-// morselBinding tells a worker's builder copy which SCAN plan node to
-// build as a morsel-claiming scan.
+// morselBinding tells a worker's builder copy which SCAN plan node
+// reads through a morsel-claiming cursor (see Builder.cursorFor).
 type morselBinding struct {
 	node *plan.Node
 	src  *morselSource
-}
-
-// morselScanOp is scanOp's parallel twin: instead of one full-table
-// iterator it repeatedly claims a page-range morsel from the shared
-// dispenser and scans it, until the dispenser runs dry or the
-// statement signals early termination.
-type morselScanOp struct {
-	src   *morselSource
-	tv    *txn.TableVersions
-	preds []expr.Expr
-	it    storage.RowIterator
-}
-
-func (b *Builder) buildMorselScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	env := envFromCols(n.Cols, corr)
-	preds, err := env.bindAll(n.Preds)
-	if err != nil {
-		return nil, err
-	}
-	return &morselScanOp{src: b.morsel.src, tv: n.Table.MVCC, preds: preds}, nil
-}
-
-func (s *morselScanOp) Open(ctx *Ctx) error {
-	s.it = nil
-	return nil
-}
-
-func (s *morselScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	for {
-		if s.it == nil {
-			if ctx.doneSignaled() {
-				return nil, false, nil
-			}
-			lo, hi, ok := s.src.claim()
-			if !ok {
-				return nil, false, nil
-			}
-			s.it = s.src.prs.ScanPages(lo, hi)
-		}
-		s.tv.ReadLock()
-		row, rid, ok := s.it.Next()
-		row, live := txn.ResolveLocked(s.tv, rid, row, ctx.Snap)
-		s.tv.ReadUnlock()
-		if !ok {
-			err := storage.IterErr(s.it)
-			s.it.Close()
-			s.it = nil
-			if err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		if err := ctx.tick(); err != nil {
-			return nil, false, err
-		}
-		if !live {
-			continue
-		}
-		match, err := evalPreds(ctx, s.preds, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if match {
-			return row, true, nil
-		}
-	}
-}
-
-func (s *morselScanOp) Close(ctx *Ctx) error {
-	if s.it != nil {
-		s.it.Close()
-		s.it = nil
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -822,29 +746,6 @@ func (g *gatherOp) WorkerRowCounts() []int64 {
 // ---------------------------------------------------------------------
 // Building exchanges
 
-// morselLeafOf walks the probe-side spine of a subtree to the SCAN
-// whose table the morsel dispenser will split: single-input operators
-// descend through their input, joins through their LEFT (probe/outer)
-// input — the build side is replicated per worker, which is correct
-// for every join kind including outer joins.
-func morselLeafOf(n *plan.Node) *plan.Node {
-	for n != nil {
-		switch n.Op {
-		case plan.OpScan:
-			return n
-		case plan.OpFilter, plan.OpProject, plan.OpAccess, plan.OpSort, plan.OpTemp,
-			plan.OpNLJoin, plan.OpHSJoin, plan.OpSMJoin:
-			if len(n.Inputs) == 0 {
-				return nil
-			}
-			n = n.Inputs[0]
-		default:
-			return nil
-		}
-	}
-	return nil
-}
-
 // repartOf finds a REPART node on the single-input spine of the
 // gather's child subtree.
 func repartOf(n *plan.Node) *plan.Node {
@@ -879,7 +780,7 @@ func (b *Builder) buildGather(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	} else {
 		scanRoot = child
 	}
-	leaf := morselLeafOf(scanRoot)
+	leaf := plan.ProbeLeaf(scanRoot)
 	var src *morselSource
 	if leaf != nil && leaf.Table != nil {
 		src = newMorselSource(leaf.Table.Rel, dop)

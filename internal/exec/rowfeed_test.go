@@ -52,7 +52,7 @@ func tinyColScan(t *testing.T, pushed bool, vals ...int64) (*Ctx, *colScanOp) {
 			t.Fatal(err)
 		}
 	}
-	s := &colScanOp{rel: rel, types: []datum.TypeID{datum.TInt}}
+	s := &colScanOp{cur: tableCursor{rel: rel}, types: []datum.TypeID{datum.TInt}}
 	if pushed {
 		s.preds = ge10(t)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
-	"repro/internal/txn"
 )
 
 // subqCache implements the "evaluate-on-demand" mechanism of section 7:
@@ -600,6 +599,7 @@ func (i *insertOp) Close(ctx *Ctx) error { return nil }
 
 type updateDeleteOp struct {
 	node  *plan.Node
+	cur   tableCursor
 	preds []expr.Expr
 	exprs []expr.Expr
 	isDel bool
@@ -630,7 +630,7 @@ func (b *Builder) buildUpdateDelete(n *plan.Node, corr map[plan.ColRef]int) (Str
 	if err != nil {
 		return nil, err
 	}
-	return &updateDeleteOp{node: n, preds: preds, exprs: exprs, isDel: n.Op == plan.OpDelete}, nil
+	return &updateDeleteOp{node: n, cur: b.cursorFor(n), preds: preds, exprs: exprs, isDel: n.Op == plan.OpDelete}, nil
 }
 
 func (u *updateDeleteOp) Open(ctx *Ctx) error {
@@ -652,30 +652,19 @@ func (u *updateDeleteOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		newRow datum.Row
 	}
 	var work []pending
-	it := t.Rel.Scan()
+	u.cur.open()
+	defer u.cur.close()
 	ec := ctx.exprCtx()
 	for {
-		t.MVCC.ReadLock()
-		row, rid, ok := it.Next()
-		row, live := txn.ResolveLocked(t.MVCC, rid, row, ctx.Snap)
-		t.MVCC.ReadUnlock()
-		if !ok {
-			if err := storage.IterErr(it); err != nil {
-				it.Close()
-				return nil, false, err
-			}
-			break
-		}
-		if err := ctx.tick(); err != nil {
-			it.Close()
+		row, rid, ok, err := u.cur.next(ctx)
+		if err != nil {
 			return nil, false, err
 		}
-		if !live {
-			continue
+		if !ok {
+			break
 		}
 		match, err := evalPreds(ctx, u.preds, row)
 		if err != nil {
-			it.Close()
 			return nil, false, err
 		}
 		if !match {
@@ -689,19 +678,16 @@ func (u *updateDeleteOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		for k, ord := range u.node.TargetCols {
 			v, err := u.exprs[k].Eval(ec, row)
 			if err != nil {
-				it.Close()
 				return nil, false, err
 			}
 			cv, err := datum.Coerce(v, t.Cols[ord].Type)
 			if err != nil {
-				it.Close()
 				return nil, false, err
 			}
 			newRow[ord] = cv
 		}
 		work = append(work, pending{rid: rid, newRow: newRow})
 	}
-	it.Close()
 	// Apply phase, statement-atomic: any error rolls back every mutation
 	// already applied, including version and index maintenance.
 	mark := ctx.Txn.Mark()

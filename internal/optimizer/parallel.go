@@ -155,7 +155,7 @@ func (o *Optimizer) parallelize(n *plan.Node, dop int) *plan.Node {
 		// be inserted under this node — that subtree is what the repart
 		// producers clone, so probe it, not n itself.
 		child := n.Inputs[0]
-		leaf := probeLeaf(child)
+		leaf := plan.ProbeLeaf(child)
 		if leaf == nil || !o.leafEligible(leaf) {
 			return nil
 		}
@@ -182,13 +182,13 @@ func (o *Optimizer) parallelize(n *plan.Node, dop int) *plan.Node {
 	case plan.OpSort:
 		// Workers each sort their partition; the gather merge-preserves
 		// the order, reproducing the serial output exactly.
-		leaf := probeLeaf(n)
+		leaf := plan.ProbeLeaf(n)
 		if leaf == nil || !o.leafEligible(leaf) {
 			return nil
 		}
 		return gatherNode(n, dop, n.SortKeys)
 	default:
-		leaf := probeLeaf(n)
+		leaf := plan.ProbeLeaf(n)
 		if leaf == nil || !o.leafEligible(leaf) {
 			return nil
 		}
@@ -238,30 +238,6 @@ func subtreeParallelSafe(n *plan.Node) bool {
 		return true
 	})
 	return safe
-}
-
-// probeLeaf finds the SCAN the morsel dispenser would split: the
-// left-spine leaf (joins descend their probe/outer input; the build
-// side is replicated per worker). The descent list must mirror the
-// executor's morsel binding (exec.morselLeafOf) exactly — an op the
-// executor cannot descend through (GROUP, DISTINCT, LIMIT, VALUES)
-// would degrade the exchange to a useless inline gather.
-func probeLeaf(n *plan.Node) *plan.Node {
-	for n != nil {
-		switch n.Op {
-		case plan.OpScan:
-			return n
-		case plan.OpFilter, plan.OpProject, plan.OpAccess, plan.OpSort, plan.OpTemp,
-			plan.OpNLJoin, plan.OpHSJoin, plan.OpSMJoin:
-			if len(n.Inputs) == 0 {
-				return nil
-			}
-			n = n.Inputs[0]
-		default:
-			return nil
-		}
-	}
-	return nil
 }
 
 // leafEligible applies the cost gate: the scan's table must support

@@ -290,6 +290,33 @@ func Walk(n *Node, f func(*Node) bool) bool {
 	return true
 }
 
+// ProbeLeaf finds the SCAN whose table a parallel exchange splits into
+// morsels: the left-spine leaf of the subtree. Single-input dataflow
+// operators descend through their input, joins through their LEFT
+// (probe/outer) input — the build side is replicated per worker, which
+// is correct for every join kind including outer joins. The optimizer
+// gates exchange insertion on this leaf and the executor binds the
+// morsel dispenser to it, so an op absent from the descent list (GROUP,
+// DISTINCT, LIMIT, VALUES) is a barrier for both; nil means the subtree
+// has no splittable leaf.
+func ProbeLeaf(n *Node) *Node {
+	for n != nil {
+		switch n.Op {
+		case OpScan:
+			return n
+		case OpFilter, OpProject, OpAccess, OpSort, OpTemp,
+			OpNLJoin, OpHSJoin, OpSMJoin:
+			if len(n.Inputs) == 0 {
+				return nil
+			}
+			n = n.Inputs[0]
+		default:
+			return nil
+		}
+	}
+	return nil
+}
+
 // CollectOps returns the multiset of operator names in the tree, for
 // plan-shape assertions in tests.
 func CollectOps(n *Node) map[string]int {

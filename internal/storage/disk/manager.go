@@ -167,8 +167,6 @@ type diskIterator struct {
 	err  error
 }
 
-var _ storage.BatchScanner = (*diskIterator)(nil)
-
 // fill decodes pages until one yields records or the range ends,
 // leaving the batch in rows/rids. Reports whether anything was
 // produced.
@@ -231,22 +229,6 @@ func (it *diskIterator) Next() (datum.Row, storage.RID, bool) {
 	i := it.idx
 	it.idx++
 	return it.rows[i], it.rids[i], true
-}
-
-// NextRows implements storage.BatchScanner.
-func (it *diskIterator) NextRows(dst []datum.Row) int {
-	n := 0
-	for n < len(dst) {
-		if it.idx >= len(it.rows) {
-			if !it.fill() {
-				break
-			}
-		}
-		take := copy(dst[n:], it.rows[it.idx:])
-		it.idx += take
-		n += take
-	}
-	return n
 }
 
 // Err reports a deferred scan error (storage.IterErr contract).

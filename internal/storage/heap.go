@@ -224,45 +224,9 @@ func (it *heapIterator) Next() (datum.Row, RID, bool) {
 	return nil, RID{}, false
 }
 
-// NextRows implements BatchScanner: it fills dst with up to len(dst)
-// records, materializing all of their values in one shared arena so the
-// whole batch costs two allocations rather than one per row. Page reads
-// are counted exactly as tuple iteration counts them.
-func (it *heapIterator) NextRows(dst []datum.Row) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	it.rel.mu.RLock()
-	defer it.rel.mu.RUnlock()
-	arena := make([]datum.Value, 0, len(dst)*it.rel.numCols)
-	n := 0
-	for n < len(dst) && it.page < it.pastEnd(len(it.rel.pages)) {
-		pg := it.rel.pages[it.page]
-		if it.slot == 0 {
-			it.rel.stats.ReadPage()
-		}
-		for n < len(dst) && it.slot < len(pg.rows) {
-			s := it.slot
-			it.slot++
-			if pg.rows[s] == nil {
-				continue
-			}
-			start := len(arena)
-			arena = append(arena, pg.rows[s]...)
-			dst[n] = datum.Row(arena[start:len(arena):len(arena)])
-			n++
-		}
-		if it.slot >= len(pg.rows) {
-			it.page++
-			it.slot = 0
-		}
-	}
-	return n
-}
-
-// NextCols implements ColScanner: the columnar twin of NextRows. Stored
-// rows decompose straight into b's typed vectors (the vectors are the
-// arena), with page-read accounting identical to tuple iteration.
+// NextCols implements ColScanner: stored rows decompose straight into
+// b's typed vectors (the vectors are the arena), with page-read
+// accounting identical to tuple iteration.
 func (it *heapIterator) NextCols(b *datum.ColBatch, max int) int {
 	if max <= 0 {
 		return 0
@@ -493,32 +457,6 @@ func (it *fixedIterator) Next() (datum.Row, RID, bool) {
 		}
 	}
 	return nil, RID{}, false
-}
-
-// NextRows implements BatchScanner (see heapIterator.NextRows).
-func (it *fixedIterator) NextRows(dst []datum.Row) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	it.rel.mu.RLock()
-	defer it.rel.mu.RUnlock()
-	arena := make([]datum.Value, 0, len(dst)*it.rel.numCols)
-	n := 0
-	for n < len(dst) && it.i < it.stop(len(it.rel.rows)) {
-		i := it.i
-		it.i++
-		if i%it.rel.rowsPerPage == 0 {
-			it.rel.stats.ReadPage()
-		}
-		if it.rel.rows[i] == nil {
-			continue
-		}
-		start := len(arena)
-		arena = append(arena, it.rel.rows[i]...)
-		dst[n] = datum.Row(arena[start:len(arena):len(arena)])
-		n++
-	}
-	return n
 }
 
 // NextCols implements ColScanner (see heapIterator.NextCols).

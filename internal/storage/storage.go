@@ -90,34 +90,30 @@ func (s *IOStats) Reset() {
 	s.mu.Unlock()
 }
 
-// RowIterator streams stored records.
+// RowIterator streams stored records. It is all a storage manager has
+// to provide to be scanned: the executor's table cursor resolves MVCC
+// visibility per record and adapts the rows into column vectors itself.
 type RowIterator interface {
 	// Next returns the next record, its RID, and whether one was
-	// produced.
+	// produced. Next cannot fail; a fallible iterator reports a deferred
+	// error through an Err method that the consumer reads (IterErr) once
+	// Next reports exhaustion. The row may be retained by the caller.
 	Next() (datum.Row, RID, bool)
 	// Close releases iterator resources.
 	Close()
 }
 
-// BatchScanner is an optional RowIterator capability: fill dst with up
-// to len(dst) records in one call, returning how many were produced.
-// Zero means exhaustion (a batch scanner never returns a zero count
-// with records remaining). The rows handed out are caller-retainable —
-// built-in implementations materialize each batch in a single shared
-// arena, so a batch costs O(1) allocations instead of one clone per
-// row. Page-read accounting is identical to tuple iteration.
-type BatchScanner interface {
-	NextRows(dst []datum.Row) int
-}
-
-// ColScanner is an optional RowIterator capability: decompose up to max
-// stored records directly into the column vectors of b (which the
-// caller has Reset), returning how many rows were appended. Zero means
-// exhaustion, exactly like BatchScanner. The vectors are the arena —
-// values land in typed lanes with no per-row allocation. Page-read
-// accounting is identical to tuple iteration. Iterators that lack this
-// capability (fault-wrapped decorations, DISK, VIRTUAL) are adapted by
-// the executor through the row path instead.
+// ColScanner is an optional RowIterator capability, one of the two the
+// executor probes for (PageRangeScanner, on the Relation, is the
+// other): decompose up to max stored records directly into the column
+// vectors of b, appending after whatever b already holds, and return
+// how many rows were appended. Zero means exhaustion (a ColScanner
+// never returns a zero count with records remaining). The vectors are
+// the arena — values land in typed lanes with no per-row allocation.
+// Page-read accounting is identical to tuple iteration. The arena-backed
+// HEAP and FIXED iterators implement it; iterators that do not
+// (fault-wrapped decorations, DISK, VIRTUAL, DBC extensions) are drained
+// through Next into the same vectors.
 type ColScanner interface {
 	NextCols(b *datum.ColBatch, max int) int
 }

@@ -162,8 +162,12 @@ func visibleStamp(writer, cts int64, snap Snapshot) bool {
 
 // Visible resolves which image of the row, whose newest physical image
 // is cur, snap sees: cur itself, a prior image from the chain, or
-// nothing (row not yet born, or already dead, for this snapshot).
+// nothing (row not yet born, or already dead, for this snapshot). A nil
+// v is a row with no entry: frozen, so cur is visible to everyone.
 func (v *RowVersion) Visible(snap Snapshot, cur datum.Row) (datum.Row, bool) {
+	if v == nil {
+		return cur, true
+	}
 	xt, xc := v.Xmin()
 	if visibleStamp(xt, xc, snap) {
 		// Newest image visible; the row is gone only if its deletion is
@@ -208,31 +212,27 @@ func NewTableVersions() *TableVersions {
 }
 
 // Count reports the number of unfrozen row versions. A zero count
-// under ReadLock (or the happens-before argument at the top of this
-// file, for lock-free readers) means every physical row is frozen.
+// under the read lock (ReadFrozen; or the happens-before argument at the
+// top of this file, for lock-free readers) means every physical row is
+// frozen.
 func (tv *TableVersions) Count() int64 { return tv.count.Load() }
 
-// ReadLock takes the version map shared; a batch scan holds it across
-// the batch fill so no writer can slip an unfrozen row into the batch
-// after Count was checked, and a row scan holds it from reading a
-// record to resolving it (see ResolveLocked). A nil tv (system/virtual
-// tables) has nothing to lock.
-func (tv *TableVersions) ReadLock() {
+// rlock takes the version map shared for ReadNext and Fetch; a nil tv
+// (system/virtual tables) has nothing to lock.
+func (tv *TableVersions) rlock() {
 	if tv != nil {
 		tv.mu.RLock()
 	}
 }
 
-// ReadUnlock releases ReadLock.
-func (tv *TableVersions) ReadUnlock() {
+func (tv *TableVersions) runlock() {
 	if tv != nil {
 		tv.mu.RUnlock()
 	}
 }
 
 // Lookup returns the version entry for rid, nil when the row is
-// frozen. Callers either hold ReadLock or accept the entry state as of
-// the lookup.
+// frozen. The caller accepts the entry state as of the lookup.
 func (tv *TableVersions) Lookup(rid storage.RID) *RowVersion {
 	if tv.count.Load() == 0 {
 		return nil
@@ -243,8 +243,8 @@ func (tv *TableVersions) Lookup(rid storage.RID) *RowVersion {
 	return v
 }
 
-// LookupLocked is Lookup under a held ReadLock/WriteLock; nil for a
-// nil tv.
+// LookupLocked is Lookup under a held WriteLock (or, inside this
+// package, the read lock); nil for a nil tv.
 func (tv *TableVersions) LookupLocked(rid storage.RID) *RowVersion {
 	if tv == nil {
 		return nil
@@ -286,31 +286,84 @@ func (tv *TableVersions) QuiesceWrites() { tv.ddlMu.Lock() }
 // ResumeWrites releases QuiesceWrites.
 func (tv *TableVersions) ResumeWrites() { tv.ddlMu.Unlock() }
 
-// ResolveLocked is Resolve for a scan that took ReadLock before it read
-// cur and still holds it. Reading and resolving must be one step: a
-// rollback deletes the record and drops its version entry under the
-// write lock, and a scan that read the record before and looked it up
-// after would find it unversioned — indistinguishable from frozen — and
-// surface an aborted row.
-func ResolveLocked(tv *TableVersions, rid storage.RID, cur datum.Row, snap Snapshot) (datum.Row, bool) {
-	if v := tv.LookupLocked(rid); v != nil {
-		return v.Visible(snap, cur)
+// ReadNext advances it one record and resolves the record against snap:
+// row is the image snap sees, live whether it sees one at all, ok false
+// at exhaustion (the caller then consults storage.IterErr). Reading,
+// looking up and resolving are one step under the read lock, because a
+// rollback rewrites all three under the write lock. It deletes an
+// inserted record and drops its version entry: a scan that read the
+// record before and looked it up after would find it unversioned —
+// indistinguishable from frozen — and surface an aborted row. And it
+// restores an updated record and resets the entry's writer in place: a
+// scan that read the new image and its entry before, and resolved after,
+// would find the entry naming the old image's committed (or frozen)
+// writer and surface the aborted image under that stamp.
+func (tv *TableVersions) ReadNext(it storage.RowIterator, snap Snapshot) (row datum.Row, rid storage.RID, live, ok bool) {
+	tv.rlock()
+	//lint:ignore error-discard the version layer passes exhaustion up as ok=false; the caller owns the iterator and consults IterErr
+	row, rid, ok = it.Next()
+	if ok {
+		row, live = tv.LookupLocked(rid).Visible(snap, row)
 	}
-	return cur, true
+	tv.runlock()
+	return row, rid, live, ok
+}
+
+// ReadFrozen appends up to max records from it to b under one hold of
+// the read lock, provided every physical row is frozen — no writer can
+// then register an unfrozen version between the count check and the
+// records leaving the iterator, so none of them needs resolving. It
+// reports frozen=false, having read nothing, when the table has
+// unfrozen versions; the caller falls back to ReadNext. n == 0 with
+// frozen means exhaustion. A ColScanner decomposes pages straight into
+// b's vectors; any other iterator is drained record by record.
+func (tv *TableVersions) ReadFrozen(it storage.RowIterator, b *datum.ColBatch, max int) (n int, frozen bool) {
+	if tv != nil {
+		tv.mu.RLock()
+		defer tv.mu.RUnlock()
+		if tv.count.Load() != 0 {
+			return 0, false
+		}
+	}
+	if cs, ok := it.(storage.ColScanner); ok {
+		return cs.NextCols(b, max), true
+	}
+	for n < max {
+		//lint:ignore error-discard as ReadNext: the caller consults IterErr when n == 0
+		row, _, ok := it.Next()
+		if !ok {
+			break
+		}
+		b.AppendRow(row)
+		n++
+	}
+	return n, true
+}
+
+// Fetch reads the record at rid and resolves it against snap, as one
+// step for the reason ReadNext gives. live is false when the record is
+// gone or snap sees no image of it; versioned reports that the row
+// carried a version entry, i.e. may be in flux: an index reader must
+// then re-check the returned image against the key it followed.
+func (tv *TableVersions) Fetch(rel storage.Relation, rid storage.RID, snap Snapshot) (row datum.Row, versioned, live bool) {
+	tv.rlock()
+	defer tv.runlock()
+	row, ok := rel.Fetch(rid)
+	if !ok {
+		return nil, false, false
+	}
+	v := tv.LookupLocked(rid)
+	row, live = v.Visible(snap, row)
+	return row, v != nil, live
 }
 
 // Resolve returns the image of the row at rid visible to snap, given
 // the newest physical image cur. A nil tv (system/virtual tables)
 // means no versioning: cur is visible. The caller accepts the version
-// state as of the lookup, which may be later than cur's (see
-// ResolveLocked).
+// state as of the lookup, which may be later than cur's (see ReadNext).
 func Resolve(tv *TableVersions, rid storage.RID, cur datum.Row, snap Snapshot) (datum.Row, bool) {
 	if tv == nil {
 		return cur, true
 	}
-	v := tv.Lookup(rid)
-	if v == nil {
-		return cur, true
-	}
-	return v.Visible(snap, cur)
+	return tv.Lookup(rid).Visible(snap, cur)
 }

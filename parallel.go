@@ -55,11 +55,6 @@ func (db *DB) Parallelism() int {
 	return 1
 }
 
-// SetParallelThreshold overrides the minimum estimated scan cardinality
-// before the optimizer considers parallelizing a plan; n <= 0 restores
-// the default. Mainly for tests and experiments on small tables.
-func (db *DB) SetParallelThreshold(n int64) { db.opt.SetParallelThreshold(n) }
-
 // effectiveDOP is the DOP a statement actually runs with: the
 // snapshotted session value, forced to 1 while a fault injector is
 // attached.

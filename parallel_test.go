@@ -55,7 +55,7 @@ func genParallelDB(t testing.TB, seed int64) *DB {
 	mustExec(t, db, "ANALYZE ta")
 	mustExec(t, db, "ANALYZE tb")
 	mustExec(t, db, "ANALYZE tc")
-	db.SetParallelThreshold(1)
+	db.opt.SetParallelThreshold(1)
 	return db
 }
 
@@ -137,12 +137,12 @@ func TestParallelPlanShape(t *testing.T) {
 
 	// Small tables stay under the cardinality threshold.
 	db.SetParallelism(4)
-	db.SetParallelThreshold(0) // default 512 again
+	db.opt.SetParallelThreshold(0) // default 512 again
 	plan = explainText(t, db, "SELECT x.k FROM tc x")
 	if strings.Contains(plan, "GATHER") {
 		t.Fatalf("sub-threshold scan got an exchange:\n%s", plan)
 	}
-	db.SetParallelThreshold(1)
+	db.opt.SetParallelThreshold(1)
 }
 
 // TestParallelEquivalenceCorpus runs the random equivalence corpus at

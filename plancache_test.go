@@ -2,6 +2,7 @@ package starburst
 
 import (
 	"context"
+	gosql "database/sql"
 	"errors"
 	"fmt"
 	"sort"
@@ -125,7 +126,7 @@ func TestPlanCacheInvalidationEveryDDLKind(t *testing.T) {
 // serial session must never execute.
 func TestPlanCacheFingerprintIsolation(t *testing.T) {
 	db := cacheDB(t, 16)
-	db.SetParallelThreshold(1)
+	db.opt.SetParallelThreshold(1)
 
 	serial := db.NewSession()
 	parallel := db.NewSession()
@@ -257,7 +258,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		iters      = 60
 	)
 	db := cacheDB(t, 32)
-	db.SetParallelThreshold(1)
+	db.opt.SetParallelThreshold(1)
 
 	queries := []string{
 		`SELECT partno FROM inventory WHERE type = 'CPU'`,
@@ -385,5 +386,128 @@ func TestSessionSettingIsolation(t *testing.T) {
 	}
 	if _, err := loose.Query(ctx, q, nil); err != nil {
 		t.Fatalf("unlimited session was throttled: %v", err)
+	}
+}
+
+// TestPreparedStatementRevalidates: a prepared statement holds a plan,
+// and DDL after Prepare can invalidate it exactly as it invalidates a
+// cached plan — a dropped index is no longer maintained, a dropped
+// table's storage holds ghost rows. Every way to hold a prepared
+// statement must answer like the ad-hoc statement does.
+func TestPreparedStatementRevalidates(t *testing.T) {
+	const byA, byB = `SELECT b FROM t WHERE a = 7`, `SELECT a FROM t WHERE b = 1`
+	// handle prepares q and returns how to run it (as a row count) and
+	// how to end whatever transaction the runs were inside.
+	type handle func(t *testing.T, db *DB, q string) (run func() int, end func())
+	handles := map[string]handle{
+		"DB.Prepare": func(t *testing.T, db *DB, q string) (func() int, func()) {
+			st, err := db.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() int {
+				res, err := st.Run(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(res.Rows)
+			}, func() {}
+		},
+		// Prepared before the DDL, run inside a transaction begun after it.
+		"Session.Prepare in Tx": func(t *testing.T, db *DB, q string) (func() int, func()) {
+			sess := db.NewSession()
+			st, err := sess.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tx *Tx
+			return func() int {
+					if tx == nil {
+						if tx, err = sess.Begin(context.Background()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					res, err := st.Run(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return len(res.Rows)
+				}, func() {
+					if err := tx.Rollback(); err != nil {
+						t.Fatal(err)
+					}
+					tx = nil
+				}
+		},
+		"database/sql": func(t *testing.T, db *DB, q string) (func() int, func()) {
+			RegisterDSN(t.Name(), db)
+			sdb, err := gosql.Open(DriverName, t.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sdb.Close() })
+			sdb.SetMaxOpenConns(1) // one connection, so one driver-level prepared statement
+			st, err := sdb.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() int {
+				rows, err := st.Query()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rows.Close()
+				n := 0
+				for rows.Next() {
+					n++
+				}
+				if err := rows.Err(); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}, func() {}
+		},
+	}
+	for name, prepare := range handles {
+		t.Run(name, func(t *testing.T) {
+			db := Open()
+			mustExec(t, db, `CREATE TABLE t (a INT, b INT)`)
+			for i := 0; i < 50; i++ {
+				mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, i, i%5))
+			}
+			mustExec(t, db, `CREATE INDEX ia ON t (a)`)
+			mustExec(t, db, `ANALYZE t`)
+			if !strings.Contains(explainText(t, db, byA), "ISCAN") {
+				t.Fatalf("setup: %s does not probe the index", byA)
+			}
+			runA, endA := prepare(t, db, byA)
+			runB, endB := prepare(t, db, byB)
+			if n := runA(); n != 1 {
+				t.Fatalf("before DDL: %d rows, want 1", n)
+			}
+			endA()
+
+			// The plan probes ia; once dropped, ia misses the new row.
+			mustExec(t, db, `DROP INDEX ia ON t`)
+			mustExec(t, db, `INSERT INTO t VALUES (7, 99)`)
+			want := len(mustExec(t, db, byA).Rows)
+			if n := runA(); n != want || want != 2 {
+				t.Fatalf("after DROP INDEX: prepared returns %d rows, ad-hoc %d, want 2", n, want)
+			}
+			endA()
+
+			// The plan scans the dropped table's storage and binds its
+			// column order.
+			if n := runB(); n != 10 {
+				t.Fatalf("before DROP TABLE: %d rows, want 10", n)
+			}
+			endB()
+			mustExec(t, db, `DROP TABLE t`)
+			mustExec(t, db, `CREATE TABLE t (b INT, a INT)`)
+			if n := runB(); n != 0 {
+				t.Fatalf("after DROP/CREATE TABLE: prepared returns %d ghost rows", n)
+			}
+			endB()
+		})
 	}
 }

@@ -234,7 +234,7 @@ func (s *Session) Autocommit() bool {
 // returned Stmt re-snapshots this session's settings on every run and
 // joins the session's open transaction, if any, when run.
 func (s *Session) Prepare(query string) (*Stmt, error) {
-	st, err := s.db.prepare(query, s.snapshot)
+	st, err := s.db.prepare(s.db.cat.Pin(), query, s.snapshot)
 	if err != nil {
 		return nil, err
 	}

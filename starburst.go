@@ -570,10 +570,15 @@ func (db *DB) finishRun(goCtx context.Context, compiled *plan.Compiled, params m
 // separated in time, since the result of the compilation stage can be
 // stored for future use" (section 3).
 type Stmt struct {
-	db       *DB
+	db    *DB
+	query string
+	kind  string
+	// compiled is valid for catalog generation gen only; planFor
+	// recompiles it when the statement runs against another one. mu
+	// guards the pair (a DB-level Stmt may be shared by goroutines).
+	mu       sync.Mutex
 	compiled *plan.Compiled
-	query    string
-	kind     string
+	gen      int64
 	// snap re-reads the owning DB's or Session's settings per run, so a
 	// prepared statement follows later setting changes like an ad-hoc
 	// statement would.
@@ -587,14 +592,15 @@ type Stmt struct {
 // Prepare compiles a DML statement for repeated execution under the
 // DB's default settings; Session.Prepare is the session-scoped twin.
 func (db *DB) Prepare(query string) (*Stmt, error) {
-	return db.prepare(query, db.snapshot)
+	return db.prepare(db.cat.Pin(), query, db.snapshot)
 }
 
-// prepare is the compilation core behind DB.Prepare and
-// Session.Prepare. It consults (and fills) the plan cache, so
+// prepare is the compilation core behind DB.Prepare, Session.Prepare
+// and the recompilation of a stale Stmt, against the pinned catalog
+// generation cat. It consults (and fills) the plan cache, so
 // re-preparing a statement another session already compiled is a cache
 // hit.
-func (db *DB) prepare(query string, snap func() settings) (st *Stmt, err error) {
+func (db *DB) prepare(cat *catalog.Catalog, query string, snap func() settings) (st *Stmt, err error) {
 	set := snap()
 	phase := "parse"
 	defer func() { err = wrapQueryError(phase, err) }()
@@ -608,14 +614,11 @@ func (db *DB) prepare(query string, snap func() settings) (st *Stmt, err error) 
 		return nil, err
 	}
 	kind := stmtKind(stmt)
-	// Compile against a pinned catalog generation: concurrent DDL
-	// publishes new generations without disturbing this compilation.
-	cat := db.cat.Pin()
 	var key string
 	if db.cache != nil && cacheableKind(kind) {
 		key = db.cacheKey(query, set)
 		if e, ok := db.cache.get(key, cat.Version()); ok {
-			return &Stmt{db: db, compiled: e.compiled, query: query, kind: kind, snap: snap}, nil
+			return &Stmt{db: db, compiled: e.compiled, gen: cat.Version(), query: query, kind: kind, snap: snap}, nil
 		}
 	}
 	compiled, err := db.compile(cat, stmt, &phase, nil, set)
@@ -626,7 +629,25 @@ func (db *DB) prepare(query string, snap func() settings) (st *Stmt, err error) 
 		db.cache.miss()
 		db.cache.put(&cacheEntry{key: key, compiled: compiled, kind: kind, gen: cat.Version()})
 	}
-	return &Stmt{db: db, compiled: compiled, query: query, kind: kind, snap: snap}, nil
+	return &Stmt{db: db, compiled: compiled, gen: cat.Version(), query: query, kind: kind, snap: snap}, nil
+}
+
+// planFor returns the statement's plan for the catalog generation the
+// running transaction pinned, recompiling when the plan was compiled
+// against another one — the plan cache's validity check, applied to the
+// plan a Stmt holds: DDL since may have dropped an index the plan
+// probes or replaced the table it scans.
+func (s *Stmt) planFor(cat *catalog.Catalog) (*plan.Compiled, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.gen != cat.Version() {
+		st, err := s.db.prepare(cat, s.query, s.snap)
+		if err != nil {
+			return nil, err
+		}
+		s.compiled, s.gen = st.compiled, st.gen
+	}
+	return s.compiled, nil
 }
 
 // Query executes the prepared statement under ctx with the given
@@ -637,7 +658,7 @@ func (s *Stmt) Query(goCtx context.Context, params map[string]Value) (res *Resul
 	db := s.db
 	set := s.snap()
 	phase := "exec"
-	o := &observation{query: s.query, kind: s.kind, start: time.Now(), root: s.compiled.Root, waits: obs.NewWaitSet()}
+	o := &observation{query: s.query, kind: s.kind, start: time.Now(), waits: obs.NewWaitSet()}
 	defer func() { db.observe(o, phase, err) }()
 	defer func() {
 		if err != nil && errors.Is(err, ErrWriteConflict) {
@@ -678,19 +699,31 @@ func (s *Stmt) Query(goCtx context.Context, params map[string]Value) (res *Resul
 		}
 		db.lockAdminShared(o.waits)
 		defer db.adminMu.RUnlock()
+		compiled, perr := s.planFor(tx.cat)
+		if perr != nil {
+			return nil, perr
+		}
+		o.root = compiled.Root
 		tx.stmtStart()
 		defer recoverQueryError(&phase, &err)
-		return db.finishRun(goCtx, s.compiled, params, tr, o, set, tx)
+		return db.finishRun(goCtx, compiled, params, tr, o, set, tx)
 	}
 	db.lockAdminShared(o.waits)
 	defer db.adminMu.RUnlock()
 	// A prepared statement runs inside an implicit auto-commit
-	// transaction, exactly like an ad-hoc one.
-	tx = db.autoTx()
+	// transaction, exactly like an ad-hoc one, over the generation its
+	// plan is validated against.
+	cat := db.cat.Pin()
+	compiled, perr := s.planFor(cat)
+	if perr != nil {
+		return nil, perr
+	}
+	o.root = compiled.Root
+	tx = db.autoTxOn(cat)
 	tx.stmtStart()
 	defer func() { err = db.finishAuto(tx, err, o.waits) }()
 	defer recoverQueryError(&phase, &err)
-	return db.finishRun(goCtx, s.compiled, params, tr, o, set, tx)
+	return db.finishRun(goCtx, compiled, params, tr, o, set, tx)
 }
 
 // Run executes a prepared statement with the given parameter bindings.
@@ -703,8 +736,12 @@ func (s *Stmt) RunContext(goCtx context.Context, params map[string]Value) (*Resu
 	return s.Query(goCtx, params)
 }
 
-// Plan renders the prepared statement's QEP.
-func (s *Stmt) Plan() string { return s.compiled.Root.String() }
+// Plan renders the prepared statement's QEP as last compiled.
+func (s *Stmt) Plan() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compiled.Root.String()
+}
 
 // compile drives the compile-time phases: translation to QGM, query
 // rewrite, plan optimization (and, inside the executor, plan
