@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json fmt race check stress api
+.PHONY: all build test vet lint lint-json fmt race check stress api examples
 
 all: check
 
@@ -61,6 +61,13 @@ fmt:
 api:
 	$(GO) test ./ -count=1 -run TestPublicAPIGolden
 
+# examples runs every example program to completion; each exits
+# non-zero (log.Fatal / panic) when a step of its walkthrough fails, so
+# an API change that compiles but breaks a documented flow fails here.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # stress is the one gate race does not run: a fuzz smoke over random
 # fault schedules (race replays only the seed corpus).
 stress:
@@ -68,7 +75,8 @@ stress:
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite
-# (analyzers + fixture self-tests), and the exported-API golden diff.
+# (analyzers + fixture self-tests), the exported-API golden diff, and
+# the example programs.
 # Performance is tracked by the standing benchmark in bench/ (see
 # bench/README.md), not by a per-PR gate.
-check: fmt vet build race lint api
+check: fmt vet build race lint api examples

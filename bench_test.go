@@ -6,11 +6,13 @@
 package starburst
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/rewrite"
 	"repro/internal/sql"
@@ -93,7 +95,7 @@ func BenchmarkFig1PhaseOptimize(b *testing.B) {
 		g, _ := qgm.TranslateStatement(db.Catalog(), stmt)
 		eng.Rewrite(g, rewrite.Options{})
 		b.StartTimer()
-		if _, err := db.Optimizer().Optimize(g); err != nil {
+		if _, err := db.Optimizer().OptimizeConfig(g, nil, optimizer.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +109,7 @@ func BenchmarkFig1PhaseExecute(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stmt.Run(nil); err != nil {
+		if _, err := stmt.Query(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +130,7 @@ func BenchmarkFig1EndToEnd(b *testing.B) {
 // allocation plus a few clock reads per statement).
 func BenchmarkFig1EndToEndTraced(b *testing.B) {
 	db := benchDB(b, 512, 64)
-	db.SetTracing(true)
+	setTracing(db, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec(benchPaperQuery, nil); err != nil {
@@ -185,13 +187,13 @@ func BenchmarkSubqueryToJoin(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Run(nil); err != nil {
+			if _, err := stmt.Query(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("rewrite=off", func(b *testing.B) {
-		run(b, func(db *DB) { db.SkipRewrite = true })
+		run(b, func(db *DB) { setSkipRewrite(db, true) })
 	})
 	b.Run("rewrite=on+uniqueindex", func(b *testing.B) {
 		run(b, func(db *DB) {
@@ -210,7 +212,7 @@ func BenchmarkPredicatePushdown(b *testing.B) {
 		WHERE d.partno = 7`
 	run := func(b *testing.B, skip bool) {
 		db := benchDB(b, 5000, 100)
-		db.SkipRewrite = skip
+		setSkipRewrite(db, skip)
 		stmt, err := db.Prepare(q)
 		if err != nil {
 			b.Fatal(err)
@@ -218,7 +220,7 @@ func BenchmarkPredicatePushdown(b *testing.B) {
 		db.ResetIOStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Run(nil); err != nil {
+			if _, err := stmt.Query(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -236,14 +238,14 @@ func BenchmarkProjectionPushdown(b *testing.B) {
 		WHERE d.partno = i.partno`
 	run := func(b *testing.B, skip bool) {
 		db := benchDB(b, 5000, 100)
-		db.SkipRewrite = skip
+		setSkipRewrite(db, skip)
 		stmt, err := db.Prepare(q)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Run(nil); err != nil {
+			if _, err := stmt.Query(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -266,11 +268,11 @@ func BenchmarkViewMerge(b *testing.B) {
 	inlined := `SELECT partno FROM quotations WHERE price < 500 AND order_qty < 50 AND partno = 3`
 	b.Run("views+rewrite=off", func(b *testing.B) {
 		db := setup(b)
-		db.SkipRewrite = true
+		setSkipRewrite(db, true)
 		stmt, _ := db.Prepare(viewQuery)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stmt.Run(nil)
+			stmt.Query(context.Background(), nil)
 		}
 	})
 	b.Run("views+rewrite=on", func(b *testing.B) {
@@ -278,7 +280,7 @@ func BenchmarkViewMerge(b *testing.B) {
 		stmt, _ := db.Prepare(viewQuery)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stmt.Run(nil)
+			stmt.Query(context.Background(), nil)
 		}
 	})
 	b.Run("hand-inlined", func(b *testing.B) {
@@ -286,7 +288,7 @@ func BenchmarkViewMerge(b *testing.B) {
 		stmt, _ := db.Prepare(inlined)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stmt.Run(nil)
+			stmt.Query(context.Background(), nil)
 		}
 	})
 }
@@ -365,7 +367,7 @@ func BenchmarkJoinEnumerator(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := db.Optimizer().Optimize(g); err != nil {
+				if _, err := db.Optimizer().OptimizeConfig(g, nil, optimizer.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -380,7 +382,7 @@ func BenchmarkJoinEnumerator(b *testing.B) {
 			b.StopTimer()
 			g, _ := qgm.TranslateStatement(db.Catalog(), stmt)
 			b.StartTimer()
-			if _, err := db.Optimizer().Optimize(g); err != nil {
+			if _, err := db.Optimizer().OptimizeConfig(g, nil, optimizer.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -416,7 +418,7 @@ func BenchmarkAccessPathCrossover(b *testing.B) {
 			stmt, _ := db.Prepare(q)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				stmt.Run(nil)
+				stmt.Query(context.Background(), nil)
 			}
 		})
 		b.Run(sel.name+"/optimizer-choice", func(b *testing.B) {
@@ -425,7 +427,7 @@ func BenchmarkAccessPathCrossover(b *testing.B) {
 			b.Logf("chosen plan:\n%s", stmt.Plan())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				stmt.Run(nil)
+				stmt.Query(context.Background(), nil)
 			}
 		})
 	}
@@ -457,7 +459,7 @@ func BenchmarkJoinMethods(b *testing.B) {
 		stmt, _ := db.Prepare(q)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stmt.Run(nil)
+			stmt.Query(context.Background(), nil)
 		}
 	})
 	b.Run("hash", func(b *testing.B) {
@@ -465,7 +467,7 @@ func BenchmarkJoinMethods(b *testing.B) {
 		stmt, _ := db.Prepare(q)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stmt.Run(nil)
+			stmt.Query(context.Background(), nil)
 		}
 	})
 	b.Run("merge", func(b *testing.B) {
@@ -473,7 +475,7 @@ func BenchmarkJoinMethods(b *testing.B) {
 		stmt, _ := db.Prepare(q)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stmt.Run(nil)
+			stmt.Query(context.Background(), nil)
 		}
 	})
 	b.Run("optimizer-choice", func(b *testing.B) {
@@ -481,7 +483,7 @@ func BenchmarkJoinMethods(b *testing.B) {
 		stmt, _ := db.Prepare(q)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stmt.Run(nil)
+			stmt.Query(context.Background(), nil)
 		}
 	})
 }
@@ -510,7 +512,7 @@ func BenchmarkEvaluateOnDemand(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Run(nil); err != nil {
+			if _, err := stmt.Query(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -539,7 +541,7 @@ func BenchmarkORSubquery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stmt.Run(nil); err != nil {
+		if _, err := stmt.Query(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -567,7 +569,7 @@ func BenchmarkRecursion(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := stmt.Run(nil); err != nil {
+				if _, err := stmt.Query(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -601,7 +603,7 @@ func BenchmarkSpatialAccess(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Run(nil); err != nil {
+			if _, err := stmt.Query(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -622,7 +624,7 @@ func BenchmarkOuterJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stmt.Run(nil); err != nil {
+		if _, err := stmt.Query(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -658,7 +660,7 @@ func BenchmarkMagicRecursionRestriction(b *testing.B) {
 		SELECT COUNT(*) FROM reach WHERE src = 0`
 	run := func(b *testing.B, skip bool) {
 		db := Open()
-		db.SkipRewrite = skip
+		setSkipRewrite(db, skip)
 		mustExec(b, db, "CREATE TABLE edges (src INT, dst INT)")
 		// 40 disjoint chains of length 20: the full closure has
 		// 40*(20*21/2) pairs, the restricted one only 210.
@@ -676,7 +678,7 @@ func BenchmarkMagicRecursionRestriction(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Run(nil); err != nil {
+			if _, err := stmt.Query(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -705,7 +707,7 @@ func BenchmarkRankPruningAblation(b *testing.B) {
 			b.StopTimer()
 			g, _ := qgm.TranslateStatement(db.Catalog(), stmt)
 			b.StartTimer()
-			if _, err := db.Optimizer().Optimize(g); err != nil {
+			if _, err := db.Optimizer().OptimizeConfig(g, nil, optimizer.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -727,14 +729,14 @@ func BenchmarkRewriteBudgetAblation(b *testing.B) {
 			db := benchDB(b, 2000, 500)
 			mustExec(b, db, "CREATE UNIQUE INDEX inv_pk ON inventory (partno)")
 			mustExec(b, db, "ANALYZE inventory")
-			db.Rewrite.Budget = budget
+			setRewriteBudget(db, budget)
 			stmt, err := db.Prepare(benchPaperQuery)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := stmt.Run(nil); err != nil {
+				if _, err := stmt.Query(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -750,7 +752,7 @@ func BenchmarkPredicateReplication(b *testing.B) {
 	q := "SELECT a.v FROM ta a, tb b WHERE a.k = b.k AND a.k = 77"
 	run := func(b *testing.B, skip bool) {
 		db := Open()
-		db.SkipRewrite = skip
+		setSkipRewrite(db, skip)
 		mustExec(b, db, "CREATE TABLE ta (k INT, v INT)")
 		mustExec(b, db, "CREATE TABLE tb (k INT, v INT)")
 		for i := 0; i < 5000; i++ {
@@ -768,7 +770,7 @@ func BenchmarkPredicateReplication(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Run(nil); err != nil {
+			if _, err := stmt.Query(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -863,7 +865,7 @@ func benchScan(b *testing.B, db *DB) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stmt.Run(nil); err != nil {
+		if _, err := stmt.Query(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

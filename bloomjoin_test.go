@@ -1,6 +1,7 @@
 package starburst
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -194,7 +195,7 @@ func TestBloomJoinSTARExpressible(t *testing.T) {
 	if !strings.Contains(stmt.Plan(), "BLOOMJOIN") {
 		t.Fatalf("bloom join not chosen:\n%s", stmt.Plan())
 	}
-	res, err := stmt.Run(nil)
+	res, err := stmt.Query(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

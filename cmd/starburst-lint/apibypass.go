@@ -5,38 +5,26 @@ import (
 )
 
 // api-bypass verifies, inside the module root package, that the public
-// surface funnels through the blessed unexported cores. sql.Parse may
-// only be called from the statement cores ((*DB).query, (*DB).prepare),
-// and txn.Manager.Begin — the only way to mint a transaction identity
-// and snapshot — may only be called from the transaction cores
-// ((*DB).beginTx, (*DB).autoTxOn). The cores are where the concurrency
-// contract (MVCC snapshot plus pinned catalog generation), the plan
-// cache, settings snapshots, the durable commit hook and *QueryError
-// wrapping live; a new exported method that parses or begins for
-// itself silently skips all of them.
+// surface funnels through the one statement core and the one
+// transaction constructor. sql.Parse may only be called from
+// (*DB).query, and txn.Manager.Begin — the only way to mint a
+// transaction identity and snapshot — only from (*DB).beginTx. The
+// core is where the concurrency contract (MVCC snapshot plus pinned
+// catalog generation), the plan lookup, the Settings value, the
+// durable commit hook and *QueryError wrapping live; a new exported
+// method that parses or begins for itself silently skips all of them.
 var apiBypassAnalyzer = &analyzer{
 	name: "api-bypass",
-	doc:  "in the root package, only (*DB).query and (*DB).prepare may call sql.Parse, and only (*DB).beginTx and (*DB).autoTxOn may call txn.Manager.Begin",
+	doc:  "in the root package, only (*DB).query may call sql.Parse, and only (*DB).beginTx may call txn.Manager.Begin",
 	run:  runAPIBypass,
 }
 
-// apiBypassCores are the unexported statement cores of the public API:
-// the only functions in the module root package allowed to call
-// sql.Parse.
-var apiBypassCores = map[string]bool{
-	"DB.query":   true,
-	"DB.prepare": true,
-}
-
-// apiBypassTxnCores are the transaction cores: the only functions in
-// the module root package allowed to mint a transaction via
-// txn.Manager.Begin, so every statement — implicit or explicit —
-// carries a snapshot, a pinned catalog generation and the durable
-// commit hook.
-var apiBypassTxnCores = map[string]bool{
-	"DB.beginTx":  true,
-	"DB.autoTxOn": true,
-}
+// The statement core and the transaction constructor of the module
+// root package.
+const (
+	apiBypassCore    = "DB.query"
+	apiBypassTxnCore = "DB.beginTx"
+)
 
 func runAPIBypass(p *pass) {
 	if p.importPath != p.modPath {
@@ -66,18 +54,18 @@ func runAPIBypass(p *pass) {
 				}
 				switch {
 				case obj.Name() == "Parse" && obj.Pkg().Path() == sqlPath:
-					if apiBypassCores[label] {
+					if label == apiBypassCore {
 						return true
 					}
 					p.report(call.Pos(),
-						"%s calls sql.Parse outside the context-first core; route statements through (*DB).query or (*DB).prepare so the concurrency contract, plan cache, settings snapshot and QueryError wrapping all apply",
+						"%s calls sql.Parse outside the statement core; route statements through (*DB).query so the concurrency contract, plan lookup, Settings value and QueryError wrapping all apply",
 						label)
 				case obj.Name() == "Begin" && obj.Pkg().Path() == txnPath:
-					if apiBypassTxnCores[label] {
+					if label == apiBypassTxnCore {
 						return true
 					}
 					p.report(call.Pos(),
-						"%s calls txn Manager.Begin outside the transaction core; mint transactions through (*DB).beginTx or (*DB).autoTxOn so every statement carries a snapshot, a pinned catalog generation and the durable commit hook",
+						"%s calls txn Manager.Begin outside the transaction constructor; mint transactions through (*DB).beginTx so every statement carries a snapshot, a pinned catalog generation and the durable commit hook",
 						label)
 				}
 				return true

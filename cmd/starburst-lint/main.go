@@ -19,10 +19,10 @@
 //     DeleteTx transaction entry points.
 //   - ctx-shared-mutation: only the serial-only operator set may write
 //     non-atomic statement-wide Ctx fields.
-//   - api-bypass: in the root package, only the unexported statement
-//     cores ((*DB).query, (*DB).prepare) may call sql.Parse, and only
-//     the transaction cores ((*DB).beginTx, (*DB).autoTxOn) may mint
-//     transactions via txn.Manager.Begin.
+//   - api-bypass: in the root package, only the statement core
+//     (*DB).query may call sql.Parse, and only the transaction
+//     constructor (*DB).beginTx may mint transactions via
+//     txn.Manager.Begin.
 //   - lock-discipline: call-graph enforcement of the starburst:locks
 //     annotations — no write-annotated callee reachable from a read
 //     context, no nested re-acquisition of the annotated lock, no

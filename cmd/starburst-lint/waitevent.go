@@ -34,7 +34,7 @@ var waitEventConsts = map[string]string{
 	"WAL_SYNC":     "WaitWALSync",
 	"BUFPOOL_LOAD": "WaitBufPoolLoad",
 	"BUFPOOL_WAIT": "WaitBufPoolWait",
-	"STMT_LOCK":    "WaitStmtLock",
+	"ADMIN_LATCH":  "WaitAdminLatch",
 	"EXCHANGE":     "WaitExchange",
 	"CANCEL_STALL": "WaitCancelStall",
 }

@@ -144,33 +144,18 @@ func TestMetricsCommand(t *testing.T) {
 	}
 }
 
-func TestVectorizeAndFeedbackToggles(t *testing.T) {
+func TestFeedbackToggle(t *testing.T) {
 	var out bytes.Buffer
 	sh := &shell{db: starburst.Open(), out: &out, errOut: &out}
-	if !sh.db.Vectorized() {
-		t.Fatal("vectorized execution must default on")
-	}
-	if sh.command(`\vectorize`) {
-		t.Fatal("\\vectorize must not quit")
-	}
-	if sh.db.Vectorized() || !strings.Contains(out.String(), "vectorized execution is off") {
-		t.Errorf("\\vectorize did not toggle off: %q", out.String())
-	}
-	out.Reset()
-	sh.command(`\vectorize`)
-	if !sh.db.Vectorized() || !strings.Contains(out.String(), "vectorized execution is on") {
-		t.Errorf("\\vectorize did not toggle back on: %q", out.String())
-	}
-	out.Reset()
 	if sh.command(`\feedback`) {
 		t.Fatal("\\feedback must not quit")
 	}
-	if !sh.db.CardinalityFeedback() || !strings.Contains(out.String(), "cardinality feedback is on") {
+	if !sh.session().Settings().CardinalityFeedback || !strings.Contains(out.String(), "cardinality feedback is on") {
 		t.Errorf("\\feedback did not arm: %q", out.String())
 	}
 	out.Reset()
 	sh.command(`\feedback`)
-	if sh.db.CardinalityFeedback() || !strings.Contains(out.String(), "cardinality feedback is off") {
+	if sh.session().Settings().CardinalityFeedback || !strings.Contains(out.String(), "cardinality feedback is off") {
 		t.Errorf("\\feedback did not disarm: %q", out.String())
 	}
 }

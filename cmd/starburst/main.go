@@ -45,7 +45,14 @@ func main() {
 	storageMgr := flag.String("storage", "", `default storage manager for CREATE TABLE without USING (e.g. "DISK")`)
 	flag.Parse()
 
-	opts := []starburst.Option{starburst.WithPlanCache(*planCache)}
+	opts := []starburst.Option{
+		starburst.WithPlanCache(*planCache),
+		starburst.WithSettings(starburst.Settings{
+			Audit:       *audit,
+			Limits:      starburst.Limits{Timeout: *timeout, MaxRows: *maxRows},
+			Parallelism: *dop,
+		}),
+	}
 	if *dataDir != "" {
 		opts = append(opts, starburst.WithDataDir(*dataDir))
 	}
@@ -62,9 +69,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "close:", err)
 		}
 	}()
-	db.SetAudit(*audit)
-	db.SetLimits(starburst.Limits{Timeout: *timeout, MaxRows: *maxRows})
-	db.SetParallelism(*dop)
 	if *obsAddr != "" {
 		srv, err := db.StartObsServer(*obsAddr)
 		if err != nil {
@@ -132,7 +136,7 @@ func (sh *shell) runScript(script string) error {
 
 func (sh *shell) repl(in io.Reader) {
 	fmt.Fprintln(sh.out, "Starburst reproduction shell — Hydrogen statements end with ';'")
-	fmt.Fprintln(sh.out, `commands: \d (schema)  \io (I/O counters)  \timing (toggle)  \metrics  \cache  \trace on|off  \vectorize  \feedback  \begin \commit \rollback  \q (quit)`)
+	fmt.Fprintln(sh.out, `commands: \d (schema)  \io (I/O counters)  \timing (toggle)  \metrics  \cache  \trace on|off  \feedback  \begin \commit \rollback  \q (quit)`)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -208,16 +212,11 @@ func (sh *shell) command(cmd string) (quit bool) {
 	case `\trace off`, `\trace`:
 		sh.db.SetSpanExporter(nil)
 		fmt.Fprintln(sh.out, "statement trace export is off")
-	case `\vectorize`:
-		sh.db.SetVectorized(!sh.db.Vectorized())
-		if sh.db.Vectorized() {
-			fmt.Fprintln(sh.out, "vectorized execution is on")
-		} else {
-			fmt.Fprintln(sh.out, "vectorized execution is off")
-		}
 	case `\feedback`:
-		sh.db.SetCardinalityFeedback(!sh.db.CardinalityFeedback())
-		if sh.db.CardinalityFeedback() {
+		set := sh.session().Settings()
+		set.CardinalityFeedback = !set.CardinalityFeedback
+		sh.session().SetSettings(set)
+		if set.CardinalityFeedback {
 			fmt.Fprintln(sh.out, "cardinality feedback is on (statements run instrumented)")
 		} else {
 			fmt.Fprintln(sh.out, "cardinality feedback is off")

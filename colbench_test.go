@@ -40,7 +40,7 @@ const colBenchQuery = `SELECT w, COUNT(*), SUM(v) FROM cb WHERE v < 400 GROUP BY
 
 func benchColScanFilterAgg(b *testing.B, vectorized bool) {
 	db := colBenchDB(b)
-	db.SetVectorized(vectorized)
+	db.rowExec = !vectorized
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +98,7 @@ func BenchmarkFeedbackOffExec(b *testing.B) {
 // capture walk that finds nothing left to fold.
 func BenchmarkFeedbackArmedExec(b *testing.B) {
 	db := feedbackBenchDB(b)
-	db.SetCardinalityFeedback(true)
+	setFeedback(db, true)
 	mustExec(b, db, feedbackBenchQuery) // fold + replan once, then settle
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -114,9 +114,9 @@ func BenchmarkFeedbackArmedExec(b *testing.B) {
 // plus the execution.
 func BenchmarkFeedbackReplan(b *testing.B) {
 	db := feedbackBenchDB(b)
-	db.SetCardinalityFeedback(true)
+	setFeedback(db, true)
 	mustExec(b, db, feedbackBenchQuery) // seed the overlay
-	db.SetCardinalityFeedback(false)
+	setFeedback(db, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.cat.BumpVersion()

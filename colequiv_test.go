@@ -41,9 +41,9 @@ var execModes = []execMode{
 // runMode executes q under one mode at the given DOP.
 func runMode(t *testing.T, db *DB, m execMode, dop int, q string) string {
 	t.Helper()
-	db.SetVectorized(m.vec)
+	db.rowExec = !m.vec
 	db.colWidth = m.width
-	db.SetParallelism(dop)
+	setDOP(db, dop)
 	res, err := db.Exec(q, nil)
 	if err != nil {
 		t.Fatalf("mode %s dop=%d: %s: %v", m.name, dop, q, err)
@@ -113,7 +113,7 @@ var aggregateCorpus = []string{
 func TestColumnarEquivalenceCorpus(t *testing.T) {
 	db := genParallelDB(t, 17)
 	for _, leg := range corpusLegs() {
-		db.SkipRewrite = leg.skipRewrite
+		setSkipRewrite(db, leg.skipRewrite)
 		for _, q := range leg.queries {
 			want := runMode(t, db, execModes[0], 1, q)
 			for _, m := range execModes {
@@ -244,9 +244,9 @@ func TestInstrumentedBuildIsProductionBuild(t *testing.T) {
 	kinds := map[string]int{}
 	joinFilters, exchanges := 0, 0
 	for _, dop := range []int{1, 4} {
-		db.SetParallelism(dop)
+		setDOP(db, dop)
 		for _, leg := range corpusLegs() {
-			db.SkipRewrite = leg.skipRewrite
+			setSkipRewrite(db, leg.skipRewrite)
 			for _, q := range leg.queries {
 				joinFilters += checkInstrumentedBuild(t, db, q, kinds)
 				if dop > 1 {
@@ -372,10 +372,10 @@ func checkInstrumentedBuild(t *testing.T, db *DB, q string, kinds map[string]int
 // only the survivors, so there the columnar count may be smaller.
 func TestInstrumentedRowsMatchAcrossEngines(t *testing.T) {
 	db := genParallelDB(t, 17)
-	db.SetParallelism(1)
+	setDOP(db, 1)
 	compared := 0
 	for _, q := range equivalenceCorpus() {
-		db.SetVectorized(true)
+		db.rowExec = false
 		compiled := preparedPlan(q)(t, db)
 		// LIMIT stops its input early: how far a producer got is then a
 		// matter of batch granularity, not of the data.
@@ -398,7 +398,7 @@ func TestInstrumentedRowsMatchAcrossEngines(t *testing.T) {
 		}
 		rows := map[bool]*exec.Instrumentation{}
 		for _, vec := range []bool{false, true} {
-			db.SetVectorized(vec)
+			db.rowExec = !vec
 			rows[vec] = exec.NewInstrumentation()
 			if _, err := runInstrumented(db, rows[vec], compiled, nil, context.Background()); err != nil {
 				t.Fatalf("vec=%v %s: %v", vec, q, err)
@@ -470,12 +470,12 @@ func TestObservedStatementsRunColumnar(t *testing.T) {
 	}{
 		{name: "span-exporter", arm: func(*DB) {}, sql: q},
 		{name: "slow-log", arm: func(db *DB) { db.SetSlowQueryThreshold(time.Hour) }, sql: q},
-		{name: "feedback", arm: func(db *DB) { db.SetCardinalityFeedback(true) }, sql: q},
+		{name: "feedback", arm: func(db *DB) { setFeedback(db, true) }, sql: q},
 		{name: "explain-analyze", arm: func(*DB) {}, sql: "EXPLAIN ANALYZE " + q},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := genDB(t, 1)
-			db.SkipRewrite = true
+			setSkipRewrite(db, true)
 			c.arm(db)
 			ops := exportOperatorSpans(db)
 			mustExec(t, db, c.sql)
@@ -494,7 +494,7 @@ func TestObservedStatementsRunColumnar(t *testing.T) {
 // scan node's actual rows summed over its four clones.
 func TestParallelStatementsRunColumnar(t *testing.T) {
 	db := genParallelDB(t, 17)
-	db.SetParallelism(4)
+	setDOP(db, 4)
 	want := mustExec(t, db, "SELECT COUNT(*) FROM ta WHERE v < 15").Rows[0][0].Int()
 	ops := exportOperatorSpans(db)
 	mustExec(t, db, "EXPLAIN ANALYZE "+engagementQuery)
@@ -572,7 +572,7 @@ func TestColumnarCancelAndBudgets(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		_, err := db.ExecContext(ctx, `SELECT tag, COUNT(*) FROM items WHERE qty > 0 GROUP BY tag`, nil)
+		_, err := db.Query(ctx, `SELECT tag, COUNT(*) FROM items WHERE qty > 0 GROUP BY tag`, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
@@ -591,7 +591,7 @@ func TestColumnarCancelAndBudgets(t *testing.T) {
 	}{{"serial", 1, 0}, {"dop4-tiny", 4, 2}} {
 		open := func(t *testing.T) *DB {
 			db := bigDB(t)
-			db.SetParallelism(c.dop)
+			setDOP(db, c.dop)
 			db.colWidth = c.width
 			db.opt.SetParallelThreshold(1)
 			if par := strings.Contains(explainText(t, db, tripleJoin), "GATHER"); par != (c.dop > 1) {
@@ -608,7 +608,7 @@ func TestColumnarCancelAndBudgets(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			_, err := db.ExecContext(ctx, tripleJoin, nil)
+			_, err := db.Query(ctx, tripleJoin, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}
@@ -620,7 +620,7 @@ func TestColumnarCancelAndBudgets(t *testing.T) {
 
 		t.Run(c.name+"/timeout", func(t *testing.T) {
 			db := open(t)
-			db.SetLimits(Limits{Timeout: time.Millisecond})
+			setLimits(db, Limits{Timeout: time.Millisecond})
 			_, err := db.Exec(tripleJoin, nil)
 			var re *ResourceError
 			if !errors.As(err, &re) || re.Budget != "time" {
@@ -630,25 +630,25 @@ func TestColumnarCancelAndBudgets(t *testing.T) {
 
 		t.Run(c.name+"/rows", func(t *testing.T) {
 			db := open(t)
-			db.SetLimits(Limits{MaxRows: 100})
+			setLimits(db, Limits{MaxRows: 100})
 			_, err := db.Exec(`SELECT COUNT(*) FROM nums WHERE n >= 0`, nil)
 			var re *ResourceError
 			if !errors.As(err, &re) || re.Budget != "rows" {
 				t.Fatalf("want ResourceError(rows), got %v", err)
 			}
-			db.SetLimits(Limits{MaxRows: 1000_000})
+			setLimits(db, Limits{MaxRows: 1000_000})
 			mustExec(t, db, `SELECT COUNT(*) FROM nums WHERE n >= 0`)
 		})
 
 		t.Run(c.name+"/mem", func(t *testing.T) {
 			db := open(t)
-			db.SetLimits(Limits{MaxMem: 100})
+			setLimits(db, Limits{MaxMem: 100})
 			_, err := db.Exec(`SELECT n, COUNT(*) FROM nums GROUP BY n`, nil)
 			var re *ResourceError
 			if !errors.As(err, &re) || re.Budget != "mem" {
 				t.Fatalf("want ResourceError(mem), got %v", err)
 			}
-			db.SetLimits(Limits{MaxMem: 1 << 20})
+			setLimits(db, Limits{MaxMem: 1 << 20})
 			mustExec(t, db, `SELECT n, COUNT(*) FROM nums GROUP BY n`)
 		})
 	}

@@ -237,7 +237,7 @@ func TestEngineCorpusOnDisk(t *testing.T) {
 // manager: DOP>1 morsel scans must see every page range.
 func TestDiskParallelScan(t *testing.T) {
 	fs := disk.NewMemFS()
-	db := diskDB(t, fs, WithParallelism(4))
+	db := diskDB(t, fs, WithSettings(Settings{Parallelism: 4}))
 	mustExec(t, db, `CREATE TABLE big (id INT, v INT)`)
 	for i := 0; i < 300; i++ {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO big VALUES (%d, %d)`, i, i%7))

@@ -1,6 +1,7 @@
 package starburst
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -227,11 +228,11 @@ func TestLimitZeroAndParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := stmt.Run(map[string]Value{"n": NewInt(2)})
+	r, err := stmt.Query(context.Background(), map[string]Value{"n": NewInt(2)})
 	if err != nil || len(r.Rows) != 2 {
 		t.Fatalf("param limit: %v %v", r, err)
 	}
-	if _, err := stmt.Run(nil); err == nil {
+	if _, err := stmt.Query(context.Background(), nil); err == nil {
 		t.Error("unbound limit param must error")
 	}
 }
@@ -376,7 +377,7 @@ func TestLateralTableExpression(t *testing.T) {
 func TestBudget1PartialRewriteExecutes(t *testing.T) {
 	db := paperDB(t)
 	mustExec(t, db, "CREATE UNIQUE INDEX inv_pk ON inventory (partno)")
-	db.Rewrite.Budget = 1
+	setRewriteBudget(db, 1)
 	res := mustExec(t, db, `SELECT partno FROM quotations Q1
 		WHERE Q1.partno IN
 		  (SELECT partno FROM inventory Q3

@@ -135,7 +135,7 @@ func canonical(res *Result) string {
 func TestPropertyRewritePreservesSemantics(t *testing.T) {
 	db := genDB(t, 11)
 	dbNoRewrite := genDB(t, 11)
-	dbNoRewrite.SkipRewrite = true
+	setSkipRewrite(dbNoRewrite, true)
 	g := &queryGen{rng: rand.New(rand.NewSource(42))}
 	for i := 0; i < 130; i++ {
 		q := g.query()
@@ -225,7 +225,7 @@ func TestPropertyBudgetMonotoneSafety(t *testing.T) {
 	var want string
 	for budget := 0; budget <= 6; budget++ {
 		db := paperDB(t)
-		db.Rewrite.Budget = budget
+		setRewriteBudget(db, budget)
 		res, err := db.Exec(q, nil)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
@@ -339,7 +339,7 @@ func TestPropertyRecursiveRestrictionEquivalence(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		db := Open()
 		dbOff := Open()
-		dbOff.SkipRewrite = true
+		setSkipRewrite(dbOff, true)
 		for _, d := range []*DB{db, dbOff} {
 			mustExec(t, d, "CREATE TABLE edges (src INT, dst INT)")
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	starburst "repro"
@@ -71,7 +72,7 @@ func main() {
 		panic(err)
 	}
 	for _, q := range []int64{20, 30} {
-		r, err := stmt.Run(map[string]starburst.Value{"minq": starburst.NewInt(q)})
+		r, err := stmt.Query(context.Background(), map[string]starburst.Value{"minq": starburst.NewInt(q)})
 		if err != nil {
 			panic(err)
 		}

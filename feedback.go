@@ -8,10 +8,10 @@ import (
 	"repro/internal/plan"
 )
 
-// Cardinality feedback closes the optimizer's estimation loop: while
-// enabled, every statement runs instrumented, and at statement end the
-// actual row count of each table scan is compared with the optimizer's
-// estimate. A scan that diverged by 2x or more folds its actual
+// Cardinality feedback closes the optimizer's estimation loop: under
+// Settings.CardinalityFeedback (off by default) a statement runs
+// instrumented, and at statement end the actual row count of each table
+// scan is compared with the optimizer's estimate. A scan that diverged by 2x or more folds its actual
 // cardinality into the table's observed-cardinality overlays
 // (catalog.Table.ObserveCard — bounded, decayed), and the catalog
 // version is bumped once for the statement so the plan cache's
@@ -30,25 +30,12 @@ import (
 // (or catalog version bumps) occur.
 const cardDivergence = 2.0
 
-// SetCardinalityFeedback enables or disables the feedback loop. Off by
-// default.
-func (db *DB) SetCardinalityFeedback(on bool) { db.cardFeedback.Store(on) }
-
-// CardinalityFeedback reports whether the feedback loop is enabled.
-func (db *DB) CardinalityFeedback() bool { return db.cardFeedback.Load() }
-
-// WithCardinalityFeedback opens the DB with the feedback loop enabled
-// (see SetCardinalityFeedback).
-func WithCardinalityFeedback(on bool) Option {
-	return func(db *DB) { db.SetCardinalityFeedback(on) }
-}
-
 // captureCardFeedback folds one finished statement's scan actuals into
 // the catalog overlays and reports how many scans were folded. Runs
-// after the statement released the statement lock; the overlay store
-// has its own synchronization.
+// after the statement released the admin latch; the overlay store has
+// its own synchronization.
 func (db *DB) captureCardFeedback(o *observation) int64 {
-	if !db.cardFeedback.Load() || o.instr == nil || o.root == nil {
+	if !o.set.CardinalityFeedback || o.instr == nil || o.root == nil {
 		return 0
 	}
 	// A plan that can stop early makes scan actuals an artifact of how

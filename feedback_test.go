@@ -50,8 +50,8 @@ func nlInner(t testing.TB, text string) string {
 // the plan cache's generational invalidation replaces the stale entry.
 func TestCardinalityFeedbackReplansJoinOrder(t *testing.T) {
 	db := feedbackDB(t)
-	db.SetCardinalityFeedback(true)
-	if !db.CardinalityFeedback() {
+	setFeedback(db, true)
+	if !db.Settings().CardinalityFeedback {
 		t.Fatal("feedback did not arm")
 	}
 
@@ -121,7 +121,7 @@ func TestCardinalityFeedbackReplansJoinOrder(t *testing.T) {
 // clears what was learned.
 func TestCardinalityFeedbackGuards(t *testing.T) {
 	db := feedbackDB(t)
-	db.SetCardinalityFeedback(true)
+	setFeedback(db, true)
 
 	// LIMIT truncates the scan; its actual says nothing about the table.
 	db.MustExec(`SELECT v FROM small_t LIMIT 5`, nil)
@@ -169,7 +169,7 @@ func TestCardinalityFeedbackIgnoresJoinFilter(t *testing.T) {
 	}
 	db.MustExec(`ANALYZE probe_t`, nil)
 	db.MustExec(`ANALYZE build_t`, nil)
-	db.SetCardinalityFeedback(true)
+	setFeedback(db, true)
 
 	const q = `SELECT COUNT(*) FROM probe_t p, build_t b WHERE p.k = b.k`
 	text := explainText(t, db, `ANALYZE `+q)

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -304,7 +305,7 @@ func TestStreamReusability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		res, err := stmt.Run(map[string]starburst.Value{"lo": starburst.NewInt(2)})
+		res, err := stmt.Query(context.Background(), map[string]starburst.Value{"lo": starburst.NewInt(2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +377,7 @@ func TestCorrelatedIndexLookup(t *testing.T) {
 	if !strings.Contains(stmt.Plan(), "ISCAN") {
 		t.Logf("plan (no correlated iscan — acceptable but suboptimal):\n%s", stmt.Plan())
 	}
-	res, err := stmt.Run(nil)
+	res, err := stmt.Query(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

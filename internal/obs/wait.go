@@ -32,7 +32,7 @@ const (
 	WaitWALSync                      // group-commit fsync (incl. wait for a peer's sync)
 	WaitBufPoolLoad                  // buffer-pool miss: reading the page from disk
 	WaitBufPoolWait                  // buffer-pool load-coalesce: blocked on a peer's read
-	WaitStmtLock                     // admin latch acquisition (name kept from the retired statement lock)
+	WaitAdminLatch                   // admin latch acquisition (shared by statements, exclusive by Close and fault attach)
 	WaitExchange                     // exchange-operator channel backpressure
 	WaitCancelStall                  // draining/joining workers after cancellation
 	WaitTxnCommit                    // serialized commit protocol (commitMu + durable hook)
@@ -45,7 +45,7 @@ var waitEventNames = [NumWaitEvents]string{
 	"WAL_SYNC",
 	"BUFPOOL_LOAD",
 	"BUFPOOL_WAIT",
-	"STMT_LOCK",
+	"ADMIN_LATCH",
 	"EXCHANGE",
 	"CANCEL_STALL",
 	"TXN_COMMIT",

@@ -46,28 +46,29 @@ type Optimizer struct {
 	// nil when the caller is not tracing.
 	trace *obs.Trace
 
-	// dop and parThreshold configure the parallelism pass (parallel.go);
-	// atomic so SetParallelism can race with compilation.
-	dop          atomic.Int32
+	// parThreshold overrides the exchange-insertion threshold of the
+	// parallelism pass (parallel.go); atomic so SetParallelThreshold can
+	// race with compilation.
 	parThreshold atomic.Int64
 
-	// cfg is the per-compilation override of the parallelism knobs,
-	// valid only while mu is held (OptimizeConfig sets it, the deferred
-	// reset clears it). It lets concurrent sessions compile with
-	// different degrees of parallelism without racing on the
-	// optimizer-wide atomics.
+	// cfg is the per-compilation configuration, valid only while mu is
+	// held (OptimizeConfig sets it, the deferred reset clears it). It
+	// lets concurrent sessions compile with different degrees of
+	// parallelism and audit modes without sharing mutable state.
 	cfg Config
 }
 
-// Config overrides the optimizer-wide parallelism knobs for a single
-// compilation. Zero fields fall back to the optimizer-wide settings.
+// Config configures a single compilation; the zero value plans serially
+// with the optimizer-wide defaults.
 type Config struct {
-	// DOP is the degree of parallelism to plan for; 0 uses the
-	// optimizer-wide SetParallelism value, 1 forces a serial plan.
+	// DOP is the degree of parallelism to plan for; <= 1 plans serially.
 	DOP int
 	// ParallelThreshold is the minimum estimated scan cardinality for
 	// exchange insertion; 0 uses the optimizer-wide setting.
 	ParallelThreshold int64
+	// Audit verifies this compilation's plan even when the
+	// optimizer-wide Audit default is off.
+	Audit bool
 }
 
 // New returns an optimizer over the catalog with the built-in STAR
@@ -81,32 +82,23 @@ func New(cat *catalog.Catalog) *Optimizer {
 // Generator exposes the STAR array for DBC extension.
 func (o *Optimizer) Generator() *Generator { return o.gen }
 
-// Fingerprint summarizes every optimizer-wide setting that can change
-// which plan is chosen for a given QGM: the search-space switches, audit
-// mode, rank pruning, and the STAR-array generation. Plan caches fold it
-// (together with per-session settings such as the degree of
-// parallelism) into their keys, so two compilations share a cache entry
-// only when they would have produced the same plan.
-func (o *Optimizer) Fingerprint() string {
+// Fingerprint summarizes everything on the optimizer's side that can
+// change which plan a compilation under cfg produces for a given QGM, or
+// whether it was verified: the search-space switches, audit mode
+// (optimizer-wide or cfg's), rank pruning, the STAR-array generation
+// and the parallel threshold. Plan caches fold it (together with the
+// degree of parallelism and the rewrite configuration) into their keys,
+// so two compilations share a cache entry only when they would have
+// produced the same plan.
+func (o *Optimizer) Fingerprint(cfg Config) string {
 	return fmt.Sprintf("bushy=%t,cart=%t,audit=%t,maxrank=%d,stars=%d,thr=%d",
-		o.AllowBushy, o.AllowCartesian, o.Audit, o.gen.MaxRank, o.gen.Generation(),
+		o.AllowBushy, o.AllowCartesian, o.Audit || cfg.Audit, o.gen.MaxRank, o.gen.Generation(),
 		o.parThreshold.Load())
 }
 
-// Optimize compiles a rewritten QGM graph into a query evaluation plan.
-func (o *Optimizer) Optimize(g *qgm.Graph) (*plan.Compiled, error) {
-	return o.OptimizeTraced(g, nil)
-}
-
-// OptimizeTraced is Optimize recording per-STAR expansion counts into
-// tr (nil-safe: a nil trace records nothing).
-func (o *Optimizer) OptimizeTraced(g *qgm.Graph, tr *obs.Trace) (*plan.Compiled, error) {
-	return o.OptimizeConfig(g, tr, Config{})
-}
-
-// OptimizeConfig is OptimizeTraced under a per-compilation Config:
-// session-scoped parallelism settings apply to this compilation only,
-// leaving the optimizer-wide knobs untouched.
+// OptimizeConfig compiles a rewritten QGM graph into a query evaluation
+// plan under a per-compilation Config, recording per-STAR expansion
+// counts into tr (nil-safe: a nil trace records nothing).
 func (o *Optimizer) OptimizeConfig(g *qgm.Graph, tr *obs.Trace, cfg Config) (*plan.Compiled, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -169,7 +161,7 @@ func (o *Optimizer) OptimizeConfig(g *qgm.Graph, tr *obs.Trace, cfg Config) (*pl
 			out.OutputTypes = append(out.OutputTypes, hc.Type)
 		}
 	}
-	if o.Audit {
+	if o.Audit || cfg.Audit {
 		if rep := verify.Plan(out); rep != nil {
 			return nil, fmt.Errorf("optimizer: plan audit failed: %w", rep)
 		}

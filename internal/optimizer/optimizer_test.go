@@ -55,7 +55,7 @@ func optimize(t *testing.T, c *catalog.Catalog, src string, tune func(*Optimizer
 	if tune != nil {
 		tune(o)
 	}
-	compiled, err := o.Optimize(g)
+	compiled, err := o.OptimizeConfig(g, nil, Config{})
 	if err != nil {
 		t.Fatalf("optimize %q: %v", src, err)
 	}
@@ -410,7 +410,7 @@ func TestChooseEliminatedByCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(c)
-	compiled, err := o.Optimize(g)
+	compiled, err := o.OptimizeConfig(g, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestTooManyQuantifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(c).Optimize(g); err == nil {
+	if _, err := New(c).OptimizeConfig(g, nil, Config{}); err == nil {
 		t.Fatal("21-way join must be rejected by the enumerator limit")
 	}
 }
@@ -532,14 +532,14 @@ func TestMergeJoinNotOfferedForOuterKind(t *testing.T) {
 	o := New(c)
 	o.Generator().RemoveAlternative("JOIN", "NestedLoop")
 	o.Generator().RemoveAlternative("JOIN", "HashJoin")
-	if _, err := o.Optimize(g); err == nil {
+	if _, err := o.OptimizeConfig(g, nil, Config{}); err == nil {
 		t.Fatal("outer join with only merge available must fail to plan, not mis-plan")
 	}
 	// With hash available the outer join plans via HSJN.
 	o2 := New(c)
 	o2.Generator().RemoveAlternative("JOIN", "NestedLoop")
 	g2, _ := qgm.TranslateStatement(c, stmt)
-	compiled, err := o2.Optimize(g2)
+	compiled, err := o2.OptimizeConfig(g2, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

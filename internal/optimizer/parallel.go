@@ -33,24 +33,6 @@ const (
 // count under a plan spine before an exchange is considered.
 const defaultParallelThreshold = 512
 
-// SetParallelism sets the degree of parallelism the optimizer plans
-// for: n > 1 enables exchange insertion with n workers, n <= 1 disables
-// it. Safe to call concurrently with compilation.
-func (o *Optimizer) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	o.dop.Store(int32(n))
-}
-
-// Parallelism reports the configured degree of parallelism.
-func (o *Optimizer) Parallelism() int {
-	if d := o.dop.Load(); d > 1 {
-		return int(d)
-	}
-	return 1
-}
-
 // SetParallelThreshold overrides the minimum estimated scan
 // cardinality for exchange insertion; n <= 0 restores the default.
 // Tests use a threshold of 1 to parallelize tiny tables.
@@ -68,22 +50,12 @@ func (o *Optimizer) parallelThreshold() int64 {
 	return defaultParallelThreshold
 }
 
-// effectiveDOP is the degree of parallelism this compilation plans for:
-// the per-compilation Config when set, the optimizer-wide knob
-// otherwise. Called with mu held (cfg is per-compilation state).
-func (o *Optimizer) effectiveDOP() int {
-	if o.cfg.DOP > 0 {
-		return o.cfg.DOP
-	}
-	return o.Parallelism()
-}
-
 // insertExchanges walks the root spine of a chosen plan and inserts at
 // most one exchange. Walking only the spine — never join inners or
 // subplans — guarantees the gather is opened exactly once per
 // statement, so its worker pool cannot be respawned per outer tuple.
 func (o *Optimizer) insertExchanges(root *plan.Node) *plan.Node {
-	dop := o.effectiveDOP()
+	dop := o.cfg.DOP
 	if dop <= 1 {
 		return root
 	}

@@ -240,29 +240,27 @@ func (r *sessionReg) snapshot() []*Session {
 // lockAdminShared acquires the administrative lock shared (the side
 // every statement holds for its duration), charging the acquisition
 // wait to the profile and to ws (nil-safe). Contention appears only
-// while Close or fault attach/detach holds the exclusive side — the
-// event keeps the STMT_LOCK name for continuity with the retired
-// DB-wide statement lock.
+// while Close or fault attach/detach holds the exclusive side.
 //
-// starburst:waits STMT_LOCK
+// starburst:waits ADMIN_LATCH
 func (db *DB) lockAdminShared(ws *obs.WaitSet) {
 	start := time.Now()
 	db.adminMu.RLock()
 	d := time.Since(start).Nanoseconds()
-	db.waitProf.Record(obs.WaitStmtLock, d)
-	ws.Record(obs.WaitStmtLock, d)
+	db.waitProf.Record(obs.WaitAdminLatch, d)
+	ws.Record(obs.WaitAdminLatch, d)
 }
 
 // lockAdminExcl is lockAdminShared for the exclusive
 // (engine-restructuring) side.
 //
-// starburst:waits STMT_LOCK
+// starburst:waits ADMIN_LATCH
 func (db *DB) lockAdminExcl(ws *obs.WaitSet) {
 	start := time.Now()
 	db.adminMu.Lock()
 	d := time.Since(start).Nanoseconds()
-	db.waitProf.Record(obs.WaitStmtLock, d)
-	ws.Record(obs.WaitStmtLock, d)
+	db.waitProf.Record(obs.WaitAdminLatch, d)
+	ws.Record(obs.WaitAdminLatch, d)
 }
 
 // ---------------------------------------------------------------------
@@ -372,8 +370,8 @@ func (db *DB) sysSessions() ([]datum.Row, error) {
 		}
 		rows = append(rows, datum.Row{
 			datum.NewInt(s.id), datum.NewString(state), sqlVal,
-			datum.NewInt(int64(set.dop)),
-			datum.NewBool(set.tracing), datum.NewInt(s.stmts.Load()),
+			datum.NewInt(int64(set.dop())),
+			datum.NewBool(set.Tracing), datum.NewInt(s.stmts.Load()),
 		})
 	}
 	return rows, nil

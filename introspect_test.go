@@ -3,11 +3,12 @@ package starburst
 // Introspection tests: the SYS virtual tables end to end through the
 // normal query pipeline, wait-event profiling and per-statement
 // attribution, statement span export, write rejection, and fault- and
-// cancel-safety mid-scan. `make introspect` runs these in CI.
+// cancel-safety mid-scan.
 
 import (
 	"bytes"
 	"context"
+	gosql "database/sql"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -130,6 +131,142 @@ func TestSysSessionsAndPlanCache(t *testing.T) {
 	}
 }
 
+// TestSysSessionsSeesEveryHandle: SYS.SESSIONS accounts for a session's
+// statements whichever handle ran them — ad hoc, a Session.Prepare'd
+// Stmt, or a database/sql prepared statement (whose connection is a
+// session). Five runs count five, and a run in flight shows the session
+// active with its SQL.
+func TestSysSessionsSeesEveryHandle(t *testing.T) {
+	db, _ := sysDB(t)
+	ctx := context.Background()
+
+	// STALL(x) parks the statement evaluating it on the gate armed in
+	// gates, if any, until the test releases it.
+	type gate struct{ entered, release chan struct{} }
+	gates := make(chan gate, 1)
+	if err := db.RegisterScalarFunc(&ScalarFunc{
+		Name: "STALL", MinArgs: 1, MaxArgs: 1,
+		ReturnType: func(args []TypeID) (TypeID, error) { return args[0], nil },
+		Eval: func(args []Value) (Value, error) {
+			select {
+			case g := <-gates:
+				close(g.entered)
+				<-g.release
+			default:
+			}
+			return args[0], nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sessionIDs := func() map[int64]bool {
+		ids := map[int64]bool{}
+		for _, r := range mustExec(t, db, `SELECT id FROM SYS.SESSIONS`).Rows {
+			ids[r[0].Int()] = true
+		}
+		return ids
+	}
+
+	// A handle opens a session and returns how to ready a statement on it
+	// (yielding how to run it) and the session's SYS.SESSIONS id.
+	type ready func(q string) (run func(context.Context) error)
+	handles := map[string]func(t *testing.T) (ready, func() int64){
+		"Session.Query": func(t *testing.T) (ready, func() int64) {
+			sess := db.NewSession()
+			t.Cleanup(sess.Close)
+			return func(q string) func(context.Context) error {
+				return func(ctx context.Context) error {
+					_, err := sess.Query(ctx, q, nil)
+					return err
+				}
+			}, sess.ID
+		},
+		"Session.Prepare": func(t *testing.T) (ready, func() int64) {
+			sess := db.NewSession()
+			t.Cleanup(sess.Close)
+			return func(q string) func(context.Context) error {
+				st, err := sess.Prepare(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return func(ctx context.Context) error {
+					_, err := st.Query(ctx, nil)
+					return err
+				}
+			}, sess.ID
+		},
+		"database/sql Prepare": func(t *testing.T) (ready, func() int64) {
+			RegisterDSN(t.Name(), db)
+			sdb, err := gosql.Open(DriverName, t.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sdb.Close() })
+			sdb.SetMaxOpenConns(1) // one connection, so one session
+			before := sessionIDs()
+			return func(q string) func(context.Context) error {
+					st, err := sdb.Prepare(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return func(ctx context.Context) error {
+						rows, err := st.QueryContext(ctx)
+						if err != nil {
+							return err
+						}
+						return rows.Close()
+					}
+				}, func() int64 {
+					for id := range sessionIDs() {
+						if !before[id] {
+							return id
+						}
+					}
+					t.Fatal("the driver connection opened no session")
+					return 0
+				}
+		},
+	}
+	for name, open := range handles {
+		t.Run(name, func(t *testing.T) {
+			prep, id := open(t)
+			count := prep(`SELECT COUNT(*) FROM parts`)
+			const stallSQL = `SELECT STALL(partno) FROM parts`
+			stall := prep(stallSQL)
+			for i := 0; i < 5; i++ {
+				if err := count(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			row := func() Row {
+				res := mustExec(t, db, fmt.Sprintf(
+					`SELECT state, sql, statements FROM SYS.SESSIONS WHERE id = %d`, id()))
+				if len(res.Rows) != 1 {
+					t.Fatalf("session not in SYS.SESSIONS: %v", res.Rows)
+				}
+				return res.Rows[0]
+			}
+			if r := row(); r[0].Str() != "idle" || r[2].Int() != 5 {
+				t.Fatalf("after 5 runs: state %q statements %d, want idle and 5", r[0].Str(), r[2].Int())
+			}
+
+			g := gate{make(chan struct{}), make(chan struct{})}
+			gates <- g
+			done := make(chan error, 1)
+			go func() { done <- stall(ctx) }()
+			<-g.entered
+			r := row()
+			close(g.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if r[0].Str() != "active" || r[1].IsNull() || r[1].Str() != stallSQL || r[2].Int() != 6 {
+				t.Fatalf("during a run: %v, want active, %q, 6", r, stallSQL)
+			}
+		})
+	}
+}
+
 func TestSysWaitsJoinStatements(t *testing.T) {
 	db, _ := sysDB(t)
 
@@ -158,7 +295,7 @@ func TestSysWaitsJoinStatements(t *testing.T) {
 	for _, r := range res.Rows {
 		events[r[0].Str()] = r[1].Int()
 	}
-	for _, want := range []string{"STMT_LOCK", "WAL_APPEND", "WAL_SYNC"} {
+	for _, want := range []string{"ADMIN_LATCH", "WAL_APPEND", "WAL_SYNC"} {
 		if events[want] < 1 {
 			t.Errorf("global profile missing %s: %v", want, events)
 		}
@@ -266,7 +403,7 @@ func TestSysScanFaultAndCancelSafety(t *testing.T) {
 	db.ClearFaults()
 
 	// The tuple budget trips mid-scan of virtual relations too.
-	db.SetLimits(Limits{MaxRows: 100})
+	setLimits(db, Limits{MaxRows: 100})
 	_, err = db.Exec(`SELECT COUNT(a.name) FROM SYS.METRICS a, SYS.METRICS b, SYS.METRICS c`, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) || re.Budget != "rows" {
@@ -275,7 +412,7 @@ func TestSysScanFaultAndCancelSafety(t *testing.T) {
 	if n := db.Faults().OpenIterators(); n != 0 {
 		t.Fatalf("%d iterators leaked after budget trip", n)
 	}
-	db.SetLimits(Limits{})
+	setLimits(db, Limits{})
 	mustExec(t, db, `SELECT COUNT(name) FROM SYS.METRICS`)
 }
 
@@ -332,12 +469,12 @@ func TestSpanExportStructure(t *testing.T) {
 	}
 	lock := false
 	for _, w := range ok.Root.Waits {
-		if w.Event == "STMT_LOCK" && w.Count >= 1 {
+		if w.Event == "ADMIN_LATCH" && w.Count >= 1 {
 			lock = true
 		}
 	}
 	if !lock {
-		t.Fatalf("root span waits missing STMT_LOCK: %+v", ok.Root.Waits)
+		t.Fatalf("root span waits missing ADMIN_LATCH: %+v", ok.Root.Waits)
 	}
 
 	// The wire format round-trips as one JSON document.
@@ -363,7 +500,7 @@ func TestWaitProfileRecordsBlockingSites(t *testing.T) {
 	for _, st := range db.WaitStats() {
 		stats[st.Event.String()] = st
 	}
-	for _, want := range []string{"WAL_APPEND", "WAL_SYNC", "STMT_LOCK"} {
+	for _, want := range []string{"WAL_APPEND", "WAL_SYNC", "ADMIN_LATCH"} {
 		st, ok := stats[want]
 		if !ok || st.Count < 1 {
 			t.Errorf("profile missing %s: %v", want, stats)
@@ -387,7 +524,7 @@ func TestWaitProfileRecordsBlockingSites(t *testing.T) {
 // `make introspect`.
 func TestSlowQueryLogWaits(t *testing.T) {
 	db := robustDB(t)
-	db.SetParallelism(4)
+	setDOP(db, 4)
 	var buf bytes.Buffer
 	var mu sync.Mutex
 	db.SetSlowQueryLog(slog.NewTextHandler(lockedWriter{&mu, &buf}, nil))
@@ -422,7 +559,7 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 // deadlock (SYS sources never take the statement lock).
 func TestSysConcurrentScans(t *testing.T) {
 	db, _ := sysDB(t)
-	db.SetParallelism(4)
+	setDOP(db, 4)
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
 	for g := 0; g < 3; g++ {

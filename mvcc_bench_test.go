@@ -15,19 +15,12 @@ import (
 // parallel-execution benchmarks — on a single-CPU container the gains
 // must come from overlapping waits, exactly like real page I/O). The
 // stream is half scans, half single-key UPDATEs, with an occasional
-// ANALYZE as the DDL representative. The pair measures what retiring
-// the DB-wide statement RWMutex bought:
-//
-//   - ConcurrentMixedMVCC runs the statements bare — each against its
-//     own snapshot, so scans overlap each other AND every writer's
-//     statement, and writers on disjoint keys overlap too;
-//   - ConcurrentMixedRWMutex replays the retired discipline with an
-//     external sync.RWMutex (every DML/DDL exclusive, every scan
-//     shared): writers serialize against everything, and each writer
-//     drains all readers before its page waits even start.
-//
-// The two run identical statement streams against identical data, so
-// the ns/op ratio isolates the locking discipline.
+// ANALYZE as the DDL representative. Each statement runs against its
+// own snapshot, so scans overlap each other and every writer's
+// statement, and writers on disjoint keys overlap too. (The replay of
+// the retired DB-wide RWMutex this was once paired with is recorded in
+// BENCH_PR10.json; bench/'s oltp_mixed workload is the standing
+// measure.)
 const mixedGoroutines = 8
 
 func mixedBenchDB(b *testing.B) *DB {
@@ -51,9 +44,8 @@ func mixedBenchDB(b *testing.B) *DB {
 	return db
 }
 
-func benchConcurrentMixed(b *testing.B, exclusive bool) {
+func BenchmarkConcurrentMixedMVCC(b *testing.B) {
 	db := mixedBenchDB(b)
-	var mu sync.RWMutex // stand-in for the retired DB-wide statement lock
 	var next int64
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -69,30 +61,12 @@ func benchConcurrentMixed(b *testing.B, exclusive bool) {
 				var err error
 				switch {
 				case i%64 == 5: // DDL: republish stats under everyone's feet
-					if exclusive {
-						mu.Lock()
-					}
 					_, err = db.Exec(`ANALYZE mixed`, nil)
-					if exclusive {
-						mu.Unlock()
-					}
 				case i%2 == 0: // scan
-					if exclusive {
-						mu.RLock()
-					}
 					_, err = db.Exec(`SELECT COUNT(*), SUM(v) FROM mixed WHERE v >= 0`, nil)
-					if exclusive {
-						mu.RUnlock()
-					}
 				default: // single-row DML in this goroutine's own key range
-					if exclusive {
-						mu.Lock()
-					}
 					q := fmt.Sprintf(`UPDATE mixed SET v = v + 1 WHERE k = %d`, g*32+i%32)
 					_, err = db.Exec(q, nil)
-					if exclusive {
-						mu.Unlock()
-					}
 				}
 				if err != nil {
 					b.Error(err)
@@ -103,6 +77,3 @@ func benchConcurrentMixed(b *testing.B, exclusive bool) {
 	}
 	wg.Wait()
 }
-
-func BenchmarkConcurrentMixedMVCC(b *testing.B)    { benchConcurrentMixed(b, false) }
-func BenchmarkConcurrentMixedRWMutex(b *testing.B) { benchConcurrentMixed(b, true) }

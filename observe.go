@@ -71,15 +71,6 @@ const (
 	MetricCheckpoints      = "starburst_checkpoints"
 )
 
-// SetTracing arms per-statement phase tracing: subsequent statements
-// carry a Trace on their Result (phase wall times, rewrite rules fired,
-// STARs expanded, subquery-cache and rollback counters). Off by
-// default; when off, statements run the exact uninstrumented path.
-func (db *DB) SetTracing(on bool) { db.tracing.Store(on) }
-
-// Tracing reports whether phase tracing is armed.
-func (db *DB) Tracing() bool { return db.tracing.Load() }
-
 // Metrics exposes the DB's metrics registry (counters, gauges, the
 // statement latency histogram). Always non-nil.
 func (db *DB) Metrics() *Registry { return db.metrics }
@@ -120,12 +111,12 @@ func (db *DB) slowLogger() *slog.Logger {
 	return slog.Default()
 }
 
-// instrumentWanted reports whether statements should run with
+// instrumentWanted reports whether a statement should run with
 // per-operator stats (needed by the armed slow-query log, by the
 // operator spans of an installed span exporter, and by the
 // cardinality-feedback loop's actual-row capture).
-func (db *DB) instrumentWanted() bool {
-	return db.slowNanos.Load() > 0 || db.spanExp.Load() != nil || db.cardFeedback.Load()
+func (db *DB) instrumentWanted(set *Settings) bool {
+	return db.slowNanos.Load() > 0 || db.spanExp.Load() != nil || set.CardinalityFeedback
 }
 
 // stmtKind classifies a statement for the statements-by-kind counter.
@@ -166,6 +157,8 @@ type observation struct {
 	query string
 	kind  string
 	start time.Time
+	// set is the Settings value the statement runs under.
+	set   *Settings
 	trace *obs.Trace
 	instr *exec.Instrumentation
 	root  *plan.Node
@@ -266,19 +259,22 @@ func (db *DB) recordCtx(ctx *exec.Ctx, tr *obs.Trace) {
 
 // runObserved is the execution core plus observability: it optionally
 // times the build and execute phases into tr and, when instrument is
-// set (EXPLAIN ANALYZE, armed slow log), builds the plan through the
-// per-operator stats decorator. The settings snapshot supplies the
-// budgets and parallelism knobs, so concurrent sessions execute under
-// their own configuration. The plan executes inside tx: scans resolve
+// set (EXPLAIN ANALYZE) or the armed slow log, span export or feedback
+// want it, builds the plan through the per-operator stats decorator,
+// leaving the instrumentation and the row count on the observation o.
+// o.set supplies the budgets and parallelism, so concurrent sessions
+// execute under their own configuration, and attaches tr to the result
+// when it asks for tracing. The plan executes inside tx: scans resolve
 // row versions against its snapshot, DML writes through its write log,
 // and table lookups read its pinned catalog generation.
 // starburst:locks db.adminMu:read
 func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params map[string]Value,
-	tr *obs.Trace, instrument bool, set settings, waits *obs.WaitSet, tx *Tx) (*Result, *exec.Instrumentation, error) {
+	tr *obs.Trace, o *observation, tx *Tx, instrument bool) (*Result, error) {
 	if goCtx == nil {
 		goCtx = context.Background()
 	}
-	limits := set.limits
+	set := o.set
+	limits := set.Limits
 	if limits.Timeout > 0 {
 		var cancel context.CancelFunc
 		goCtx, cancel = context.WithTimeout(goCtx, limits.Timeout)
@@ -290,17 +286,16 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 		db.faults.SetInterrupt(goCtx.Done())
 		defer db.faults.SetInterrupt(nil)
 	}
-	builder := db.builder.Vectorized(set.vectorize)
-	var instr *exec.Instrumentation
-	if instrument || db.instrumentWanted() {
-		instr = exec.NewInstrumentation()
-		builder = builder.Instrumented(instr)
+	builder := db.builder.Vectorized(!db.rowExec)
+	if instrument || db.instrumentWanted(set) {
+		o.instr = exec.NewInstrumentation()
+		builder = builder.Instrumented(o.instr)
 	}
 	t0 := time.Now()
 	stream, err := builder.Build(compiled.Root, nil)
 	tr.AddPhase(obs.PhaseBuild, time.Since(t0))
 	if err != nil {
-		return nil, instr, err
+		return nil, err
 	}
 	// A DML statement against a durable DB runs inside a WAL statement
 	// group: its records replay after a crash only if the commit record
@@ -310,12 +305,12 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 	stmtOpen := false
 	if db.store != nil && rootIsDML(compiled.Root) {
 		if err := db.store.BeginTxnStmt(tx.walTxn()); err != nil {
-			return nil, instr, err
+			return nil, err
 		}
 		stmtOpen = true
 		// WAL waits inside the bracket are attributed to this statement;
 		// the store detaches the wait set when the bracket resolves.
-		db.store.SetStmtWaits(waits)
+		db.store.SetStmtWaits(o.waits)
 		defer func() {
 			if stmtOpen {
 				db.store.AbortStmt()
@@ -325,7 +320,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 	ctx := exec.NewCtx(tx.cat, params)
 	ctx.Snap = tx.snapshot()
 	ctx.Txn = tx.ts
-	ctx.SetWaits(db.waitProf, waits)
+	ctx.SetWaits(db.waitProf, o.waits)
 	ctx.Arm(goCtx, limits)
 	db.armParallel(ctx, set)
 	mark := tx.ts.Mark()
@@ -353,41 +348,33 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 		}
 	}
 	if err != nil {
-		return nil, instr, err
+		return nil, err
 	}
-	return &Result{
-		Columns:  compiled.OutputNames,
-		Rows:     rows,
-		Affected: ctx.Affected,
-	}, instr, nil
+	res := &Result{Columns: compiled.OutputNames, Rows: rows, Affected: ctx.Affected}
+	if o.rows = res.Affected; o.rows == 0 {
+		o.rows = int64(len(rows))
+	}
+	if set.Tracing {
+		res.Trace = tr
+	}
+	return res, nil
 }
 
-// explainAnalyze compiles and EXECUTES the inner statement through the
+// explainAnalyze EXECUTES the compiled inner statement through the
 // stats decorator, then renders the plan annotated with actual row
 // counts, timings, memory high-water marks and cache hit ratios, plus
 // the phase-timing summary. DML side effects are applied as usual.
 // starburst:locks db.adminMu:read
-func (db *DB) explainAnalyze(goCtx context.Context, inner sql.Statement, phase *string,
-	params map[string]Value, tr *obs.Trace, o *observation, set settings, tx *Tx) (*Result, error) {
-	compiled, err := db.compile(tx.cat, inner, phase, tr, set)
+func (db *DB) explainAnalyze(goCtx context.Context, compiled *plan.Compiled,
+	params map[string]Value, tr *obs.Trace, o *observation, tx *Tx) (*Result, error) {
+	res, err := db.runObserved(goCtx, compiled, params, tr, o, tx, true)
 	if err != nil {
 		return nil, err
-	}
-	o.root = compiled.Root
-	*phase = "exec"
-	res, instr, err := db.runObserved(goCtx, compiled, params, tr, true, set, o.waits, tx)
-	o.instr = instr
-	if err != nil {
-		return nil, err
-	}
-	o.rows = res.Affected
-	if o.rows == 0 {
-		o.rows = int64(len(res.Rows))
 	}
 
 	var b strings.Builder
 	b.WriteString("=== Query evaluation plan (analyzed) ===\n")
-	b.WriteString(plan.RenderAnnotated(compiled.Root, instr.Annotate))
+	b.WriteString(plan.RenderAnnotated(compiled.Root, o.instr.Annotate))
 	fmt.Fprintf(&b, "=== Execution summary ===\n")
 	fmt.Fprintf(&b, "phase times: %s\n", tr)
 	if len(tr.RuleFirings) > 0 {
@@ -405,11 +392,8 @@ func (db *DB) explainAnalyze(goCtx context.Context, inner sql.Statement, phase *
 		fmt.Fprintf(&b, "%d row(s) returned\n", len(res.Rows))
 	}
 
-	out := &Result{Columns: []string{"EXPLAIN ANALYZE"}, Affected: res.Affected}
-	for _, line := range strings.Split(strings.TrimRight(b.String(), "\n"), "\n") {
-		out.Rows = append(out.Rows, Row{NewString(line)})
-	}
-	out.Trace = tr
+	out := linesResult("EXPLAIN ANALYZE", b.String())
+	out.Affected, out.Trace = res.Affected, tr
 	return out, nil
 }
 
@@ -431,8 +415,6 @@ func countList(m map[string]int) string {
 type obsState struct {
 	// metrics is the per-DB registry; created in Open.
 	metrics *obs.Registry
-	// tracing arms per-statement phase tracing.
-	tracing atomic.Bool
 	// slowNanos is the slow-query threshold; 0 disarmed.
 	slowNanos atomic.Int64
 	// slowLog overrides the slow-query sink (nil = slog.Default).

@@ -103,11 +103,11 @@ func runInstrumented(db *DB, instr *exec.Instrumentation, compiled *plan.Compile
 	if err != nil {
 		return nil, err
 	}
-	tx := db.autoTx()
+	tx := autoTx(db)
 	ctx := exec.NewCtx(tx.cat, params)
 	ctx.Snap = tx.snapshot()
 	ctx.Txn = tx.ts
-	ctx.Arm(goCtx, db.GetLimits())
+	ctx.Arm(goCtx, db.Settings().Limits)
 	rows, err := exec.Run(ctx, s)
 	return rows, db.finishAuto(tx, err, nil)
 }
@@ -192,7 +192,7 @@ func TestInstrumentationKeepsBudgetSemantics(t *testing.T) {
 		{name: "plain", arm: func(*DB) {}},
 		{name: "slow-log", arm: func(db *DB) { db.SetSlowQueryThreshold(time.Hour) }},
 		{name: "span-exporter", arm: func(db *DB) { db.SetSpanExporter(func(*StatementSpan) {}) }},
-		{name: "feedback", arm: func(db *DB) { db.SetCardinalityFeedback(true) }},
+		{name: "feedback", arm: func(db *DB) { setFeedback(db, true) }},
 		{name: "explain-analyze", arm: func(*DB) {}, explain: true},
 	}
 	limits := []int64{5, 255, 256, 600, 1000, 1500, 2000, 2600, 5000, 100000}
@@ -213,7 +213,7 @@ func TestInstrumentationKeepsBudgetSemantics(t *testing.T) {
 		trips, passes := 0, 0
 		for _, q := range queries {
 			for _, limit := range limits {
-				db.SetLimits(Limits{MaxRows: limit})
+				setLimits(db, Limits{MaxRows: limit})
 				sql := q
 				if m.explain {
 					sql = "EXPLAIN ANALYZE " + q
@@ -285,11 +285,11 @@ func TestMetricsCounters(t *testing.T) {
 	if got := m.CounterValue(MetricStatementErrors, "phase", "parse"); got != 1 {
 		t.Errorf("statement_errors{phase=parse} = %d, want 1", got)
 	}
-	db.SetLimits(Limits{MaxRows: 2})
+	setLimits(db, Limits{MaxRows: 2})
 	if _, err := db.Exec(`SELECT i.id FROM items i, orders o, items j`, nil); err == nil {
 		t.Fatal("want budget error")
 	}
-	db.SetLimits(Limits{})
+	setLimits(db, Limits{})
 	if got := m.CounterValue(MetricStatementErrors, "phase", "exec"); got != 1 {
 		t.Errorf("statement_errors{phase=exec} = %d, want 1", got)
 	}
@@ -333,7 +333,7 @@ func TestTracingOnResult(t *testing.T) {
 	if res.Trace != nil {
 		t.Fatal("tracing off: Result.Trace must be nil")
 	}
-	db.SetTracing(true)
+	setTracing(db, true)
 	res = mustExec(t, db, `SELECT i.id FROM items i, orders o WHERE i.id = o.item`)
 	if res.Trace == nil {
 		t.Fatal("tracing on: Result.Trace missing")
@@ -354,14 +354,14 @@ func TestTracingOnResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := prep.Run(nil)
+	pres, err := prep.Query(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pres.Trace == nil {
 		t.Fatal("tracing on: prepared Result.Trace missing")
 	}
-	db.SetTracing(false)
+	setTracing(db, false)
 	if res = mustExec(t, db, `SELECT id FROM items`); res.Trace != nil {
 		t.Fatal("tracing off again: Result.Trace must be nil")
 	}
@@ -372,7 +372,7 @@ func TestTracingOnResult(t *testing.T) {
 func TestRewriteFiringsTraced(t *testing.T) {
 	db := robustDB(t)
 	mustExec(t, db, `CREATE VIEW big AS SELECT id, qty FROM items WHERE qty > 20`)
-	db.SetTracing(true)
+	setTracing(db, true)
 	res := mustExec(t, db, `SELECT id FROM big WHERE qty < 100`)
 	if res.Trace == nil || len(res.Trace.RuleFirings) == 0 {
 		t.Fatalf("view query recorded no rule firings: %+v", res.Trace)
@@ -465,11 +465,11 @@ func TestExplainAnalyzeEndToEnd(t *testing.T) {
 	}
 
 	// Errors surface as errors, not as plans.
-	db.SetLimits(Limits{MaxRows: 1})
+	setLimits(db, Limits{MaxRows: 1})
 	if _, err := db.Exec(`EXPLAIN ANALYZE SELECT i.id FROM items i, orders o, items j`, nil); err == nil {
 		t.Fatal("budget error must escape EXPLAIN ANALYZE")
 	}
-	db.SetLimits(Limits{})
+	setLimits(db, Limits{})
 }
 
 // TestObsServerEndToEnd scrapes a live DB's /metrics over HTTP and

@@ -4,8 +4,8 @@ import (
 	"repro/internal/exec"
 )
 
-// This file is the DB-level surface of intra-query parallelism: the
-// degree-of-parallelism knob, the parallel-execution metrics, and the
+// This file is the DB-level surface of intra-query parallelism (the
+// knob is Settings.Parallelism): the parallel-execution metrics, and the
 // runtime safety interlock that forces serial execution while a fault
 // injector is attached (fault schedules count operations
 // deterministically, which concurrent workers would break) — DML
@@ -33,41 +33,10 @@ const (
 // sizes are small integers, so the buckets are too.
 var exchangeBatchBuckets = []float64{1, 4, 16, 64, 256, 1024}
 
-// SetParallelism sets the degree of parallelism (DOP) for subsequent
-// statements: n > 1 lets the optimizer insert exchange operators that
-// run eligible plan subtrees on n worker goroutines; n <= 1 restores
-// serial execution. Parallel plans produce the same result sets as
-// serial ones (and the same order, for ORDER BY queries — the exchange
-// merge preserves sort order).
-func (db *DB) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	db.dop.Store(int32(n))
-	db.opt.SetParallelism(n)
-}
-
-// Parallelism reports the configured DOP.
-func (db *DB) Parallelism() int {
-	if d := db.dop.Load(); d > 1 {
-		return int(d)
-	}
-	return 1
-}
-
-// effectiveDOP is the DOP a statement actually runs with: the
-// snapshotted session value, forced to 1 while a fault injector is
-// attached.
-func (db *DB) effectiveDOP(set settings) int {
-	if db.faults != nil {
-		return 1
-	}
-	return set.dop
-}
-
-// parallelObs builds the exec-layer observability hooks backed by this
-// DB's metrics registry.
-func (db *DB) parallelObs() *exec.ParallelObs {
+// newParallelObs builds the exec-layer observability hooks backed by
+// this DB's metrics registry. Its closures capture only registry
+// handles, so Open builds it once for every statement to share.
+func (db *DB) newParallelObs() *exec.ParallelObs {
 	m := db.metrics
 	workers := m.Gauge(MetricParallelWorkers)
 	batchRows := m.Histogram(MetricExchangeBatchRows, exchangeBatchBuckets)
@@ -81,9 +50,14 @@ func (db *DB) parallelObs() *exec.ParallelObs {
 }
 
 // armParallel configures one statement's execution context from its
-// settings snapshot.
-func (db *DB) armParallel(ctx *exec.Ctx, set settings) {
-	ctx.SetDOP(db.effectiveDOP(set))
+// settings: the statement's degree of parallelism, forced to 1 while a
+// fault injector is attached.
+func (db *DB) armParallel(ctx *exec.Ctx, set *Settings) {
+	dop := set.dop()
+	if db.faults != nil {
+		dop = 1
+	}
+	ctx.SetDOP(dop)
 	ctx.SetColWidth(db.colWidth)
-	ctx.SetParallelObs(db.parallelObs())
+	ctx.SetParallelObs(db.parObs)
 }

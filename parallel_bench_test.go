@@ -63,7 +63,7 @@ const parallelBenchQuery = `SELECT k, v FROM big WHERE v < 900`
 
 func benchParallelScan(b *testing.B, dop int) {
 	db := slowScanDB(b, 4096, 200*time.Microsecond)
-	db.SetParallelism(dop)
+	setDOP(db, dop)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := db.Exec(parallelBenchQuery, nil)
@@ -101,7 +101,7 @@ func TestParallelBenchSanity(t *testing.T) {
 	if got != want {
 		t.Fatal("slow-scan parallel result diverged from serial")
 	}
-	db.SetParallelism(4)
+	setDOP(db, 4)
 	plan := mustExec(t, db, "EXPLAIN "+parallelBenchQuery)
 	var txt string
 	for _, r := range plan.Rows {

@@ -62,7 +62,7 @@ func genParallelDB(t testing.TB, seed int64) *DB {
 // runAtDOP runs one query at the given DOP and returns the result.
 func runAtDOP(t *testing.T, db *DB, dop int, q string) *Result {
 	t.Helper()
-	db.SetParallelism(dop)
+	setDOP(db, dop)
 	res, err := db.Exec(q, nil)
 	if err != nil {
 		t.Fatalf("dop=%d: %s: %v", dop, q, err)
@@ -89,7 +89,7 @@ func explainText(t *testing.T, db *DB, q string) string {
 func TestParallelPlanShape(t *testing.T) {
 	db := genParallelDB(t, 7)
 
-	db.SetParallelism(4)
+	setDOP(db, 4)
 	plan := explainText(t, db, "SELECT x.k, x.v FROM ta x WHERE x.v < 10")
 	if !strings.Contains(plan, "GATHER") {
 		t.Fatalf("parallel-eligible scan got no GATHER:\n%s", plan)
@@ -129,14 +129,14 @@ func TestParallelPlanShape(t *testing.T) {
 	}
 
 	// DOP=1 inserts nothing.
-	db.SetParallelism(1)
+	setDOP(db, 1)
 	plan = explainText(t, db, "SELECT x.k, x.v FROM ta x WHERE x.v < 10")
 	if strings.Contains(plan, "GATHER") {
 		t.Fatalf("DOP=1 plan got an exchange:\n%s", plan)
 	}
 
 	// Small tables stay under the cardinality threshold.
-	db.SetParallelism(4)
+	setDOP(db, 4)
 	db.opt.SetParallelThreshold(0) // default 512 again
 	plan = explainText(t, db, "SELECT x.k FROM tc x")
 	if strings.Contains(plan, "GATHER") {
@@ -224,7 +224,7 @@ func TestParallelOrderByExactOrder(t *testing.T) {
 // an exchange: exact row counts, and exact rows for ORDER BY + LIMIT.
 func TestParallelLimit(t *testing.T) {
 	db := genParallelDB(t, 19)
-	db.SetParallelism(4)
+	setDOP(db, 4)
 
 	res, err := db.Exec("SELECT x.k FROM ta x LIMIT 7", nil)
 	if err != nil {
@@ -264,7 +264,7 @@ func TestParallelFaultMatrix(t *testing.T) {
 
 	t.Run("faulted-forces-serial", func(t *testing.T) {
 		db := genParallelDB(t, 41)
-		db.SetParallelism(4)
+		setDOP(db, 4)
 		want := canonical(runAtDOP(t, db, 4, parallelEligibleQuery))
 
 		// With an injector attached, execution is forced serial — fault
@@ -296,10 +296,10 @@ func TestParallelFaultMatrix(t *testing.T) {
 
 	t.Run("cancelled", func(t *testing.T) {
 		db := genParallelDB(t, 43)
-		db.SetParallelism(4)
+		setDOP(db, 4)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := db.ExecContext(ctx, parallelEligibleQuery, nil)
+		_, err := db.Query(ctx, parallelEligibleQuery, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
@@ -314,8 +314,8 @@ func TestParallelFaultMatrix(t *testing.T) {
 
 	t.Run("budget-tripped", func(t *testing.T) {
 		db := genParallelDB(t, 47)
-		db.SetParallelism(4)
-		db.SetLimits(Limits{MaxRows: 64})
+		setDOP(db, 4)
+		setLimits(db, Limits{MaxRows: 64})
 		_, err := db.Exec(parallelEligibleQuery, nil)
 		var rerr *ResourceError
 		if !errors.As(err, &rerr) || rerr.Budget != "rows" {
@@ -324,7 +324,7 @@ func TestParallelFaultMatrix(t *testing.T) {
 		if g := db.Metrics().Gauge(MetricParallelWorkers).Value(); g != 0 {
 			t.Fatalf("budget-tripped statement leaked %d workers", g)
 		}
-		db.SetLimits(Limits{})
+		setLimits(db, Limits{})
 		if _, err := db.Exec(parallelEligibleQuery, nil); err != nil {
 			t.Fatalf("statement after budget trip: %v", err)
 		}
@@ -332,14 +332,14 @@ func TestParallelFaultMatrix(t *testing.T) {
 
 	t.Run("timeout", func(t *testing.T) {
 		db := genParallelDB(t, 53)
-		db.SetParallelism(4)
-		db.SetLimits(Limits{Timeout: time.Nanosecond})
+		setDOP(db, 4)
+		setLimits(db, Limits{Timeout: time.Nanosecond})
 		_, err := db.Exec(parallelEligibleQuery, nil)
 		var rerr *ResourceError
 		if !errors.As(err, &rerr) || rerr.Budget != "time" {
 			t.Fatalf("want time ResourceError, got %v", err)
 		}
-		db.SetLimits(Limits{})
+		setLimits(db, Limits{})
 		if g := db.Metrics().Gauge(MetricParallelWorkers).Value(); g != 0 {
 			t.Fatalf("timed-out statement leaked %d workers", g)
 		}
@@ -350,7 +350,7 @@ func TestParallelFaultMatrix(t *testing.T) {
 // rendering of parallel execution.
 func TestParallelObservability(t *testing.T) {
 	db := genParallelDB(t, 59)
-	db.SetParallelism(4)
+	setDOP(db, 4)
 	m := db.Metrics()
 
 	before := m.Counter(MetricParallelStatements).Value()
@@ -397,7 +397,7 @@ func runInstrumentedParallel(db *DB, instr *exec.Instrumentation, compiled *plan
 		return nil, err
 	}
 	ctx := exec.NewCtx(db.cat, params)
-	ctx.Arm(goCtx, db.GetLimits())
+	ctx.Arm(goCtx, db.Settings().Limits)
 	db.armParallel(ctx, db.snapshot())
 	return exec.Run(ctx, s)
 }
@@ -409,7 +409,7 @@ func runInstrumentedParallel(db *DB, instr *exec.Instrumentation, compiled *plan
 // leg, where workers are cancelled mid-flight.
 func TestParallelStatsCumulative(t *testing.T) {
 	db := genParallelDB(t, 61)
-	db.SetParallelism(4)
+	setDOP(db, 4)
 
 	compiled := preparedPlan(parallelEligibleQuery)(t, db)
 	if n := plan.CollectOps(compiled.Root)[plan.OpGather]; n != 1 {

@@ -130,7 +130,7 @@ func TestPlanCacheFingerprintIsolation(t *testing.T) {
 
 	serial := db.NewSession()
 	parallel := db.NewSession()
-	parallel.SetParallelism(4)
+	setDOP(parallel, 4)
 
 	const q = `SELECT type FROM inventory ORDER BY type`
 	ctx := context.Background()
@@ -215,7 +215,7 @@ func TestPlanCachePrepareShares(t *testing.T) {
 	if s.Hits != 1 {
 		t.Fatalf("Prepare of an ad-hoc-cached statement must hit: %+v", s)
 	}
-	res, err := st.Run(map[string]Value{"t": NewString("DISK")})
+	res, err := st.Query(context.Background(), map[string]Value{"t": NewString("DISK")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			sess := db.NewSession()
-			sess.SetParallelism(1 + g%4) // mix of serial and parallel sessions
+			setDOP(sess, 1+g%4) // mix of serial and parallel sessions
 			ctx := context.Background()
 			for i := 0; i < iters; i++ {
 				switch {
@@ -369,7 +369,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 func TestSessionSettingIsolation(t *testing.T) {
 	db := cacheDB(t, 8)
 	tight := db.NewSession()
-	tight.SetLimits(Limits{MaxMem: 100})
+	setLimits(tight, Limits{MaxMem: 100})
 	loose := db.NewSession()
 
 	// The sort must materialize well over 100 bytes, tripping the
@@ -406,7 +406,7 @@ func TestPreparedStatementRevalidates(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() int {
-				res, err := st.Run(nil)
+				res, err := st.Query(context.Background(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -427,7 +427,7 @@ func TestPreparedStatementRevalidates(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					res, err := st.Run(nil)
+					res, err := st.Query(context.Background(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

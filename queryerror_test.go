@@ -2,6 +2,7 @@ package starburst
 
 import (
 	"context"
+	gosql "database/sql"
 	"errors"
 	"testing"
 )
@@ -37,26 +38,93 @@ func errorDB(t *testing.T) *DB {
 	return db
 }
 
-func TestQueryErrorEveryEntryPoint(t *testing.T) {
-	db := errorDB(t)
-	sess := db.NewSession()
+// statementEntryPoints is every public way to run (or prepare and run)
+// one statement on db: each takes SQL text and returns the error the
+// entry point reported. Tx handles are left out when db cannot begin
+// one (an OpenErr DB).
+func statementEntryPoints(t *testing.T, db *DB) map[string]func(q string) error {
 	ctx := context.Background()
-	const bad = `SELEC id FROM items`
+	sess := db.NewSession()
+	RegisterDSN(t.Name(), db)
+	sdb, err := gosql.Open(DriverName, t.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sdb.Close() })
+	// prepared runs q through a Prepare and the Stmt it yields.
+	prepared := func(prepare func(string) (*Stmt, error)) func(string) error {
+		return func(q string) error {
+			st, err := prepare(q)
+			if err != nil {
+				return err
+			}
+			_, err = st.Query(ctx, nil)
+			return err
+		}
+	}
+	eps := map[string]func(q string) error{
+		"DB.Query":                    func(q string) error { _, err := db.Query(ctx, q, nil); return err },
+		"DB.Exec":                     func(q string) error { _, err := db.Exec(q, nil); return err },
+		"Session.Query":               func(q string) error { _, err := sess.Query(ctx, q, nil); return err },
+		"Session.Exec":                func(q string) error { _, err := sess.Exec(q, nil); return err },
+		"DB.Prepare, Stmt.Query":      prepared(db.Prepare),
+		"Session.Prepare, Stmt.Query": prepared(sess.Prepare),
+		"database/sql conn":           func(q string) error { _, err := sdb.ExecContext(ctx, q); return err },
+		"database/sql Prepare, stmt": func(q string) error {
+			st, err := sdb.PrepareContext(ctx, q)
+			if err != nil {
+				return err
+			}
+			defer st.Close()
+			rows, err := st.QueryContext(ctx)
+			if err != nil {
+				return err
+			}
+			return rows.Close()
+		},
+	}
+	if tx, err := db.Begin(ctx); err == nil {
+		t.Cleanup(func() { tx.Rollback() })
+		eps["Tx.Query"] = func(q string) error { _, err := tx.Query(ctx, q, nil); return err }
+		eps["Tx.Exec"] = func(q string) error { _, err := tx.Exec(q, nil); return err }
+	}
+	return eps
+}
 
-	_, err := db.Query(ctx, bad, nil)
-	asQueryError(t, err, "parse")
-	_, err = db.Exec(bad, nil)
-	asQueryError(t, err, "parse")
-	_, err = db.ExecContext(ctx, bad, nil)
-	asQueryError(t, err, "parse")
-	_, err = sess.Query(ctx, bad, nil)
-	asQueryError(t, err, "parse")
-	_, err = sess.Exec(bad, nil)
-	asQueryError(t, err, "parse")
-	_, err = db.Prepare(bad)
-	asQueryError(t, err, "parse")
-	_, err = sess.Prepare(bad)
-	asQueryError(t, err, "parse")
+func TestQueryErrorEveryEntryPoint(t *testing.T) {
+	healthy := errorDB(t)
+	if err := healthy.RegisterScalarFunc(&ScalarFunc{
+		Name: "KABOOM", MinArgs: 1, MaxArgs: 1,
+		ReturnType: func(args []TypeID) (TypeID, error) { return args[0], nil },
+		Eval:       func(args []Value) (Value, error) { panic("kaboom") },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	broken := Open(WithDefaultStorage("NO_SUCH_MANAGER"))
+	if broken.OpenErr() == nil {
+		t.Fatal("an unknown default storage manager must leave the DB with an OpenErr")
+	}
+	for _, c := range []struct {
+		phase string
+		db    *DB
+		sql   string
+		panic bool
+	}{
+		{phase: "parse", db: healthy, sql: `SELEC id FROM items`},
+		{phase: "open", db: broken, sql: `SELECT 1`},
+		{phase: "exec", db: healthy, sql: `SELECT KABOOM(id) FROM items`, panic: true},
+	} {
+		t.Run(c.phase, func(t *testing.T) {
+			for name, run := range statementEntryPoints(t, c.db) {
+				t.Run(name, func(t *testing.T) {
+					qe := asQueryError(t, run(c.sql), c.phase)
+					if c.panic && (qe.Value == nil || len(qe.Stack) == 0) {
+						t.Fatalf("captured panic must carry value and stack: %+v", qe)
+					}
+				})
+			}
+		})
+	}
 }
 
 func TestQueryErrorPhases(t *testing.T) {
@@ -79,7 +147,7 @@ func TestQueryErrorPhases(t *testing.T) {
 
 	// Execution failures carry exec and unwrap to their typed cause.
 	tight := db.NewSession()
-	tight.SetLimits(Limits{MaxMem: 10})
+	setLimits(tight, Limits{MaxMem: 10})
 	_, err = tight.Query(ctx, `SELECT id FROM items ORDER BY qty`, nil)
 	qe := asQueryError(t, err, "exec")
 	var rerr *ResourceError
@@ -123,7 +191,7 @@ func TestQueryErrorPreparedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := db.NewSession()
-	sess.SetLimits(Limits{MaxMem: 10})
+	setLimits(sess, Limits{MaxMem: 10})
 	stSess, err := sess.Prepare(`SELECT id FROM items ORDER BY qty`)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +203,7 @@ func TestQueryErrorPreparedRun(t *testing.T) {
 		t.Fatalf("want ResourceError, got %v", err)
 	}
 	// The DB-scoped statement stays unlimited: snapshots are per-owner.
-	if _, err := st.Run(nil); err != nil {
+	if _, err := st.Query(context.Background(), nil); err != nil {
 		t.Fatalf("DB-scoped prepared statement was throttled: %v", err)
 	}
 }

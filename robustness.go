@@ -1,7 +1,6 @@
 package starburst
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -143,31 +142,6 @@ func operatorFromStack(stack []byte) string {
 		}
 	}
 	return ""
-}
-
-// SetLimits installs the default per-statement execution budgets
-// applied to every subsequent statement on this DB (sessions snapshot
-// them at creation and may override); the zero Limits removes them.
-func (db *DB) SetLimits(l Limits) {
-	if l == (Limits{}) {
-		db.limits.Store(nil)
-		return
-	}
-	db.limits.Store(&l)
-}
-
-// GetLimits reports the current default per-statement budgets.
-func (db *DB) GetLimits() Limits {
-	if l := db.limits.Load(); l != nil {
-		return *l
-	}
-	return Limits{}
-}
-
-// ExecContext is Query under another name, kept so existing callers
-// keep compiling; new code should call Query.
-func (db *DB) ExecContext(ctx context.Context, query string, params map[string]Value) (*Result, error) {
-	return db.Query(ctx, query, params)
 }
 
 // ---------------------------------------------------------------------

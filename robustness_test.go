@@ -17,6 +17,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/qgm"
 	"repro/internal/rewrite"
@@ -337,7 +338,7 @@ func faultMatrixCases() []mcase {
 				if err := g.Check(); err != nil {
 					t.Fatal(err)
 				}
-				compiled, err := db.opt.Optimize(g)
+				compiled, err := db.opt.OptimizeConfig(g, nil, optimizer.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -400,7 +401,7 @@ func TestFaultMatrix(t *testing.T) {
 			compiled := c.compilePlan(t, db)
 			before := snapshotAll(t, db)
 			db.InjectFaults(c.fault)
-			res, err := db.run(context.Background(), compiled, c.params)
+			res, err := runPlan(db, compiled, c.params)
 			if err == nil {
 				t.Fatalf("statement succeeded despite injected %s fault", c.fault.Op)
 			}
@@ -506,7 +507,7 @@ func TestCancelDuringFaultLatency(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := db.ExecContext(ctx, `SELECT id FROM items`, nil)
+	_, err := db.Query(ctx, `SELECT id FROM items`, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -538,7 +539,7 @@ func bigDB(tb testing.TB) *DB {
 // through the amortized tick path.
 func TestStatementTimeout(t *testing.T) {
 	db := bigDB(t)
-	db.SetLimits(Limits{Timeout: time.Millisecond})
+	setLimits(db, Limits{Timeout: time.Millisecond})
 	_, err := db.Exec(`SELECT COUNT(*) FROM nums a, nums b, nums c WHERE a.n < b.n AND b.n < c.n`, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) || re.Budget != "time" {
@@ -550,14 +551,14 @@ func TestStatementTimeout(t *testing.T) {
 // size — a small cross-join output still exhausts it.
 func TestMaxRows(t *testing.T) {
 	db := bigDB(t)
-	db.SetLimits(Limits{MaxRows: 1000})
+	setLimits(db, Limits{MaxRows: 1000})
 	_, err := db.Exec(`SELECT COUNT(*) FROM nums a, nums b`, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) || re.Budget != "rows" {
 		t.Fatalf("want ResourceError(rows), got %v", err)
 	}
 	// Within budget runs clean.
-	db.SetLimits(Limits{MaxRows: 1000_000})
+	setLimits(db, Limits{MaxRows: 1000_000})
 	mustExec(t, db, `SELECT COUNT(*) FROM nums a, nums b`)
 }
 
@@ -565,13 +566,13 @@ func TestMaxRows(t *testing.T) {
 // memory budget.
 func TestMaxMem(t *testing.T) {
 	db := robustDB(t)
-	db.SetLimits(Limits{MaxMem: 100})
+	setLimits(db, Limits{MaxMem: 100})
 	_, err := db.Exec(`SELECT id FROM items ORDER BY qty`, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) || re.Budget != "mem" {
 		t.Fatalf("want ResourceError(mem), got %v", err)
 	}
-	db.SetLimits(Limits{MaxMem: 1 << 20})
+	setLimits(db, Limits{MaxMem: 1 << 20})
 	mustExec(t, db, `SELECT id FROM items ORDER BY qty`)
 }
 
@@ -631,7 +632,7 @@ func TestDMLStreamReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		tx := db.autoTx()
+		tx := autoTx(db)
 		ctx := exec.NewCtx(tx.cat, nil)
 		ctx.Snap = tx.snapshot()
 		ctx.Txn = tx.ts
@@ -656,11 +657,11 @@ func TestDMLStreamReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := st2.Run(nil)
+	r1, err := st2.Query(context.Background(), nil)
 	if err != nil || r1.Affected != 2 {
 		t.Fatalf("first delete: %v affected=%v", err, r1)
 	}
-	r2, err := st2.Run(nil)
+	r2, err := st2.Query(context.Background(), nil)
 	if err != nil || r2.Affected != 0 {
 		t.Fatalf("second delete: %v affected=%v", err, r2)
 	}

@@ -7,89 +7,133 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/rewrite"
+	"repro/internal/catalog"
+	"repro/internal/optimizer"
 )
 
-// This file is the session layer of the public API. A DB is shared,
+// This file is the session layer of the public API, and the home of
+// Settings — the one per-statement configuration value. A DB is shared,
 // long-lived state — catalog, rule sets, plan cache, metrics. A Session
-// is a cheap per-client handle carrying the tuning knobs that used to
-// live only on the DB: degree of parallelism, per-statement budgets,
-// tracing, rewrite configuration. Each statement snapshots its
-// session's settings once at entry, so concurrent sessions never race
-// on shared knobs and a setting change mid-statement cannot tear.
+// is a cheap per-client handle carrying its own Settings. Each
+// statement loads its handle's Settings once at entry, so concurrent
+// sessions never race on shared knobs and a change mid-statement cannot
+// tear.
 
-// settings is the per-statement snapshot of every knob that influences
-// how one statement compiles and runs. It is taken once at statement
-// entry and threaded by value through compile and execution.
-type settings struct {
-	// limits are the execution budgets (rows, memory, time).
-	limits Limits
-	// dop is the degree of parallelism the optimizer plans for.
-	dop int
-	// tracing attaches a phase trace to the statement's Result.
-	tracing bool
-	// skipRewrite bypasses the query rewrite phase.
-	skipRewrite bool
-	// rewrite configures the rewrite engine when it runs.
-	rewrite rewrite.Options
-	// vectorize enables columnar execution over eligible operators.
-	vectorize bool
+// Settings is everything that configures how one statement compiles
+// and runs. The zero value is the default configuration. The DB holds
+// the value its own statements and new sessions use (WithSettings,
+// DB.SetSettings); a Session holds the copy it took at NewSession
+// (Session.SetSettings). Both are replaced whole, never field by field:
+// a statement reads one pointer, so it always runs under exactly one
+// Settings value, whatever other goroutines are storing.
+type Settings struct {
+	// Limits are the per-statement execution budgets (rows, memory,
+	// time); zero fields are unlimited.
+	Limits Limits
+	// Parallelism is the degree of parallelism: n > 1 lets the optimizer
+	// insert exchange operators that run eligible plan subtrees on n
+	// worker goroutines; n <= 1 is serial. Parallel plans produce the
+	// same result sets as serial ones (and the same order, for ORDER BY
+	// queries — the exchange merge preserves sort order).
+	Parallelism int
+	// Tracing attaches a phase Trace to every Result (phase wall times,
+	// rewrite rules fired, STARs expanded, subquery-cache and rollback
+	// counters).
+	Tracing bool
+	// SkipRewrite bypasses the query rewrite phase ("this phase could
+	// be bypassed for faster query compilation at the expense of
+	// potentially lower runtime performance").
+	SkipRewrite bool
+	// Rewrite configures the query rewrite phase; the zero value runs
+	// all rule classes sequentially to fixpoint. Its Audit field is
+	// ignored: Audit below is the one switch for both compile phases.
+	Rewrite RewriteOptions
+	// Audit arms self-checking compilation: the rewrite engine runs the
+	// deep QGM verifier after every rule firing (returning a structured
+	// *AuditError naming the offending rule on failure), and the
+	// optimizer verifies every chosen plan against the QGM head. Slower;
+	// intended for DBC rule/STAR development and debugging.
+	Audit bool
+	// CardinalityFeedback arms the cardinality-feedback loop (see
+	// feedback.go).
+	CardinalityFeedback bool
 }
 
-// snapshot captures the DB-wide defaults as one statement's settings.
-func (db *DB) snapshot() settings {
-	return settings{
-		limits:      db.GetLimits(),
-		dop:         db.Parallelism(),
-		tracing:     db.tracing.Load(),
-		skipRewrite: db.SkipRewrite,
-		rewrite:     db.Rewrite,
-		vectorize:   db.Vectorized(),
-	}
+// defaultSettings is what a DB runs under until told otherwise: the
+// zero value. Shared by every DB and never written.
+var defaultSettings Settings
+
+// dop is the degree of parallelism the statement plans for.
+func (s *Settings) dop() int { return max(1, s.Parallelism) }
+
+// optimizerConfig is the optimizer's share of the settings.
+func (s *Settings) optimizerConfig() optimizer.Config {
+	return optimizer.Config{DOP: s.dop(), Audit: s.Audit}
 }
+
+// rewriteOptions is the rewrite engine's share of the settings.
+func (s *Settings) rewriteOptions() RewriteOptions {
+	r := s.Rewrite
+	r.Audit = s.Audit
+	return r
+}
+
+// Settings reports the settings DB-level statements and new sessions
+// run under.
+func (db *DB) Settings() Settings { return *db.set.Load() }
+
+// SetSettings replaces them. Statements already running and sessions
+// already open are unaffected.
+func (db *DB) SetSettings(s Settings) { db.set.Store(&s) }
+
+// snapshot is one statement's settings: a single pointer load of an
+// immutable value.
+func (db *DB) snapshot() *Settings { return db.set.Load() }
 
 // fingerprint renders every setting that can change which plan the
-// compiler produces for a given statement text: the session's degree of
+// compiler produces for a given statement text: the degree of
 // parallelism, the rewrite configuration (including the rule-set
-// generation), and the optimizer-wide switches and STAR-array
-// generation. Statements compiled under different fingerprints never
+// generation), and the optimizer's side — its switches, STAR-array
+// generation and audit mode. Statements compiled under different fingerprints never
 // share a plan-cache entry; see plancache.go.
-func (db *DB) fingerprint(set settings) string {
+func (db *DB) fingerprint(set *Settings) string {
 	rw := "off"
-	if !set.skipRewrite {
-		r := set.rewrite
+	if !set.SkipRewrite {
+		r := set.rewriteOptions()
 		rw = fmt.Sprintf("st%v,so%v,b%d,cls[%s],seed%d,val%t,aud%t,gen%d",
 			r.Strategy, r.Search, r.Budget, strings.Join(r.Classes, "+"),
 			r.Seed, r.Validate, r.Audit, db.rewriter.Generation())
 	}
-	return fmt.Sprintf("dop=%d|rw=%s|opt=%s", set.dop, rw, db.opt.Fingerprint())
+	return fmt.Sprintf("dop=%d|rw=%s|opt=%s", set.dop(), rw, db.opt.Fingerprint(set.optimizerConfig()))
 }
 
 // cacheKey keys the plan cache: normalized statement text plus the
 // settings fingerprint, separated by a byte that cannot appear in SQL.
-func (db *DB) cacheKey(query string, set settings) string {
+func (db *DB) cacheKey(query string, set *Settings) string {
 	return normalizeSQL(query) + "\x00" + db.fingerprint(set)
 }
 
 // Session is an independent client handle on a shared DB. Sessions are
 // cheap to create, safe for use from one goroutine at a time, and
-// isolated from each other: a setting changed on one session affects
+// isolated from each other: Settings changed on one session affect
 // that session alone, while DDL, data, extensions and the plan cache
 // remain shared through the DB. Any number of sessions may execute
-// statements concurrently; see the concurrency contract on DB.Query.
+// statements concurrently; see the concurrency contract on DB.
 //
 // A session carries at most one open transaction. Session.Begin (or
 // the SQL BEGIN statement) opens it; until Commit or Rollback every
-// Session.Query/Exec runs inside it. With autocommit switched off (see
-// SetAutocommit) the first statement opens a transaction implicitly
-// and COMMIT / ROLLBACK ends it.
+// statement of the session runs inside it. With autocommit switched off
+// (see SetAutocommit) the first statement opens a transaction
+// implicitly and COMMIT / ROLLBACK ends it.
 type Session struct {
 	db *DB
 	// id identifies the session in SYS.SESSIONS.
 	id int64
+	// set is this session's Settings, inherited from the DB at
+	// NewSession and replaced whole by SetSettings.
+	set atomic.Pointer[Settings]
 
-	mu  sync.Mutex
-	set settings
+	mu sync.Mutex
 	// tx is the session's open transaction, nil between transactions.
 	tx *Tx
 	// autocommit, when false, makes the first statement after a commit
@@ -104,10 +148,12 @@ type Session struct {
 	stmts atomic.Int64
 }
 
-// NewSession opens a session initialized with the DB's current default
-// settings. Sessions appear in SYS.SESSIONS until Closed.
+// NewSession opens a session initialized with the DB's current
+// Settings; later DB.SetSettings calls do not reach it. Sessions appear
+// in SYS.SESSIONS until Closed.
 func (db *DB) NewSession() *Session {
-	s := &Session{db: db, set: db.snapshot(), autocommit: true}
+	s := &Session{db: db, autocommit: true}
+	s.set.Store(db.snapshot())
 	db.sessions.add(s)
 	return s
 }
@@ -120,41 +166,45 @@ func (s *Session) ID() int64 { return s.id }
 // idempotent.
 func (s *Session) Close() { s.db.sessions.remove(s.id) }
 
-// begin/end bracket one statement for the SYS.SESSIONS live view.
-func (s *Session) begin(query string) {
-	s.cur.Store(&query)
-	s.stmts.Add(1)
-}
-
-func (s *Session) end() { s.cur.Store(nil) }
-
 // DB returns the shared database this session is a handle on.
 func (s *Session) DB() *DB { return s.db }
 
+// Settings reports this session's settings.
+func (s *Session) Settings() Settings { return *s.set.Load() }
+
+// SetSettings replaces this session's settings. Other sessions and the
+// DB's own are unaffected.
+func (s *Session) SetSettings(set Settings) { s.set.Store(&set) }
+
 // snapshot returns this session's settings for one statement.
-func (s *Session) snapshot() settings {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.set
-}
+func (s *Session) snapshot() *Settings { return s.set.Load() }
 
 // Query parses, compiles and executes one statement under this
-// session's settings. It is the session-level twin of DB.Query. While
-// the session has an open transaction the statement runs inside it;
-// otherwise it runs in its own auto-commit transaction (or, with
-// autocommit off, opens the session's next transaction implicitly).
+// session's settings. While the session has an open transaction the
+// statement runs inside it; otherwise it runs in its own auto-commit
+// transaction (or, with autocommit off, opens the session's next
+// transaction implicitly).
 func (s *Session) Query(ctx context.Context, query string, params map[string]Value) (*Result, error) {
-	s.begin(query)
-	defer s.end()
-	if tx := s.openTx(); tx != nil {
-		return tx.run(ctx, query, params, s.snapshot())
-	}
-	return s.db.query(ctx, query, params, s.snapshot(), s, nil)
+	return s.run(ctx, query, nil, params)
 }
 
-// Exec is Query without a context, kept for symmetry with DB.Exec.
+// Exec is Query under context.Background().
 func (s *Session) Exec(query string, params map[string]Value) (*Result, error) {
 	return s.Query(context.Background(), query, params)
+}
+
+// run is the session's handle resolution, shared by ad-hoc statements
+// and prepared ones (st non-nil): inside the open transaction when
+// there is one, else straight into the statement core. It brackets the
+// statement for the SYS.SESSIONS live view.
+func (s *Session) run(ctx context.Context, query string, st *Stmt, params map[string]Value) (*Result, error) {
+	s.cur.Store(&query)
+	s.stmts.Add(1)
+	defer s.cur.Store(nil)
+	if tx := s.openTx(); tx != nil {
+		return tx.run(ctx, query, st, params)
+	}
+	return s.db.query(ctx, query, st, false, params, s.snapshot(), s, nil)
 }
 
 // Begin opens an explicit transaction on this session. Until Commit or
@@ -167,7 +217,7 @@ func (s *Session) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 	if s.tx != nil {
 		return nil, fmt.Errorf("starburst: transaction already in progress on this session")
 	}
-	tx, err := s.db.beginTx(ctx, s.snapshot, s, false, opts...)
+	tx, err := s.db.begin(ctx, nil, s, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -175,16 +225,17 @@ func (s *Session) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 	return tx, nil
 }
 
-// beginLazy opens the session's next transaction implicitly: the
-// statement core calls it for the first statement after a commit or
-// rollback when autocommit is off.
-func (s *Session) beginLazy(ctx context.Context) (*Tx, error) {
+// beginLazy opens the session's next transaction implicitly, over the
+// catalog generation cat the statement already pinned: the statement
+// core calls it for the first statement after a commit or rollback when
+// autocommit is off.
+func (s *Session) beginLazy(ctx context.Context, cat *catalog.Catalog) (*Tx, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tx != nil {
 		return s.tx, nil
 	}
-	tx, err := s.db.beginTx(ctx, s.snapshot, s, false)
+	tx, err := s.db.begin(ctx, cat, s)
 	if err != nil {
 		return nil, err
 	}
@@ -231,93 +282,10 @@ func (s *Session) Autocommit() bool {
 }
 
 // Prepare compiles a DML statement for repeated execution; the
-// returned Stmt re-snapshots this session's settings on every run and
+// returned Stmt re-reads this session's settings on every run and
 // joins the session's open transaction, if any, when run.
 func (s *Session) Prepare(query string) (*Stmt, error) {
-	st, err := s.db.prepare(s.db.cat.Pin(), query, s.snapshot)
-	if err != nil {
-		return nil, err
-	}
-	st.sess = s
-	return st, nil
-}
-
-// SetParallelism sets this session's degree of parallelism; n <= 1
-// plans serial execution. Other sessions and the DB default are
-// unaffected.
-func (s *Session) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	s.set.dop = n
-	s.mu.Unlock()
-}
-
-// Parallelism reports this session's degree of parallelism.
-func (s *Session) Parallelism() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.set.dop
-}
-
-// SetLimits installs this session's per-statement execution budgets;
-// the zero Limits removes them.
-func (s *Session) SetLimits(l Limits) {
-	s.mu.Lock()
-	s.set.limits = l
-	s.mu.Unlock()
-}
-
-// GetLimits reports this session's per-statement budgets.
-func (s *Session) GetLimits() Limits {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.set.limits
-}
-
-// SetTracing arms per-statement phase tracing for this session.
-func (s *Session) SetTracing(on bool) {
-	s.mu.Lock()
-	s.set.tracing = on
-	s.mu.Unlock()
-}
-
-// Tracing reports whether this session collects phase traces.
-func (s *Session) Tracing() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.set.tracing
-}
-
-// SetVectorized switches columnar (vectorized) execution on or off for
-// this session. On by default; plans are unaffected — the switch picks
-// between columnar and row operators at execution time, per operator.
-func (s *Session) SetVectorized(on bool) {
-	s.mu.Lock()
-	s.set.vectorize = on
-	s.mu.Unlock()
-}
-
-// Vectorized reports whether this session executes columnar.
-func (s *Session) Vectorized() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.set.vectorize
-}
-
-// SetSkipRewrite bypasses the query rewrite phase for this session.
-func (s *Session) SetSkipRewrite(skip bool) {
-	s.mu.Lock()
-	s.set.skipRewrite = skip
-	s.mu.Unlock()
-}
-
-// SetRewriteOptions configures the rewrite engine for this session.
-func (s *Session) SetRewriteOptions(o RewriteOptions) {
-	s.mu.Lock()
-	s.set.rewrite = o
-	s.mu.Unlock()
+	return s.db.newStmt(query, s, s.snapshot())
 }
 
 // ---------------------------------------------------------------------
@@ -326,16 +294,10 @@ func (s *Session) SetRewriteOptions(o RewriteOptions) {
 // Option configures a DB at Open time.
 type Option func(*DB)
 
-// WithParallelism sets the DB-wide default degree of parallelism (see
-// SetParallelism).
-func WithParallelism(n int) Option {
-	return func(db *DB) { db.SetParallelism(n) }
-}
-
-// WithLimits sets the DB-wide default per-statement budgets (see
-// SetLimits).
-func WithLimits(l Limits) Option {
-	return func(db *DB) { db.SetLimits(l) }
+// WithSettings opens the DB under the given Settings (see
+// DB.SetSettings); Open() alone is Open(WithSettings(Settings{})).
+func WithSettings(s Settings) Option {
+	return func(db *DB) { db.SetSettings(s) }
 }
 
 // WithPlanCache enables the shared plan cache, bounded to capacity
@@ -349,24 +311,10 @@ func WithPlanCache(capacity int) Option {
 	}
 }
 
-// WithAudit opens the DB with self-checking compilation armed (see
-// SetAudit).
-func WithAudit(on bool) Option {
-	return func(db *DB) { db.SetAudit(on) }
-}
-
-// WithVectorized sets the DB-wide default for columnar execution (on
-// unless disabled; see Session.SetVectorized).
-func WithVectorized(on bool) Option {
-	return func(db *DB) { db.SetVectorized(on) }
-}
-
-// SetVectorized sets the DB-wide default for columnar (vectorized)
-// execution. On by default: eligible scan, filter, project and
-// aggregate operators run fused per-type kernels over column vectors,
-// falling back to row execution per operator when an expression has no
-// kernel. Plans and results are unaffected.
-func (db *DB) SetVectorized(on bool) { db.vecDisabled.Store(!on) }
-
-// Vectorized reports the DB-wide columnar execution default.
-func (db *DB) Vectorized() bool { return !db.vecDisabled.Load() }
+// Vectorized reports whether eligible scan, filter, project and
+// aggregate operators run fused per-type kernels over column vectors
+// (falling back to row execution per operator when an expression has no
+// kernel). Always true outside this package's own tests, which switch
+// it off to run the row operators as the reference the columnar ones
+// are compared against.
+func (db *DB) Vectorized() bool { return !db.rowExec }

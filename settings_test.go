@@ -1,0 +1,201 @@
+package starburst
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/qgm"
+)
+
+// Test-only shorthands over the one Settings value; none of them is
+// API. handle is whatever holds a Settings: a *DB or a *Session.
+type handle interface {
+	Settings() Settings
+	SetSettings(Settings)
+}
+
+// tune edits a handle's Settings in place.
+func tune(h handle, edit func(*Settings)) {
+	s := h.Settings()
+	edit(&s)
+	h.SetSettings(s)
+}
+
+func setDOP(h handle, n int)             { tune(h, func(s *Settings) { s.Parallelism = n }) }
+func setLimits(h handle, l Limits)       { tune(h, func(s *Settings) { s.Limits = l }) }
+func setTracing(h handle, on bool)       { tune(h, func(s *Settings) { s.Tracing = on }) }
+func setSkipRewrite(h handle, skip bool) { tune(h, func(s *Settings) { s.SkipRewrite = skip }) }
+func setRewriteBudget(h handle, n int)   { tune(h, func(s *Settings) { s.Rewrite.Budget = n }) }
+func setFeedback(h handle, on bool)      { tune(h, func(s *Settings) { s.CardinalityFeedback = on }) }
+
+// autoTx begins an implicit auto-commit transaction for tests that
+// drive the executor directly.
+func autoTx(db *DB) *Tx {
+	return db.beginTx(db.cat.Pin(), nil, true, LevelSnapshot)
+}
+
+// runPlan runs a hand-built plan — one no SQL text compiles to —
+// through the statement core, as a prepared statement already holding
+// it for the current catalog generation.
+func runPlan(db *DB, compiled *plan.Compiled, params map[string]Value) (*Result, error) {
+	st := &Stmt{db: db, query: "hand-built plan", compiled: compiled, kind: "SELECT", gen: db.cat.Version()}
+	return st.Query(context.Background(), params)
+}
+
+// TestZeroSettingsIsDefault: Settings{} is the default configuration —
+// Open() and Open(WithSettings(Settings{})) key the plan cache and list
+// their sessions identically — and a session takes the DB's value at
+// NewSession, unaffected by what the DB is given later.
+func TestZeroSettingsIsDefault(t *testing.T) {
+	const q = `SELECT a FROM t WHERE a > 1`
+	describe := func(db *DB) string {
+		db.MustExec(`CREATE TABLE t (a INT)`, nil)
+		db.NewSession()
+		rows := db.MustExec(`SELECT state, dop, tracing, statements FROM SYS.SESSIONS`, nil).Rows
+		return fmt.Sprint(db.cacheKey(q, db.snapshot()), rows)
+	}
+	bare, zero := describe(Open(WithPlanCache(4))), describe(Open(WithPlanCache(4), WithSettings(Settings{})))
+	if bare != zero {
+		t.Fatalf("Open() and Open(WithSettings(Settings{})) differ:\n%s\n%s", bare, zero)
+	}
+
+	db := Open(WithSettings(Settings{Parallelism: 3, Limits: Limits{MaxRows: 7}}))
+	sess := db.NewSession()
+	inherited := sess.Settings()
+	if !reflect.DeepEqual(inherited, db.Settings()) {
+		t.Fatalf("session did not inherit the DB's settings: %+v vs %+v", inherited, db.Settings())
+	}
+	db.SetSettings(Settings{Tracing: true})
+	if !reflect.DeepEqual(sess.Settings(), inherited) {
+		t.Fatalf("DB.SetSettings reached an open session: %+v", sess.Settings())
+	}
+	if got := db.NewSession().Settings(); !got.Tracing || got.Parallelism != 0 {
+		t.Fatalf("a new session must take the DB's current settings, got %+v", got)
+	}
+}
+
+// TestAuditIsPerStatement: audit mode comes from the statement's
+// Settings, not from engine-wide state. A DBC rule that illegally
+// weakens DISTINCT is caught (as an *AuditError) only for the handle
+// that asked for auditing, and the audited handle never borrows the
+// plan an unaudited one cached for the same text.
+func TestAuditIsPerStatement(t *testing.T) {
+	db := cacheDB(t, 8)
+	if err := db.RegisterRewriteRule(&RewriteRule{
+		Name:  "drop-distinct",
+		Class: "test",
+		Condition: func(ctx *RewriteContext, b *qgm.Box) bool {
+			return b.Kind == qgm.KindSelect && b.Distinct == qgm.EnforceDistinct
+		},
+		Action: func(ctx *RewriteContext, b *qgm.Box) error {
+			b.Distinct = qgm.PermitDuplicates
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT DISTINCT type FROM inventory`
+	plain, audited := db.NewSession(), db.NewSession()
+	audited.SetSettings(Settings{Audit: true})
+	for i := 0; i < 2; i++ { // the second round meets the plan the plain session cached
+		if _, err := plain.Exec(q, nil); err != nil {
+			t.Fatalf("round %d, unaudited: %v", i, err)
+		}
+		_, err := audited.Exec(q, nil)
+		var aerr *AuditError
+		if !errors.As(err, &aerr) || aerr.Rule != "drop-distinct" {
+			t.Fatalf("round %d, audited: want *AuditError naming drop-distinct, got %v", i, err)
+		}
+	}
+	if db.opt.Audit {
+		t.Fatal("a session's audit setting leaked into the optimizer-wide default")
+	}
+}
+
+// TestSettingsSwapUnderLoad: one goroutine keeps replacing the DB's
+// Settings (audit, rewrite bypass, parallelism) while four run cached
+// and uncached statements through DB.Query and through freshly opened
+// sessions, both of which read the DB-level value. Under -race this is
+// the proof that a statement's configuration is one immutable value
+// behind one pointer: no data race, and every result equals the serial
+// answer whichever value the statement happened to load. A session
+// opened before the swapping starts keeps the copy it took.
+func TestSettingsSwapUnderLoad(t *testing.T) {
+	db := cacheDB(t, 64)
+	db.opt.SetParallelThreshold(1)
+	queries := []string{
+		`SELECT type, COUNT(*) FROM inventory GROUP BY type`,
+		`SELECT partno FROM inventory i WHERE i.partno IN
+			(SELECT partno FROM inventory j WHERE j.onhand_qty > 100)`,
+	}
+	for k := 0; k < 24; k++ { // distinct texts: each compiles afresh under every fingerprint
+		queries = append(queries, fmt.Sprintf(`SELECT partno FROM inventory WHERE onhand_qty > %d`, k*10))
+	}
+	want := make([][]string, len(queries))
+	for i, q := range queries {
+		want[i] = sortedRows(db.MustExec(q, nil).Rows)
+	}
+	db.cache.reset()
+
+	early := db.NewSession()
+	earlySet := early.Settings()
+
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var swapper, workers sync.WaitGroup
+	swapper.Add(1)
+	go func() {
+		defer swapper.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.SetSettings(Settings{Audit: i%2 == 0, SkipRewrite: i%3 == 0, Parallelism: 1 + i%4})
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		workers.Add(1)
+		go func(g int) {
+			defer workers.Done()
+			for i := 0; i < 60; i++ {
+				n := (g*7 + i) % len(queries)
+				var res *Result
+				var err error
+				switch i % 3 {
+				case 0:
+					res, err = db.Query(ctx, queries[n], nil)
+				case 1:
+					res, err = db.NewSession().Query(ctx, queries[n], nil)
+				default:
+					n = 0 // the hot, cached statement
+					res, err = db.Query(ctx, queries[n], nil)
+				}
+				if err != nil {
+					t.Errorf("goroutine %d iter %d: %v", g, i, err)
+					return
+				}
+				if got := sortedRows(res.Rows); !reflect.DeepEqual(got, want[n]) {
+					t.Errorf("goroutine %d iter %d: %q = %v, want %v", g, i, queries[n], got, want[n])
+					return
+				}
+			}
+		}(g)
+	}
+	workers.Wait()
+	close(stop)
+	swapper.Wait()
+
+	if !reflect.DeepEqual(early.Settings(), earlySet) {
+		t.Fatalf("a session opened before the swaps changed settings: %+v", early.Settings())
+	}
+	if s := db.PlanCacheStats(); s.Hits == 0 || s.Misses == 0 {
+		t.Fatalf("load must mix cached and uncached statements: %+v", s)
+	}
+}

@@ -135,7 +135,7 @@ type Result struct {
 	// Affected counts rows touched by INSERT/UPDATE/DELETE.
 	Affected int64
 	// Trace is the phase trace, present when tracing is armed (see
-	// DB.SetTracing) or the statement was EXPLAIN ANALYZE.
+	// Settings.Tracing) or the statement was EXPLAIN ANALYZE.
 	Trace *Trace
 }
 
@@ -152,8 +152,8 @@ type Result struct {
 // generation gives it a stable view of the schema while concurrent DDL
 // publishes new generations. Writers conflict first-writer-wins;
 // commits serialize only against each other. Per-client tuning belongs
-// on a Session (see NewSession); the DB-level setters adjust the
-// defaults new snapshots inherit.
+// on a Session (see NewSession); DB.SetSettings adjusts what DB-level
+// statements run under and new sessions inherit.
 type DB struct {
 	cat      *catalog.Catalog
 	rewriter *rewrite.Engine
@@ -184,24 +184,21 @@ type DB struct {
 	openErr error
 	replay  *replayState
 
-	// limits holds the default per-statement execution budgets (see
-	// SetLimits); nil means unlimited.
-	limits atomic.Pointer[exec.Limits]
+	// set is the Settings DB-level statements run under and new sessions
+	// inherit; replaced whole by SetSettings, never nil after Open.
+	set atomic.Pointer[Settings]
 	// faults is the attached fault injector, nil until InjectFaults.
 	faults *storage.FaultInjector
-	// dop is the default degree of parallelism (see SetParallelism in
-	// parallel.go).
-	dop atomic.Int32
+	// parObs is the exec-layer parallelism hooks backed by the metrics
+	// registry; built once at Open, shared by every statement.
+	parObs *exec.ParallelObs
 	// colWidth, when nonzero, overrides the executor's columnar batch
-	// width. Only tests set it, before running statements, so that
-	// faults and refills land on batch boundaries.
+	// width, and rowExec switches columnar execution off so every
+	// operator takes its row fallback — the reference colequiv_test.go
+	// compares the columnar operators against. Only tests set either,
+	// before running statements.
 	colWidth int
-	// vecDisabled switches off columnar (vectorized) execution; stored
-	// inverted so the zero value keeps vectorization on by default (see
-	// SetVectorized in session.go).
-	vecDisabled atomic.Bool
-	// cardFeedback arms the cardinality-feedback loop (see feedback.go).
-	cardFeedback atomic.Bool
+	rowExec  bool
 
 	// obsState holds the observability knobs: metrics registry, phase
 	// tracing, slow-query log (see observe.go).
@@ -217,33 +214,17 @@ type DB struct {
 	// spanExp is the installed statement-trace exporter, nil when span
 	// export is off (see SetSpanExporter).
 	spanExp atomic.Pointer[SpanExporter]
-
-	// Rewrite configures the query rewrite phase; the zero value runs
-	// all rule classes sequentially to fixpoint.
-	Rewrite rewrite.Options
-	// SkipRewrite bypasses the query rewrite phase ("this phase could
-	// be bypassed for faster query compilation at the expense of
-	// potentially lower runtime performance").
-	SkipRewrite bool
-}
-
-// SetAudit toggles self-checking compilation: the rewrite engine runs
-// the deep QGM verifier after every rule firing (returning a structured
-// *rewrite.AuditError naming the offending rule on failure), and the
-// optimizer verifies every chosen plan against the QGM head. Audit mode
-// is slower and intended for DBC rule/STAR development and debugging.
-func (db *DB) SetAudit(on bool) {
-	db.Rewrite.Audit = on
-	db.opt.Audit = on
 }
 
 // Open creates an empty in-memory database with the base rule sets,
 // configured by the given options, e.g.:
 //
 //	db := starburst.Open(
-//		starburst.WithParallelism(4),
 //		starburst.WithPlanCache(256),
-//		starburst.WithLimits(starburst.Limits{MaxRows: 1e6}),
+//		starburst.WithSettings(starburst.Settings{
+//			Parallelism: 4,
+//			Limits:      starburst.Limits{MaxRows: 1e6},
+//		}),
 //	)
 func Open(opts ...Option) *DB {
 	cat := catalog.New()
@@ -255,7 +236,9 @@ func Open(opts ...Option) *DB {
 		mgr:      txn.NewManager(),
 	}
 	db.metrics = obs.NewRegistry()
+	db.parObs = db.newParallelObs()
 	db.waitProf = obs.NewWaitProfile()
+	db.set.Store(&defaultSettings)
 	for _, opt := range opts {
 		opt(db)
 	}
@@ -337,40 +320,55 @@ func (db *DB) RegisterOperator(op string, f BuildFunc) { db.builder.RegisterOper
 // ---------------------------------------------------------------------
 // Statement execution (Figure 1)
 
-// Query parses, compiles and executes one statement under ctx; it is
-// the context-first core every other execution entry point wraps. The
+// Query parses, compiles and executes one statement under ctx. The
 // statement runs inside an implicit auto-commit transaction: committed
 // when it succeeds, rolled back when it fails. Params bind host
 // language variables (":name" references). Cancelling ctx aborts the
 // statement at the next tuple boundary. Errors are reported as
 // *QueryError.
 func (db *DB) Query(ctx context.Context, query string, params map[string]Value) (*Result, error) {
-	return db.query(ctx, query, params, db.snapshot(), nil, nil)
+	return db.query(ctx, query, nil, false, params, db.snapshot(), nil, nil)
 }
 
 // Exec is Query under context.Background(), kept as the short form for
 // examples, tests and non-cancellable callers.
 func (db *DB) Exec(query string, params map[string]Value) (*Result, error) {
-	return db.query(context.Background(), query, params, db.snapshot(), nil, nil)
+	return db.Query(context.Background(), query, params)
 }
 
-// query is the single statement core: every public execution entry
-// point (DB.Query/Exec/ExecContext, Session.Query/Exec, Tx.Query/Exec,
-// the database/sql driver) lands here with a settings snapshot. It
+// query is the single statement core: every public entry point
+// (DB/Session/Tx.Query and .Exec, Stmt.Query, both Prepares, the
+// database/sql driver) lands here with its handle's Settings. It
 // carries the panic barrier, the error-wrapping barrier, the phase
-// marker, the observation record, the plan-cache fast path, and the
-// transaction funnel: tx is the explicit transaction to run inside
-// (nil for auto-commit, where the core begins and finishes an implicit
-// one), and sess — when the statement came through a session — handles
-// the SQL transaction-control statements. Defer order matters: observe
-// is registered first so it runs last; the recover barrier (registered
-// last) runs first and converts any panic into err, so the implicit
-// transaction's auto-finish defer sees panics as errors and rolls
-// back.
-func (db *DB) query(goCtx context.Context, query string, params map[string]Value, set settings, sess *Session, tx *Tx) (res *Result, err error) {
+// marker, the observation record, the plan lookup-or-compile step, and
+// the transaction funnel.
+//
+// The statement source is its SQL text plus, for a prepared statement,
+// the handle st: st's private plan slot is consulted by the same
+// "valid at the pinned catalog generation?" step as the shared plan
+// cache, ahead of it, and filled by the same store step. compileOnly
+// (Prepare) stops after that step: the paper's fork in time —
+// "compilation and execution may be separated in time" (section 3) — is
+// this one flag, not a second path.
+//
+// tx is the explicit transaction to run inside (nil for auto-commit,
+// where the core begins and finishes an implicit one), and sess — when
+// the statement came through a session — handles the SQL
+// transaction-control statements. Lock order: a caller inside a
+// transaction holds tx.mu (Tx.run) before the admin latch taken here.
+// Defer order matters: observe is registered first so it runs last; the
+// recover barrier (registered last) runs first and converts any panic
+// into err, so the implicit transaction's auto-finish defer sees panics
+// as errors and rolls back.
+func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly bool, params map[string]Value,
+	set *Settings, sess *Session, tx *Tx) (res *Result, err error) {
 	phase := "parse"
-	o := &observation{query: query, kind: "INVALID", start: time.Now(), waits: obs.NewWaitSet()}
-	defer func() { db.observe(o, phase, err) }()
+	o := &observation{query: query, kind: "INVALID", start: time.Now(), waits: obs.NewWaitSet(), set: set}
+	defer func() {
+		if !compileOnly {
+			db.observe(o, phase, err)
+		}
+	}()
 	defer func() {
 		if err != nil && errors.Is(err, ErrWriteConflict) {
 			db.waitProf.Record(obs.WaitTxnConflict, 0)
@@ -384,28 +382,36 @@ func (db *DB) query(goCtx context.Context, query string, params map[string]Value
 	}
 
 	var tr *obs.Trace
-	if set.tracing || db.slowNanos.Load() > 0 || db.spanExp.Load() != nil {
+	if !compileOnly && (set.Tracing || db.slowNanos.Load() > 0 || db.spanExp.Load() != nil) {
 		tr = obs.NewTrace()
 	}
 
 	db.lockAdminShared(o.waits)
 	defer db.adminMu.RUnlock()
 
+	// cat is the catalog generation the whole statement reads: the open
+	// transaction's, or one pinned here and handed to whichever
+	// transaction ensureTx begins, so the schema cannot move under a
+	// plan the lookup below validated against it.
+	var cat *catalog.Catalog
+	if tx != nil {
+		cat = tx.cat
+	} else {
+		cat = db.cat.Pin()
+	}
 	// auto marks an implicit transaction this statement owns: begun by
-	// ensureTx below, committed or rolled back by the finishAuto defer.
-	// An explicit transaction (tx != nil on entry, or lazily begun on
-	// an autocommit-off session) outlives the statement.
+	// ensureTx, committed or rolled back by the finishAuto defer. An
+	// explicit transaction (tx != nil on entry, or lazily begun on an
+	// autocommit-off session) outlives the statement.
 	auto := false
-	ensureTx := func() error {
+	ensureTx := func() (berr error) {
 		if tx == nil {
 			if sess != nil && !sess.Autocommit() {
-				var berr error
-				if tx, berr = sess.beginLazy(goCtx); berr != nil {
+				if tx, berr = sess.beginLazy(goCtx, cat); berr != nil {
 					return berr
 				}
 			} else {
-				tx = db.autoTx()
-				auto = true
+				tx, auto = db.beginTx(cat, nil, true, LevelSnapshot), true
 			}
 		}
 		tx.stmtStart()
@@ -418,120 +424,118 @@ func (db *DB) query(goCtx context.Context, query string, params map[string]Value
 	}()
 	defer recoverQueryError(&phase, &err)
 
-	// Plan-cache fast path: a hit skips parse, rewrite and optimize
-	// entirely. The entry is validated against a pinned catalog
-	// generation — the open transaction's, or one pinned here and
-	// handed to the implicit transaction on a hit — which cannot move
-	// under the running plan. Only cacheable kinds (DML) live in the
-	// cache, so a hit never preempts transaction-control or DDL
-	// handling below; an autocommit-off session between transactions
-	// skips the fast path so its lazy BEGIN goes through the full path.
-	if db.cache != nil && (tx != nil || sess == nil || sess.Autocommit()) {
-		key := db.cacheKey(query, set)
-		cat := db.cat.Pin()
-		if tx != nil {
-			cat = tx.cat
-		}
+	// Lookup: a plan valid at cat's generation skips parse, rewrite and
+	// optimize entirely — the prepared handle's own, else the shared
+	// cache's. Only cacheable kinds (DML) are ever stored, so a hit
+	// never preempts the transaction-control or DDL handling below.
+	compiled, kind := st.plan(cat.Version())
+	held := compiled != nil // the handle's own plan: nothing to store back
+	var key string
+	if compiled == nil && db.cache != nil {
+		key = db.cacheKey(query, set)
 		if e, ok := db.cache.get(key, cat.Version()); ok {
-			if tx == nil {
-				tx = db.autoTxOn(cat)
-				auto = true
-			}
-			tx.stmtStart()
-			o.kind, o.root, o.trace = e.kind, e.compiled.Root, tr
+			compiled, kind = e.compiled, e.kind
 			o.cacheHit = true
 			if tr != nil {
 				tr.PlanCacheHit = true
 			}
-			phase = "exec"
-			return db.finishRun(goCtx, e.compiled, params, tr, o, set, tx)
 		}
 	}
-
-	t0 := time.Now()
-	stmt, err := sql.Parse(query)
-	tr.AddPhase(obs.PhaseParse, time.Since(t0))
-	if err != nil {
-		return nil, err
-	}
-	o.kind = stmtKind(stmt)
-	switch s := stmt.(type) {
-	case *sql.BeginStmt:
-		if tx != nil {
-			return nil, fmt.Errorf("starburst: transaction already in progress (nested transactions are not supported)")
-		}
-		if sess == nil {
-			return nil, fmt.Errorf("starburst: BEGIN requires a session or transaction handle (use DB.NewSession or DB.Begin)")
-		}
-		if _, err := sess.Begin(goCtx); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *sql.CommitStmt:
-		if tx == nil {
-			return nil, fmt.Errorf("starburst: no transaction in progress")
-		}
-		phase = "commit"
-		return &Result{}, tx.finish(true, o.waits)
-	case *sql.RollbackStmt:
-		if tx == nil {
-			return nil, fmt.Errorf("starburst: no transaction in progress")
-		}
-		phase = "rollback"
-		return &Result{}, tx.finish(false, o.waits)
-	case *sql.ExplainStmt:
-		if err := ensureTx(); err != nil {
-			return nil, err
-		}
-		if s.Analyze {
-			if tr == nil {
-				tr = obs.NewTrace() // ANALYZE always reports phase times
-			}
-			o.trace = tr
-			return db.explainAnalyze(goCtx, s.Stmt, &phase, params, tr, o, set, tx)
-		}
-		text, err := db.explain(tx.cat, s.Stmt, &phase, set)
+	var stmt sql.Statement
+	var explain *strings.Builder // non-nil for plain EXPLAIN
+	analyze := false             // EXPLAIN ANALYZE
+	if compiled != nil {
+		o.kind = kind
+	} else {
+		t0 := time.Now()
+		stmt, err = sql.Parse(query)
+		tr.AddPhase(obs.PhaseParse, time.Since(t0))
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{Columns: []string{"PLAN"}}
-		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-			res.Rows = append(res.Rows, Row{datum.NewString(line)})
+		o.kind = stmtKind(stmt)
+		if compileOnly && !cacheableKind(o.kind) {
+			return nil, fmt.Errorf("starburst: cannot prepare %s: only SELECT, INSERT, UPDATE and DELETE compile to a plan", o.kind)
 		}
-		return res, nil
-	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.CreateViewStmt,
-		*sql.DropStmt, *sql.AnalyzeStmt:
-		// DDL auto-commits: it runs outside the MVCC transaction, as an
-		// atomic copy-on-write catalog-generation swap whose version
-		// bump invalidates affected plan-cache entries lazily. Readers
-		// holding older pinned generations are never blocked. Inside an
-		// explicit transaction DDL is rejected — its effects could not
-		// roll back with the transaction.
-		phase = "ddl"
-		if tx != nil {
-			return nil, fmt.Errorf("starburst: %s cannot run inside a transaction (DDL auto-commits)", o.kind)
+		switch s := stmt.(type) {
+		case *sql.BeginStmt:
+			if tx != nil {
+				return nil, fmt.Errorf("starburst: transaction already in progress (nested transactions are not supported)")
+			}
+			if sess == nil {
+				return nil, fmt.Errorf("starburst: BEGIN requires a session or transaction handle (use DB.NewSession or DB.Begin)")
+			}
+			if _, err := sess.Begin(goCtx); err != nil {
+				return nil, err
+			}
+			return &Result{}, nil
+		case *sql.CommitStmt:
+			if tx == nil {
+				return nil, fmt.Errorf("starburst: no transaction in progress")
+			}
+			phase = "commit"
+			return &Result{}, tx.finish(true, o.waits)
+		case *sql.RollbackStmt:
+			if tx == nil {
+				return nil, fmt.Errorf("starburst: no transaction in progress")
+			}
+			phase = "rollback"
+			return &Result{}, tx.finish(false, o.waits)
+		case *sql.ExplainStmt:
+			// EXPLAIN compiles its inner statement like any other; plain
+			// EXPLAIN renders what compile records, ANALYZE goes on to run.
+			stmt = s.Stmt
+			if analyze = s.Analyze; !analyze {
+				explain = &strings.Builder{}
+			} else if tr == nil {
+				tr = obs.NewTrace() // ANALYZE always reports phase times
+			}
+		case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.CreateViewStmt,
+			*sql.DropStmt, *sql.AnalyzeStmt:
+			// DDL auto-commits: it runs outside the MVCC transaction, as an
+			// atomic copy-on-write catalog-generation swap whose version
+			// bump invalidates affected plan-cache entries lazily. Readers
+			// holding older pinned generations are never blocked. Inside an
+			// explicit transaction DDL is rejected — its effects could not
+			// roll back with the transaction.
+			phase = "ddl"
+			if tx != nil {
+				return nil, fmt.Errorf("starburst: %s cannot run inside a transaction (DDL auto-commits)", o.kind)
+			}
+			return db.execDDLDurable(stmt, query)
 		}
-		return db.execDDLDurable(stmt, query)
 	}
-	if err := ensureTx(); err != nil {
-		return nil, err
+	// From here on the statement is one that compiles to a plan and,
+	// unless this is Prepare, runs it inside a transaction over cat.
+	if !compileOnly {
+		if err := ensureTx(); err != nil {
+			return nil, err
+		}
 	}
-	compiled, err := db.compile(tx.cat, stmt, &phase, tr, set)
-	if err != nil {
-		return nil, err
+	if compiled == nil {
+		if compiled, err = db.compile(cat, stmt, &phase, tr, set, explain); err != nil {
+			return nil, err
+		}
+		if explain != nil {
+			return linesResult("PLAN", explain.String()), nil
+		}
+		if db.cache != nil && cacheableKind(o.kind) {
+			db.cache.miss()
+			db.cache.put(&cacheEntry{key: key, compiled: compiled, kind: o.kind, gen: cat.Version()})
+		}
 	}
-	if db.cache != nil && cacheableKind(o.kind) {
-		db.cache.miss()
-		db.cache.put(&cacheEntry{
-			key:      db.cacheKey(query, set),
-			compiled: compiled,
-			kind:     o.kind,
-			gen:      tx.cat.Version(),
-		})
+	if !held {
+		st.store(compiled, o.kind, cat.Version())
+	}
+	if compileOnly {
+		return nil, nil
 	}
 	o.trace, o.root = tr, compiled.Root
 	phase = "exec"
-	return db.finishRun(goCtx, compiled, params, tr, o, set, tx)
+	if analyze {
+		return db.explainAnalyze(goCtx, compiled, params, tr, o, tx)
+	}
+	return db.runObserved(goCtx, compiled, params, tr, o, tx, false)
 }
 
 // cacheableKind reports whether plans of this statement kind are worth
@@ -545,195 +549,91 @@ func cacheableKind(kind string) bool {
 	return false
 }
 
-// finishRun executes a compiled plan and finishes the statement: it
-// records instrumentation on the observation and attaches the trace to
-// the result when the session asked for one.
-// starburst:locks db.adminMu:read
-func (db *DB) finishRun(goCtx context.Context, compiled *plan.Compiled, params map[string]Value,
-	tr *obs.Trace, o *observation, set settings, tx *Tx) (*Result, error) {
-	res, instr, err := db.runObserved(goCtx, compiled, params, tr, false, set, o.waits, tx)
-	o.instr = instr
-	if err != nil {
-		return nil, err
+// linesResult renders multi-line text as a one-column result, one row
+// per line (EXPLAIN and EXPLAIN ANALYZE output).
+func linesResult(column, text string) *Result {
+	res := &Result{Columns: []string{column}}
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		res.Rows = append(res.Rows, Row{NewString(line)})
 	}
-	o.rows = res.Affected
-	if o.rows == 0 {
-		o.rows = int64(len(res.Rows))
-	}
-	if set.tracing {
-		res.Trace = tr
-	}
-	return res, nil
+	return res
 }
 
 // Stmt is a compiled statement; compilation and execution "may be
 // separated in time, since the result of the compilation stage can be
-// stored for future use" (section 3).
+// stored for future use" (section 3). It is a handle on the statement
+// core, not a second way through it: running it is running its text
+// with a plan already in hand.
 type Stmt struct {
-	db    *DB
+	db *DB
+	// sess is the owning session for Session.Prepare statements, nil
+	// for DB-level ones. Each run re-reads the owner's Settings and, on a
+	// session, joins its open transaction — exactly like an ad-hoc
+	// statement on the same handle.
+	sess  *Session
 	query string
-	kind  string
-	// compiled is valid for catalog generation gen only; planFor
-	// recompiles it when the statement runs against another one. mu
-	// guards the pair (a DB-level Stmt may be shared by goroutines).
+	// The plan slot: compiled is valid for catalog generation gen only;
+	// the statement core recompiles it when the statement runs against
+	// another one (DDL since may have dropped an index the plan probes
+	// or replaced the table it scans). mu guards the slot — a DB-level
+	// Stmt may be shared by goroutines.
 	mu       sync.Mutex
 	compiled *plan.Compiled
+	kind     string
 	gen      int64
-	// snap re-reads the owning DB's or Session's settings per run, so a
-	// prepared statement follows later setting changes like an ad-hoc
-	// statement would.
-	snap func() settings
-	// sess is the owning session for Session.Prepare statements, nil
-	// for DB-level ones. A session-prepared statement runs inside the
-	// session's open transaction, exactly like an ad-hoc statement.
-	sess *Session
 }
 
 // Prepare compiles a DML statement for repeated execution under the
-// DB's default settings; Session.Prepare is the session-scoped twin.
+// DB's settings; Session.Prepare is the session-scoped twin. It consults
+// (and fills) the plan cache, so re-preparing a statement another
+// session already compiled is a cache hit.
 func (db *DB) Prepare(query string) (*Stmt, error) {
-	return db.prepare(db.cat.Pin(), query, db.snapshot)
+	return db.newStmt(query, nil, db.snapshot())
 }
 
-// prepare is the compilation core behind DB.Prepare, Session.Prepare
-// and the recompilation of a stale Stmt, against the pinned catalog
-// generation cat. It consults (and fills) the plan cache, so
-// re-preparing a statement another session already compiled is a cache
-// hit.
-func (db *DB) prepare(cat *catalog.Catalog, query string, snap func() settings) (st *Stmt, err error) {
-	set := snap()
-	phase := "parse"
-	defer func() { err = wrapQueryError(phase, err) }()
-	defer recoverQueryError(&phase, &err)
-	if db.openErr != nil {
-		phase = "open"
-		return nil, db.openErr
-	}
-	stmt, err := sql.Parse(query)
-	if err != nil {
+// newStmt runs the statement core's lookup-or-compile step, and nothing
+// after it, into a fresh handle owned by sess (nil: the DB).
+func (db *DB) newStmt(query string, sess *Session, set *Settings) (*Stmt, error) {
+	st := &Stmt{db: db, sess: sess, query: query}
+	if _, err := db.query(context.Background(), query, st, true, nil, set, nil, nil); err != nil {
 		return nil, err
 	}
-	kind := stmtKind(stmt)
-	var key string
-	if db.cache != nil && cacheableKind(kind) {
-		key = db.cacheKey(query, set)
-		if e, ok := db.cache.get(key, cat.Version()); ok {
-			return &Stmt{db: db, compiled: e.compiled, gen: cat.Version(), query: query, kind: kind, snap: snap}, nil
-		}
-	}
-	compiled, err := db.compile(cat, stmt, &phase, nil, set)
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		db.cache.miss()
-		db.cache.put(&cacheEntry{key: key, compiled: compiled, kind: kind, gen: cat.Version()})
-	}
-	return &Stmt{db: db, compiled: compiled, gen: cat.Version(), query: query, kind: kind, snap: snap}, nil
+	return st, nil
 }
 
-// planFor returns the statement's plan for the catalog generation the
-// running transaction pinned, recompiling when the plan was compiled
-// against another one — the plan cache's validity check, applied to the
-// plan a Stmt holds: DDL since may have dropped an index the plan
-// probes or replaced the table it scans.
-func (s *Stmt) planFor(cat *catalog.Catalog) (*plan.Compiled, error) {
+// plan returns the handle's plan and statement kind if it holds one
+// compiled against catalog generation gen. Nil-safe: an ad-hoc
+// statement has no handle and never a private plan.
+func (s *Stmt) plan(gen int64) (*plan.Compiled, string) {
+	if s == nil {
+		return nil, ""
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gen != cat.Version() {
-		st, err := s.db.prepare(cat, s.query, s.snap)
-		if err != nil {
-			return nil, err
-		}
-		s.compiled, s.gen = st.compiled, st.gen
+	if s.gen != gen {
+		return nil, ""
 	}
-	return s.compiled, nil
+	return s.compiled, s.kind
+}
+
+// store fills the plan slot (nil-safe, like plan).
+func (s *Stmt) store(compiled *plan.Compiled, kind string, gen int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.compiled, s.kind, s.gen = compiled, kind, gen
+	s.mu.Unlock()
 }
 
 // Query executes the prepared statement under ctx with the given
-// parameter bindings; it is the context-first core Run and RunContext
-// wrap. Settings are re-snapshotted from the preparing DB or Session on
-// every call.
-func (s *Stmt) Query(goCtx context.Context, params map[string]Value) (res *Result, err error) {
-	db := s.db
-	set := s.snap()
-	phase := "exec"
-	o := &observation{query: s.query, kind: s.kind, start: time.Now(), waits: obs.NewWaitSet()}
-	defer func() { db.observe(o, phase, err) }()
-	defer func() {
-		if err != nil && errors.Is(err, ErrWriteConflict) {
-			db.waitProf.Record(obs.WaitTxnConflict, 0)
-			o.waits.Record(obs.WaitTxnConflict, 0)
-		}
-		err = wrapQueryError(phase, err)
-	}()
-	if db.openErr != nil {
-		phase = "open"
-		return nil, db.openErr
-	}
-	var tr *obs.Trace
-	if set.tracing || db.slowNanos.Load() > 0 || db.spanExp.Load() != nil {
-		tr = obs.NewTrace()
-		o.trace = tr
-	}
-	// Resolve the transaction before the admin latch: transaction entry
-	// points acquire tx.mu before the latch, and this path must match
-	// that order.
-	var tx *Tx
+// parameter bindings, through the owning handle: a session's statement
+// resolves its transaction like Session.Query does.
+func (s *Stmt) Query(ctx context.Context, params map[string]Value) (*Result, error) {
 	if s.sess != nil {
-		tx = s.sess.openTx()
-		if tx == nil && !s.sess.Autocommit() {
-			var berr error
-			if tx, berr = s.sess.beginLazy(goCtx); berr != nil {
-				return nil, berr
-			}
-		}
+		return s.sess.run(ctx, s.query, s, params)
 	}
-	if tx != nil {
-		// Inside the session's open transaction: the statement joins
-		// it; a failure rolls back the statement, not the transaction.
-		tx.mu.Lock()
-		defer tx.mu.Unlock()
-		if tx.done {
-			return nil, ErrTxDone
-		}
-		db.lockAdminShared(o.waits)
-		defer db.adminMu.RUnlock()
-		compiled, perr := s.planFor(tx.cat)
-		if perr != nil {
-			return nil, perr
-		}
-		o.root = compiled.Root
-		tx.stmtStart()
-		defer recoverQueryError(&phase, &err)
-		return db.finishRun(goCtx, compiled, params, tr, o, set, tx)
-	}
-	db.lockAdminShared(o.waits)
-	defer db.adminMu.RUnlock()
-	// A prepared statement runs inside an implicit auto-commit
-	// transaction, exactly like an ad-hoc one, over the generation its
-	// plan is validated against.
-	cat := db.cat.Pin()
-	compiled, perr := s.planFor(cat)
-	if perr != nil {
-		return nil, perr
-	}
-	o.root = compiled.Root
-	tx = db.autoTxOn(cat)
-	tx.stmtStart()
-	defer func() { err = db.finishAuto(tx, err, o.waits) }()
-	defer recoverQueryError(&phase, &err)
-	return db.finishRun(goCtx, compiled, params, tr, o, set, tx)
-}
-
-// Run executes a prepared statement with the given parameter bindings.
-func (s *Stmt) Run(params map[string]Value) (*Result, error) {
-	return s.Query(context.Background(), params)
-}
-
-// RunContext is Run under a cancellation context.
-func (s *Stmt) RunContext(goCtx context.Context, params map[string]Value) (*Result, error) {
-	return s.Query(goCtx, params)
+	return s.db.query(ctx, s.query, s, false, params, s.db.snapshot(), nil, nil)
 }
 
 // Plan renders the prepared statement's QEP as last compiled.
@@ -746,21 +646,26 @@ func (s *Stmt) Plan() string {
 // compile drives the compile-time phases: translation to QGM, query
 // rewrite, plan optimization (and, inside the executor, plan
 // refinement). phase marks progress for the panic barrier; tr (nil-safe)
-// collects per-phase wall time and rule/STAR firing counts.
-// It compiles against cat, the calling transaction's pinned catalog
-// generation.
+// collects per-phase wall time and rule/STAR firing counts; explain,
+// non-nil only for EXPLAIN <stmt>, collects what that renders: the QGM
+// after translation, the rewrite trace, the rewritten QGM, and the
+// chosen plan. It compiles against cat, the calling statement's pinned
+// catalog generation.
 // starburst:locks db.adminMu:read
-func (db *DB) compile(cat *catalog.Catalog, stmt sql.Statement, phase *string, tr *obs.Trace, set settings) (*plan.Compiled, error) {
+func (db *DB) compile(cat *catalog.Catalog, stmt sql.Statement, phase *string, tr *obs.Trace, set *Settings, explain *strings.Builder) (*plan.Compiled, error) {
 	t0 := time.Now()
 	g, err := qgm.TranslateStatement(cat, stmt)
 	tr.AddPhase(obs.PhaseParse, time.Since(t0)) // semantic analysis counts as parsing
 	if err != nil {
 		return nil, err
 	}
-	if !set.skipRewrite {
+	if explain != nil {
+		explain.WriteString("=== QGM (after parsing & semantic analysis) ===\n" + g.String())
+	}
+	if !set.SkipRewrite {
 		*phase = "rewrite"
 		t0 = time.Now()
-		trace, err := db.rewriter.Rewrite(g, set.rewrite)
+		trace, err := db.rewriter.Rewrite(g, set.rewriteOptions())
 		tr.AddPhase(obs.PhaseRewrite, time.Since(t0))
 		if err != nil {
 			return nil, err
@@ -770,65 +675,25 @@ func (db *DB) compile(cat *catalog.Catalog, stmt sql.Statement, phase *string, t
 				tr.RuleFirings[rule] += n
 			}
 		}
+		if explain != nil {
+			explain.WriteString("=== Query rewrite ===\n")
+			if len(trace) == 0 {
+				explain.WriteString("(no rules fired)\n")
+			}
+			for _, f := range trace {
+				fmt.Fprintf(explain, "rule %s fired on box %d\n", f.Rule, f.Box)
+			}
+			explain.WriteString("=== QGM (after rewrite) ===\n" + g.String())
+		}
 	}
 	*phase = "optimize"
 	t0 = time.Now()
-	compiled, err := db.opt.OptimizeConfig(g, tr, optimizer.Config{DOP: set.dop})
+	compiled, err := db.opt.OptimizeConfig(g, tr, set.optimizerConfig())
 	tr.AddPhase(obs.PhaseOptimize, time.Since(t0))
+	if err == nil && explain != nil {
+		explain.WriteString("=== Query evaluation plan ===\n" + compiled.Root.String())
+	}
 	return compiled, err
-}
-
-// run refines and interprets a compiled plan under the DB's default
-// settings and the caller's cancellation context (see runObserved in
-// observe.go for the full path; run is the untraced shorthand, wrapping
-// the plan in an implicit auto-commit transaction).
-func (db *DB) run(goCtx context.Context, compiled *plan.Compiled, params map[string]Value) (res *Result, err error) {
-	db.adminMu.RLock()
-	defer db.adminMu.RUnlock()
-	tx := db.autoTx()
-	tx.stmtStart()
-	defer func() { err = db.finishAuto(tx, err, nil) }()
-	res, _, err = db.runObserved(goCtx, compiled, params, nil, false, db.snapshot(), nil, tx)
-	return res, err
-}
-
-// explain renders the compilation phases for EXPLAIN <stmt>: the QGM
-// after translation, the rewrite trace, the rewritten QGM, and the
-// chosen plan. cat is the calling transaction's pinned catalog
-// generation.
-// starburst:locks db.adminMu:read
-func (db *DB) explain(cat *catalog.Catalog, stmt sql.Statement, phase *string, set settings) (string, error) {
-	var b strings.Builder
-	g, err := qgm.TranslateStatement(cat, stmt)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("=== QGM (after parsing & semantic analysis) ===\n")
-	b.WriteString(g.String())
-	if !set.skipRewrite {
-		*phase = "rewrite"
-		trace, err := db.rewriter.Rewrite(g, set.rewrite)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString("=== Query rewrite ===\n")
-		if len(trace) == 0 {
-			b.WriteString("(no rules fired)\n")
-		}
-		for _, f := range trace {
-			fmt.Fprintf(&b, "rule %s fired on box %d\n", f.Rule, f.Box)
-		}
-		b.WriteString("=== QGM (after rewrite) ===\n")
-		b.WriteString(g.String())
-	}
-	*phase = "optimize"
-	compiled, err := db.opt.OptimizeConfig(g, nil, optimizer.Config{DOP: set.dop})
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("=== Query evaluation plan ===\n")
-	b.WriteString(compiled.Root.String())
-	return b.String(), nil
 }
 
 // execDDL performs data definition against the live catalog. Each

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/expr"
+	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/rewrite"
 	"repro/internal/sql"
@@ -117,7 +118,7 @@ func TestPaperQuerySameResultWithRewriteVariants(t *testing.T) {
 		return sortedInts(intsOf(t, mustExec(t, db, q), 0))
 	}
 	base := get(func(db *DB) {})
-	noRewrite := get(func(db *DB) { db.SkipRewrite = true })
+	noRewrite := get(func(db *DB) { setSkipRewrite(db, true) })
 	withIndex := get(func(db *DB) {
 		mustExec(t, db, "CREATE UNIQUE INDEX inv_pk ON inventory (partno)")
 	})
@@ -556,14 +557,14 @@ func TestPreparedStatements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stmt.Run(map[string]Value{"q": NewInt(30)})
+	res, err := stmt.Query(context.Background(), map[string]Value{"q": NewInt(30)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !eqInts(intsOf(t, res, 0), []int64{7, 8}) {
 		t.Fatalf("prepared run 1 = %v", intsOf(t, res, 0))
 	}
-	res, err = stmt.Run(map[string]Value{"q": NewInt(35)})
+	res, err = stmt.Query(context.Background(), map[string]Value{"q": NewInt(35)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -837,7 +838,7 @@ func TestRuntimeChoose(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := db.opt.Optimize(g)
+	compiled, err := db.opt.OptimizeConfig(g, nil, optimizer.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -845,7 +846,7 @@ func TestRuntimeChoose(t *testing.T) {
 		t.Fatalf("runtime CHOOSE must survive optimization:\n%s", compiled.Root)
 	}
 	run := func(want string) int {
-		res, err := db.run(context.Background(), compiled, map[string]Value{"want": NewString(want)})
+		res, err := runPlan(db, compiled, map[string]Value{"want": NewString(want)})
 		if err != nil {
 			t.Fatal(err)
 		}

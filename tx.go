@@ -96,8 +96,6 @@ type Tx struct {
 	cat *catalog.Catalog
 	// ts carries the transaction identity, snapshot and write log.
 	ts *catalog.TxnState
-	// snapSet re-reads the owning handle's settings per statement.
-	snapSet func() settings
 	// durable is the commit hook run under the commit mutex while the
 	// outcome is still invisible (WAL transaction commit + fsync); nil
 	// for in-memory databases.
@@ -108,57 +106,48 @@ type Tx struct {
 }
 
 // beginTx is the single transaction constructor behind DB.Begin,
-// Session.Begin and the SQL BEGIN statement.
-func (db *DB) beginTx(goCtx context.Context, snapSet func() settings, sess *Session, implicit bool, opts ...TxOption) (*Tx, error) {
-	if db.openErr != nil {
-		return nil, db.openErr
-	}
-	if goCtx != nil {
-		if err := goCtx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	cfg := txConfig{iso: LevelSnapshot}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// Session.Begin, the SQL BEGIN statement and the implicit auto-commit
+// transaction the statement core wraps around a standalone statement.
+// cat is the catalog generation the transaction reads: the statement
+// core validates a plan against a generation before it knows whether it
+// needs a transaction, and the transaction must read that same one.
+func (db *DB) beginTx(cat *catalog.Catalog, sess *Session, implicit bool, iso IsolationLevel) *Tx {
 	tx := &Tx{
-		db:      db,
-		sess:    sess,
-		iso:     cfg.iso,
-		cat:     db.cat.Pin(),
-		ts:      catalog.NewTxnState(db.mgr.Begin(implicit)),
-		snapSet: snapSet,
-	}
-	tx.durable = db.txnDurableHook(tx)
-	return tx, nil
-}
-
-// autoTx wraps one statement in an implicit auto-commit transaction.
-// The statement core owns its lifecycle: commit on success, roll back
-// on error.
-func (db *DB) autoTx() *Tx { return db.autoTxOn(db.cat.Pin()) }
-
-// autoTxOn is autoTx over an already-pinned catalog generation: the
-// plan-cache fast path validates its entry against a generation before
-// it knows whether it needs a transaction, and the transaction must
-// read the same generation the plan was validated against.
-func (db *DB) autoTxOn(cat *catalog.Catalog) *Tx {
-	tx := &Tx{
-		db:  db,
-		iso: LevelSnapshot,
-		cat: cat,
-		ts:  catalog.NewTxnState(db.mgr.Begin(true)),
+		db:   db,
+		sess: sess,
+		iso:  iso,
+		cat:  cat,
+		ts:   catalog.NewTxnState(db.mgr.Begin(implicit)),
 	}
 	tx.durable = db.txnDurableHook(tx)
 	return tx
 }
 
-// Begin opens an explicit transaction on the DB's default settings.
-// The returned Tx must be ended with Commit or Rollback; until then its
+// begin opens an explicit transaction for a caller outside the
+// statement core, which has not yet checked that the database opened
+// and that ctx is live. A nil cat pins the current generation.
+func (db *DB) begin(ctx context.Context, cat *catalog.Catalog, sess *Session, opts ...TxOption) (*Tx, error) {
+	if db.openErr != nil {
+		return nil, db.openErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cfg := txConfig{iso: LevelSnapshot}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cat == nil {
+		cat = db.cat.Pin()
+	}
+	return db.beginTx(cat, sess, false, cfg.iso), nil
+}
+
+// Begin opens an explicit transaction on the DB's settings. The
+// returned Tx must be ended with Commit or Rollback; until then its
 // statements all run against the snapshot captured here.
 func (db *DB) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
-	return db.beginTx(ctx, db.snapshot, nil, false, opts...)
+	return db.begin(ctx, nil, nil, opts...)
 }
 
 // ID reports the transaction identifier (as shown by SYS.TRANSACTIONS).
@@ -167,10 +156,10 @@ func (tx *Tx) ID() int64 { return tx.ts.Txn.ID }
 // Isolation reports the transaction's isolation level.
 func (tx *Tx) Isolation() IsolationLevel { return tx.iso }
 
-// settings snapshots the owning handle's settings for one statement.
-func (tx *Tx) settings() settings {
-	if tx.snapSet != nil {
-		return tx.snapSet()
+// settings loads the owning handle's settings for one statement.
+func (tx *Tx) settings() *Settings {
+	if tx.sess != nil {
+		return tx.sess.snapshot()
 	}
 	return tx.db.snapshot()
 }
@@ -205,23 +194,25 @@ func (tx *Tx) walTxn() int64 {
 // transaction. A failed statement rolls back its own effects but
 // leaves the transaction open and usable.
 func (tx *Tx) Query(ctx context.Context, query string, params map[string]Value) (*Result, error) {
-	return tx.run(ctx, query, params, tx.settings())
+	return tx.run(ctx, query, nil, params)
 }
 
 // Exec is Query under context.Background().
 func (tx *Tx) Exec(query string, params map[string]Value) (*Result, error) {
-	return tx.run(context.Background(), query, params, tx.settings())
+	return tx.Query(context.Background(), query, params)
 }
 
 // run serializes the transaction's statements and funnels them into
-// the DB statement core.
-func (tx *Tx) run(goCtx context.Context, query string, params map[string]Value, set settings) (*Result, error) {
+// the DB statement core. It is where the lock order of every statement
+// inside a transaction is fixed: tx.mu first, then (in the core) the
+// admin latch.
+func (tx *Tx) run(goCtx context.Context, query string, st *Stmt, params map[string]Value) (*Result, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	return tx.db.query(goCtx, query, params, set, tx.sess, tx)
+	return tx.db.query(goCtx, query, st, false, params, tx.settings(), tx.sess, tx)
 }
 
 // Commit publishes the transaction's writes atomically: the commit
