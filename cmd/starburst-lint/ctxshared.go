@@ -27,7 +27,7 @@ var ctxSharedFields = map[string]bool{
 	"SubqHits":   true,
 	"SubqMisses": true,
 	"Rollbacks":  true,
-	"corr":       true,
+	"ec":         true,
 	"rec":        true,
 }
 
@@ -49,6 +49,8 @@ var ctxSerialReceivers = map[string]bool{
 // rollback path, reached only from the serial DML operators).
 var ctxSerialFuncs = map[string]bool{
 	"rollback": true,
+	// The constructor: nothing shares the Ctx it is still filling in.
+	"NewCtx": true,
 }
 
 func runCtxShared(p *pass) {
@@ -80,10 +82,20 @@ func runCtxShared(p *pass) {
 					if ix, ok := lhs.(*ast.IndexExpr); ok {
 						lhs = ix.X
 					}
-					if name, ok := ctxFieldWrite(p, lhs); ok {
-						p.report(lhs.Pos(),
-							"%s writes Ctx.%s, which is not worker-safe; operators reachable from an exchange must use the atomic shared record (tick/tickRows/signalDone), and serial-only writers belong on the lint allowlist",
-							funcLabel(fd), name)
+					// So does a write through a struct field (ctx.ec.Corr =
+					// ...): walk the selector chain down to the Ctx.
+					for e := lhs; ; {
+						se, ok := e.(*ast.SelectorExpr)
+						if !ok {
+							break
+						}
+						if name, ok := ctxFieldWrite(p, se); ok {
+							p.report(lhs.Pos(),
+								"%s writes Ctx.%s, which is not worker-safe; operators reachable from an exchange must use the atomic shared record (tick/tickRows/signalDone), and serial-only writers belong on the lint allowlist",
+								funcLabel(fd), name)
+							break
+						}
+						e = se.X
 					}
 				}
 				return true

@@ -9,6 +9,7 @@ type Ctx struct {
 	SubqHits   int64
 	SubqMisses int64
 	rec        map[int]int
+	ec         struct{ Corr []int }
 }
 
 type badOp struct{}
@@ -17,6 +18,7 @@ func (o *badOp) Next(ctx *Ctx) {
 	ctx.Affected++    // want ctx-shared-mutation "writes Ctx.Affected"
 	ctx.SubqHits += 2 // want ctx-shared-mutation "writes Ctx.SubqHits"
 	ctx.rec[1] = 1    // want ctx-shared-mutation "writes Ctx.rec"
+	ctx.ec.Corr = nil // want ctx-shared-mutation "writes Ctx.ec"
 }
 
 func (o *badOp) Other(ctx *Ctx) {

@@ -42,6 +42,32 @@ func cleanKernel(v vec, n int, sel []int) int64 {
 	return acc
 }
 
+// A join kernel compacts candidate (probe row, build row) pairs; the
+// pair lists play the selection vector's part.
+func joinEqBoxedKernel(pv, bv *datum.ColVec, pp, pb []int) int {
+	k := 0
+	for c, i := range pp {
+		x := pv.ValueAt(i)     // want vector-boxing "boxes per-element values through datum.ValueAt"
+		y := bv.ValueAt(pb[c]) // want vector-boxing "boxes per-element values through datum.ValueAt"
+		if datum.Equal(x, y) {
+			pp[k], pb[k] = i, pb[c]
+			k++
+		}
+	}
+	return k
+}
+
+func joinEqCleanKernel(pv, bv vec, pp, pb []int) int {
+	k := 0
+	for c, i := range pp {
+		if pv.Ints[i] == bv.Ints[pb[c]] {
+			pp[k], pb[k] = i, pb[c]
+			k++
+		}
+	}
+	return k
+}
+
 func materializeRows(v vec, sel []int) []datum.Value {
 	// Not kernel-named: boundary helpers box by design.
 	out := make([]datum.Value, 0, len(sel))

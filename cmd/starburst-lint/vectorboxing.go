@@ -10,9 +10,9 @@ import (
 // kernel (it contains "kernel"/"Kernel") must operate on typed lanes.
 // Two patterns defeat that:
 //
-//   - constructing datum.Value per element (datum.NewInt and friends)
-//     re-boxes what the ColBatch layout just unboxed, reintroducing an
-//     allocation-per-row on the hot loop;
+//   - constructing datum.Value per element (datum.NewInt and friends,
+//     or a vector's own ValueAt/AppendValue) re-boxes what the ColBatch
+//     layout just unboxed, reintroducing per-row work on the hot loop;
 //   - ranging directly over a lane field (.Ints/.Floats/.Strs/.Bools)
 //     visits every slot in the container, silently ignoring the
 //     selection vector — rows a prior filter dropped leak back in.
@@ -34,13 +34,16 @@ var laneFields = map[string]bool{
 	"Bools":  true,
 }
 
-// boxingCtors are the per-element datum.Value constructors.
+// boxingCtors are the per-element datum.Value constructors, and the
+// ColVec methods that box one element on the way out or in.
 var boxingCtors = map[string]bool{
-	"NewInt":    true,
-	"NewFloat":  true,
-	"NewString": true,
-	"NewBool":   true,
-	"NewUser":   true,
+	"NewInt":      true,
+	"NewFloat":    true,
+	"NewString":   true,
+	"NewBool":     true,
+	"NewUser":     true,
+	"ValueAt":     true,
+	"AppendValue": true,
 }
 
 func runVectorBoxing(p *pass) {

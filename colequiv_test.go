@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/plan"
 )
 
@@ -674,6 +675,187 @@ func TestColumnarFaultMatrixUnderTinyBatches(t *testing.T) {
 		res := mustExec(t, db, fmt.Sprintf(`SELECT COUNT(*) FROM items WHERE id > %d`, after%3))
 		if res.Rows[0][0].Int() == 0 {
 			t.Fatalf("after=%d: DB unusable after cleared fault", after)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Hash-join equivalence
+
+// joinDB is the directed hash-join fixture: a probe-sized table f and
+// one small table per build-side shape. f.k runs past every build
+// table's keys (unmatched probe rows) and is NULL now and then.
+//
+//	du  unique keys, one NULL key        — 1:1, the aliased emit
+//	dd  every key three times, NULL keys — fan-out, the gathered emit
+//	df  FLOAT keys                       — INT = FLOAT key lanes
+//	dm  (k, g)                           — multi-column keys
+//	de  empty                            — empty build, empty probe
+//	db  BOOL keys; fu/du2 user-typed keys — the remaining key lanes and
+//	                                       the boxed fallback
+func joinDB(t testing.TB) *DB {
+	t.Helper()
+	db := Open()
+	jkey, err := db.RegisterType(TypeDef{
+		Name:    "JKEY",
+		Compare: func(a, b any) int { return int(a.(int64) - b.(int64)) },
+		Format:  func(a any) string { return fmt.Sprintf("j%d", a) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range []string{
+		"CREATE TABLE f (id INT, k INT, g INT, x FLOAT, s STRING, flag BOOL)",
+		"CREATE TABLE db (flag BOOL, note STRING)",
+		"CREATE TABLE fu (id INT, m JKEY)",
+		"CREATE TABLE du2 (m JKEY, name STRING)",
+		"CREATE TABLE du (k INT, name STRING)",
+		"CREATE TABLE dd (k INT, w INT)",
+		"CREATE TABLE df (k FLOAT, tag STRING)",
+		"CREATE TABLE dm (k INT, g INT, label STRING)",
+		"CREATE TABLE de (k INT, v INT)",
+		"CREATE INDEX du_k ON du (k)",
+	} {
+		mustExec(t, db, ddl)
+	}
+	insert := func(table string, n int, row func(i int) string) {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", table)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString("(" + row(i) + ")")
+		}
+		mustExec(t, db, sb.String())
+	}
+	insert("f", 230, func(i int) string {
+		k := fmt.Sprint(i * 7 % 40)
+		if i%11 == 5 {
+			k = "NULL"
+		}
+		return fmt.Sprintf("%d, %s, %d, %d.5, 'n%d', %v", i, k, i%5, i%25, i%35, i%3 == 0)
+	})
+	mustExec(t, db, "INSERT INTO db VALUES (TRUE, 'yes'), (FALSE, 'no'), (NULL, 'unknown')")
+	user := func(table string, n int, row func(i int) Row) {
+		tbl, _ := db.Catalog().Table(table)
+		for i := 0; i < n; i++ {
+			if _, err := db.Catalog().Insert(tbl, row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	user("fu", 50, func(i int) Row { return Row{NewInt(int64(i)), NewUser(jkey, int64(i%12))} })
+	user("du2", 8, func(i int) Row { return Row{NewUser(jkey, int64(i)), NewString(fmt.Sprint("u", i))} })
+	insert("du", 31, func(i int) string {
+		if i == 30 {
+			return "NULL, 'nobody'"
+		}
+		return fmt.Sprintf("%d, 'n%d'", i, i)
+	})
+	insert("dd", 33, func(i int) string {
+		if i >= 30 {
+			return fmt.Sprintf("NULL, %d", i)
+		}
+		return fmt.Sprintf("%d, %d", i%10, i%7)
+	})
+	insert("df", 21, func(i int) string {
+		if i == 20 {
+			return "2.5, 'half'"
+		}
+		return fmt.Sprintf("%d.0, 't%d'", i, i)
+	})
+	insert("dm", 40, func(i int) string { return fmt.Sprintf("%d, %d, 'l%d'", i%20, i%5, i) })
+	for _, tb := range []string{"f", "du", "dd", "df", "dm", "de", "db", "fu", "du2"} {
+		mustExec(t, db, "ANALYZE "+tb)
+	}
+	db.opt.SetParallelThreshold(1)
+	return db
+}
+
+// hashJoinCorpus names the shape each statement is there for.
+var hashJoinCorpus = []struct{ shape, q string }{
+	{"inner 1:1", "SELECT f.id, du.name FROM f, du WHERE f.k = du.k"},
+	{"left outer 1:1", "SELECT f.id, du.name FROM f LEFT OUTER JOIN du ON f.k = du.k"},
+	{"inner fan-out", "SELECT f.id, dd.w FROM f, dd WHERE f.k = dd.k"},
+	{"left outer fan-out", "SELECT f.id, f.k, dd.w FROM f LEFT OUTER JOIN dd ON f.k = dd.k"},
+	{"empty build", "SELECT f.id, de.v FROM f, de WHERE f.k = de.k"},
+	{"empty build, outer", "SELECT f.id, de.v FROM f LEFT OUTER JOIN de ON f.k = de.k"},
+	{"empty probe", "SELECT de.v, du.name FROM de LEFT OUTER JOIN du ON de.k = du.k"},
+	{"probe filtered empty", "SELECT f.id, du.name FROM f, du WHERE f.k = du.k AND f.id < 0"},
+	{"multi-column keys", "SELECT f.id, dm.label FROM f, dm WHERE f.k = dm.k AND f.g = dm.g"},
+	{"multi-column keys, outer", "SELECT f.id, dm.label FROM f LEFT OUTER JOIN dm ON f.k = dm.k AND f.g = dm.g"},
+	{"INT = FLOAT keys", "SELECT f.id, df.tag FROM f, df WHERE f.k = df.k"},
+	{"FLOAT = INT keys", "SELECT f.id, dd.w FROM f, dd WHERE f.x = dd.k"},
+	{"STRING keys", "SELECT f.id, du.k FROM f, du WHERE f.s = du.name"},
+	{"BOOL keys", "SELECT f.id, db.note FROM f, db WHERE f.flag = db.flag"},
+	{"user-typed keys", "SELECT fu.id, du2.name FROM fu LEFT OUTER JOIN du2 ON fu.m = du2.m"},
+	{"kernel residual", "SELECT f.id, dd.w FROM f, dd WHERE f.k = dd.k AND f.g < dd.w"},
+	{"kernel residual, outer", "SELECT f.id, dd.w FROM f LEFT OUTER JOIN dd ON f.k = dd.k AND f.g < dd.w"},
+	{"row residual", "SELECT f.id, dd.w FROM f, dd WHERE f.k = dd.k AND f.g + dd.w > 5"},
+	{"row residual, outer", "SELECT f.id, dd.w FROM f LEFT OUTER JOIN dd ON f.k = dd.k AND (f.g = 1 OR dd.w = 2)"},
+	{"residual rejects all", "SELECT f.id FROM f, dd WHERE f.k = dd.k AND f.g > dd.w + 100"},
+	{"join over join", "SELECT f.id, du.name, dd.w FROM f, du, dd WHERE f.k = du.k AND f.k = dd.k"},
+	{"outer over inner", "SELECT f.id, du.name, dd.w FROM f, du LEFT OUTER JOIN dd ON du.k = dd.k WHERE f.k = du.k"},
+	{"columnar parents", "SELECT du.name, COUNT(*), SUM(dd.w) FROM f, du, dd WHERE f.k = du.k AND f.k = dd.k GROUP BY du.name"},
+	{"row child (GROUP)", "SELECT f.id, x.c FROM f, (SELECT k, COUNT(*) AS c FROM dd GROUP BY k) x WHERE f.k = x.k"},
+	{"row child (ISCAN)", "SELECT f.id, du.name FROM f, du WHERE f.k = du.k AND du.k = 7"},
+}
+
+// asNLJoins returns a copy of the plan tree in which every HSJN is the
+// NLJN of the same two inputs: the key slots become explicit equality
+// predicates in front of the residual.
+func asNLJoins(n *plan.Node) *plan.Node {
+	nn := *n
+	nn.Inputs = make([]*plan.Node, len(n.Inputs))
+	for i, in := range n.Inputs {
+		nn.Inputs[i] = asNLJoins(in)
+	}
+	if n.Op != plan.OpHSJoin {
+		return &nn
+	}
+	col := func(in *plan.Node, slot int) expr.Expr {
+		return expr.NewCol(in.Cols[slot].QID, in.Cols[slot].Ord, fmt.Sprintf("#%d", slot), in.Types[slot])
+	}
+	var preds []expr.Expr
+	for i := range n.EquiLeft {
+		preds = append(preds, &expr.Cmp{Op: expr.OpEq,
+			L: col(n.Inputs[0], n.EquiLeft[i]), R: col(n.Inputs[1], n.EquiRight[i])})
+	}
+	if n.JoinPred != nil {
+		preds = append(preds, n.JoinPred)
+	}
+	nn.Op, nn.JoinPred, nn.EquiLeft, nn.EquiRight = plan.OpNLJoin, expr.AndAll(preds), nil, nil
+	return &nn
+}
+
+// TestHashJoinEquivalence runs the directed join corpus through every
+// execution mode at DOP 1 and 4, and checks each statement against the
+// same plan with its hash joins rebuilt as nested-loop joins — the
+// reference that shares no code with the hash join.
+func TestHashJoinEquivalence(t *testing.T) {
+	db := joinDB(t)
+	for _, c := range hashJoinCorpus {
+		setDOP(db, 1)
+		compiled := preparedPlan(c.q)(t, db)
+		if plan.CollectOps(compiled.Root)[plan.OpHSJoin] == 0 {
+			t.Fatalf("%s: plan has no HSJN; the case is vacuous\n%s", c.shape, compiled.Root)
+		}
+		nl := *compiled
+		nl.Root = asNLJoins(compiled.Root)
+		db.rowExec, db.colWidth = true, 0
+		res, err := runPlan(db, &nl, nil)
+		if err != nil {
+			t.Fatalf("%s: as NLJN: %v", c.shape, err)
+		}
+		want := canonical(res)
+		for _, m := range execModes {
+			for _, dop := range []int{1, 4} {
+				if got := runMode(t, db, m, dop, c.q); got != want {
+					t.Fatalf("%s: mode %s dop=%d differs from the NLJN plan on %s\nNLJN: %s\nHSJN: %s",
+						c.shape, m.name, dop, c.q, want, got)
+				}
+			}
 		}
 	}
 }

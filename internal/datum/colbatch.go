@@ -8,8 +8,9 @@
 //
 // Hash and key helpers here are byte-identical to the row-oriented
 // Hash/HashRow/RowKey above: a hash computed from a vector lane must
-// agree with one computed from the boxed value, because join filters
-// built from boxed build rows are probed with lane-computed hashes.
+// agree with one computed from the boxed value, because a hash join
+// may meet a boxed vector on one side of a key and a typed lane on the
+// other.
 package datum
 
 import (
@@ -284,6 +285,158 @@ func (b *ColBatch) AliasFrom(src *ColBatch, srcs []int, consts []Value) {
 	}
 	b.Sel = src.Sel
 	b.n = src.n
+}
+
+// SetRows declares the batch to hold n rows with selection sel, for
+// producers that assemble Vecs lane by lane (Gather, header copies)
+// rather than through AppendRow.
+func (b *ColBatch) SetRows(n int, sel []int) {
+	b.n = n
+	b.Sel = sel
+}
+
+// AppendLive appends src's live rows to b lane to lane, for operators
+// that buffer their whole input as one batch (the hash-join build
+// table). b's selection vector must be nil.
+func (b *ColBatch) AppendLive(src *ColBatch) {
+	for c := range b.Vecs {
+		b.Vecs[c].appendFrom(&src.Vecs[c], src.Sel, src.n)
+	}
+	b.n += src.NumLive()
+}
+
+// appendFrom appends src's live elements (sel, or the first n when sel
+// is nil). Same-typed lanes copy directly; a boxed or differently typed
+// side goes element by element through AppendValue, which promotes as
+// needed.
+func (v *ColVec) appendFrom(src *ColVec, sel []int, n int) {
+	if v.Boxed != nil || src.Boxed != nil || v.Typ != src.Typ {
+		if sel == nil {
+			for i := 0; i < n; i++ {
+				v.AppendValue(src.ValueAt(i))
+			}
+			return
+		}
+		for _, i := range sel {
+			v.AppendValue(src.ValueAt(i))
+		}
+		return
+	}
+	base := v.Len()
+	switch v.Typ {
+	case TBool:
+		v.Bools = appendLane(v.Bools, src.Bools, sel, n)
+	case TInt:
+		v.Ints = appendLane(v.Ints, src.Ints, sel, n)
+	case TFloat:
+		v.Floats = appendLane(v.Floats, src.Floats, sel, n)
+	case TString:
+		v.Strs = appendLane(v.Strs, src.Strs, sel, n)
+	}
+	if !src.Nulls.Any(n) {
+		return
+	}
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if src.Nulls.Get(i) {
+				v.Nulls.Set(base + i)
+			}
+		}
+		return
+	}
+	for k, i := range sel {
+		if src.Nulls.Get(i) {
+			v.Nulls.Set(base + k)
+		}
+	}
+}
+
+func appendLane[T any](dst, src []T, sel []int, n int) []T {
+	if sel == nil {
+		return append(dst, src[:n]...)
+	}
+	for _, i := range sel {
+		dst = append(dst, src[i])
+	}
+	return dst
+}
+
+// Gather rebuilds v from src: element k of v (element at[k] when at is
+// non-nil) becomes element idx[k] of src, or NULL where idx[k] is
+// negative. v ends n elements long — len(idx) for a dense gather.
+// Under a scatter (at non-nil) the positions at does not name hold
+// unspecified values, so the batch's selection vector must name exactly
+// the written ones. v keeps its lane capacity across calls.
+func (v *ColVec) Gather(src *ColVec, idx, at []int, n int) {
+	v.reset(src.Typ)
+	if src.Boxed != nil {
+		v.Boxed, _ = gatherLane(v.Boxed, src.Boxed, idx, at, n)
+		return
+	}
+	nulls := false
+	switch src.Typ {
+	case TBool:
+		v.Bools, nulls = gatherLane(v.Bools, src.Bools, idx, at, n)
+	case TInt:
+		v.Ints, nulls = gatherLane(v.Ints, src.Ints, idx, at, n)
+	case TFloat:
+		v.Floats, nulls = gatherLane(v.Floats, src.Floats, idx, at, n)
+	case TString:
+		v.Strs, nulls = gatherLane(v.Strs, src.Strs, idx, at, n)
+	}
+	if !nulls && !src.Nulls.Any(src.Len()) {
+		return
+	}
+	for k, r := range idx {
+		if r < 0 || src.Nulls.Get(r) {
+			if at != nil {
+				k = at[k]
+			}
+			v.Nulls.Set(k)
+		}
+	}
+}
+
+// gatherLane is Gather's per-lane loop; it reports whether any index
+// was negative (the zero value stands in for the NULL there).
+func gatherLane[T any](dst, src []T, idx, at []int, n int) ([]T, bool) {
+	if cap(dst) < n {
+		dst = make([]T, n)
+	} else {
+		dst = dst[:n]
+	}
+	var zero T
+	neg := false
+	for k, r := range idx {
+		if at != nil {
+			k = at[k]
+		}
+		if r < 0 {
+			dst[k], neg = zero, true
+			continue
+		}
+		dst[k] = src[r]
+	}
+	return dst, neg
+}
+
+// MemBytes estimates the memory the batch retains, from its lane
+// capacities plus string payloads, for the memory accounting of
+// operators that buffer a batch.
+func (b *ColBatch) MemBytes() int64 {
+	var n int64
+	for i := range b.Vecs {
+		v := &b.Vecs[i]
+		n += int64(cap(v.Ints))*8 + int64(cap(v.Floats))*8 + int64(cap(v.Bools)) +
+			int64(cap(v.Strs))*16 + int64(cap(v.Nulls))*8 + int64(cap(v.Boxed))*valueSize
+		for _, s := range v.Strs {
+			n += int64(len(s))
+		}
+		for _, x := range v.Boxed {
+			n += int64(len(x.s))
+		}
+	}
+	return n
 }
 
 // MaterializeInto appends the live rows to dst as ordinary rows backed

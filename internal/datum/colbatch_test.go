@@ -234,3 +234,102 @@ func TestNullBitmap(t *testing.T) {
 		t.Fatal("Any missed set bits")
 	}
 }
+
+// randSel draws an ascending selection of about half of [0, n).
+func randSel(rng *rand.Rand, n int) []int {
+	sel := []int{}
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			sel = append(sel, i)
+		}
+	}
+	return sel
+}
+
+// TestAppendLiveMatchesRows: a batch accumulated with AppendLive, from
+// sources with and without selection vectors and with a mistyped value
+// that promotes a lane, holds exactly the live rows in order.
+func TestAppendLiveMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	types := []TypeID{TBool, TInt, TFloat, TString}
+	acc := NewColBatch(types)
+	var want []Row
+	for round := 0; round < 6; round++ {
+		src, rows := fillBatch(rng, types, 1+rng.Intn(90))
+		if round == 4 {
+			// A FLOAT in the INT column: the source lane is boxed, and the
+			// accumulated lane must follow.
+			r := Row{NewBool(true), NewFloat(1.5), NewFloat(2), NewString("z")}
+			src.AppendRow(r)
+			rows = append(rows, r)
+		}
+		if round%2 == 1 {
+			src.Sel = randSel(rng, src.Len())
+			live := rows[:0:0]
+			for _, i := range src.Sel {
+				live = append(live, rows[i])
+			}
+			rows = live
+		}
+		acc.AppendLive(src)
+		want = append(want, rows...)
+	}
+	if got := acc.MaterializeInto(nil); len(got) != len(want) {
+		t.Fatalf("accumulated %d rows, want %d", len(got), len(want))
+	} else {
+		for i := range want {
+			if !RowsEqual(got[i], want[i]) {
+				t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	if acc.MemBytes() <= 0 {
+		t.Fatal("MemBytes of a filled batch is not positive")
+	}
+}
+
+// TestGatherDenseAndScattered: Gather picks src elements by index, NULL
+// for a negative one, densely or at named positions, over typed and
+// boxed lanes alike, and a reused vector shows nothing of its last use.
+func TestGatherDenseAndScattered(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	types := []TypeID{TBool, TInt, TFloat, TString, TInt}
+	src, rows := fillBatch(rng, types, 60)
+	src.Vecs[4].AppendValue(NewString("promote")) // column 4 is boxed from here on
+	var dst [5]ColVec
+	for round := 0; round < 20; round++ {
+		n := 1 + rng.Intn(80)
+		idx := make([]int, n)
+		for k := range idx {
+			idx[k] = rng.Intn(len(rows)+5) - 5 // a few negatives
+		}
+		var at []int
+		size := n
+		if round%2 == 1 {
+			size = n * 2
+			at = make([]int, n)
+			for k := range at {
+				at[k] = 2*k + rng.Intn(2)
+			}
+		}
+		for c := range types {
+			dst[c].Gather(&src.Vecs[c], idx, at, size)
+			if dst[c].Len() != size {
+				t.Fatalf("round %d col %d: len %d, want %d", round, c, dst[c].Len(), size)
+			}
+			for k, r := range idx {
+				pos := k
+				if at != nil {
+					pos = at[k]
+				}
+				want := Null
+				if r >= 0 {
+					want = rows[r][c]
+				}
+				if got := dst[c].ValueAt(pos); !Identical(got, want) {
+					t.Fatalf("round %d col %d pos %d = %v, want %v", round, c, pos, got, want)
+				}
+			}
+		}
+	}
+}

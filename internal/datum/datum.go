@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"unsafe"
 )
 
 // TypeID identifies a datum type. IDs below UserTypeBase are built in;
@@ -427,14 +428,16 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// valueSize is the fixed footprint of one Value.
+const valueSize = int64(unsafe.Sizeof(Value{}))
+
 // RowBytes estimates the in-memory size of a row, for execution-time
 // memory accounting: the fixed Value struct per column plus the
 // variable-length string payload.
 func RowBytes(r Row) int64 {
 	n := int64(24) // slice header
 	for _, v := range r {
-		n += 40 // Value struct
-		n += int64(len(v.s))
+		n += valueSize + int64(len(v.s))
 	}
 	return n
 }

@@ -1,15 +1,18 @@
 // Columnar operators: the vectorized execution spine. A ColBatchStream
 // produces ColBatches — typed column vectors plus a selection vector —
-// so the scan→filter→project→aggregate spine runs fused per-type
+// so the scan→filter→join→project→aggregate spine runs fused per-type
 // kernels instead of per-row interface dispatch.
 //
 // Every columnar operator also implements Stream by materializing its
-// batches back to rows, so any row-oriented parent — joins, sorts,
-// exchanges, Run itself — composes with a columnar child unchanged.
+// batches back to rows, so any row-oriented parent — nested-loop and
+// merge joins, sorts, exchanges, Run itself — composes with a columnar
+// child unchanged.
 // Dispatch happens at plan-refinement time: the builder emits a
 // columnar operator only when the node's expressions compile to kernels
 // and (for non-leaf operators) the child is columnar-native; otherwise
-// it falls back to the row operator. Fault-wrapped, durable and virtual
+// it falls back to the row operator. The hash join is the exception: it
+// is always batch-native and takes a row child through batchFeed.
+// Fault-wrapped, durable and virtual
 // relations whose iterators lack the ColScanner capability are adapted
 // row-by-row into vectors, so the fault/budget/cancel machinery
 // exercises the columnar operators too.
@@ -101,6 +104,39 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 	r := f.rows[f.pos]
 	f.pos++
 	return r, true, nil
+}
+
+// batchFeed is rowFeed's mirror: it adapts a row producer (ISCAN, SORT,
+// the row scan of a vec-off build) to the columnar protocol by
+// decomposing its rows into one reused batch, so a batch-native
+// operator has a single input shape.
+type batchFeed struct {
+	Stream
+	batch *datum.ColBatch
+}
+
+// asColBatchStream returns s itself when it is columnar, else s behind
+// a batchFeed producing vectors of the given types.
+func asColBatchStream(s Stream, types []datum.TypeID) ColBatchStream {
+	if cs, ok := s.(ColBatchStream); ok {
+		return cs
+	}
+	return &batchFeed{Stream: s, batch: datum.NewColBatch(types)}
+}
+
+func (f *batchFeed) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	f.batch.Reset()
+	for max := ctx.colBatchWidth(); f.batch.Len() < max; {
+		row, ok, err := f.Stream.Next(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			return f.batch, false, nil
+		}
+		f.batch.AppendRow(row)
+	}
+	return f.batch, true, nil
 }
 
 // ---------------------------------------------------------------------
@@ -390,6 +426,344 @@ func (g *colGroupOp) Close(ctx *Ctx) error {
 }
 
 // ---------------------------------------------------------------------
+// Hash JOIN
+
+// hashJoinOp is the one hash join, batch-native on both inputs. Open
+// drains the build input (plan Inputs[1]: the optimizer puts the
+// smaller side there) into one append-only ColBatch and threads a flat
+// hash → row-index chain over it. NextColBatch streams the probe input
+// (Inputs[0]) a batch at a time: hash the live rows, walk the chains
+// for candidate (probe row, build row) pairs, confirm them on the typed
+// key lanes, and emit the survivors as one ColBatch — in probe order,
+// then build order, NULL-extended in place for KindLeftOuter. No tuple
+// is boxed on the way; a joined tuple first becomes a datum.Row where
+// a row-protocol consumer pulls it through Next, if one ever does.
+type hashJoinOp struct {
+	probe, build ColBatchStream
+	kind         string
+	lKeys, rKeys []int
+	// lw is the probe width: output slots [0, lw) are probe columns,
+	// the rest build columns.
+	lw int
+	// The residual (non-equi) join predicate, bound over the output
+	// layout: kernels when every conjunct compiles, else rowPreds
+	// evaluated over the reused scratch row.
+	kernels  []colPred
+	rowPreds []expr.Expr
+	scratch  datum.Row
+
+	// filter, when set, is the pushed-down join filter hosted by a
+	// columnar scan in the probe subtree; Open populates it from the
+	// build rows' key hashes.
+	filter *joinFilter
+
+	// Build table: rows [0, bt.Len()), their key hashes, and the chains.
+	// heads[h&mask] and next[r] hold a row index + 1, 0 ending the chain;
+	// chains run in build order and skip rows with a NULL key.
+	bt          *datum.ColBatch
+	hashes      []uint64
+	heads, next []int32
+	mem         memCharge
+
+	// Probe state: the current probe batch, the key hashes of its live
+	// rows, and the live position the next chunk of output starts from.
+	in      *datum.ColBatch
+	more    bool
+	pos     int
+	hashBuf []uint64
+	nullBuf []bool
+	// pairP/pairB hold one chunk's (probe row, build row) pairs; fillP/
+	// fillB the same after outer fill. own holds the lanes this operator
+	// gathers into; out is the batch handed downstream, its Vecs header
+	// copies of own's or, for an aliased probe column, of in's.
+	pairP, pairB, fillP, fillB []int
+	own                        []datum.ColVec
+	out                        *datum.ColBatch
+	selBuf                     []int
+	feed                       rowFeed
+}
+
+// slotTypes returns the vector types for a plan node's output slots. A
+// node without declared types (a hand-built plan) gets NULL-typed, that
+// is boxed, vectors.
+func slotTypes(n *plan.Node) []datum.TypeID {
+	if len(n.Types) == len(n.Cols) {
+		return n.Types
+	}
+	return make([]datum.TypeID, len(n.Cols))
+}
+
+func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
+	l, err := b.Build(n.Inputs[0], corr)
+	if err != nil {
+		return nil, err
+	}
+	r, err := b.Build(n.Inputs[1], corr)
+	if err != nil {
+		return nil, err
+	}
+	env := envFromCols(n.Cols, corr)
+	pred, err := env.bind(n.JoinPred)
+	if err != nil {
+		return nil, err
+	}
+	lt, rt := slotTypes(n.Inputs[0]), slotTypes(n.Inputs[1])
+	types := append(append([]datum.TypeID(nil), lt...), rt...)
+	j := &hashJoinOp{
+		probe: asColBatchStream(l, lt), build: asColBatchStream(r, rt),
+		kind: n.JoinKind, lKeys: n.EquiLeft, rKeys: n.EquiRight, lw: len(lt),
+		bt:      datum.NewColBatch(rt),
+		own:     datum.NewColBatch(types).Vecs,
+		out:     datum.NewColBatch(types),
+		nullBuf: make([]bool, 0, colBatchSize), // non-nil: HashLive skips a nil one
+	}
+	if pred != nil {
+		conj := expr.Conjuncts(pred)
+		// A vec-off build keeps the residual on the row evaluators, so the
+		// equivalence corpus checks the kernels against them.
+		if kernels, ok := compileColPreds(conj); ok && b.vec {
+			j.kernels = kernels
+		} else {
+			j.rowPreds, j.scratch = conj, make(datum.Row, len(types))
+		}
+	}
+	// Push a join filter into a columnar scan feeding the probe side:
+	// inner joins only (an outer join must surface unmatched probe
+	// rows, so the scan may not drop them).
+	if b.vec && (n.JoinKind == "" || n.JoinKind == plan.KindRegular) && len(n.EquiLeft) > 0 {
+		if cs, keys := pushJoinFilter(l, n.EquiLeft); cs != nil {
+			j.filter = &joinFilter{}
+			cs.jf, cs.jfKeys = j.filter, keys
+		}
+	}
+	return j, nil
+}
+
+func (j *hashJoinOp) Open(ctx *Ctx) error {
+	if j.filter != nil {
+		// Deactivate before the probe side opens so a re-opened join
+		// never filters against the previous build's bits.
+		j.filter.ready.Store(false)
+	}
+	j.feed.reset()
+	j.in, j.more, j.pos, j.hashBuf = nil, true, 0, j.hashBuf[:0]
+	if err := j.probe.Open(ctx); err != nil {
+		return err
+	}
+	return j.buildTable(ctx)
+}
+
+// buildTable drains the build input into bt, threads the chains and
+// arms the pushed join filter. The input's lifetime ends here: it is
+// closed before the first probe.
+func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
+	j.bt.Reset()
+	if err := j.build.Open(ctx); err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, j.build.Close(ctx)) }()
+	for {
+		b, more, err := j.build.NextColBatch(ctx)
+		if err != nil {
+			return err
+		}
+		if b != nil && b.NumLive() > 0 {
+			if err := ctx.tickRows(b.NumLive()); err != nil {
+				return err
+			}
+			j.bt.AppendLive(b)
+		}
+		if !more {
+			break
+		}
+	}
+	n := j.bt.Len()
+	j.hashes, j.nullBuf = j.bt.HashLive(j.rKeys, j.hashes[:0], j.nullBuf[:0])
+	buckets := 16
+	for buckets < 2*n {
+		buckets <<= 1
+	}
+	if cap(j.heads) < buckets || cap(j.next) < n {
+		j.heads, j.next = make([]int32, buckets), make([]int32, n)
+	}
+	j.heads, j.next = j.heads[:buckets], j.next[:n]
+	clear(j.heads)
+	joinChainKernel(j.hashes, j.nullBuf, j.heads, j.next)
+	if j.filter != nil {
+		j.filter.populate(j.hashes, j.nullBuf)
+	}
+	return j.mem.chargeBytes(ctx, j.bt.MemBytes()+
+		int64(cap(j.hashes))*8+int64(cap(j.heads)+cap(j.next))*4)
+}
+
+func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	outer := j.kind == plan.KindLeftOuter
+	for {
+		if j.pos >= len(j.hashBuf) {
+			if !j.more {
+				return nil, false, nil
+			}
+			b, more, err := j.probe.NextColBatch(ctx)
+			if err != nil {
+				return nil, false, err
+			}
+			j.in, j.more, j.pos, j.hashBuf = b, more, 0, j.hashBuf[:0]
+			if b != nil {
+				j.hashBuf, j.nullBuf = b.HashLive(j.lKeys, j.hashBuf, j.nullBuf[:0])
+			}
+			continue
+		}
+		// One chunk of output: the pairs of the next probe rows, up to
+		// about a batch width of them.
+		from := j.pos
+		pp, pb, to := joinProbeKernel(j.hashBuf, j.nullBuf, j.in.Sel, from, ctx.colBatchWidth(),
+			j.hashes, j.heads, j.next, j.pairP[:0], j.pairB[:0])
+		j.pairP, j.pairB, j.pos = pp, pb, to
+		cands := len(pp)
+		pp, pb = j.matchKeys(pp, pb)
+		if len(pp) > 0 && (j.kernels != nil || j.rowPreds != nil) {
+			// The residual runs over the emitted pairs, and what it leaves
+			// of an inner join is the output. An outer join needs the
+			// survivors back as pairs, to see which probe rows kept none:
+			// its candidates are gathered, never aliased, so the selection
+			// vector indexes the pair list.
+			j.emit(pp, pb, !outer)
+			if err := j.applyResidual(ctx); err != nil {
+				return nil, false, err
+			}
+			sel := j.out.Sel
+			if !outer && len(sel) > 0 {
+				return j.out, true, nil
+			}
+			if outer {
+				for k, s := range sel {
+					pp[k], pb[k] = pp[s], pb[s]
+				}
+			}
+			pp, pb = pp[:len(sel)], pb[:len(sel)]
+		}
+		if outer {
+			pp, pb = outerFillKernel(pp, pb, j.in.Sel, from, to, j.fillP[:0], j.fillB[:0])
+			j.fillP, j.fillB = pp, pb
+		}
+		if len(pp) == 0 {
+			// Nothing survived: charge the pairs considered, so a join
+			// whose predicate rejects everything stays cancellable.
+			if err := ctx.tickRows(cands); err != nil {
+				return nil, false, err
+			}
+			continue
+		}
+		j.emit(pp, pb, true)
+		return j.out, true, nil
+	}
+}
+
+// matchKeys compacts the hash-equal candidate pairs to those whose
+// keys are equal, one key column at a time on the typed lanes. NULL
+// keys never get here: a NULL probe key is skipped by the probe
+// kernel, a NULL build key is in no chain.
+func (j *hashJoinOp) matchKeys(pp, pb []int) ([]int, []int) {
+	for k, lk := range j.lKeys {
+		pv, bv := &j.in.Vecs[lk], &j.bt.Vecs[j.rKeys[k]]
+		switch {
+		case pv.Boxed != nil || bv.Boxed != nil:
+			pp, pb = joinEqGeneric(pv, bv, pp, pb)
+		case pv.Typ == datum.TInt && bv.Typ == datum.TInt:
+			pp, pb = joinEqKernel(pv.Ints, bv.Ints, pp, pb)
+		case pv.Typ == datum.TFloat && bv.Typ == datum.TFloat:
+			pp, pb = joinEqKernel(pv.Floats, bv.Floats, pp, pb)
+		case pv.Typ == datum.TInt && bv.Typ == datum.TFloat:
+			pp, pb = joinEqNumKernel(pv.Ints, bv.Floats, pp, pb)
+		case pv.Typ == datum.TFloat && bv.Typ == datum.TInt:
+			pp, pb = joinEqNumKernel(pv.Floats, bv.Ints, pp, pb)
+		case pv.Typ == datum.TString && bv.Typ == datum.TString:
+			pp, pb = joinEqKernel(pv.Strs, bv.Strs, pp, pb)
+		case pv.Typ == datum.TBool && bv.Typ == datum.TBool:
+			pp, pb = joinEqBoolKernel(pv.Bools, bv.Bools, pp, pb)
+		default:
+			pp, pb = joinEqGeneric(pv, bv, pp, pb)
+		}
+	}
+	return pp, pb
+}
+
+// emit assembles out from the pairs: row k joins probe row pp[k] with
+// build row pb[k] (NULLs where pb[k] < 0). When alias is allowed and no
+// probe row repeats, the probe lanes pass through untouched under the
+// selection pp and only the build lanes move, scattered to their probe
+// rows' positions; otherwise both sides are gathered densely.
+func (j *hashJoinOp) emit(pp, pb []int, alias bool) {
+	for k := 1; alias && k < len(pp); k++ {
+		alias = pp[k] != pp[k-1]
+	}
+	n, at := len(pp), []int(nil)
+	if alias {
+		n, at = j.in.Len(), pp
+		copy(j.out.Vecs[:j.lw], j.in.Vecs)
+	} else {
+		for c := 0; c < j.lw; c++ {
+			j.own[c].Gather(&j.in.Vecs[c], pp, nil, n)
+			j.out.Vecs[c] = j.own[c]
+		}
+	}
+	for c := range j.bt.Vecs {
+		j.own[j.lw+c].Gather(&j.bt.Vecs[c], pb, at, n)
+		j.out.Vecs[j.lw+c] = j.own[j.lw+c]
+	}
+	j.out.SetRows(n, at)
+}
+
+// applyResidual shrinks out's selection to the rows the residual
+// predicate accepts.
+func (j *hashJoinOp) applyResidual(ctx *Ctx) error {
+	b := j.out
+	if j.rowPreds == nil {
+		return applyColPreds(j.kernels, b, &j.selBuf)
+	}
+	if cap(j.selBuf) < b.Len() {
+		j.selBuf = make([]int, 0, b.Len())
+	}
+	keep := j.selBuf[:0]
+	test := func(i int) error {
+		for c := range b.Vecs {
+			j.scratch[c] = b.Vecs[c].ValueAt(i)
+		}
+		ok, err := evalPreds(ctx, j.rowPreds, j.scratch)
+		if ok {
+			keep = append(keep, i)
+		}
+		return err
+	}
+	if b.Sel != nil {
+		keep = b.Sel[:0] // in-place compaction: writes trail reads
+		for _, i := range b.Sel {
+			if err := test(i); err != nil {
+				return err
+			}
+		}
+	} else {
+		for i := 0; i < b.Len(); i++ {
+			if err := test(i); err != nil {
+				return err
+			}
+		}
+	}
+	b.Sel = keep
+	return nil
+}
+
+func (j *hashJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+	return j.feed.next(ctx, j)
+}
+
+func (j *hashJoinOp) Close(ctx *Ctx) error {
+	j.in = nil
+	j.mem.release(ctx)
+	return errors.Join(j.probe.Close(ctx), j.build.Close(ctx))
+}
+
+// ---------------------------------------------------------------------
 // Pushed-down join filter
 
 // joinFilter generalizes bloom-join: a hash join over equi-keys builds
@@ -408,11 +782,12 @@ type joinFilter struct {
 	bits  []uint64
 }
 
-// populate sizes the filter to the build table's distinct key hashes
-// (~8 bits each, power of two) and inserts them.
-func (f *joinFilter) populate(table map[uint64][]datum.Row) {
+// populate sizes the filter to the build rows' key hashes (~8 bits
+// each, power of two) and inserts them; nulls marks the rows whose key
+// holds a NULL, which match nothing and stay out.
+func (f *joinFilter) populate(hashes []uint64, nulls []bool) {
 	bits := 64
-	for bits < len(table)*8 {
+	for bits < len(hashes)*8 {
 		bits <<= 1
 	}
 	words := bits / 64
@@ -423,9 +798,11 @@ func (f *joinFilter) populate(table map[uint64][]datum.Row) {
 		f.bits = make([]uint64, words)
 	}
 	f.mask = uint64(bits - 1)
-	for h := range table {
-		f.set(h)
-		f.set(jfRehash(h))
+	for r, h := range hashes {
+		if !nulls[r] {
+			f.set(h)
+			f.set(jfRehash(h))
+		}
 	}
 	f.ready.Store(true)
 }

@@ -476,6 +476,123 @@ func filterBoolsKernel(op expr.CmpOp, la, lb []bool, na, nb datum.NullBitmap, n 
 }
 
 // ---------------------------------------------------------------------
+// Hash-join kernels. Pairs are parallel slices: pp[k] is a probe-batch
+// row index, pb[k] the build-table row it is paired with; both ascend
+// in probe order, then build order.
+
+// joinChainKernel threads the build chains: heads[h&mask] and next[r]
+// hold a row index + 1, 0 ending the chain. Walking rows backwards
+// leaves every chain in build order. Rows with a NULL key stay out.
+func joinChainKernel(hashes []uint64, nulls []bool, heads, next []int32) {
+	mask := uint64(len(heads) - 1)
+	for r := len(hashes) - 1; r >= 0; r-- {
+		if nulls[r] {
+			continue
+		}
+		b := hashes[r] & mask
+		next[r], heads[b] = heads[b], int32(r+1)
+	}
+}
+
+// joinProbeKernel walks the build chains for the live probe rows from
+// position from on (hashes and nulls are per live row; sel maps a live
+// position to its row index), appending a candidate pair for every
+// build row whose full hash equals the probe row's. It stops at a
+// probe-row boundary once limit pairs are out and returns the position
+// to resume from.
+func joinProbeKernel(hashes []uint64, nulls []bool, sel []int, from, limit int,
+	bh []uint64, heads, next []int32, pp, pb []int) ([]int, []int, int) {
+	mask := uint64(len(heads) - 1)
+	j := from
+	for ; j < len(hashes) && len(pp) < limit; j++ {
+		if nulls[j] {
+			continue
+		}
+		i, h := j, hashes[j]
+		if sel != nil {
+			i = sel[j]
+		}
+		for r := heads[h&mask]; r != 0; r = next[r-1] {
+			if bh[r-1] == h {
+				pp, pb = append(pp, i), append(pb, int(r-1))
+			}
+		}
+	}
+	return pp, pb, j
+}
+
+// joinEqKernel compacts the pairs to those whose same-typed key lanes
+// hold equal values, under Compare's ordering.
+func joinEqKernel[T cmp.Ordered](pl, bl []T, pp, pb []int) ([]int, []int) {
+	k := 0
+	for c, i := range pp {
+		if r := pb[c]; cmp3(pl[i], bl[r]) == 1 {
+			pp[k], pb[k] = i, r
+			k++
+		}
+	}
+	return pp[:k], pb[:k]
+}
+
+// joinEqNumKernel is joinEqKernel for an INT lane against a FLOAT lane,
+// using Compare's mixed-numeric rule (both sides as float64).
+func joinEqNumKernel[P, B int64 | float64](pl []P, bl []B, pp, pb []int) ([]int, []int) {
+	k := 0
+	for c, i := range pp {
+		if r := pb[c]; cmp3(float64(pl[i]), float64(bl[r])) == 1 {
+			pp[k], pb[k] = i, r
+			k++
+		}
+	}
+	return pp[:k], pb[:k]
+}
+
+func joinEqBoolKernel(pl, bl []bool, pp, pb []int) ([]int, []int) {
+	k := 0
+	for c, i := range pp {
+		if r := pb[c]; pl[i] == bl[r] {
+			pp[k], pb[k] = i, r
+			k++
+		}
+	}
+	return pp[:k], pb[:k]
+}
+
+// joinEqGeneric is the boxed fallback of the key-equality kernels.
+func joinEqGeneric(pv, bv *datum.ColVec, pp, pb []int) ([]int, []int) {
+	k := 0
+	for c, i := range pp {
+		if r := pb[c]; datum.Equal(pv.ValueAt(i), bv.ValueAt(r)) {
+			pp[k], pb[k] = i, r
+			k++
+		}
+	}
+	return pp[:k], pb[:k]
+}
+
+// outerFillKernel completes a left-outer chunk: it copies the surviving
+// pairs to outP/outB and adds a NULL-extended pair (build index -1) for
+// every probe row at live positions [from, to) that kept none, in
+// probe order.
+func outerFillKernel(pp, pb, sel []int, from, to int, outP, outB []int) ([]int, []int) {
+	c := 0
+	for j := from; j < to; j++ {
+		i := j
+		if sel != nil {
+			i = sel[j]
+		}
+		if c == len(pp) || pp[c] != i {
+			outP, outB = append(outP, i), append(outB, -1)
+			continue
+		}
+		for ; c < len(pp) && pp[c] == i; c++ {
+			outP, outB = append(outP, i), append(outB, pb[c])
+		}
+	}
+	return outP, outB
+}
+
+// ---------------------------------------------------------------------
 // Columnar aggregate accumulators.
 
 // colAgg kinds, mirroring the built-in aggregate registrations.

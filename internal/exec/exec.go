@@ -35,9 +35,11 @@ type Ctx struct {
 	Cat *catalog.Catalog
 	// Params are host-language variable bindings.
 	Params map[string]datum.Value
-	// corr is the current correlation vector (outer-query column
-	// values) for the subplan being evaluated.
-	corr datum.Row
+	// ec is the one expression-evaluation context of this Ctx (see
+	// exprCtx). Its Corr is the current correlation vector — the outer-
+	// query column values for the subplan being evaluated — and is
+	// written only by setCorr.
+	ec expr.Context
 	// rec holds the working tables of active recursive unions, keyed
 	// by QGM box id.
 	rec map[int]*recWorkTable
@@ -86,7 +88,9 @@ type Ctx struct {
 
 // NewCtx returns an execution context.
 func NewCtx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
-	return &Ctx{Cat: cat, Params: params, rec: map[int]*recWorkTable{}, sh: &shared{}}
+	c := &Ctx{Cat: cat, Params: params, rec: map[int]*recWorkTable{}, sh: &shared{}}
+	c.ec = expr.Context{Params: params, Exec: c}
+	return c
 }
 
 // SetDOP sets the runtime degree of parallelism (see Ctx.dop).
@@ -124,14 +128,22 @@ func (c *Ctx) recordWait(e obs.WaitEvent, start time.Time) {
 func (c *Ctx) child() *Ctx {
 	nc := *c
 	nc.rec = map[int]*recWorkTable{}
+	nc.ec.Exec = &nc
 	return &nc
 }
 
 // exprCtx adapts the execution context for expression evaluation; the
 // Ctx itself rides along so Subplan closures (deferred subqueries) can
-// recover it.
-func (c *Ctx) exprCtx() *expr.Context {
-	return &expr.Context{Params: c.Params, Corr: c.corr, Exec: c}
+// recover it. Every call returns the same context, so operators may
+// fetch it per row.
+func (c *Ctx) exprCtx() *expr.Context { return &c.ec }
+
+// setCorr installs the correlation vector a subplan evaluates under
+// and returns the one it replaces, for the caller to restore.
+func (c *Ctx) setCorr(corr datum.Row) datum.Row {
+	saved := c.ec.Corr
+	c.ec.Corr = corr
+	return saved
 }
 
 type recWorkTable struct {

@@ -553,165 +553,6 @@ func (j *nlJoinOp) Close(ctx *Ctx) error {
 	return errors.Join(j.left.Close(ctx), j.right.Close(ctx))
 }
 
-type hashJoinOp struct {
-	left, right  Stream
-	kind         string
-	lKeys, rKeys []int
-	pred         expr.Expr
-	rightWidth   int
-
-	// filter, when set, is the pushed-down join filter hosted by a
-	// columnar scan in the probe (left) subtree; Open populates it from
-	// the build table's key hashes.
-	filter *joinFilter
-
-	table   map[uint64][]datum.Row
-	leftRow datum.Row
-	bucket  []datum.Row
-	bi      int
-	matched bool
-	mem     memCharge
-}
-
-func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	l, err := b.Build(n.Inputs[0], corr)
-	if err != nil {
-		return nil, err
-	}
-	r, err := b.Build(n.Inputs[1], corr)
-	if err != nil {
-		return nil, err
-	}
-	env := envFromCols(n.Cols, corr)
-	pred, err := env.bind(n.JoinPred)
-	if err != nil {
-		return nil, err
-	}
-	j := &hashJoinOp{
-		left: l, right: r, kind: n.JoinKind,
-		lKeys: n.EquiLeft, rKeys: n.EquiRight,
-		pred: pred, rightWidth: len(n.Inputs[1].Cols),
-	}
-	// Push a join filter into a columnar scan feeding the probe side:
-	// inner joins only (an outer join must surface unmatched probe
-	// rows, so the scan may not drop them).
-	if b.vec && (n.JoinKind == "" || n.JoinKind == plan.KindRegular) && len(n.EquiLeft) > 0 {
-		if cs, keys := pushJoinFilter(l, n.EquiLeft); cs != nil {
-			j.filter = &joinFilter{}
-			cs.jf, cs.jfKeys = j.filter, keys
-		}
-	}
-	return j, nil
-}
-
-func (j *hashJoinOp) Open(ctx *Ctx) error {
-	if j.filter != nil {
-		// Deactivate before the probe side opens so a re-opened join
-		// never filters against the previous build's bits.
-		j.filter.ready.Store(false)
-	}
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	rows, err := Run(ctx, j.right)
-	if err != nil {
-		return err
-	}
-	if err := j.mem.charge(ctx, rows); err != nil {
-		return err
-	}
-	j.table = map[uint64][]datum.Row{}
-	for _, r := range rows {
-		// NULL keys never match under = ; skip build rows with NULLs.
-		hasNull := false
-		for _, k := range j.rKeys {
-			if r[k].IsNull() {
-				hasNull = true
-				break
-			}
-		}
-		if hasNull {
-			continue
-		}
-		h := datum.HashRow(r, j.rKeys)
-		j.table[h] = append(j.table[h], r)
-	}
-	if j.filter != nil {
-		j.filter.populate(j.table)
-	}
-	j.leftRow = nil
-	return nil
-}
-
-func (j *hashJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	ec := ctx.exprCtx()
-	for {
-		if j.leftRow == nil {
-			row, ok, err := j.left.Next(ctx)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.leftRow = row
-			j.matched = false
-			hasNull := false
-			for _, k := range j.lKeys {
-				if row[k].IsNull() {
-					hasNull = true
-					break
-				}
-			}
-			if hasNull {
-				j.bucket = nil
-			} else {
-				j.bucket = j.table[datum.HashRow(row, j.lKeys)]
-			}
-			j.bi = 0
-		}
-		for j.bi < len(j.bucket) {
-			r := j.bucket[j.bi]
-			j.bi++
-			eq := true
-			for i := range j.lKeys {
-				if !datum.Equal(j.leftRow[j.lKeys[i]], r[j.rKeys[i]]) {
-					eq = false
-					break
-				}
-			}
-			if !eq {
-				continue
-			}
-			out := datum.Concat(j.leftRow, r)
-			if j.pred != nil {
-				v, err := j.pred.Eval(ec, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !datum.TristateOf(v).IsTrue() {
-					continue
-				}
-			}
-			j.matched = true
-			return out, true, nil
-		}
-		if j.kind == plan.KindLeftOuter && !j.matched {
-			nulls := make(datum.Row, j.rightWidth)
-			for i := range nulls {
-				nulls[i] = datum.Null
-			}
-			out := datum.Concat(j.leftRow, nulls)
-			j.leftRow = nil
-			return out, true, nil
-		}
-		j.leftRow = nil
-	}
-}
-
-func (j *hashJoinOp) Close(ctx *Ctx) error {
-	j.table = nil
-	j.mem.release(ctx)
-	return errors.Join(j.left.Close(ctx), j.right.Close(ctx))
-}
-
 type mergeJoinOp struct {
 	left, right  Stream
 	lKeys, rKeys []int

@@ -195,11 +195,16 @@ type memCharge struct {
 // charge reserves the estimated size of rows, replacing any previous
 // reservation by this operator.
 func (m *memCharge) charge(ctx *Ctx, rows []datum.Row) error {
-	m.release(ctx)
 	var b int64
 	for _, r := range rows {
 		b += datum.RowBytes(r)
 	}
+	return m.chargeBytes(ctx, b)
+}
+
+// chargeBytes is charge for state that is not a row slice.
+func (m *memCharge) chargeBytes(ctx *Ctx, b int64) error {
+	m.release(ctx)
 	m.bytes = b
 	return ctx.Reserve(b)
 }

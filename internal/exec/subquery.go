@@ -61,10 +61,9 @@ func (r *subplanRunner) rows(ctx *Ctx, corr datum.Row) ([]datum.Row, error) {
 		return rows, nil
 	}
 	ctx.SubqMisses++
-	saved := ctx.corr
-	ctx.corr = corr
+	saved := ctx.setCorr(corr)
 	rows, err := Run(ctx, r.inner)
-	ctx.corr = saved
+	ctx.setCorr(saved)
 	if err != nil {
 		return nil, err
 	}

@@ -25,10 +25,17 @@ const (
 	costPageIO  = 1.0
 	costRowCPU  = 0.01  // per row passed through an operator
 	costPredCPU = 0.005 // per predicate evaluation
-	costHashCPU = 0.015 // per row hashed (build or probe)
-	costSortCPU = 0.012 // per row per log2(rows) comparison round
-	costRIDIO   = 1.0   // unclustered fetch: one page per rid
-	costIdxNode = 0.2   // per index node touched
+	costHashCPU = 0.015 // per row hashed (grouping, duplicate elimination)
+	// A hash join's two inputs are not charged alike: a build row is
+	// hashed, appended to the build table and chained, a probe row only
+	// hashed and streamed past it. Between equal inputs the pair costs
+	// what two costHashCPU rows do; between unequal ones the smaller
+	// side builds.
+	costHashBuild = 0.02
+	costHashProbe = 0.01
+	costSortCPU   = 0.012 // per row per log2(rows) comparison round
+	costRIDIO     = 1.0   // unclustered fetch: one page per rid
+	costIdxNode   = 0.2   // per index node touched
 
 	defaultEqSel    = 0.1
 	defaultRangeSel = 1.0 / 3.0
@@ -288,9 +295,10 @@ func (o *Optimizer) costNLJoin(l, r plan.Props, joinSel float64, nPreds int) pla
 }
 
 func (o *Optimizer) costHashJoin(l, r plan.Props, joinSel float64) plan.Props {
+	// r is the build input, l the probe input.
 	return plan.Props{
 		Rows: math.Max(1, l.Rows*r.Rows*joinSel),
-		Cost: l.Cost + r.Cost + r.Rows*costHashCPU + l.Rows*costHashCPU,
+		Cost: l.Cost + r.Cost + r.Rows*costHashBuild + l.Rows*costHashProbe,
 	}
 }
 

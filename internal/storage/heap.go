@@ -156,7 +156,7 @@ func (h *heapRelation) Fetch(rid RID) (datum.Row, bool) {
 		return nil, false
 	}
 	h.stats.ReadPage()
-	return pg.rows[rid.Slot].Clone(), true
+	return pg.rows[rid.Slot], true
 }
 
 func (h *heapRelation) Scan() RowIterator {
@@ -215,7 +215,7 @@ func (it *heapIterator) Next() (datum.Row, RID, bool) {
 			s := it.slot
 			it.slot++
 			if pg.rows[s] != nil {
-				return pg.rows[s].Clone(), RID{Page: int32(it.page), Slot: int32(s)}, true
+				return pg.rows[s], RID{Page: int32(it.page), Slot: int32(s)}, true
 			}
 		}
 		it.page++
@@ -394,7 +394,7 @@ func (f *fixedRelation) Fetch(rid RID) (datum.Row, bool) {
 		return nil, false
 	}
 	f.stats.ReadPage()
-	return f.rows[i].Clone(), true
+	return f.rows[i], true
 }
 
 func (f *fixedRelation) Scan() RowIterator {
@@ -452,7 +452,7 @@ func (it *fixedIterator) Next() (datum.Row, RID, bool) {
 			it.rel.stats.ReadPage()
 		}
 		if it.rel.rows[i] != nil {
-			return it.rel.rows[i].Clone(),
+			return it.rel.rows[i],
 				RID{Page: int32(i / it.rel.rowsPerPage), Slot: int32(i % it.rel.rowsPerPage)}, true
 		}
 	}

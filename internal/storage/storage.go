@@ -97,7 +97,8 @@ type RowIterator interface {
 	// Next returns the next record, its RID, and whether one was
 	// produced. Next cannot fail; a fallible iterator reports a deferred
 	// error through an Err method that the consumer reads (IterErr) once
-	// Next reports exhaustion. The row may be retained by the caller.
+	// Next reports exhaustion. The returned row is read-only and may be
+	// retained freely (see Relation).
 	Next() (datum.Row, RID, bool)
 	// Close releases iterator resources.
 	Close()
@@ -129,6 +130,13 @@ type PageRangeScanner interface {
 
 // Relation is a handle to a stored table, the unit a storage manager
 // manages. All built-in and DBC storage managers produce Relations.
+//
+// Stored rows are write-once. Insert, Update and Restore copy the row
+// they are handed and put the copy in the slot; nothing ever writes
+// into a stored row afterwards, an update replaces the slot's row
+// whole. So Fetch and the iterators may hand out the stored row itself:
+// returned rows are read-only; retain freely. A caller that wants to
+// change one (a searched UPDATE building the new image) clones first.
 type Relation interface {
 	// Insert stores a record and returns its RID.
 	Insert(r datum.Row) (RID, error)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -703,4 +704,86 @@ func ExampleRegistry() {
 	reg.RegisterAccessMethod(RTreeMethod{})
 	fmt.Println(reg.AccessMethodNames())
 	// Output: [BTREE RTREE]
+}
+
+// TestRetainedRowsSurviveConcurrentWrites pins the read-only-row
+// contract on storage.Relation: the HEAP and FIXED read paths hand out
+// the stored row itself, so a row retained from a scan or a Fetch must
+// stay byte-identical while other goroutines Update, Delete and Restore
+// the same RIDs — the writers replace the slot, they never write into
+// the row a reader holds. Run under -race: a writer touching a handed-
+// out row would be a reported data race as well as a mismatch.
+func TestRetainedRowsSurviveConcurrentWrites(t *testing.T) {
+	for _, m := range []StorageManager{NewHeapManager(4), NewFixedManager()} {
+		t.Run(m.Name(), func(t *testing.T) {
+			rel, err := m.Create("T", 2, &IOStats{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 64
+			rids := make([]RID, n)
+			for i := range rids {
+				if rids[i], err = rel.Insert(intRow(int64(i), int64(i)*10)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type held struct{ row, want datum.Row }
+			var retained []held
+			retain := func(row datum.Row) {
+				retained = append(retained, held{row, row.Clone()})
+			}
+			it := rel.Scan()
+			for {
+				row, _, ok := it.Next()
+				if !ok {
+					break
+				}
+				retain(row)
+			}
+			it.Close()
+
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					// Each writer owns a quarter of the RIDs, so the
+					// Delete/Restore pairs never collide with each other.
+					for round := int64(1); round <= 20; round++ {
+						for i := w; i < n; i += 4 {
+							src := intRow(int64(i), round)
+							if err := rel.Update(rids[i], src); err != nil {
+								t.Error(err)
+								return
+							}
+							src[1] = datum.NewInt(-1) // the caller's row is its own again
+							if err := rel.Delete(rids[i]); err != nil {
+								t.Error(err)
+								return
+							}
+							if err := rel.(Restorer).Restore(rids[i], intRow(int64(i), round+100)); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			// Readers keep retaining fresh images while the writers run.
+			var fetched []held
+			for round := 0; round < 20; round++ {
+				for _, rid := range rids {
+					if row, ok := rel.Fetch(rid); ok {
+						fetched = append(fetched, held{row, row.Clone()})
+					}
+				}
+			}
+			wg.Wait()
+			for _, h := range append(retained, fetched...) {
+				if !datum.RowsEqual(h.row, h.want) {
+					t.Fatalf("retained row changed under concurrent writes: %v, was %v", h.row, h.want)
+				}
+			}
+		})
+	}
 }
