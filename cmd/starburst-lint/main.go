@@ -10,8 +10,11 @@
 //     quantifier registry and GC reachability stay consistent.
 //   - rule-literal: every rewrite.Rule composite literal must supply
 //     both Condition and Action.
-//   - datum-compare: datum.Value must not be compared with == or !=;
-//     use datum.Compare / datum.Equal, which check types first.
+//   - datum-compare: datum.Value must not be compared with == or !=,
+//     passed (or a Row holding it) to reflect.DeepEqual, or used in a
+//     map key — a STRING Value holds a data pointer, so all three
+//     compare equal strings by address; use datum.Compare / datum.Equal
+//     / datum.RowKey.
 //   - exec-panic: no naked panic in internal/exec — operators return
 //     errors through the Stream.
 //   - dml-direct-mutate: no direct catalog.Insert / Update / Delete in

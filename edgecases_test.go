@@ -22,6 +22,23 @@ func TestGroupByExpressionKey(t *testing.T) {
 	}
 }
 
+// TestGroupByKeyNotSelected: projection push-down must not trim a
+// GROUPBY box's grouping columns when the query selects only aggregates
+// (it used to, and the GROUP operator then emitted the key as the count).
+func TestGroupByKeyNotSelected(t *testing.T) {
+	db := paperDB(t)
+	res := mustExec(t, db, `SELECT COUNT(*) FROM quotations GROUP BY partno % 2 ORDER BY 1`)
+	if len(res.Rows) != 2 || res.Rows[0][0].Int() != 4 || res.Rows[1][0].Int() != 4 {
+		t.Fatalf("counts = %v, want [[4] [4]]", res.Rows)
+	}
+	// MIN(partno) per suppno (partno % 3) is 3, 1, 2.
+	res = mustExec(t, db, `SELECT partno FROM quotations WHERE partno IN
+		(SELECT MIN(partno) FROM quotations GROUP BY suppno) ORDER BY 1`)
+	if got := fmt.Sprint(res.Rows); got != "[[1] [2] [3]]" {
+		t.Fatalf("IN over aggregate-only GROUP BY = %s, want [[1] [2] [3]]", got)
+	}
+}
+
 func TestHavingWithSubquery(t *testing.T) {
 	db := paperDB(t)
 	res := mustExec(t, db, `SELECT type, COUNT(*) FROM inventory GROUP BY type

@@ -13,11 +13,11 @@ func Add(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.typ == TInt && b.typ == TInt:
-		return NewInt(a.i + b.i), nil
+		return NewInt(a.asInt() + b.asInt()), nil
 	case isNumeric(a) && isNumeric(b):
 		return NewFloat(a.Float() + b.Float()), nil
 	case a.typ == TString && b.typ == TString:
-		return NewString(a.s + b.s), nil
+		return NewString(a.asStr() + b.asStr()), nil
 	}
 	return Null, typeErr("+", a, b)
 }
@@ -29,7 +29,7 @@ func Sub(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.typ == TInt && b.typ == TInt:
-		return NewInt(a.i - b.i), nil
+		return NewInt(a.asInt() - b.asInt()), nil
 	case isNumeric(a) && isNumeric(b):
 		return NewFloat(a.Float() - b.Float()), nil
 	}
@@ -43,7 +43,7 @@ func Mul(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.typ == TInt && b.typ == TInt:
-		return NewInt(a.i * b.i), nil
+		return NewInt(a.asInt() * b.asInt()), nil
 	case isNumeric(a) && isNumeric(b):
 		return NewFloat(a.Float() * b.Float()), nil
 	}
@@ -58,10 +58,10 @@ func Div(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.typ == TInt && b.typ == TInt:
-		if b.i == 0 {
+		if b.asInt() == 0 {
 			return Null, fmt.Errorf("datum: division by zero")
 		}
-		return NewInt(a.i / b.i), nil
+		return NewInt(a.asInt() / b.asInt()), nil
 	case isNumeric(a) && isNumeric(b):
 		bf := b.Float()
 		if bf == 0 {
@@ -78,10 +78,10 @@ func Mod(a, b Value) (Value, error) {
 		return Null, nil
 	}
 	if a.typ == TInt && b.typ == TInt {
-		if b.i == 0 {
+		if b.asInt() == 0 {
 			return Null, fmt.Errorf("datum: division by zero")
 		}
-		return NewInt(a.i % b.i), nil
+		return NewInt(a.asInt() % b.asInt()), nil
 	}
 	return Null, typeErr("%", a, b)
 }
@@ -93,9 +93,9 @@ func Neg(a Value) (Value, error) {
 	}
 	switch a.typ {
 	case TInt:
-		return NewInt(-a.i), nil
+		return NewInt(-a.asInt()), nil
 	case TFloat:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.asFloat()), nil
 	}
 	return Null, fmt.Errorf("datum: cannot negate %s", TypeName(a.typ))
 }
@@ -172,7 +172,7 @@ func TristateOf(v Value) Tristate {
 		return Unknown
 	}
 	if v.typ == TBool {
-		if v.b {
+		if v.asBool() {
 			return True
 		}
 		return False

@@ -176,13 +176,13 @@ func (v *ColVec) AppendValue(x Value) {
 	}
 	switch v.Typ {
 	case TBool:
-		v.Bools = append(v.Bools, x.b)
+		v.Bools = append(v.Bools, x.asBool())
 	case TInt:
-		v.Ints = append(v.Ints, x.i)
+		v.Ints = append(v.Ints, x.asInt())
 	case TFloat:
-		v.Floats = append(v.Floats, x.f)
+		v.Floats = append(v.Floats, x.asFloat())
 	case TString:
-		v.Strs = append(v.Strs, x.s)
+		v.Strs = append(v.Strs, x.asStr())
 	}
 }
 
@@ -197,13 +197,13 @@ func (v *ColVec) ValueAt(i int) Value {
 	}
 	switch v.Typ {
 	case TBool:
-		return Value{typ: TBool, b: v.Bools[i]}
+		return NewBool(v.Bools[i])
 	case TInt:
-		return Value{typ: TInt, i: v.Ints[i]}
+		return NewInt(v.Ints[i])
 	case TFloat:
-		return Value{typ: TFloat, f: v.Floats[i]}
+		return NewFloat(v.Floats[i])
 	case TString:
-		return Value{typ: TString, s: v.Strs[i]}
+		return NewString(v.Strs[i])
 	}
 	return Null
 }
@@ -433,7 +433,7 @@ func (b *ColBatch) MemBytes() int64 {
 			n += int64(len(s))
 		}
 		for _, x := range v.Boxed {
-			n += int64(len(x.s))
+			n += x.strLen()
 		}
 	}
 	return n
@@ -493,16 +493,6 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// fnvTagged64 hashes the 9-byte tag+little-endian encoding used by
-// writeUint64.
-func fnvTagged64(h uint64, tag byte, u uint64) uint64 {
-	h = (h ^ uint64(tag)) * fnvPrime
-	for i := 0; i < 8; i++ {
-		h = (h ^ (u >> (8 * i) & 0xff)) * fnvPrime
-	}
-	return h
-}
-
 func hashNull() uint64 {
 	h := uint64(fnvOffset)
 	return (h ^ 0) * fnvPrime
@@ -516,7 +506,20 @@ func hashBool(b bool) uint64 {
 	return fnvBytes(h, []byte{1, 0})
 }
 
-func hashNumBits(bits uint64) uint64 { return fnvTagged64(fnvOffset, 2, bits) }
+// hashNum hashes a number as FNV-1a over tag 2 and its little-endian
+// IEEE bits. -0 is mapped to +0 first, since Compare holds them equal.
+func hashNum(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
+	u := math.Float64bits(f)
+	h := uint64(fnvOffset)
+	h = (h ^ 2) * fnvPrime
+	for i := 0; i < 8; i++ {
+		h = (h ^ (u >> (8 * i) & 0xff)) * fnvPrime
+	}
+	return h
+}
 
 func hashString(s string) uint64 {
 	h := uint64(fnvOffset)
@@ -536,9 +539,9 @@ func (v *ColVec) hashAt(i int) uint64 {
 	case TBool:
 		return hashBool(v.Bools[i])
 	case TInt:
-		return hashNumBits(math.Float64bits(float64(v.Ints[i])))
+		return hashNum(float64(v.Ints[i]))
 	case TFloat:
-		return hashNumBits(math.Float64bits(v.Floats[i]))
+		return hashNum(v.Floats[i])
 	case TString:
 		return hashString(v.Strs[i])
 	}
@@ -603,9 +606,9 @@ func (b *ColBatch) AppendKeyCols(buf []byte, cols []int, i int) []byte {
 				buf = append(buf, 'F')
 			}
 		case TInt:
-			buf = strconv.AppendFloat(buf, float64(v.Ints[i]), 'g', -1, 64)
+			buf = appendIntKey(buf, v.Ints[i])
 		case TFloat:
-			buf = strconv.AppendFloat(buf, v.Floats[i], 'g', -1, 64)
+			buf = appendFloatKey(buf, v.Floats[i])
 		case TString:
 			buf = append(buf, 's')
 			buf = strconv.AppendQuote(buf, v.Strs[i])
@@ -624,21 +627,41 @@ func appendValueKey(buf []byte, v Value) []byte {
 	case TNull:
 		buf = append(buf, 'N')
 	case TBool:
-		if v.b {
+		if v.asBool() {
 			buf = append(buf, 'T')
 		} else {
 			buf = append(buf, 'F')
 		}
 	case TInt:
-		buf = strconv.AppendFloat(buf, float64(v.i), 'g', -1, 64)
+		buf = appendIntKey(buf, v.asInt())
 	case TFloat:
-		buf = strconv.AppendFloat(buf, v.f, 'g', -1, 64)
+		buf = appendFloatKey(buf, v.asFloat())
 	case TString:
 		buf = append(buf, 's')
-		buf = strconv.AppendQuote(buf, v.s)
+		buf = strconv.AppendQuote(buf, v.asStr())
 	default:
 		buf = append(buf, 'u')
 		buf = append(buf, v.String()...)
 	}
 	return append(buf, '|')
+}
+
+// appendFloatKey is the one numeric key encoding: shortest 'g' text,
+// with -0 written as 0 because Compare holds them equal.
+func appendFloatKey(buf []byte, f float64) []byte {
+	if f == 0 {
+		f = 0
+	}
+	return strconv.AppendFloat(buf, f, 'g', -1, 64)
+}
+
+// appendIntKey encodes an INT like the FLOAT of the same value wherever
+// float64 holds it exactly, so INT k and FLOAT k group together, and
+// exactly ('i' + decimal) otherwise, so INTs beyond 2^53 stay distinct.
+func appendIntKey(buf []byte, i int64) []byte {
+	if f := float64(i); f < 1<<63 && int64(f) == i {
+		return appendFloatKey(buf, f)
+	}
+	buf = append(buf, 'i')
+	return strconv.AppendInt(buf, i, 10)
 }

@@ -14,7 +14,6 @@ package datum
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -39,33 +38,72 @@ const (
 )
 
 // Value is a single typed datum. The zero Value is NULL.
+//
+// Layout (24 bytes): the type tag, one 8-byte payload word n and one
+// pointer-sized slot p. BOOL, INT and FLOAT keep their bits in n (FLOAT
+// as math.Float64bits); STRING keeps its data pointer in p and its
+// length in n; a user-defined type keeps a pointer to its heap-boxed
+// payload in p. Value is therefore not comparable with ==: two equal
+// STRING Values built from different allocations differ by address, and
+// reflect.DeepEqual and map keys see the same addresses. Use Equal,
+// Identical or Compare.
 type Value struct {
 	typ TypeID
-	b   bool
-	i   int64
-	f   float64
-	s   string
-	u   any // payload for user-defined types
+	n   uint64
+	p   unsafe.Pointer
 }
 
 // Null is the SQL NULL value.
-var Null = Value{typ: TNull}
+var Null = Value{}
 
 // NewBool returns a BOOL datum.
-func NewBool(b bool) Value { return Value{typ: TBool, b: b} }
+func NewBool(b bool) Value {
+	v := Value{typ: TBool}
+	if b {
+		v.n = 1
+	}
+	return v
+}
 
 // NewInt returns an INT datum.
-func NewInt(i int64) Value { return Value{typ: TInt, i: i} }
+func NewInt(i int64) Value { return Value{typ: TInt, n: uint64(i)} }
 
 // NewFloat returns a FLOAT datum.
-func NewFloat(f float64) Value { return Value{typ: TFloat, f: f} }
+func NewFloat(f float64) Value { return Value{typ: TFloat, n: math.Float64bits(f)} }
 
-// NewString returns a STRING datum.
-func NewString(s string) Value { return Value{typ: TString, s: s} }
+// NewString returns a STRING datum. The Value shares s's bytes; an empty
+// string keeps no pointer.
+func NewString(s string) Value {
+	if len(s) == 0 {
+		return Value{typ: TString}
+	}
+	return Value{typ: TString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // NewUser returns a datum of a registered user-defined type. The payload
-// is interpreted by the type's TypeDef.
-func NewUser(t TypeID, payload any) Value { return Value{typ: t, u: payload} }
+// is interpreted by the type's TypeDef; it is boxed on the heap so the
+// Value keeps one pointer to it.
+func NewUser(t TypeID, payload any) Value {
+	box := new(any)
+	*box = payload
+	return Value{typ: t, p: unsafe.Pointer(box)}
+}
+
+// Payload accessors: unchecked reads of the one representation, for
+// callers that have already switched on typ.
+func (v Value) asBool() bool     { return v.n != 0 }
+func (v Value) asInt() int64     { return int64(v.n) }
+func (v Value) asFloat() float64 { return math.Float64frombits(v.n) }
+func (v Value) asStr() string    { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) asUser() any      { return *(*any)(v.p) }
+
+// strLen is the string payload's length, 0 for every other type.
+func (v Value) strLen() int64 {
+	if v.typ != TString {
+		return 0
+	}
+	return int64(v.n)
+}
 
 // Type reports the datum's type.
 func (v Value) Type() TypeID { return v.typ }
@@ -78,7 +116,7 @@ func (v Value) Bool() bool {
 	if v.typ != TBool {
 		panic(fmt.Sprintf("datum: Bool() on %s", TypeName(v.typ)))
 	}
-	return v.b
+	return v.asBool()
 }
 
 // Int returns the integer payload; it panics on other types.
@@ -86,16 +124,16 @@ func (v Value) Int() int64 {
 	if v.typ != TInt {
 		panic(fmt.Sprintf("datum: Int() on %s", TypeName(v.typ)))
 	}
-	return v.i
+	return v.asInt()
 }
 
 // Float returns the numeric payload as float64, coercing INT.
 func (v Value) Float() float64 {
 	switch v.typ {
 	case TFloat:
-		return v.f
+		return v.asFloat()
 	case TInt:
-		return float64(v.i)
+		return float64(v.asInt())
 	}
 	panic(fmt.Sprintf("datum: Float() on %s", TypeName(v.typ)))
 }
@@ -105,7 +143,7 @@ func (v Value) Str() string {
 	if v.typ != TString {
 		panic(fmt.Sprintf("datum: Str() on %s", TypeName(v.typ)))
 	}
-	return v.s
+	return v.asStr()
 }
 
 // User returns the user-defined payload; it panics on built-in types.
@@ -113,7 +151,7 @@ func (v Value) User() any {
 	if v.typ < UserTypeBase {
 		panic(fmt.Sprintf("datum: User() on %s", TypeName(v.typ)))
 	}
-	return v.u
+	return v.asUser()
 }
 
 // String renders the datum for display and EXPLAIN output.
@@ -122,22 +160,22 @@ func (v Value) String() string {
 	case TNull:
 		return "NULL"
 	case TBool:
-		if v.b {
+		if v.asBool() {
 			return "TRUE"
 		}
 		return "FALSE"
 	case TInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.asInt(), 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.asFloat(), 'g', -1, 64)
 	case TString:
-		return "'" + v.s + "'"
+		return "'" + v.asStr() + "'"
 	default:
 		td := lookupType(v.typ)
 		if td != nil && td.Format != nil {
-			return td.Format(v.u)
+			return td.Format(v.asUser())
 		}
-		return fmt.Sprintf("<%s:%v>", TypeName(v.typ), v.u)
+		return fmt.Sprintf("<%s:%v>", TypeName(v.typ), v.asUser())
 	}
 }
 
@@ -272,9 +310,9 @@ func Coerce(v Value, t TypeID) (Value, error) {
 	}
 	switch {
 	case v.typ == TInt && t == TFloat:
-		return NewFloat(float64(v.i)), nil
+		return NewFloat(float64(v.asInt())), nil
 	case v.typ == TFloat && t == TInt:
-		return NewInt(int64(v.f)), nil
+		return NewInt(int64(v.asFloat())), nil
 	}
 	return Null, fmt.Errorf("datum: cannot coerce %s to %s", TypeName(v.typ), TypeName(t))
 }
@@ -287,10 +325,10 @@ func Compare(a, b Value) (cmp int, ok bool) {
 	}
 	switch {
 	case a.typ == TInt && b.typ == TInt:
-		switch {
-		case a.i < b.i:
+		switch ai, bi := a.asInt(), b.asInt(); {
+		case ai < bi:
 			return -1, true
-		case a.i > b.i:
+		case ai > bi:
 			return 1, true
 		}
 		return 0, true
@@ -304,18 +342,18 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		}
 		return 0, true
 	case a.typ == TString && b.typ == TString:
-		switch {
-		case a.s < b.s:
+		switch as, bs := a.asStr(), b.asStr(); {
+		case as < bs:
 			return -1, true
-		case a.s > b.s:
+		case as > bs:
 			return 1, true
 		}
 		return 0, true
 	case a.typ == TBool && b.typ == TBool:
-		switch {
-		case !a.b && b.b:
+		switch ab, bb := a.asBool(), b.asBool(); {
+		case !ab && bb:
 			return -1, true
-		case a.b && !b.b:
+		case ab && !bb:
 			return 1, true
 		}
 		return 0, true
@@ -324,7 +362,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		if td == nil {
 			return 0, false
 		}
-		return td.Compare(a.u, b.u), true
+		return td.Compare(a.asUser(), b.asUser()), true
 	}
 	return 0, false
 }
@@ -377,44 +415,29 @@ func Identical(a, b Value) bool {
 }
 
 // Hash returns a hash consistent with Identical (grouping semantics):
-// NULLs hash alike, and INT k hashes like FLOAT k so that hash joins and
-// grouping agree with comparison coercion.
+// NULLs hash alike, INT k hashes like FLOAT k and -0 like +0, so that
+// hash joins and grouping agree with comparison coercion. It shares the
+// allocation-free helpers of ColVec.hashAt, so a lane and its boxed
+// value hash alike.
 func Hash(v Value) uint64 {
-	h := fnv.New64a()
 	switch v.typ {
 	case TNull:
-		h.Write([]byte{0})
+		return hashNull()
 	case TBool:
-		if v.b {
-			h.Write([]byte{1, 1})
-		} else {
-			h.Write([]byte{1, 0})
-		}
+		return hashBool(v.asBool())
 	case TInt:
-		writeUint64(h, 2, math.Float64bits(float64(v.i)))
+		return hashNum(float64(v.asInt()))
 	case TFloat:
-		writeUint64(h, 2, math.Float64bits(v.f))
+		return hashNum(v.asFloat())
 	case TString:
-		h.Write([]byte{3})
-		h.Write([]byte(v.s))
-	default:
-		td := lookupType(v.typ)
-		if td != nil && td.Hash != nil {
-			return td.Hash(v.u)
-		}
-		h.Write([]byte{4})
-		h.Write([]byte(v.String()))
+		return hashString(v.asStr())
 	}
-	return h.Sum64()
-}
-
-func writeUint64(h interface{ Write([]byte) (int, error) }, tag byte, u uint64) {
-	var buf [9]byte
-	buf[0] = tag
-	for i := 0; i < 8; i++ {
-		buf[1+i] = byte(u >> (8 * i))
+	if td := lookupType(v.typ); td != nil && td.Hash != nil {
+		return td.Hash(v.asUser())
 	}
-	h.Write(buf[:])
+	h := uint64(fnvOffset)
+	h = (h ^ 4) * fnvPrime
+	return fnvString(h, v.String())
 }
 
 // Row is a tuple of datums. Rows flow between QES operators as elements
@@ -437,7 +460,7 @@ const valueSize = int64(unsafe.Sizeof(Value{}))
 func RowBytes(r Row) int64 {
 	n := int64(24) // slice header
 	for _, v := range r {
-		n += valueSize + int64(len(v.s))
+		n += valueSize + v.strLen()
 	}
 	return n
 }

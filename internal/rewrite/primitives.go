@@ -116,9 +116,17 @@ func PushPredicate(ctx *Context, box *qgm.Box, p *qgm.Predicate, q *qgm.Quantifi
 }
 
 // usedOrdinals computes which output columns of box are referenced by
-// any ranger (head, predicates, grouping) anywhere in the graph.
+// any ranger (head, predicates, grouping) anywhere in the graph. A
+// GROUPBY box's grouping columns always count as used: its head is the
+// grouping columns followed by the aggregates, and the GROUP operator
+// is built from that layout.
 func usedOrdinals(ctx *Context, box *qgm.Box) map[int]bool {
 	used := map[int]bool{}
+	if box.Kind == qgm.KindGroupBy {
+		for i := range box.GroupBy {
+			used[i] = true
+		}
+	}
 	visit := func(e expr.Expr, qid int) {
 		expr.Walk(e, func(x expr.Expr) bool {
 			if c, ok := x.(*expr.Col); ok && c.QID == qid {

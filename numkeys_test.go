@@ -1,0 +1,128 @@
+package starburst
+
+// Numeric grouping keys and hashes must agree with `=`: -0 and 0 are
+// one value to Compare, so hash join, join filter, DOP exchange
+// partitioning, GROUP BY, DISTINCT and the set operations must treat
+// them as one; and INTs beyond 2^53, which float64 cannot tell apart,
+// must still group as the distinct values `=` says they are. Every
+// statement runs in every execution mode at DOP 1 and 4.
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/plan"
+)
+
+// keyCase is one statement and its answer, rendered by renderSorted.
+type keyCase struct{ q, want string }
+
+// renderSorted renders a result's rows as sorted, comma-joined text.
+func renderSorted(res *Result) string {
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			cells[j] = v.String()
+		}
+		rows[i] = strings.Join(cells, ",")
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, " ")
+}
+
+// checkKeyCases runs every case in every execution mode at DOP 1 and 4.
+func checkKeyCases(t *testing.T, db *DB, cases []keyCase) {
+	t.Helper()
+	for _, c := range cases {
+		for _, m := range execModes {
+			for _, dop := range []int{1, 4} {
+				db.rowExec, db.colWidth = !m.vec, m.width
+				setDOP(db, dop)
+				res, err := db.Exec(c.q, nil)
+				if err != nil {
+					t.Fatalf("mode %s dop=%d: %s: %v", m.name, dop, c.q, err)
+				}
+				if got := renderSorted(res); got != c.want {
+					t.Errorf("mode %s dop=%d: %s\n got: %s\nwant: %s", m.name, dop, c.q, got, c.want)
+				}
+			}
+		}
+	}
+}
+
+func TestNegativeZeroAgreesWithEquality(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE f (x FLOAT)")
+	mustExec(t, db, "CREATE TABLE g (y INT)")
+	mustExec(t, db, "CREATE TABLE h (x FLOAT)")
+	var fv, gv []string
+	for i := 1; i <= 300; i++ {
+		fv = append(fv, fmt.Sprintf("(%d.0)", i))
+		gv = append(gv, fmt.Sprintf("(%d)", i))
+	}
+	mustExec(t, db, "INSERT INTO f VALUES "+strings.Join(fv, ", ")+", (-0.0)")
+	mustExec(t, db, "INSERT INTO g VALUES "+strings.Join(gv, ", ")+", (0)")
+	mustExec(t, db, "INSERT INTO h VALUES (-0.0), (0.0), (1.0), (-0.0), (0.0), (2.0)")
+	for _, tb := range []string{"f", "g", "h"} {
+		mustExec(t, db, "ANALYZE "+tb)
+	}
+	db.opt.SetParallelThreshold(1)
+
+	join := "SELECT COUNT(*) FROM f, g WHERE x = y"
+	if plan.CollectOps(preparedPlan(join)(t, db).Root)[plan.OpHSJoin] == 0 {
+		t.Fatalf("%s: plan has no HSJN; the case is vacuous", join)
+	}
+	checkKeyCases(t, db, []keyCase{
+		{join, "301"},
+		{"SELECT COUNT(*) FROM f, g WHERE x = y AND x = 0", "1"},
+		{"SELECT f.x, g.y FROM f, g WHERE x = y AND y < 1", "-0,0"},
+		{"SELECT COUNT(*) FROM h GROUP BY x", "1 1 4"},
+		{"SELECT COUNT(*) FROM (SELECT DISTINCT x FROM h) d", "3"},
+		{"SELECT COUNT(*) FROM (SELECT x FROM f UNION SELECT y FROM g) u", "301"},
+		{"SELECT COUNT(*) FROM (SELECT x FROM f INTERSECT SELECT y FROM g) i", "301"},
+		{"SELECT COUNT(*) FROM (SELECT x FROM f EXCEPT SELECT y FROM g) e", "0"},
+	})
+}
+
+func TestWideIntsGroupExactly(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE w (x INT)")
+	mustExec(t, db, "CREATE TABLE w2 (x INT)")
+	mustExec(t, db, "CREATE TABLE wf (x FLOAT)")
+	const p53 = 1 << 53
+	wide := []int64{p53 - 1, p53, p53 + 1, -p53 - 1, -p53, -p53 + 1,
+		math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+	insert := func(table string, vals []int64) {
+		tbl, _ := db.Catalog().Table(table)
+		for _, v := range vals {
+			if _, err := db.Catalog().Insert(tbl, Row{NewInt(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert("W", wide)
+	insert("W", wide) // every value twice
+	insert("W2", []int64{p53 + 1, math.MaxInt64})
+	mustExec(t, db, "INSERT INTO wf VALUES (9007199254740992.0)")
+	for _, tb := range []string{"w", "w2", "wf"} {
+		mustExec(t, db, "ANALYZE "+tb)
+	}
+	db.opt.SetParallelThreshold(1)
+
+	n := len(wide)
+	twos := strings.TrimSpace(strings.Repeat("2 ", n))
+	checkKeyCases(t, db, []keyCase{
+		{"SELECT COUNT(*) FROM w WHERE x = 9007199254740993", "2"},
+		{"SELECT COUNT(*) FROM (SELECT DISTINCT x FROM w) d", fmt.Sprint(n)},
+		{"SELECT COUNT(*) FROM w GROUP BY x", twos},
+		{"SELECT COUNT(*) FROM (SELECT x FROM w UNION SELECT x FROM w2) u", fmt.Sprint(n)},
+		{"SELECT x FROM w INTERSECT SELECT x FROM w2", "9007199254740993 9223372036854775807"},
+		{"SELECT COUNT(*) FROM (SELECT x FROM w EXCEPT SELECT x FROM w2) e", fmt.Sprint(n - 2)},
+		// INT k and FLOAT k still share a key where float64 holds k.
+		{"SELECT COUNT(*) FROM (SELECT x FROM w UNION SELECT x FROM wf) u", fmt.Sprint(n)},
+	})
+}

@@ -52,7 +52,11 @@ import (
 // Re-exported core types, so DBC extensions are written against the
 // public package alone.
 type (
-	// Value is a typed datum.
+	// Value is a typed datum: 24 bytes (type tag, one 8-byte payload,
+	// one pointer; a STRING points at its bytes). It is not comparable
+	// with ==, reflect.DeepEqual or as a map key, which would compare
+	// string payloads by address; compare what Type, Int, Float, Str or
+	// String return instead.
 	Value = datum.Value
 	// Row is a tuple of datums.
 	Row = datum.Row
