@@ -68,10 +68,16 @@ examples:
 	@for d in examples/*/; do \
 		echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
-# stress is the one gate race does not run: a fuzz smoke over random
-# fault schedules (race replays only the seed corpus).
+# stress is what race does not run: a fuzz smoke over random fault
+# schedules (race replays only the seed corpus), and the paths through
+# pooled batches — equivalence, subquery re-opens, budgets, reuse —
+# repeated under the race detector, since a pooled batch outlives its
+# operator and the per-P pool hands it across goroutines.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
+	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
+
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

@@ -40,7 +40,7 @@ const colBenchQuery = `SELECT w, COUNT(*), SUM(v) FROM cb WHERE v < 400 GROUP BY
 
 func benchColScanFilterAgg(b *testing.B, vectorized bool) {
 	db := colBenchDB(b)
-	db.rowExec = !vectorized
+	db.kernelsOff = !vectorized
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

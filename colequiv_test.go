@@ -1,13 +1,15 @@
 package starburst
 
-// Columnar-execution equivalence and robustness: the random query
-// corpus must return identical results from the row operators (the
-// reference) and the columnar ones (serial and at DOP 4) —
-// vectorization changes the plan's execution shape, never its meaning —
-// the columnar operators must survive the same fault / cancellation /
-// budget matrix as the row path, and an instrumented build must be the
-// production build. This file runs under -race in CI alongside
-// parallel_test.go.
+// Batch-execution equivalence and robustness: the random query corpus
+// and the directed shapes must return identical results — or fail
+// with identical errors — with kernels on and with kernels off (the
+// row evaluators inside the same operators are the reference),
+// serially and at DOP 4, at the production batch width and at width 2;
+// kernels change how an operator computes, never which operator runs
+// or what it returns. The batch operators must survive the fault /
+// cancellation / budget matrix, an instrumented build must be the
+// production build, and pooled batches must be reused, not regrown.
+// This file runs under -race in CI alongside parallel_test.go.
 
 import (
 	"context"
@@ -15,10 +17,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -31,31 +36,78 @@ type execMode struct {
 	width int // columnar batch width; 0 keeps the executor's constant
 }
 
-// execModes is the row-reference vs columnar comparison set; the
-// degenerate width stresses batch-boundary and container reuse.
+// execModes is the row-evaluator reference vs kernels comparison set;
+// the degenerate width stresses batch-boundary and container reuse.
 var execModes = []execMode{
-	{name: "row", vec: false},
+	{name: "row-evaluators", vec: false},
 	{name: "columnar", vec: true},
 	{name: "columnar-tiny", vec: true, width: 2},
+}
+
+// setMode switches db to one execution mode at the given DOP.
+func setMode(db *DB, m execMode, dop int) {
+	db.kernelsOff = !m.vec
+	db.colWidth = m.width
+	setDOP(db, dop)
+}
+
+// outcome renders a result order-independently, or the error the
+// statement failed with, so the modes are compared on errors too.
+func outcome(res *Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return canonical(res)
 }
 
 // runMode executes q under one mode at the given DOP.
 func runMode(t *testing.T, db *DB, m execMode, dop int, q string) string {
 	t.Helper()
-	db.rowExec = !m.vec
-	db.colWidth = m.width
-	setDOP(db, dop)
-	res, err := db.Exec(q, nil)
-	if err != nil {
-		t.Fatalf("mode %s dop=%d: %s: %v", m.name, dop, q, err)
+	setMode(db, m, dop)
+	return outcome(db.Exec(q, nil))
+}
+
+// equivDB is the corpus database: genParallelDB's tables plus tn, an
+// indexed table that is mostly NULL, and a DBC aggregate.
+func equivDB(t testing.TB) *DB {
+	t.Helper()
+	db := genParallelDB(t, 17)
+	mustExec(t, db, "CREATE TABLE tn (k INT, v INT, s STRING)")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO tn VALUES ")
+	for i := 0; i < 400; i++ {
+		k, v, s := fmt.Sprint(i%40), "NULL", "NULL"
+		if i%9 == 4 {
+			k = "NULL"
+		}
+		if i%5 == 0 {
+			v = fmt.Sprint(i % 17)
+		}
+		if i%7 == 0 {
+			s = fmt.Sprintf("'n%d'", i%3)
+		}
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%s, %s, %s)", k, v, s)
 	}
-	return canonical(res)
+	mustExec(t, db, sb.String())
+	mustExec(t, db, "CREATE INDEX tn_k ON tn (k)")
+	mustExec(t, db, "ANALYZE tn")
+	if err := db.RegisterAggregate(&AggregateFunc{
+		Name: "VARIANCE", EmptyIsNull: true,
+		ReturnType: func(TypeID) (TypeID, error) { return datum.TFloat, nil },
+		NewState:   func() AggState { return &varState{} },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // equivalenceCorpus is the statement set the mode matrix and the
 // instrumented-build guard share: the random corpus plus directed
-// aggregates (the generator emits none) and an inner equi-join whose
-// probe scan hosts a pushed join filter.
+// aggregates (the generator emits none), an inner equi-join whose
+// probe scan hosts a pushed join filter, and the directed shapes.
 func equivalenceCorpus() []string {
 	gen := &queryGen{rng: rand.New(rand.NewSource(29))}
 	var qs []string
@@ -66,18 +118,52 @@ func equivalenceCorpus() []string {
 			qs = append(qs, gen.query())
 		}
 	}
-	return append(qs, aggregateCorpus...)
+	qs = append(qs, aggregateCorpus...)
+	return append(qs, directedCorpus...)
+}
+
+// divByZeroQuery fails on every row with a non-NULL k: the error text
+// must be the same whatever runs the predicate.
+const divByZeroQuery = "SELECT k FROM tb WHERE v / (k - k) > 1"
+
+// directedCorpus aims at the shapes that used to build a row operator
+// instead of a batch one: expressions no kernel covers, and batch
+// operators over row-only children.
+var directedCorpus = []string{
+	// Scans whose predicates have no kernel: LIKE and arithmetic.
+	"SELECT k, s FROM ta WHERE s LIKE 's%1' OR s LIKE '%2'",
+	"SELECT k, v FROM tb WHERE v * 2 + k > 20",
+	// A projection with no kernel, over ISCAN.
+	"SELECT k, CASE WHEN v < 5 THEN 'low' WHEN v IS NULL THEN 'none' ELSE 'high' END FROM tn WHERE k = 3",
+	// HAVING over GROUP, COUNT(DISTINCT), a DBC aggregate, GROUP over ISCAN.
+	"SELECT k, COUNT(*), SUM(v) FROM ta GROUP BY k HAVING COUNT(*) > 25",
+	"SELECT k, COUNT(DISTINCT v), COUNT(v) FROM ta GROUP BY k",
+	"SELECT k, VARIANCE(v) FROM tb GROUP BY k",
+	"SELECT k, COUNT(*), SUM(v), MAX(s) FROM tn WHERE k = 7 GROUP BY k",
+	// The NULL-heavy table.
+	"SELECT k, v, s FROM tn WHERE v IS NULL OR s <> 'n1'",
+	"SELECT s, COUNT(*), COUNT(v), SUM(v), MIN(v), AVG(v) FROM tn GROUP BY s",
+	divByZeroQuery,
 }
 
 // unmergedCorpus runs with query rewrite off, which leaves derived
-// tables unmerged and so their predicates in FILTER nodes over a
-// columnar input: the only plans that build colFilterOp (a predicate
-// on a base table is pushed into its scan).
+// tables unmerged and subqueries unconverted: the predicates of a
+// derived table become FILTER nodes over a batch input (a predicate on
+// a base table is pushed into its scan), a correlated subquery keeps
+// its correlated predicate in its scan (the S7/A1 shape), and a
+// predicate beside a subquery quantifier becomes a FILTER over SUBQ.
 var unmergedCorpus = []string{
 	"SELECT x.k, x.v FROM (SELECT k, v FROM ta) x WHERE x.v >= 5 AND x.k <> 3",
 	"SELECT k, COUNT(*), SUM(v) FROM (SELECT k, v FROM ta) x WHERE x.v >= 5 GROUP BY k",
 	"SELECT x.s FROM (SELECT s, k FROM tc) x WHERE x.s IS NOT NULL AND x.k < 7",
+	correlatedScanQuery,
+	filterOverSubqQuery,
 }
+
+const (
+	correlatedScanQuery = "SELECT x.k, x.v FROM ta x WHERE x.s = 's1' AND x.k IN (SELECT y.k FROM tb y WHERE y.v > x.v)"
+	filterOverSubqQuery = "SELECT x.k FROM ta x WHERE x.k IN (SELECT k FROM tc WHERE s IS NOT NULL) AND (x.v < 3 OR EXISTS (SELECT 1 FROM tb WHERE tb.k = x.v))"
+)
 
 // corpusLeg is one rewrite setting with the statements to run under it.
 type corpusLeg struct {
@@ -90,12 +176,12 @@ func corpusLegs() []corpusLeg {
 }
 
 // engagementQuery is the scan→project→GROUP statement whose repart
-// producers must be the columnar operators the serial plan runs.
+// producers must be the batch operators the serial plan runs.
 const engagementQuery = "SELECT k, COUNT(*), SUM(v) FROM ta WHERE v < 15 GROUP BY k"
 
-// aggregateCorpus aims at the columnar group operator specifically:
-// the fused hash-aggregate kernels (typed COUNT/SUM/AVG lanes, boxed
-// MIN/MAX fallback, NULL group keys) deserve directed coverage.
+// aggregateCorpus aims at the group operator specifically: the fused
+// hash-aggregate kernels (typed COUNT/SUM/AVG lanes, boxed MIN/MAX
+// fallback, NULL group keys) deserve directed coverage.
 var aggregateCorpus = []string{
 	"SELECT k, COUNT(*), SUM(v) FROM ta GROUP BY k",
 	"SELECT k, MIN(v), MAX(v), AVG(v) FROM tb GROUP BY k",
@@ -108,30 +194,71 @@ var aggregateCorpus = []string{
 	"SELECT x.k, COUNT(*) FROM ta x, tb y WHERE x.k = y.k GROUP BY x.k",
 }
 
+// filterOverSort compiles "SELECT k, v, s FROM ta ORDER BY v, k" and
+// puts a FILTER over its SORT — a shape no SQL text compiles to, since
+// ORDER BY is allowed only outermost.
+func filterOverSort(t *testing.T, db *DB) *plan.Compiled {
+	t.Helper()
+	compiled := *preparedPlan("SELECT k, v, s FROM ta ORDER BY v, k")(t, db)
+	sorted := compiled.Root
+	for sorted.Op != plan.OpSort {
+		if len(sorted.Inputs) != 1 {
+			t.Fatalf("no SORT on the spine of\n%s", compiled.Root)
+		}
+		sorted = sorted.Inputs[0]
+	}
+	col := func(slot int) expr.Expr {
+		c := sorted.Cols[slot]
+		return expr.NewCol(c.QID, c.Ord, fmt.Sprintf("#%d", slot), sorted.Types[slot])
+	}
+	compiled.Root = &plan.Node{
+		Op: plan.OpFilter, Inputs: []*plan.Node{sorted}, Cols: sorted.Cols, Types: sorted.Types,
+		Preds: []expr.Expr{&expr.Or{
+			L: &expr.Cmp{Op: expr.OpGt, L: col(1), R: expr.NewConst(datum.NewInt(12))},
+			R: &expr.IsNull{E: col(2)},
+		}},
+	}
+	return &compiled
+}
+
 // TestColumnarEquivalenceCorpus runs the corpus through every
-// execution mode, serial and parallel, against the row-at-a-time
+// execution mode, serial and parallel, against the row-evaluator
 // serial baseline.
 func TestColumnarEquivalenceCorpus(t *testing.T) {
-	db := genParallelDB(t, 17)
+	db := equivDB(t)
 	for _, leg := range corpusLegs() {
 		setSkipRewrite(db, leg.skipRewrite)
 		for _, q := range leg.queries {
 			want := runMode(t, db, execModes[0], 1, q)
+			if strings.HasPrefix(want, "error: ") != (q == divByZeroQuery) {
+				t.Fatalf("%s: reference outcome %s", q, want)
+			}
 			for _, m := range execModes {
 				for _, dop := range []int{1, 4} {
 					if got := runMode(t, db, m, dop, q); got != want {
-						t.Fatalf("mode %s dop=%d diverged on %s\nrow:  %s\ngot:  %s",
+						t.Fatalf("mode %s dop=%d diverged on %s\nrow-evaluators: %s\ngot:            %s",
 							m.name, dop, q, want, got)
 					}
 				}
 			}
 		}
 	}
+	setSkipRewrite(db, false)
+	var want string
+	for i, m := range execModes {
+		setMode(db, m, 1)
+		got := outcome(runPlan(db, filterOverSort(t, db), nil))
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("mode %s diverged on FILTER over SORT\nrow-evaluators: %s\ngot:            %s", m.name, want, got)
+		}
+	}
 }
 
 // opTree renders the operator tree under a built stream as nested
-// type names ("hashJoinOp(colScanOp+jf,scanOp)"), reading the
-// executor's unexported fields reflectively. Stats decorators are
+// type names ("hashJoinOp(scanOp+jf,batchFeed(indexScanOp))"), reading
+// the executor's unexported fields reflectively. Stats decorators are
 // transparent: each is reported to onDecorator (with the type name of
 // the operator it wraps) and rendered as that operator.
 func opTree(s exec.Stream, onDecorator func(dec reflect.Value, inner string)) string {
@@ -204,44 +331,129 @@ func opTreeOf(root reflect.Value, onDecorator func(dec reflect.Value, inner stri
 	return render(root)
 }
 
-// TestColumnarBuildEngages guards the corpus against vacuity: a
-// vectorized build of scan / filter / project / aggregate plans must
-// actually produce columnar streams, and a row build must not.
-func TestColumnarBuildEngages(t *testing.T) {
-	db := genDB(t, 1)
-	for _, q := range []string{
-		"SELECT k, v, s FROM ta",
-		"SELECT k FROM ta WHERE v > 5 AND k <> 3",
-		"SELECT v FROM tb WHERE k IS NOT NULL",
+// execTypes names every executor type reachable from a built stream,
+// through the executor's own structs, pointers, interfaces and slices.
+func execTypes(s exec.Stream) map[string]bool {
+	out := map[string]bool{}
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				walk(v.Elem())
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Struct:
+			if v.Type().PkgPath() == "repro/internal/exec" {
+				out[v.Type().Name()] = true
+				for i := 0; i < v.NumField(); i++ {
+					walk(v.Field(i))
+				}
+			}
+		}
+	}
+	walk(reflect.ValueOf(s))
+	return out
+}
+
+// isKernel reports whether an executor type is a compiled kernel: a
+// predicate kernel (a colPred) or an aggregate one.
+func isKernel(name string) bool {
+	return name == "colAgg" || strings.HasSuffix(name, "Pred")
+}
+
+// TestOneOperatorPerLOLEPOP: the operator a SCAN, FILTER, PROJECT or
+// GROUP node gets depends neither on whether its expressions compile to
+// kernels nor on its child's protocol. Each statement — over base
+// tables, ISCAN, SORT and subqueries — builds the same operator tree
+// with kernels on and off, every such node is scanOp, filterOp,
+// projectOp or groupOp, and the kernels-off build holds no kernel.
+func TestOneOperatorPerLOLEPOP(t *testing.T) {
+	db := equivDB(t)
+	setDOP(db, 1)
+	op := map[string]string{plan.OpScan: "scanOp", plan.OpFilter: "filterOp",
+		plan.OpProject: "projectOp", plan.OpGroup: "groupOp"}
+	sql := func(q string, skipRewrite bool) func(*testing.T, *DB) *plan.Compiled {
+		return func(t *testing.T, db *DB) *plan.Compiled {
+			setSkipRewrite(db, skipRewrite)
+			defer setSkipRewrite(db, false)
+			return preparedPlan(q)(t, db)
+		}
+	}
+	kernels := 0
+	for _, c := range []struct {
+		name    string
+		compile func(*testing.T, *DB) *plan.Compiled
+		needs   []string // plan operators the case is there for
+	}{
+		{"kernel scan", sql("SELECT k, v, s FROM ta WHERE v > 5 AND k <> 3", false), []string{plan.OpScan}},
+		{"LIKE scan", sql("SELECT k, s FROM ta WHERE s LIKE 's%1'", false), []string{plan.OpScan}},
+		{"FILTER", sql(unmergedCorpus[0], true), []string{plan.OpFilter}},
+		{"GROUP", sql(engagementQuery, false), []string{plan.OpGroup}},
+		{"DISTINCT aggregate", sql("SELECT k, COUNT(DISTINCT v) FROM ta GROUP BY k", false), []string{plan.OpGroup}},
+		{"PROJECT over ISCAN", sql(directedCorpus[2], false), []string{plan.OpIndex, plan.OpProject}},
+		{"GROUP over ISCAN", sql(directedCorpus[6], false), []string{plan.OpIndex, plan.OpGroup}},
+		{"FILTER over SORT", filterOverSort, []string{plan.OpSort, plan.OpFilter}},
+		{"correlated scan", sql(correlatedScanQuery, true), []string{plan.OpSubq, plan.OpScan}},
+		{"FILTER over SUBQ", sql(filterOverSubqQuery, true), []string{plan.OpSubq, plan.OpFilter}},
 	} {
-		compiled := preparedPlan(q)(t, db)
-		st, err := db.builder.Vectorized(true).Build(compiled.Root, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+		compiled := c.compile(t, db)
+		ops := plan.CollectOps(compiled.Root)
+		for _, o := range c.needs {
+			if ops[o] == 0 {
+				t.Fatalf("%s: plan has no %s; the case is vacuous\n%s", c.name, o, compiled.Root)
+			}
 		}
-		if _, ok := st.(exec.ColBatchStream); !ok {
-			t.Fatalf("vectorized build of %q produced %T, not a ColBatchStream", q, st)
+		var trees [2]string
+		for i, vec := range []bool{true, false} {
+			instr := exec.NewInstrumentation()
+			st, err := db.builder.Vectorized(vec).Instrumented(instr).Build(compiled.Root, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			trees[i] = opTree(st, nil)
+			walkPlan(compiled.Root, func(n *plan.Node) {
+				if want, ok := op[n.Op]; ok && instr.Kind(n) != want {
+					t.Fatalf("%s (kernels %v): %s node built %s, want %s", c.name, vec, n.Op, instr.Kind(n), want)
+				}
+			})
+			for name := range execTypes(st) {
+				if isKernel(name) {
+					if !vec {
+						t.Fatalf("%s: the kernels-off build holds a %s", c.name, name)
+					}
+					kernels++
+				}
+			}
 		}
-		st, err = db.builder.Vectorized(false).Build(compiled.Root, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+		if trees[0] != trees[1] {
+			t.Fatalf("%s: kernels change the operator tree\non:  %s\noff: %s", c.name, trees[0], trees[1])
 		}
-		if _, ok := st.(exec.ColBatchStream); ok {
-			t.Fatalf("row build of %q produced a ColBatchStream (%T)", q, st)
-		}
+	}
+	if kernels == 0 {
+		t.Fatal("no kernels-on build held a kernel; the kernels-off check is vacuous")
 	}
 }
 
 // TestInstrumentedBuildIsProductionBuild: over the equivalence corpus,
 // at DOP 1 and 4, the instrumented build constructs exactly the
-// operators the uninstrumented vectorized build does — columnar kinds
-// included, the pushed join filter still hosted by the probe-side
-// colScanOp — and reports each under its plan node as
+// operators the uninstrumented build does — the pushed join filter
+// still hosted by the probe-side scanOp — and reports each under its
+// plan node as
 // Instrumentation.Kind. At DOP 4 the parallel build is the production
 // build too: every clone an exchange runs is the operator tree the
 // serial build makes of the same plan subtree.
 func TestInstrumentedBuildIsProductionBuild(t *testing.T) {
-	db := genParallelDB(t, 17)
+	db := equivDB(t)
 	kinds := map[string]int{}
 	joinFilters, exchanges := 0, 0
 	for _, dop := range []int{1, 4} {
@@ -256,14 +468,14 @@ func TestInstrumentedBuildIsProductionBuild(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"colScanOp", "colFilterOp", "colProjectOp", "colGroupOp",
+	for _, k := range []string{"scanOp", "filterOp", "projectOp", "groupOp",
 		"hashJoinOp", "gatherOp"} {
 		if kinds[k] == 0 {
 			t.Errorf("corpus never built an instrumented %s; guard is vacuous for it (saw %v)", k, kinds)
 		}
 	}
 	if joinFilters == 0 {
-		t.Error("corpus never pushed a join filter into a probe-side colScanOp")
+		t.Error("corpus never pushed a join filter into a probe-side scanOp")
 	}
 	if exchanges == 0 {
 		t.Error("corpus never built a parallel exchange")
@@ -322,8 +534,8 @@ func checkParallelBuild(t *testing.T, db *DB, q string) int {
 			t.Fatalf("%s: exchange clone %d differs from the serial build\nserial: %s\nclone:  %s", q, i, want, got)
 		}
 	}
-	if q == engagementQuery && want != "colProjectOp(colScanOp)" {
-		t.Fatalf("%s: repart producers are %s, want colProjectOp(colScanOp)", q, want)
+	if q == engagementQuery && want != "projectOp(scanOp)" {
+		t.Fatalf("%s: repart producers are %s, want projectOp(scanOp)", q, want)
 	}
 	return 1
 }
@@ -363,73 +575,52 @@ func checkInstrumentedBuild(t *testing.T, db *DB, q string, kinds map[string]int
 	if got != want {
 		t.Fatalf("%s: instrumented build differs\nplain:        %s\ninstrumented: %s", q, want, got)
 	}
-	return strings.Count(want, "colScanOp+jf")
+	return strings.Count(want, "scanOp+jf")
 }
 
 // TestInstrumentedRowsMatchAcrossEngines: the per-node actual rows
-// EXPLAIN ANALYZE prints are the same with vectorization on and off.
-// A scan hosting a pushed join filter reports the rows the filter
-// dropped separately, and the operators between it and its join see
-// only the survivors, so there the columnar count may be smaller.
+// EXPLAIN ANALYZE prints — and the rows a pushed join filter dropped —
+// are the same with kernels on and off.
 func TestInstrumentedRowsMatchAcrossEngines(t *testing.T) {
-	db := genParallelDB(t, 17)
+	db := equivDB(t)
 	setDOP(db, 1)
 	compared := 0
 	for _, q := range equivalenceCorpus() {
-		db.rowExec = false
+		if q == divByZeroQuery {
+			continue
+		}
+		db.kernelsOff = false
 		compiled := preparedPlan(q)(t, db)
 		// LIMIT stops its input early: how far a producer got is then a
 		// matter of batch granularity, not of the data.
-		early := false
-		// belowJoinFilter marks the probe-side spine of every hash join.
-		belowJoinFilter := map[*plan.Node]bool{}
-		walkPlan(compiled.Root, func(n *plan.Node) {
-			early = early || n.Op == plan.OpLimit
-			if n.Op == plan.OpHSJoin {
-				for c := n.Inputs[0]; ; c = c.Inputs[0] {
-					belowJoinFilter[c] = true
-					if len(c.Inputs) != 1 {
-						break
-					}
-				}
-			}
-		})
-		if early {
+		if plan.CollectOps(compiled.Root)[plan.OpLimit] > 0 {
 			continue
 		}
 		rows := map[bool]*exec.Instrumentation{}
 		for _, vec := range []bool{false, true} {
-			db.rowExec = !vec
+			db.kernelsOff = !vec
 			rows[vec] = exec.NewInstrumentation()
 			if _, err := runInstrumented(db, rows[vec], compiled, nil, context.Background()); err != nil {
 				t.Fatalf("vec=%v %s: %v", vec, q, err)
 			}
 		}
 		walkPlan(compiled.Root, func(n *plan.Node) {
-			row, col := rows[false].OpStats(n), rows[true].OpStats(n)
-			if row == nil || col == nil {
-				if (row == nil) != (col == nil) {
+			off, on := rows[false].OpStats(n), rows[true].OpStats(n)
+			if off == nil || on == nil {
+				if (off == nil) != (on == nil) {
 					t.Fatalf("%s: node %s built by one engine only", q, n.Op)
 				}
 				return
 			}
 			compared++
-			switch {
-			case n.Op == plan.OpScan && col.JoinFiltered > 0:
-				if col.Rows+col.JoinFiltered != row.Rows {
-					t.Fatalf("%s: SCAN rows %d + join-filtered %d != row engine's %d",
-						q, col.Rows, col.JoinFiltered, row.Rows)
-				}
-			case belowJoinFilter[n]:
-				if col.Rows > row.Rows {
-					t.Fatalf("%s: node %s under a join filter grew: %d > %d", q, n.Op, col.Rows, row.Rows)
-				}
-			case col.Rows != row.Rows:
-				t.Fatalf("%s: node %s actual rows: columnar %d, row %d\n%s",
-					q, n.Op, col.Rows, row.Rows, plan.RenderAnnotated(compiled.Root, rows[true].Annotate))
+			if on.Rows != off.Rows || on.JoinFiltered != off.JoinFiltered {
+				t.Fatalf("%s: node %s actual rows %d (join-filtered %d) with kernels, %d (%d) without\n%s",
+					q, n.Op, on.Rows, on.JoinFiltered, off.Rows, off.JoinFiltered,
+					plan.RenderAnnotated(compiled.Root, rows[true].Annotate))
 			}
 		})
 	}
+	db.kernelsOff = false
 	if compared < 100 {
 		t.Fatalf("only %d nodes compared; guard is vacuous", compared)
 	}
@@ -458,7 +649,7 @@ func exportOperatorSpans(db *DB) map[string]*Span {
 // TestObservedStatementsRunColumnar: whatever arms per-operator stats —
 // a span exporter alone, or with the slow-query log, cardinality
 // feedback or EXPLAIN ANALYZE on top — a scan→filter→aggregate
-// statement executes the columnar operators, as reported by the
+// statement executes the production operators, as reported by the
 // operator spans of the statement that actually ran.
 func TestObservedStatementsRunColumnar(t *testing.T) {
 	// Rewrite off keeps the derived table unmerged, so its predicate is
@@ -480,7 +671,7 @@ func TestObservedStatementsRunColumnar(t *testing.T) {
 			c.arm(db)
 			ops := exportOperatorSpans(db)
 			mustExec(t, db, c.sql)
-			for _, want := range []string{"colScanOp", "colFilterOp", "colGroupOp"} {
+			for _, want := range []string{"scanOp", "filterOp", "groupOp"} {
 				if ops[want] == nil {
 					t.Fatalf("no %s among the executed operators %v", want, ops)
 				}
@@ -491,7 +682,7 @@ func TestObservedStatementsRunColumnar(t *testing.T) {
 
 // TestParallelStatementsRunColumnar: at DOP 4 the engagement query
 // executes — and EXPLAIN ANALYZE reports, through the operator spans of
-// the statement that ran — columnar scans under the exchange, with the
+// the statement that ran — batch scans under the exchange, with the
 // scan node's actual rows summed over its four clones.
 func TestParallelStatementsRunColumnar(t *testing.T) {
 	db := genParallelDB(t, 17)
@@ -499,21 +690,18 @@ func TestParallelStatementsRunColumnar(t *testing.T) {
 	want := mustExec(t, db, "SELECT COUNT(*) FROM ta WHERE v < 15").Rows[0][0].Int()
 	ops := exportOperatorSpans(db)
 	mustExec(t, db, "EXPLAIN ANALYZE "+engagementQuery)
-	for _, k := range []string{"gatherOp", "repartReaderOp", "colProjectOp", "colScanOp"} {
+	for _, k := range []string{"gatherOp", "repartReaderOp", "projectOp", "scanOp"} {
 		if ops[k] == nil {
 			t.Fatalf("no %s among the executed operators %v", k, ops)
 		}
 	}
-	if ops["scanOp"] != nil {
-		t.Fatalf("a parallel leaf ran the row scan: %v", ops)
-	}
-	if got := ops["colScanOp"].Attrs["rows"]; got != fmt.Sprint(want) {
-		t.Fatalf("colScanOp under the exchange reports rows=%s, want %d", got, want)
+	if got := ops["scanOp"].Attrs["rows"]; got != fmt.Sprint(want) {
+		t.Fatalf("scanOp under the exchange reports rows=%s, want %d", got, want)
 	}
 }
 
-// TestColumnarFaultMatrix injects storage faults under each columnar
-// operator (the vectorized path is the default, so db.Exec runs it):
+// TestColumnarFaultMatrix injects storage faults under each batch
+// operator:
 // the statement must fail with a FaultError, leak no iterators, and
 // leave the DB reusable.
 func TestColumnarFaultMatrix(t *testing.T) {
@@ -539,7 +727,7 @@ func TestColumnarFaultMatrix(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			db := robustDB(t)
 			if !db.Vectorized() {
-				t.Fatal("vectorized execution is not the default")
+				t.Fatal("kernels are not on by default")
 			}
 			db.InjectFaults(c.fault)
 			_, err := db.Exec(c.sql, nil)
@@ -557,9 +745,9 @@ func TestColumnarFaultMatrix(t *testing.T) {
 }
 
 // TestColumnarCancelAndBudgets drives the cancellation path and every
-// resource budget through vectorized statements: the batch-amortized
-// tick must still observe deadlines, row quotas, and the memory
-// charge, and cancellation must not strand the arena scan. Every budget
+// resource budget through batch statements: the batch-granular tick
+// must still observe deadlines, row quotas, and the memory charge, and
+// cancellation must not strand the arena scan. Every budget
 // runs serially at the production width and at DOP 4 with width-2
 // batches, where morsel boundaries land inside batches.
 func TestColumnarCancelAndBudgets(t *testing.T) {
@@ -843,7 +1031,7 @@ func TestHashJoinEquivalence(t *testing.T) {
 		}
 		nl := *compiled
 		nl.Root = asNLJoins(compiled.Root)
-		db.rowExec, db.colWidth = true, 0
+		setMode(db, execModes[0], 1)
 		res, err := runPlan(db, &nl, nil)
 		if err != nil {
 			t.Fatalf("%s: as NLJN: %v", c.shape, err)
@@ -858,4 +1046,107 @@ func TestHashJoinEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ---------------------------------------------------------------------
+// Batch reuse and the row-budget contract
+
+// reuseDB is one table r of n rows, v unique, behind a plan cache.
+func reuseDB(t *testing.T, n int) *DB {
+	t.Helper()
+	db := Open(WithPlanCache(8))
+	mustExec(t, db, "CREATE TABLE r (k INT, v INT, s STRING)")
+	for lo := 0; lo < n; lo += 500 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO r VALUES ")
+		for i := lo; i < lo+500 && i < n; i++ {
+			if i > lo {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d, 's%d')", i%13, i, i%7)
+		}
+		mustExec(t, db, sb.String())
+	}
+	return db
+}
+
+// TestBatchReuseAcrossExecutions: a cached scan+filter statement run
+// over and over allocates the same bytes per execution whatever the
+// table size and the batch width — the scan's batch comes back from
+// the pool with its lanes, instead of being grown afresh each time.
+// The median of 50 executions is compared, since the race detector
+// makes the pool drop a share of what it is given.
+func TestBatchReuseAcrossExecutions(t *testing.T) {
+	const q = "SELECT k, s FROM r WHERE v = 7 AND k >= 0"
+	perExec := func(rows, width int) uint64 {
+		db := reuseDB(t, rows)
+		setDOP(db, 1)
+		db.colWidth = width
+		mustExec(t, db, q) // compile, and leave a grown batch in the pool
+		samples := make([]uint64, 50)
+		var ms runtime.MemStats
+		for i := range samples {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if res := mustExec(t, db, q); len(res.Rows) != 1 {
+				t.Fatalf("%d rows, width %d: got %d result rows", rows, width, len(res.Rows))
+			}
+			runtime.ReadMemStats(&ms)
+			samples[i] = ms.TotalAlloc - before
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		return samples[len(samples)/2]
+	}
+	base := perExec(2000, 0)
+	for _, c := range []struct{ rows, width int }{{8000, 0}, {8000, 2}, {2000, 64}} {
+		got := perExec(c.rows, c.width)
+		t.Logf("%d rows, width %d: %d B per execution (2000 rows, default width: %d B)", c.rows, c.width, got, base)
+		if diff := int64(got) - int64(base); diff > 512 || diff < -512 {
+			t.Errorf("%d rows at width %d allocate %d B per execution, %d rows at the default width %d B",
+				c.rows, c.width, got, 2000, base)
+		}
+	}
+}
+
+// TestRowBudgetContract sweeps MaxRows over one statement per batch
+// operator, at width 2 and at the production width: every statement
+// that runs out fails with a rows ResourceError whose Used is past the
+// limit by at most one batch width.
+func TestRowBudgetContract(t *testing.T) {
+	db := reuseDB(t, 3000)
+	setDOP(db, 1)
+	for _, c := range []struct {
+		op, sql     string
+		skipRewrite bool
+	}{
+		{"scan", "SELECT k, v FROM r WHERE v >= 10", false},
+		{"filter", "SELECT x.k FROM (SELECT k, v FROM r) x WHERE x.v >= 10", true},
+		{"project", "SELECT k + v, s FROM r", false},
+		{"group", "SELECT s, COUNT(*), SUM(v) FROM r GROUP BY s", false},
+	} {
+		setSkipRewrite(db, c.skipRewrite)
+		for _, width := range []int{2, 1024} {
+			db.colWidth = width
+			failed := 0
+			for _, limit := range []int64{1, 2, 3, 7, 100, 255, 256, 1000, 1023, 1024, 1025, 2047, 3000, 4001, 5999} {
+				setLimits(db, Limits{MaxRows: limit})
+				_, err := db.Exec(c.sql, nil)
+				if err == nil {
+					continue
+				}
+				var re *ResourceError
+				if !errors.As(err, &re) || re.Budget != "rows" {
+					t.Fatalf("%s width %d limit %d: want a rows ResourceError, got %v", c.op, width, limit, err)
+				}
+				if re.Limit != limit || re.Used <= limit || re.Used > limit+int64(width) {
+					t.Fatalf("%s width %d limit %d: Used %d outside (limit, limit+width]", c.op, width, limit, re.Used)
+				}
+				failed++
+			}
+			if failed < 8 {
+				t.Fatalf("%s width %d: only %d limits ran out; the sweep is vacuous", c.op, width, failed)
+			}
+		}
+	}
+	setLimits(db, Limits{})
 }

@@ -16,6 +16,7 @@ package datum
 import (
 	"math"
 	"strconv"
+	"sync"
 )
 
 // NullBitmap records NULL positions in a column vector, one bit per
@@ -222,15 +223,55 @@ type ColBatch struct {
 	Vecs []ColVec
 	Sel  []int
 	n    int
+	// selBuf backs the selection vectors filters build on this batch
+	// (see SelBuf), so it is reused with the batch.
+	selBuf []int
 }
 
 // NewColBatch returns an empty batch with one vector per type.
 func NewColBatch(types []TypeID) *ColBatch {
-	b := &ColBatch{Vecs: make([]ColVec, len(types))}
+	b := &ColBatch{}
+	b.setTypes(types)
+	return b
+}
+
+// batchPool holds released batches for AcquireColBatch.
+var batchPool = sync.Pool{New: func() any { return new(ColBatch) }}
+
+// AcquireColBatch is NewColBatch over a batch some earlier owner
+// released: an execution that refills one batch per statement then
+// reuses the lanes the previous execution grew, instead of growing
+// fresh ones. Give the batch back with Release.
+func AcquireColBatch(types []TypeID) *ColBatch {
+	b := batchPool.Get().(*ColBatch)
+	b.setTypes(types)
+	return b
+}
+
+// Release empties b and returns it to the pool AcquireColBatch draws
+// from; b must not be used afterwards. Call it only on a batch whose
+// every lane the caller owns — one from AcquireColBatch that it filled
+// itself — and never on an AliasFrom output or a batch assembled from
+// header copies of another batch's vectors (the hash join's emitted
+// batch): those lanes belong to someone else, and the next owner would
+// reset them under their producer. Emptying clears every string header
+// and boxed value, so a pooled batch pins no payload.
+func (b *ColBatch) Release() {
+	b.Reset()
+	batchPool.Put(b)
+}
+
+// setTypes gives b one empty vector per type, keeping the lane capacity
+// of the vectors it already has.
+func (b *ColBatch) setTypes(types []TypeID) {
+	if cap(b.Vecs) < len(types) {
+		b.Vecs = append(b.Vecs[:cap(b.Vecs)], make([]ColVec, len(types)-cap(b.Vecs))...)
+	}
+	b.Vecs = b.Vecs[:len(types)]
 	for i, t := range types {
 		b.Vecs[i].reset(t)
 	}
-	return b
+	b.Sel, b.n = nil, 0
 }
 
 // Reset empties the batch for refill, keeping lane capacity.
@@ -251,6 +292,41 @@ func (b *ColBatch) NumLive() int {
 		return len(b.Sel)
 	}
 	return b.n
+}
+
+// EachLive calls f with the index of every live row in ascending order,
+// stopping at the first error. f may compact Sel in place while it runs
+// (writes trail reads), as the row-evaluated filters do.
+func (b *ColBatch) EachLive(f func(i int) error) error {
+	if b.Sel != nil {
+		for _, i := range b.Sel {
+			if err := f(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := 0; i < b.n; i++ {
+		if err := f(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SelBuf returns an empty slice for a filter to build b's narrowed
+// selection vector in while it walks the live rows: Sel's own array
+// when Sel is set (the indices ascend, so writes trail reads), else a
+// buffer with room for every row that belongs to the batch, so a pooled
+// batch brings its own.
+func (b *ColBatch) SelBuf() []int {
+	if b.Sel != nil {
+		return b.Sel[:0]
+	}
+	if cap(b.selBuf) < b.n {
+		b.selBuf = make([]int, 0, b.n)
+	}
+	return b.selBuf[:0]
 }
 
 // AppendRow decomposes one row into the column vectors. The row's
@@ -441,31 +517,35 @@ func (b *ColBatch) MemBytes() int64 {
 
 // MaterializeInto appends the live rows to dst as ordinary rows backed
 // by one fresh arena; the returned rows remain valid after the batch is
-// reused. This is the fallback boundary from columnar to row-batch
-// execution.
-func (b *ColBatch) MaterializeInto(dst []Row) []Row {
+// reused. This is the boundary from columnar to row execution. A nil
+// srcs materializes every column; otherwise the rows are the projection
+// AliasFrom(b, srcs, consts) would describe, read straight from b.
+func (b *ColBatch) MaterializeInto(dst []Row, srcs []int, consts []Value) []Row {
 	live := b.NumLive()
 	if live == 0 {
 		return dst
 	}
-	w := len(b.Vecs)
-	arena := make([]Value, 0, live*w)
-	appendOne := func(i int) {
-		start := len(arena)
-		for c := range b.Vecs {
-			arena = append(arena, b.Vecs[c].ValueAt(i))
-		}
-		dst = append(dst, Row(arena[start:len(arena):len(arena)]))
+	w := len(srcs)
+	if srcs == nil {
+		w = len(b.Vecs)
 	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			appendOne(i)
+	arena := make([]Value, live*w)
+	_ = b.EachLive(func(i int) error {
+		row := arena[:w:w]
+		arena = arena[w:]
+		for c := range row {
+			s := c
+			if srcs != nil {
+				if s = srcs[c]; s < 0 {
+					row[c] = consts[c]
+					continue
+				}
+			}
+			row[c] = b.Vecs[s].ValueAt(i)
 		}
-	} else {
-		for i := 0; i < b.n; i++ {
-			appendOne(i)
-		}
-	}
+		dst = append(dst, row)
+		return nil
+	})
 	return dst
 }
 
@@ -553,7 +633,7 @@ func (v *ColVec) hashAt(i int) uint64 {
 // NULL in one of the columns alongside each hash. nullAny may be nil
 // when the caller does not care.
 func (b *ColBatch) HashLive(cols []int, out []uint64, nullAny []bool) ([]uint64, []bool) {
-	hashOne := func(i int) {
+	_ = b.EachLive(func(i int) error {
 		h := uint64(rowHashSeed)
 		isNull := false
 		for _, c := range cols {
@@ -567,16 +647,8 @@ func (b *ColBatch) HashLive(cols []int, out []uint64, nullAny []bool) ([]uint64,
 		if nullAny != nil {
 			nullAny = append(nullAny, isNull)
 		}
-	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			hashOne(i)
-		}
-	} else {
-		for i := 0; i < b.n; i++ {
-			hashOne(i)
-		}
-	}
+		return nil
+	})
 	return out, nullAny
 }
 
@@ -585,8 +657,8 @@ func (b *ColBatch) HashLive(cols []int, out []uint64, nullAny []bool) ([]uint64,
 
 // AppendKeyCols appends the canonical grouping key of the given columns
 // of row i to buf, producing exactly the bytes RowKey would for a row
-// holding those values. Used by the columnar hash aggregate so its
-// groups agree with the row-oriented groupOp.
+// holding those values. The hash aggregate groups on it, so grouping
+// over lanes forms exactly the groups RowKey would.
 func (b *ColBatch) AppendKeyCols(buf []byte, cols []int, i int) []byte {
 	for _, c := range cols {
 		v := &b.Vecs[c]

@@ -1,9 +1,14 @@
 package datum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // randValue draws from every built-in type, NULL included, with a few
@@ -134,7 +139,7 @@ func TestColBatchSelection(t *testing.T) {
 	if b.NumLive() != 3 {
 		t.Fatalf("live=%d want 3", b.NumLive())
 	}
-	rows := b.MaterializeInto(nil)
+	rows := b.MaterializeInto(nil, nil, nil)
 	if len(rows) != 3 || rows[0][0].Int() != 1 || rows[1][0].Int() != 4 || rows[2][0].Int() != 7 {
 		t.Fatalf("materialized %v", rows)
 	}
@@ -179,7 +184,7 @@ func TestColBatchMaterializeRetainable(t *testing.T) {
 	b := NewColBatch([]TypeID{TInt, TString})
 	b.AppendRow(Row{NewInt(1), NewString("one")})
 	b.AppendRow(Row{NewInt(2), NewString("two")})
-	rows := b.MaterializeInto(nil)
+	rows := b.MaterializeInto(nil, nil, nil)
 	b.Reset()
 	b.AppendRow(Row{NewInt(9), NewString("nine")})
 	if rows[0][0].Int() != 1 || rows[0][1].Str() != "one" ||
@@ -274,7 +279,7 @@ func TestAppendLiveMatchesRows(t *testing.T) {
 		acc.AppendLive(src)
 		want = append(want, rows...)
 	}
-	if got := acc.MaterializeInto(nil); len(got) != len(want) {
+	if got := acc.MaterializeInto(nil, nil, nil); len(got) != len(want) {
 		t.Fatalf("accumulated %d rows, want %d", len(got), len(want))
 	} else {
 		for i := range want {
@@ -332,4 +337,62 @@ func TestGatherDenseAndScattered(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReleasedBatchReusesLanes: a released batch comes back from
+// AcquireColBatch — asked for other types — empty, with the requested
+// types and the lane capacity it had, and while it waits in the pool it
+// pins no string or boxed payload it held (TestValuesKeepPayloadsAlive
+// in reverse: the payloads' finalizers must run).
+func TestReleasedBatchReusesLanes(t *testing.T) {
+	ut, err := RegisterType(TypeDef{Name: "CB_POOLED", Compare: func(a, b any) int { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	var freed atomic.Int64
+	b := AcquireColBatch([]TypeID{TString, ut, TInt})
+	for i := 0; i < n; i++ {
+		buf := new([32]byte)
+		copy(buf[:], fmt.Sprintf("payload %d", i))
+		runtime.SetFinalizer(buf, func(*[32]byte) { freed.Add(1) })
+		pt := &reprPoint{i, -i}
+		runtime.SetFinalizer(pt, func(*reprPoint) { freed.Add(1) })
+		b.AppendRow(Row{NewString(unsafe.String(&buf[0], len(buf))), NewUser(ut, pt), NewInt(int64(i))})
+	}
+	b.Sel = b.SelBuf()
+	strCap, intCap := cap(b.Vecs[0].Strs), cap(b.Vecs[2].Ints)
+	b.Release()
+	for i := 0; i < 100 && freed.Load() < 2*n; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != 2*n {
+		t.Fatalf("%d of %d payloads freed: the released batch still pins the rest", got, 2*n)
+	}
+	runtime.KeepAlive(b)
+
+	types := []TypeID{TInt, TFloat}
+	c := AcquireColBatch(types)
+	if c != b {
+		// The pool may drop what it is given (the race detector makes it
+		// drop a share on purpose); what AcquireColBatch does to a pooled
+		// batch is setTypes.
+		c.Release()
+		c = b
+		c.setTypes(types)
+	}
+	if c.Len() != 0 || c.Sel != nil || len(c.Vecs) != len(types) {
+		t.Fatalf("reacquired batch: len %d, sel %v, %d vectors", c.Len(), c.Sel, len(c.Vecs))
+	}
+	for i, typ := range types {
+		if v := &c.Vecs[i]; v.Typ != typ || v.Len() != 0 || v.Boxed != nil {
+			t.Fatalf("vector %d: type %s, len %d, boxed %v", i, TypeName(v.Typ), v.Len(), v.Boxed != nil)
+		}
+	}
+	// The INT lane was vector 2's; it waits beyond the shorter Vecs.
+	if strs, ints := cap(c.Vecs[0].Strs), cap(c.Vecs[:3][2].Ints); strs != strCap || ints != intCap {
+		t.Fatalf("lane capacity lost: strings %d (had %d), ints %d (had %d)", strs, strCap, ints, intCap)
+	}
+	c.Release()
 }

@@ -1,21 +1,23 @@
-// Columnar operators: the vectorized execution spine. A ColBatchStream
-// produces ColBatches — typed column vectors plus a selection vector —
-// so the scan→filter→join→project→aggregate spine runs fused per-type
-// kernels instead of per-row interface dispatch.
+// The batch protocol and what every batch operator shares. SCAN,
+// FILTER, PROJECT, GROUP and the hash join are one operator each, and
+// each runs on ColBatches — typed column vectors plus a selection
+// vector. What an operator computes is compiled once, at plan
+// refinement, into fused per-type kernels where one exists (see
+// colkernels.go); whatever no kernel covers — arithmetic, LIKE,
+// function calls, subplans, correlated columns, DISTINCT and DBC
+// aggregates — runs on the row evaluators inside the same operator,
+// one live row at a time over a reused scratch row. A Builder with
+// kernels off (Vectorized(false)) runs every predicate and aggregate
+// that way: the reference the equivalence corpus checks the kernels
+// against.
 //
-// Every columnar operator also implements Stream by materializing its
-// batches back to rows, so any row-oriented parent — nested-loop and
-// merge joins, sorts, exchanges, Run itself — composes with a columnar
-// child unchanged.
-// Dispatch happens at plan-refinement time: the builder emits a
-// columnar operator only when the node's expressions compile to kernels
-// and (for non-leaf operators) the child is columnar-native; otherwise
-// it falls back to the row operator. The hash join is the exception: it
-// is always batch-native and takes a row child through batchFeed.
-// Fault-wrapped, durable and virtual
-// relations whose iterators lack the ColScanner capability are adapted
-// row-by-row into vectors, so the fault/budget/cancel machinery
-// exercises the columnar operators too.
+// Row-only children (ISCAN, SORT, subqueries, set operations,
+// recursion, VALUES) enter a batch operator through batchFeed, and a
+// row-only parent pulls a batch operator through Next, which
+// materializes each batch into rows (rowFeed). Fault-wrapped, durable
+// and virtual relations whose iterators lack the ColScanner capability
+// are read row by row into vectors, so the fault/budget/cancel
+// machinery exercises the batch operators too.
 package exec
 
 import (
@@ -59,6 +61,13 @@ type colBatchSource interface {
 	NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error)
 }
 
+// rowFiller is a batch producer that can hand a row consumer its next
+// batch as rows without building that batch first (the alias
+// projection reads them straight from its input's batch).
+type rowFiller interface {
+	fillRows(ctx *Ctx, dst []datum.Row) ([]datum.Row, bool, error)
+}
+
 // rowFeed adapts a columnar producer to the Stream interface by
 // materializing each batch into retainable rows. The
 // rows slice is the reused batch container; trailing slots are cleared
@@ -77,16 +86,21 @@ func (f *rowFeed) reset() {
 }
 
 func (f *rowFeed) refill(ctx *Ctx, src colBatchSource) (bool, error) {
+	clear(f.rows)
+	f.rows, f.pos = f.rows[:0], 0
+	if rf, ok := src.(rowFiller); ok {
+		var more bool
+		var err error
+		f.rows, more, err = rf.fillRows(ctx, f.rows)
+		return more, err
+	}
 	b, more, err := src.NextColBatch(ctx)
 	if err != nil {
 		return false, err
 	}
-	clear(f.rows)
-	f.rows = f.rows[:0]
 	if b != nil {
-		f.rows = b.MaterializeInto(f.rows)
+		f.rows = b.MaterializeInto(f.rows, nil, nil)
 	}
-	f.pos = 0
 	return more, nil
 }
 
@@ -107,11 +121,13 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 }
 
 // batchFeed is rowFeed's mirror: it adapts a row producer (ISCAN, SORT,
-// the row scan of a vec-off build) to the columnar protocol by
-// decomposing its rows into one reused batch, so a batch-native
-// operator has a single input shape.
+// a subquery, ...) to the columnar protocol by decomposing its rows
+// into one batch, so a batch operator has a single input shape. The
+// batch is pooled: it owns every lane, so Close releases it for the
+// next execution to refill.
 type batchFeed struct {
 	Stream
+	types []datum.TypeID
 	batch *datum.ColBatch
 }
 
@@ -121,10 +137,13 @@ func asColBatchStream(s Stream, types []datum.TypeID) ColBatchStream {
 	if cs, ok := s.(ColBatchStream); ok {
 		return cs
 	}
-	return &batchFeed{Stream: s, batch: datum.NewColBatch(types)}
+	return &batchFeed{Stream: s, types: types}
 }
 
 func (f *batchFeed) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	if f.batch == nil {
+		f.batch = datum.AcquireColBatch(f.types)
+	}
 	f.batch.Reset()
 	for max := ctx.colBatchWidth(); f.batch.Len() < max; {
 		row, ok, err := f.Stream.Next(ctx)
@@ -139,290 +158,67 @@ func (f *batchFeed) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	return f.batch, true, nil
 }
 
-// ---------------------------------------------------------------------
-// Columnar SCAN
-
-// colScanOp materializes relation pages straight into column vectors
-// and evaluates pushed-down predicate kernels plus an optional join
-// filter against them, emitting batches that are already filtered.
-type colScanOp struct {
-	cur   tableCursor
-	types []datum.TypeID
-	preds []colPred
-
-	// jf, when set, is a join filter pushed down from a hash join above:
-	// rows whose key hash cannot be in the build side are dropped here,
-	// inside the scan kernel, before they travel up the pipeline.
-	jf     *joinFilter
-	jfKeys []int
-	// jfDropped counts the rows the join filter removed since the stats
-	// decorator last harvested it (see statsOp.Close).
-	jfDropped int64
-
-	batch   *datum.ColBatch
-	selBuf  []int
-	hashBuf []uint64
-	nullBuf []bool
-	feed    rowFeed
-}
-
-func (s *colScanOp) Open(ctx *Ctx) error {
-	s.cur.open()
-	s.feed.reset()
-	return nil
-}
-
-func (s *colScanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
-	if s.batch == nil {
-		s.batch = datum.NewColBatch(s.types)
+func (f *batchFeed) Close(ctx *Ctx) error {
+	if f.batch != nil {
+		f.batch.Release()
+		f.batch = nil
 	}
-	max := ctx.colBatchWidth()
-	for {
-		s.batch.Reset()
-		k, err := s.cur.fill(ctx, s.batch, max)
-		if err != nil || k == 0 {
-			return nil, false, err
-		}
-		if err := applyColPreds(s.preds, s.batch, &s.selBuf); err != nil {
-			return nil, false, err
-		}
-		if s.jf != nil {
-			before := s.batch.NumLive()
-			s.applyJoinFilter()
-			s.jfDropped += int64(before - s.batch.NumLive())
-		}
-		if s.batch.NumLive() > 0 {
-			return s.batch, true, nil
-		}
-		// Entire chunk filtered out; keep pulling. tickRows above keeps
-		// budget and cancellation responsive across empty chunks.
-	}
-}
-
-func (s *colScanOp) applyJoinFilter() {
-	if !s.jf.ready.Load() {
-		return
-	}
-	b := s.batch
-	if s.nullBuf == nil {
-		s.nullBuf = make([]bool, 0, colBatchSize)
-	}
-	s.hashBuf, s.nullBuf = b.HashLive(s.jfKeys, s.hashBuf[:0], s.nullBuf[:0])
-	if b.Sel == nil {
-		if cap(s.selBuf) < b.Len() {
-			s.selBuf = make([]int, 0, b.Len())
-		}
-		sel := s.selBuf[:0]
-		for i := 0; i < b.Len(); i++ {
-			// NULL keys never match under = ; drop them with the misses.
-			if !s.nullBuf[i] && s.jf.mayContain(s.hashBuf[i]) {
-				sel = append(sel, i)
-			}
-		}
-		b.Sel = sel
-		return
-	}
-	out := b.Sel[:0]
-	for j, i := range b.Sel {
-		if !s.nullBuf[j] && s.jf.mayContain(s.hashBuf[j]) {
-			out = append(out, i)
-		}
-	}
-	b.Sel = out
-}
-
-func (s *colScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	return s.feed.next(ctx, s)
-}
-
-func (s *colScanOp) Close(ctx *Ctx) error {
-	s.cur.close()
-	return nil
+	return f.Stream.Close(ctx)
 }
 
 // ---------------------------------------------------------------------
-// Columnar FILTER
+// Row evaluation inside batch operators
 
-// colFilterOp shrinks its input's selection vector with compiled
-// kernels; column data never moves.
-type colFilterOp struct {
-	input  ColBatchStream
-	preds  []colPred
-	selBuf []int
-	feed   rowFeed
+// loadRow copies live row i of b into the scratch row and returns it,
+// for the row evaluators to read.
+func loadRow(scratch datum.Row, b *datum.ColBatch, i int) datum.Row {
+	for c := range b.Vecs {
+		scratch[c] = b.Vecs[c].ValueAt(i)
+	}
+	return scratch
 }
 
-func (f *colFilterOp) Open(ctx *Ctx) error {
-	f.feed.reset()
-	return f.input.Open(ctx)
+// predList is a conjunct list as a batch operator runs it: kernels when
+// every conjunct compiles and the builder compiles kernels, else the
+// row evaluators over a reused scratch row — the whole list either way,
+// so conjunct order and short-circuiting match evalPreds.
+type predList struct {
+	kernels []colPred
+	rows    []expr.Expr
+	scratch datum.Row
 }
 
-func (f *colFilterOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
-	for {
-		b, more, err := f.input.NextColBatch(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, more, nil
-		}
-		if err := applyColPreds(f.preds, b, &f.selBuf); err != nil {
-			return nil, false, err
-		}
-		if b.NumLive() > 0 || !more {
-			return b, more, nil
+// predList binds the conjuncts preds for batches width columns wide.
+func (b *Builder) predList(preds []expr.Expr, width int) predList {
+	if len(preds) == 0 {
+		return predList{}
+	}
+	if b.vec {
+		if kernels, ok := compileColPreds(preds); ok {
+			return predList{kernels: kernels}
 		}
 	}
+	return predList{rows: preds, scratch: make(datum.Row, width)}
 }
 
-func (f *colFilterOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	return f.feed.next(ctx, f)
-}
+func (p *predList) empty() bool { return p.kernels == nil && p.rows == nil }
 
-func (f *colFilterOp) Close(ctx *Ctx) error { return f.input.Close(ctx) }
-
-// ---------------------------------------------------------------------
-// Columnar PROJECT
-
-// colProjectOp remaps column vectors by header copy — a projection of
-// bare columns moves no data — and replicates constants into owned
-// vectors.
-type colProjectOp struct {
-	input  ColBatchStream
-	srcs   []int // input slot per output column; -1 marks a constant
-	consts []datum.Value
-	out    *datum.ColBatch
-	feed   rowFeed
-}
-
-func (p *colProjectOp) Open(ctx *Ctx) error {
-	p.feed.reset()
-	return p.input.Open(ctx)
-}
-
-func (p *colProjectOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
-	b, more, err := p.input.NextColBatch(ctx)
-	if err != nil || b == nil {
-		return nil, more, err
+// apply shrinks b's selection vector to the live rows every conjunct
+// accepts (UNKNOWN rejects).
+func (p *predList) apply(ctx *Ctx, b *datum.ColBatch) error {
+	if p.rows == nil {
+		return applyColPreds(p.kernels, b)
 	}
-	p.out.AliasFrom(b, p.srcs, p.consts)
-	return p.out, more, nil
-}
-
-func (p *colProjectOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	return p.feed.next(ctx, p)
-}
-
-func (p *colProjectOp) Close(ctx *Ctx) error { return p.input.Close(ctx) }
-
-// ---------------------------------------------------------------------
-// Columnar hash GROUP BY
-
-// colGroupOp is the columnar hash aggregate: one map probe per live row
-// using the lane-direct grouping key (byte-identical to RowKey, so its
-// groups agree with groupOp's), then per-aggregate typed update kernels
-// over the batch. Like groupOp it drains its input inside Open and the
-// input's lifetime ends there on every path.
-type colGroupOp struct {
-	input     ColBatchStream
-	groupCols []int
-	aggs      []*colAgg
-
-	keyRows []datum.Row
-	out     []datum.Row
-	pos     int
-	mem     memCharge
-}
-
-func (g *colGroupOp) Open(ctx *Ctx) (err error) {
-	g.out, g.keyRows, g.pos = nil, nil, 0
-	for _, a := range g.aggs {
-		a.reset()
-	}
-	if err := g.input.Open(ctx); err != nil {
-		return errors.Join(err, g.input.Close(ctx))
-	}
-	defer func() { err = errors.Join(err, g.input.Close(ctx)) }()
-	groups := map[string]int{}
-	var keyBuf []byte
-	var gis []int
-	for {
-		b, more, err := g.input.NextColBatch(ctx)
-		if err != nil {
-			return err
+	keep := b.SelBuf()
+	err := b.EachLive(func(i int) error {
+		ok, err := evalPreds(ctx, p.rows, loadRow(p.scratch, b, i))
+		if ok {
+			keep = append(keep, i)
 		}
-		if b != nil && b.NumLive() > 0 {
-			if err := ctx.tickRows(b.NumLive()); err != nil {
-				return err
-			}
-			gis = gis[:0]
-			assign := func(i int) {
-				keyBuf = b.AppendKeyCols(keyBuf[:0], g.groupCols, i)
-				gi, ok := groups[string(keyBuf)]
-				if !ok {
-					gi = len(g.keyRows)
-					groups[string(keyBuf)] = gi
-					key := make(datum.Row, len(g.groupCols))
-					for j, c := range g.groupCols {
-						key[j] = b.Vecs[c].ValueAt(i)
-					}
-					g.keyRows = append(g.keyRows, key)
-					for _, a := range g.aggs {
-						a.grow(gi + 1)
-					}
-				}
-				gis = append(gis, gi)
-			}
-			if b.Sel != nil {
-				for _, i := range b.Sel {
-					assign(i)
-				}
-			} else {
-				for i := 0; i < b.Len(); i++ {
-					assign(i)
-				}
-			}
-			for _, a := range g.aggs {
-				if err := a.updateBatch(b, gis); err != nil {
-					return err
-				}
-			}
-		}
-		if !more {
-			break
-		}
-	}
-	// Scalar aggregation produces one row even for empty input.
-	if len(g.keyRows) == 0 && len(g.groupCols) == 0 {
-		g.keyRows = append(g.keyRows, nil)
-		for _, a := range g.aggs {
-			a.grow(1)
-		}
-	}
-	for gi, key := range g.keyRows {
-		row := make(datum.Row, 0, len(g.groupCols)+len(g.aggs))
-		row = append(row, key...)
-		for _, a := range g.aggs {
-			row = append(row, a.result(gi))
-		}
-		g.out = append(g.out, row)
-	}
-	return g.mem.charge(ctx, g.out)
-}
-
-func (g *colGroupOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if g.pos >= len(g.out) {
-		return nil, false, nil
-	}
-	r := g.out[g.pos]
-	g.pos++
-	return r, true, nil
-}
-
-func (g *colGroupOp) Close(ctx *Ctx) error {
-	g.out, g.keyRows = nil, nil
-	g.mem.release(ctx)
-	return nil
+		return err
+	})
+	b.Sel = keep
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -445,12 +241,9 @@ type hashJoinOp struct {
 	// lw is the probe width: output slots [0, lw) are probe columns,
 	// the rest build columns.
 	lw int
-	// The residual (non-equi) join predicate, bound over the output
-	// layout: kernels when every conjunct compiles, else rowPreds
-	// evaluated over the reused scratch row.
-	kernels  []colPred
-	rowPreds []expr.Expr
-	scratch  datum.Row
+	// residual is the non-equi join predicate, bound over the output
+	// layout.
+	residual predList
 
 	// filter, when set, is the pushed-down join filter hosted by a
 	// columnar scan in the probe subtree; Open populates it from the
@@ -479,7 +272,6 @@ type hashJoinOp struct {
 	pairP, pairB, fillP, fillB []int
 	own                        []datum.ColVec
 	out                        *datum.ColBatch
-	selBuf                     []int
 	feed                       rowFeed
 }
 
@@ -512,25 +304,16 @@ func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 	j := &hashJoinOp{
 		probe: asColBatchStream(l, lt), build: asColBatchStream(r, rt),
 		kind: n.JoinKind, lKeys: n.EquiLeft, rKeys: n.EquiRight, lw: len(lt),
-		bt:      datum.NewColBatch(rt),
-		own:     datum.NewColBatch(types).Vecs,
-		out:     datum.NewColBatch(types),
-		nullBuf: make([]bool, 0, colBatchSize), // non-nil: HashLive skips a nil one
+		bt:       datum.NewColBatch(rt),
+		own:      datum.NewColBatch(types).Vecs,
+		out:      datum.NewColBatch(types),
+		nullBuf:  make([]bool, 0, colBatchSize), // non-nil: HashLive skips a nil one
+		residual: b.predList(expr.Conjuncts(pred), len(types)),
 	}
-	if pred != nil {
-		conj := expr.Conjuncts(pred)
-		// A vec-off build keeps the residual on the row evaluators, so the
-		// equivalence corpus checks the kernels against them.
-		if kernels, ok := compileColPreds(conj); ok && b.vec {
-			j.kernels = kernels
-		} else {
-			j.rowPreds, j.scratch = conj, make(datum.Row, len(types))
-		}
-	}
-	// Push a join filter into a columnar scan feeding the probe side:
-	// inner joins only (an outer join must surface unmatched probe
-	// rows, so the scan may not drop them).
-	if b.vec && (n.JoinKind == "" || n.JoinKind == plan.KindRegular) && len(n.EquiLeft) > 0 {
+	// Push a join filter into a scan feeding the probe side: inner joins
+	// only (an outer join must surface unmatched probe rows, so the scan
+	// may not drop them).
+	if (n.JoinKind == "" || n.JoinKind == plan.KindRegular) && len(n.EquiLeft) > 0 {
 		if cs, keys := pushJoinFilter(l, n.EquiLeft); cs != nil {
 			j.filter = &joinFilter{}
 			cs.jf, cs.jfKeys = j.filter, keys
@@ -621,14 +404,14 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 		j.pairP, j.pairB, j.pos = pp, pb, to
 		cands := len(pp)
 		pp, pb = j.matchKeys(pp, pb)
-		if len(pp) > 0 && (j.kernels != nil || j.rowPreds != nil) {
+		if len(pp) > 0 && !j.residual.empty() {
 			// The residual runs over the emitted pairs, and what it leaves
 			// of an inner join is the output. An outer join needs the
 			// survivors back as pairs, to see which probe rows kept none:
 			// its candidates are gathered, never aliased, so the selection
 			// vector indexes the pair list.
 			j.emit(pp, pb, !outer)
-			if err := j.applyResidual(ctx); err != nil {
+			if err := j.residual.apply(ctx, j.out); err != nil {
 				return nil, false, err
 			}
 			sel := j.out.Sel
@@ -714,45 +497,6 @@ func (j *hashJoinOp) emit(pp, pb []int, alias bool) {
 	j.out.SetRows(n, at)
 }
 
-// applyResidual shrinks out's selection to the rows the residual
-// predicate accepts.
-func (j *hashJoinOp) applyResidual(ctx *Ctx) error {
-	b := j.out
-	if j.rowPreds == nil {
-		return applyColPreds(j.kernels, b, &j.selBuf)
-	}
-	if cap(j.selBuf) < b.Len() {
-		j.selBuf = make([]int, 0, b.Len())
-	}
-	keep := j.selBuf[:0]
-	test := func(i int) error {
-		for c := range b.Vecs {
-			j.scratch[c] = b.Vecs[c].ValueAt(i)
-		}
-		ok, err := evalPreds(ctx, j.rowPreds, j.scratch)
-		if ok {
-			keep = append(keep, i)
-		}
-		return err
-	}
-	if b.Sel != nil {
-		keep = b.Sel[:0] // in-place compaction: writes trail reads
-		for _, i := range b.Sel {
-			if err := test(i); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := 0; i < b.Len(); i++ {
-			if err := test(i); err != nil {
-				return err
-			}
-		}
-	}
-	b.Sel = keep
-	return nil
-}
-
 func (j *hashJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return j.feed.next(ctx, j)
 }
@@ -832,19 +576,17 @@ func jfRehash(h uint64) uint64 {
 }
 
 // pushJoinFilter walks the probe-side subtree through slot-preserving
-// operators (and their stats decorators) looking for a columnar scan to
-// host the join filter, remapping key slots through projections. LIMIT
+// operators (and their stats decorators) looking for a scan to host the
+// join filter, remapping key slots through alias projections. LIMIT
 // blocks the push: a filter below LIMIT would change which rows fill
 // the quota.
-func pushJoinFilter(s Stream, keys []int) (*colScanOp, []int) {
+func pushJoinFilter(s Stream, keys []int) (*scanOp, []int) {
 	k := append([]int(nil), keys...)
 	for {
 		switch t := undecorated(s).(type) {
 		case *filterOp:
 			s = t.input
-		case *colFilterOp:
-			s = t.input
-		case *colProjectOp:
+		case *projectOp:
 			for i, slot := range k {
 				if slot >= len(t.srcs) || t.srcs[slot] < 0 {
 					return nil, nil
@@ -852,7 +594,7 @@ func pushJoinFilter(s Stream, keys []int) (*colScanOp, []int) {
 				k[i] = t.srcs[slot]
 			}
 			s = t.input
-		case *colScanOp:
+		case *scanOp:
 			if t.jf != nil {
 				// Already hosting another join's filter; pushing two
 				// would conflate their key spaces.
@@ -865,90 +607,13 @@ func pushJoinFilter(s Stream, keys []int) (*colScanOp, []int) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Builder dispatch
-
-// Vectorized returns a copy of the builder with columnar operator
-// dispatch switched on or off.
+// Vectorized returns a copy of the builder that compiles kernels (on)
+// or runs every predicate and aggregate on the row evaluators inside
+// the same operators (off) — the reference the equivalence corpus
+// checks the kernels against. It never changes which operators are
+// built.
 func (b *Builder) Vectorized(on bool) *Builder {
 	nb := *b
 	nb.vec = on
 	return &nb
-}
-
-// tryColScan attempts a columnar-native scan; ok=false (with nil error)
-// means the node needs the row path.
-func (b *Builder) tryColScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, bool, error) {
-	if n.Table == nil || n.Table.Rel == nil {
-		return nil, false, nil
-	}
-	env := envFromCols(n.Cols, corr)
-	preds, err := env.bindAll(n.Preds)
-	if err != nil {
-		return nil, false, err
-	}
-	kernels, ok := compileColPreds(preds)
-	if !ok {
-		return nil, false, nil
-	}
-	return &colScanOp{
-		cur:   b.cursorFor(n),
-		types: append([]datum.TypeID(nil), n.Types...),
-		preds: kernels,
-	}, true, nil
-}
-
-// tryColProject compiles a projection of bare columns and constants.
-func tryColProject(in Stream, exprs []expr.Expr, types []datum.TypeID) (Stream, bool) {
-	cin, ok := in.(ColBatchStream)
-	if !ok {
-		return nil, false
-	}
-	srcs := make([]int, len(exprs))
-	consts := make([]datum.Value, len(exprs))
-	for i, e := range exprs {
-		switch t := e.(type) {
-		case *expr.Col:
-			if t.Corr || t.Slot < 0 {
-				return nil, false
-			}
-			srcs[i] = t.Slot
-		case *expr.Const:
-			srcs[i] = -1
-			consts[i] = t.Val
-		default:
-			return nil, false
-		}
-	}
-	return &colProjectOp{
-		input:  cin,
-		srcs:   srcs,
-		consts: consts,
-		out:    datum.NewColBatch(types),
-	}, true
-}
-
-// tryColGroup compiles a hash aggregate over built-in, non-DISTINCT
-// aggregate calls with bare-column arguments.
-func tryColGroup(in Stream, n *plan.Node, args []expr.Expr) (Stream, bool) {
-	cin, ok := in.(ColBatchStream)
-	if !ok {
-		return nil, false
-	}
-	aggs := make([]*colAgg, len(n.Aggs))
-	for i, a := range n.Aggs {
-		if a.Distinct {
-			return nil, false
-		}
-		c, ok := asBoundCol(args[i])
-		if !ok {
-			return nil, false
-		}
-		ca, ok := newColAgg(a.Name, c.Slot)
-		if !ok {
-			return nil, false
-		}
-		aggs[i] = ca
-	}
-	return &colGroupOp{input: cin, groupCols: n.GroupCols, aggs: aggs}, true
 }

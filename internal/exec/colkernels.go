@@ -29,22 +29,10 @@ type colPred interface {
 }
 
 // applyColPreds runs the predicate pipeline over b, shrinking its
-// selection vector in place. scratch is the caller-owned backing array
-// used the first time a selection vector materializes; batches handed
-// downstream therefore alias it until the caller's next fill.
-func applyColPreds(preds []colPred, b *datum.ColBatch, scratch *[]int) error {
+// selection vector.
+func applyColPreds(preds []colPred, b *datum.ColBatch) error {
 	for _, p := range preds {
-		var out []int
-		var err error
-		if b.Sel != nil {
-			// In-place compaction: writes trail reads, indices ascend.
-			out, err = p.filter(b, b.Sel[:0])
-		} else {
-			if cap(*scratch) < b.Len() {
-				*scratch = make([]int, 0, b.Len())
-			}
-			out, err = p.filter(b, (*scratch)[:0])
-		}
+		out, err := p.filter(b, b.SelBuf())
 		if err != nil {
 			return err
 		}
@@ -57,10 +45,10 @@ func applyColPreds(preds []colPred, b *datum.ColBatch, scratch *[]int) error {
 }
 
 // compileColPreds compiles bound predicates into kernels. It reports
-// ok=false when any predicate has a shape the columnar path cannot
-// evaluate (arithmetic, function calls, subplans, correlated columns);
-// the caller then falls back to row execution for the whole operator so
-// predicate order and short-circuit semantics are preserved.
+// ok=false when any predicate has a shape no kernel covers (arithmetic,
+// function calls, subplans, correlated columns); the operator then runs
+// the whole list on the row evaluators, so predicate order and
+// short-circuit semantics are preserved.
 func compileColPreds(preds []expr.Expr) ([]colPred, bool) {
 	if len(preds) == 0 {
 		return nil, true
@@ -242,11 +230,11 @@ func (p *cmpColConstPred) filter(b *datum.ColBatch, out []int) ([]int, error) {
 	// Boxed vector or a lane/constant type pairing with no dedicated
 	// kernel: evaluate per element through EvalCmp in the original
 	// operand order so errors match the row path byte for byte.
-	return filterGenericCmp(b, v, out, func(x datum.Value) (datum.Value, error) {
+	return filterGeneric(b, out, func(i int) (datum.Value, error) {
 		if p.constLeft {
-			return expr.EvalCmp(p.op, p.c, x)
+			return expr.EvalCmp(p.op, p.c, v.ValueAt(i))
 		}
-		return expr.EvalCmp(p.op, x, p.c)
+		return expr.EvalCmp(p.op, v.ValueAt(i), p.c)
 	})
 }
 
@@ -275,76 +263,23 @@ func (p *cmpColColPred) filter(b *datum.ColBatch, out []int) ([]int, error) {
 			return filterBoolsKernel(p.op, vl.Bools, vr.Bools, vl.Nulls, vr.Nulls, n, sel, out), nil
 		}
 	}
-	return filterGenericCols(b, vl, vr, p.op, out)
+	return filterGeneric(b, out, func(i int) (datum.Value, error) {
+		return expr.EvalCmp(p.op, vl.ValueAt(i), vr.ValueAt(i))
+	})
 }
 
-// filterGenericCols is the boxed col-vs-col fallback.
-func filterGenericCols(b *datum.ColBatch, vl, vr *datum.ColVec, op expr.CmpOp, out []int) ([]int, error) {
-	n, sel := b.Len(), b.Sel
-	keep := func(i int) (bool, error) {
-		res, err := expr.EvalCmp(op, vl.ValueAt(i), vr.ValueAt(i))
-		if err != nil {
-			return false, err
-		}
-		return datum.TristateOf(res).IsTrue(), nil
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			ok, err := keep(i)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	for _, i := range sel {
-		ok, err := keep(i)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+// filterGeneric appends to out every live row of b for which eval
+// yields TRUE: the comparison kernels' fallback for boxed lanes and
+// lane pairings with no typed loop.
+func filterGeneric(b *datum.ColBatch, out []int, eval func(i int) (datum.Value, error)) ([]int, error) {
+	err := b.EachLive(func(i int) error {
+		res, err := eval(i)
+		if datum.TristateOf(res).IsTrue() {
 			out = append(out, i)
 		}
-	}
-	return out, nil
-}
-
-// filterGenericCmp evaluates eval per live element of v and keeps rows
-// where the result is TRUE; the boxed col-vs-constant fallback.
-func filterGenericCmp(b *datum.ColBatch, v *datum.ColVec, out []int, eval func(datum.Value) (datum.Value, error)) ([]int, error) {
-	n, sel := b.Len(), b.Sel
-	keep := func(i int) (bool, error) {
-		res, err := eval(v.ValueAt(i))
-		if err != nil {
-			return false, err
-		}
-		return datum.TristateOf(res).IsTrue(), nil
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			ok, err := keep(i)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	for _, i := range sel {
-		ok, err := keep(i)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out, nil
+		return err
+	})
+	return out, err
 }
 
 // filterCmpKernel is the common col-vs-constant loop, instantiated per
@@ -622,7 +557,7 @@ type colAgg struct {
 }
 
 // newColAgg compiles one aggregate call; ok=false means the call has no
-// columnar implementation (custom aggregates, DISTINCT).
+// kernel (a DBC aggregate).
 func newColAgg(name string, slot int) (*colAgg, bool) {
 	kind := 0
 	switch name {
@@ -679,9 +614,8 @@ func (a *colAgg) grow(n int) {
 	}
 }
 
-// updateBatch folds every live row of b into the group named by the
-// parallel gis slice (one group id per live row, in live order).
-func (a *colAgg) updateBatch(b *datum.ColBatch, gis []int) error {
+// update implements batchAgg.
+func (a *colAgg) update(_ *Ctx, b *datum.ColBatch, gis []int) error {
 	v := &b.Vecs[a.slot]
 	n, sel := b.Len(), b.Sel
 	if v.Boxed == nil {
@@ -704,23 +638,11 @@ func (a *colAgg) updateBatch(b *datum.ColBatch, gis []int) error {
 		}
 	}
 	// Generic path: MIN/MAX, boxed vectors, unexpected lane/kind pairs.
-	j := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if err := a.addValue(gis[j], v.ValueAt(i)); err != nil {
-				return err
-			}
-			j++
-		}
-		return nil
-	}
-	for _, i := range sel {
-		if err := a.addValue(gis[j], v.ValueAt(i)); err != nil {
-			return err
-		}
+	j := -1
+	return b.EachLive(func(i int) error {
 		j++
-	}
-	return nil
+		return a.addValue(gis[j], v.ValueAt(i))
+	})
 }
 
 func (a *colAgg) countKernel(nulls datum.NullBitmap, n int, sel, gis []int) {

@@ -13,8 +13,8 @@ import (
 // claimed from a dispenser shared with sibling workers), MVCC
 // visibility of what they yield (through the table's version map), the
 // work-budget ticks for the records read, and the deferred iterator
-// error at exhaustion. SCAN, columnar SCAN and searched UPDATE/DELETE
-// differ only in what they do with the visible records.
+// error at exhaustion. SCAN and searched UPDATE/DELETE differ only in
+// what they do with the visible records.
 type tableCursor struct {
 	rel storage.Relation
 	tv  *txn.TableVersions

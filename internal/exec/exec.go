@@ -255,8 +255,9 @@ type Builder struct {
 	// repart, when set, rebinds REPART plan nodes to a reader over one
 	// partition of a shared repartition pool (also per-worker state).
 	repart *repartBinding
-	// vec enables columnar operator dispatch (see Vectorized); kernels
-	// are compiled per node and row fallback is per operator.
+	// vec compiles kernels (see Vectorized): on in every builder but
+	// the equivalence reference's. It never decides which operator a
+	// plan node gets.
 	vec bool
 }
 
@@ -266,7 +267,7 @@ type BuildFunc func(b *Builder, n *plan.Node, inputs []Stream, corr map[plan.Col
 
 // NewBuilder returns a builder over the catalog.
 func NewBuilder(cat *catalog.Catalog) *Builder {
-	return &Builder{cat: cat, custom: map[string]BuildFunc{}}
+	return &Builder{cat: cat, custom: map[string]BuildFunc{}, vec: true}
 }
 
 // RegisterOperator installs a custom LOLEPOP executor.
@@ -289,13 +290,6 @@ func (b *Builder) Build(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) 
 func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
 	switch n.Op {
 	case plan.OpScan:
-		if b.vec {
-			if s, ok, err := b.tryColScan(n, corr); err != nil {
-				return nil, err
-			} else if ok {
-				return s, nil
-			}
-		}
 		return b.buildScan(n, corr)
 	case plan.OpGather:
 		return b.buildGather(n, corr)

@@ -24,11 +24,29 @@ func indexKeyOf(row datum.Row, cols []int) datum.Row {
 // ---------------------------------------------------------------------
 // SCAN
 
-// scanOp is the row scan, and the row reference the equivalence corpus
-// compares the columnar scan against.
+// scanOp reads a stored table straight into column vectors and narrows
+// each batch with its pushed-down predicates and, when a hash join
+// above pushed one, a join filter, emitting batches that are already
+// filtered. Its fill batch is pooled: the scan owns every lane, so
+// Close releases it for the next execution to refill.
 type scanOp struct {
 	cur   tableCursor
-	preds []expr.Expr
+	types []datum.TypeID
+	preds predList
+
+	// jf, when set, is a join filter pushed down from a hash join above:
+	// rows whose key hash cannot be in the build side are dropped here,
+	// inside the scan, before they travel up the pipeline.
+	jf     *joinFilter
+	jfKeys []int
+	// jfDropped counts the rows the join filter removed since the stats
+	// decorator last harvested it (see statsOp.Close).
+	jfDropped int64
+
+	batch   *datum.ColBatch
+	hashBuf []uint64
+	nullBuf []bool
+	feed    rowFeed
 }
 
 func (b *Builder) buildScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -37,32 +55,74 @@ func (b *Builder) buildScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 	if err != nil {
 		return nil, err
 	}
-	return &scanOp{cur: b.cursorFor(n), preds: preds}, nil
+	return &scanOp{cur: b.cursorFor(n), types: slotTypes(n), preds: b.predList(preds, len(n.Cols))}, nil
 }
 
 func (s *scanOp) Open(ctx *Ctx) error {
 	s.cur.open()
+	s.feed.reset()
 	return nil
 }
 
-func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	for {
-		row, _, ok, err := s.cur.next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		match, err := evalPreds(ctx, s.preds, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if match {
-			return row, true, nil
-		}
+func (s *scanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	if s.batch == nil {
+		s.batch = datum.AcquireColBatch(s.types)
 	}
+	max := ctx.colBatchWidth()
+	for {
+		s.batch.Reset()
+		k, err := s.cur.fill(ctx, s.batch, max)
+		if err != nil || k == 0 {
+			return nil, false, err
+		}
+		if err := s.preds.apply(ctx, s.batch); err != nil {
+			return nil, false, err
+		}
+		if s.jf != nil {
+			before := s.batch.NumLive()
+			s.applyJoinFilter()
+			s.jfDropped += int64(before - s.batch.NumLive())
+		}
+		if s.batch.NumLive() > 0 {
+			return s.batch, true, nil
+		}
+		// Entire chunk filtered out; keep pulling. The cursor's budget
+		// ticks keep budgets and cancellation responsive across empty
+		// chunks.
+	}
+}
+
+func (s *scanOp) applyJoinFilter() {
+	if !s.jf.ready.Load() {
+		return
+	}
+	b := s.batch
+	if s.nullBuf == nil {
+		s.nullBuf = make([]bool, 0, colBatchSize)
+	}
+	s.hashBuf, s.nullBuf = b.HashLive(s.jfKeys, s.hashBuf[:0], s.nullBuf[:0])
+	keep, j := b.SelBuf(), 0
+	_ = b.EachLive(func(i int) error {
+		// NULL keys never match under = ; drop them with the misses.
+		if !s.nullBuf[j] && s.jf.mayContain(s.hashBuf[j]) {
+			keep = append(keep, i)
+		}
+		j++
+		return nil
+	})
+	b.Sel = keep
+}
+
+func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+	return s.feed.next(ctx, s)
 }
 
 func (s *scanOp) Close(ctx *Ctx) error {
 	s.cur.close()
+	if s.batch != nil {
+		s.batch.Release()
+		s.batch = nil
+	}
 	return nil
 }
 
@@ -186,9 +246,12 @@ func (b *Builder) buildAccess(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	return b.Build(n.Inputs[0], corr)
 }
 
+// filterOp shrinks its input's selection vector; column data never
+// moves.
 type filterOp struct {
-	input Stream
-	preds []expr.Expr
+	input ColBatchStream
+	preds predList
+	feed  rowFeed
 }
 
 func (b *Builder) buildFilter(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -205,39 +268,67 @@ func (b *Builder) buildFilter(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	if err != nil {
 		return nil, err
 	}
-	if b.vec {
-		if cin, ok := in.(ColBatchStream); ok {
-			if kernels, ok := compileColPreds(preds); ok {
-				return &colFilterOp{input: cin, preds: kernels}, nil
-			}
-		}
-	}
-	return &filterOp{input: in, preds: preds}, nil
+	return &filterOp{
+		input: asColBatchStream(in, slotTypes(n.Inputs[0])),
+		preds: b.predList(preds, len(n.Inputs[0].Cols)),
+	}, nil
 }
 
-func (f *filterOp) Open(ctx *Ctx) error { return f.input.Open(ctx) }
+func (f *filterOp) Open(ctx *Ctx) error {
+	f.feed.reset()
+	return f.input.Open(ctx)
+}
 
-func (f *filterOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+func (f *filterOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	for {
-		row, ok, err := f.input.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		match, err := evalPreds(ctx, f.preds, row)
+		b, more, err := f.input.NextColBatch(ctx)
 		if err != nil {
 			return nil, false, err
 		}
-		if match {
-			return row, true, nil
+		if b == nil {
+			return nil, more, nil
+		}
+		if err := f.preds.apply(ctx, b); err != nil {
+			return nil, false, err
+		}
+		if b.NumLive() > 0 || !more {
+			return b, more, nil
 		}
 	}
+}
+
+func (f *filterOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+	return f.feed.next(ctx, f)
 }
 
 func (f *filterOp) Close(ctx *Ctx) error { return f.input.Close(ctx) }
 
+// projectOp computes its output columns from each input batch. A
+// projection of bare columns and constants (an alias projection) moves
+// no data: its output batch is header copies of the input's vectors
+// plus owned constant vectors, and a row consumer gets its rows read
+// straight from the input batch. Any other projection runs the row
+// evaluators once per live row into a batch of its own, which it owns
+// outright and so takes from the pool.
 type projectOp struct {
-	input Stream
-	exprs []expr.Expr
+	input ColBatchStream
+	types []datum.TypeID
+	// srcs/consts are the alias plan — the input slot of each output
+	// column, -1 for a constant — or nil when some expression is
+	// neither. pushJoinFilter remaps key slots through them.
+	srcs   []int
+	consts []datum.Value
+	// rows runs a projection without an alias plan.
+	rows *rowProjection
+	out  *datum.ColBatch
+	feed rowFeed
+}
+
+// rowProjection is a projection on the row evaluators: exprs read the
+// scratch row, and vals is the reused row of their values.
+type rowProjection struct {
+	exprs         []expr.Expr
+	scratch, vals datum.Row
 }
 
 func (b *Builder) buildProject(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -254,34 +345,114 @@ func (b *Builder) buildProject(n *plan.Node, corr map[plan.ColRef]int) (Stream, 
 	if err != nil {
 		return nil, err
 	}
-	if b.vec {
-		if p, ok := tryColProject(in, exprs, n.Types); ok {
-			return p, nil
-		}
+	p := &projectOp{input: asColBatchStream(in, slotTypes(n.Inputs[0])), types: slotTypes(n)}
+	if p.srcs, p.consts = aliasPlan(exprs); p.srcs == nil {
+		p.rows = &rowProjection{exprs, make(datum.Row, len(n.Inputs[0].Cols)), make(datum.Row, len(exprs))}
 	}
-	return &projectOp{input: in, exprs: exprs}, nil
+	return p, nil
 }
 
-func (p *projectOp) Open(ctx *Ctx) error { return p.input.Open(ctx) }
+// aliasPlan maps a projection of bare columns and constants to input
+// slots (-1 for a constant) and the constants; nil when some expression
+// is neither. consts stays nil when there is no constant.
+func aliasPlan(exprs []expr.Expr) (srcs []int, consts []datum.Value) {
+	srcs = make([]int, len(exprs))
+	for i, e := range exprs {
+		if c, ok := asBoundCol(e); ok {
+			srcs[i] = c.Slot
+			continue
+		}
+		k, ok := e.(*expr.Const)
+		if !ok {
+			return nil, nil
+		}
+		if consts == nil {
+			consts = make([]datum.Value, len(exprs))
+		}
+		srcs[i], consts[i] = -1, k.Val
+	}
+	return srcs, consts
+}
 
-func (p *projectOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	row, ok, err := p.input.Next(ctx)
-	if err != nil || !ok {
+func (p *projectOp) Open(ctx *Ctx) error {
+	p.feed.reset()
+	return p.input.Open(ctx)
+}
+
+func (p *projectOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	b, more, err := p.input.NextColBatch(ctx)
+	if err != nil || b == nil {
+		return nil, more, err
+	}
+	if p.srcs != nil {
+		if p.out == nil {
+			p.out = datum.NewColBatch(p.types)
+		}
+		p.out.AliasFrom(b, p.srcs, p.consts)
+		return p.out, more, nil
+	}
+	if p.out == nil {
+		p.out = datum.AcquireColBatch(p.types)
+	}
+	p.out.Reset()
+	err = b.EachLive(func(i int) error {
+		if err := p.rows.eval(ctx, b, i, p.rows.vals); err != nil {
+			return err
+		}
+		p.out.AppendRow(p.rows.vals)
+		return nil
+	})
+	if err != nil {
 		return nil, false, err
 	}
-	out := make(datum.Row, len(p.exprs))
-	ec := ctx.exprCtx()
-	for i, e := range p.exprs {
-		v, err := e.Eval(ec, row)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
+	return p.out, more, nil
 }
 
-func (p *projectOp) Close(ctx *Ctx) error { return p.input.Close(ctx) }
+// fillRows implements rowFiller: rows for a row consumer come straight
+// from the input batch, with no output batch in between.
+func (p *projectOp) fillRows(ctx *Ctx, dst []datum.Row) ([]datum.Row, bool, error) {
+	b, more, err := p.input.NextColBatch(ctx)
+	if err != nil || b == nil {
+		return dst, more, err
+	}
+	if p.srcs != nil {
+		return b.MaterializeInto(dst, p.srcs, p.consts), more, nil
+	}
+	w := len(p.rows.exprs)
+	arena := make([]datum.Value, b.NumLive()*w)
+	err = b.EachLive(func(i int) error {
+		row := arena[:w:w]
+		arena = arena[w:]
+		dst = append(dst, row)
+		return p.rows.eval(ctx, b, i, row)
+	})
+	return dst, more, err
+}
+
+// eval evaluates the projection of live row i of b into out.
+func (r *rowProjection) eval(ctx *Ctx, b *datum.ColBatch, i int, out datum.Row) error {
+	row, ec := loadRow(r.scratch, b, i), ctx.exprCtx()
+	for k, e := range r.exprs {
+		v, err := e.Eval(ec, row)
+		if err != nil {
+			return err
+		}
+		out[k] = v
+	}
+	return nil
+}
+
+func (p *projectOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+	return p.feed.next(ctx, p)
+}
+
+func (p *projectOp) Close(ctx *Ctx) error {
+	if p.rows != nil && p.out != nil {
+		p.out.Release()
+		p.out = nil
+	}
+	return p.input.Close(ctx)
+}
 
 type limitOp struct {
 	input Stream
@@ -685,15 +856,33 @@ func (j *mergeJoinOp) Close(ctx *Ctx) error {
 // ---------------------------------------------------------------------
 // GROUP, DISTINCT, set operations
 
+// groupOp is the hash aggregate: it drains its input's batches inside
+// Open, assigning each live row a group by its lane-direct grouping key
+// (byte-identical to RowKey), then folds each aggregate over the batch —
+// with a typed update kernel where one exists, else through the
+// aggregate's own expr.AggState (DISTINCT sets included) on the row
+// evaluators. The input's lifetime ends inside Open on every path.
 type groupOp struct {
-	input     Stream
+	input     ColBatchStream
 	groupCols []int
-	aggs      []*expr.AggCall
-	argExprs  []expr.Expr
+	aggs      []batchAgg
 
-	out []datum.Row
-	pos int
-	mem memCharge
+	keyRows []datum.Row
+	out     []datum.Row
+	pos     int
+	mem     memCharge
+}
+
+// batchAgg is one aggregate's state across every group, indexed by
+// group id: a colAgg kernel or a rowAgg.
+type batchAgg interface {
+	reset()
+	// grow ensures state exists for n groups.
+	grow(n int)
+	// update folds every live row of b into the group named by the
+	// parallel gis slice (one group id per live row, in live order).
+	update(ctx *Ctx, b *datum.ColBatch, gis []int) error
+	result(gi int) datum.Value
 }
 
 func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -702,106 +891,93 @@ func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 		return nil, err
 	}
 	env := envFromCols(n.Inputs[0].Cols, corr)
-	args := make([]expr.Expr, len(n.Aggs))
+	aggs := make([]batchAgg, len(n.Aggs))
 	for i, a := range n.Aggs {
-		bound, err := env.bind(a.Arg)
+		arg, err := env.bind(a.Arg)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = bound
-	}
-	if b.vec {
-		if g, ok := tryColGroup(in, n, args); ok {
-			return g, nil
+		aggs[i] = &rowAgg{call: a, arg: arg, scratch: make(datum.Row, len(n.Inputs[0].Cols))}
+		if c, ok := asBoundCol(arg); ok && b.vec && !a.Distinct {
+			if ca, ok := newColAgg(a.Name, c.Slot); ok {
+				aggs[i] = ca
+			}
 		}
 	}
-	return &groupOp{input: in, groupCols: n.GroupCols, aggs: n.Aggs, argExprs: args}, nil
+	return &groupOp{input: asColBatchStream(in, slotTypes(n.Inputs[0])), groupCols: n.GroupCols, aggs: aggs}, nil
 }
 
 func (g *groupOp) Open(ctx *Ctx) (err error) {
-	type groupState struct {
-		key      datum.Row
-		states   []expr.AggState
-		distinct []map[string]bool
-	}
-	groups := map[string]*groupState{}
-	var order []string
-	newState := func(key datum.Row) *groupState {
-		gs := &groupState{key: key, states: make([]expr.AggState, len(g.aggs)),
-			distinct: make([]map[string]bool, len(g.aggs))}
-		for i, a := range g.aggs {
-			gs.states[i] = a.Fn.NewState()
-			if a.Distinct {
-				gs.distinct[i] = map[string]bool{}
-			}
-		}
-		return gs
+	g.out, g.keyRows, g.pos = nil, nil, 0
+	for _, a := range g.aggs {
+		a.reset()
 	}
 	if err := g.input.Open(ctx); err != nil {
 		// Close even after a failed Open: the input subtree may have
 		// opened children (and their storage iterators) before failing,
-		// and groupOp.Close does not cascade — the input's lifetime ends
-		// inside this Open on every path.
+		// and groupOp.Close does not cascade.
 		return errors.Join(err, g.input.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, g.input.Close(ctx)) }()
-	ec := ctx.exprCtx()
+	groups := map[string]int{}
+	var keyBuf []byte
+	var gis []int
 	for {
-		row, ok, err := g.input.Next(ctx)
+		b, more, err := g.input.NextColBatch(ctx)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		if err := ctx.tick(); err != nil {
-			return err
-		}
-		key := make(datum.Row, len(g.groupCols))
-		for i, c := range g.groupCols {
-			key[i] = row[c]
-		}
-		k := datum.RowKey(key)
-		gs := groups[k]
-		if gs == nil {
-			gs = newState(key)
-			groups[k] = gs
-			order = append(order, k)
-		}
-		for i := range g.aggs {
-			v, err := g.argExprs[i].Eval(ec, row)
-			if err != nil {
+		if b != nil && b.NumLive() > 0 {
+			if err := ctx.tickRows(b.NumLive()); err != nil {
 				return err
 			}
-			if gs.distinct[i] != nil {
-				dk := datum.RowKey(datum.Row{v})
-				if gs.distinct[i][dk] {
-					continue
+			if cap(gis) < b.NumLive() {
+				gis = make([]int, 0, b.NumLive())
+			}
+			gis = gis[:0]
+			_ = b.EachLive(func(i int) error {
+				keyBuf = b.AppendKeyCols(keyBuf[:0], g.groupCols, i)
+				gi, ok := groups[string(keyBuf)]
+				if !ok {
+					gi = len(g.keyRows)
+					groups[string(keyBuf)] = gi
+					key := make(datum.Row, len(g.groupCols))
+					for j, c := range g.groupCols {
+						key[j] = b.Vecs[c].ValueAt(i)
+					}
+					g.keyRows = append(g.keyRows, key)
+					for _, a := range g.aggs {
+						a.grow(gi + 1)
+					}
 				}
-				gs.distinct[i][dk] = true
+				gis = append(gis, gi)
+				return nil
+			})
+			for _, a := range g.aggs {
+				if err := a.update(ctx, b, gis); err != nil {
+					return err
+				}
 			}
-			if err := gs.states[i].Add(v); err != nil {
-				return err
-			}
+		}
+		if !more {
+			break
 		}
 	}
 	// Scalar aggregation produces one row even for empty input.
-	if len(groups) == 0 && len(g.groupCols) == 0 {
-		gs := newState(nil)
-		groups[""] = gs
-		order = append(order, "")
+	if len(g.keyRows) == 0 && len(g.groupCols) == 0 {
+		g.keyRows = append(g.keyRows, nil)
+		for _, a := range g.aggs {
+			a.grow(1)
+		}
 	}
-	g.out = nil
-	for _, k := range order {
-		gs := groups[k]
+	for gi, key := range g.keyRows {
 		row := make(datum.Row, 0, len(g.groupCols)+len(g.aggs))
-		row = append(row, gs.key...)
-		for i := range g.aggs {
-			row = append(row, gs.states[i].Result())
+		row = append(row, key...)
+		for _, a := range g.aggs {
+			row = append(row, a.result(gi))
 		}
 		g.out = append(g.out, row)
 	}
-	g.pos = 0
 	return g.mem.charge(ctx, g.out)
 }
 
@@ -815,10 +991,59 @@ func (g *groupOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 }
 
 func (g *groupOp) Close(ctx *Ctx) error {
-	g.out = nil
+	g.out, g.keyRows = nil, nil
 	g.mem.release(ctx)
 	return nil
 }
+
+// rowAgg is an aggregate no kernel covers — a DBC aggregate, a DISTINCT
+// one, or any aggregate of a kernels-off build: one expr.AggState per
+// group, plus its DISTINCT set, fed the argument's value for each live
+// row by the row evaluator over the scratch row.
+type rowAgg struct {
+	call     *expr.AggCall
+	arg      expr.Expr
+	scratch  datum.Row
+	states   []expr.AggState
+	distinct []map[string]bool
+}
+
+func (a *rowAgg) reset() {
+	a.states, a.distinct = nil, nil
+}
+
+func (a *rowAgg) grow(n int) {
+	for len(a.states) < n {
+		a.states = append(a.states, a.call.Fn.NewState())
+		var seen map[string]bool
+		if a.call.Distinct {
+			seen = map[string]bool{}
+		}
+		a.distinct = append(a.distinct, seen)
+	}
+}
+
+func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
+	ec, j := ctx.exprCtx(), 0
+	return b.EachLive(func(i int) error {
+		gi := gis[j]
+		j++
+		v, err := a.arg.Eval(ec, loadRow(a.scratch, b, i))
+		if err != nil {
+			return err
+		}
+		if seen := a.distinct[gi]; seen != nil {
+			k := datum.RowKey(datum.Row{v})
+			if seen[k] {
+				return nil
+			}
+			seen[k] = true
+		}
+		return a.states[gi].Add(v)
+	})
+}
+
+func (a *rowAgg) result(gi int) datum.Value { return a.states[gi].Result() }
 
 type distinctOp struct {
 	input Stream

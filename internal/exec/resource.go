@@ -10,9 +10,10 @@ import (
 )
 
 // This file bounds query execution: cancellation, a statement deadline,
-// and per-statement resource budgets. Operators call Ctx.tick on tuple
-// boundaries — amortized, so the hot path pays one counter increment
-// per tuple and a real check every tickInterval tuples — and charge
+// and per-statement resource budgets. Operators charge work with
+// Ctx.tick (one tuple) or Ctx.tickRows (a batch of them) — one atomic
+// add and a compare against the row budget on every charge, and a real
+// cancellation/deadline check every tickInterval tuples — and charge
 // materialized state (sort runs, hash tables, temps, group state,
 // recursive work tables) against the memory budget via Reserve.
 //
@@ -28,8 +29,8 @@ type Limits struct {
 	// may take: every tuple crossing a leaf or materialization boundary
 	// counts one step. It is a work budget, not a result-size limit — a
 	// cross join producing one output row still pays for every pair it
-	// considers. Enforcement is amortized: the statement may overshoot
-	// by up to tickInterval steps before the error surfaces.
+	// considers. Every charge is checked, so the statement overshoots by
+	// at most one charge (see ResourceError.Used).
 	MaxRows int64
 	// MaxMem bounds the estimated bytes of state materialized at any one
 	// time by sorts, hash tables, temps, grouping and set operations,
@@ -44,6 +45,13 @@ type ResourceError struct {
 	// Budget names what ran out: "rows", "mem" or "time".
 	Budget string
 	// Limit is the configured budget; Used what the statement reached.
+	// For "rows", Used is the step count of the charge that crossed the
+	// limit, so Limit < Used <= Limit + w, w being the largest single
+	// charge: one batch width for the batch operators (a scan's fill
+	// chunk, the batch a hash join builds from or a GROUP drains), one
+	// for a row operator. The hash join's charge for a chunk of rejected
+	// candidate pairs is the one that can exceed a batch width, by at
+	// most one probe row's matches.
 	Limit, Used int64
 }
 
@@ -93,31 +101,19 @@ func (c *Ctx) Arm(goCtx context.Context, limits Limits) {
 // Limits reports the armed budgets.
 func (c *Ctx) Limits() Limits { return c.limits }
 
-// tick counts one tuple boundary. The hot path is one atomic increment
-// and a mask test (it must stay small enough to inline); every
-// tickInterval calls the slow path enforces the row budget, the
-// deadline and cancellation, so budgets are enforced to within
-// tickInterval tuples statement-wide, no matter how many workers share
-// the counter.
-func (c *Ctx) tick() error {
-	t := c.sh.ticks.Add(1)
-	if t&(tickInterval-1) != 0 {
-		return nil
-	}
-	return c.tickSlow(t)
-}
+// tick counts one tuple boundary.
+func (c *Ctx) tick() error { return c.tickRows(1) }
 
-// tickRows counts n tuple boundaries in one atomic add — the columnar
-// path's batch-granular twin of tick. The slow path runs whenever the
-// batch crossed a tickInterval boundary, so budgets and cancellation
-// are enforced with the same amortized granularity as the row path no
-// matter how rows are chunked into batches.
+// tickRows counts n tuple boundaries in one atomic add. The slow path
+// runs when the row budget is spent or the count crossed a tickInterval
+// boundary, so the row budget holds to within the charge that spent it
+// and deadlines and cancellation to within tickInterval tuples,
+// statement-wide, no matter how many workers share the counter or how
+// rows are chunked into batches.
 func (c *Ctx) tickRows(n int) error {
-	if n <= 0 {
-		return nil
-	}
 	t := c.sh.ticks.Add(int64(n))
-	if t&^(tickInterval-1) == (t-int64(n))&^(tickInterval-1) {
+	if (c.limits.MaxRows == 0 || t <= c.limits.MaxRows) &&
+		t&^(tickInterval-1) == (t-int64(n))&^(tickInterval-1) {
 		return nil
 	}
 	return c.tickSlow(t)

@@ -41,7 +41,7 @@ func requireTailClear(t *testing.T, where string, batch []datum.Row) {
 // tinyColScan returns a width-2 context and a columnar scan of a heap
 // table holding vals, with "col0 >= 10" pushed into the scan when
 // pushed is set.
-func tinyColScan(t *testing.T, pushed bool, vals ...int64) (*Ctx, *colScanOp) {
+func tinyColScan(t *testing.T, pushed bool, vals ...int64) (*Ctx, *scanOp) {
 	t.Helper()
 	rel, err := storage.NewHeapManager(2).Create("T", 1, &storage.IOStats{})
 	if err != nil {
@@ -52,9 +52,9 @@ func tinyColScan(t *testing.T, pushed bool, vals ...int64) (*Ctx, *colScanOp) {
 			t.Fatal(err)
 		}
 	}
-	s := &colScanOp{cur: tableCursor{rel: rel}, types: []datum.TypeID{datum.TInt}}
+	s := &scanOp{cur: tableCursor{rel: rel}, types: []datum.TypeID{datum.TInt}}
 	if pushed {
-		s.preds = ge10(t)
+		s.preds = predList{kernels: ge10(t)}
 	}
 	ctx := NewCtx(nil, nil)
 	ctx.SetColWidth(2)
@@ -120,8 +120,8 @@ func TestRowFeedClearsShortRefill(t *testing.T) {
 	}
 }
 
-// TestRowFeedClearsDroppedRows: rows a pushed predicate or a columnar
-// filter deselects are never materialized, and a batch that shrinks to
+// TestRowFeedClearsDroppedRows: rows a pushed predicate or a filter
+// deselects are never materialized, and a batch that shrinks to
 // one survivor must not expose the wider batch before it.
 func TestRowFeedClearsDroppedRows(t *testing.T) {
 	t.Run("scan", func(t *testing.T) {
@@ -136,7 +136,7 @@ func TestRowFeedClearsDroppedRows(t *testing.T) {
 	})
 	t.Run("filter", func(t *testing.T) {
 		ctx, s := tinyColScan(t, false, 10, 20, 30, 1, 2)
-		f := &colFilterOp{input: s, preds: ge10(t)}
+		f := &filterOp{input: s, preds: predList{kernels: ge10(t)}}
 		if err := f.Open(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -184,7 +184,7 @@ func (s *statsOp) Close(ctx *Ctx) error {
 		// workers before returning.
 		s.st.WorkerRows = wr.WorkerRowCounts()
 	}
-	if cs, ok := s.inner.(*colScanOp); ok && cs.jfDropped != 0 {
+	if cs, ok := s.inner.(*scanOp); ok && cs.jfDropped != 0 {
 		atomic.AddInt64(&s.st.JoinFiltered, cs.jfDropped)
 		cs.jfDropped = 0
 	}

@@ -40,8 +40,7 @@ func checkKeyCases(t *testing.T, db *DB, cases []keyCase) {
 	for _, c := range cases {
 		for _, m := range execModes {
 			for _, dop := range []int{1, 4} {
-				db.rowExec, db.colWidth = !m.vec, m.width
-				setDOP(db, dop)
+				setMode(db, m, dop)
 				res, err := db.Exec(c.q, nil)
 				if err != nil {
 					t.Fatalf("mode %s dop=%d: %s: %v", m.name, dop, c.q, err)

@@ -286,7 +286,10 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 		db.faults.SetInterrupt(goCtx.Done())
 		defer db.faults.SetInterrupt(nil)
 	}
-	builder := db.builder.Vectorized(!db.rowExec)
+	builder := db.builder
+	if db.kernelsOff {
+		builder = builder.Vectorized(false)
+	}
 	if instrument || db.instrumentWanted(set) {
 		o.instr = exec.NewInstrumentation()
 		builder = builder.Instrumented(o.instr)

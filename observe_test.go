@@ -68,7 +68,8 @@ func checkStatsInvariants(t *testing.T, instr *exec.Instrumentation, root *plan.
 			}
 		}
 		perCall := int64(1)
-		if k := instr.Kind(n); strings.HasPrefix(k, "col") || k == "hashJoinOp" {
+		switch instr.Kind(n) {
+		case "scanOp", "filterOp", "projectOp", "hashJoinOp":
 			perCall = 1024 // batch producers; none of these joins fans out past a batch
 		}
 		if st.Rows > st.Nexts*perCall {

@@ -311,10 +311,10 @@ func WithPlanCache(capacity int) Option {
 	}
 }
 
-// Vectorized reports whether eligible scan, filter, project and
-// aggregate operators run fused per-type kernels over column vectors
-// (falling back to row execution per operator when an expression has no
-// kernel). Always true outside this package's own tests, which switch
-// it off to run the row operators as the reference the columnar ones
-// are compared against.
-func (db *DB) Vectorized() bool { return !db.rowExec }
+// Vectorized reports whether statements compile predicate and
+// aggregate kernels that run over column vectors; whatever has no
+// kernel runs on the row evaluators inside the same operators. Always
+// true outside this package's own tests, which switch kernels off to
+// run every predicate and aggregate on the row evaluators, the
+// reference the kernels are compared against.
+func (db *DB) Vectorized() bool { return !db.kernelsOff }

@@ -197,12 +197,12 @@ type DB struct {
 	// registry; built once at Open, shared by every statement.
 	parObs *exec.ParallelObs
 	// colWidth, when nonzero, overrides the executor's columnar batch
-	// width, and rowExec switches columnar execution off so every
-	// operator takes its row fallback — the reference colequiv_test.go
-	// compares the columnar operators against. Only tests set either,
-	// before running statements.
-	colWidth int
-	rowExec  bool
+	// width, and kernelsOff builds statements without kernels, so the
+	// same operators run every predicate and aggregate on the row
+	// evaluators — the reference colequiv_test.go compares the kernels
+	// against. Only tests set either, before running statements.
+	colWidth   int
+	kernelsOff bool
 
 	// obsState holds the observability knobs: metrics registry, phase
 	// tracing, slow-query log (see observe.go).
