@@ -72,12 +72,14 @@ examples:
 # schedules (race replays only the seed corpus), and the paths through
 # pooled batches — equivalence, subquery re-opens, budgets, reuse —
 # repeated under the race detector, since a pooled batch outlives its
-# operator and the per-P pool hands it across goroutines.
+# operator and the per-P pool hands it across goroutines, and DISK
+# scans racing a writer, which switch mid-page from the frozen read to
+# per-record version resolution.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
 
-STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestDiskScanVersionSwitchStress
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

@@ -7,11 +7,17 @@ package starburst
 // recovered state checked against a serial oracle replay.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datum"
 	"repro/internal/storage"
@@ -168,8 +174,16 @@ func TestDataDirDDLReplayAfterCrash(t *testing.T) {
 
 // TestEngineCorpusOnDisk runs a broad statement corpus against a
 // DISK-backed DB and an in-memory HEAP DB and requires identical
-// results — the durable manager must be observationally equivalent.
+// results — the durable manager must be observationally equivalent. It
+// runs at the production batch width and at width 2, where DISK scans
+// stop mid-page.
 func TestEngineCorpusOnDisk(t *testing.T) {
+	for _, width := range []int{0, 2} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) { engineCorpusOnDisk(t, width) })
+	}
+}
+
+func engineCorpusOnDisk(t *testing.T, width int) {
 	setup := []string{
 		`CREATE TABLE items (id INT NOT NULL, qty INT, tag STRING)`,
 		`CREATE INDEX items_id ON items (id)`,
@@ -204,6 +218,7 @@ func TestEngineCorpusOnDisk(t *testing.T) {
 	heap := Open()
 	fs := disk.NewMemFS()
 	dd := diskDB(t, fs)
+	dd.colWidth = width
 	for _, q := range setup {
 		mustExec(t, heap, q)
 		mustExec(t, dd, q)
@@ -223,27 +238,29 @@ func TestEngineCorpusOnDisk(t *testing.T) {
 	}
 	// Same corpus, same answers, after a clean reopen...
 	dd2 := diskDB(t, fs)
+	dd2.colWidth = width
 	check("disk-reopened", dd2)
 	// ...and after a hard crash (recovery from checkpoint + WAL).
 	fs.Crash()
 	dd3 := diskDB(t, fs)
+	dd3.colWidth = width
 	check("disk-recovered", dd3)
 	if err := dd3.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDiskParallelScan drives the PR-4 exchange path over the disk
-// manager: DOP>1 morsel scans must see every page range.
+// TestDiskParallelScan drives the exchange path over the disk manager:
+// DOP>1 morsel scans must see every page range, at DOP 1 and 4 and at
+// the production batch width and width 2 (mid-page stops).
 func TestDiskParallelScan(t *testing.T) {
 	fs := disk.NewMemFS()
-	db := diskDB(t, fs, WithSettings(Settings{Parallelism: 4}))
+	db := diskDB(t, fs)
 	mustExec(t, db, `CREATE TABLE big (id INT, v INT)`)
 	for i := 0; i < 300; i++ {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO big VALUES (%d, %d)`, i, i%7))
 	}
 	mustExec(t, db, `ANALYZE big`)
-	res := mustExec(t, db, `SELECT COUNT(*), SUM(id) FROM big WHERE v < 5`)
 	wantN, wantSum := int64(0), int64(0)
 	for i := 0; i < 300; i++ {
 		if i%7 < 5 {
@@ -251,9 +268,174 @@ func TestDiskParallelScan(t *testing.T) {
 			wantSum += int64(i)
 		}
 	}
-	if res.Rows[0][0].Int() != wantN || res.Rows[0][1].Int() != wantSum {
-		t.Fatalf("parallel disk scan: %v, want [%d %d]", res.Rows, wantN, wantSum)
+	for _, dop := range []int{1, 4} {
+		for _, width := range []int{0, 2} {
+			setDOP(db, dop)
+			db.colWidth = width
+			res := mustExec(t, db, `SELECT COUNT(*), SUM(id) FROM big WHERE v < 5`)
+			if res.Rows[0][0].Int() != wantN || res.Rows[0][1].Int() != wantSum {
+				t.Fatalf("disk scan at DOP %d, width %d: %v, want [%d %d]", dop, width, res.Rows, wantN, wantSum)
+			}
+		}
 	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskScanAllocationFlat: a cached scan+GROUP over a frozen DISK
+// table allocates the same bytes per execution whatever the table size
+// — records decode from pinned pages straight into the scan's pooled
+// lanes, with no row per record. The table is numeric, since each
+// STRING value still costs one copy as it leaves its page, and fits the
+// buffer pool, since each page load costs a frame handshake. The least
+// of 30 executions is compared: under the race detector the batch pool
+// drops a share of what it is given, and a dropped batch is regrown.
+func TestDiskScanAllocationFlat(t *testing.T) {
+	const q = "SELECT g, COUNT(*), SUM(v), MAX(f) FROM d GROUP BY g"
+	perExec := func(rows int) uint64 {
+		db := Open(withDataFS("data", disk.NewMemFS(), disk.Options{PageSize: 4096, PoolPages: 128}),
+			WithDefaultStorage("DISK"), WithPlanCache(8))
+		defer db.Close()
+		setDOP(db, 1)
+		mustExec(t, db, "CREATE TABLE d (g INT, v INT, f FLOAT, b BOOL)")
+		for lo := 0; lo < rows; lo += 500 {
+			var sb strings.Builder
+			sb.WriteString("INSERT INTO d VALUES ")
+			for i := lo; i < lo+500; i++ {
+				if i > lo {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, "(%d, %d, %d.5, %v)", i%7, i, i, i%2 == 0)
+			}
+			mustExec(t, db, sb.String())
+		}
+		mustExec(t, db, q)
+		least := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for range 30 {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if res := mustExec(t, db, q); len(res.Rows) != 7 {
+				t.Fatalf("%d rows: got %d groups, want 7", rows, len(res.Rows))
+			}
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+		}
+		return least
+	}
+	small, large := perExec(2000), perExec(8000)
+	t.Logf("2000 rows: %d B per execution, 8000 rows: %d B", small, large)
+	if float64(large) > 1.1*float64(small) {
+		t.Fatalf("8000 rows allocate %d B per execution, 2000 rows %d B: the scan allocates per record", large, small)
+	}
+}
+
+// TestDiskScanVersionSwitchStress scans a DISK table through SQL while
+// a writer commits balance-preserving transfers and row moves (delete
+// plus insert) and rolls back arbitrary inserts, updates and deletes.
+// A scan starts on the frozen path and switches to per-record version
+// resolution whenever the writer creates versions; at batch width 2
+// the switch lands mid-page. Every scan must see a committed state:
+// the row count and the balance total never change.
+func TestDiskScanVersionSwitchStress(t *testing.T) {
+	const rows, bal = 120, 100
+	db := diskDB(t, disk.NewMemFS())
+	db.colWidth = 2
+	mustExec(t, db, `CREATE TABLE acct (id INT NOT NULL, bal INT)`)
+	for i := 0; i < rows; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO acct VALUES (%d, %d)`, i, bal))
+	}
+
+	done := make(chan struct{})
+	scanErr := make(chan error, 1)
+	scans := 0
+	// stop ends the scanner and waits for it, also when the writer
+	// fails; a second call finds scanErr closed and returns nil.
+	stopped := false
+	stop := func() error {
+		if !stopped {
+			stopped = true
+			close(done)
+		}
+		return <-scanErr
+	}
+	defer stop()
+	go func() {
+		defer close(scanErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			res, err := db.Exec(`SELECT COUNT(*), SUM(bal) FROM acct`, nil)
+			if err != nil {
+				scanErr <- err
+				return
+			}
+			if n, sum := res.Rows[0][0].Int(), res.Rows[0][1].Int(); n != rows || sum != rows*bal {
+				scanErr <- fmt.Errorf("scan %d saw %d rows summing to %d, want %d and %d", scans, n, sum, rows, rows*bal)
+				return
+			}
+			scans++
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]int64, rows)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	next := int64(rows)
+	ctx := context.Background()
+	exec := func(tx *Tx, q string) *Result {
+		t.Helper()
+		res, err := tx.Exec(q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	for i := 0; i < 150; i++ {
+		tx, err := db.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := rng.Intn(len(ids)), rng.Intn(len(ids))
+		switch rng.Intn(3) {
+		case 0: // transfer
+			d := rng.Intn(50)
+			exec(tx, fmt.Sprintf(`UPDATE acct SET bal = bal - %d WHERE id = %d`, d, ids[a]))
+			exec(tx, fmt.Sprintf(`UPDATE acct SET bal = bal + %d WHERE id = %d`, d, ids[b]))
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		case 1: // move a balance to a new row
+			v := exec(tx, fmt.Sprintf(`SELECT bal FROM acct WHERE id = %d`, ids[a])).Rows[0][0].Int()
+			exec(tx, fmt.Sprintf(`DELETE FROM acct WHERE id = %d`, ids[a]))
+			exec(tx, fmt.Sprintf(`INSERT INTO acct VALUES (%d, %d)`, next, v))
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			ids[a] = next
+			next++
+		default: // anything, rolled back
+			exec(tx, fmt.Sprintf(`INSERT INTO acct VALUES (%d, 7), (%d, 8)`, next, next+1))
+			exec(tx, fmt.Sprintf(`UPDATE acct SET bal = bal + 1000 WHERE id = %d`, ids[a]))
+			exec(tx, fmt.Sprintf(`DELETE FROM acct WHERE id = %d`, ids[b]))
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%10 == 0 {
+			time.Sleep(time.Millisecond) // let versions freeze between bursts
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d consistent scans", scans)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

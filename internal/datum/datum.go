@@ -303,7 +303,19 @@ func Compatible(from, to TypeID) bool {
 	return false
 }
 
-// Coerce converts v to type t when Compatible allows it.
+// TypeError reports a value that cannot be coerced to the type of the
+// column it was sent to, e.g. a host variable bound to a STRING for an
+// INT column.
+type TypeError struct {
+	From, To TypeID
+}
+
+func (e *TypeError) Error() string {
+	return fmt.Sprintf("datum: cannot coerce %s to %s", TypeName(e.From), TypeName(e.To))
+}
+
+// Coerce converts v to type t when Compatible allows it, and otherwise
+// fails with a *TypeError.
 func Coerce(v Value, t TypeID) (Value, error) {
 	if v.typ == t || v.IsNull() {
 		return v, nil
@@ -314,7 +326,7 @@ func Coerce(v Value, t TypeID) (Value, error) {
 	case v.typ == TFloat && t == TInt:
 		return NewInt(int64(v.asFloat())), nil
 	}
-	return Null, fmt.Errorf("datum: cannot coerce %s to %s", TypeName(v.typ), TypeName(t))
+	return Null, &TypeError{From: v.typ, To: t}
 }
 
 // Compare orders two datums. ok is false when either side is NULL or the

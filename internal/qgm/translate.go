@@ -1282,19 +1282,22 @@ func translateInsert(cat *catalog.Catalog, s *sql.InsertStmt) (*Graph, error) {
 				return nil, fmt.Errorf("qgm: VALUES row %d has %d values, want %d", ri+1, len(row), len(cols))
 			}
 			var exprs []expr.Expr
-			for _, e := range row {
+			for ci, e := range row {
 				te, err := t.translateScalar(e, newScope(nil), nil)
 				if err != nil {
 					return nil, err
+				}
+				// A bare host variable takes the type of the column it
+				// fills; the bound value is coerced to it on insert.
+				if p, ok := te.(*expr.Param); ok {
+					p.Typ = tbl.Cols[cols[ci]].Type
 				}
 				exprs = append(exprs, te)
 			}
 			vb.Rows = append(vb.Rows, exprs)
 		}
-		for i, ord := range cols {
-			typ := tbl.Cols[ord].Type
-			vb.Head = append(vb.Head, HeadCol{Name: strings.ToUpper(tbl.Cols[ord].Name), Type: typ})
-			_ = i
+		for _, ord := range cols {
+			vb.Head = append(vb.Head, HeadCol{Name: strings.ToUpper(tbl.Cols[ord].Name), Type: tbl.Cols[ord].Type})
 		}
 		src = vb
 	}

@@ -67,10 +67,19 @@ func encodeRow(dst []byte, row datum.Row) ([]byte, error) {
 // decodeRow parses numCols values from rec into a fresh row.
 func decodeRow(rec []byte, numCols int) (datum.Row, error) {
 	row := make(datum.Row, numCols)
+	if err := decodeInto(row, rec); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// decodeInto parses len(row) values from rec into row, overwriting every
+// element. On error row holds a partial decode the caller must discard.
+func decodeInto(row datum.Row, rec []byte) error {
 	pos := 0
-	for i := 0; i < numCols; i++ {
+	for i := range row {
 		if pos >= len(rec) {
-			return nil, fmt.Errorf("disk: truncated record (col %d of %d)", i, numCols)
+			return fmt.Errorf("disk: truncated record (col %d of %d)", i, len(row))
 		}
 		tag := rec[pos]
 		pos++
@@ -84,30 +93,30 @@ func decodeRow(rec []byte, numCols int) (datum.Row, error) {
 		case tagInt:
 			v, n := binary.Varint(rec[pos:])
 			if n <= 0 {
-				return nil, fmt.Errorf("disk: bad varint in record col %d", i)
+				return fmt.Errorf("disk: bad varint in record col %d", i)
 			}
 			pos += n
 			row[i] = datum.NewInt(v)
 		case tagFloat:
 			if pos+8 > len(rec) {
-				return nil, fmt.Errorf("disk: truncated float in record col %d", i)
+				return fmt.Errorf("disk: truncated float in record col %d", i)
 			}
 			row[i] = datum.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(rec[pos:])))
 			pos += 8
 		case tagString:
 			n, w := binary.Uvarint(rec[pos:])
 			if w <= 0 || pos+w+int(n) > len(rec) {
-				return nil, fmt.Errorf("disk: truncated string in record col %d", i)
+				return fmt.Errorf("disk: truncated string in record col %d", i)
 			}
 			pos += w
 			row[i] = datum.NewString(string(rec[pos : pos+int(n)]))
 			pos += int(n)
 		default:
-			return nil, fmt.Errorf("disk: unknown value tag %d in record col %d", tag, i)
+			return fmt.Errorf("disk: unknown value tag %d in record col %d", tag, i)
 		}
 	}
 	if pos != len(rec) {
-		return nil, fmt.Errorf("disk: %d trailing bytes after record", len(rec)-pos)
+		return fmt.Errorf("disk: %d trailing bytes after record", len(rec)-pos)
 	}
-	return row, nil
+	return nil
 }

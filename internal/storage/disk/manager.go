@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/storage"
@@ -153,82 +154,109 @@ func (r *relation) Truncate() {
 	_ = r.s.truncateTable(r.tf)
 }
 
-// diskIterator streams a page range, decoding one pinned page at a time
-// into a row buffer. One simulated page read is counted per page
-// visited, the same accounting as the in-memory heap.
+// diskIterator streams a page range, pinning one page per call. Its
+// position is a page and the next slot on it, shared by both ways of
+// reading it, so a cursor may switch between them mid-scan without
+// skipping or repeating a record: Next returns one record as a fresh
+// row, NextCols decodes records straight into column lanes through one
+// scratch row and may stop mid-page. Next reads ahead of nothing: the
+// version layer resolves a record in the same step that reads it (see
+// txn.TableVersions.ReadNext), which a buffered image would defeat. One
+// simulated page read is counted per page, on first touch — the same
+// accounting as the in-memory heap.
 type diskIterator struct {
 	r    *relation
 	page int64
+	slot int
 	end  int64
 
-	rows []datum.Row
-	rids []storage.RID
-	idx  int
-	err  error
+	scratch datum.Row
+	err     error
 }
 
-// fill decodes pages until one yields records or the range ends,
-// leaving the batch in rows/rids. Reports whether anything was
-// produced.
-func (it *diskIterator) fill() bool {
-	it.rows = it.rows[:0]
-	it.rids = it.rids[:0]
-	it.idx = 0
-	if it.err != nil {
+var _ storage.ColScanner = (*diskIterator)(nil)
+
+// readPage decodes the live records of the page at the scan position,
+// from the remembered slot on, each into it.scratch, and hands each to
+// emit with its RID. It stops after a record for which emit reports
+// false, remembering the next slot, and otherwise moves on to the next
+// page. It holds the page pin and the table's read lock only for the
+// call. A record that fails to decode is not emitted: the error is
+// deferred to Err. readPage reports false once the range is exhausted
+// or an error is recorded.
+func (it *diskIterator) readPage(emit func(storage.RID) bool) bool {
+	if it.err != nil || it.page >= it.end {
 		return false
 	}
 	tf := it.r.tf
-	for it.page < it.end {
-		p := it.page
-		it.page++
-		tf.mu.RLock()
-		if p >= tf.pages {
-			tf.mu.RUnlock()
+	if it.scratch == nil {
+		it.scratch = make(datum.Row, tf.numCols)
+	}
+	tf.mu.RLock()
+	defer tf.mu.RUnlock()
+	if it.page >= tf.pages {
+		it.page, it.slot = it.page+1, 0
+		return true
+	}
+	fr, err := it.r.s.pin(tf, uint32(it.page))
+	if err != nil {
+		it.err = err
+		return false
+	}
+	defer it.r.s.pool.unpin(fr, false, 0)
+	pg := newPage(fr.buf)
+	if it.slot == 0 {
+		it.r.stats.ReadPage()
+	}
+	for it.slot < pg.slotCount() {
+		slot := it.slot
+		it.slot++
+		rec := pg.record(slot)
+		if rec == nil {
 			continue
 		}
-		fr, err := it.r.s.pin(tf, uint32(p))
-		if err != nil {
-			tf.mu.RUnlock()
-			it.err = err
+		if derr := decodeInto(it.scratch, rec); derr != nil {
+			it.err = fmt.Errorf("disk: %s page %d slot %d: %w", tf.name, it.page, slot, derr)
 			return false
 		}
-		pg := newPage(fr.buf)
-		it.r.stats.ReadPage()
-		for slot := 0; slot < pg.slotCount(); slot++ {
-			rec := pg.record(slot)
-			if rec == nil {
-				continue
-			}
-			row, derr := decodeRow(rec, tf.numCols)
-			if derr != nil {
-				it.err = fmt.Errorf("disk: %s page %d slot %d: %w", tf.name, p, slot, derr)
-				break
-			}
-			it.rows = append(it.rows, row)
-			it.rids = append(it.rids, storage.RID{Page: int32(p), Slot: int32(slot)})
-		}
-		it.r.s.pool.unpin(fr, false, 0)
-		tf.mu.RUnlock()
-		if it.err != nil {
-			return false
-		}
-		if len(it.rows) > 0 {
-			return true
+		if !emit(storage.RID{Page: int32(it.page), Slot: int32(slot)}) {
+			break
 		}
 	}
-	return false
+	if it.slot >= pg.slotCount() {
+		it.page, it.slot = it.page+1, 0
+	}
+	return true
 }
 
-// Next implements storage.RowIterator.
+// Next implements storage.RowIterator. Rows are fresh: callers may
+// retain them.
 func (it *diskIterator) Next() (datum.Row, storage.RID, bool) {
-	for it.idx >= len(it.rows) {
-		if !it.fill() {
-			return nil, storage.RID{}, false
-		}
+	var rid storage.RID
+	found := false
+	emit := func(r storage.RID) bool {
+		rid, found = r, true
+		return false
 	}
-	i := it.idx
-	it.idx++
-	return it.rows[i], it.rids[i], true
+	for !found && it.readPage(emit) {
+	}
+	if !found {
+		return nil, storage.RID{}, false
+	}
+	return slices.Clone(it.scratch), rid, true
+}
+
+// NextCols implements storage.ColScanner.
+func (it *diskIterator) NextCols(b *datum.ColBatch, max int) int {
+	n := 0
+	emit := func(storage.RID) bool {
+		b.AppendRow(it.scratch)
+		n++
+		return n < max
+	}
+	for n < max && it.readPage(emit) {
+	}
+	return n
 }
 
 // Err reports a deferred scan error (storage.IterErr contract).

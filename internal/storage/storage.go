@@ -111,10 +111,13 @@ type RowIterator interface {
 // how many rows were appended. Zero means exhaustion (a ColScanner
 // never returns a zero count with records remaining). The vectors are
 // the arena — values land in typed lanes with no per-row allocation.
-// Page-read accounting is identical to tuple iteration. The arena-backed
-// HEAP and FIXED iterators implement it; iterators that do not
-// (fault-wrapped decorations, DISK, VIRTUAL, DBC extensions) are drained
-// through Next into the same vectors.
+// Page-read accounting is identical to tuple iteration, and a
+// ColScanner shares one scan position with Next, so the two may be
+// interleaved. The arena-backed HEAP and FIXED iterators and the DISK
+// iterator (which decodes pinned pages straight into the vectors)
+// implement it; iterators that do not (fault-wrapped decorations,
+// VIRTUAL, DBC extensions) are drained through Next into the same
+// vectors.
 type ColScanner interface {
 	NextCols(b *datum.ColBatch, max int) int
 }

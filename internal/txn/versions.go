@@ -315,8 +315,11 @@ func (tv *TableVersions) ReadNext(it storage.RowIterator, snap Snapshot) (row da
 // records leaving the iterator, so none of them needs resolving. It
 // reports frozen=false, having read nothing, when the table has
 // unfrozen versions; the caller falls back to ReadNext. n == 0 with
-// frozen means exhaustion. A ColScanner decomposes pages straight into
-// b's vectors; any other iterator is drained record by record.
+// frozen means exhaustion. A ColScanner (HEAP, FIXED, DISK) decomposes
+// pages straight into b's vectors; any other iterator (fault-wrapped,
+// VIRTUAL, DBC) is drained record by record. Either way the iterator
+// keeps one position, so a cursor that falls back to ReadNext mid-scan
+// resumes at the next record.
 func (tv *TableVersions) ReadFrozen(it storage.RowIterator, b *datum.ColBatch, max int) (n int, frozen bool) {
 	if tv != nil {
 		tv.mu.RLock()

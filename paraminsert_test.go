@@ -1,0 +1,99 @@
+package starburst
+
+import (
+	"context"
+	gosql "database/sql"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/datum"
+)
+
+// A host variable in an INSERT ... VALUES row takes the type of the
+// column it fills, through every way of binding one: DB.Query, a
+// prepared Stmt run repeatedly, and database/sql placeholders (named
+// and positional). A bound value the column cannot hold is rejected
+// with a *TypeError and never stored.
+func TestInsertValuesParamsTakeColumnTypes(t *testing.T) {
+	ctx := context.Background()
+	db := Open()
+	db.MustExec("CREATE TABLE t (k INT, f FLOAT, b BOOL, s STRING)", nil)
+	const ins = "INSERT INTO t VALUES (:k, :f, :b, :s)"
+	var want []string
+	bind := func(k int64, f Value, b Value, s Value) map[string]Value {
+		want = append(want, fmt.Sprintf("%d|%v|%v|%v", k, f, b, s))
+		return map[string]Value{"k": NewInt(k), "f": f, "b": b, "s": s}
+	}
+
+	if _, err := db.Query(ctx, ins, bind(1, NewFloat(1.5), NewBool(true), NewString("one"))); err != nil {
+		t.Fatalf("DB.Query: %v", err)
+	}
+	st, err := db.Prepare(ins)
+	if err != nil {
+		t.Fatalf("DB.Prepare: %v", err)
+	}
+	for _, p := range []map[string]Value{
+		bind(2, NewFloat(-2.25), NewBool(false), NewString("")),
+		bind(3, Null, Null, Null),
+		bind(4, NewFloat(4e9), NewBool(true), NewString(strings.Repeat("x", 300))),
+	} {
+		if _, err := st.Query(ctx, p); err != nil {
+			t.Fatalf("Stmt.Query %v: %v", p, err)
+		}
+	}
+
+	RegisterDSN(t.Name(), db)
+	sdb, err := gosql.Open(DriverName, t.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+	bind(5, NewFloat(5.5), NewBool(false), NewString("five"))
+	if _, err := sdb.Exec(ins, gosql.Named("k", 5), gosql.Named("f", 5.5), gosql.Named("b", false), gosql.Named("s", "five")); err != nil {
+		t.Fatalf("database/sql named: %v", err)
+	}
+	bind(6, Null, NewBool(true), Null)
+	if _, err := sdb.Exec("INSERT INTO t VALUES (:p1, :p2, :p3, :p4)", 6, nil, true, nil); err != nil {
+		t.Fatalf("database/sql positional: %v", err)
+	}
+
+	// An INT bound for the FLOAT column is coerced, as a literal is.
+	want = append(want, "7|7|TRUE|'seven'")
+	if _, err := st.Query(ctx, map[string]Value{"k": NewInt(7), "f": NewInt(7), "b": NewBool(true), "s": NewString("seven")}); err != nil {
+		t.Fatalf("INT for FLOAT: %v", err)
+	}
+
+	for name, p := range map[string]map[string]Value{
+		"STRING for INT":   {"k": NewString("8"), "f": NewFloat(8), "b": NewBool(true), "s": NewString("x")},
+		"INT for BOOL":     {"k": NewInt(8), "f": NewFloat(8), "b": NewInt(1), "s": NewString("x")},
+		"FLOAT for STRING": {"k": NewInt(8), "f": NewFloat(8), "b": NewBool(true), "s": NewFloat(8)},
+	} {
+		_, err := st.Query(ctx, p)
+		var te *TypeError
+		if !errors.As(err, &te) {
+			t.Fatalf("%s: want a *TypeError, got %v", name, err)
+		}
+	}
+	if _, err := sdb.Exec(ins, gosql.Named("k", "nine"), gosql.Named("f", 9.0), gosql.Named("b", true), gosql.Named("s", "x")); err == nil {
+		t.Fatal("database/sql: STRING for INT was accepted")
+	}
+
+	res, err := db.Query(ctx, "SELECT k, f, b, s FROM t ORDER BY k", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, fmt.Sprintf("%v|%v|%v|%v", r[0], r[1], r[2], r[3]))
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("stored rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for i, r := range res.Rows {
+		if r[0].Type() != datum.TInt || (!r[1].IsNull() && r[1].Type() != datum.TFloat) {
+			t.Fatalf("row %d stored with types %v, %v", i, r[0].Type(), r[1].Type())
+		}
+	}
+}

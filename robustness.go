@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"strings"
 
+	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/storage"
 )
@@ -33,6 +34,9 @@ type (
 	// process kill the recovery torture tests drive. It reaches callers
 	// wrapped in a *QueryError (Value/Unwrap).
 	CrashError = storage.CrashError
+	// TypeError reports a value of a type its target column cannot hold,
+	// such as a host variable bound to a STRING for an INT column.
+	TypeError = datum.TypeError
 )
 
 // The injectable storage operations, re-exported.
