@@ -74,10 +74,15 @@ examples:
 # repeated under the race detector, since a pooled batch outlives its
 # operator and the per-P pool hands it across goroutines, and DISK
 # scans racing a writer, which switch mid-page from the frozen read to
-# per-record version resolution.
+# per-record version resolution. The storage package runs whole: its
+# one in-memory iterator (HEAP, and FIXED as a HEAP configuration) is
+# scanned through Next and NextCols beside concurrent writers, and rows
+# it handed out must survive them (TestInMemoryScanRacingWriters,
+# TestRetainedRowsSurviveConcurrentWrites, TestInMemoryScanConformance).
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
+	$(GO) test -race -count=5 ./internal/storage/
 
 STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestDiskScanVersionSwitchStress
 

@@ -1150,3 +1150,36 @@ func TestRowBudgetContract(t *testing.T) {
 	}
 	setLimits(db, Limits{})
 }
+
+// TestNLJoinInnerChargedOnce pins what a nested-loop join charges the
+// row budget for its inner: the inner scan's rows, plus one tick per row
+// as the join drains that scan at Open — as under SORT or a merge join,
+// with no materializing copy in between charging each row again.
+func TestNLJoinInnerChargedOnce(t *testing.T) {
+	db := Open()
+	setDOP(db, 1)
+	mustExec(t, db, "CREATE TABLE a (x INT)")
+	mustExec(t, db, "CREATE TABLE b (y INT)")
+	for i := 0; i < 100; i++ {
+		if i < 10 {
+			mustExec(t, db, fmt.Sprintf("INSERT INTO a VALUES (%d)", i))
+		}
+		mustExec(t, db, fmt.Sprintf("INSERT INTO b VALUES (%d)", i))
+	}
+	const q = "SELECT x, y FROM a, b WHERE x > y"
+	text := explainText(t, db, q)
+	if !strings.Contains(text, "NLJN") || strings.Contains(text, "TEMP") {
+		t.Fatalf("want an NLJN with no TEMP:\n%s", text)
+	}
+	setLimits(db, Limits{MaxRows: 100})
+	defer setLimits(db, Limits{})
+	_, err := db.Exec(q, nil)
+	var re *ResourceError
+	if !errors.As(err, &re) || re.Budget != "rows" {
+		t.Fatalf("want a rows ResourceError, got %v", err)
+	}
+	// 10 inner scan + 10 drained by the join + 100 outer scan.
+	if re.Used != 120 {
+		t.Fatalf("Used = %d, want 120\n%s", re.Used, text)
+	}
+}

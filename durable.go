@@ -19,7 +19,8 @@ import (
 // statement bracket for DDL, and DB.Close.
 //
 // Durability boundary: tables created USING DISK persist rows; tables
-// under any other manager (HEAP, FIXED, ...) persist schema only and
+// under any other manager (the in-memory heap — HEAP, and FIXED, its
+// fixed-length configuration — or a DBC's) persist schema only and
 // come back empty — the MEMORY-table convention. Indexes are rebuilt
 // from table data at every open, never persisted. Table statistics are
 // volatile; rerun ANALYZE after reopening.

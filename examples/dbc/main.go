@@ -104,7 +104,9 @@ func main() {
 	}))
 	fmt.Println("5. registered table function SAMPLE(t, n)")
 
-	// (6) Storage manager + (7) access method.
+	// (6) Storage manager + (7) access method. FIXED is the paper's
+	// fixed-length manager, configured from the built-in heap: denser
+	// pages, and writes of variable-length values rejected.
 	db.RegisterStorageManager(storage.NewFixedManager())
 	db.RegisterAccessMethod(storage.RTreeMethod{})
 	fmt.Println("6. registered storage manager FIXED")

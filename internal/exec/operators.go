@@ -504,40 +504,48 @@ func (l *limitOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 
 func (l *limitOp) Close(ctx *Ctx) error { return l.input.Close(ctx) }
 
+// rowCursor is the read position over a result materialized at Open;
+// the operators that compute their whole output up front (TEMP, SORT,
+// GROUP, set operations, table functions, recursion) embed it as their
+// Next.
+type rowCursor struct {
+	rows []datum.Row
+	pos  int
+}
+
+// reset points the cursor at the start of rows.
+func (c *rowCursor) reset(rows []datum.Row) { c.rows, c.pos = rows, 0 }
+
+func (c *rowCursor) Next(*Ctx) (datum.Row, bool, error) {
+	if c.pos >= len(c.rows) {
+		return nil, false, nil
+	}
+	r := c.rows[c.pos]
+	c.pos++
+	return r, true, nil
+}
+
 // tempOp materializes its input at Open. It re-materializes on every
 // Open: a cached copy would go stale whenever the subtree depends on
 // per-execution state — correlation values of an enclosing subquery, or
 // the delta of a recursive fixpoint iteration.
 type tempOp struct {
+	rowCursor
 	input Stream
-	rows  []datum.Row
-	pos   int
 	mem   memCharge
 }
 
 func (t *tempOp) Open(ctx *Ctx) error {
-	t.pos = 0
 	rows, err := Run(ctx, t.input)
 	if err != nil {
 		return err
 	}
-	if rows == nil {
-		rows = []datum.Row{}
-	}
-	t.rows = rows
+	t.reset(rows)
 	return t.mem.charge(ctx, rows)
 }
 
-func (t *tempOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if t.pos >= len(t.rows) {
-		return nil, false, nil
-	}
-	r := t.rows[t.pos]
-	t.pos++
-	return r, true, nil
-}
-
 func (t *tempOp) Close(ctx *Ctx) error {
+	t.rows = nil
 	t.mem.release(ctx)
 	return nil
 }
@@ -546,10 +554,9 @@ func (t *tempOp) Close(ctx *Ctx) error {
 // SORT
 
 type sortOp struct {
+	rowCursor
 	input Stream
 	keys  []plan.SortKey
-	rows  []datum.Row
-	pos   int
 	mem   memCharge
 }
 
@@ -572,7 +579,7 @@ func (s *sortOp) Open(ctx *Ctx) error {
 	sort.SliceStable(rows, func(i, j int) bool {
 		return sortRowLess(s.keys, rows[i], rows[j])
 	})
-	s.rows, s.pos = rows, 0
+	s.reset(rows)
 	return nil
 }
 
@@ -601,15 +608,6 @@ func sortRowLess(keys []plan.SortKey, a, b datum.Row) bool {
 		}
 	}
 	return false
-}
-
-func (s *sortOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
 }
 
 func (s *sortOp) Close(ctx *Ctx) error {
@@ -652,7 +650,7 @@ func (b *Builder) buildNLJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 		return nil, err
 	}
 	return &nlJoinOp{
-		left: l, right: &tempOp{input: r}, kind: n.JoinKind,
+		left: l, right: r, kind: n.JoinKind,
 		pred: pred, rightWidth: len(n.Inputs[1].Cols),
 	}, nil
 }
@@ -868,9 +866,8 @@ type groupOp struct {
 	aggs      []batchAgg
 
 	keyRows []datum.Row
-	out     []datum.Row
-	pos     int
-	mem     memCharge
+	rowCursor
+	mem memCharge
 }
 
 // batchAgg is one aggregate's state across every group, indexed by
@@ -908,7 +905,8 @@ func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 }
 
 func (g *groupOp) Open(ctx *Ctx) (err error) {
-	g.out, g.keyRows, g.pos = nil, nil, 0
+	g.reset(nil)
+	g.keyRows = nil
 	for _, a := range g.aggs {
 		a.reset()
 	}
@@ -976,22 +974,13 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 		for _, a := range g.aggs {
 			row = append(row, a.result(gi))
 		}
-		g.out = append(g.out, row)
+		g.rows = append(g.rows, row)
 	}
-	return g.mem.charge(ctx, g.out)
-}
-
-func (g *groupOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if g.pos >= len(g.out) {
-		return nil, false, nil
-	}
-	r := g.out[g.pos]
-	g.pos++
-	return r, true, nil
+	return g.mem.charge(ctx, g.rows)
 }
 
 func (g *groupOp) Close(ctx *Ctx) error {
-	g.out, g.keyRows = nil, nil
+	g.rows, g.keyRows = nil, nil
 	g.mem.release(ctx)
 	return nil
 }
@@ -1086,11 +1075,10 @@ func (d *distinctOp) Close(ctx *Ctx) error {
 // setOp implements UNION / INTERSECT / EXCEPT with ALL (bag) and
 // DISTINCT (set) semantics.
 type setOp struct {
+	rowCursor
 	op     string
 	all    bool
 	inputs []Stream
-	out    []datum.Row
-	pos    int
 	mem    memCharge
 }
 
@@ -1121,7 +1109,7 @@ func (s *setOp) Open(ctx *Ctx) error {
 		if !s.all {
 			rows = dedup(rows)
 		}
-		s.out = rows
+		s.reset(rows)
 	case plan.OpInter, plan.OpExcept:
 		left, err := collect(s.inputs[0])
 		if err != nil {
@@ -1164,10 +1152,9 @@ func (s *setOp) Open(ctx *Ctx) error {
 		if !s.all {
 			rows = dedup(rows)
 		}
-		s.out = rows
+		s.reset(rows)
 	}
-	s.pos = 0
-	return s.mem.charge(ctx, s.out)
+	return s.mem.charge(ctx, s.rows)
 }
 
 func dedup(rows []datum.Row) []datum.Row {
@@ -1184,17 +1171,8 @@ func dedup(rows []datum.Row) []datum.Row {
 	return out
 }
 
-func (s *setOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if s.pos >= len(s.out) {
-		return nil, false, nil
-	}
-	r := s.out[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
 func (s *setOp) Close(ctx *Ctx) error {
-	s.out = nil
+	s.rows = nil
 	s.mem.release(ctx)
 	return nil
 }
@@ -1251,8 +1229,7 @@ type tableFnOp struct {
 	inputs []Stream
 	inCols [][]expr.ColumnDef
 
-	out []datum.Row
-	pos int
+	rowCursor
 	mem memCharge
 }
 
@@ -1301,21 +1278,12 @@ func (t *tableFnOp) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	t.out, t.pos = out.Rows, 0
-	return t.mem.charge(ctx, t.out)
-}
-
-func (t *tableFnOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if t.pos >= len(t.out) {
-		return nil, false, nil
-	}
-	r := t.out[t.pos]
-	t.pos++
-	return r, true, nil
+	t.reset(out.Rows)
+	return t.mem.charge(ctx, t.rows)
 }
 
 func (t *tableFnOp) Close(ctx *Ctx) error {
-	t.out = nil
+	t.rows = nil
 	t.mem.release(ctx)
 	return nil
 }

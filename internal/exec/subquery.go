@@ -401,8 +401,7 @@ type recUnionOp struct {
 	boxID     int
 	linear    bool // exactly one RECREF → semi-naive (delta) evaluation
 
-	out []datum.Row
-	pos int
+	rowCursor
 	mem memCharge
 }
 
@@ -471,29 +470,19 @@ func (r *recUnionOp) Open(ctx *Ctx) error {
 			return err
 		}
 	}
-	r.out, r.pos = total, 0
+	r.reset(total)
 	return nil
 }
 
-func (r *recUnionOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if r.pos >= len(r.out) {
-		return nil, false, nil
-	}
-	row := r.out[r.pos]
-	r.pos++
-	return row, true, nil
-}
-
 func (r *recUnionOp) Close(ctx *Ctx) error {
-	r.out = nil
+	r.rows = nil
 	r.mem.release(ctx)
 	return nil
 }
 
 type recRefOp struct {
+	rowCursor
 	boxID int
-	rows  []datum.Row
-	pos   int
 }
 
 func (r *recRefOp) Open(ctx *Ctx) error {
@@ -502,21 +491,11 @@ func (r *recRefOp) Open(ctx *Ctx) error {
 		return fmt.Errorf("exec: recursive reference outside its fixpoint (box %d)", r.boxID)
 	}
 	if wt.useTotal {
-		r.rows = wt.total
+		r.reset(wt.total)
 	} else {
-		r.rows = wt.delta
+		r.reset(wt.delta)
 	}
-	r.pos = 0
 	return nil
-}
-
-func (r *recRefOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if r.pos >= len(r.rows) {
-		return nil, false, nil
-	}
-	row := r.rows[r.pos]
-	r.pos++
-	return row, true, nil
 }
 
 func (r *recRefOp) Close(ctx *Ctx) error { return nil }

@@ -89,15 +89,12 @@ type Options struct {
 	Classes []string
 	// Seed drives the Statistical strategy.
 	Seed int64
-	// Validate runs Graph.Check after every firing (slower; used in
-	// tests to prove each rule preserves consistency).
-	Validate bool
 	// Audit runs the deep semantic verifier after every firing and, on
 	// failure, returns a structured *AuditError naming the offending
 	// rule, the firing index, and a before/after dump of the box it
 	// mutated. It also enforces the distinct-mode transition lattice
-	// (PERMIT→ENFORCE only; PRESERVE frozen). Strictly stronger and
-	// slower than Validate.
+	// (PERMIT→ENFORCE only; PRESERVE frozen). Tests use it to prove each
+	// rule preserves consistency.
 	Audit bool
 }
 
@@ -202,10 +199,6 @@ func (e *Engine) Rewrite(g *qgm.Graph, opt Options) ([]Fired, error) {
 						trace = append(trace, Fired{Rule: r.Name, Box: b.ID})
 						aerr.Trace = trace
 						return trace, aerr
-					}
-				} else if opt.Validate {
-					if err := g.Check(); err != nil {
-						return trace, fmt.Errorf("rewrite: rule %s left inconsistent QGM: %w", r.Name, err)
 					}
 				}
 				trace = append(trace, Fired{Rule: r.Name, Box: b.ID})

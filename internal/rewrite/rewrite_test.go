@@ -51,7 +51,7 @@ func translate(t *testing.T, c *catalog.Catalog, src string) *qgm.Graph {
 
 func rewriteAll(t *testing.T, g *qgm.Graph, opt Options) []Fired {
 	t.Helper()
-	opt.Validate = true
+	opt.Audit = true
 	trace, err := NewDefaultEngine().Rewrite(g, opt)
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
@@ -476,7 +476,7 @@ func TestDBCRuleRegistration(t *testing.T) {
 	}
 	c := paperCatalog(t, false)
 	g := translate(t, c, "SELECT partno FROM inventory WHERE TRUE AND type = 'CPU'")
-	trace, err := e.Rewrite(g, Options{Validate: true})
+	trace, err := e.Rewrite(g, Options{Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}

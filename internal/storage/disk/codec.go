@@ -19,8 +19,9 @@ import (
 //
 // User-defined types are rejected: their values round-trip through the
 // registered TypeDef formatting hooks, which have no stable inverse the
-// storage layer could rely on across restarts. This mirrors the FIXED
-// manager, which rejects variable-length types it cannot hold.
+// storage layer could rely on across restarts. This mirrors the write
+// check of FIXED (the heap's fixed-length configuration), which rejects
+// values it cannot hold.
 const (
 	tagNull   = 0
 	tagFalse  = 1

@@ -113,8 +113,9 @@ type RowIterator interface {
 // the arena — values land in typed lanes with no per-row allocation.
 // Page-read accounting is identical to tuple iteration, and a
 // ColScanner shares one scan position with Next, so the two may be
-// interleaved. The arena-backed HEAP and FIXED iterators and the DISK
-// iterator (which decodes pinned pages straight into the vectors)
+// interleaved. The one in-memory iterator (HEAP, and FIXED as a HEAP
+// configuration), whose Next and NextCols share one scan step, and the
+// DISK iterator (which decodes pinned pages straight into the vectors)
 // implement it; iterators that do not (fault-wrapped decorations,
 // VIRTUAL, DBC extensions) are drained through Next into the same
 // vectors.

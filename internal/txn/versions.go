@@ -315,8 +315,9 @@ func (tv *TableVersions) ReadNext(it storage.RowIterator, snap Snapshot) (row da
 // records leaving the iterator, so none of them needs resolving. It
 // reports frozen=false, having read nothing, when the table has
 // unfrozen versions; the caller falls back to ReadNext. n == 0 with
-// frozen means exhaustion. A ColScanner (HEAP, FIXED, DISK) decomposes
-// pages straight into b's vectors; any other iterator (fault-wrapped,
+// frozen means exhaustion. A ColScanner (the in-memory heap behind HEAP
+// and FIXED, or DISK) decomposes pages straight into b's vectors; any
+// other iterator (fault-wrapped,
 // VIRTUAL, DBC) is drained record by record. Either way the iterator
 // keeps one position, so a cursor that falls back to ReadNext mid-scan
 // resumes at the next record.

@@ -100,9 +100,9 @@ func (db *DB) fingerprint(set *Settings) string {
 	rw := "off"
 	if !set.SkipRewrite {
 		r := set.rewriteOptions()
-		rw = fmt.Sprintf("st%v,so%v,b%d,cls[%s],seed%d,val%t,aud%t,gen%d",
+		rw = fmt.Sprintf("st%v,so%v,b%d,cls[%s],seed%d,aud%t,gen%d",
 			r.Strategy, r.Search, r.Budget, strings.Join(r.Classes, "+"),
-			r.Seed, r.Validate, r.Audit, db.rewriter.Generation())
+			r.Seed, r.Audit, db.rewriter.Generation())
 	}
 	return fmt.Sprintf("dop=%d|rw=%s|opt=%s", set.dop(), rw, db.opt.Fingerprint(set.optimizerConfig()))
 }
