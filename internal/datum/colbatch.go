@@ -231,7 +231,7 @@ type ColBatch struct {
 // NewColBatch returns an empty batch with one vector per type.
 func NewColBatch(types []TypeID) *ColBatch {
 	b := &ColBatch{}
-	b.setTypes(types)
+	b.SetTypes(types)
 	return b
 }
 
@@ -244,7 +244,7 @@ var batchPool = sync.Pool{New: func() any { return new(ColBatch) }}
 // fresh ones. Give the batch back with Release.
 func AcquireColBatch(types []TypeID) *ColBatch {
 	b := batchPool.Get().(*ColBatch)
-	b.setTypes(types)
+	b.SetTypes(types)
 	return b
 }
 
@@ -261,9 +261,10 @@ func (b *ColBatch) Release() {
 	batchPool.Put(b)
 }
 
-// setTypes gives b one empty vector per type, keeping the lane capacity
-// of the vectors it already has.
-func (b *ColBatch) setTypes(types []TypeID) {
+// SetTypes gives b one empty vector per type, keeping the lane capacity
+// of the vectors it already has, for an owner that keeps its own
+// batches across executions (the hash join's pooled build table).
+func (b *ColBatch) SetTypes(types []TypeID) {
 	if cap(b.Vecs) < len(types) {
 		b.Vecs = append(b.Vecs[:cap(b.Vecs)], make([]ColVec, len(types)-cap(b.Vecs))...)
 	}
@@ -496,15 +497,18 @@ func gatherLane[T any](dst, src []T, idx, at []int, n int) ([]T, bool) {
 	return dst, neg
 }
 
-// MemBytes estimates the memory the batch retains, from its lane
-// capacities plus string payloads, for the memory accounting of
-// operators that buffer a batch.
+// MemBytes is the memory the batch's rows take: lane lengths plus
+// string payloads, for the memory accounting of operators that buffer a
+// batch. Spare lane capacity is not counted, so the charge for the same
+// rows does not depend on what a reused batch held before.
 func (b *ColBatch) MemBytes() int64 {
 	var n int64
 	for i := range b.Vecs {
 		v := &b.Vecs[i]
-		n += int64(cap(v.Ints))*8 + int64(cap(v.Floats))*8 + int64(cap(v.Bools)) +
-			int64(cap(v.Strs))*16 + int64(cap(v.Nulls))*8 + int64(cap(v.Boxed))*valueSize
+		// One NULL bit per row: a reset bitmap keeps its words, so its
+		// length is history too.
+		n += int64(len(v.Ints))*8 + int64(len(v.Floats))*8 + int64(len(v.Bools)) +
+			int64(len(v.Strs))*16 + int64(len(v.Boxed))*valueSize + int64(v.Len()+63)/64*8
 		for _, s := range v.Strs {
 			n += int64(len(s))
 		}

@@ -377,10 +377,10 @@ func TestReleasedBatchReusesLanes(t *testing.T) {
 	if c != b {
 		// The pool may drop what it is given (the race detector makes it
 		// drop a share on purpose); what AcquireColBatch does to a pooled
-		// batch is setTypes.
+		// batch is SetTypes.
 		c.Release()
 		c = b
-		c.setTypes(types)
+		c.SetTypes(types)
 	}
 	if c.Len() != 0 || c.Sel != nil || len(c.Vecs) != len(types) {
 		t.Fatalf("reacquired batch: len %d, sel %v, %d vectors", c.Len(), c.Sel, len(c.Vecs))

@@ -22,6 +22,7 @@ package exec
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/datum"
@@ -241,6 +242,8 @@ type hashJoinOp struct {
 	// lw is the probe width: output slots [0, lw) are probe columns,
 	// the rest build columns.
 	lw int
+	// buildTypes/outTypes size the pooled state to this join.
+	buildTypes, outTypes []datum.TypeID
 	// residual is the non-equi join predicate, bound over the output
 	// layout.
 	residual predList
@@ -250,29 +253,73 @@ type hashJoinOp struct {
 	// build rows' key hashes.
 	filter *joinFilter
 
+	// st is everything the join grows while it runs, from joinStatePool:
+	// Open acquires it and Close releases it.
+	st  *joinState
+	mem memCharge
+
+	// Probe state: the current probe batch and the live position the
+	// next chunk of output starts from.
+	in   *datum.ColBatch
+	more bool
+	pos  int
+	feed rowFeed
+}
+
+// joinState is what a hash join grows per execution. It is pooled, so
+// a cached plan that rebuilds its operator tree every execution still
+// reuses the tables and lanes the previous execution grew. Build tables
+// are larger than leaf batches, so the state has a pool of its own
+// rather than sharing AcquireColBatch's.
+type joinState struct {
 	// Build table: rows [0, bt.Len()), their key hashes, and the chains.
 	// heads[h&mask] and next[r] hold a row index + 1, 0 ending the chain;
 	// chains run in build order and skip rows with a NULL key.
-	bt          *datum.ColBatch
+	bt          datum.ColBatch
 	hashes      []uint64
 	heads, next []int32
-	mem         memCharge
-
-	// Probe state: the current probe batch, the key hashes of its live
-	// rows, and the live position the next chunk of output starts from.
-	in      *datum.ColBatch
-	more    bool
-	pos     int
+	// hashBuf/nullBuf hold the key hashes of the probe batch's live rows
+	// (nullBuf also the build rows' NULL-key marks while Open builds).
 	hashBuf []uint64
 	nullBuf []bool
 	// pairP/pairB hold one chunk's (probe row, build row) pairs; fillP/
-	// fillB the same after outer fill. own holds the lanes this operator
+	// fillB the same after outer fill. own holds the lanes the join
 	// gathers into; out is the batch handed downstream, its Vecs header
-	// copies of own's or, for an aliased probe column, of in's.
+	// copies of own's or, for an aliased probe column, of the probe's.
 	pairP, pairB, fillP, fillB []int
-	own                        []datum.ColVec
-	out                        *datum.ColBatch
-	feed                       rowFeed
+	own, out                   datum.ColBatch
+	// jf keeps the pushed join filter's buffers between executions.
+	jf joinFilterBufs
+}
+
+var joinStatePool = sync.Pool{New: func() any {
+	// The NULL buffers start non-nil: HashLive skips a nil one.
+	return &joinState{
+		nullBuf: make([]bool, 0, colBatchSize),
+		jf:      joinFilterBufs{nullBuf: make([]bool, 0, colBatchSize)},
+	}
+}}
+
+// acquireJoinState takes a state from the pool, its build table and
+// lanes sized to the given types.
+func acquireJoinState(buildTypes, outTypes []datum.TypeID) *joinState {
+	st := joinStatePool.Get().(*joinState)
+	st.bt.SetTypes(buildTypes)
+	st.own.SetTypes(outTypes)
+	st.out.SetTypes(outTypes)
+	return st
+}
+
+// release empties st and returns it to the pool. Emptying clears every
+// string header and boxed value of the lanes st owns, and drops the
+// emitted batch's header copies instead of resetting them (their lanes
+// are someone else's), so a pooled state pins no payload.
+func (st *joinState) release() {
+	st.bt.Reset()
+	st.own.Reset()
+	clear(st.out.Vecs)
+	st.out.SetRows(0, nil)
+	joinStatePool.Put(st)
 }
 
 // slotTypes returns the vector types for a plan node's output slots. A
@@ -304,10 +351,7 @@ func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 	j := &hashJoinOp{
 		probe: asColBatchStream(l, lt), build: asColBatchStream(r, rt),
 		kind: n.JoinKind, lKeys: n.EquiLeft, rKeys: n.EquiRight, lw: len(lt),
-		bt:       datum.NewColBatch(rt),
-		own:      datum.NewColBatch(types).Vecs,
-		out:      datum.NewColBatch(types),
-		nullBuf:  make([]bool, 0, colBatchSize), // non-nil: HashLive skips a nil one
+		buildTypes: rt, outTypes: types,
 		residual: b.predList(expr.Conjuncts(pred), len(types)),
 	}
 	// Push a join filter into a scan feeding the probe side: inner joins
@@ -323,13 +367,19 @@ func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 }
 
 func (j *hashJoinOp) Open(ctx *Ctx) error {
+	if j.st == nil {
+		j.st = acquireJoinState(j.buildTypes, j.outTypes)
+		if j.filter != nil {
+			j.filter.joinFilterBufs = j.st.jf
+		}
+	}
 	if j.filter != nil {
 		// Deactivate before the probe side opens so a re-opened join
 		// never filters against the previous build's bits.
 		j.filter.ready.Store(false)
 	}
 	j.feed.reset()
-	j.in, j.more, j.pos, j.hashBuf = nil, true, 0, j.hashBuf[:0]
+	j.in, j.more, j.pos, j.st.hashBuf = nil, true, 0, j.st.hashBuf[:0]
 	if err := j.probe.Open(ctx); err != nil {
 		return err
 	}
@@ -340,7 +390,8 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 // arms the pushed join filter. The input's lifetime ends here: it is
 // closed before the first probe.
 func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
-	j.bt.Reset()
+	st := j.st
+	st.bt.Reset()
 	if err := j.build.Open(ctx); err != nil {
 		return err
 	}
@@ -354,35 +405,41 @@ func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
 			if err := ctx.tickRows(b.NumLive()); err != nil {
 				return err
 			}
-			j.bt.AppendLive(b)
+			st.bt.AppendLive(b)
 		}
 		if !more {
 			break
 		}
 	}
-	n := j.bt.Len()
-	j.hashes, j.nullBuf = j.bt.HashLive(j.rKeys, j.hashes[:0], j.nullBuf[:0])
+	n := st.bt.Len()
+	st.hashes, st.nullBuf = st.bt.HashLive(j.rKeys, st.hashes[:0], st.nullBuf[:0])
 	buckets := 16
 	for buckets < 2*n {
 		buckets <<= 1
 	}
-	if cap(j.heads) < buckets || cap(j.next) < n {
-		j.heads, j.next = make([]int32, buckets), make([]int32, n)
+	if cap(st.heads) < buckets {
+		st.heads = make([]int32, buckets)
 	}
-	j.heads, j.next = j.heads[:buckets], j.next[:n]
-	clear(j.heads)
-	joinChainKernel(j.hashes, j.nullBuf, j.heads, j.next)
+	if cap(st.next) < n {
+		st.next = make([]int32, n)
+	}
+	st.heads, st.next = st.heads[:buckets], st.next[:n]
+	clear(st.heads)
+	joinChainKernel(st.hashes, st.nullBuf, st.heads, st.next)
 	if j.filter != nil {
-		j.filter.populate(j.hashes, j.nullBuf)
+		j.filter.populate(st.hashes, st.nullBuf)
 	}
-	return j.mem.chargeBytes(ctx, j.bt.MemBytes()+
-		int64(cap(j.hashes))*8+int64(cap(j.heads)+cap(j.next))*4)
+	// Charge what the build holds, not the capacity a pooled state kept
+	// from an earlier, larger join: the budget must not depend on which
+	// statements ran before.
+	return j.mem.chargeBytes(ctx, st.bt.MemBytes()+
+		int64(len(st.hashes))*8+int64(len(st.heads)+len(st.next))*4)
 }
 
 func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
-	outer := j.kind == plan.KindLeftOuter
+	st, outer := j.st, j.kind == plan.KindLeftOuter
 	for {
-		if j.pos >= len(j.hashBuf) {
+		if j.pos >= len(st.hashBuf) {
 			if !j.more {
 				return nil, false, nil
 			}
@@ -390,18 +447,18 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			j.in, j.more, j.pos, j.hashBuf = b, more, 0, j.hashBuf[:0]
+			j.in, j.more, j.pos, st.hashBuf = b, more, 0, st.hashBuf[:0]
 			if b != nil {
-				j.hashBuf, j.nullBuf = b.HashLive(j.lKeys, j.hashBuf, j.nullBuf[:0])
+				st.hashBuf, st.nullBuf = b.HashLive(j.lKeys, st.hashBuf, st.nullBuf[:0])
 			}
 			continue
 		}
 		// One chunk of output: the pairs of the next probe rows, up to
 		// about a batch width of them.
 		from := j.pos
-		pp, pb, to := joinProbeKernel(j.hashBuf, j.nullBuf, j.in.Sel, from, ctx.colBatchWidth(),
-			j.hashes, j.heads, j.next, j.pairP[:0], j.pairB[:0])
-		j.pairP, j.pairB, j.pos = pp, pb, to
+		pp, pb, to := joinProbeKernel(st.hashBuf, st.nullBuf, j.in.Sel, from, ctx.colBatchWidth(),
+			st.hashes, st.heads, st.next, st.pairP[:0], st.pairB[:0])
+		st.pairP, st.pairB, j.pos = pp, pb, to
 		cands := len(pp)
 		pp, pb = j.matchKeys(pp, pb)
 		if len(pp) > 0 && !j.residual.empty() {
@@ -411,12 +468,12 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			// its candidates are gathered, never aliased, so the selection
 			// vector indexes the pair list.
 			j.emit(pp, pb, !outer)
-			if err := j.residual.apply(ctx, j.out); err != nil {
+			if err := j.residual.apply(ctx, &st.out); err != nil {
 				return nil, false, err
 			}
-			sel := j.out.Sel
+			sel := st.out.Sel
 			if !outer && len(sel) > 0 {
-				return j.out, true, nil
+				return &st.out, true, nil
 			}
 			if outer {
 				for k, s := range sel {
@@ -426,8 +483,8 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			pp, pb = pp[:len(sel)], pb[:len(sel)]
 		}
 		if outer {
-			pp, pb = outerFillKernel(pp, pb, j.in.Sel, from, to, j.fillP[:0], j.fillB[:0])
-			j.fillP, j.fillB = pp, pb
+			pp, pb = outerFillKernel(pp, pb, j.in.Sel, from, to, st.fillP[:0], st.fillB[:0])
+			st.fillP, st.fillB = pp, pb
 		}
 		if len(pp) == 0 {
 			// Nothing survived: charge the pairs considered, so a join
@@ -438,7 +495,7 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			continue
 		}
 		j.emit(pp, pb, true)
-		return j.out, true, nil
+		return &st.out, true, nil
 	}
 }
 
@@ -448,7 +505,7 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 // kernel, a NULL build key is in no chain.
 func (j *hashJoinOp) matchKeys(pp, pb []int) ([]int, []int) {
 	for k, lk := range j.lKeys {
-		pv, bv := &j.in.Vecs[lk], &j.bt.Vecs[j.rKeys[k]]
+		pv, bv := &j.in.Vecs[lk], &j.st.bt.Vecs[j.rKeys[k]]
 		switch {
 		case pv.Boxed != nil || bv.Boxed != nil:
 			pp, pb = joinEqGeneric(pv, bv, pp, pb)
@@ -480,31 +537,43 @@ func (j *hashJoinOp) emit(pp, pb []int, alias bool) {
 	for k := 1; alias && k < len(pp); k++ {
 		alias = pp[k] != pp[k-1]
 	}
-	n, at := len(pp), []int(nil)
+	st, n, at := j.st, len(pp), []int(nil)
+	own, out := st.own.Vecs, st.out.Vecs
 	if alias {
 		n, at = j.in.Len(), pp
-		copy(j.out.Vecs[:j.lw], j.in.Vecs)
+		copy(out[:j.lw], j.in.Vecs)
 	} else {
 		for c := 0; c < j.lw; c++ {
-			j.own[c].Gather(&j.in.Vecs[c], pp, nil, n)
-			j.out.Vecs[c] = j.own[c]
+			own[c].Gather(&j.in.Vecs[c], pp, nil, n)
+			out[c] = own[c]
 		}
 	}
-	for c := range j.bt.Vecs {
-		j.own[j.lw+c].Gather(&j.bt.Vecs[c], pb, at, n)
-		j.out.Vecs[j.lw+c] = j.own[j.lw+c]
+	for c := range st.bt.Vecs {
+		own[j.lw+c].Gather(&st.bt.Vecs[c], pb, at, n)
+		out[j.lw+c] = own[j.lw+c]
 	}
-	j.out.SetRows(n, at)
+	st.out.SetRows(n, at)
 }
 
 func (j *hashJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return j.feed.next(ctx, j)
 }
 
+// Close is idempotent: the pooled state goes back exactly once, after
+// the probe side (and the scan hosting the join filter) has closed.
 func (j *hashJoinOp) Close(ctx *Ctx) error {
 	j.in = nil
 	j.mem.release(ctx)
-	return errors.Join(j.probe.Close(ctx), j.build.Close(ctx))
+	err := errors.Join(j.probe.Close(ctx), j.build.Close(ctx))
+	if j.st != nil {
+		if j.filter != nil {
+			j.filter.ready.Store(false)
+			j.st.jf, j.filter.joinFilterBufs = j.filter.joinFilterBufs, joinFilterBufs{}
+		}
+		j.st.release()
+		j.st = nil
+	}
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -523,7 +592,16 @@ func (j *hashJoinOp) Close(ctx *Ctx) error {
 type joinFilter struct {
 	ready atomic.Bool
 	mask  uint64
-	bits  []uint64
+	joinFilterBufs
+}
+
+// joinFilterBufs are a join filter's buffers: its bit array and the
+// hosting scan's key hashes of the batch it is filtering. The hash join
+// lends them from its pooled state for the length of one execution.
+type joinFilterBufs struct {
+	bits    []uint64
+	hashBuf []uint64
+	nullBuf []bool
 }
 
 // populate sizes the filter to the build rows' key hashes (~8 bits

@@ -89,6 +89,9 @@ type subqOp struct {
 	setReg   setPredLookup
 	// pending buffers multi-row emissions (lateral kind).
 	pending []datum.Row
+	// both is the set-predicate fold's row: the outer row, then one inner
+	// element after another in its tail. The predicates only read it.
+	both datum.Row
 	// prevHits/prevMisses carry cache totals across re-opens (each Open
 	// starts a fresh cache), so CacheStats is statement-cumulative.
 	prevHits, prevMisses int64
@@ -231,16 +234,17 @@ func (s *subqOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 			return nil, false, fmt.Errorf("exec: unknown set predicate %s", spName)
 		}
 		st := sp.NewState()
+		s.both = append(s.both[:0], row...)
 		for _, ir := range inner {
 			// The fold walks a pre-materialized slice; without its own
 			// tick a huge cached subquery would be uncancellable.
 			if err := ctx.tick(); err != nil {
 				return nil, false, err
 			}
-			both := datum.Concat(row, ir)
+			s.both = append(s.both[:len(row)], ir...)
 			t := datum.True
 			for _, p := range s.preds {
-				v, err := p.Eval(ec, both)
+				v, err := p.Eval(ec, s.both)
 				if err != nil {
 					return nil, false, err
 				}
