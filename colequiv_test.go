@@ -1123,6 +1123,8 @@ func TestRowBudgetContract(t *testing.T) {
 		{"filter", "SELECT x.k FROM (SELECT k, v FROM r) x WHERE x.v >= 10", true},
 		{"project", "SELECT k + v, s FROM r", false},
 		{"group", "SELECT s, COUNT(*), SUM(v) FROM r GROUP BY s", false},
+		{"hashjoin", "SELECT a.k, b.s FROM r a, r b WHERE a.v = b.v", false},
+		{"topn", "SELECT k, v, s FROM r ORDER BY v DESC, k LIMIT 20", false},
 	} {
 		setSkipRewrite(db, c.skipRewrite)
 		for _, width := range []int{2, 1024} {
