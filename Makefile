@@ -74,9 +74,11 @@ examples:
 # repeated under the race detector, since a pooled batch outlives its
 # operator and the per-P pool hands it across goroutines, and DISK
 # scans racing a writer, which switch mid-page from the frozen read to
-# per-record version resolution; the star path's pooled join state,
+# per-record version resolution; the star path's kept join state,
 # top-N and SUBQ fold row re-executed (TestReuse*, TestTopNMatchesFullSort,
-# TestHashJoinMaxMem*). The storage package runs whole: its
+# TestHashJoinMaxMem*); and parked operator trees (TestParked*: the
+# corpus through parked vs fresh trees, two sessions racing for one
+# slot, tree lifecycles). The storage package runs whole: its
 # one in-memory iterator (HEAP, and FIXED as a HEAP configuration) is
 # scanned through Next and NextCols beside concurrent writers, and rows
 # it handed out must survive them (TestInMemoryScanRacingWriters,
@@ -86,7 +88,7 @@ stress:
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/
 
-STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

@@ -69,9 +69,9 @@ func runMode(t *testing.T, db *DB, m execMode, dop int, q string) string {
 
 // equivDB is the corpus database: genParallelDB's tables plus tn, an
 // indexed table that is mostly NULL, and a DBC aggregate.
-func equivDB(t testing.TB) *DB {
+func equivDB(t testing.TB, opts ...Option) *DB {
 	t.Helper()
-	db := genParallelDB(t, 17)
+	db := genParallelDB(t, 17, opts...)
 	mustExec(t, db, "CREATE TABLE tn (k INT, v INT, s STRING)")
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO tn VALUES ")

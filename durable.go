@@ -104,9 +104,11 @@ func (db *DB) attachStore(dir string, fsys disk.FS, opts disk.Options) {
 	db.metrics.GaugeFunc(MetricCheckpoints, func() int64 { return st.Stats().Checkpoints })
 }
 
-// Close checkpoints and closes the durable store. The DB must not be
-// used afterwards. In-memory DBs Close as a no-op.
+// Close releases the operator trees kept for cached and prepared
+// plans, then checkpoints and closes the durable store, if there is
+// one. The DB must not be used afterwards.
 func (db *DB) Close() error {
+	db.releaseTrees(-1)
 	if db.store == nil {
 		return nil
 	}

@@ -22,9 +22,9 @@ import (
 // because all of these change only the plan, never the meaning.
 
 // genDB builds a small database with NULLs sprinkled in.
-func genDB(t testing.TB, seed int64) *DB {
+func genDB(t testing.TB, seed int64, opts ...Option) *DB {
 	t.Helper()
-	db := Open()
+	db := Open(opts...)
 	mustExec(t, db, "CREATE TABLE ta (k INT, v INT, s STRING)")
 	mustExec(t, db, "CREATE TABLE tb (k INT, v INT)")
 	mustExec(t, db, "CREATE TABLE tc (k INT, s STRING)")

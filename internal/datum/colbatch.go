@@ -239,9 +239,10 @@ func NewColBatch(types []TypeID) *ColBatch {
 var batchPool = sync.Pool{New: func() any { return new(ColBatch) }}
 
 // AcquireColBatch is NewColBatch over a batch some earlier owner
-// released: an execution that refills one batch per statement then
-// reuses the lanes the previous execution grew, instead of growing
-// fresh ones. Give the batch back with Release.
+// released, for an operator tree that is built, run and dropped (a
+// tree kept across executions keeps its batches instead): it reuses
+// the lanes an earlier tree grew, instead of growing fresh ones. Give
+// the batch back with Release when the tree dies.
 func AcquireColBatch(types []TypeID) *ColBatch {
 	b := batchPool.Get().(*ColBatch)
 	b.SetTypes(types)
@@ -249,7 +250,9 @@ func AcquireColBatch(types []TypeID) *ColBatch {
 }
 
 // Release empties b and returns it to the pool AcquireColBatch draws
-// from; b must not be used afterwards. Call it only on a batch whose
+// from; b must not be used afterwards. An operator tree calls it once
+// per batch, when the tree dies, not at each Close. Call it only on a
+// batch whose
 // every lane the caller owns — one from AcquireColBatch that it filled
 // itself — and never on an AliasFrom output or a batch assembled from
 // header copies of another batch's vectors (the hash join's emitted

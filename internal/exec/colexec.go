@@ -124,8 +124,8 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 // batchFeed is rowFeed's mirror: it adapts a row producer (ISCAN, SORT,
 // a subquery, ...) to the columnar protocol by decomposing its rows
 // into one batch, so a batch operator has a single input shape. The
-// batch is pooled: it owns every lane, so Close releases it for the
-// next execution to refill.
+// batch is pooled: the feed owns every lane, keeps it across Close and
+// gives it back when its tree dies.
 type batchFeed struct {
 	Stream
 	types []datum.TypeID
@@ -144,6 +144,7 @@ func asColBatchStream(s Stream, types []datum.TypeID) ColBatchStream {
 func (f *batchFeed) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	if f.batch == nil {
 		f.batch = datum.AcquireColBatch(f.types)
+		ctx.hold(f)
 	}
 	f.batch.Reset()
 	for max := ctx.colBatchWidth(); f.batch.Len() < max; {
@@ -161,10 +162,14 @@ func (f *batchFeed) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 
 func (f *batchFeed) Close(ctx *Ctx) error {
 	if f.batch != nil {
-		f.batch.Release()
-		f.batch = nil
+		f.batch.Reset()
 	}
 	return f.Stream.Close(ctx)
+}
+
+func (f *batchFeed) releasePooled() {
+	f.batch.Release()
+	f.batch = nil
 }
 
 // ---------------------------------------------------------------------
@@ -253,8 +258,8 @@ type hashJoinOp struct {
 	// build rows' key hashes.
 	filter *joinFilter
 
-	// st is everything the join grows while it runs, from joinStatePool:
-	// Open acquires it and Close releases it.
+	// st is everything the join grows while it runs: the first Open
+	// takes it from joinStatePool, and it goes back when the tree dies.
 	st  *joinState
 	mem memCharge
 
@@ -266,11 +271,10 @@ type hashJoinOp struct {
 	feed rowFeed
 }
 
-// joinState is what a hash join grows per execution. It is pooled, so
-// a cached plan that rebuilds its operator tree every execution still
-// reuses the tables and lanes the previous execution grew. Build tables
-// are larger than leaf batches, so the state has a pool of its own
-// rather than sharing AcquireColBatch's.
+// joinState is what a hash join grows. The join keeps it for the life
+// of its tree; the pool serves fresh trees. Build tables are larger
+// than leaf batches, so the state has a pool of its own rather than
+// sharing AcquireColBatch's.
 type joinState struct {
 	// Build table: rows [0, bt.Len()), their key hashes, and the chains.
 	// heads[h&mask] and next[r] hold a row index + 1, 0 ending the chain;
@@ -310,16 +314,15 @@ func acquireJoinState(buildTypes, outTypes []datum.TypeID) *joinState {
 	return st
 }
 
-// release empties st and returns it to the pool. Emptying clears every
-// string header and boxed value of the lanes st owns, and drops the
-// emitted batch's header copies instead of resetting them (their lanes
-// are someone else's), so a pooled state pins no payload.
-func (st *joinState) release() {
+// empty clears every string header and boxed value of the lanes st
+// owns, and drops the emitted batch's header copies instead of
+// resetting them (their lanes are someone else's), so a state between
+// executions pins no payload.
+func (st *joinState) empty() {
 	st.bt.Reset()
 	st.own.Reset()
 	clear(st.out.Vecs)
 	st.out.SetRows(0, nil)
-	joinStatePool.Put(st)
 }
 
 // slotTypes returns the vector types for a plan node's output slots. A
@@ -369,6 +372,7 @@ func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 func (j *hashJoinOp) Open(ctx *Ctx) error {
 	if j.st == nil {
 		j.st = acquireJoinState(j.buildTypes, j.outTypes)
+		ctx.hold(j)
 		if j.filter != nil {
 			j.filter.joinFilterBufs = j.st.jf
 		}
@@ -559,21 +563,30 @@ func (j *hashJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return j.feed.next(ctx, j)
 }
 
-// Close is idempotent: the pooled state goes back exactly once, after
-// the probe side (and the scan hosting the join filter) has closed.
+// Close is idempotent. It keeps the state, emptied, for the next Open;
+// the filter goes inactive once the probe side (and the scan hosting
+// it) has closed.
 func (j *hashJoinOp) Close(ctx *Ctx) error {
 	j.in = nil
 	j.mem.release(ctx)
 	err := errors.Join(j.probe.Close(ctx), j.build.Close(ctx))
+	if j.filter != nil {
+		j.filter.ready.Store(false)
+	}
 	if j.st != nil {
-		if j.filter != nil {
-			j.filter.ready.Store(false)
-			j.st.jf, j.filter.joinFilterBufs = j.filter.joinFilterBufs, joinFilterBufs{}
-		}
-		j.st.release()
-		j.st = nil
+		j.st.empty()
 	}
 	return err
+}
+
+// releasePooled gives the state back, with the filter buffers it lent.
+func (j *hashJoinOp) releasePooled() {
+	if j.filter != nil {
+		j.st.jf, j.filter.joinFilterBufs = j.filter.joinFilterBufs, joinFilterBufs{}
+	}
+	j.st.empty()
+	joinStatePool.Put(j.st)
+	j.st = nil
 }
 
 // ---------------------------------------------------------------------
@@ -597,7 +610,7 @@ type joinFilter struct {
 
 // joinFilterBufs are a join filter's buffers: its bit array and the
 // hosting scan's key hashes of the batch it is filtering. The hash join
-// lends them from its pooled state for the length of one execution.
+// lends them from its state for as long as it holds that state.
 type joinFilterBufs struct {
 	bits    []uint64
 	hashBuf []uint64

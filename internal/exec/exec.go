@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -22,8 +24,12 @@ import (
 )
 
 // Stream is the tuple-at-a-time iterator interface between operators.
-// Open must be callable again after Close (operators are re-runnable;
-// the recursive-union fixpoint and nested-loop inners rely on it).
+// Open must be callable again after Close: operators are re-runnable
+// (the recursive-union fixpoint and correlated inners re-open them
+// within one execution, and a parked Tree re-opens its whole tree for
+// the next). Open resets every per-execution field. Close ends one
+// execution: it may run twice, and it keeps what the operator grew —
+// batches, hash tables, aggregate lanes — for the next Open to refill.
 type Stream interface {
 	Open(ctx *Ctx) error
 	Next(ctx *Ctx) (datum.Row, bool, error)
@@ -84,11 +90,21 @@ type Ctx struct {
 	// nil-safe and shared by every worker child.
 	waitProf *obs.WaitProfile
 	waits    *obs.WaitSet
+	// own receives the pooled objects operators acquire (see Tree); nil
+	// leaves them to the garbage collector.
+	own *Tree
+	// execID names the execution, worker children included: state an
+	// operator caches across re-opens within one execution (subplan
+	// results) is dropped when it changes.
+	execID uint64
 }
+
+// execSeq numbers executions (see Ctx.execID).
+var execSeq atomic.Uint64
 
 // NewCtx returns an execution context.
 func NewCtx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
-	c := &Ctx{Cat: cat, Params: params, rec: map[int]*recWorkTable{}, sh: &shared{}}
+	c := &Ctx{Cat: cat, Params: params, rec: map[int]*recWorkTable{}, sh: &shared{}, execID: execSeq.Add(1)}
 	c.ec = expr.Context{Params: params, Exec: c}
 	return c
 }
@@ -356,12 +372,21 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 	return nil, fmt.Errorf("exec: unknown plan operator %s", n.Op)
 }
 
-// Run drains a stream into a materialized result, charging one work-
-// budget tick per result row. On any failure — including a failing
+// Run executes a fresh operator tree once and lets it die: the pooled
+// objects its operators acquired go back to their pools before Run
+// returns, so s may run again but re-acquires them.
+func Run(ctx *Ctx, s Stream) ([]datum.Row, error) {
+	t := &Tree{root: s}
+	defer t.Release()
+	return t.Run(ctx)
+}
+
+// materialize drains a stream into a materialized result, charging one
+// work-budget tick per result row. On any failure — including a failing
 // Close — it returns a nil result, never partial rows beside a non-nil
 // error; Close always runs, and its error joins the Next error rather
 // than being discarded.
-func Run(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
+func materialize(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
 	if err := s.Open(ctx); err != nil {
 		// Close even after a failed Open: a multi-input operator may have
 		// opened some children before the failure, and every Close is
@@ -387,5 +412,72 @@ func Run(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
 			return nil, err
 		}
 		out = append(out, row)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Trees: what the operators of one built plan own
+
+// Tree is a built operator tree kept across executions — the refined
+// plan of section 3, stored beside the plan it refines. Its operators
+// keep what they grow across Close, and the pooled objects among that
+// (batches and hash-join state from a sync.Pool) stay with the tree
+// until Release, the only place they go back. A Tree runs one
+// execution at a time, but its exchange workers acquire concurrently.
+type Tree struct {
+	root     Stream
+	mu       sync.Mutex
+	holders  []pooledHolder
+	released int
+}
+
+// BuildTree builds the operator tree of a compiled plan's root.
+func (b *Builder) BuildTree(n *plan.Node) (*Tree, error) {
+	s, err := b.Build(n, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Tree{root: s}, nil
+}
+
+// Run executes the tree once (see materialize); its operators keep
+// their state for the next Run.
+func (t *Tree) Run(ctx *Ctx) ([]datum.Row, error) {
+	ctx.own = t
+	return materialize(ctx, t.root)
+}
+
+// Release ends the tree's life: every pooled object its operators hold
+// goes back to its pool, once. Releasing again is a no-op; running the
+// tree again re-acquires.
+func (t *Tree) Release() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, h := range t.holders {
+		h.releasePooled()
+	}
+	t.released += len(t.holders)
+	t.holders = nil
+}
+
+// Pooled reports how many pooled objects the tree holds and how many it
+// has given back.
+func (t *Tree) Pooled() (held, released int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.holders), t.released
+}
+
+// pooledHolder is an operator holding objects from a sync.Pool;
+// releasePooled gives them back and forgets them.
+type pooledHolder interface{ releasePooled() }
+
+// hold records that h acquired a pooled object, for the tree this
+// execution runs to give back when it dies.
+func (c *Ctx) hold(h pooledHolder) {
+	if t := c.own; t != nil {
+		t.mu.Lock()
+		t.holders = append(t.holders, h)
+		t.mu.Unlock()
 	}
 }

@@ -3,10 +3,12 @@ package exec
 // White-box lifetime test for the hash join's pooled state: a join that
 // is the inner plan of a correlated subquery is opened and closed once
 // per distinct correlation value, and closed again by its owner; each
-// execution must answer from its own build, and the state must go back
-// to the pool exactly once per Open.
+// re-open must answer from its own build in the one state the join
+// keeps, and the state must go back to the pool exactly once, when the
+// tree dies.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/datum"
@@ -50,8 +52,11 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 	probe.jf, probe.jfKeys = j.filter, []int{0}
 
 	runner := &subplanRunner{inner: j, cache: newSubqCache()}
+	var tree Tree
 	ctx := NewCtx(nil, nil)
+	ctx.own = &tree
 	ctx.SetColWidth(2)
+	var kept *joinState
 	for _, c := range []int64{0, 7, 15, 7, 20, 3} {
 		rows, err := runner.rows(ctx, datum.Row{datum.NewInt(c)})
 		if err != nil {
@@ -67,8 +72,11 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 				t.Fatalf("corr %d: row %v does not satisfy the join", c, r)
 			}
 		}
-		if j.st != nil {
-			t.Fatalf("corr %d: the join still holds pooled state after its execution closed", c)
+		if kept == nil {
+			kept = j.st
+		}
+		if j.st == nil || j.st != kept {
+			t.Fatalf("corr %d: the join did not keep its state across Close", c)
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -76,10 +84,89 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The join and both scans' batches: each recorded once, however
+	// often they re-opened.
+	if held, released := tree.Pooled(); held != 3 || released != 0 {
+		t.Fatalf("before the tree dies: %d held, %d released; want 3 and 0", held, released)
+	}
+	tree.Release()
+	tree.Release()
+	if held, released := tree.Pooled(); held != 0 || released != 3 {
+		t.Fatalf("after the tree died twice: %d held, %d released; want 0 and 3", held, released)
+	}
+	if j.st != nil || probe.batch != nil || build.batch != nil {
+		t.Fatal("a dead tree still holds pooled objects")
+	}
 	// A state put back twice would wait in the pool twice and come out of
 	// it twice. The pool may also drop what it is given; that only makes
 	// the check weaker, never wrong.
 	if a, b := joinStatePool.Get(), joinStatePool.Get(); a == b {
 		t.Fatal("the pool handed out one join state twice: it was released twice")
+	}
+}
+
+// TestNestedBuildJoinFilterReopens: a hash join whose build input is
+// another hash join, each hosting a pushed join filter in its probe
+// scan (star_scan's S5 shape), closes the inner join twice per
+// execution — once when its build input drains, once from its own
+// Close — and is closed once more by the caller. Run again, the kept
+// tree must return the same rows.
+func TestNestedBuildJoinFilterReopens(t *testing.T) {
+	rows := func(n int, f func(i int64) datum.Row) (out []datum.Row) {
+		for i := int64(0); i < int64(n); i++ {
+			out = append(out, f(i))
+		}
+		return out
+	}
+	one := []datum.TypeID{datum.TInt}
+	two := []datum.TypeID{datum.TInt, datum.TInt}
+	p := &scanOp{cur: tableCursor{rel: intHeap(t, 1, rows(30, func(i int64) datum.Row { return datum.Row{datum.NewInt(i % 7)} })...)}, types: one}
+	b := &scanOp{cur: tableCursor{rel: intHeap(t, 2, rows(20, func(i int64) datum.Row { return datum.Row{datum.NewInt(i % 5), datum.NewInt(i)} })...)}, types: two}
+	c := &scanOp{cur: tableCursor{rel: intHeap(t, 1, rows(3, func(i int64) datum.Row { return datum.Row{datum.NewInt(i)} })...)}, types: one}
+	// inner: b ⋈ c on b.w = c.x, output (k, w, x); outer: p ⋈ inner on
+	// p.k = inner.k, output (p.k, k, w, x).
+	innerTypes := []datum.TypeID{datum.TInt, datum.TInt, datum.TInt}
+	inner := &hashJoinOp{probe: b, build: c, lKeys: []int{1}, rKeys: []int{0}, lw: 2,
+		buildTypes: one, outTypes: innerTypes, filter: &joinFilter{}}
+	b.jf, b.jfKeys = inner.filter, []int{1}
+	outerTypes := append(append([]datum.TypeID(nil), one...), innerTypes...)
+	outer := &hashJoinOp{probe: p, build: inner, lKeys: []int{0}, rKeys: []int{0}, lw: 1,
+		buildTypes: innerTypes, outTypes: outerTypes, filter: &joinFilter{}}
+	p.jf, p.jfKeys = outer.filter, []int{0}
+
+	tree := &Tree{root: outer}
+	var first string
+	for run := 0; run < 3; run++ {
+		ctx := NewCtx(nil, nil)
+		ctx.SetColWidth(2)
+		got, err := tree.Run(ctx)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if err := outer.Close(ctx); err != nil {
+			t.Fatalf("run %d: Close after the tree closed: %v", run, err)
+		}
+		// B's rows with w in 0-2 meet C; P holds five rows of keys 0
+		// and 1 and four of key 2.
+		if len(got) != 14 {
+			t.Fatalf("run %d: %d rows, want 14", run, len(got))
+		}
+		for _, r := range got {
+			if r[0].Int() != r[1].Int() || r[2].Int() != r[3].Int() || r[1].Int() > 2 {
+				t.Fatalf("run %d: row %v does not satisfy the joins", run, r)
+			}
+		}
+		if s := fmt.Sprint(got); run == 0 {
+			first = s
+		} else if s != first {
+			t.Fatalf("run %d returned\n%s\nrun 0 returned\n%s", run, s, first)
+		}
+		if inner.st == nil || outer.st == nil {
+			t.Fatalf("run %d: a join gave up its state at Close", run)
+		}
+	}
+	tree.Release()
+	if held, released := tree.Pooled(); held != 0 || released != 5 {
+		t.Fatalf("dead tree: %d held, %d released; want 0 and 5 (two joins, three scans)", held, released)
 	}
 }

@@ -28,8 +28,8 @@ func indexKeyOf(row datum.Row, cols []int) datum.Row {
 // scanOp reads a stored table straight into column vectors and narrows
 // each batch with its pushed-down predicates and, when a hash join
 // above pushed one, a join filter, emitting batches that are already
-// filtered. Its fill batch is pooled: the scan owns every lane, so
-// Close releases it for the next execution to refill.
+// filtered. Its fill batch is pooled: the scan owns every lane, keeps
+// it across Close and gives it back when its tree dies.
 type scanOp struct {
 	cur   tableCursor
 	types []datum.TypeID
@@ -66,6 +66,7 @@ func (s *scanOp) Open(ctx *Ctx) error {
 func (s *scanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	if s.batch == nil {
 		s.batch = datum.AcquireColBatch(s.types)
+		ctx.hold(s)
 	}
 	max := ctx.colBatchWidth()
 	for {
@@ -117,10 +118,14 @@ func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 func (s *scanOp) Close(ctx *Ctx) error {
 	s.cur.close()
 	if s.batch != nil {
-		s.batch.Release()
-		s.batch = nil
+		s.batch.Reset()
 	}
 	return nil
+}
+
+func (s *scanOp) releasePooled() {
+	s.batch.Release()
+	s.batch = nil
 }
 
 // ---------------------------------------------------------------------
@@ -306,7 +311,7 @@ func (f *filterOp) Close(ctx *Ctx) error { return f.input.Close(ctx) }
 // plus owned constant vectors, and a row consumer gets its rows read
 // straight from the input batch. Any other projection runs the row
 // evaluators once per live row into a batch of its own, which it owns
-// outright and so takes from the pool.
+// outright and so takes from the pool, keeping it until its tree dies.
 type projectOp struct {
 	input ColBatchStream
 	types []datum.TypeID
@@ -390,6 +395,7 @@ func (p *projectOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	}
 	if p.out == nil {
 		p.out = datum.AcquireColBatch(p.types)
+		ctx.hold(p)
 	}
 	p.out.Reset()
 	err = b.EachLive(func(i int) error {
@@ -445,10 +451,14 @@ func (p *projectOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 
 func (p *projectOp) Close(ctx *Ctx) error {
 	if p.rows != nil && p.out != nil {
-		p.out.Release()
-		p.out = nil
+		p.out.Reset()
 	}
 	return p.input.Close(ctx)
+}
+
+func (p *projectOp) releasePooled() {
+	p.out.Release()
+	p.out = nil
 }
 
 type limitOp struct {
@@ -544,7 +554,7 @@ type tempOp struct {
 }
 
 func (t *tempOp) Open(ctx *Ctx) error {
-	rows, err := Run(ctx, t.input)
+	rows, err := materialize(ctx, t.input)
 	if err != nil {
 		return err
 	}
@@ -584,7 +594,7 @@ func (s *sortOp) Open(ctx *Ctx) error {
 	if s.limit != nil {
 		return s.openTopN(ctx)
 	}
-	rows, err := Run(ctx, s.input)
+	rows, err := materialize(ctx, s.input)
 	if err != nil {
 		return err
 	}
@@ -787,7 +797,7 @@ func (j *nlJoinOp) Open(ctx *Ctx) error {
 	if err := j.left.Open(ctx); err != nil {
 		return err
 	}
-	rows, err := Run(ctx, j.right)
+	rows, err := materialize(ctx, j.right)
 	if err != nil {
 		return err
 	}
@@ -882,11 +892,11 @@ func (b *Builder) buildMergeJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream
 
 func (j *mergeJoinOp) Open(ctx *Ctx) error {
 	var err error
-	j.lRows, err = Run(ctx, j.left)
+	j.lRows, err = materialize(ctx, j.left)
 	if err != nil {
 		return err
 	}
-	j.rRows, err = Run(ctx, j.right)
+	j.rRows, err = materialize(ctx, j.right)
 	if err != nil {
 		return err
 	}
@@ -988,12 +998,20 @@ func (j *mergeJoinOp) Close(ctx *Ctx) error {
 // with a typed update kernel where one exists, else through the
 // aggregate's own expr.AggState (DISTINCT sets included) on the row
 // evaluators. The input's lifetime ends inside Open on every path.
+// The hash table, the key arena and the aggregate lanes stay with the
+// operator across executions; only the output rows are new each time.
 type groupOp struct {
 	input     ColBatchStream
 	groupCols []int
 	aggs      []batchAgg
 
-	keyRows []datum.Row
+	// groups maps a group's key bytes to its id; keys holds the key
+	// values, group gi's at [gi*len(groupCols), (gi+1)*len(groupCols)).
+	groups map[string]int
+	keys   []datum.Value
+	ngroup int
+	keyBuf []byte
+	gis    []int
 	rowCursor
 	mem memCharge
 }
@@ -1033,10 +1051,9 @@ func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 }
 
 func (g *groupOp) Open(ctx *Ctx) (err error) {
-	g.reset(nil)
-	g.keyRows = nil
-	for _, a := range g.aggs {
-		a.reset()
+	g.empty()
+	if g.groups == nil {
+		g.groups = map[string]int{}
 	}
 	if err := g.input.Open(ctx); err != nil {
 		// Close even after a failed Open: the input subtree may have
@@ -1045,9 +1062,7 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 		return errors.Join(err, g.input.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, g.input.Close(ctx)) }()
-	groups := map[string]int{}
-	var keyBuf []byte
-	var gis []int
+	w := len(g.groupCols)
 	for {
 		b, more, err := g.input.NextColBatch(ctx)
 		if err != nil {
@@ -1057,30 +1072,26 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 			if err := ctx.tickRows(b.NumLive()); err != nil {
 				return err
 			}
-			if cap(gis) < b.NumLive() {
-				gis = make([]int, 0, b.NumLive())
-			}
-			gis = gis[:0]
+			g.gis = g.gis[:0]
 			_ = b.EachLive(func(i int) error {
-				keyBuf = b.AppendKeyCols(keyBuf[:0], g.groupCols, i)
-				gi, ok := groups[string(keyBuf)]
+				g.keyBuf = b.AppendKeyCols(g.keyBuf[:0], g.groupCols, i)
+				gi, ok := g.groups[string(g.keyBuf)]
 				if !ok {
-					gi = len(g.keyRows)
-					groups[string(keyBuf)] = gi
-					key := make(datum.Row, len(g.groupCols))
-					for j, c := range g.groupCols {
-						key[j] = b.Vecs[c].ValueAt(i)
+					gi = g.ngroup
+					g.ngroup++
+					g.groups[string(g.keyBuf)] = gi
+					for _, c := range g.groupCols {
+						g.keys = append(g.keys, b.Vecs[c].ValueAt(i))
 					}
-					g.keyRows = append(g.keyRows, key)
 					for _, a := range g.aggs {
 						a.grow(gi + 1)
 					}
 				}
-				gis = append(gis, gi)
+				g.gis = append(g.gis, gi)
 				return nil
 			})
 			for _, a := range g.aggs {
-				if err := a.update(ctx, b, gis); err != nil {
+				if err := a.update(ctx, b, g.gis); err != nil {
 					return err
 				}
 			}
@@ -1090,15 +1101,19 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 		}
 	}
 	// Scalar aggregation produces one row even for empty input.
-	if len(g.keyRows) == 0 && len(g.groupCols) == 0 {
-		g.keyRows = append(g.keyRows, nil)
+	if g.ngroup == 0 && w == 0 {
+		g.ngroup = 1
 		for _, a := range g.aggs {
 			a.grow(1)
 		}
 	}
-	for gi, key := range g.keyRows {
-		row := make(datum.Row, 0, len(g.groupCols)+len(g.aggs))
-		row = append(row, key...)
+	// The output rows are the result, so they are the one thing made
+	// anew: one arena for all of them.
+	rw := w + len(g.aggs)
+	arena := make([]datum.Value, g.ngroup*rw)
+	for gi := 0; gi < g.ngroup; gi++ {
+		row := arena[gi*rw : gi*rw+w : (gi+1)*rw]
+		copy(row, g.keys[gi*w:])
 		for _, a := range g.aggs {
 			row = append(row, a.result(gi))
 		}
@@ -1107,8 +1122,21 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 	return g.mem.charge(ctx, g.rows)
 }
 
+// empty drops the previous execution's groups, keeping the capacity
+// that held them.
+func (g *groupOp) empty() {
+	clear(g.groups)
+	clear(g.keys)
+	g.keys, g.ngroup = g.keys[:0], 0
+	clear(g.rows)
+	g.reset(g.rows[:0])
+	for _, a := range g.aggs {
+		a.reset()
+	}
+}
+
 func (g *groupOp) Close(ctx *Ctx) error {
-	g.rows, g.keyRows = nil, nil
+	g.empty()
 	g.mem.release(ctx)
 	return nil
 }
@@ -1223,7 +1251,7 @@ func (b *Builder) buildSetOp(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 }
 
 func (s *setOp) Open(ctx *Ctx) error {
-	collect := func(st Stream) ([]datum.Row, error) { return Run(ctx, st) }
+	collect := func(st Stream) ([]datum.Row, error) { return materialize(ctx, st) }
 	switch s.op {
 	case plan.OpUnion:
 		var rows []datum.Row
@@ -1387,7 +1415,7 @@ func (b *Builder) buildTableFn(n *plan.Node, corr map[plan.ColRef]int) (Stream, 
 func (t *tableFnOp) Open(ctx *Ctx) error {
 	var rels []*expr.Relation
 	for i, in := range t.inputs {
-		rows, err := Run(ctx, in)
+		rows, err := materialize(ctx, in)
 		if err != nil {
 			return err
 		}

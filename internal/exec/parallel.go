@@ -210,7 +210,7 @@ func (p *repartPool) start(ctx *Ctx, par bool) error {
 		// materializing operator's.
 		p.bufs = make([][]datum.Row, p.parts)
 		for _, ps := range p.producers {
-			rows, err := Run(ctx, ps)
+			rows, err := materialize(ctx, ps)
 			if err != nil {
 				return err
 			}

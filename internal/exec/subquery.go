@@ -25,6 +25,12 @@ func newSubqCache() *subqCache {
 	return &subqCache{entries: map[string][]datum.Row{}, cap: 4096}
 }
 
+// reset empties the cache and zeroes its counters.
+func (c *subqCache) reset() {
+	clear(c.entries)
+	c.Hits, c.Misses = 0, 0
+}
+
 func (c *subqCache) get(key string) ([]datum.Row, bool) {
 	r, ok := c.entries[key]
 	if ok {
@@ -47,14 +53,19 @@ func (c *subqCache) put(key string, rows []datum.Row) {
 	c.entries[key] = rows
 }
 
-// runSubplan evaluates an inner plan under a correlation vector,
-// caching by correlation value.
+// subplanRunner evaluates an inner plan under a correlation vector,
+// caching by correlation value for one execution.
 type subplanRunner struct {
-	inner Stream
-	cache *subqCache
+	inner  Stream
+	cache  *subqCache
+	execID uint64
 }
 
 func (r *subplanRunner) rows(ctx *Ctx, corr datum.Row) ([]datum.Row, error) {
+	if r.execID != ctx.execID {
+		r.cache.reset()
+		r.execID = ctx.execID
+	}
 	key := datum.RowKey(corr)
 	if rows, ok := r.cache.get(key); ok {
 		ctx.SubqHits++
@@ -62,7 +73,7 @@ func (r *subplanRunner) rows(ctx *Ctx, corr datum.Row) ([]datum.Row, error) {
 	}
 	ctx.SubqMisses++
 	saved := ctx.setCorr(corr)
-	rows, err := Run(ctx, r.inner)
+	rows, err := materialize(ctx, r.inner)
 	ctx.setCorr(saved)
 	if err != nil {
 		return nil, err
@@ -92,9 +103,11 @@ type subqOp struct {
 	// both is the set-predicate fold's row: the outer row, then one inner
 	// element after another in its tail. The predicates only read it.
 	both datum.Row
-	// prevHits/prevMisses carry cache totals across re-opens (each Open
-	// starts a fresh cache), so CacheStats is statement-cumulative.
+	// prevHits/prevMisses carry cache totals across the re-opens of one
+	// execution (each Open starts an empty cache), so CacheStats is
+	// statement-cumulative.
 	prevHits, prevMisses int64
+	execID               uint64
 }
 
 type setPredLookup interface {
@@ -153,11 +166,13 @@ func (b *Builder) buildSubq(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 }
 
 func (s *subqOp) Open(ctx *Ctx) error {
-	if c := s.runner.cache; c != nil {
+	if c := s.runner.cache; s.execID == ctx.execID {
 		s.prevHits += c.Hits
 		s.prevMisses += c.Misses
+	} else {
+		s.prevHits, s.prevMisses, s.execID = 0, 0, ctx.execID
 	}
-	s.runner.cache = newSubqCache()
+	s.runner.cache.reset()
 	s.pending = nil
 	return s.input.Open(ctx)
 }
@@ -446,7 +461,7 @@ func (r *recUnionOp) Open(ctx *Ctx) error {
 		}
 		return fresh
 	}
-	seedRows, err := Run(ctx, r.seed)
+	seedRows, err := materialize(ctx, r.seed)
 	if err != nil {
 		return err
 	}
@@ -465,7 +480,7 @@ func (r *recUnionOp) Open(ctx *Ctx) error {
 		}
 		wt.delta = delta
 		wt.total = total
-		rows, err := Run(ctx, r.rec)
+		rows, err := materialize(ctx, r.rec)
 		if err != nil {
 			return err
 		}
@@ -544,7 +559,7 @@ func (i *insertOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		return nil, false, nil
 	}
 	i.done = true
-	rows, err := Run(ctx, i.src)
+	rows, err := materialize(ctx, i.src)
 	if err != nil {
 		return nil, false, err
 	}

@@ -266,9 +266,12 @@ func (db *DB) recordCtx(ctx *exec.Ctx, tr *obs.Trace) {
 // execute under their own configuration, and attaches tr to the result
 // when it asks for tracing. The plan executes inside tx: scans resolve
 // row versions against its snapshot, DML writes through its write log,
-// and table lookups read its pinned catalog generation.
+// and table lookups read its pinned catalog generation. A plain
+// execution runs the operator tree idle in trees (nil: none), or builds
+// one, and parks it back after a clean run; an instrumented or
+// kernels-off execution builds a fresh tree and releases it.
 // starburst:locks db.adminMu:read
-func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params map[string]Value,
+func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees *treeSlot, params map[string]Value,
 	tr *obs.Trace, o *observation, tx *Tx, instrument bool) (*Result, error) {
 	if goCtx == nil {
 		goCtx = context.Background()
@@ -288,18 +291,29 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 	}
 	builder := db.builder
 	if db.kernelsOff {
-		builder = builder.Vectorized(false)
+		builder, trees = builder.Vectorized(false), nil
 	}
 	if instrument || db.instrumentWanted(set) {
 		o.instr = exec.NewInstrumentation()
-		builder = builder.Instrumented(o.instr)
+		builder, trees = builder.Instrumented(o.instr), nil
 	}
 	t0 := time.Now()
-	stream, err := builder.Build(compiled.Root, nil)
-	tr.AddPhase(obs.PhaseBuild, time.Since(t0))
-	if err != nil {
-		return nil, err
+	tree := trees.take()
+	if tree == nil {
+		var err error
+		if tree, err = builder.BuildTree(compiled.Root); err != nil {
+			return nil, err
+		}
 	}
+	tr.AddPhase(obs.PhaseBuild, time.Since(t0))
+	clean := false
+	defer func() {
+		if clean {
+			trees.park(tree)
+		} else {
+			tree.Release()
+		}
+	}()
 	// A DML statement against a durable DB runs inside a WAL statement
 	// group: its records replay after a crash only if the commit record
 	// below lands on disk. The defer covers panics (injected crashes,
@@ -328,7 +342,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 	db.armParallel(ctx, set)
 	mark := tx.ts.Mark()
 	t0 = time.Now()
-	rows, err := exec.Run(ctx, stream)
+	rows, err := tree.Run(ctx)
 	tr.AddPhase(obs.PhaseExec, time.Since(t0))
 	db.recordCtx(ctx, tr)
 	if err != nil && tx.ts.Writes() > mark {
@@ -353,6 +367,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 	if err != nil {
 		return nil, err
 	}
+	clean = true
 	res := &Result{Columns: compiled.OutputNames, Rows: rows, Affected: ctx.Affected}
 	if o.rows = res.Affected; o.rows == 0 {
 		o.rows = int64(len(rows))
@@ -370,7 +385,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, params
 // starburst:locks db.adminMu:read
 func (db *DB) explainAnalyze(goCtx context.Context, compiled *plan.Compiled,
 	params map[string]Value, tr *obs.Trace, o *observation, tx *Tx) (*Result, error) {
-	res, err := db.runObserved(goCtx, compiled, params, tr, o, tx, true)
+	res, err := db.runObserved(goCtx, compiled, nil, params, tr, o, tx, true)
 	if err != nil {
 		return nil, err
 	}

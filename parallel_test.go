@@ -27,9 +27,9 @@ import (
 // equivalence corpus tables get enough rows to span multiple simulated
 // pages so exchanges are actually inserted (with the threshold lowered
 // to 1).
-func genParallelDB(t testing.TB, seed int64) *DB {
+func genParallelDB(t testing.TB, seed int64, opts ...Option) *DB {
 	t.Helper()
-	db := genDB(t, seed)
+	db := genDB(t, seed, opts...)
 	rng := rand.New(rand.NewSource(seed * 31))
 	val := func(limit int) string {
 		if rng.Intn(8) == 0 {

@@ -5,7 +5,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -18,16 +20,23 @@ import (
 // industrial descendant of Starburst leans on plan reuse to amortize
 // compile cost under concurrent load.
 //
-// Correctness rests on two properties:
+// Correctness rests on three properties:
 //
 //   - entries are generation-stamped: each entry records the catalog
 //     version it compiled against, and every DDL statement kind and
 //     every statistics update bumps that version, so a lookup that
 //     finds a stale entry evicts it lazily and reports a miss;
 //   - *plan.Compiled values are immutable after compilation: the
-//     executor builds a fresh operator tree from the shared plan per
-//     execution and never writes through it, so any number of sessions
-//     can execute one cached entry concurrently.
+//     executor never writes through the shared plan, so any number of
+//     sessions can execute one cached entry concurrently;
+//   - an entry also keeps the plan's refinement, the operator tree,
+//     but at most one idle tree (treeSlot), and only one execution
+//     holds a tree at a time: an execution takes the idle tree or
+//     builds its own, and after a clean run parks it back or, when the
+//     slot is full again, releases it. The tree owns what its
+//     operators grew, so the pools serve fresh trees only. A parked
+//     tree's state is not charged to MaxMem between executions; it is
+//     bounded by one tree per entry, and dies with the entry.
 
 // Plan-cache metric names (see DB.Metrics).
 const (
@@ -65,6 +74,54 @@ type cacheEntry struct {
 	// hits counts lookups served by this entry (under the cache lock);
 	// surfaced per entry through SYS.PLAN_CACHE.
 	hits int64
+	// trees is the entry's idle operator tree.
+	trees treeSlot
+}
+
+// treeSlot holds at most one idle operator tree for one compiled plan:
+// a plan-cache entry's or a prepared Stmt's. Executions swap the tree
+// out and back atomically; a killed slot releases what it holds and
+// everything parked in it afterwards. All methods are nil-safe (no
+// slot: every execution builds a fresh tree).
+type treeSlot struct {
+	idle atomic.Pointer[exec.Tree]
+	dead atomic.Bool
+}
+
+// take removes and returns the idle tree, nil when there is none.
+func (s *treeSlot) take() *exec.Tree {
+	if s == nil {
+		return nil
+	}
+	return s.idle.Swap(nil)
+}
+
+// park keeps t for the next execution, or releases it when the slot
+// already holds a tree or has been killed.
+func (s *treeSlot) park(t *exec.Tree) {
+	if s == nil || !s.idle.CompareAndSwap(nil, t) {
+		t.Release()
+		return
+	}
+	if s.dead.Load() {
+		// kill ran between the swap and here; whichever of the two
+		// swaps the tree out releases it.
+		if t := s.idle.Swap(nil); t != nil {
+			t.Release()
+		}
+	}
+}
+
+// kill ends the slot: its tree dies now, and any tree parked in it
+// later dies on arrival.
+func (s *treeSlot) kill() {
+	if s == nil {
+		return
+	}
+	s.dead.Store(true)
+	if t := s.idle.Swap(nil); t != nil {
+		t.Release()
+	}
 }
 
 // planCache is the shared, bounded LRU. All methods are safe for
@@ -145,6 +202,7 @@ func (c *planCache) put(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[e.key]; ok {
+		el.Value.(*cacheEntry).trees.kill()
 		el.Value = e
 		c.lru.MoveToFront(el)
 		return
@@ -157,15 +215,32 @@ func (c *planCache) put(e *cacheEntry) {
 	}
 }
 
+// removeLocked drops an entry, and with it the entry's tree.
 func (c *planCache) removeLocked(el *list.Element) {
-	delete(c.byKey, el.Value.(*cacheEntry).key)
+	e := el.Value.(*cacheEntry)
+	delete(c.byKey, e.key)
 	c.lru.Remove(el)
+	e.trees.kill()
+}
+
+// killStale kills the trees of entries compiled against a generation
+// other than gen. The entries stay, for lookups to count as
+// invalidations.
+func (c *planCache) killStale(gen int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.gen != gen {
+			e.trees.kill()
+		}
+	}
 }
 
 // reset empties the cache and zeroes the stats snapshot (the
 // cumulative registry counters keep running); tests use it to measure
 // from a clean slate after setup traffic.
 func (c *planCache) reset() {
+	c.killStale(-1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.byKey = map[string]*list.Element{}
@@ -215,6 +290,56 @@ func (c *planCache) snapshot() PlanCacheStats {
 	s := c.stats
 	s.Size = c.lru.Len()
 	return s
+}
+
+// stmtSlots is the set of live prepared statements' tree slots, each
+// with the catalog generation its plan compiled against.
+type stmtSlots struct {
+	mu sync.Mutex
+	m  map[*treeSlot]int64
+}
+
+func (ss *stmtSlots) add(s *treeSlot, gen int64) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.m == nil {
+		ss.m = map[*treeSlot]int64{}
+	}
+	ss.m[s] = gen
+}
+
+// drop kills a slot and forgets it (nil-safe).
+func (ss *stmtSlots) drop(s *treeSlot) {
+	ss.mu.Lock()
+	delete(ss.m, s)
+	ss.mu.Unlock()
+	s.kill()
+}
+
+// killStale drops the slots of plans compiled against a generation
+// other than keep.
+func (ss *stmtSlots) killStale(keep int64) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for s, gen := range ss.m {
+		if gen != keep {
+			delete(ss.m, s)
+			s.kill()
+		}
+	}
+}
+
+// releaseTrees kills the tree slots — the plan cache's and the live
+// prepared statements' — of plans compiled against a catalog generation
+// other than keep; keep < 0 kills them all (Close). DDL releases the
+// trees it made stale at once: their plans run again only after a
+// recompile, which brings a slot of its own, so they would sit idle
+// until their entry or handle went.
+func (db *DB) releaseTrees(keep int64) {
+	if db.cache != nil {
+		db.cache.killStale(keep)
+	}
+	db.stmtTrees.killStale(keep)
 }
 
 // PlanCacheStats reports plan-cache behaviour; the zero value when the

@@ -1,9 +1,9 @@
 package starburst
 
-// Per-execution state on the star path: a cached plan rebuilds its
-// operator tree every execution, so what the tree grows — the hash
-// join's tables, the top-N heap, the SUBQ fold row — must come back from
-// a pool or stay bounded by what the statement returns.
+// Per-execution state on the star path: a cached plan re-opens its
+// parked operator tree every execution, so what the tree grows — the
+// hash join's tables, the top-N heap, the SUBQ fold row — must stay
+// with the tree or stay bounded by what the statement returns.
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -33,17 +32,13 @@ func medianBytesPerExec(t *testing.T, db *DB, q string, params map[string]Value,
 	})
 }
 
-// medianBytes calls run twice to warm up — compile, first-touch growth,
-// then once more so each pooled object has grown to what the others left
-// in it — then fifty times, and returns the median bytes one call
-// allocated. The collector is off while it measures: a collection
-// empties every sync.Pool, and the call after it regrows what it would
-// have reused. The median, not the mean, because a goroutine that moves
-// to another P cannot reach the pooled object its old P holds.
+// medianBytes calls run twice to warm up — compile, then the first
+// execution of the parked tree — then fifty times, and returns the
+// median bytes one call allocated. The collector runs as it likes: what
+// a parked tree grows is in no sync.Pool for a collection to empty.
 func medianBytes(run func()) uint64 {
 	run()
 	run()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	samples := make([]uint64, 50)
 	var ms runtime.MemStats
 	for i := range samples {
@@ -73,9 +68,6 @@ func isTopN(n *plan.Node) bool { return n.Op == plan.OpLimit && n.Inputs[0].Op =
 func requireFlat(t *testing.T, what string, small, large uint64) {
 	t.Helper()
 	t.Logf("%s: %d B per execution small, %d B large", what, small, large)
-	if raceEnabled {
-		return
-	}
 	if d := int64(large) - int64(small); d > 512 || d < -512 {
 		t.Errorf("%s: %d B per execution small, %d B large; want within 512 B", what, small, large)
 	}
@@ -83,10 +75,11 @@ func requireFlat(t *testing.T, what string, small, large uint64) {
 
 // joinReuseDB is a probe table p of 6,000 rows and a build table b of n
 // rows of which only keys 0-4 meet p, so the join returns five rows
-// whatever n is.
-func joinReuseDB(t *testing.T, n int) *DB {
+// whatever n is, behind a plan cache of 8 entries unless opts say
+// otherwise.
+func joinReuseDB(t *testing.T, n int, opts ...Option) *DB {
 	t.Helper()
-	db := Open(WithPlanCache(8))
+	db := Open(append([]Option{WithPlanCache(8)}, opts...)...)
 	setDOP(db, 1)
 	mustExec(t, db, "CREATE TABLE p (k INT, v INT)")
 	mustExec(t, db, "CREATE TABLE b (k INT, w STRING)")

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -218,6 +219,9 @@ type DB struct {
 	// spanExp is the installed statement-trace exporter, nil when span
 	// export is off (see SetSpanExporter).
 	spanExp atomic.Pointer[SpanExporter]
+	// stmtTrees holds the live prepared statements' tree slots, for DDL
+	// and Close to release (the plan cache's die with their entries).
+	stmtTrees stmtSlots
 }
 
 // Open creates an empty in-memory database with the base rule sets,
@@ -432,13 +436,13 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 	// optimize entirely — the prepared handle's own, else the shared
 	// cache's. Only cacheable kinds (DML) are ever stored, so a hit
 	// never preempts the transaction-control or DDL handling below.
-	compiled, kind := st.plan(cat.Version())
+	compiled, kind, trees := st.plan(cat.Version())
 	held := compiled != nil // the handle's own plan: nothing to store back
 	var key string
 	if compiled == nil && db.cache != nil {
 		key = db.cacheKey(query, set)
 		if e, ok := db.cache.get(key, cat.Version()); ok {
-			compiled, kind = e.compiled, e.kind
+			compiled, kind, trees = e.compiled, e.kind, &e.trees
 			o.cacheHit = true
 			if tr != nil {
 				tr.PlanCacheHit = true
@@ -506,7 +510,9 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 			if tx != nil {
 				return nil, fmt.Errorf("starburst: %s cannot run inside a transaction (DDL auto-commits)", o.kind)
 			}
-			return db.execDDLDurable(stmt, query)
+			res, err := db.execDDLDurable(stmt, query)
+			db.releaseTrees(db.cat.Version())
+			return res, err
 		}
 	}
 	// From here on the statement is one that compiles to a plan and,
@@ -525,11 +531,15 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 		}
 		if db.cache != nil && cacheableKind(o.kind) {
 			db.cache.miss()
-			db.cache.put(&cacheEntry{key: key, compiled: compiled, kind: o.kind, gen: cat.Version()})
+			e := &cacheEntry{key: key, compiled: compiled, kind: o.kind, gen: cat.Version()}
+			db.cache.put(e)
+			trees = &e.trees
 		}
 	}
 	if !held {
-		st.store(compiled, o.kind, cat.Version())
+		if own := st.store(compiled, o.kind, cat.Version()); trees == nil {
+			trees = own
+		}
 	}
 	if compileOnly {
 		return nil, nil
@@ -539,7 +549,7 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 	if analyze {
 		return db.explainAnalyze(goCtx, compiled, params, tr, o, tx)
 	}
-	return db.runObserved(goCtx, compiled, params, tr, o, tx, false)
+	return db.runObserved(goCtx, compiled, trees, params, tr, o, tx, false)
 }
 
 // cacheableKind reports whether plans of this statement kind are worth
@@ -579,12 +589,14 @@ type Stmt struct {
 	// The plan slot: compiled is valid for catalog generation gen only;
 	// the statement core recompiles it when the statement runs against
 	// another one (DDL since may have dropped an index the plan probes
-	// or replaced the table it scans). mu guards the slot — a DB-level
-	// Stmt may be shared by goroutines.
+	// or replaced the table it scans). trees keeps the plan's idle
+	// operator tree, and dies when the slot is refilled. mu guards the
+	// slot — a DB-level Stmt may be shared by goroutines.
 	mu       sync.Mutex
 	compiled *plan.Compiled
 	kind     string
 	gen      int64
+	trees    *treeSlot
 }
 
 // Prepare compiles a DML statement for repeated execution under the
@@ -602,32 +614,48 @@ func (db *DB) newStmt(query string, sess *Session, set *Settings) (*Stmt, error)
 	if _, err := db.query(context.Background(), query, st, true, nil, set, nil, nil); err != nil {
 		return nil, err
 	}
+	// A handle dropped without a re-prepare takes its tree with it.
+	runtime.SetFinalizer(st, (*Stmt).drop)
 	return st, nil
 }
 
-// plan returns the handle's plan and statement kind if it holds one
-// compiled against catalog generation gen. Nil-safe: an ad-hoc
-// statement has no handle and never a private plan.
-func (s *Stmt) plan(gen int64) (*plan.Compiled, string) {
+// drop releases the handle's tree.
+func (s *Stmt) drop() {
+	s.mu.Lock()
+	trees := s.trees
+	s.mu.Unlock()
+	s.db.stmtTrees.drop(trees)
+}
+
+// plan returns the handle's plan, statement kind and tree slot if it
+// holds a plan compiled against catalog generation gen. Nil-safe: an
+// ad-hoc statement has no handle and never a private plan.
+func (s *Stmt) plan(gen int64) (*plan.Compiled, string, *treeSlot) {
 	if s == nil {
-		return nil, ""
+		return nil, "", nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gen != gen {
-		return nil, ""
+		return nil, "", nil
 	}
-	return s.compiled, s.kind
+	return s.compiled, s.kind, s.trees
 }
 
-// store fills the plan slot (nil-safe, like plan).
-func (s *Stmt) store(compiled *plan.Compiled, kind string, gen int64) {
+// store fills the plan slot (nil-safe, like plan) and returns its new
+// tree slot; the previous plan's tree dies.
+func (s *Stmt) store(compiled *plan.Compiled, kind string, gen int64) *treeSlot {
 	if s == nil {
-		return
+		return nil
 	}
+	trees := &treeSlot{}
+	s.db.stmtTrees.add(trees, gen)
 	s.mu.Lock()
-	s.compiled, s.kind, s.gen = compiled, kind, gen
+	old := s.trees
+	s.compiled, s.kind, s.gen, s.trees = compiled, kind, gen, trees
 	s.mu.Unlock()
+	s.db.stmtTrees.drop(old)
+	return trees
 }
 
 // Query executes the prepared statement under ctx with the given

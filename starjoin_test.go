@@ -34,9 +34,9 @@ func loadRows(t testing.TB, db *DB, table string, n int, row func(i int) string)
 
 // starDB loads a star schema: one fact table per entry of facts (name
 // → rows), all referencing the same three dimensions.
-func starDB(t testing.TB, facts map[string]int) *DB {
+func starDB(t testing.TB, facts map[string]int, opts ...Option) *DB {
 	t.Helper()
-	db := Open()
+	db := Open(opts...)
 	mustExec(t, db, "CREATE TABLE cust (ck INT, region STRING, segment STRING)")
 	mustExec(t, db, "CREATE TABLE part (pk INT, category STRING, size INT)")
 	mustExec(t, db, "CREATE TABLE dates (dk INT, year INT)")
@@ -135,9 +135,6 @@ func TestStarJoinAllocationIndependentOfFactSize(t *testing.T) {
 	}
 	small, large := bytesPerRun("lo1"), bytesPerRun("lo4")
 	t.Logf("bytes per execution: %d over %d fact rows, %d over %d", small, n, large, 4*n)
-	if raceEnabled {
-		return
-	}
 	if float64(large) >= 1.5*float64(small) {
 		t.Fatalf("4x the fact rows allocate %.2fx the bytes (%d vs %d); want < 1.5x",
 			float64(large)/float64(small), large, small)
