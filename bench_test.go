@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -342,50 +343,84 @@ func chainQuery(n int) string {
 	return q
 }
 
-func chainDB(b *testing.B, n int) *DB {
+func chainDB(b testing.TB, n int) *DB {
 	db := Open()
 	for i := 0; i < n; i++ {
 		mustExec(b, db, fmt.Sprintf("CREATE TABLE t%d (k INT, v INT)", i))
-		for r := 0; r < 50; r++ {
-			mustExec(b, db, fmt.Sprintf("INSERT INTO t%d VALUES (%d, %d)", i, r, r*i))
-		}
+		loadRows(b, db, fmt.Sprintf("t%d", i), 50, func(r int) string { return fmt.Sprintf("%d, %d", r, r*i) })
 		mustExec(b, db, fmt.Sprintf("ANALYZE t%d", i))
 	}
 	return db
 }
 
+// fanQuery joins a fact table f to n dimensions d1..dn, each on its own
+// foreign key: unlike the chain's equalities these imply no others, so
+// the join graph is a star, not a clique.
+func fanQuery(n int) string {
+	q := "SELECT f.v FROM f"
+	var preds []string
+	for i := 1; i <= n; i++ {
+		q += fmt.Sprintf(", d%d", i)
+		preds = append(preds, fmt.Sprintf("f.k%d = d%d.k", i, i))
+	}
+	return q + " WHERE " + strings.Join(preds, " AND ")
+}
+
+// fanDB loads fanQuery's tables: 200 fact rows, dimension i 20*i rows.
+func fanDB(t testing.TB, n int) *DB {
+	db := Open()
+	var fcols []string
+	for i := 1; i <= n; i++ {
+		fcols = append(fcols, fmt.Sprintf("k%d INT", i))
+		mustExec(t, db, fmt.Sprintf("CREATE TABLE d%d (k INT, v INT)", i))
+		loadRows(t, db, fmt.Sprintf("d%d", i), 20*i, func(r int) string { return fmt.Sprintf("%d, %d", r, r%7) })
+		mustExec(t, db, fmt.Sprintf("ANALYZE d%d", i))
+	}
+	mustExec(t, db, "CREATE TABLE f ("+strings.Join(fcols, ", ")+", v INT)")
+	loadRows(t, db, "f", 200, func(r int) string {
+		vals := make([]string, n+1)
+		for i := 1; i <= n; i++ {
+			vals[i-1] = fmt.Sprint(r * (i + 2) % (20 * i))
+		}
+		vals[n] = fmt.Sprint(r)
+		return strings.Join(vals, ", ")
+	})
+	mustExec(t, db, "ANALYZE f")
+	return db
+}
+
+// benchOptimize measures OptimizeConfig of q on db, re-translating the
+// statement outside the timer.
+func benchOptimize(b *testing.B, db *DB, q string) {
+	b.ReportAllocs()
+	stmt, _ := sql.Parse(q)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g, err := qgm.TranslateStatement(db.Catalog(), stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := db.Optimizer().OptimizeConfig(g, nil, optimizer.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkJoinEnumerator(b *testing.B) {
 	for _, n := range []int{2, 4, 6, 8} {
 		b.Run(fmt.Sprintf("chain-%d", n), func(b *testing.B) {
-			db := chainDB(b, n)
-			stmt, _ := sql.Parse(chainQuery(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g, err := qgm.TranslateStatement(db.Catalog(), stmt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := db.Optimizer().OptimizeConfig(g, nil, optimizer.Config{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOptimize(b, chainDB(b, n), chainQuery(n))
 		})
 	}
+	b.Run("star-6", func(b *testing.B) {
+		benchOptimize(b, fanDB(b, 5), fanQuery(5))
+	})
 	b.Run("chain-6-bushy", func(b *testing.B) {
 		db := chainDB(b, 6)
 		db.Optimizer().AllowBushy = true
-		stmt, _ := sql.Parse(chainQuery(6))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			g, _ := qgm.TranslateStatement(db.Catalog(), stmt)
-			b.StartTimer()
-			if _, err := db.Optimizer().OptimizeConfig(g, nil, optimizer.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchOptimize(b, db, chainQuery(6))
 	})
 }
 

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/expr"
@@ -94,13 +95,23 @@ func BuiltinSTARs() []*STAR {
 					return []*plan.Node{p}, nil
 				}
 				return nil, nil
+			}, Price: func(ctx *Ctx, a Args) (plan.Props, bool) {
+				if p := cheapestWithOrder(a.Plans, a.ReqOrder); p != nil {
+					return p.Props, true
+				}
+				return plan.Props{}, false
 			}},
 			{Name: "AddSort", Rank: 1, Build: func(ctx *Ctx, a Args) ([]*plan.Node, error) {
 				p := cheapest(a.Plans)
-				if p == nil {
-					return nil, nil
+				if p == nil || a.Kept.Dominates(costSort(p.Props, a.ReqOrder)) {
+					return nil, nil // an already-ordered plan is no dearer
 				}
 				return []*plan.Node{sortNode(p, a.ReqOrder)}, nil
+			}, Price: func(ctx *Ctx, a Args) (plan.Props, bool) {
+				if p := cheapest(a.Plans); p != nil {
+					return costSort(p.Props, a.ReqOrder), true
+				}
+				return plan.Props{}, false
 			}},
 		}},
 	}
@@ -138,7 +149,6 @@ func buildTableScan(ctx *Ctx, a Args) ([]*plan.Node, error) {
 		types[i] = c.Type
 	}
 	props := ctx.Opt.costScan(t, push)
-	props.Tables = map[int]bool{q.QID: true}
 	n := &plan.Node{
 		Op:    plan.OpScan,
 		Table: t,
@@ -326,7 +336,6 @@ func buildIndexScans(ctx *Ctx, a Args) ([]*plan.Node, error) {
 			continue
 		}
 		props := ctx.Opt.costIndexScan(t, matchSel, residual, len(ix.KeyCols))
-		props.Tables = map[int]bool{q.QID: true}
 		if ix.Caps.Ordered {
 			for _, ord := range ix.KeyCols {
 				props.Order = append(props.Order, plan.SortKey{Slot: ord})
@@ -394,9 +403,8 @@ func buildRecRef(ctx *Ctx, a Args) ([]*plan.Node, error) {
 		Cols:     cols,
 		Types:    types,
 		Props: plan.Props{
-			Tables: map[int]bool{q.QID: true},
-			Rows:   100, // refined after the seed is planned
-			Cost:   1,
+			Rows: 100, // refined after the seed is planned
+			Cost: 1,
 		},
 	}
 	return []*plan.Node{filterNode(ctx.Opt, n, a.Preds)}, nil
@@ -405,43 +413,63 @@ func buildRecRef(ctx *Ctx, a Args) ([]*plan.Node, error) {
 // ---------------------------------------------------------------------
 // Join alternatives
 
-// equiPairs extracts hash/merge-join key pairs from join predicates.
-func equiPairs(preds []expr.Expr, l, r *plan.Node) (lslots, rslots []int, residual []expr.Expr) {
-	for _, p := range preds {
-		cmp, ok := p.(*expr.Cmp)
-		if !ok || cmp.Op != expr.OpEq || expr.HasSubplan(p) {
-			residual = append(residual, p)
-			continue
-		}
-		lc, lok := cmp.L.(*expr.Col)
-		rc, rok := cmp.R.(*expr.Col)
-		if !lok || !rok {
-			residual = append(residual, p)
-			continue
-		}
-		ls, rs := l.SlotOf(lc.QID, lc.Ord), r.SlotOf(rc.QID, rc.Ord)
-		if ls >= 0 && rs >= 0 {
-			lslots = append(lslots, ls)
-			rslots = append(rslots, rs)
-			continue
-		}
-		ls, rs = l.SlotOf(rc.QID, rc.Ord), r.SlotOf(lc.QID, lc.Ord)
-		if ls >= 0 && rs >= 0 {
-			lslots = append(lslots, ls)
-			rslots = append(rslots, rs)
-			continue
-		}
-		residual = append(residual, p)
+// joinKeys is a JOIN evaluation's equi-join analysis against its
+// reference inputs l = cheapest(Left) and r = cheapest(Right).
+type joinKeys struct {
+	left, right    []*plan.Node // the Args analyzed
+	preds          []expr.Expr
+	l, r           *plan.Node
+	ls, rs         []int
+	lorder, rorder []plan.SortKey // the merge join's required orders
+	residual       []expr.Expr
+}
+
+// equiKeys analyzes a JOIN evaluation once for all its alternatives,
+// in the memo the enumerator allots (other callers' Args: afresh). The
+// memo answers only for the very slices it analyzed, so an alternative
+// that evaluates JOIN on a modified copy of its Args gets its own.
+func equiKeys(a Args) *joinKeys {
+	k := a.keys
+	if k == nil {
+		k = &joinKeys{}
+	} else if k.l != nil && same(k.left, a.Left) && same(k.right, a.Right) && same(k.preds, a.Preds) {
+		return k
 	}
-	return
+	*k = joinKeys{left: a.Left, right: a.Right, preds: a.Preds, l: cheapest(a.Left), r: cheapest(a.Right)}
+	n := len(a.Preds)
+	slots, orders := make([]int, 2*n), make([]plan.SortKey, 2*n)
+	k.ls, k.rs, k.lorder, k.rorder = slots[:0:n], slots[n:n], orders[:0:n], orders[n:n]
+	for _, p := range a.Preds {
+		// Test the Col = Col shape first: it holds no subplan.
+		var lc, rc *expr.Col
+		if cmp, ok := p.(*expr.Cmp); ok && cmp.Op == expr.OpEq && k.l != nil && k.r != nil {
+			lc, _ = cmp.L.(*expr.Col)
+			rc, _ = cmp.R.(*expr.Col)
+		}
+		if lc != nil && rc != nil {
+			ls, rs := k.l.SlotOf(lc.QID, lc.Ord), k.r.SlotOf(rc.QID, rc.Ord)
+			if ls < 0 || rs < 0 {
+				ls, rs = k.l.SlotOf(rc.QID, rc.Ord), k.r.SlotOf(lc.QID, lc.Ord)
+			}
+			if ls >= 0 && rs >= 0 {
+				k.ls, k.rs = append(k.ls, ls), append(k.rs, rs)
+				k.lorder = append(k.lorder, plan.SortKey{Slot: ls})
+				k.rorder = append(k.rorder, plan.SortKey{Slot: rs})
+				continue
+			}
+		}
+		k.residual = append(k.residual, p)
+	}
+	return k
+}
+
+// same reports whether x and y are one slice, not merely equal ones.
+func same[T any](x, y []T) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
 func hasEquiPred(ctx *Ctx, a Args) bool {
-	if len(a.Left) == 0 || len(a.Right) == 0 {
-		return false
-	}
-	ls, _, _ := equiPairs(a.Preds, a.Left[0], a.Right[0])
-	return len(ls) > 0
+	return len(equiKeys(a).ls) > 0
 }
 
 func joinCols(l, r *plan.Node) ([]plan.ColRef, []datum.TypeID) {
@@ -450,15 +478,11 @@ func joinCols(l, r *plan.Node) ([]plan.ColRef, []datum.TypeID) {
 	return cols, types
 }
 
-func joinTables(l, r *plan.Node) map[int]bool {
-	out := map[int]bool{}
-	for q := range l.Props.Tables {
-		out[q] = true
+func joinKind(a Args) string {
+	if a.JoinKind == "" {
+		return plan.KindRegular
 	}
-	for q := range r.Props.Tables {
-		out[q] = true
-	}
-	return out
+	return a.JoinKind
 }
 
 func buildNLJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
@@ -467,22 +491,24 @@ func buildNLJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 	if r == nil {
 		return nil, nil
 	}
-	kind := a.JoinKind
-	if kind == "" {
-		kind = plan.KindRegular
-	}
+	sel := ctx.Opt.conjunctSelectivity(a.Preds)
+	var pred expr.Expr
 	for _, l := range a.Left {
-		sel := ctx.Opt.conjunctSelectivity(a.Preds)
 		props := ctx.Opt.costNLJoin(l.Props, r.Props, sel, len(a.Preds))
-		props.Tables = joinTables(l, r)
+		if a.Kept.Dominates(props) {
+			continue
+		}
+		if pred == nil {
+			pred = expr.AndAll(a.Preds)
+		}
 		cols, types := joinCols(l, r)
 		out = append(out, &plan.Node{
 			Op:       plan.OpNLJoin,
 			Inputs:   []*plan.Node{l, r},
 			Cols:     cols,
 			Types:    types,
-			JoinKind: kind,
-			JoinPred: expr.AndAll(a.Preds),
+			JoinKind: joinKind(a),
+			JoinPred: pred,
 			Props:    props,
 		})
 	}
@@ -490,86 +516,82 @@ func buildNLJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 }
 
 func buildHashJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
-	l, r := cheapest(a.Left), cheapest(a.Right)
-	if l == nil || r == nil {
+	k := equiKeys(a)
+	if len(k.ls) == 0 {
 		return nil, nil
-	}
-	ls, rs, residual := equiPairs(a.Preds, l, r)
-	if len(ls) == 0 {
-		return nil, nil
-	}
-	kind := a.JoinKind
-	if kind == "" {
-		kind = plan.KindRegular
 	}
 	sel := ctx.Opt.conjunctSelectivity(a.Preds)
-	props := ctx.Opt.costHashJoin(l.Props, r.Props, sel)
-	props.Tables = joinTables(l, r)
-	props = ctx.Opt.costFilter(props, residual)
-	props.Tables = joinTables(l, r)
-	cols, types := joinCols(l, r)
+	props := ctx.Opt.costFilter(ctx.Opt.costHashJoin(k.l.Props, k.r.Props, sel), k.residual)
+	if a.Kept.Dominates(props) {
+		return nil, nil
+	}
+	cols, types := joinCols(k.l, k.r)
 	return []*plan.Node{{
 		Op:        plan.OpHSJoin,
-		Inputs:    []*plan.Node{l, r},
+		Inputs:    []*plan.Node{k.l, k.r},
 		Cols:      cols,
 		Types:     types,
-		JoinKind:  kind,
-		EquiLeft:  ls,
-		EquiRight: rs,
-		JoinPred:  expr.AndAll(residual),
+		JoinKind:  joinKind(a),
+		EquiLeft:  k.ls,
+		EquiRight: k.rs,
+		JoinPred:  expr.AndAll(k.residual),
 		Props:     props,
 	}}, nil
 }
 
-func buildMergeJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
-	l0, r0 := cheapest(a.Left), cheapest(a.Right)
-	if l0 == nil || r0 == nil {
-		return nil, nil
+// sameLayout keeps the plans whose columns sit in ref's slots, so that
+// key slots computed on ref name the same columns in each of them.
+func sameLayout(plans []*plan.Node, ref *plan.Node) []*plan.Node {
+	differs := func(p *plan.Node) bool { return !slices.Equal(p.Cols, ref.Cols) }
+	if !slices.ContainsFunc(plans, differs) {
+		return plans
 	}
-	ls, rs, residual := equiPairs(a.Preds, l0, r0)
-	if len(ls) == 0 {
+	return slices.DeleteFunc(slices.Clone(plans), differs)
+}
+
+func buildMergeJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
+	k := equiKeys(a)
+	if len(k.ls) == 0 {
 		return nil, nil
 	}
 	// "The merge join requires its input table streams to be ordered by
 	// the join columns. Required properties are achieved by additional
-	// glue STARs."
-	lorder := make([]plan.SortKey, len(ls))
-	rorder := make([]plan.SortKey, len(rs))
-	for i := range ls {
-		lorder[i] = plan.SortKey{Slot: ls[i]}
-		rorder[i] = plan.SortKey{Slot: rs[i]}
-	}
-	lp, err := ctx.Evaluate("GLUE", Args{Plans: a.Left, ReqOrder: lorder})
-	if err != nil {
-		return nil, err
-	}
-	rp, err := ctx.Evaluate("GLUE", Args{Plans: a.Right, ReqOrder: rorder})
-	if err != nil {
-		return nil, err
-	}
-	l, r := cheapest(lp), cheapest(rp)
-	if l == nil || r == nil {
+	// glue STARs." The key slots are the reference inputs', so GLUE
+	// sees only the plans laid out like them.
+	la := Args{Plans: sameLayout(a.Left, k.l), ReqOrder: k.lorder}
+	ra := Args{Plans: sameLayout(a.Right, k.r), ReqOrder: k.rorder}
+	sel := ctx.Opt.conjunctSelectivity(a.Preds)
+	// Price GLUE first, so that a dominated merge join adds no SORT.
+	lp, lok := ctx.Price("GLUE", la)
+	rp, rok := ctx.Price("GLUE", ra)
+	if lok && rok && a.Kept.Dominates(ctx.Opt.costMergeJoin(lp, rp, sel, k.lorder)) {
 		return nil, nil
 	}
-	kind := a.JoinKind
-	if kind == "" {
-		kind = plan.KindRegular
+	la.Kept, ra.Kept = &Candidates{}, &Candidates{} // AddSort prices against AlreadyOrdered
+	lg, err := ctx.Evaluate("GLUE", la)
+	if err != nil {
+		return nil, err
 	}
-	sel := ctx.Opt.conjunctSelectivity(a.Preds)
-	props := ctx.Opt.costMergeJoin(l.Props, r.Props, sel)
-	props.Tables = joinTables(l, r)
-	props.Order = lorder
+	rg, err := ctx.Evaluate("GLUE", ra)
+	l, r := cheapest(lg), cheapest(rg)
+	if err != nil || l == nil || r == nil {
+		return nil, err
+	}
+	props := ctx.Opt.costMergeJoin(l.Props, r.Props, sel, k.lorder)
+	if a.Kept.Dominates(props) {
+		return nil, nil
+	}
 	cols, types := joinCols(l, r)
 	return []*plan.Node{{
 		Op:        plan.OpSMJoin,
 		Inputs:    []*plan.Node{l, r},
 		Cols:      cols,
 		Types:     types,
-		JoinKind:  kind,
-		EquiLeft:  ls,
-		EquiRight: rs,
-		JoinPred:  expr.AndAll(residual),
-		SortKeys:  lorder,
+		JoinKind:  joinKind(a),
+		EquiLeft:  k.ls,
+		EquiRight: k.rs,
+		JoinPred:  expr.AndAll(k.residual),
+		SortKeys:  k.lorder,
 		Props:     props,
 	}}, nil
 }
@@ -782,9 +804,8 @@ func (o *Optimizer) planSelectBody(ctx *Ctx, b *qgm.Box) (*plan.Node, error) {
 				CorrCols: corr,
 				QID:      q.QID,
 				Props: plan.Props{
-					Tables: cur.Props.Tables,
-					Rows:   math.Max(1, cur.Props.Rows*inner.Props.Rows*sel),
-					Cost:   cur.Props.Cost + cur.Props.Rows*(inner.Props.Cost*0.5+costRowCPU),
+					Rows: math.Max(1, cur.Props.Rows*inner.Props.Rows*sel),
+					Cost: cur.Props.Cost + cur.Props.Rows*(inner.Props.Cost*0.5+costRowCPU),
 				},
 			}
 			applied[q.QID] = true
@@ -839,10 +860,9 @@ func (o *Optimizer) planSelectBody(ctx *Ctx, b *qgm.Box) (*plan.Node, error) {
 			outRows = cur.Props.Rows
 		}
 		props := plan.Props{
-			Tables: cur.Props.Tables,
-			Order:  cur.Props.Order,
-			Rows:   outRows,
-			Cost:   cur.Props.Cost + inner.Props.Cost + cur.Props.Rows*(perRow*0.5+costRowCPU),
+			Order: cur.Props.Order,
+			Rows:  outRows,
+			Cost:  cur.Props.Cost + inner.Props.Cost + cur.Props.Rows*(perRow*0.5+costRowCPU),
 		}
 		cur = &plan.Node{
 			Op:       plan.OpSubq,

@@ -267,20 +267,18 @@ func (o *Optimizer) costIndexScan(t *catalog.Table, matchSel float64, residual [
 func (o *Optimizer) costFilter(in plan.Props, preds []expr.Expr) plan.Props {
 	sel := o.conjunctSelectivity(preds)
 	return plan.Props{
-		Tables: in.Tables,
-		Order:  in.Order,
-		Rows:   math.Max(1, in.Rows*sel),
-		Cost:   in.Cost + in.Rows*float64(len(preds))*costPredCPU,
+		Order: in.Order,
+		Rows:  math.Max(1, in.Rows*sel),
+		Cost:  in.Cost + in.Rows*float64(len(preds))*costPredCPU,
 	}
 }
 
 func costSort(in plan.Props, keys []plan.SortKey) plan.Props {
 	n := math.Max(in.Rows, 2)
 	return plan.Props{
-		Tables: in.Tables,
-		Order:  keys,
-		Rows:   in.Rows,
-		Cost:   in.Cost + n*math.Log2(n)*costSortCPU,
+		Order: keys,
+		Rows:  in.Rows,
+		Cost:  in.Cost + n*math.Log2(n)*costSortCPU,
 	}
 }
 
@@ -302,9 +300,11 @@ func (o *Optimizer) costHashJoin(l, r plan.Props, joinSel float64) plan.Props {
 	}
 }
 
-func (o *Optimizer) costMergeJoin(l, r plan.Props, joinSel float64) plan.Props {
+// costMergeJoin prices merging inputs ordered on the equi-key slots
+// keys (the left input's), which order the output too.
+func (o *Optimizer) costMergeJoin(l, r plan.Props, joinSel float64, keys []plan.SortKey) plan.Props {
 	return plan.Props{
-		Order: l.Order,
+		Order: keys,
 		Rows:  math.Max(1, l.Rows*r.Rows*joinSel),
 		Cost:  l.Cost + r.Cost + (l.Rows+r.Rows)*costRowCPU,
 	}

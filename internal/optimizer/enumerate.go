@@ -94,19 +94,21 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		return false
 	}
 
-	var join func(s1, s2 uint32) error
-	join = func(s1, s2 uint32) error {
+	// JOIN prices candidates against the set's kept plans (Args.Kept).
+	var kept Candidates
+	var keys joinKeys
+	join := func(s1, s2 uint32) error {
 		l, r := best[s1], best[s2]
 		if len(l) == 0 || len(r) == 0 {
 			return nil
 		}
-		np := newPreds(s1, s2)
-		plans, err := ctx.Evaluate("JOIN", Args{Left: l, Right: r, Preds: np})
-		if err != nil {
+		s := s1 | s2
+		kept.Plans = best[s]
+		a := Args{Left: l, Right: r, Preds: newPreds(s1, s2), Kept: &kept, keys: &keys}
+		if _, err := ctx.Evaluate("JOIN", a); err != nil {
 			return err
 		}
-		s := s1 | s2
-		best[s] = prunePlans(append(best[s], plans...))
+		best[s] = prunePlans(kept.Plans)
 		return nil
 	}
 

@@ -220,10 +220,9 @@ func accessNode(q *qgm.Quantifier, inner *plan.Node) *plan.Node {
 		Types:  types,
 		QID:    q.QID,
 		Props: plan.Props{
-			Tables: map[int]bool{q.QID: true},
-			Order:  inner.Props.Order,
-			Rows:   inner.Props.Rows,
-			Cost:   inner.Props.Cost,
+			Order: inner.Props.Order,
+			Rows:  inner.Props.Rows,
+			Cost:  inner.Props.Cost,
 		},
 	}
 }
@@ -373,11 +372,8 @@ func impliedEqualities(preds []expr.Expr) []expr.Expr {
 	union := func(a, b colKey) {
 		parent[find(a)] = find(b)
 	}
-	type pair struct {
-		l, r   colKey
-		lc, rc *expr.Col
-	}
-	var pairs []pair
+	direct := map[[2]colKey]bool{} // the equalities already stated
+	var seen []colKey              // first-seen order, so the output is deterministic
 	members := map[colKey]*expr.Col{}
 	for _, p := range preds {
 		cmp, ok := p.(*expr.Cmp)
@@ -391,38 +387,23 @@ func impliedEqualities(preds []expr.Expr) []expr.Expr {
 		}
 		lk := colKey{lc.QID, lc.Ord}
 		rk := colKey{rc.QID, rc.Ord}
-		if _, ok := parent[lk]; !ok {
-			parent[lk] = lk
-		}
-		if _, ok := parent[rk]; !ok {
-			parent[rk] = rk
+		for _, k := range [2]colKey{lk, rk} {
+			if _, ok := parent[k]; !ok {
+				parent[k] = k
+				seen = append(seen, k)
+			}
 		}
 		union(lk, rk)
 		members[lk], members[rk] = lc, rc
-		pairs = append(pairs, pair{lk, rk, lc, rc})
-	}
-	// Existing direct pairs.
-	direct := map[[2]colKey]bool{}
-	for _, pr := range pairs {
-		direct[[2]colKey{pr.l, pr.r}] = true
-		direct[[2]colKey{pr.r, pr.l}] = true
-	}
-	// Group members by class root.
-	classes := map[colKey][]colKey{}
-	for k := range parent {
-		r := find(k)
-		classes[r] = append(classes[r], k)
+		direct[[2]colKey{lk, rk}], direct[[2]colKey{rk, lk}] = true, true
 	}
 	var out []expr.Expr
-	for _, ms := range classes {
-		for i := 0; i < len(ms); i++ {
-			for j := i + 1; j < len(ms); j++ {
-				a, b := ms[i], ms[j]
-				if a.qid == b.qid || direct[[2]colKey{a, b}] {
-					continue
-				}
-				out = append(out, &expr.Cmp{Op: expr.OpEq, L: members[a], R: members[b]})
+	for i, a := range seen {
+		for _, b := range seen[i+1:] {
+			if find(a) != find(b) || a.qid == b.qid || direct[[2]colKey{a, b}] {
+				continue
 			}
+			out = append(out, &expr.Cmp{Op: expr.OpEq, L: members[a], R: members[b]})
 		}
 	}
 	return out

@@ -2,6 +2,8 @@ package optimizer
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -314,10 +316,12 @@ func TestSearchStrategySwappable(t *testing.T) {
 func TestDBCJoinMethodSTAR(t *testing.T) {
 	// E10/E14 extensibility: a DBC adds a new join method as one STAR
 	// alternative, without touching the evaluator or search strategy.
-	// The toy "FakeJoin" reports tiny cost, so the optimizer picks it.
-	c := testCatalog(t, 1000, 1000)
+	// The toy "FakeJoin" reports tiny cost, so the optimizer picks it
+	// for both joins, though it ignores the pricing hint (Args.Kept)
+	// that the built-in alternatives heed.
+	c := testCatalog(t, 1000, 1000, 1000)
 	seen := false
-	compiled := optimize(t, c, "SELECT a.v FROM t0 a, t1 b WHERE a.k = b.k", func(o *Optimizer) {
+	compiled := optimize(t, c, "SELECT a.v FROM t0 a, t1 b, t2 c WHERE a.k = b.k AND b.v = c.v", func(o *Optimizer) {
 		o.Generator().AddAlternative("JOIN", &Alternative{
 			Name: "FakeJoin",
 			Build: func(ctx *Ctx, a Args) ([]*plan.Node, error) {
@@ -328,7 +332,7 @@ func TestDBCJoinMethodSTAR(t *testing.T) {
 					Op: "FAKEJOIN", Inputs: []*plan.Node{l, r},
 					Cols: cols, Types: types,
 					JoinPred: expr.AndAll(a.Preds),
-					Props:    plan.Props{Rows: 1, Cost: 0.001, Tables: joinTables(l, r)},
+					Props:    plan.Props{Rows: 1, Cost: 0.001},
 				}}, nil
 			},
 		})
@@ -337,7 +341,7 @@ func TestDBCJoinMethodSTAR(t *testing.T) {
 		t.Fatal("DBC join STAR never evaluated")
 	}
 	ops := plan.CollectOps(compiled.Root)
-	if ops["FAKEJOIN"] != 1 {
+	if ops["FAKEJOIN"] != 2 {
 		t.Fatalf("cheap DBC join method must win:\n%s", compiled.Root)
 	}
 }
@@ -488,6 +492,75 @@ func TestPrunePlansKeepsInterestingOrders(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("tie pruning kept %d", len(out))
 	}
+}
+
+// TestDominatesMirrorsPrunePlans: skipping, unbuilt, every candidate
+// that the kept plans dominate — Evaluate adds each alternative's
+// candidates to them before the next alternative runs — leaves
+// prunePlans' survivors and their order exactly as building them all
+// would. Small integer costs make ties common.
+func TestDominatesMirrorsPrunePlans(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	orders := [][]plan.SortKey{nil, {{Slot: 0}}, {{Slot: 1}}, {{Slot: 0}, {Slot: 1}}, {{Slot: 0, Desc: true}}}
+	mk := func() *plan.Node {
+		return &plan.Node{Props: plan.Props{Cost: float64(rng.Intn(5)), Order: orders[rng.Intn(len(orders))]}}
+	}
+	var none *Candidates
+	for trial := 0; trial < 5000; trial++ {
+		kept := &Candidates{}
+		for i := rng.Intn(4); i > 0; i-- {
+			kept.Plans = append(kept.Plans, mk())
+		}
+		eager := append([]*plan.Node(nil), kept.Plans...)
+		for alt := 1 + rng.Intn(3); alt > 0; alt-- {
+			var built []*plan.Node
+			for i := 1 + rng.Intn(3); i > 0; i-- {
+				p := mk()
+				eager = append(eager, p)
+				if none.Dominates(p.Props) {
+					t.Fatal("no pricing hint must dominate nothing")
+				}
+				if !kept.Dominates(p.Props) {
+					built = append(built, p)
+				}
+			}
+			kept.Plans = append(kept.Plans, built...)
+		}
+		if got, want := prunePlans(kept.Plans), prunePlans(eager); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: priced survivors %v, eager %v", trial, props(got), props(want))
+		}
+	}
+}
+
+// TestEquiKeysMemoFollowsArgs: the equi-join memo a JOIN evaluation
+// shares answers only for the Args it analyzed; an alternative that
+// evaluates JOIN on a modified copy of its Args is analyzed afresh.
+func TestEquiKeysMemoFollowsArgs(t *testing.T) {
+	l := &plan.Node{Cols: []plan.ColRef{{QID: 1, Ord: 0}, {QID: 1, Ord: 1}}, Props: plan.Props{Cost: 1}}
+	r := &plan.Node{Cols: []plan.ColRef{{QID: 2, Ord: 0}}, Props: plan.Props{Cost: 1}}
+	eq := &expr.Cmp{Op: expr.OpEq, L: expr.NewCol(1, 1, "a.v", datum.TInt), R: expr.NewCol(2, 0, "b.k", datum.TInt)}
+	a := Args{Left: []*plan.Node{l}, Right: []*plan.Node{r}, Preds: []expr.Expr{eq}, keys: &joinKeys{}}
+	if k := equiKeys(a); !slices.Equal(k.ls, []int{1}) || !slices.Equal(k.rs, []int{0}) || equiKeys(a) != k {
+		t.Fatalf("keys %v = %v, want [1] = [0], memoized", k.ls, k.rs)
+	}
+	noPreds := a
+	noPreds.Preds = nil
+	if k := equiKeys(noPreds); len(k.ls) != 0 {
+		t.Fatalf("a copy without predicates reused the memo: keys %v", k.ls)
+	}
+	swapped := a
+	swapped.Left, swapped.Right = a.Right, a.Left
+	if k := equiKeys(swapped); !slices.Equal(k.ls, []int{0}) || !slices.Equal(k.rs, []int{1}) {
+		t.Fatalf("swapped inputs: keys %v = %v, want [0] = [1]", k.ls, k.rs)
+	}
+}
+
+func props(ps []*plan.Node) []plan.Props {
+	out := make([]plan.Props, len(ps))
+	for i, p := range ps {
+		out[i] = p.Props
+	}
+	return out
 }
 
 func TestTooManyQuantifiers(t *testing.T) {

@@ -29,6 +29,32 @@ type Args struct {
 	ReqOrder []plan.SortKey
 	// JoinKind carries the requested kind ("" = regular).
 	JoinKind string
+	// Kept is the pricing hint (nil: build every candidate): the plans
+	// the caller prunes the result with, for JOIN those kept for the
+	// iterator set. Evaluate appends each alternative's candidates to
+	// it; an alternative may skip, unbuilt, a candidate it Dominates
+	// (see prunePlans). Ignoring the hint costs only garbage.
+	Kept *Candidates
+	// keys memoizes a JOIN evaluation's equiKeys.
+	keys *joinKeys
+}
+
+// Candidates are the plans a STAR evaluation's result is pruned with.
+type Candidates struct{ Plans []*plan.Node }
+
+// Dominates reports whether prunePlans drops a candidate with
+// properties p listed after c's plans: one costs no more and has an
+// order satisfying p's. A nil c (no pricing hint) dominates nothing.
+func (c *Candidates) Dominates(p plan.Props) bool {
+	if c == nil {
+		return false
+	}
+	for _, q := range c.Plans {
+		if q.Props.Cost <= p.Cost && q.Props.OrderSatisfies(p.Order) {
+			return true
+		}
+	}
+	return false
 }
 
 // Alternative is one definition of a STAR: an optional applicability
@@ -44,6 +70,9 @@ type Alternative struct {
 	Rank int
 	// Build produces candidate plans.
 	Build func(ctx *Ctx, a Args) ([]*plan.Node, error)
+	// Price, when set, tells what Build would yield without building
+	// it: its cheapest plan's properties, or false for no plan.
+	Price func(ctx *Ctx, a Args) (plan.Props, bool)
 }
 
 // STAR is a strategy alternative rule: a named nonterminal of the plan
@@ -175,11 +204,12 @@ func (ctx *Ctx) Evaluate(star string, a Args) ([]*plan.Node, error) {
 		ctx.Opt.trace.CountStar(star)
 	}
 	var out []*plan.Node
+	if a.Kept != nil {
+		out = a.Kept.Plans // candidates follow the kept plans
+	}
+	n := len(out)
 	for _, alt := range ctx.Gen.Strategy.Order(s.Alternatives) {
-		if ctx.Gen.MaxRank > 0 && alt.Rank > ctx.Gen.MaxRank {
-			continue // pruned by rank
-		}
-		if alt.Condition != nil && !alt.Condition(ctx, a) {
+		if !ctx.applies(alt, a) {
 			continue
 		}
 		plans, err := alt.Build(ctx, a)
@@ -187,14 +217,50 @@ func (ctx *Ctx) Evaluate(star string, a Args) ([]*plan.Node, error) {
 			return nil, fmt.Errorf("optimizer: STAR %s/%s: %w", star, alt.Name, err)
 		}
 		out = append(out, plans...)
+		if a.Kept != nil {
+			a.Kept.Plans = out
+		}
 	}
-	return out, nil
+	return out[n:], nil
+}
+
+// applies reports whether an alternative passes rank and condition.
+func (ctx *Ctx) applies(alt *Alternative, a Args) bool {
+	return (ctx.Gen.MaxRank <= 0 || alt.Rank <= ctx.Gen.MaxRank) &&
+		(alt.Condition == nil || alt.Condition(ctx, a))
+}
+
+// Price tells, building nothing, the properties of the cheapest plan
+// Evaluate would yield; ok is false when it yields none or an
+// applicable alternative has no Price.
+func (ctx *Ctx) Price(star string, a Args) (best plan.Props, ok bool) {
+	s := ctx.Gen.stars[star]
+	if s == nil {
+		return best, false
+	}
+	for _, alt := range ctx.Gen.Strategy.Order(s.Alternatives) {
+		if !ctx.applies(alt, a) {
+			continue
+		}
+		if alt.Price == nil {
+			return plan.Props{}, false
+		}
+		if p, found := alt.Price(ctx, a); found && (!ok || p.Cost < best.Cost) {
+			best, ok = p, true
+		}
+	}
+	return best, ok
 }
 
 // prunePlans keeps, from a candidate set, every plan that is not
 // dominated: a plan survives if no other plan has lower-or-equal cost
 // AND an order satisfying the survivor's order (interesting orders keep
 // more expensive but usefully ordered plans alive).
+//
+// Domination is transitive (costs compare, order prefixes nest, ties
+// break on position), so dropping a plan that an earlier one dominates
+// changes no survivor: a pricing alternative may skip such a candidate
+// unbuilt, and pruning after every split equals pruning once per set.
 func prunePlans(cands []*plan.Node) []*plan.Node {
 	var out []*plan.Node
 	for i, p := range cands {

@@ -80,12 +80,11 @@ const (
 	KindLateral = "lateral"
 )
 
-// Props carries the three property classes of section 6: relational
-// (which quantifiers/predicates are accounted for), operational (tuple
-// order), and estimated (cost, cardinality).
+// Props carries the operational (tuple order) and estimated (cost,
+// cardinality) property classes of section 6. The relational class —
+// which quantifiers a plan accounts for — is the iterator set the join
+// enumerator files the plan under, so no plan carries it.
 type Props struct {
-	// Tables is the set of local quantifier ids joined so far.
-	Tables map[int]bool
 	// Order is the (possibly empty) sort-order prefix of the output.
 	Order []SortKey
 	// Rows is the estimated output cardinality.
