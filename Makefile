@@ -75,14 +75,18 @@ examples:
 # operator and the per-P pool hands it across goroutines, and DISK
 # scans racing a writer, which switch mid-page from the frozen read to
 # per-record version resolution; the star path's kept join state,
-# top-N and SUBQ fold row re-executed (TestReuse*, TestTopNMatchesFullSort,
+# top-N and SUBQ fold row re-executed, and the re-searched ISCAN path —
+# a cached or correlated index read searching again into the entry
+# list its parked iterator owns (TestReuse*, TestTopNMatchesFullSort,
 # TestHashJoinMaxMem*); and parked operator trees (TestParked*: the
 # corpus through parked vs fresh trees, two sessions racing for one
-# slot, tree lifecycles). The storage package runs whole: its
-# one in-memory iterator (HEAP, and FIXED as a HEAP configuration) is
-# scanned through Next and NextCols beside concurrent writers, and rows
-# it handed out must survive them (TestInMemoryScanRacingWriters,
-# TestRetainedRowsSurviveConcurrentWrites, TestInMemoryScanConformance).
+# slot, tree lifecycles, an IXSEARCH fault on a re-search). The storage
+# package runs whole: its one in-memory iterator (HEAP, and FIXED as a
+# HEAP configuration) is scanned through Next and NextCols beside
+# concurrent writers, and rows it handed out must survive them
+# (TestInMemoryScanRacingWriters, TestRetainedRowsSurviveConcurrentWrites,
+# TestInMemoryScanConformance); B-tree and R-tree re-searches race a
+# writer (TestSearchAgainRacingWriter).
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./

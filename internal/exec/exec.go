@@ -47,7 +47,7 @@ type Ctx struct {
 	// written only by setCorr.
 	ec expr.Context
 	// rec holds the working tables of active recursive unions, keyed
-	// by QGM box id.
+	// by QGM box id; nil until the first one opens.
 	rec map[int]*recWorkTable
 	// Affected counts rows touched by DML.
 	Affected int64
@@ -104,7 +104,7 @@ var execSeq atomic.Uint64
 
 // NewCtx returns an execution context.
 func NewCtx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
-	c := &Ctx{Cat: cat, Params: params, rec: map[int]*recWorkTable{}, sh: &shared{}, execID: execSeq.Add(1)}
+	c := &Ctx{Cat: cat, Params: params, sh: &shared{}, execID: execSeq.Add(1)}
 	c.ec = expr.Context{Params: params, Exec: c}
 	return c
 }
@@ -139,11 +139,12 @@ func (c *Ctx) recordWait(e obs.WaitEvent, start time.Time) {
 // the catalog, parameters, cancellation, limits and — critically — the
 // shared atomic counter record, so all workers draw down one
 // statement-wide budget. Recursive work tables are per-worker (the
-// optimizer never parallelizes recursive subtrees, so the fresh map is
-// only defensive); correlation is inherited read-only.
+// optimizer never parallelizes recursive subtrees, so leaving the
+// parent's map behind is only defensive); correlation is inherited
+// read-only.
 func (c *Ctx) child() *Ctx {
 	nc := *c
-	nc.rec = map[int]*recWorkTable{}
+	nc.rec = nil
 	nc.ec.Exec = &nc
 	return &nc
 }

@@ -139,6 +139,10 @@ type indexScanOp struct {
 	lo, hi  []expr.Expr
 	preds   []expr.Expr
 	it      storage.EntryIterator
+	// spent is the iterator Close closed, for Open to re-aim, and Open
+	// evaluates the bounds into loKey/hiKey: both live with the tree.
+	spent        storage.EntryIterator
+	loKey, hiKey datum.Row
 }
 
 func (b *Builder) buildIndexScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -162,16 +166,13 @@ func (b *Builder) buildIndexScan(n *plan.Node, corr map[plan.ColRef]int) (Stream
 		rel: n.Table.Rel, tv: n.Table.MVCC,
 		at: n.Index.At, keyCols: n.Index.KeyCols,
 		lo: lo, hi: hi, preds: preds,
+		loKey: make(datum.Row, len(lo)), hiKey: make(datum.Row, len(hi)),
 	}, nil
 }
 
 func (s *indexScanOp) Open(ctx *Ctx) error {
-	evalKey := func(es []expr.Expr) (storage.Bound, error) {
-		if len(es) == 0 {
-			return storage.Unbounded, nil
-		}
-		key := make(datum.Row, len(es))
-		allNull := true
+	evalKey := func(es []expr.Expr, key datum.Row) (storage.Bound, error) {
+		allNull := true // vacuously so without bound expressions
 		for i, e := range es {
 			v, err := e.Eval(ctx.exprCtx(), nil)
 			if err != nil {
@@ -187,15 +188,15 @@ func (s *indexScanOp) Open(ctx *Ctx) error {
 		}
 		return storage.Include(key), nil
 	}
-	lo, err := evalKey(s.lo)
+	lo, err := evalKey(s.lo, s.loKey)
 	if err != nil {
 		return err
 	}
-	hi, err := evalKey(s.hi)
+	hi, err := evalKey(s.hi, s.hiKey)
 	if err != nil {
 		return err
 	}
-	s.it = s.at.Search(lo, hi)
+	s.it, s.spent = storage.SearchAgain(s.at, s.spent, lo, hi), nil
 	return nil
 }
 
@@ -232,7 +233,7 @@ func (s *indexScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 func (s *indexScanOp) Close(ctx *Ctx) error {
 	if s.it != nil {
 		s.it.Close()
-		s.it = nil
+		s.spent, s.it = s.it, nil
 	}
 	return nil
 }

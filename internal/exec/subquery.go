@@ -470,6 +470,9 @@ func (r *recUnionOp) Open(ctx *Ctx) error {
 		return err
 	}
 	wt := &recWorkTable{useTotal: !r.linear}
+	if ctx.rec == nil {
+		ctx.rec = map[int]*recWorkTable{}
+	}
 	prev := ctx.rec[r.boxID]
 	ctx.rec[r.boxID] = wt
 	defer func() { ctx.rec[r.boxID] = prev }()

@@ -154,18 +154,15 @@ func (p *WaitProfile) Snapshot() []WaitStat {
 	return out
 }
 
-// WaitSet is the per-statement wait accumulator. One is allocated per
-// statement and shared (by pointer) across that statement's worker
-// goroutines, so fields are atomic. It keeps count/total/max per class
+// WaitSet is the per-statement wait accumulator. Each statement owns
+// one (the zero value is empty) and shares it by pointer across its
+// worker goroutines, so fields are atomic. It keeps count/total/max per class
 // but no histogram — the shape lives in the DB-wide profile.
 type WaitSet struct {
 	counts [NumWaitEvents]atomic.Int64
 	nanos  [NumWaitEvents]atomic.Int64
 	maxes  [NumWaitEvents]atomic.Int64
 }
-
-// NewWaitSet returns an empty per-statement wait set.
-func NewWaitSet() *WaitSet { return &WaitSet{} }
 
 // Record adds one wait of the given duration. Nil-safe.
 func (s *WaitSet) Record(e WaitEvent, nanos int64) {
@@ -185,20 +182,18 @@ func (s *WaitSet) Record(e WaitEvent, nanos int64) {
 	}
 }
 
+// Stat returns one class's totals.
+func (s *WaitSet) Stat(e WaitEvent) WaitStat {
+	return WaitStat{Event: e, Count: s.counts[e].Load(), Nanos: s.nanos[e].Load(), MaxNanos: s.maxes[e].Load()}
+}
+
 // Snapshot returns the non-zero classes in event order.
 func (s *WaitSet) Snapshot() []WaitStat {
-	if s == nil {
-		return nil
-	}
 	var out []WaitStat
 	for e := WaitEvent(0); e < NumWaitEvents; e++ {
-		n := s.counts[e].Load()
-		if n == 0 {
-			continue
+		if st := s.Stat(e); st.Count > 0 {
+			out = append(out, st)
 		}
-		out = append(out, WaitStat{
-			Event: e, Count: n, Nanos: s.nanos[e].Load(), MaxNanos: s.maxes[e].Load(),
-		})
 	}
 	return out
 }

@@ -89,11 +89,17 @@ func (o *Optimizer) Generator() *Generator { return o.gen }
 // and the parallel threshold. Plan caches fold it (together with the
 // degree of parallelism and the rewrite configuration) into their keys,
 // so two compilations share a cache entry only when they would have
-// produced the same plan.
-func (o *Optimizer) Fingerprint(cfg Config) string {
-	return fmt.Sprintf("bushy=%t,cart=%t,audit=%t,maxrank=%d,stars=%d,thr=%d",
-		o.AllowBushy, o.AllowCartesian, o.Audit || cfg.Audit, o.gen.MaxRank, o.gen.Generation(),
-		o.parThreshold.Load())
+// produced the same plan. Being comparable, it can key a memo.
+func (o *Optimizer) Fingerprint(cfg Config) Fingerprint {
+	return Fingerprint{o.AllowBushy, o.AllowCartesian, o.Audit || cfg.Audit, o.gen.MaxRank,
+		o.gen.Generation(), o.parThreshold.Load()}
+}
+
+// Fingerprint is the optimizer's share of a plan-cache key.
+type Fingerprint struct {
+	Bushy, Cartesian, Audit bool
+	MaxRank                 int
+	Stars, Threshold        int64
 }
 
 // OptimizeConfig compiles a rewritten QGM graph into a query evaluation

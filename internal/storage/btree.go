@@ -235,6 +235,11 @@ func (t *btree) Delete(key datum.Row, rid RID) error {
 }
 
 func (t *btree) Search(lo, hi Bound) EntryIterator {
+	return &sliceEntryIterator{from: t, entries: t.fill(lo, hi, nil)}
+}
+
+// fill appends the entries in [lo, hi] to out and returns it.
+func (t *btree) fill(lo, hi Bound, out []Entry) []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var leaf *btnode
@@ -242,7 +247,7 @@ func (t *btree) Search(lo, hi Bound) EntryIterator {
 	minRID := RID{Page: -1 << 30}
 	switch {
 	case t.root == nil:
-		return &sliceEntryIterator{}
+		return out
 	case lo.Unbounded:
 		leaf, i = t.first, 0
 		t.stats.ReadIndex()
@@ -268,7 +273,6 @@ func (t *btree) Search(lo, hi Bound) EntryIterator {
 	// index scans and DML apart. The slice is a consistent
 	// point-in-time image of the range; visibility filtering happens
 	// above this layer.
-	var out []Entry
 	for leaf != nil {
 		if i >= len(leaf.keys) {
 			leaf, i = leaf.next, 0
@@ -287,7 +291,7 @@ func (t *btree) Search(lo, hi Bound) EntryIterator {
 		}
 		out = append(out, Entry{Key: key, RID: rid})
 	}
-	return &sliceEntryIterator{entries: out}
+	return out
 }
 
 // keyPrefixCompare compares an entry key against a (possibly shorter)

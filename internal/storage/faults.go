@@ -320,30 +320,25 @@ type Restorer interface {
 	Restore(rid RID, r datum.Row) error
 }
 
+// unwrap peels every decoration off v: each Unwrap() T it offers.
+func unwrap[T any](v T) T {
+	for {
+		w, ok := any(v).(interface{ Unwrap() T })
+		if !ok {
+			return v
+		}
+		v = w.Unwrap()
+	}
+}
+
 // UnwrapRelation peels fault decoration off a relation, returning the
 // raw store (itself when undecorated). Compensating actions run against
 // the raw store: rollback must not be failed by the very injector that
 // aborted the statement.
-func UnwrapRelation(rel Relation) Relation {
-	for {
-		w, ok := rel.(interface{ Unwrap() Relation })
-		if !ok {
-			return rel
-		}
-		rel = w.Unwrap()
-	}
-}
+func UnwrapRelation(rel Relation) Relation { return unwrap(rel) }
 
 // UnwrapAttachment peels fault decoration off an attachment.
-func UnwrapAttachment(at Attachment) Attachment {
-	for {
-		w, ok := at.(interface{ Unwrap() Attachment })
-		if !ok {
-			return at
-		}
-		at = w.Unwrap()
-	}
-}
+func UnwrapAttachment(at Attachment) Attachment { return unwrap(at) }
 
 // ---------------------------------------------------------------------
 // Storage manager decoration
@@ -377,15 +372,7 @@ func (m *faultManager) Create(tableName string, numCols int, stats *IOStats) (Re
 }
 
 // UnwrapManager peels fault decoration off a storage manager.
-func UnwrapManager(m StorageManager) StorageManager {
-	for {
-		w, ok := m.(interface{ Unwrap() StorageManager })
-		if !ok {
-			return m
-		}
-		m = w.Unwrap()
-	}
-}
+func UnwrapManager(m StorageManager) StorageManager { return unwrap(m) }
 
 // ---------------------------------------------------------------------
 // Access method decoration
@@ -418,15 +405,7 @@ func (m *faultMethod) New(keyTypes []datum.TypeID, unique bool, stats *IOStats) 
 }
 
 // UnwrapMethod peels fault decoration off an access method.
-func UnwrapMethod(m AccessMethod) AccessMethod {
-	for {
-		w, ok := m.(interface{ Unwrap() AccessMethod })
-		if !ok {
-			return m
-		}
-		m = w.Unwrap()
-	}
-}
+func UnwrapMethod(m AccessMethod) AccessMethod { return unwrap(m) }
 
 // ---------------------------------------------------------------------
 // Relation decoration
@@ -524,8 +503,8 @@ func (it *faultRowIterator) Close() {
 	if !it.closed {
 		it.closed = true
 		it.rel.fi.iterClosed()
+		it.inner.Close()
 	}
-	it.inner.Close()
 }
 
 // Err reports the injected error that terminated the scan, if any.
@@ -608,8 +587,19 @@ func (it *faultEntryIterator) Close() {
 	if !it.closed {
 		it.closed = true
 		it.at.fi.iterClosed()
+		it.inner.Close()
 	}
-	it.inner.Close()
+}
+
+// searchAgain re-opens a closed iterator of at; faults stay per entry.
+func (it *faultEntryIterator) searchAgain(at Attachment, lo, hi Bound) bool {
+	if at != it.at || !it.closed {
+		return false
+	}
+	it.at.fi.iterOpened()
+	it.err, it.closed = nil, false
+	it.inner = SearchAgain(it.at.inner, it.inner, lo, hi)
+	return true
 }
 
 // Err reports the injected error that terminated the search, if any.

@@ -274,6 +274,11 @@ func (t *rtree) delete(n *rtNode, box rect, rid RID) bool {
 // window-predicate extraction; exclusive spatial bounds are re-checked
 // by the residual predicate at execution.
 func (t *rtree) Search(lo, hi Bound) EntryIterator {
+	return &sliceEntryIterator{from: t, entries: t.fill(lo, hi, nil)}
+}
+
+// fill appends the entries in the window [lo, hi] to out and returns it.
+func (t *rtree) fill(lo, hi Bound, out []Entry) []Entry {
 	win := rect{min: make([]float64, t.dims), max: make([]float64, t.dims)}
 	for i := 0; i < t.dims; i++ {
 		win.min[i] = math.Inf(-1)
@@ -297,11 +302,10 @@ func (t *rtree) Search(lo, hi Bound) EntryIterator {
 
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []Entry
 	if t.root != nil {
 		t.collect(t.root, win, &out)
 	}
-	return &sliceEntryIterator{entries: out}
+	return out
 }
 
 func (t *rtree) collect(n *rtNode, win rect, out *[]Entry) {
@@ -324,10 +328,27 @@ func (t *rtree) Len() int64 {
 	return t.size
 }
 
-// sliceEntryIterator streams a materialized entry list.
+// filler is an attachment whose search materializes its answer: fill
+// appends the entries in [lo, hi] to out.
+type filler interface {
+	Attachment
+	fill(lo, hi Bound, out []Entry) []Entry
+}
+
+// sliceEntryIterator streams the entry list a search of from
+// materialized; it owns the list, and re-searching from refills it.
 type sliceEntryIterator struct {
+	from    filler
 	entries []Entry
 	i       int
+}
+
+func (it *sliceEntryIterator) searchAgain(at Attachment, lo, hi Bound) bool {
+	if at != it.from {
+		return false
+	}
+	it.entries, it.i = it.from.fill(lo, hi, it.entries[:0]), 0
+	return true
 }
 
 func (it *sliceEntryIterator) Next() (Entry, bool) {
@@ -339,4 +360,5 @@ func (it *sliceEntryIterator) Next() (Entry, bool) {
 	return e, true
 }
 
-func (it *sliceEntryIterator) Close() {}
+// Close empties the list but keeps its capacity for a re-search.
+func (it *sliceEntryIterator) Close() { clear(it.entries); it.entries = it.entries[:0] }

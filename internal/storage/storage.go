@@ -214,10 +214,27 @@ type Attachment interface {
 	// Delete removes an entry (key and rid must both match).
 	Delete(key datum.Row, rid RID) error
 	// Search streams entries with key in [lo, hi] under the method's
-	// ordering. Unordered methods may reject range searches.
+	// ordering. Unordered methods may reject range searches. It must
+	// not retain lo.Key or hi.Key, which callers reuse.
 	Search(lo, hi Bound) EntryIterator
 	// Len reports the number of entries.
 	Len() int64
+}
+
+// reSearcher is an entry iterator that searchAgain re-aims, once
+// closed, at a search of the attachment it came from (else false).
+type reSearcher interface {
+	searchAgain(at Attachment, lo, hi Bound) bool
+}
+
+// SearchAgain is at.Search(lo, hi) for a caller holding spent, a closed
+// iterator of an earlier search of at: it refills spent's entry list and
+// returns spent when spent can be re-aimed, else falls back to Search.
+func SearchAgain(at Attachment, spent EntryIterator, lo, hi Bound) EntryIterator {
+	if r, ok := spent.(reSearcher); ok && r.searchAgain(at, lo, hi) {
+		return spent
+	}
+	return at.Search(lo, hi)
 }
 
 // AccessMethodCaps describes what an access method can do; the

@@ -112,7 +112,7 @@ type stmtStats struct {
 }
 
 func (s *stmtStats) record(name, kind string, nanos, rows, memHW int64,
-	cacheHit, errored bool, fbFolds int64, waits []obs.WaitStat) {
+	cacheHit, errored bool, fbFolds int64, waits *obs.WaitSet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
@@ -145,8 +145,9 @@ func (s *stmtStats) record(name, kind string, nanos, rows, memHW int64,
 		e.cacheHits++
 	}
 	e.fbFolds += fbFolds
-	for _, w := range waits {
-		a := &e.waits[w.Event]
+	for ev := range e.waits {
+		w := waits.Stat(obs.WaitEvent(ev))
+		a := &e.waits[ev]
 		a.count += w.Count
 		a.nanos += w.Nanos
 		if w.MaxNanos > a.max {

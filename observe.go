@@ -155,6 +155,7 @@ func stmtKind(stmt sql.Statement) string {
 // fields are filled in as the statement progresses.
 type observation struct {
 	query string
+	norm  string // query normalized, for the plan cache and SYS.STATEMENTS
 	kind  string
 	start time.Time
 	// set is the Settings value the statement runs under.
@@ -163,8 +164,8 @@ type observation struct {
 	instr *exec.Instrumentation
 	root  *plan.Node
 	// waits accumulates the statement's wait events; shared with every
-	// worker goroutine through exec.Ctx (nil only for untracked runs).
-	waits *obs.WaitSet
+	// worker goroutine through exec.Ctx.
+	waits obs.WaitSet
 	// rows is the statement's output size (rows affected for DML, rows
 	// returned otherwise); feeds SYS.STATEMENTS.
 	rows int64
@@ -195,8 +196,8 @@ func (db *DB) observe(o *observation, phase string, err error) {
 		// is enabled; see feedback.go).
 		folds = db.captureCardFeedback(o)
 	}
-	db.stmts.record(normalizeSQL(o.query), o.kind, elapsed.Nanoseconds(), o.rows,
-		o.instr.MemHighWater(), o.cacheHit, err != nil, folds, o.waits.Snapshot())
+	db.stmts.record(o.norm, o.kind, elapsed.Nanoseconds(), o.rows,
+		o.instr.MemHighWater(), o.cacheHit, err != nil, folds, &o.waits)
 	if exp := db.spanExporter(); exp != nil {
 		exp(db.buildSpan(o, err, elapsed))
 	}
@@ -327,7 +328,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees 
 		stmtOpen = true
 		// WAL waits inside the bracket are attributed to this statement;
 		// the store detaches the wait set when the bracket resolves.
-		db.store.SetStmtWaits(o.waits)
+		db.store.SetStmtWaits(&o.waits)
 		defer func() {
 			if stmtOpen {
 				db.store.AbortStmt()
@@ -337,7 +338,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees 
 	ctx := exec.NewCtx(tx.cat, params)
 	ctx.Snap = tx.snapshot()
 	ctx.Txn = tx.ts
-	ctx.SetWaits(db.waitProf, o.waits)
+	ctx.SetWaits(db.waitProf, &o.waits)
 	ctx.Arm(goCtx, limits)
 	db.armParallel(ctx, set)
 	mark := tx.ts.Mark()

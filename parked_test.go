@@ -20,6 +20,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 // idleTree returns the tree parked in db's plan cache for q under the
@@ -27,7 +28,7 @@ import (
 func idleTree(db *DB, q string) *exec.Tree {
 	db.cache.mu.Lock()
 	defer db.cache.mu.Unlock()
-	el, ok := db.cache.byKey[db.cacheKey(q, db.snapshot())]
+	el, ok := db.cache.byKey[planKey{normalizeSQL(q), db.fingerprint(db.snapshot())}]
 	if !ok {
 		return nil
 	}
@@ -264,7 +265,7 @@ func TestParkedTreeTwoSessions(t *testing.T) {
 	// execution would, let another execution build and park its own,
 	// then park the first. It finds the slot full and must die.
 	first, held := requireParked(t, db, q)
-	e := db.cache.byKey[db.cacheKey(q, db.snapshot())].Value.(*cacheEntry)
+	e := db.cache.byKey[planKey{normalizeSQL(q), db.fingerprint(db.snapshot())}].Value.(*cacheEntry)
 	if e.trees.take() != first {
 		t.Fatal("take did not return the parked tree")
 	}
@@ -573,4 +574,59 @@ func TestDroppedStmtReleasesTree(t *testing.T) {
 		}
 	}
 	requireReleased(t, "dropped statement", tr, held)
+}
+
+// TestParkedIndexScanFaultOnReSearch: an IXSEARCH fault armed to fire
+// past one execution's worth of index reads fires on the second
+// execution of a prepared ISCAN statement — the one that re-searches
+// into the parked tree's closed iterator — fails it with a FaultError,
+// leaks no iterator, and the next execution answers as before.
+func TestParkedIndexScanFaultOnReSearch(t *testing.T) {
+	db := acctDB(t, 20)
+	db.InjectFaults()
+	const q = "SELECT SUM(bal) FROM acct WHERE branch = :b"
+	requirePlan(t, db, q, "ISCAN on acct", isAcctIndexScan)
+	st, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]Value{"b": NewInt(3)}
+	run := func() (*Result, error) { return st.Query(context.Background(), params) }
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := storage.CountKey{Table: "ACCT", Op: FaultIxSearch}
+	perExec := db.Faults().Counts()[key]
+	if perExec == 0 {
+		t.Fatal("the statement made no index search reads")
+	}
+	db.InjectFaults(&Fault{Table: "acct", Op: FaultIxSearch, After: perExec + 1, Err: "boom"})
+	for i, wantErr := range []bool{false, true, false} {
+		parked := st.trees.idle.Load()
+		if parked == nil {
+			t.Fatalf("execution %d: no tree parked", i+1)
+		}
+		res, err := run()
+		var fe *FaultError
+		switch {
+		case wantErr && !errors.As(err, &fe):
+			t.Fatalf("execution %d: want a FaultError, got %v", i+1, err)
+		case wantErr && st.trees.idle.Load() != nil:
+			t.Fatalf("execution %d failed but a tree is parked", i+1)
+		case !wantErr && err != nil:
+			t.Fatalf("execution %d: %v", i+1, err)
+		case !wantErr && fmt.Sprint(res.Rows) != fmt.Sprint(want.Rows):
+			t.Fatalf("execution %d: %v, want %v", i+1, res.Rows, want.Rows)
+		}
+		if n := db.Faults().OpenIterators(); n != 0 {
+			t.Fatalf("execution %d: %d iterators open", i+1, n)
+		}
+		if wantErr {
+			// The failed execution released its tree; build the next.
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }

@@ -61,9 +61,12 @@ type PlanCacheStats struct {
 	Size, Capacity int
 }
 
+// planKey keys the plan cache: normalized statement text and fingerprint.
+type planKey struct{ text, fp string }
+
 // cacheEntry is one cached compilation.
 type cacheEntry struct {
-	key      string
+	key      planKey
 	compiled *plan.Compiled
 	// kind is the statement classification ("SELECT", "INSERT", ...)
 	// recorded so cache hits keep the per-kind statement metrics right
@@ -130,7 +133,7 @@ func (s *treeSlot) kill() {
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
-	byKey   map[string]*list.Element
+	byKey   map[planKey]*list.Element
 	lru     *list.List // front = most recently used; values are *cacheEntry
 	stats   PlanCacheStats
 	metrics struct {
@@ -143,7 +146,7 @@ type planCache struct {
 func newPlanCache(capacity int, m *obs.Registry) *planCache {
 	c := &planCache{
 		cap:   capacity,
-		byKey: map[string]*list.Element{},
+		byKey: map[planKey]*list.Element{},
 		lru:   list.New(),
 	}
 	c.stats.Capacity = capacity
@@ -165,7 +168,7 @@ func newPlanCache(capacity int, m *obs.Registry) *planCache {
 // Misses are not counted here: a lookup can precede parsing, so only
 // the caller knows whether the statement was cacheable at all — it
 // counts the miss via miss() when it compiles one.
-func (c *planCache) get(key string, curGen int64) (*cacheEntry, bool) {
+func (c *planCache) get(key planKey, curGen int64) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -243,13 +246,13 @@ func (c *planCache) reset() {
 	c.killStale(-1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.byKey = map[string]*list.Element{}
+	c.byKey = map[planKey]*list.Element{}
 	c.lru.Init()
 	c.stats = PlanCacheStats{Capacity: c.cap}
 }
 
 // cacheEntryInfo is one SYS.PLAN_CACHE row: the normalized statement
-// text (the key with its settings fingerprint stripped), the statement
+// text (the key without its settings fingerprint), the statement
 // kind, the catalog generation the plan compiled against, and the
 // entry's hit count.
 type cacheEntryInfo struct {
@@ -267,11 +270,7 @@ func (c *planCache) entries() []cacheEntryInfo {
 	out := make([]cacheEntryInfo, 0, c.lru.Len())
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
-		name := e.key
-		if i := strings.IndexByte(name, 0); i >= 0 {
-			name = name[:i]
-		}
-		out = append(out, cacheEntryInfo{name: name, kind: e.kind, gen: e.gen, hits: e.hits})
+		out = append(out, cacheEntryInfo{name: e.key.text, kind: e.kind, gen: e.gen, hits: e.hits})
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

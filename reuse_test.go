@@ -334,3 +334,84 @@ func TestReuseAcrossConcurrentSessions(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// acctDB is an account table of perBranch accounts in each of 50
+// branches, with a unique index on id and one on branch, behind a plan
+// cache of 8 entries.
+func acctDB(t *testing.T, perBranch int) *DB {
+	t.Helper()
+	db := Open(WithPlanCache(8))
+	setDOP(db, 1)
+	mustExec(t, db, "CREATE TABLE acct (id INT, bal INT, branch INT)")
+	mustExec(t, db, "CREATE UNIQUE INDEX acct_pk ON acct (id)")
+	mustExec(t, db, "CREATE INDEX acct_branch ON acct (branch)")
+	loadRows(t, db, "acct", 50*perBranch, func(i int) string { return fmt.Sprintf("%d, %d, %d", i, 100+i%7, i%50) })
+	mustExec(t, db, "ANALYZE acct")
+	return db
+}
+
+func isAcctIndexScan(n *plan.Node) bool { return n.Op == plan.OpIndex && n.Table.Name == "ACCT" }
+
+// oneRow checks a result of exactly one non-NULL value.
+func oneRow(t *testing.T) func(*Result) {
+	return func(res *Result) {
+		if len(res.Rows) != 1 || res.Rows[0][0].IsNull() {
+			t.Fatalf("%d result rows %v, want one non-NULL value", len(res.Rows), res.Rows)
+		}
+	}
+}
+
+// TestReuseIndexScanRangeSum: a cached branch total through the branch
+// index allocates the same bytes per execution whether the branch
+// holds 20 or 160 accounts: the search's entry list lives with the
+// parked tree.
+func TestReuseIndexScanRangeSum(t *testing.T) {
+	const q = "SELECT SUM(bal) FROM acct WHERE branch = :b"
+	perExec := func(perBranch int) uint64 {
+		db := acctDB(t, perBranch)
+		requirePlan(t, db, q, "ISCAN on acct", isAcctIndexScan)
+		return medianBytesPerExec(t, db, q, map[string]Value{"b": NewInt(7)}, oneRow(t))
+	}
+	requireFlat(t, "branch SUM, 20 vs 160 accounts per branch", perExec(20), perExec(160))
+}
+
+// TestReuseIndexScanPointLookup: a cached unique-index lookup allocates
+// the same bytes per execution over 1,000 and 8,000 accounts.
+func TestReuseIndexScanPointLookup(t *testing.T) {
+	const q = "SELECT bal FROM acct WHERE id = :k"
+	perExec := func(perBranch int) uint64 {
+		db := acctDB(t, perBranch)
+		requirePlan(t, db, q, "ISCAN on acct", isAcctIndexScan)
+		return medianBytesPerExec(t, db, q, map[string]Value{"k": NewInt(777)}, oneRow(t))
+	}
+	requireFlat(t, "point lookup, 1000 vs 8000 accounts", perExec(20), perExec(160))
+}
+
+// TestReuseIndexScanCorrelatedReopen: a correlated scalar subquery
+// re-opens its inner ISCAN once per outer row, each time over another
+// branch. What forty outer rows cost over one — thirty-nine re-opens,
+// with their subquery-cache entries — is the same whether a branch
+// holds 20 or 160 accounts: a re-open searches into the list the
+// operator already owns.
+func TestReuseIndexScanCorrelatedReopen(t *testing.T) {
+	perReopens := func(perBranch int) uint64 {
+		db := acctDB(t, perBranch)
+		mustExec(t, db, "CREATE TABLE o1 (b INT, c INT)")
+		mustExec(t, db, "CREATE TABLE o40 (b INT, c INT)")
+		outer := func(i int) string { return fmt.Sprintf("%d, -1", i) }
+		loadRows(t, db, "o1", 1, outer)
+		loadRows(t, db, "o40", 40, outer)
+		q := func(o string) string {
+			return "SELECT b FROM " + o + " o WHERE o.c > (SELECT SUM(bal) FROM acct WHERE acct.branch = o.b)"
+		}
+		requirePlan(t, db, q("o40"), "ISCAN on acct", isAcctIndexScan)
+		none := func(res *Result) {
+			if len(res.Rows) != 0 {
+				t.Fatalf("%d result rows, want none", len(res.Rows))
+			}
+		}
+		one, forty := medianBytesPerExec(t, db, q("o1"), nil, none), medianBytesPerExec(t, db, q("o40"), nil, none)
+		return forty - one
+	}
+	requireFlat(t, "39 ISCAN re-opens, 20 vs 160 accounts per branch", perReopens(20), perReopens(160))
+}

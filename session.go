@@ -3,6 +3,7 @@ package starburst
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,39 +79,57 @@ func (s *Settings) rewriteOptions() RewriteOptions {
 	return r
 }
 
+// owned returns a copy of s sharing no slice with it: a caller's write
+// to its value must not reach a stored one or its memoized fingerprint.
+func (s Settings) owned() *Settings {
+	s.Rewrite.Classes = slices.Clone(s.Rewrite.Classes)
+	return &s
+}
+
 // Settings reports the settings DB-level statements and new sessions
 // run under.
-func (db *DB) Settings() Settings { return *db.set.Load() }
+func (db *DB) Settings() Settings { return *db.set.Load().owned() }
 
 // SetSettings replaces them. Statements already running and sessions
 // already open are unaffected.
-func (db *DB) SetSettings(s Settings) { db.set.Store(&s) }
+func (db *DB) SetSettings(s Settings) { db.set.Store(s.owned()) }
 
 // snapshot is one statement's settings: a single pointer load of an
 // immutable value.
 func (db *DB) snapshot() *Settings { return db.set.Load() }
 
+// fpMemo is a rendered fingerprint and every input it rendered (a
+// stored Settings is never written, so its pointer stands for it).
+type fpMemo struct {
+	set   *Settings
+	rwGen int64
+	opt   optimizer.Fingerprint
+	fp    string
+}
+
 // fingerprint renders every setting that can change which plan the
 // compiler produces for a given statement text: the degree of
 // parallelism, the rewrite configuration (including the rule-set
 // generation), and the optimizer's side — its switches, STAR-array
-// generation and audit mode. Statements compiled under different fingerprints never
-// share a plan-cache entry; see plancache.go.
+// generation and audit mode. Statements compiled under different
+// fingerprints never share a plan-cache entry; see plancache.go. The
+// last rendering is memoized with its inputs (db.fp).
 func (db *DB) fingerprint(set *Settings) string {
+	k := fpMemo{set: set, rwGen: db.rewriter.Generation(), opt: db.opt.Fingerprint(set.optimizerConfig())}
+	if m := db.fp.Load(); m != nil && m.set == k.set && m.rwGen == k.rwGen && m.opt == k.opt {
+		return m.fp
+	}
 	rw := "off"
 	if !set.SkipRewrite {
 		r := set.rewriteOptions()
 		rw = fmt.Sprintf("st%v,so%v,b%d,cls[%s],seed%d,aud%t,gen%d",
 			r.Strategy, r.Search, r.Budget, strings.Join(r.Classes, "+"),
-			r.Seed, r.Audit, db.rewriter.Generation())
+			r.Seed, r.Audit, k.rwGen)
 	}
-	return fmt.Sprintf("dop=%d|rw=%s|opt=%s", set.dop(), rw, db.opt.Fingerprint(set.optimizerConfig()))
-}
-
-// cacheKey keys the plan cache: normalized statement text plus the
-// settings fingerprint, separated by a byte that cannot appear in SQL.
-func (db *DB) cacheKey(query string, set *Settings) string {
-	return normalizeSQL(query) + "\x00" + db.fingerprint(set)
+	memo := k
+	memo.fp = fmt.Sprintf("dop=%d|rw=%s|opt=%+v", set.dop(), rw, k.opt)
+	db.fp.Store(&memo)
+	return memo.fp
 }
 
 // Session is an independent client handle on a shared DB. Sessions are
@@ -170,11 +189,11 @@ func (s *Session) Close() { s.db.sessions.remove(s.id) }
 func (s *Session) DB() *DB { return s.db }
 
 // Settings reports this session's settings.
-func (s *Session) Settings() Settings { return *s.set.Load() }
+func (s *Session) Settings() Settings { return *s.set.Load().owned() }
 
 // SetSettings replaces this session's settings. Other sessions and the
 // DB's own are unaffected.
-func (s *Session) SetSettings(set Settings) { s.set.Store(&set) }
+func (s *Session) SetSettings(set Settings) { s.set.Store(set.owned()) }
 
 // snapshot returns this session's settings for one statement.
 func (s *Session) snapshot() *Settings { return s.set.Load() }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/qgm"
 )
@@ -57,7 +59,7 @@ func TestZeroSettingsIsDefault(t *testing.T) {
 		db.MustExec(`CREATE TABLE t (a INT)`, nil)
 		db.NewSession()
 		rows := db.MustExec(`SELECT state, dop, tracing, statements FROM SYS.SESSIONS`, nil).Rows
-		return fmt.Sprint(db.cacheKey(q, db.snapshot()), rows)
+		return fmt.Sprint(planKey{normalizeSQL(q), db.fingerprint(db.snapshot())}, rows)
 	}
 	bare, zero := describe(Open(WithPlanCache(4))), describe(Open(WithPlanCache(4), WithSettings(Settings{})))
 	if bare != zero {
@@ -197,5 +199,112 @@ func TestSettingsSwapUnderLoad(t *testing.T) {
 	}
 	if s := db.PlanCacheStats(); s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("load must mix cached and uncached statements: %+v", s)
+	}
+}
+
+// TestFingerprintMemoFollowsEveryInput: the settings fingerprint is
+// memoized, so each of its inputs — the DB's and a session's Settings,
+// the rewrite rule set, the optimizer's search-space switches, audit
+// default and rank bound, the STAR array and the parallel threshold —
+// must on its own make the next statement miss the plan cache and
+// compile, and the statement after it hit again. A new Settings value
+// equal to the old one keys the same entry.
+func TestFingerprintMemoFollowsEveryInput(t *testing.T) {
+	db := cacheDB(t, 64)
+	sess := db.NewSession()
+	const q = `SELECT type FROM inventory WHERE partno = 3`
+	type execer interface {
+		Exec(string, map[string]Value) (*Result, error)
+	}
+	check := func(step string, h execer, wantMiss bool) {
+		t.Helper()
+		before := db.PlanCacheStats()
+		if _, err := h.Exec(q, nil); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		after := db.PlanCacheStats()
+		if missed := after.Misses == before.Misses+1; missed != wantMiss || after.Hits+after.Misses != before.Hits+before.Misses+1 {
+			t.Fatalf("%s: want miss=%t, got %+v after %+v", step, wantMiss, after, before)
+		}
+	}
+	check("first statement", db, true)
+	check("first session statement", sess, false)
+	neverRule := &RewriteRule{
+		Name: "never", Class: "test",
+		Condition: func(*RewriteContext, *qgm.Box) bool { return false },
+		Action:    func(*RewriteContext, *qgm.Box) error { return nil },
+	}
+	never := func(*optimizer.Ctx, optimizer.Args) bool { return false }
+	// otherMiss is whether the other handle misses too: settings are
+	// per handle, the rest is engine-wide — except that the session's
+	// rewrite bypass leaves the rule set out of its fingerprint.
+	steps := []struct {
+		name            string
+		h               execer
+		change          func()
+		miss, otherMiss bool
+	}{
+		{"DB.SetSettings", db, func() { db.SetSettings(Settings{Rewrite: RewriteOptions{Budget: 50}}) }, true, false},
+		{"DB.SetSettings, equal value", db, func() { db.SetSettings(db.Settings()) }, false, false},
+		{"Session.SetSettings", sess, func() { sess.SetSettings(Settings{SkipRewrite: true}) }, true, false},
+		{"rewrite rule registration", db, func() {
+			if err := db.RegisterRewriteRule(neverRule); err != nil {
+				t.Fatal(err)
+			}
+		}, true, false},
+		{"AllowBushy", db, func() { db.Optimizer().AllowBushy = true }, true, true},
+		{"AllowCartesian", db, func() { db.Optimizer().AllowCartesian = true }, true, true},
+		{"optimizer Audit", db, func() { db.Optimizer().Audit = true }, true, true},
+		{"MaxRank", db, func() { db.Optimizer().Generator().MaxRank = 100 }, true, true},
+		{"STAR registration", db, func() { db.AddSTARAlternative("NEVER", &STARAlternative{Name: "never", Condition: never}) }, true, true},
+		{"parallel threshold", db, func() { db.opt.SetParallelThreshold(7) }, true, true},
+	}
+	for _, s := range steps {
+		other := execer(sess)
+		if s.h == other {
+			other = db
+		}
+		s.change()
+		check(s.name, s.h, s.miss)
+		check(s.name+", then unchanged", s.h, false)
+		check(s.name+", then the other handle", other, s.otherMiss)
+		check(s.name+", then the other handle unchanged", other, false)
+		check(s.name+", then back", s.h, false)
+	}
+}
+
+// TestSetSettingsCopiesRewriteClasses: a Settings value stored by
+// SetSettings, or handed out by Settings, shares no Rewrite.Classes
+// slice with the caller's, so a write to the caller's slice changes
+// neither the stored settings nor the plan-cache key memoized for them.
+func TestSetSettingsCopiesRewriteClasses(t *testing.T) {
+	db := cacheDB(t, 8)
+	sess := db.NewSession()
+	const q = `SELECT type FROM inventory WHERE partno = 3`
+	for _, h := range []interface {
+		handle
+		Exec(string, map[string]Value) (*Result, error)
+	}{db, sess} {
+		classes := []string{"merge", "subquery"}
+		h.SetSettings(Settings{Rewrite: RewriteOptions{Classes: classes}})
+		if _, err := h.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+		classes[0] = "projection"
+		got := h.Settings()
+		got.Rewrite.Classes[1] = "recursion"
+		if c := h.Settings().Rewrite.Classes; !reflect.DeepEqual(c, []string{"merge", "subquery"}) {
+			t.Fatalf("%T: stored classes %v after the caller wrote its slices", h, c)
+		}
+		before := db.PlanCacheStats()
+		if _, err := h.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+		if after := db.PlanCacheStats(); after.Hits != before.Hits+1 {
+			t.Fatalf("%T: unchanged settings missed the cache: %+v after %+v", h, after, before)
+		}
+		if fp, want := db.fingerprint(h.(interface{ snapshot() *Settings }).snapshot()), "cls[merge+subquery]"; !strings.Contains(fp, want) {
+			t.Fatalf("%T: fingerprint %q lacks %q", h, fp, want)
+		}
 	}
 }

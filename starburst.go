@@ -192,6 +192,7 @@ type DB struct {
 	// set is the Settings DB-level statements run under and new sessions
 	// inherit; replaced whole by SetSettings, never nil after Open.
 	set atomic.Pointer[Settings]
+	fp  atomic.Pointer[fpMemo] // the last settings fingerprint rendered
 	// faults is the attached fault injector, nil until InjectFaults.
 	faults *storage.FaultInjector
 	// parObs is the exec-layer parallelism hooks backed by the metrics
@@ -371,7 +372,7 @@ func (db *DB) Exec(query string, params map[string]Value) (*Result, error) {
 func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly bool, params map[string]Value,
 	set *Settings, sess *Session, tx *Tx) (res *Result, err error) {
 	phase := "parse"
-	o := &observation{query: query, kind: "INVALID", start: time.Now(), waits: obs.NewWaitSet(), set: set}
+	o := &observation{query: query, norm: normalizeSQL(query), kind: "INVALID", start: time.Now(), set: set}
 	defer func() {
 		if !compileOnly {
 			db.observe(o, phase, err)
@@ -394,7 +395,7 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 		tr = obs.NewTrace()
 	}
 
-	db.lockAdminShared(o.waits)
+	db.lockAdminShared(&o.waits)
 	defer db.adminMu.RUnlock()
 
 	// cat is the catalog generation the whole statement reads: the open
@@ -427,7 +428,7 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 	}
 	defer func() {
 		if auto {
-			err = db.finishAuto(tx, err, o.waits)
+			err = db.finishAuto(tx, err, &o.waits)
 		}
 	}()
 	defer recoverQueryError(&phase, &err)
@@ -438,9 +439,9 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 	// never preempts the transaction-control or DDL handling below.
 	compiled, kind, trees := st.plan(cat.Version())
 	held := compiled != nil // the handle's own plan: nothing to store back
-	var key string
+	var key planKey
 	if compiled == nil && db.cache != nil {
-		key = db.cacheKey(query, set)
+		key = planKey{o.norm, db.fingerprint(set)}
 		if e, ok := db.cache.get(key, cat.Version()); ok {
 			compiled, kind, trees = e.compiled, e.kind, &e.trees
 			o.cacheHit = true
@@ -482,13 +483,13 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 				return nil, fmt.Errorf("starburst: no transaction in progress")
 			}
 			phase = "commit"
-			return &Result{}, tx.finish(true, o.waits)
+			return &Result{}, tx.finish(true, &o.waits)
 		case *sql.RollbackStmt:
 			if tx == nil {
 				return nil, fmt.Errorf("starburst: no transaction in progress")
 			}
 			phase = "rollback"
-			return &Result{}, tx.finish(false, o.waits)
+			return &Result{}, tx.finish(false, &o.waits)
 		case *sql.ExplainStmt:
 			// EXPLAIN compiles its inner statement like any other; plain
 			// EXPLAIN renders what compile records, ANALYZE goes on to run.
