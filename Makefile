@@ -86,13 +86,16 @@ examples:
 # concurrent writers, and rows it handed out must survive them
 # (TestInMemoryScanRacingWriters, TestRetainedRowsSurviveConcurrentWrites,
 # TestInMemoryScanConformance); B-tree and R-tree re-searches race a
-# writer (TestSearchAgainRacingWriter).
+# writer (TestSearchAgainRacingWriter). The exchange tests
+# (TestParallel*) run too: every GATHER and REPART spawns worker
+# goroutines, whatever the statement, so their joins and drains get the
+# repeated race runs.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/
 
-STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

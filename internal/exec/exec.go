@@ -73,11 +73,6 @@ type Ctx struct {
 	// sh holds the statement-wide atomic counters (work ticks, memory,
 	// early-termination flag) shared with every worker child.
 	sh *shared
-	// dop is the runtime degree of parallelism: exchange operators run
-	// their workers concurrently only when dop > 1. A plan compiled with
-	// exchanges still executes correctly (serially) at dop <= 1, which
-	// is how fault injection forces parallel plans back to one thread.
-	dop int
 	// colWidth overrides the columnar batch width; 0 means colBatchSize.
 	// Only tests set it (see SetColWidth).
 	colWidth int
@@ -109,11 +104,11 @@ func NewCtx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
 	return c
 }
 
-// SetDOP sets the runtime degree of parallelism (see Ctx.dop).
-func (c *Ctx) SetDOP(n int) { c.dop = n }
-
-// DOP reports the runtime degree of parallelism.
-func (c *Ctx) DOP() int { return c.dop }
+// SetDOP does nothing: a plan's GATHER nodes carry its degree of
+// parallelism, and an exchange always runs its workers concurrently.
+//
+// Deprecated: the plan decides parallelism; there is no runtime degree.
+func (c *Ctx) SetDOP(int) {}
 
 // SetParallelObs installs the parallel-execution telemetry hooks.
 func (c *Ctx) SetParallelObs(p *ParallelObs) { c.par = p }

@@ -19,16 +19,16 @@ import (
 // clones the subtree once per worker, replacing the designated scan
 // leaf with a morsel-claiming scan over a shared page dispenser, and
 // the gather operator runs the clones on worker goroutines that merge
-// through a bounded channel. At runtime DOP <= 1 (the fault-injection
-// and DML fallback) the same operator runs its workers sequentially on
-// the caller's goroutine — same plan, no concurrency.
+// through a bounded channel. The plan alone decides parallelism: an
+// exchange always runs its workers concurrently, and the optimizer
+// plans none where that would be wrong (DML, fault-wrapped storage).
 
 // ParallelObs carries the obs-layer hooks for parallel execution; any
 // field may be nil. Methods are nil-receiver-safe so operators can call
 // them unconditionally.
 type ParallelObs struct {
-	// ParallelStatement fires once per exchange that actually goes
-	// parallel (spine insertion produces at most one per statement).
+	// ParallelStatement fires once per exchange Open (spine insertion
+	// produces at most one exchange per statement).
 	ParallelStatement func()
 	// WorkerStart/WorkerDone bracket each worker goroutine's life.
 	WorkerStart, WorkerDone func()
@@ -84,8 +84,7 @@ type morselSource struct {
 }
 
 // newMorselSource returns a dispenser over rel, or nil when rel cannot
-// scan page ranges (a fault-wrapped or extension relation): the caller
-// then falls back to one serial worker.
+// scan page ranges (a fault-wrapped or extension relation).
 func newMorselSource(rel storage.Relation, dop int) *morselSource {
 	prs, ok := rel.(storage.PageRangeScanner)
 	if !ok {
@@ -177,53 +176,27 @@ type repartPool struct {
 
 	mu      sync.Mutex
 	started bool
-	par     bool
-	// chans carries row batches per partition in parallel mode.
+	// chans carries row batches per partition.
 	chans []chan []datum.Row
-	// bufs holds the fully materialized partitions in serial mode.
-	bufs [][]datum.Row
-	done chan struct{}
-	wg   sync.WaitGroup
-	err  error
-	mem  memCharge
+	done  chan struct{}
+	wg    sync.WaitGroup
+	err   error
 }
 
 func newRepartPool(producers []Stream, keys []int, parts int) *repartPool {
 	return &repartPool{producers: producers, keys: keys, parts: parts}
 }
 
-// start launches (or, serially, runs) the producers. It is called by
-// every partition reader's Open; the first call of a generation does
-// the work.
-func (p *repartPool) start(ctx *Ctx, par bool) error {
+// start launches the producers. It is called by every partition
+// reader's Open; the first call of a generation does the work.
+func (p *repartPool) start(ctx *Ctx) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.started {
-		return nil
+		return
 	}
 	p.started = true
-	p.par = par
 	p.err = nil
-	if !par {
-		// Serial generation: materialize every partition now, on the
-		// caller's goroutine. The memory is charged like any other
-		// materializing operator's.
-		p.bufs = make([][]datum.Row, p.parts)
-		for _, ps := range p.producers {
-			rows, err := materialize(ctx, ps)
-			if err != nil {
-				return err
-			}
-			for _, row := range rows {
-				i := int(datum.HashRow(row, p.keys) % uint64(p.parts))
-				p.bufs[i] = append(p.bufs[i], row)
-			}
-			if err := p.mem.add(ctx, rows...); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	p.done = make(chan struct{})
 	p.chans = make([]chan []datum.Row, p.parts)
 	for i := range p.chans {
@@ -255,7 +228,6 @@ func (p *repartPool) start(ctx *Ctx, par bool) error {
 			close(ch)
 		}
 	}()
-	return nil
 }
 
 // produce drains one producer clone, routing rows into per-partition
@@ -329,31 +301,24 @@ func (p *repartPool) stop(ctx *Ctx) error {
 		return nil
 	}
 	p.started = false
-	par := p.par
-	done := p.done
-	chans := p.chans
+	done, chans := p.done, p.chans
 	p.mu.Unlock()
-	if par {
-		if done != nil {
-			close(done)
+	close(done)
+	stalled := ctx.doneSignaled()
+	start := time.Now()
+	p.wg.Wait()
+	for _, ch := range chans {
+		for range ch {
 		}
-		stalled := ctx.doneSignaled()
-		start := time.Now()
-		p.wg.Wait()
-		for _, ch := range chans {
-			for range ch {
-			}
-		}
-		if stalled {
-			// The statement was cancelled (or terminated early) and had to
-			// wait here for its producers to notice and drain.
-			ctx.recordWait(obs.WaitCancelStall, start)
-		}
+	}
+	if stalled {
+		// The statement was cancelled (or terminated early) and had to
+		// wait here for its producers to notice and drain.
+		ctx.recordWait(obs.WaitCancelStall, start)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.chans, p.bufs, p.done = nil, nil, nil
-	p.mem.release(ctx)
+	p.chans, p.done = nil, nil
 	err := p.err
 	p.err = nil
 	return err
@@ -374,7 +339,6 @@ type repartReaderOp struct {
 
 	pending []datum.Row
 	pi      int
-	pos     int
 }
 
 func (b *Builder) buildRepart(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -388,44 +352,32 @@ func (b *Builder) buildRepart(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 }
 
 func (r *repartReaderOp) Open(ctx *Ctx) error {
-	r.pending, r.pi, r.pos = nil, 0, 0
+	r.pending, r.pi = nil, 0
 	// First reader of the generation starts the pool; the rest join.
-	return r.pool.start(ctx, ctx.DOP() > 1)
+	r.pool.start(ctx)
+	return nil
 }
 
 func (r *repartReaderOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if r.pool.par {
-		for {
-			if r.pi < len(r.pending) {
-				row := r.pending[r.pi]
-				r.pi++
-				return row, true, nil
-			}
-			batch, ok := <-r.pool.chans[r.part]
-			if !ok {
-				if err := r.pool.failure(); err != nil {
-					return nil, false, err
-				}
-				return nil, false, nil
-			}
-			r.pending, r.pi = batch, 0
+	for {
+		if r.pi < len(r.pending) {
+			row := r.pending[r.pi]
+			r.pi++
+			return row, true, nil
 		}
+		batch, ok := <-r.pool.chans[r.part]
+		if !ok {
+			return nil, false, r.pool.failure()
+		}
+		r.pending, r.pi = batch, 0
 	}
-	buf := r.pool.bufs[r.part]
-	if r.pos >= len(buf) {
-		return nil, false, nil
-	}
-	row := buf[r.pos]
-	r.pos++
-	return row, true, nil
 }
 
 func (r *repartReaderOp) Close(ctx *Ctx) error {
 	r.pending = nil
 	r.pool.mu.Lock()
-	active := r.pool.started && r.pool.par && r.pool.chans != nil
 	var ch chan []datum.Row
-	if active {
+	if r.pool.started && r.pool.chans != nil {
 		ch = r.pool.chans[r.part]
 	}
 	r.pool.mu.Unlock()
@@ -467,9 +419,6 @@ type gatherOp struct {
 	merge   []plan.SortKey
 
 	// Runtime state, reset every Open.
-	parallel   bool
-	cur        int
-	curOpen    bool
 	batches    chan []datum.Row
 	done       chan struct{}
 	wg         sync.WaitGroup
@@ -480,34 +429,16 @@ type gatherOp struct {
 	pending    []datum.Row
 	pi         int
 	// Ordered mode: one finished sorted run per worker plus a cursor.
-	runs    [][]datum.Row
-	runPos  []int
-	openErr []error
+	runs   [][]datum.Row
+	runPos []int
 }
 
 func (g *gatherOp) Open(ctx *Ctx) error {
-	g.cur, g.curOpen, g.pending, g.pi = 0, false, nil, 0
+	g.pending, g.pi = nil, 0
 	g.runs, g.runPos = nil, nil
 	g.failed, g.delivered = nil, false
 	g.workerRows = make([]int64, len(g.workers))
-	if g.src != nil {
-		g.src.reset()
-	}
-	g.parallel = ctx.DOP() > 1 && len(g.workers) > 1
-	if g.pool != nil {
-		// Serial generations materialize partitions up front; parallel
-		// generations start producer goroutines on first reader Open
-		// (inside the workers). Starting here keeps the serial error
-		// path synchronous.
-		if !g.parallel {
-			if err := g.pool.start(ctx, false); err != nil {
-				return err
-			}
-		}
-	}
-	if !g.parallel {
-		return nil // inline mode: workers stream sequentially from Next
-	}
+	g.src.reset()
 	ctx.par.statement()
 	g.done = make(chan struct{})
 	g.batches = make(chan []datum.Row, len(g.workers))
@@ -608,9 +539,6 @@ func (g *gatherOp) runWorker(ctx *Ctx, i int, w Stream) (err error) {
 }
 
 func (g *gatherOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if !g.parallel {
-		return g.nextInline(ctx)
-	}
 	if g.merge != nil {
 		return g.nextMerge()
 	}
@@ -637,36 +565,6 @@ func (g *gatherOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	}
 }
 
-// nextInline streams the workers one after another on the caller's
-// goroutine: with a morsel dispenser the first worker claims every
-// morsel and the rest come up empty, so the result is exactly the
-// serial execution of the plan.
-func (g *gatherOp) nextInline(ctx *Ctx) (datum.Row, bool, error) {
-	for g.cur < len(g.workers) {
-		w := g.workers[g.cur]
-		if !g.curOpen {
-			if err := w.Open(ctx); err != nil {
-				return nil, false, err
-			}
-			g.curOpen = true
-		}
-		row, ok, err := w.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			atomic.AddInt64(&g.workerRows[g.cur], 1)
-			return row, true, nil
-		}
-		// The finished worker stays open until gather's Close (closing
-		// here and again at Close would double-close it); cur records
-		// how many leading workers Close must release.
-		g.cur++
-		g.curOpen = false
-	}
-	return nil, false, nil
-}
-
 // nextMerge performs the k-way sorted merge over finished runs using
 // the same total-order comparator SORT uses.
 func (g *gatherOp) nextMerge() (datum.Row, bool, error) {
@@ -690,47 +588,32 @@ func (g *gatherOp) nextMerge() (datum.Row, bool, error) {
 // Close joins the worker goroutines and drains the merge channel.
 // starburst:waits CANCEL_STALL
 func (g *gatherOp) Close(ctx *Ctx) (err error) {
-	if g.parallel {
-		if g.done != nil {
-			close(g.done)
-		}
-		stalled := ctx.doneSignaled()
-		start := time.Now()
-		g.wg.Wait()
-		// Cleared only now: workers select on the field until they exit.
-		g.done = nil
-		if g.batches != nil {
-			for range g.batches {
-			}
-			g.batches = nil
-		}
-		if stalled {
-			ctx.recordWait(obs.WaitCancelStall, start)
-		}
-		g.failedMu.Lock()
-		if g.failed != nil && !g.delivered {
-			err = g.failed
-			g.delivered = true
-		}
-		g.failedMu.Unlock()
-	} else {
-		// Inline mode opened workers on this goroutine; close the ones
-		// that were opened (Close on a never-opened stream is safe, but
-		// the open ones must be closed exactly once each).
-		n := g.cur
-		if g.curOpen {
-			n++
-		}
-		for i := 0; i < n && i < len(g.workers); i++ {
-			err = errors.Join(err, g.workers[i].Close(ctx))
-		}
-		g.cur, g.curOpen = 0, false
+	if g.done != nil {
+		close(g.done)
 	}
+	stalled := ctx.doneSignaled()
+	start := time.Now()
+	g.wg.Wait()
+	// Cleared only now: workers select on the field until they exit.
+	g.done = nil
+	if g.batches != nil {
+		for range g.batches {
+		}
+		g.batches = nil
+	}
+	if stalled {
+		ctx.recordWait(obs.WaitCancelStall, start)
+	}
+	g.failedMu.Lock()
+	if g.failed != nil && !g.delivered {
+		err = g.failed
+		g.delivered = true
+	}
+	g.failedMu.Unlock()
 	if g.pool != nil {
 		err = errors.Join(err, g.pool.stop(ctx))
 	}
 	g.pending, g.runs, g.runPos = nil, nil, nil
-	g.parallel = false
 	return err
 }
 
@@ -763,22 +646,19 @@ func repartOf(n *plan.Node) *plan.Node {
 
 // buildGather builds the exchange: per-worker clones of the child
 // subtree wired to a shared morsel dispenser (and, for repartitioned
-// plans, a shared repartition pool).
+// plans, a shared repartition pool). A scan leaf that cannot be split
+// into page ranges is an error: the optimizer never plans an exchange
+// over one.
 func (b *Builder) buildGather(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
 	if len(n.Inputs) != 1 {
 		return nil, fmt.Errorf("exec: GATHER needs exactly one input, has %d", len(n.Inputs))
 	}
 	child := n.Inputs[0]
-	dop := n.DOP
-	if dop < 1 {
-		dop = 1
-	}
+	dop := max(1, n.DOP)
 	rep := repartOf(child)
-	var scanRoot *plan.Node // subtree whose scan leaf gets morselized
+	scanRoot := child // subtree whose scan leaf gets morselized
 	if rep != nil {
 		scanRoot = rep.Inputs[0]
-	} else {
-		scanRoot = child
 	}
 	leaf := plan.ProbeLeaf(scanRoot)
 	var src *morselSource
@@ -786,49 +666,38 @@ func (b *Builder) buildGather(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 		src = newMorselSource(leaf.Table.Rel, dop)
 	}
 	if src == nil {
-		// The leaf cannot be split (extension or fault-wrapped storage):
-		// degrade to one worker, which gatherOp always runs inline.
-		dop = 1
+		return nil, errors.New("exec: GATHER needs a scan leaf that splits into page ranges")
 	}
+	morsel := &morselBinding{node: leaf, src: src}
 
 	var pool *repartPool
 	if rep != nil {
-		producers := make([]Stream, 0, dop)
-		for i := 0; i < dop; i++ {
+		producers := make([]Stream, dop)
+		for i := range producers {
 			pb := *b
-			pb.repart = nil
-			if src != nil {
-				pb.morsel = &morselBinding{node: leaf, src: src}
-			}
+			pb.repart, pb.morsel = nil, morsel
 			ps, err := pb.Build(rep.Inputs[0], corr)
 			if err != nil {
 				return nil, err
 			}
-			producers = append(producers, ps)
-			if src == nil {
-				break // unsplittable: a single producer sees every row
-			}
+			producers[i] = ps
 		}
 		pool = newRepartPool(producers, rep.GroupCols, dop)
 	}
 
-	workers := make([]Stream, 0, dop)
-	for i := 0; i < dop; i++ {
+	workers := make([]Stream, dop)
+	for i := range workers {
 		wb := *b
 		if pool != nil {
-			wb.repart = &repartBinding{pool: pool, part: i}
-			wb.morsel = nil
-		} else if src != nil {
-			wb.morsel = &morselBinding{node: leaf, src: src}
+			wb.repart, wb.morsel = &repartBinding{pool: pool, part: i}, nil
+		} else {
+			wb.morsel = morsel
 		}
 		ws, err := wb.Build(child, corr)
 		if err != nil {
 			return nil, err
 		}
-		workers = append(workers, ws)
-		if pool == nil && src == nil {
-			break
-		}
+		workers[i] = ws
 	}
 
 	var merge []plan.SortKey

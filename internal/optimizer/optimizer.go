@@ -63,9 +63,6 @@ type Optimizer struct {
 type Config struct {
 	// DOP is the degree of parallelism to plan for; <= 1 plans serially.
 	DOP int
-	// ParallelThreshold is the minimum estimated scan cardinality for
-	// exchange insertion; 0 uses the optimizer-wide setting.
-	ParallelThreshold int64
 	// Audit verifies this compilation's plan even when the
 	// optimizer-wide Audit default is off.
 	Audit bool

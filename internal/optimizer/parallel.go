@@ -41,9 +41,6 @@ func (o *Optimizer) SetParallelThreshold(n int64) {
 }
 
 func (o *Optimizer) parallelThreshold() int64 {
-	if t := o.cfg.ParallelThreshold; t > 0 {
-		return t
-	}
 	if t := o.parThreshold.Load(); t > 0 {
 		return t
 	}

@@ -340,7 +340,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees 
 	ctx.Txn = tx.ts
 	ctx.SetWaits(db.waitProf, &o.waits)
 	ctx.Arm(goCtx, limits)
-	db.armParallel(ctx, set)
+	db.armParallel(ctx)
 	mark := tx.ts.Mark()
 	t0 = time.Now()
 	rows, err := tree.Run(ctx)

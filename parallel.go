@@ -5,17 +5,20 @@ import (
 )
 
 // This file is the DB-level surface of intra-query parallelism (the
-// knob is Settings.Parallelism): the parallel-execution metrics, and the
-// runtime safety interlock that forces serial execution while a fault
-// injector is attached (fault schedules count operations
-// deterministically, which concurrent workers would break) — DML
-// statements never parallelize in the first place, because the
-// optimizer's exchange-insertion pass stops at DML operators.
+// knob is Settings.Parallelism): the parallel-execution metrics and the
+// hooks that feed them. Whether a statement runs in parallel is decided
+// by its plan alone. DML never parallelizes, because the optimizer's
+// exchange-insertion pass stops at DML operators; and no exchange is
+// planned while a fault injector is attached (fault schedules count
+// operations deterministically, which concurrent workers would break),
+// because a fault-wrapped table cannot be split into page ranges and
+// attaching or detaching the injector moves the catalog generation,
+// which sends every cached or prepared plan back to the compiler.
 
 // Parallel-execution metric names (see Metrics).
 const (
-	// MetricParallelStatements counts statements that actually executed
-	// with parallel workers (an exchange that went parallel).
+	// MetricParallelStatements counts statements that executed with
+	// parallel workers (an exchange in their plan).
 	MetricParallelStatements = "starburst_parallel_statements_total"
 	// MetricParallelWorkers is a gauge of currently running exchange
 	// worker goroutines; it returns to zero between statements.
@@ -49,15 +52,9 @@ func (db *DB) newParallelObs() *exec.ParallelObs {
 	}
 }
 
-// armParallel configures one statement's execution context from its
-// settings: the statement's degree of parallelism, forced to 1 while a
-// fault injector is attached.
-func (db *DB) armParallel(ctx *exec.Ctx, set *Settings) {
-	dop := set.dop()
-	if db.faults != nil {
-		dop = 1
-	}
-	ctx.SetDOP(dop)
+// armParallel installs the DB's exchange telemetry and columnar batch
+// width on one statement's execution context.
+func (db *DB) armParallel(ctx *exec.Ctx) {
 	ctx.SetColWidth(db.colWidth)
 	ctx.SetParallelObs(db.parObs)
 }

@@ -266,25 +266,46 @@ func TestParallelFaultMatrix(t *testing.T) {
 		db := genParallelDB(t, 41)
 		setDOP(db, 4)
 		want := canonical(runAtDOP(t, db, 4, parallelEligibleQuery))
+		// Compiled before the injector is attached, so it carries an
+		// exchange over ta.
+		compiled := preparedPlan(parallelEligibleQuery)(t, db)
+		gathers := func() bool {
+			t.Helper()
+			return strings.Contains(explainText(t, db, parallelEligibleQuery), "GATHER")
+		}
 
-		// With an injector attached, execution is forced serial — fault
-		// schedules count operations deterministically — but compiled
-		// plans still carry the exchange, exercising its inline mode.
+		// With an injector attached nothing is planned parallel — fault
+		// schedules count operations deterministically — because a
+		// fault-wrapped table cannot be split into page ranges.
 		db.InjectFaults(&Fault{Table: "ta", Op: FaultScan, After: 50, Err: "boom"})
+		if gathers() {
+			t.Fatal("a plan over a fault-wrapped table carries an exchange")
+		}
 		if _, err := db.Exec(parallelEligibleQuery, nil); err == nil {
 			t.Fatal("faulted scan did not surface an error")
 		}
 		db.ClearFaults()
-		// Injector still attached (cleared): still forced serial; the
-		// inline exchange must produce the full result.
+		// Injector still attached (cleared): still planned serially, and
+		// the serial plan produces the full result.
+		if gathers() {
+			t.Fatal("a plan under a cleared injector carries an exchange")
+		}
 		res, err := db.Exec(parallelEligibleQuery, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if canonical(res) != want {
-			t.Fatal("inline (forced-serial) exchange diverged")
+			t.Fatal("forced-serial run diverged")
+		}
+		// An exchange over the fault-wrapped table is refused at build
+		// time rather than run serially.
+		if _, err := runPlan(db, compiled, nil); err == nil || !strings.Contains(err.Error(), "page ranges") {
+			t.Fatalf("GATHER over a fault-wrapped table: want the build error, got %v", err)
 		}
 		db.DetachFaults()
+		if !gathers() {
+			t.Fatal("no exchange planned after the injector was detached")
+		}
 		res, err = db.Exec(parallelEligibleQuery, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -346,6 +367,59 @@ func TestParallelFaultMatrix(t *testing.T) {
 	})
 }
 
+// TestPreparedStmtFollowsParallelism: a prepared statement's plan is
+// valid only under the settings it was compiled for, so a change of
+// Parallelism re-plans it, in both directions, for DB.Prepare and
+// Session.Prepare alike.
+func TestPreparedStmtFollowsParallelism(t *testing.T) {
+	db := genParallelDB(t, 53)
+	sess := db.NewSession()
+	parallel := db.Metrics().Counter(MetricParallelStatements)
+	for _, c := range []struct {
+		name    string
+		h       handle
+		prepare func(string) (*Stmt, error)
+	}{
+		{"db", db, db.Prepare},
+		{"session", sess, sess.Prepare},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prepare := func(dop int) *Stmt {
+				t.Helper()
+				setDOP(c.h, dop)
+				st, err := c.prepare(parallelEligibleQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := strings.Contains(st.Plan(), "GATHER"); got != (dop > 1) {
+					t.Fatalf("prepared at DOP %d: GATHER in plan = %v\n%s", dop, got, st.Plan())
+				}
+				return st
+			}
+			run := func(st *Stmt, dop int) {
+				t.Helper()
+				setDOP(c.h, dop)
+				before := parallel.Value()
+				if _, err := st.Query(context.Background(), nil); err != nil {
+					t.Fatal(err)
+				}
+				want := int64(0)
+				if dop > 1 {
+					want = 1
+				}
+				if got := parallel.Value() - before; got != want {
+					t.Fatalf("run at DOP %d: %d parallel statements, want %d", dop, got, want)
+				}
+				if got := strings.Contains(st.Plan(), "GATHER"); got != (dop > 1) {
+					t.Fatalf("run at DOP %d: GATHER in plan = %v\n%s", dop, got, st.Plan())
+				}
+			}
+			run(prepare(4), 1)
+			run(prepare(1), 4)
+		})
+	}
+}
+
 // TestParallelObservability covers the metrics and the EXPLAIN ANALYZE
 // rendering of parallel execution.
 func TestParallelObservability(t *testing.T) {
@@ -398,7 +472,7 @@ func runInstrumentedParallel(db *DB, instr *exec.Instrumentation, compiled *plan
 	}
 	ctx := exec.NewCtx(db.cat, params)
 	ctx.Arm(goCtx, db.Settings().Limits)
-	db.armParallel(ctx, db.snapshot())
+	db.armParallel(ctx)
 	return exec.Run(ctx, s)
 }
 

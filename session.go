@@ -33,9 +33,13 @@ type Settings struct {
 	Limits Limits
 	// Parallelism is the degree of parallelism: n > 1 lets the optimizer
 	// insert exchange operators that run eligible plan subtrees on n
-	// worker goroutines; n <= 1 is serial. Parallel plans produce the
-	// same result sets as serial ones (and the same order, for ORDER BY
-	// queries — the exchange merge preserves sort order).
+	// worker goroutines; n <= 1 is serial. It is a compile-time setting:
+	// the plan alone decides parallelism, and a cached or prepared plan
+	// is reused only under the Parallelism it was compiled for (a
+	// prepared statement re-plans when it changes, either way).
+	// Parallel plans produce the same result sets as serial ones (and
+	// the same order, for ORDER BY queries — the exchange merge
+	// preserves sort order).
 	Parallelism int
 	// Tracing attaches a phase Trace to every Result (phase wall times,
 	// rewrite rules fired, STARs expanded, subquery-cache and rollback

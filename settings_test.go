@@ -45,7 +45,7 @@ func autoTx(db *DB) *Tx {
 // through the statement core, as a prepared statement already holding
 // it for the current catalog generation.
 func runPlan(db *DB, compiled *plan.Compiled, params map[string]Value) (*Result, error) {
-	st := &Stmt{db: db, query: "hand-built plan", compiled: compiled, kind: "SELECT", gen: db.cat.Version()}
+	st := &Stmt{db: db, query: "hand-built plan", compiled: compiled, kind: "SELECT", gen: db.cat.Version(), fp: db.fingerprint(db.snapshot())}
 	return st.Query(context.Background(), params)
 }
 

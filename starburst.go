@@ -354,8 +354,9 @@ func (db *DB) Exec(query string, params map[string]Value) (*Result, error) {
 //
 // The statement source is its SQL text plus, for a prepared statement,
 // the handle st: st's private plan slot is consulted by the same
-// "valid at the pinned catalog generation?" step as the shared plan
-// cache, ahead of it, and filled by the same store step. compileOnly
+// "valid at the pinned catalog generation, under these settings?" step
+// as the shared plan cache, ahead of it, and filled by the same store
+// step. compileOnly
 // (Prepare) stops after that step: the paper's fork in time —
 // "compilation and execution may be separated in time" (section 3) — is
 // this one flag, not a second path.
@@ -433,15 +434,20 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 	}()
 	defer recoverQueryError(&phase, &err)
 
-	// Lookup: a plan valid at cat's generation skips parse, rewrite and
-	// optimize entirely — the prepared handle's own, else the shared
-	// cache's. Only cacheable kinds (DML) are ever stored, so a hit
-	// never preempts the transaction-control or DDL handling below.
-	compiled, kind, trees := st.plan(cat.Version())
+	// Lookup: a plan valid at cat's generation and under set's
+	// fingerprint skips parse, rewrite and optimize entirely — the
+	// prepared handle's own, else the shared cache's. Only cacheable
+	// kinds (DML) are ever stored, so a hit never preempts the
+	// transaction-control or DDL handling below.
+	var fp string
+	if st != nil || db.cache != nil {
+		fp = db.fingerprint(set)
+	}
+	compiled, kind, trees := st.plan(cat.Version(), fp)
 	held := compiled != nil // the handle's own plan: nothing to store back
 	var key planKey
 	if compiled == nil && db.cache != nil {
-		key = planKey{o.norm, db.fingerprint(set)}
+		key = planKey{o.norm, fp}
 		if e, ok := db.cache.get(key, cat.Version()); ok {
 			compiled, kind, trees = e.compiled, e.kind, &e.trees
 			o.cacheHit = true
@@ -538,7 +544,7 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 		}
 	}
 	if !held {
-		if own := st.store(compiled, o.kind, cat.Version()); trees == nil {
+		if own := st.store(compiled, o.kind, cat.Version(), fp); trees == nil {
 			trees = own
 		}
 	}
@@ -578,7 +584,9 @@ func linesResult(column, text string) *Result {
 // separated in time, since the result of the compilation stage can be
 // stored for future use" (section 3). It is a handle on the statement
 // core, not a second way through it: running it is running its text
-// with a plan already in hand.
+// with a plan already in hand. A run after DDL, or under changed
+// settings (another Parallelism, say), re-plans, as a plan-cache lookup
+// would miss.
 type Stmt struct {
 	db *DB
 	// sess is the owning session for Session.Prepare statements, nil
@@ -587,16 +595,20 @@ type Stmt struct {
 	// statement on the same handle.
 	sess  *Session
 	query string
-	// The plan slot: compiled is valid for catalog generation gen only;
-	// the statement core recompiles it when the statement runs against
-	// another one (DDL since may have dropped an index the plan probes
-	// or replaced the table it scans). trees keeps the plan's idle
-	// operator tree, and dies when the slot is refilled. mu guards the
-	// slot — a DB-level Stmt may be shared by goroutines.
+	// The plan slot: compiled is valid for catalog generation gen and
+	// settings fingerprint fp only, exactly like a plan-cache entry; the
+	// statement core recompiles it when the statement runs against
+	// another generation (DDL since may have dropped an index the plan
+	// probes or replaced the table it scans) or under other settings
+	// (a changed Parallelism plans a different exchange, or none).
+	// trees keeps the plan's idle operator tree, and dies when the slot
+	// is refilled. mu guards the slot — a DB-level Stmt may be shared by
+	// goroutines.
 	mu       sync.Mutex
 	compiled *plan.Compiled
 	kind     string
 	gen      int64
+	fp       string
 	trees    *treeSlot
 }
 
@@ -629,15 +641,16 @@ func (s *Stmt) drop() {
 }
 
 // plan returns the handle's plan, statement kind and tree slot if it
-// holds a plan compiled against catalog generation gen. Nil-safe: an
-// ad-hoc statement has no handle and never a private plan.
-func (s *Stmt) plan(gen int64) (*plan.Compiled, string, *treeSlot) {
+// holds a plan compiled against catalog generation gen under settings
+// fingerprint fp. Nil-safe: an ad-hoc statement has no handle and never
+// a private plan.
+func (s *Stmt) plan(gen int64, fp string) (*plan.Compiled, string, *treeSlot) {
 	if s == nil {
 		return nil, "", nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gen != gen {
+	if s.gen != gen || s.fp != fp {
 		return nil, "", nil
 	}
 	return s.compiled, s.kind, s.trees
@@ -645,7 +658,7 @@ func (s *Stmt) plan(gen int64) (*plan.Compiled, string, *treeSlot) {
 
 // store fills the plan slot (nil-safe, like plan) and returns its new
 // tree slot; the previous plan's tree dies.
-func (s *Stmt) store(compiled *plan.Compiled, kind string, gen int64) *treeSlot {
+func (s *Stmt) store(compiled *plan.Compiled, kind string, gen int64, fp string) *treeSlot {
 	if s == nil {
 		return nil
 	}
@@ -653,7 +666,7 @@ func (s *Stmt) store(compiled *plan.Compiled, kind string, gen int64) *treeSlot 
 	s.db.stmtTrees.add(trees, gen)
 	s.mu.Lock()
 	old := s.trees
-	s.compiled, s.kind, s.gen, s.trees = compiled, kind, gen, trees
+	s.compiled, s.kind, s.gen, s.fp, s.trees = compiled, kind, gen, fp, trees
 	s.mu.Unlock()
 	s.db.stmtTrees.drop(old)
 	return trees
