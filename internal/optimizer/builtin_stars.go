@@ -91,22 +91,22 @@ func BuiltinSTARs() []*STAR {
 		}},
 		{Name: "GLUE", Alternatives: []*Alternative{
 			{Name: "AlreadyOrdered", Rank: 1, Build: func(ctx *Ctx, a Args) ([]*plan.Node, error) {
-				if p := cheapestWithOrder(a.Plans, a.ReqOrder); p != nil {
+				if p := cheapestWithOrder(a.Plans, a.ReqOrder, a.eq); p != nil {
 					return []*plan.Node{p}, nil
 				}
 				return nil, nil
 			}, Price: func(ctx *Ctx, a Args) (plan.Props, bool) {
-				if p := cheapestWithOrder(a.Plans, a.ReqOrder); p != nil {
+				if p := cheapestWithOrder(a.Plans, a.ReqOrder, a.eq); p != nil {
 					return p.Props, true
 				}
 				return plan.Props{}, false
 			}},
 			{Name: "AddSort", Rank: 1, Build: func(ctx *Ctx, a Args) ([]*plan.Node, error) {
 				p := cheapest(a.Plans)
-				if p == nil || a.Kept.Dominates(costSort(p.Props, a.ReqOrder)) {
+				if p == nil || a.Kept.Dominates(costSort(p.Props, a.ReqOrder), p.Cols) {
 					return nil, nil // an already-ordered plan is no dearer
 				}
-				return []*plan.Node{sortNode(p, a.ReqOrder)}, nil
+				return []*plan.Node{a.sorts.sort(p, a.ReqOrder)}, nil
 			}, Price: func(ctx *Ctx, a Args) (plan.Props, bool) {
 				if p := cheapest(a.Plans); p != nil {
 					return costSort(p.Props, a.ReqOrder), true
@@ -495,7 +495,7 @@ func buildNLJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 	var pred expr.Expr
 	for _, l := range a.Left {
 		props := ctx.Opt.costNLJoin(l.Props, r.Props, sel, len(a.Preds))
-		if a.Kept.Dominates(props) {
+		if a.Kept.Dominates(props, l.Cols) {
 			continue
 		}
 		if pred == nil {
@@ -522,7 +522,7 @@ func buildHashJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 	}
 	sel := ctx.Opt.conjunctSelectivity(a.Preds)
 	props := ctx.Opt.costFilter(ctx.Opt.costHashJoin(k.l.Props, k.r.Props, sel), k.residual)
-	if a.Kept.Dominates(props) {
+	if a.Kept.Dominates(props, k.l.Cols) {
 		return nil, nil
 	}
 	cols, types := joinCols(k.l, k.r)
@@ -558,16 +558,17 @@ func buildMergeJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 	// the join columns. Required properties are achieved by additional
 	// glue STARs." The key slots are the reference inputs', so GLUE
 	// sees only the plans laid out like them.
-	la := Args{Plans: sameLayout(a.Left, k.l), ReqOrder: k.lorder}
-	ra := Args{Plans: sameLayout(a.Right, k.r), ReqOrder: k.rorder}
+	la := Args{Plans: sameLayout(a.Left, k.l), ReqOrder: k.lorder, eq: a.leftEq, sorts: a.sorts}
+	ra := Args{Plans: sameLayout(a.Right, k.r), ReqOrder: k.rorder, eq: a.rightEq, sorts: a.sorts}
 	sel := ctx.Opt.conjunctSelectivity(a.Preds)
 	// Price GLUE first, so that a dominated merge join adds no SORT.
 	lp, lok := ctx.Price("GLUE", la)
 	rp, rok := ctx.Price("GLUE", ra)
-	if lok && rok && a.Kept.Dominates(ctx.Opt.costMergeJoin(lp, rp, sel, k.lorder)) {
+	if lok && rok && a.Kept.Dominates(ctx.Opt.costMergeJoin(lp, rp, sel, k.lorder), k.l.Cols) {
 		return nil, nil
 	}
-	la.Kept, ra.Kept = &Candidates{}, &Candidates{} // AddSort prices against AlreadyOrdered
+	// AddSort prices against AlreadyOrdered.
+	la.Kept, ra.Kept = &Candidates{eq: la.eq}, &Candidates{eq: ra.eq}
 	lg, err := ctx.Evaluate("GLUE", la)
 	if err != nil {
 		return nil, err
@@ -578,7 +579,7 @@ func buildMergeJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 		return nil, err
 	}
 	props := ctx.Opt.costMergeJoin(l.Props, r.Props, sel, k.lorder)
-	if a.Kept.Dominates(props) {
+	if a.Kept.Dominates(props, l.Cols) {
 		return nil, nil
 	}
 	cols, types := joinCols(l, r)

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -47,8 +48,11 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		m uint32
 	}
 	var preds []predInfo
+	var eqs setEqualities
 	for _, p := range joinPreds {
-		preds = append(preds, predInfo{p, predMask(p)})
+		m := predMask(p)
+		preds = append(preds, predInfo{p, m})
+		eqs.add(p, m)
 	}
 
 	best := make(map[uint32][]*plan.Node)
@@ -62,7 +66,7 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		if len(plans) == 0 {
 			return nil, fmt.Errorf("optimizer: no access plan for iterator %s", q.Name)
 		}
-		best[1<<uint32(i)] = prunePlans(plans)
+		best[1<<uint32(i)] = prunePlans(plans, nil)
 	}
 
 	if n == 1 {
@@ -94,21 +98,25 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		return false
 	}
 
-	// JOIN prices candidates against the set's kept plans (Args.Kept).
+	// JOIN prices candidates against the set's kept plans (Args.Kept),
+	// which it compares modulo the set's equalities; GLUE sorts an
+	// input at most once per key list (Args.sorts).
 	var kept Candidates
 	var keys joinKeys
-	join := func(s1, s2 uint32) error {
+	sorts := sortMemo{}
+	join := func(s1, s2 uint32, np []expr.Expr) error {
 		l, r := best[s1], best[s2]
 		if len(l) == 0 || len(r) == 0 {
 			return nil
 		}
 		s := s1 | s2
-		kept.Plans = best[s]
-		a := Args{Left: l, Right: r, Preds: newPreds(s1, s2), Kept: &kept, keys: &keys}
+		kept.Plans, kept.eq = best[s], eqs.of(s)
+		a := Args{Left: l, Right: r, Preds: np, Kept: &kept, keys: &keys,
+			leftEq: eqs.of(s1), rightEq: eqs.of(s2), sorts: sorts}
 		if _, err := ctx.Evaluate("JOIN", a); err != nil {
 			return err
 		}
-		best[s] = prunePlans(kept.Plans)
+		best[s] = prunePlans(kept.Plans, kept.eq)
 		return nil
 	}
 
@@ -136,10 +144,11 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 					if !cart && !connected(sub, rest) {
 						continue
 					}
-					if err := join(sub, rest); err != nil {
+					np := newPreds(sub, rest)
+					if err := join(sub, rest, np); err != nil {
 						return nil, err
 					}
-					if err := join(rest, sub); err != nil {
+					if err := join(rest, sub, np); err != nil {
 						return nil, err
 					}
 				}
@@ -150,4 +159,151 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		return nil, fmt.Errorf("optimizer: enumerator found no plan for the full iterator set")
 	}
 	return best[full], nil
+}
+
+// equalities are the classes of columns that an iterator set's applied
+// Col = Col join predicates equate: in every row a plan for the set
+// produces, the columns of a class hold one value, so an order on one
+// of them is an order on each (the applied-predicates property of
+// [LOHM88]). A nil *equalities has no classes.
+type equalities struct {
+	cols []plan.ColRef // the enumeration's equated columns
+	rep  []int         // rep[i] indexes the representative of cols[i]'s class
+}
+
+// class names column c's class by its representative; a column in no
+// class is its own.
+func (e *equalities) class(c plan.ColRef) plan.ColRef {
+	if e != nil {
+		for i, x := range e.cols {
+			if x == c {
+				return e.cols[e.rep[i]]
+			}
+		}
+	}
+	return c
+}
+
+// orderSatisfies reports whether order have, whose slots index layout
+// hcols, satisfies the required order req, whose slots index rcols,
+// modulo e. Each key stands for its column's class; a key whose class
+// an earlier key of the same order names is dropped (rows tied on the
+// earlier key tie on it too); and what is left of req must be a prefix
+// of what is left of have, Desc included. With no equalities, one
+// layout and no repeated slot, this is plan.Props.OrderSatisfies.
+func (e *equalities) orderSatisfies(have []plan.SortKey, hcols []plan.ColRef, req []plan.SortKey, rcols []plan.ColRef) bool {
+	if len(have) == 0 {
+		return len(req) == 0
+	}
+	h := 0
+	for i, k := range req {
+		c := e.class(rcols[k.Slot])
+		if e.names(req[:i], rcols, c) {
+			continue
+		}
+		for h < len(have) && e.names(have[:h], hcols, e.class(hcols[have[h].Slot])) {
+			h++
+		}
+		if h == len(have) || have[h].Desc != k.Desc || e.class(hcols[have[h].Slot]) != c {
+			return false
+		}
+		h++
+	}
+	return true
+}
+
+// names reports whether a key of keys, whose slots index cols, stands
+// for class c.
+func (e *equalities) names(keys []plan.SortKey, cols []plan.ColRef, c plan.ColRef) bool {
+	for _, k := range keys {
+		if e.class(cols[k.Slot]) == c {
+			return true
+		}
+	}
+	return false
+}
+
+// setEqualities memoizes the equalities of each iterator set of one
+// enumeration.
+type setEqualities struct {
+	cols  []plan.ColRef
+	edges []eqEdge
+	memo  map[uint32]*equalities
+}
+
+// eqEdge is a Col = Col join predicate between two iterators: the
+// indexes of its columns in setEqualities.cols and its iterator bits.
+type eqEdge struct {
+	l, r int
+	m    uint32
+}
+
+// add records join predicate p, whose iterator bits are m, if it is a
+// Col = Col predicate over two iterators whose columns share a type, so
+// that equal values sort alike.
+func (se *setEqualities) add(p expr.Expr, m uint32) {
+	cmp, ok := p.(*expr.Cmp)
+	if !ok || cmp.Op != expr.OpEq || bits.OnesCount32(m) != 2 {
+		return
+	}
+	lc, lok := cmp.L.(*expr.Col)
+	rc, rok := cmp.R.(*expr.Col)
+	if lok && rok && lc.Typ == rc.Typ {
+		se.edges = append(se.edges, eqEdge{se.index(lc), se.index(rc), m})
+	}
+}
+
+// index returns column c's index in se.cols, adding it if need be.
+func (se *setEqualities) index(c *expr.Col) int {
+	ref := plan.ColRef{QID: c.QID, Ord: c.Ord}
+	if i := slices.Index(se.cols, ref); i >= 0 {
+		return i
+	}
+	se.cols = append(se.cols, ref)
+	return len(se.cols) - 1
+}
+
+// of returns the equalities of iterator set s: the classes of the
+// predicates whose two iterators s holds, which every plan for s has
+// applied. They are not the query's classes (impliedEqualities): two
+// columns of one iterator that a third one equates are equal only in
+// the sets that hold all three.
+func (se *setEqualities) of(s uint32) *equalities {
+	if len(se.edges) == 0 {
+		return nil
+	}
+	if e, ok := se.memo[s]; ok {
+		return e
+	}
+	var e *equalities
+	for _, ed := range se.edges {
+		if ed.m&^s != 0 {
+			continue
+		}
+		if e == nil {
+			e = &equalities{cols: se.cols, rep: make([]int, len(se.cols))}
+			for i := range e.rep {
+				e.rep[i] = i
+			}
+		}
+		e.rep[e.find(ed.l)] = e.find(ed.r)
+	}
+	if e != nil {
+		for i := range e.rep {
+			e.rep[i] = e.find(i)
+		}
+	}
+	if se.memo == nil {
+		se.memo = map[uint32]*equalities{}
+	}
+	se.memo[s] = e
+	return e
+}
+
+// find is the union-find root of cols[i] while of builds e.
+func (e *equalities) find(i int) int {
+	for e.rep[i] != i {
+		i = e.rep[i]
+	}
+	return i
 }

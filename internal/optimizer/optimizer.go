@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -239,6 +240,26 @@ func sortNode(in *plan.Node, keys []plan.SortKey) *plan.Node {
 		SortKeys: keys,
 		Props:    costSort(in.Props, keys),
 	}
+}
+
+// sortMemo holds, by input, the SORTs that GLUE built during one join
+// enumeration: the splits of a set, and the sets that share an input,
+// require the same orders of it again and again.
+type sortMemo map[*plan.Node][]*plan.Node
+
+// sort returns a SORT of in on keys, the memo's if it has one. A nil
+// memo builds afresh.
+func (m sortMemo) sort(in *plan.Node, keys []plan.SortKey) *plan.Node {
+	for _, s := range m[in] {
+		if slices.Equal(s.SortKeys, keys) {
+			return s
+		}
+	}
+	s := sortNode(in, keys)
+	if m != nil {
+		m[in] = append(m[in], s)
+	}
+	return s
 }
 
 func filterNode(o *Optimizer, in *plan.Node, preds []expr.Expr) *plan.Node {

@@ -481,14 +481,14 @@ func TestPrunePlansKeepsInterestingOrders(t *testing.T) {
 	cheap := &plan.Node{Op: "A", Props: plan.Props{Cost: 10}}
 	orderedExpensive := &plan.Node{Op: "B", Props: plan.Props{Cost: 20, Order: []plan.SortKey{{Slot: 0}}}}
 	dominated := &plan.Node{Op: "C", Props: plan.Props{Cost: 30}}
-	out := prunePlans([]*plan.Node{cheap, orderedExpensive, dominated})
+	out := prunePlans([]*plan.Node{cheap, orderedExpensive, dominated}, nil)
 	if len(out) != 2 {
 		t.Fatalf("pruned to %d, want 2 (cheapest + ordered)", len(out))
 	}
 	// Identical plans: exactly one survives.
 	a := &plan.Node{Op: "X", Props: plan.Props{Cost: 5}}
 	b := &plan.Node{Op: "Y", Props: plan.Props{Cost: 5}}
-	out = prunePlans([]*plan.Node{a, b})
+	out = prunePlans([]*plan.Node{a, b}, nil)
 	if len(out) != 1 {
 		t.Fatalf("tie pruning kept %d", len(out))
 	}
@@ -498,16 +498,21 @@ func TestPrunePlansKeepsInterestingOrders(t *testing.T) {
 // that the kept plans dominate — Evaluate adds each alternative's
 // candidates to them before the next alternative runs — leaves
 // prunePlans' survivors and their order exactly as building them all
-// would. Small integer costs make ties common.
+// would. Small integer costs make ties common; the plans come in both
+// layouts of a two-iterator set, compared with and without an applied
+// equality between the iterators' columns.
 func TestDominatesMirrorsPrunePlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orders := [][]plan.SortKey{nil, {{Slot: 0}}, {{Slot: 1}}, {{Slot: 0}, {Slot: 1}}, {{Slot: 0, Desc: true}}}
+	layouts := [][]plan.ColRef{{{QID: 1}, {QID: 2}}, {{QID: 2}, {QID: 1}}}
 	mk := func() *plan.Node {
-		return &plan.Node{Props: plan.Props{Cost: float64(rng.Intn(5)), Order: orders[rng.Intn(len(orders))]}}
+		return &plan.Node{Cols: layouts[rng.Intn(2)], Props: plan.Props{Cost: float64(rng.Intn(5)), Order: orders[rng.Intn(len(orders))]}}
 	}
+	joined := testEqualities().of(0b11)
 	var none *Candidates
-	for trial := 0; trial < 5000; trial++ {
-		kept := &Candidates{}
+	for trial := 0; trial < 10000; trial++ {
+		eq := []*equalities{nil, joined}[trial%2]
+		kept := &Candidates{eq: eq}
 		for i := rng.Intn(4); i > 0; i-- {
 			kept.Plans = append(kept.Plans, mk())
 		}
@@ -517,17 +522,107 @@ func TestDominatesMirrorsPrunePlans(t *testing.T) {
 			for i := 1 + rng.Intn(3); i > 0; i-- {
 				p := mk()
 				eager = append(eager, p)
-				if none.Dominates(p.Props) {
+				if none.Dominates(p.Props, p.Cols) {
 					t.Fatal("no pricing hint must dominate nothing")
 				}
-				if !kept.Dominates(p.Props) {
+				if !kept.Dominates(p.Props, p.Cols) {
 					built = append(built, p)
 				}
 			}
 			kept.Plans = append(kept.Plans, built...)
 		}
-		if got, want := prunePlans(kept.Plans), prunePlans(eager); !slices.Equal(got, want) {
+		if got, want := prunePlans(kept.Plans, eq), prunePlans(eager, eq); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: priced survivors %v, eager %v", trial, props(got), props(want))
+		}
+	}
+}
+
+// testEqualities equates, as join predicates over iterators 1, 2 and 3
+// (bits 0, 1 and 2), 1.0 = 2.0, 2.0 = 1.1 and 1.1 = 3.0.
+func testEqualities() *setEqualities {
+	col := func(qid, ord int) *expr.Col { return expr.NewCol(qid, ord, "", datum.TInt) }
+	se := &setEqualities{}
+	for _, p := range [][2]*expr.Col{{col(1, 0), col(2, 0)}, {col(2, 0), col(1, 1)}, {col(1, 1), col(3, 0)}} {
+		se.add(&expr.Cmp{Op: expr.OpEq, L: p[0], R: p[1]}, 1<<(p[0].QID-1)|1<<(p[1].QID-1))
+	}
+	return se
+}
+
+// TestEqualitiesOrderSatisfies: orders compare modulo the equalities
+// of the iterator set, through each plan's own layout. With a = 1, b = 2
+// and c = 3, set {a, b} equates a.k, b.k and a.v; {a, c} only a.v and
+// c.k; and {a} nothing, although the query equates a.k and a.v.
+func TestEqualitiesOrderSatisfies(t *testing.T) {
+	eqs := testEqualities()
+	ak, av, bk, bv := plan.ColRef{QID: 1}, plan.ColRef{QID: 1, Ord: 1}, plan.ColRef{QID: 2}, plan.ColRef{QID: 2, Ord: 1}
+	ck := plan.ColRef{QID: 3}
+	ab, ba, ac := []plan.ColRef{ak, av, bk, bv}, []plan.ColRef{bk, bv, ak, av}, []plan.ColRef{ak, av, ck}
+	asc := func(slots ...int) []plan.SortKey {
+		out := make([]plan.SortKey, len(slots))
+		for i, s := range slots {
+			out[i] = plan.SortKey{Slot: s}
+		}
+		return out
+	}
+	desc := func(slot int) []plan.SortKey { return []plan.SortKey{{Slot: slot, Desc: true}} }
+	if eqs.of(0b001) != nil {
+		t.Fatal("a singleton set has applied no equality")
+	}
+	for _, c := range []struct {
+		name  string
+		set   uint32
+		have  []plan.SortKey
+		hcols []plan.ColRef
+		req   []plan.SortKey
+		rcols []plan.ColRef
+		want  bool
+	}{
+		{"equal column", 0b011, asc(0), ab, asc(2), ab, true},
+		{"duplicate-class req", 0b011, asc(0), ab, asc(2, 0, 1), ab, true},
+		{"duplicate-class have", 0b011, asc(0, 2, 3), ab, asc(1, 3), ab, true},
+		{"longer req", 0b011, asc(0), ab, asc(2, 3), ab, false},
+		{"other class", 0b011, asc(3), ab, asc(0), ab, false},
+		{"desc mismatch", 0b011, desc(0), ab, asc(2), ab, false},
+		{"desc match", 0b011, desc(0), ab, desc(2), ab, true},
+		{"two layouts", 0b011, asc(0), ab, asc(0), ba, true},
+		{"two layouts, other class", 0b011, asc(3), ab, asc(3), ba, false},
+		{"two layouts, no equalities", 0, asc(0), ab, asc(0), ba, false},
+		{"two layouts, one column", 0, asc(0), ab, asc(2), ba, true},
+		{"singleton set", 0b001, asc(0), ab, asc(1), ab, false},
+		{"class without a.k", 0b101, asc(0), ac, asc(1), ac, false},
+		{"class of a.v and c.k", 0b101, asc(1), ac, asc(2), ac, true},
+		{"empty req", 0, nil, ab, nil, ab, true},
+		{"empty have", 0b011, nil, ab, asc(0), ab, false},
+	} {
+		if got := eqs.of(c.set).orderSatisfies(c.have, c.hcols, c.req, c.rcols); got != c.want {
+			t.Errorf("%s: orderSatisfies(%v, %v) = %v, want %v", c.name, c.have, c.req, got, c.want)
+		}
+	}
+
+	// With no equalities and one layout, it is OrderSatisfies for every
+	// pair of orders without a repeated slot.
+	var orders [][]plan.SortKey
+	var gen func(prefix []plan.SortKey)
+	gen = func(prefix []plan.SortKey) {
+		orders = append(orders, prefix)
+		if len(prefix) == 3 {
+			return
+		}
+		for slot := 0; slot < 3; slot++ {
+			if !slices.ContainsFunc(prefix, func(k plan.SortKey) bool { return k.Slot == slot }) {
+				gen(append(slices.Clone(prefix), plan.SortKey{Slot: slot}))
+				gen(append(slices.Clone(prefix), plan.SortKey{Slot: slot, Desc: true}))
+			}
+		}
+	}
+	gen(nil)
+	var none *equalities
+	for _, have := range orders {
+		for _, req := range orders {
+			p := plan.Props{Order: have}
+			if got, want := none.orderSatisfies(have, ab, req, ab), p.OrderSatisfies(req); got != want {
+				t.Fatalf("nil equalities: %v satisfies %v = %v, OrderSatisfies says %v", have, req, got, want)
+			}
 		}
 	}
 }

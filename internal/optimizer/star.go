@@ -37,20 +37,31 @@ type Args struct {
 	Kept *Candidates
 	// keys memoizes a JOIN evaluation's equiKeys.
 	keys *joinKeys
+	// eq are the equalities GLUE's Plans have applied, leftEq and
+	// rightEq those of JOIN's Left and Right (nil: none known).
+	eq, leftEq, rightEq *equalities
+	// sorts holds the SORTs GLUE built in this join enumeration.
+	sorts sortMemo
 }
 
-// Candidates are the plans a STAR evaluation's result is pruned with.
-type Candidates struct{ Plans []*plan.Node }
+// Candidates are the plans a STAR evaluation's result is pruned with,
+// and the equalities prunePlans compares their orders modulo.
+type Candidates struct {
+	Plans []*plan.Node
+	eq    *equalities
+}
 
 // Dominates reports whether prunePlans drops a candidate with
-// properties p listed after c's plans: one costs no more and has an
-// order satisfying p's. A nil c (no pricing hint) dominates nothing.
-func (c *Candidates) Dominates(p plan.Props) bool {
+// properties p, whose order slots index layout cols, listed after c's
+// plans: one costs no more and has an order satisfying p's modulo c's
+// equalities. Comparing modulo equalities is still a preorder, so the
+// skip stays sound. A nil c (no pricing hint) dominates nothing.
+func (c *Candidates) Dominates(p plan.Props, cols []plan.ColRef) bool {
 	if c == nil {
 		return false
 	}
 	for _, q := range c.Plans {
-		if q.Props.Cost <= p.Cost && q.Props.OrderSatisfies(p.Order) {
+		if q.Props.Cost <= p.Cost && c.eq.orderSatisfies(q.Props.Order, q.Cols, p.Order, cols) {
 			return true
 		}
 	}
@@ -255,13 +266,17 @@ func (ctx *Ctx) Price(star string, a Args) (best plan.Props, ok bool) {
 // prunePlans keeps, from a candidate set, every plan that is not
 // dominated: a plan survives if no other plan has lower-or-equal cost
 // AND an order satisfying the survivor's order (interesting orders keep
-// more expensive but usefully ordered plans alive).
+// more expensive but usefully ordered plans alive). Orders compare
+// through each plan's own layout modulo eq, the equalities the set's
+// plans have all applied: an order on a.k and one on b.k are one
+// interesting order once a.k = b.k is applied.
 //
-// Domination is transitive (costs compare, order prefixes nest, ties
-// break on position), so dropping a plan that an earlier one dominates
-// changes no survivor: a pricing alternative may skip such a candidate
-// unbuilt, and pruning after every split equals pruning once per set.
-func prunePlans(cands []*plan.Node) []*plan.Node {
+// Domination is transitive (costs compare, reduced order prefixes nest,
+// ties break on position), so dropping a plan that an earlier one
+// dominates changes no survivor: a pricing alternative may skip such a
+// candidate unbuilt, and pruning after every split equals pruning once
+// per set.
+func prunePlans(cands []*plan.Node, eq *equalities) []*plan.Node {
 	var out []*plan.Node
 	for i, p := range cands {
 		dominated := false
@@ -269,7 +284,7 @@ func prunePlans(cands []*plan.Node) []*plan.Node {
 			if i == j {
 				continue
 			}
-			if q.Props.Cost <= p.Props.Cost && q.Props.OrderSatisfies(p.Props.Order) {
+			if q.Props.Cost <= p.Props.Cost && eq.orderSatisfies(q.Props.Order, q.Cols, p.Props.Order, p.Cols) {
 				// Tie-break deterministically on index to avoid mutual
 				// elimination of identical plans.
 				if q.Props.Cost < p.Props.Cost || j < i {
@@ -296,12 +311,13 @@ func cheapest(plans []*plan.Node) *plan.Node {
 	return best
 }
 
-// cheapestWithOrder returns the lowest-cost plan satisfying an order,
-// or nil.
-func cheapestWithOrder(plans []*plan.Node, req []plan.SortKey) *plan.Node {
+// cheapestWithOrder returns the lowest-cost plan satisfying an order
+// modulo eq, the equalities the plans have applied, or nil. req's
+// slots index each plan's layout.
+func cheapestWithOrder(plans []*plan.Node, req []plan.SortKey, eq *equalities) *plan.Node {
 	var best *plan.Node
 	for _, p := range plans {
-		if !p.Props.OrderSatisfies(req) {
+		if !eq.orderSatisfies(p.Props.Order, p.Cols, req, p.Cols) {
 			continue
 		}
 		if best == nil || p.Props.Cost < best.Props.Cost {
