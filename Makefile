@@ -89,13 +89,16 @@ examples:
 # writer (TestSearchAgainRacingWriter). The exchange tests
 # (TestParallel*) run too: every GATHER and REPART spawns worker
 # goroutines, whatever the statement, so their joins and drains get the
-# repeated race runs.
+# repeated race runs — the nested-loop apply operator inside workers
+# included (TestParallelNonEquiJoin). TestSubqueryPathsAgree re-runs
+# every subquery flavor as a SUBQ node and as an expression subplan,
+# the two users of the one inner runner and set-predicate fold.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/
 
-STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

@@ -23,22 +23,25 @@ var ctxSharedAnalyzer = &analyzer{
 // is either lost (value fields on the copy) or a data race (reference
 // fields like the rec map shared through the copy).
 var ctxSharedFields = map[string]bool{
-	"Affected":   true,
-	"SubqHits":   true,
-	"SubqMisses": true,
-	"Rollbacks":  true,
-	"ec":         true,
-	"rec":        true,
+	"Affected":  true,
+	"Rollbacks": true,
+	"ec":        true,
+	"rec":       true,
 }
 
 // ctxSerialReceivers are the operator types allowed to write those
 // fields: the serial-only set. The optimizer's exchange-insertion pass
-// refuses to parallelize subtrees containing DML, subqueries or
-// recursion, so methods on these types provably run on the root
-// statement goroutine. Ctx's own methods are its API and are exempt.
+// refuses to parallelize subtrees containing DML or recursion, so
+// methods on these types provably run on the root statement goroutine.
+// The apply operator (NLJN and SUBQ) is not here: it writes only the
+// atomic shared record and, through Ctx.setCorr, the correlation vector
+// of its own worker's Ctx copy. Subqueries stay serial for a cost
+// reason, not a Ctx one: each worker would keep its own inner-result
+// cache and run the inner once per correlation value it meets, which
+// exchange placement does not price. Ctx's own methods are its API and
+// are exempt.
 var ctxSerialReceivers = map[string]bool{
 	"Ctx":            true,
-	"subplanRunner":  true,
 	"recUnionOp":     true,
 	"recRefOp":       true,
 	"insertOp":       true,

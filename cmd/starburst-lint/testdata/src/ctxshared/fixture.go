@@ -5,25 +5,24 @@
 package fixctx
 
 type Ctx struct {
-	Affected   int64
-	SubqHits   int64
-	SubqMisses int64
-	rec        map[int]int
-	ec         struct{ Corr []int }
+	Affected  int64
+	Rollbacks int64
+	rec       map[int]int
+	ec        struct{ Corr []int }
 }
 
 type badOp struct{}
 
 func (o *badOp) Next(ctx *Ctx) {
-	ctx.Affected++    // want ctx-shared-mutation "writes Ctx.Affected"
-	ctx.SubqHits += 2 // want ctx-shared-mutation "writes Ctx.SubqHits"
-	ctx.rec[1] = 1    // want ctx-shared-mutation "writes Ctx.rec"
-	ctx.ec.Corr = nil // want ctx-shared-mutation "writes Ctx.ec"
+	ctx.Affected++     // want ctx-shared-mutation "writes Ctx.Affected"
+	ctx.Rollbacks += 2 // want ctx-shared-mutation "writes Ctx.Rollbacks"
+	ctx.rec[1] = 1     // want ctx-shared-mutation "writes Ctx.rec"
+	ctx.ec.Corr = nil  // want ctx-shared-mutation "writes Ctx.ec"
 }
 
 func (o *badOp) Other(ctx *Ctx) {
 	//lint:ignore ctx-shared-mutation fixture: demonstrates a justified suppression
-	ctx.SubqMisses++
+	ctx.Rollbacks++
 }
 
 type insertOp struct{}
@@ -41,5 +40,5 @@ func (c *Ctx) reset() {
 }
 
 func reads(ctx *Ctx) int64 {
-	return ctx.Affected + ctx.SubqHits // reads are always fine
+	return ctx.Affected + ctx.Rollbacks // reads are always fine
 }

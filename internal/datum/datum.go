@@ -512,12 +512,18 @@ func RowsEqual(a, b Row) bool {
 // elimination in UNION/INTERSECT/EXCEPT and recursive fixpoints. It is
 // consistent with Identical: identical rows map to equal keys.
 func RowKey(r Row) string {
-	buf := make([]byte, 0, 16*len(r))
+	return string(AppendRowKey(make([]byte, 0, 16*len(r)), r))
+}
+
+// AppendRowKey appends RowKey's bytes for r to buf, so a caller keying
+// a map by row can reuse one buffer and look up with string(buf)
+// without allocating.
+func AppendRowKey(buf []byte, r Row) []byte {
 	for _, v := range r {
 		// INT uses the canonical numeric form shared with FLOAT; the
 		// per-value encoding lives in appendValueKey (colbatch.go) so the
 		// columnar key builder stays byte-identical.
 		buf = appendValueKey(buf, v)
 	}
-	return string(buf)
+	return buf
 }

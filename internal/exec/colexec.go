@@ -11,13 +11,14 @@
 // that way: the reference the equivalence corpus checks the kernels
 // against.
 //
-// Row-only children (ISCAN, SORT, subqueries, set operations,
-// recursion, VALUES) enter a batch operator through batchFeed, and a
-// row-only parent pulls a batch operator through Next, which
-// materializes each batch into rows (rowFeed). Fault-wrapped, durable
-// and virtual relations whose iterators lack the ColScanner capability
-// are read row by row into vectors, so the fault/budget/cancel
-// machinery exercises the batch operators too.
+// Row-only children (ISCAN, SORT, the nested-loop apply that every
+// NLJN and SUBQ node builds, set operations, recursion, VALUES) enter
+// a batch operator through batchFeed, and a row-only parent pulls a
+// batch operator through Next, which materializes each batch into rows
+// (rowFeed). Fault-wrapped, durable and virtual relations whose
+// iterators lack the ColScanner capability are read row by row into
+// vectors, so the fault/budget/cancel machinery exercises the batch
+// operators too.
 package exec
 
 import (

@@ -51,9 +51,6 @@ type Ctx struct {
 	rec map[int]*recWorkTable
 	// Affected counts rows touched by DML.
 	Affected int64
-	// SubqHits/SubqMisses count subquery-cache lookups statement-wide
-	// (evaluate-on-demand re-use, section 7).
-	SubqHits, SubqMisses int64
 	// Rollbacks counts write-log rollbacks taken by failing DML.
 	Rollbacks int64
 	// Snap is the MVCC visibility snapshot every scan resolves row
@@ -71,7 +68,8 @@ type Ctx struct {
 	// started/deadline implement the statement timeout.
 	started, deadline time.Time
 	// sh holds the statement-wide atomic counters (work ticks, memory,
-	// early-termination flag) shared with every worker child.
+	// subquery-cache lookups, early-termination flag) shared with every
+	// worker child.
 	sh *shared
 	// colWidth overrides the columnar batch width; 0 means colBatchSize.
 	// Only tests set it (see SetColWidth).
@@ -89,8 +87,9 @@ type Ctx struct {
 	// leaves them to the garbage collector.
 	own *Tree
 	// execID names the execution, worker children included: state an
-	// operator caches across re-opens within one execution (subplan
-	// results) is dropped when it changes.
+	// operator keeps across re-opens within one execution (an inner
+	// runner's counters, a subplan's cached results) is dropped when it
+	// changes.
 	execID uint64
 }
 
@@ -319,14 +318,12 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 		return b.buildProject(n, corr)
 	case plan.OpSort:
 		return b.buildSort(n, corr)
-	case plan.OpNLJoin:
-		return b.buildNLJoin(n, corr)
+	case plan.OpNLJoin, plan.OpSubq:
+		return b.buildApply(n, corr)
 	case plan.OpHSJoin:
 		return b.buildHashJoin(n, corr)
 	case plan.OpSMJoin:
 		return b.buildMergeJoin(n, corr)
-	case plan.OpSubq:
-		return b.buildSubq(n, corr)
 	case plan.OpGroup:
 		return b.buildGroup(n, corr)
 	case plan.OpDistinct:

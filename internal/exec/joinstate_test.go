@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/expr"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
@@ -51,7 +52,12 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 		buildTypes: types[1:], outTypes: types, filter: &joinFilter{}}
 	probe.jf, probe.jfKeys = j.filter, []int{0}
 
-	runner := &subplanRunner{inner: j, cache: newSubqCache()}
+	// The runner's outer rows are the correlation value itself.
+	outerCol := []plan.ColRef{{QID: 1, Ord: 0}}
+	runner, err := newInnerRunner(j, outerCol, envFromCols(outerCol, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var tree Tree
 	ctx := NewCtx(nil, nil)
 	ctx.own = &tree

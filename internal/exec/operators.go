@@ -758,108 +758,9 @@ func (s *sortOp) Close(ctx *Ctx) error {
 // ---------------------------------------------------------------------
 // Joins. The join method (nested-loop, hash, merge) is the control
 // structure; the join kind (regular, leftouter, ...) is the function
-// performed, passed as a parameter — section 7's separation.
-
-type nlJoinOp struct {
-	left, right Stream
-	kind        string
-	pred        expr.Expr
-	rightWidth  int
-
-	inner    []datum.Row
-	leftRow  datum.Row
-	ri       int
-	matched  bool
-	emitNull bool
-	mem      memCharge
-}
-
-func (b *Builder) buildNLJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	l, err := b.Build(n.Inputs[0], corr)
-	if err != nil {
-		return nil, err
-	}
-	r, err := b.Build(n.Inputs[1], corr)
-	if err != nil {
-		return nil, err
-	}
-	env := envFromCols(n.Cols, corr)
-	pred, err := env.bind(n.JoinPred)
-	if err != nil {
-		return nil, err
-	}
-	return &nlJoinOp{
-		left: l, right: r, kind: n.JoinKind,
-		pred: pred, rightWidth: len(n.Inputs[1].Cols),
-	}, nil
-}
-
-func (j *nlJoinOp) Open(ctx *Ctx) error {
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	rows, err := materialize(ctx, j.right)
-	if err != nil {
-		return err
-	}
-	j.inner = rows
-	j.leftRow = nil
-	j.ri = 0
-	return j.mem.charge(ctx, rows)
-}
-
-func (j *nlJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	ec := ctx.exprCtx()
-	for {
-		if j.leftRow == nil {
-			row, ok, err := j.left.Next(ctx)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.leftRow = row
-			j.ri = 0
-			j.matched = false
-		}
-		for j.ri < len(j.inner) {
-			r := j.inner[j.ri]
-			j.ri++
-			// Every considered pair is a work unit: a cross join must be
-			// cancellable even when the predicate rejects everything.
-			if err := ctx.tick(); err != nil {
-				return nil, false, err
-			}
-			out := datum.Concat(j.leftRow, r)
-			if j.pred != nil {
-				v, err := j.pred.Eval(ec, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !datum.TristateOf(v).IsTrue() {
-					continue
-				}
-			}
-			j.matched = true
-			return out, true, nil
-		}
-		// Exhausted inner for this left row.
-		if j.kind == plan.KindLeftOuter && !j.matched {
-			nulls := make(datum.Row, j.rightWidth)
-			for i := range nulls {
-				nulls[i] = datum.Null
-			}
-			out := datum.Concat(j.leftRow, nulls)
-			j.leftRow = nil
-			return out, true, nil
-		}
-		j.leftRow = nil
-	}
-}
-
-func (j *nlJoinOp) Close(ctx *Ctx) error {
-	j.inner = nil
-	j.mem.release(ctx)
-	return errors.Join(j.left.Close(ctx), j.right.Close(ctx))
-}
+// performed, passed as a parameter — section 7's separation. The
+// nested-loop method is the apply operator (subquery.go), shared with
+// the subquery kinds.
 
 type mergeJoinOp struct {
 	left, right  Stream

@@ -15,7 +15,8 @@ import (
 // add and a compare against the row budget on every charge, and a real
 // cancellation/deadline check every tickInterval tuples — and charge
 // materialized state (sort runs, hash tables, temps, group state,
-// recursive work tables) against the memory budget via Reserve.
+// recursive work tables, cached inner results) against the memory
+// budget via Reserve.
 //
 // The counters live in a shared record referenced by every Ctx of the
 // statement (the parent and the per-worker children an exchange
@@ -34,7 +35,9 @@ type Limits struct {
 	MaxRows int64
 	// MaxMem bounds the estimated bytes of state materialized at any one
 	// time by sorts, hash tables, temps, grouping and set operations,
-	// table-function results and recursive work tables.
+	// table-function results, recursive work tables, and the inner
+	// results a nested-loop join or subquery holds — the subquery cache
+	// of evaluate-on-demand included.
 	MaxMem int64
 	// Timeout bounds the statement's wall-clock execution time.
 	Timeout time.Duration
@@ -81,6 +84,9 @@ type shared struct {
 	ticks atomic.Int64
 	// memUsed is the estimated bytes of materialized operator state.
 	memUsed atomic.Int64
+	// subqHits/subqMisses count correlated inner-result cache lookups
+	// (evaluate-on-demand re-use, section 7); see SubqCache.
+	subqHits, subqMisses atomic.Int64
 	// done is the "no more rows needed" signal: LIMIT sets it once its
 	// quota is filled so parallel scan workers stop draining their
 	// morsels. It is advisory — serial operators simply never look.
@@ -181,6 +187,12 @@ func (c *Ctx) Release(bytes int64) {
 
 // MemUsed reports the bytes currently charged to the statement.
 func (c *Ctx) MemUsed() int64 { return c.sh.memUsed.Load() }
+
+// SubqCache reports the statement's correlated inner-result cache
+// lookups: hits re-used a cached result, misses ran the inner plan.
+func (c *Ctx) SubqCache() (hits, misses int64) {
+	return c.sh.subqHits.Load(), c.sh.subqMisses.Load()
+}
 
 // memCharge tracks one operator's reservation so Open/Close pairs stay
 // balanced even when Open re-materializes.

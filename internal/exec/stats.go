@@ -117,7 +117,7 @@ type colStatsOp struct {
 func (s *statsOp) decorated() Stream { return s.inner }
 
 // cacheStats is implemented by operators that evaluate subplans on
-// demand (subqOp); the decorator copies the statement-cumulative
+// demand (applyOp); the decorator copies the statement-cumulative
 // totals at Close.
 type cacheStats interface {
 	CacheStats() (hits, misses int64)

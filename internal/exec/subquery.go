@@ -10,280 +10,348 @@ import (
 	"repro/internal/storage"
 )
 
-// subqCache implements the "evaluate-on-demand" mechanism of section 7:
-// subqueries are evaluated only when needed, and re-evaluation is
-// avoided when the correlation values have not changed. The cache keys
-// materialized inner results by correlation-vector value.
-type subqCache struct {
-	entries map[string][]datum.Row
-	// Hits/Misses are exposed for the evaluate-on-demand experiment.
-	Hits, Misses int64
-	cap          int
-}
-
-func newSubqCache() *subqCache {
-	return &subqCache{entries: map[string][]datum.Row{}, cap: 4096}
-}
-
-// reset empties the cache and zeroes its counters.
-func (c *subqCache) reset() {
-	clear(c.entries)
-	c.Hits, c.Misses = 0, 0
-}
-
-func (c *subqCache) get(key string) ([]datum.Row, bool) {
-	r, ok := c.entries[key]
-	if ok {
-		c.Hits++
-	} else {
-		c.Misses++
-	}
-	return r, ok
-}
-
-func (c *subqCache) put(key string, rows []datum.Row) {
-	if len(c.entries) >= c.cap {
-		// Simple reset; correlation values usually cluster, so a full
-		// reset is rare and keeps the structure trivial.
-		c.entries = map[string][]datum.Row{}
-	}
-	if rows == nil {
-		rows = []datum.Row{}
-	}
-	c.entries[key] = rows
-}
-
-// subplanRunner evaluates an inner plan under a correlation vector,
-// caching by correlation value for one execution.
-type subplanRunner struct {
-	inner  Stream
-	cache  *subqCache
-	execID uint64
-}
-
-func (r *subplanRunner) rows(ctx *Ctx, corr datum.Row) ([]datum.Row, error) {
-	if r.execID != ctx.execID {
-		r.cache.reset()
-		r.execID = ctx.execID
-	}
-	key := datum.RowKey(corr)
-	if rows, ok := r.cache.get(key); ok {
-		ctx.SubqHits++
-		return rows, nil
-	}
-	ctx.SubqMisses++
-	saved := ctx.setCorr(corr)
-	rows, err := materialize(ctx, r.inner)
-	ctx.setCorr(saved)
-	if err != nil {
-		return nil, err
-	}
-	r.cache.put(key, rows)
-	return rows, nil
-}
-
 // ---------------------------------------------------------------------
-// SUBQ: applies a subquery quantifier to each outer tuple. The join
-// kind is a parameter (exists / op-all / scalar-subquery / custom set
-// predicates), separated from the (nested-loop) control structure.
+// Apply: the nested-loop join method of section 7. For each outer row
+// an inner runner yields the inner result under that row's correlation
+// vector, and the node's join kind — a parameter, not a control
+// structure — says what to make of it. Every NLJN (regular, leftouter)
+// and SUBQ (lateral, scalar-subquery, exists, op-all, custom set
+// predicate) node builds an applyOp.
 
-type subqOp struct {
-	input    Stream
-	runner   *subplanRunner
-	kind     string
-	negated  bool
-	setPred  string
-	preds    []expr.Expr // evaluated over concat(outer, inner element)
-	corrRefs []expr.Expr // evaluated over the outer row
-	innerW   int
-	builder  *Builder
-	setReg   setPredLookup
-	// pending buffers multi-row emissions (lateral kind).
-	pending []datum.Row
-	// both is the set-predicate fold's row: the outer row, then one inner
-	// element after another in its tail. The predicates only read it.
-	both datum.Row
-	// prevHits/prevMisses carry cache totals across the re-opens of one
-	// execution (each Open starts an empty cache), so CacheStats is
-	// statement-cumulative.
-	prevHits, prevMisses int64
-	execID               uint64
+type applyOp struct {
+	outer Stream
+	run   *innerRunner
+	// preds are evaluated over the outer row followed by one inner row.
+	preds []expr.Expr
+	// fold, when it has a set predicate, makes this a set-predicate
+	// apply (exists, op-all, custom): the outer row passes when preds,
+	// folded over its inner result, are true. Otherwise the apply emits
+	// outer++inner pairs.
+	fold setFold
+	// scalar admits at most one inner row; leftOuter pads an outer row
+	// no inner row matched with nulls.
+	scalar, leftOuter bool
+	nulls             datum.Row
+	// prefetch runs the inner at Open: an uncorrelated NLJN's inner is
+	// a join input, materialized with the join rather than on demand.
+	prefetch bool
+
+	// While pairing: the outer row, its inner result, the next inner row
+	// and whether any matched. both is the row the predicates read: the
+	// outer row, then one inner row in its tail.
+	pairing bool
+	row     datum.Row
+	inner   []datum.Row
+	ri      int
+	matched bool
+	both    datum.Row
 }
 
-type setPredLookup interface {
-	SetPredicate(name string) *expr.SetPredicateFunc
-}
-
-func (b *Builder) buildSubq(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	in, err := b.Build(n.Inputs[0], corr)
+func (b *Builder) buildApply(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
+	outer, err := b.Build(n.Inputs[0], corr)
 	if err != nil {
 		return nil, err
 	}
-	// The inner plan sees a fresh correlation environment: its vector
-	// is built per outer row from CorrCols.
-	innerCorr := map[plan.ColRef]int{}
-	for i, cr := range n.CorrCols {
-		innerCorr[cr] = i
-	}
-	inner, err := b.Build(n.Inputs[1], innerCorr)
-	if err != nil {
-		return nil, err
-	}
-	// CorrCols are resolved against the outer row (or the enclosing
-	// correlation).
-	outerEnv := envFromCols(n.Inputs[0].Cols, corr)
-	corrRefs := make([]expr.Expr, len(n.CorrCols))
-	for i, cr := range n.CorrCols {
-		ref, err := outerEnv.bind(expr.NewCol(cr.QID, cr.Ord, fmt.Sprintf("corr q%d.#%d", cr.QID, cr.Ord), 0))
-		if err != nil {
-			return nil, err
+	a := &applyOp{outer: outer, leftOuter: n.JoinKind == plan.KindLeftOuter}
+	preds, predCols := n.Preds, n.Cols
+	if n.Op == plan.OpNLJoin {
+		a.prefetch = len(n.CorrCols) == 0
+		preds = nil
+		if n.JoinPred != nil {
+			preds = []expr.Expr{n.JoinPred}
 		}
-		corrRefs[i] = ref
-	}
-	// Linking predicates see outer slots then inner slots.
-	predCols := append(append([]plan.ColRef(nil), n.Inputs[0].Cols...), n.Inputs[1].Cols...)
-	// Relabel inner slots as the quantifier's columns.
-	for i := range n.Inputs[1].Cols {
-		predCols[len(n.Inputs[0].Cols)+i] = plan.ColRef{QID: n.QID, Ord: i}
-	}
-	predEnv := envFromCols(predCols, corr)
-	preds, err := predEnv.bindAll(n.Preds)
-	if err != nil {
-		return nil, err
-	}
-	return &subqOp{
-		input:    in,
-		runner:   &subplanRunner{inner: inner, cache: newSubqCache()},
-		kind:     n.JoinKind,
-		negated:  n.Negated,
-		setPred:  n.SetPred,
-		preds:    preds,
-		corrRefs: corrRefs,
-		innerW:   len(n.Inputs[1].Cols),
-		builder:  b,
-		setReg:   b.cat.Funcs,
-	}, nil
-}
-
-func (s *subqOp) Open(ctx *Ctx) error {
-	if c := s.runner.cache; s.execID == ctx.execID {
-		s.prevHits += c.Hits
-		s.prevMisses += c.Misses
 	} else {
-		s.prevHits, s.prevMisses, s.execID = 0, 0, ctx.execID
+		// Linking predicates see the outer slots, then the inner slots
+		// relabeled as the quantifier's columns.
+		predCols = append([]plan.ColRef(nil), n.Inputs[0].Cols...)
+		for i := range n.Inputs[1].Cols {
+			predCols = append(predCols, plan.ColRef{QID: n.QID, Ord: i})
+		}
+		switch n.JoinKind {
+		case plan.KindLateral:
+		case plan.KindScalarSub:
+			a.scalar, a.leftOuter = true, true
+		default:
+			// exists, op-all and custom quantifiers: the quantifier's set
+			// predicate function folds the linking predicates' truth
+			// values over the subquery's elements.
+			name := n.SetPred
+			if name == "" {
+				name = "ANY"
+			}
+			sp := b.cat.Funcs.SetPredicate(name)
+			if sp == nil {
+				return nil, fmt.Errorf("exec: unknown set predicate %s", name)
+			}
+			a.fold = setFold{sp: sp, negated: n.Negated}
+		}
 	}
-	s.runner.cache.reset()
-	s.pending = nil
-	return s.input.Open(ctx)
+	inner, err := b.Build(n.Inputs[1], innerCorr(n.CorrCols, corr))
+	if err != nil {
+		return nil, err
+	}
+	// The correlation columns resolve against the outer row (or the
+	// enclosing correlation).
+	if a.run, err = newInnerRunner(inner, n.CorrCols, envFromCols(n.Inputs[0].Cols, corr)); err != nil {
+		return nil, err
+	}
+	if a.preds, err = envFromCols(predCols, corr).bindAll(preds); err != nil {
+		return nil, err
+	}
+	if a.leftOuter {
+		a.nulls = make(datum.Row, len(n.Inputs[1].Cols))
+		for i := range a.nulls {
+			a.nulls[i] = datum.Null
+		}
+	}
+	return a, nil
 }
 
-// CacheStats reports statement-cumulative subquery-cache totals; the
-// stats decorator harvests them at Close.
-func (s *subqOp) CacheStats() (hits, misses int64) {
-	return s.prevHits + s.runner.cache.Hits, s.prevMisses + s.runner.cache.Misses
+func (a *applyOp) Open(ctx *Ctx) error {
+	a.pairing, a.row, a.inner = false, nil, nil
+	a.run.reset(ctx)
+	if err := a.outer.Open(ctx); err != nil {
+		return err
+	}
+	if a.prefetch {
+		_, err := a.run.rows(ctx, nil)
+		return err
+	}
+	return nil
 }
 
-func (s *subqOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	ec := ctx.exprCtx()
+// CacheStats reports the runner's correlated lookups over the whole
+// execution, re-opens included; the stats decorator harvests them at
+// Close.
+func (a *applyOp) CacheStats() (hits, misses int64) { return a.run.hits, a.run.misses }
+
+func (a *applyOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	for {
-		if len(s.pending) > 0 {
-			out := s.pending[0]
-			s.pending = s.pending[1:]
-			return out, true, nil
-		}
-		row, ok, err := s.input.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		// Build the correlation vector for this outer tuple.
-		corr := make(datum.Row, len(s.corrRefs))
-		for i, r := range s.corrRefs {
-			v, err := r.Eval(ec, row)
-			if err != nil {
-				return nil, false, err
-			}
-			corr[i] = v
-		}
-		inner, err := s.runner.rows(ctx, corr)
-		if err != nil {
-			return nil, false, err
-		}
-		if s.kind == plan.KindLateral {
-			// Correlated derived table: emit the concatenation of the
-			// outer tuple with every qualifying inner tuple.
-			for _, ir := range inner {
-				out := datum.Concat(row, ir)
-				match, err := evalPreds(ctx, s.preds, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if match {
-					s.pending = append(s.pending, out)
-				}
-			}
-			continue
-		}
-		if s.kind == plan.KindScalarSub {
-			switch len(inner) {
-			case 0:
-				nulls := make(datum.Row, s.innerW)
-				for i := range nulls {
-					nulls[i] = datum.Null
-				}
-				return datum.Concat(row, nulls), true, nil
-			case 1:
-				return datum.Concat(row, inner[0]), true, nil
-			default:
-				return nil, false, fmt.Errorf("exec: scalar subquery returned %d rows", len(inner))
-			}
-		}
-		// Set-predicate fold (exists/op-all/custom): the quantifier's
-		// set predicate function folds the linking predicate's truth
-		// value over the subquery elements.
-		spName := s.setPred
-		if spName == "" {
-			spName = "ANY"
-		}
-		sp := s.setReg.SetPredicate(spName)
-		if sp == nil {
-			return nil, false, fmt.Errorf("exec: unknown set predicate %s", spName)
-		}
-		st := sp.NewState()
-		s.both = append(s.both[:0], row...)
-		for _, ir := range inner {
-			// The fold walks a pre-materialized slice; without its own
-			// tick a huge cached subquery would be uncancellable.
+		for a.pairing && a.ri < len(a.inner) {
+			r := a.inner[a.ri]
+			a.ri++
+			// Every considered pair is a work unit: a cross join must be
+			// cancellable even when the predicates reject everything.
 			if err := ctx.tick(); err != nil {
 				return nil, false, err
 			}
-			s.both = append(s.both[:len(row)], ir...)
-			t := datum.True
-			for _, p := range s.preds {
-				v, err := p.Eval(ec, s.both)
-				if err != nil {
-					return nil, false, err
-				}
-				t = t.And(datum.TristateOf(v))
-				if t == datum.False {
-					break
-				}
+			a.both = append(a.both[:len(a.row)], r...)
+			match, err := evalPreds(ctx, a.preds, a.both)
+			if err != nil {
+				return nil, false, err
 			}
-			st.Add(t)
-			if st.Decided() {
-				break
+			if match {
+				a.matched = true
+				return a.both.Clone(), true, nil
 			}
 		}
-		res := st.Result()
-		if s.negated {
-			res = res.Not()
+		if a.pairing {
+			a.pairing = false
+			if a.leftOuter && !a.matched {
+				return datum.Concat(a.row, a.nulls), true, nil
+			}
 		}
-		if res.IsTrue() {
-			return row, true, nil
+		row, ok, err := a.outer.Next(ctx)
+		if err != nil || !ok {
+			return nil, false, err
 		}
+		inner, err := a.run.rows(ctx, row)
+		if err != nil {
+			return nil, false, err
+		}
+		if a.fold.sp != nil {
+			t, err := a.fold.eval(ctx, a.preds, &a.both, row, inner)
+			if err != nil {
+				return nil, false, err
+			}
+			if t.IsTrue() {
+				return row, true, nil
+			}
+			continue
+		}
+		if a.scalar {
+			if err := scalarRows(inner); err != nil {
+				return nil, false, err
+			}
+		}
+		a.row, a.inner, a.ri, a.matched, a.pairing = row, inner, 0, false, true
+		a.both = append(a.both[:0], row...)
 	}
 }
 
-func (s *subqOp) Close(ctx *Ctx) error { return s.input.Close(ctx) }
+// Close leaves the inner alone: every run of it closes it (materialize).
+func (a *applyOp) Close(ctx *Ctx) error {
+	a.pairing, a.row, a.inner = false, nil, nil
+	a.run.reset(ctx)
+	return a.outer.Close(ctx)
+}
+
+// scalarRows is the scalar subquery's rule: at most one inner row.
+func scalarRows(inner []datum.Row) error {
+	if len(inner) > 1 {
+		return fmt.Errorf("exec: scalar subquery returned %d rows", len(inner))
+	}
+	return nil
+}
+
+// setFold is a set predicate function (section 2) applied to an inner
+// result, its verdict negated or not.
+type setFold struct {
+	sp      *expr.SetPredicateFunc
+	negated bool
+}
+
+// eval folds inner: an inner row's truth value is the conjunction of
+// preds evaluated over *both, refilled with prefix and then that row.
+// Each folded row is a work tick: the fold walks a materialized
+// (perhaps cached) result, and without its own tick a huge one would
+// be uncancellable.
+func (f setFold) eval(ctx *Ctx, preds []expr.Expr, both *datum.Row, prefix datum.Row, inner []datum.Row) (datum.Tristate, error) {
+	ec := ctx.exprCtx()
+	st := f.sp.NewState()
+	row := append((*both)[:0], prefix...)
+	for _, ir := range inner {
+		if err := ctx.tick(); err != nil {
+			return datum.Unknown, err
+		}
+		row = append(row[:len(prefix)], ir...)
+		t := datum.True
+		for _, p := range preds {
+			v, err := p.Eval(ec, row)
+			if err != nil {
+				return datum.Unknown, err
+			}
+			if t = t.And(datum.TristateOf(v)); t == datum.False {
+				break
+			}
+		}
+		st.Add(t)
+		if st.Decided() {
+			break
+		}
+	}
+	*both = row
+	res := st.Result()
+	if f.negated {
+		res = res.Not()
+	}
+	return res, nil
+}
+
+// innerRunner runs an apply's inner plan for one outer row — the
+// "evaluate-on-demand" mechanism of section 7: it builds the row's
+// correlation vector and runs the inner under it only when no row
+// since the last reset had the same vector. Results are cached by
+// vector value and charged to the memory budget while held. An
+// uncorrelated inner has one result per reset; its lookups are not
+// counted.
+type innerRunner struct {
+	inner Stream
+	// corrRefs build the vector over the outer row; vec and key hold the
+	// current vector and its cache key.
+	corrRefs []expr.Expr
+	vec      datum.Row
+	key      []byte
+	cache    map[string][]datum.Row
+	mem      memCharge
+	// hits/misses count correlated lookups since execution execID first
+	// reached the runner: re-opens within an execution accumulate.
+	hits, misses int64
+	execID       uint64
+}
+
+// maxCachedResults bounds the cache. A full cache is emptied:
+// correlation values usually cluster, so that is rare and keeps the
+// structure trivial.
+const maxCachedResults = 4096
+
+// innerCorr is the correlation environment an inner plan is built
+// against: slot i of its vector holds column corrCols[i]. An
+// uncorrelated inner keeps the enclosing environment, since its runner
+// installs no vector of its own.
+func innerCorr(corrCols []plan.ColRef, corr map[plan.ColRef]int) map[plan.ColRef]int {
+	if len(corrCols) == 0 {
+		return corr
+	}
+	m := make(map[plan.ColRef]int, len(corrCols))
+	for i, cr := range corrCols {
+		m[cr] = i
+	}
+	return m
+}
+
+// newInnerRunner binds the correlation columns against outer, the
+// environment of the rows the runner is handed.
+func newInnerRunner(inner Stream, corrCols []plan.ColRef, outer *bindEnv) (*innerRunner, error) {
+	r := &innerRunner{inner: inner, corrRefs: make([]expr.Expr, len(corrCols)),
+		vec: make(datum.Row, len(corrCols)), cache: map[string][]datum.Row{}}
+	for i, cr := range corrCols {
+		ref, err := outer.bind(expr.NewCol(cr.QID, cr.Ord, fmt.Sprintf("corr q%d.#%d", cr.QID, cr.Ord), 0))
+		if err != nil {
+			return nil, err
+		}
+		r.corrRefs[i] = ref
+	}
+	return r, nil
+}
+
+// rows returns the inner result for an outer row.
+func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
+	if r.execID != ctx.execID {
+		r.reset(ctx)
+	}
+	ec := ctx.exprCtx()
+	for i, ref := range r.corrRefs {
+		v, err := ref.Eval(ec, outer)
+		if err != nil {
+			return nil, err
+		}
+		r.vec[i] = v
+	}
+	r.key = datum.AppendRowKey(r.key[:0], r.vec)
+	correlated := len(r.vec) > 0
+	if rows, ok := r.cache[string(r.key)]; ok {
+		if correlated {
+			r.hits++
+			ctx.sh.subqHits.Add(1)
+		}
+		return rows, nil
+	}
+	// Only a correlated inner installs a vector: any other (an NLJN's
+	// inside a subquery's inner, say) keeps seeing the enclosing one.
+	var saved datum.Row
+	if correlated {
+		r.misses++
+		ctx.sh.subqMisses.Add(1)
+		saved = ctx.setCorr(r.vec)
+	}
+	rows, err := materialize(ctx, r.inner)
+	if correlated {
+		ctx.setCorr(saved)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(r.cache) >= maxCachedResults {
+		r.reset(ctx)
+	}
+	r.cache[string(r.key)] = rows
+	if err := r.mem.add(ctx, rows...); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// reset empties the cache and returns its charge. A runner first
+// reached by a new execution restarts its counters and drops its charge
+// unreturned: it was made against the earlier execution's record.
+func (r *innerRunner) reset(ctx *Ctx) {
+	if r.execID != ctx.execID {
+		r.execID, r.hits, r.misses, r.mem = ctx.execID, 0, 0, memCharge{}
+	}
+	r.mem.release(ctx)
+	clear(r.cache)
+}
 
 // ---------------------------------------------------------------------
 // Deferred subplans (OR-of-subquery predicates): refineSubplans installs
@@ -324,90 +392,63 @@ func (b *Builder) refineSubplans(exprs []expr.Expr, inputCols []plan.ColRef, cor
 	return out, nil
 }
 
+// subplanClosure binds an expression subplan to the apply machinery:
+// one inner runner, and SUBQ's rules for what its result means. SCALAR
+// is the scalar subquery's at-most-one rule; EXISTS and IN are both ANY
+// folds, IN's over lhs = inner.0 with the lhs value as the fold's
+// prefix row.
 func (b *Builder) subplanClosure(info *plan.SubplanInfo, env *bindEnv, corr map[plan.ColRef]int) (func(*expr.Context, datum.Row) (datum.Value, error), error) {
-	innerCorr := map[plan.ColRef]int{}
-	for i, cr := range info.CorrCols {
-		innerCorr[cr] = i
-	}
-	inner, err := b.Build(info.Plan, innerCorr)
+	inner, err := b.Build(info.Plan, innerCorr(info.CorrCols, corr))
 	if err != nil {
 		return nil, err
 	}
-	corrRefs := make([]expr.Expr, len(info.CorrCols))
-	for i, cr := range info.CorrCols {
-		ref, err := env.bind(expr.NewCol(cr.QID, cr.Ord, "corr", 0))
-		if err != nil {
-			return nil, err
-		}
-		corrRefs[i] = ref
+	run, err := newInnerRunner(inner, info.CorrCols, env)
+	if err != nil {
+		return nil, err
 	}
+	fold := setFold{sp: b.cat.Funcs.SetPredicate("ANY"), negated: info.Negated}
 	var lhs expr.Expr
-	if info.Lhs != nil {
-		lhs, err = env.bind(info.Lhs)
-		if err != nil {
+	var preds []expr.Expr
+	switch info.Mode {
+	case "SCALAR", "EXISTS":
+	case "IN":
+		if lhs, err = env.bind(info.Lhs); err != nil {
 			return nil, err
 		}
+		preds = []expr.Expr{&expr.Cmp{Op: expr.OpEq,
+			L: &expr.Col{Slot: 0, Name: "lhs"}, R: &expr.Col{Slot: 1, Name: "inner.0"}}}
+	default:
+		return nil, fmt.Errorf("exec: unknown subplan mode %s", info.Mode)
 	}
-	runner := &subplanRunner{inner: inner, cache: newSubqCache()}
-	mode, negated := info.Mode, info.Negated
-	return func(callerEC *expr.Context, outer datum.Row) (datum.Value, error) {
+	scalar := info.Mode == "SCALAR"
+	var prefix, both datum.Row
+	return func(ec *expr.Context, outer datum.Row) (datum.Value, error) {
 		// Closures run inside expression evaluation; the executor's
 		// context rides along in expr.Context.Exec.
-		ctx, _ := callerEC.Exec.(*Ctx)
+		ctx, _ := ec.Exec.(*Ctx)
 		if ctx == nil {
 			return datum.Null, fmt.Errorf("exec: subplan evaluated outside an execution context")
 		}
-		ec := callerEC
-		cv := make(datum.Row, len(corrRefs))
-		for i, r := range corrRefs {
-			v, err := r.Eval(ec, outer)
-			if err != nil {
-				return datum.Null, err
-			}
-			cv[i] = v
-		}
-		rows, err := runner.rows(ctx, cv)
+		rows, err := run.rows(ctx, outer)
 		if err != nil {
 			return datum.Null, err
 		}
-		switch mode {
-		case "SCALAR":
-			switch len(rows) {
-			case 0:
-				return datum.Null, nil
-			case 1:
-				return rows[0][0], nil
-			default:
-				return datum.Null, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
+		if scalar {
+			if err := scalarRows(rows); err != nil || len(rows) == 0 {
+				return datum.Null, err
 			}
-		case "EXISTS":
-			res := len(rows) > 0
-			if negated {
-				res = !res
-			}
-			return datum.NewBool(res), nil
-		case "IN":
-			lv, err := lhs.Eval(ec, outer)
+			return rows[0][0], nil
+		}
+		prefix = prefix[:0]
+		if lhs != nil {
+			v, err := lhs.Eval(ec, outer)
 			if err != nil {
 				return datum.Null, err
 			}
-			res := datum.False
-			for _, r := range rows {
-				eq, err := expr.EvalCmp(expr.OpEq, lv, r[0])
-				if err != nil {
-					return datum.Null, err
-				}
-				res = res.Or(datum.TristateOf(eq))
-				if res == datum.True {
-					break
-				}
-			}
-			if negated {
-				res = res.Not()
-			}
-			return res.Datum(), nil
+			prefix = append(prefix, v)
 		}
-		return datum.Null, fmt.Errorf("exec: unknown subplan mode %s", mode)
+		t, err := fold.eval(ctx, preds, &both, prefix, rows)
+		return t.Datum(), err
 	}, nil
 }
 

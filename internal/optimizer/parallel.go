@@ -170,9 +170,13 @@ func (o *Optimizer) parallelize(n *plan.Node, dop int) *plan.Node {
 }
 
 // subtreeParallelSafe reports whether every operator of the subtree can
-// be cloned into concurrent workers: only dataflow operators with no
-// subplan references (subqueries capture serial-only executor state),
-// no DML, no recursion, no runtime CHOOSE.
+// be cloned into concurrent workers: only dataflow operators, with no
+// DML (it writes serial-only Ctx state), no recursion, no runtime
+// CHOOSE and no subqueries — neither SUBQ nodes nor expression
+// subplans. The executor could run a subquery per worker (every worker
+// builds its own apply operator and inner runner), but each worker's
+// cache would then run the inner once per correlation value it meets,
+// a cost this pass does not price; so subqueries stay serial.
 func subtreeParallelSafe(n *plan.Node) bool {
 	safe := true
 	plan.Walk(n, func(m *plan.Node) bool {

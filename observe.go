@@ -242,16 +242,17 @@ func (db *DB) emitSlow(o *observation, elapsed time.Duration, err error) {
 // recordCtx folds one execution's Ctx counters into the metrics
 // registry and the statement trace.
 func (db *DB) recordCtx(ctx *exec.Ctx, tr *obs.Trace) {
+	hits, misses := ctx.SubqCache()
 	if tr != nil {
-		tr.SubqHits += ctx.SubqHits
-		tr.SubqMisses += ctx.SubqMisses
+		tr.SubqHits += hits
+		tr.SubqMisses += misses
 		tr.Rollbacks += ctx.Rollbacks
 	}
-	if ctx.SubqHits > 0 {
-		db.metrics.Counter(MetricSubqCacheHits).Add(ctx.SubqHits)
+	if hits > 0 {
+		db.metrics.Counter(MetricSubqCacheHits).Add(hits)
 	}
-	if ctx.SubqMisses > 0 {
-		db.metrics.Counter(MetricSubqCacheMisses).Add(ctx.SubqMisses)
+	if misses > 0 {
+		db.metrics.Counter(MetricSubqCacheMisses).Add(misses)
 	}
 	if ctx.Rollbacks > 0 {
 		db.metrics.Counter(MetricRollbacks).Add(ctx.Rollbacks)

@@ -122,7 +122,8 @@ func TestParallelPlanShape(t *testing.T) {
 		t.Fatalf("DML plan got an exchange:\n%s", plan)
 	}
 
-	// Correlated subqueries capture serial executor state: no exchange.
+	// Correlated subqueries stay serial — per-worker inner-result caches
+	// are a cost exchange placement does not price: no exchange.
 	plan = explainText(t, db, "SELECT x.k FROM ta x WHERE EXISTS (SELECT 1 FROM tb WHERE tb.k = x.k)")
 	if strings.Contains(plan, "GATHER") {
 		t.Fatalf("subquery plan got an exchange:\n%s", plan)
