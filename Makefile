@@ -92,7 +92,10 @@ examples:
 # repeated race runs — the nested-loop apply operator inside workers
 # included (TestParallelNonEquiJoin). TestSubqueryPathsAgree re-runs
 # every subquery flavor as a SUBQ node and as an expression subplan,
-# the two users of the one inner runner and set-predicate fold.
+# the two users of the one inner runner and set-predicate fold. The
+# Budget pattern includes TestBudgetChargesDistinctState: DISTINCT, a
+# DISTINCT aggregate and GROUP BY charge their row-key tables to
+# MaxMem.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./

@@ -371,17 +371,18 @@ func isKernel(name string) bool {
 	return name == "colAgg" || strings.HasSuffix(name, "Pred")
 }
 
-// TestOneOperatorPerLOLEPOP: the operator a SCAN, FILTER, PROJECT or
-// GROUP node gets depends neither on whether its expressions compile to
-// kernels nor on its child's protocol. Each statement — over base
-// tables, ISCAN, SORT and subqueries — builds the same operator tree
-// with kernels on and off, every such node is scanOp, filterOp,
-// projectOp or groupOp, and the kernels-off build holds no kernel.
+// TestOneOperatorPerLOLEPOP: the operator a SCAN, FILTER, PROJECT,
+// GROUP or DISTINCT node gets depends neither on whether its
+// expressions compile to kernels nor on its child's protocol. Each
+// statement — over base tables, ISCAN, SORT and subqueries — builds the
+// same operator tree with kernels on and off, every such node is
+// scanOp, filterOp, projectOp or groupOp (DISTINCT is GROUP on every
+// column), and the kernels-off build holds no kernel.
 func TestOneOperatorPerLOLEPOP(t *testing.T) {
 	db := equivDB(t)
 	setDOP(db, 1)
 	op := map[string]string{plan.OpScan: "scanOp", plan.OpFilter: "filterOp",
-		plan.OpProject: "projectOp", plan.OpGroup: "groupOp"}
+		plan.OpProject: "projectOp", plan.OpGroup: "groupOp", plan.OpDistinct: "groupOp"}
 	sql := func(q string, skipRewrite bool) func(*testing.T, *DB) *plan.Compiled {
 		return func(t *testing.T, db *DB) *plan.Compiled {
 			setSkipRewrite(db, skipRewrite)
@@ -400,6 +401,7 @@ func TestOneOperatorPerLOLEPOP(t *testing.T) {
 		{"FILTER", sql(unmergedCorpus[0], true), []string{plan.OpFilter}},
 		{"GROUP", sql(engagementQuery, false), []string{plan.OpGroup}},
 		{"DISTINCT aggregate", sql("SELECT k, COUNT(DISTINCT v) FROM ta GROUP BY k", false), []string{plan.OpGroup}},
+		{"DISTINCT", sql("SELECT DISTINCT k, s FROM ta WHERE v > 2", false), []string{plan.OpDistinct, plan.OpScan}},
 		{"PROJECT over ISCAN", sql(directedCorpus[2], false), []string{plan.OpIndex, plan.OpProject}},
 		{"GROUP over ISCAN", sql(directedCorpus[6], false), []string{plan.OpIndex, plan.OpGroup}},
 		{"FILTER over SORT", filterOverSort, []string{plan.OpSort, plan.OpFilter}},

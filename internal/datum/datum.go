@@ -508,9 +508,9 @@ func RowsEqual(a, b Row) bool {
 	return true
 }
 
-// RowKey builds a canonical string key for a row, used for duplicate
-// elimination in UNION/INTERSECT/EXCEPT and recursive fixpoints. It is
-// consistent with Identical: identical rows map to equal keys.
+// RowKey builds a canonical string key for a row, consistent with
+// Identical: identical rows map to equal keys. ANALYZE counts distinct
+// values by it; the executor keys rows by AppendRowKey's same bytes.
 func RowKey(r Row) string {
 	return string(AppendRowKey(make([]byte, 0, 16*len(r)), r))
 }

@@ -1,24 +1,24 @@
 // The batch protocol and what every batch operator shares. SCAN,
-// FILTER, PROJECT, GROUP and the hash join are one operator each, and
-// each runs on ColBatches — typed column vectors plus a selection
-// vector. What an operator computes is compiled once, at plan
-// refinement, into fused per-type kernels where one exists (see
-// colkernels.go); whatever no kernel covers — arithmetic, LIKE,
-// function calls, subplans, correlated columns, DISTINCT and DBC
-// aggregates — runs on the row evaluators inside the same operator,
-// one live row at a time over a reused scratch row. A Builder with
-// kernels off (Vectorized(false)) runs every predicate and aggregate
-// that way: the reference the equivalence corpus checks the kernels
-// against.
+// FILTER, PROJECT, GROUP (DISTINCT is GROUP on every column) and the
+// hash join are one operator each, and each runs on ColBatches — typed
+// column vectors plus a selection vector. What an operator computes is
+// compiled once, at plan refinement, into fused per-type kernels where
+// one exists (see colkernels.go); whatever no kernel covers —
+// arithmetic, LIKE, function calls, subplans, correlated columns,
+// DISTINCT and DBC aggregates — runs on the row evaluators inside the
+// same operator, one live row at a time over a reused scratch row. A
+// Builder with kernels off (Vectorized(false)) runs every predicate and
+// aggregate that way: the reference the equivalence corpus checks the
+// kernels against.
 //
 // Row-only children (ISCAN, SORT, the nested-loop apply that every
-// NLJN and SUBQ node builds, set operations, recursion, VALUES) enter
-// a batch operator through batchFeed, and a row-only parent pulls a
-// batch operator through Next, which materializes each batch into rows
-// (rowFeed). Fault-wrapped, durable and virtual relations whose
-// iterators lack the ColScanner capability are read row by row into
-// vectors, so the fault/budget/cancel machinery exercises the batch
-// operators too.
+// NLJN and SUBQ node builds, VALUES, and set operations and recursion,
+// which key rows through GROUP's table) enter a batch operator through
+// batchFeed, and a row-only parent pulls a batch operator through Next,
+// which materializes each batch into rows (rowFeed). Fault-wrapped,
+// durable and virtual relations whose iterators lack the ColScanner
+// capability are read row by row into vectors, so the fault, budget and
+// cancel machinery exercises the batch operators too.
 package exec
 
 import (
@@ -437,7 +437,7 @@ func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
 	// Charge what the build holds, not the capacity a pooled state kept
 	// from an earlier, larger join: the budget must not depend on which
 	// statements ran before.
-	return j.mem.chargeBytes(ctx, st.bt.MemBytes()+
+	return j.mem.charge(ctx, st.bt.MemBytes()+
 		int64(len(st.hashes))*8+int64(len(st.heads)+len(st.next))*4)
 }
 

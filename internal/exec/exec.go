@@ -324,10 +324,8 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 		return b.buildHashJoin(n, corr)
 	case plan.OpSMJoin:
 		return b.buildMergeJoin(n, corr)
-	case plan.OpGroup:
+	case plan.OpGroup, plan.OpDistinct:
 		return b.buildGroup(n, corr)
-	case plan.OpDistinct:
-		return b.buildDistinct(n, corr)
 	case plan.OpUnion, plan.OpInter, plan.OpExcept:
 		return b.buildSetOp(n, corr)
 	case plan.OpValues:
@@ -352,17 +350,26 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 		return b.buildUpdateDelete(n, corr)
 	}
 	if f, ok := b.custom[n.Op]; ok {
-		var ins []Stream
-		for _, c := range n.Inputs {
-			cs, err := b.Build(c, corr)
-			if err != nil {
-				return nil, err
-			}
-			ins = append(ins, cs)
+		ins, err := b.buildInputs(n, corr)
+		if err != nil {
+			return nil, err
 		}
 		return f(b, n, ins, corr)
 	}
 	return nil, fmt.Errorf("exec: unknown plan operator %s", n.Op)
+}
+
+// buildInputs builds each of n's inputs, in order.
+func (b *Builder) buildInputs(n *plan.Node, corr map[plan.ColRef]int) ([]Stream, error) {
+	ins := make([]Stream, 0, len(n.Inputs))
+	for _, c := range n.Inputs {
+		s, err := b.Build(c, corr)
+		if err != nil {
+			return nil, err
+		}
+		ins = append(ins, s)
+	}
+	return ins, nil
 }
 
 // Run executes a fresh operator tree once and lets it die: the pooled

@@ -3,13 +3,16 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	starburst "repro"
 	"repro/internal/datum"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/verify"
 )
 
 func mustExec(t testing.TB, db *starburst.DB, q string) *starburst.Result {
@@ -334,24 +337,105 @@ func TestDeepCorrelation(t *testing.T) {
 	}
 }
 
-// TestIntersectExceptAll: bag semantics respect multiplicities.
+// TestIntersectExceptAll: UNION, INTERSECT and EXCEPT, ALL (bag) and
+// DISTINCT (set), and SELECT DISTINCT produce exactly the expected
+// multisets — duplicates on both sides, a NULL matching a NULL, INT 1
+// matching FLOAT 1.0, an empty side.
 func TestIntersectExceptAll(t *testing.T) {
 	db := starburst.Open()
 	mustExec(t, db, "CREATE TABLE l (a INT)")
 	mustExec(t, db, "CREATE TABLE r (a INT)")
-	mustExec(t, db, "INSERT INTO l VALUES (1), (1), (1), (2)")
-	mustExec(t, db, "INSERT INTO r VALUES (1), (1), (3)")
-	res := mustExec(t, db, "SELECT a FROM l INTERSECT ALL SELECT a FROM r")
-	if len(res.Rows) != 2 {
-		t.Fatalf("intersect all = %v", res.Rows)
+	mustExec(t, db, "CREATE TABLE rf (a FLOAT)")
+	mustExec(t, db, "CREATE TABLE e (a INT)")
+	mustExec(t, db, "INSERT INTO l VALUES (1), (1), (1), (2), (NULL), (NULL), (3)")
+	mustExec(t, db, "INSERT INTO r VALUES (1), (4), (NULL), (1), (4)")
+	mustExec(t, db, "INSERT INTO rf VALUES (1.0), (2.5)")
+	for _, c := range []struct{ q, want string }{
+		{"SELECT a FROM l UNION ALL SELECT a FROM r", "1 1 1 1 1 2 3 4 4 NULL NULL NULL"},
+		{"SELECT a FROM l UNION SELECT a FROM r", "1 2 3 4 NULL"},
+		{"SELECT a FROM l INTERSECT ALL SELECT a FROM r", "1 1 NULL"},
+		{"SELECT a FROM l INTERSECT SELECT a FROM r", "1 NULL"},
+		{"SELECT a FROM l EXCEPT ALL SELECT a FROM r", "1 2 3 NULL"},
+		{"SELECT a FROM l EXCEPT SELECT a FROM r", "2 3"},
+		{"SELECT a FROM r EXCEPT ALL SELECT a FROM l", "4 4"},
+		{"SELECT a FROM r EXCEPT SELECT a FROM l", "4"},
+		{"SELECT a FROM r INTERSECT ALL SELECT a FROM l", "1 1 NULL"},
+		{"SELECT DISTINCT a FROM l", "1 2 3 NULL"},
+		{"SELECT DISTINCT a FROM r", "1 4 NULL"},
+		// INT 1 and FLOAT 1.0 are one value.
+		{"SELECT a FROM l INTERSECT SELECT a FROM rf", "1"},
+		{"SELECT a FROM l INTERSECT ALL SELECT a FROM rf", "1"},
+		{"SELECT a FROM l EXCEPT SELECT a FROM rf", "2 3 NULL"},
+		{"SELECT a FROM rf EXCEPT ALL SELECT a FROM l", "2.5"},
+		{"SELECT a FROM l UNION SELECT a FROM rf", "1 2 2.5 3 NULL"},
+		// An empty side.
+		{"SELECT a FROM l UNION SELECT a FROM e", "1 2 3 NULL"},
+		{"SELECT a FROM e UNION ALL SELECT a FROM r", "1 1 4 4 NULL"},
+		{"SELECT a FROM l INTERSECT ALL SELECT a FROM e", ""},
+		{"SELECT a FROM e INTERSECT SELECT a FROM l", ""},
+		{"SELECT a FROM l EXCEPT ALL SELECT a FROM e", "1 1 1 2 3 NULL NULL"},
+		{"SELECT a FROM l EXCEPT SELECT a FROM e", "1 2 3 NULL"},
+		{"SELECT a FROM e EXCEPT SELECT a FROM l", ""},
+		{"SELECT DISTINCT a FROM e", ""},
+	} {
+		var got []string
+		for _, row := range mustExec(t, db, c.q).Rows {
+			got = append(got, row[0].String())
+		}
+		sort.Strings(got)
+		if g := strings.Join(got, " "); g != c.want {
+			t.Errorf("%s = [%s], want [%s]", c.q, g, c.want)
+		}
 	}
-	res = mustExec(t, db, "SELECT a FROM l EXCEPT ALL SELECT a FROM r")
-	if len(res.Rows) != 2 { // 1×1 left over + 2
-		t.Fatalf("except all = %v", res.Rows)
+}
+
+// TestSetOpsAreBinary: INTERSECT and EXCEPT take exactly two inputs —
+// the builder and plan verification refuse three rather than match the
+// left input against the other two as one bag — while UNION stays
+// n-ary (a recursive query's branches combine into one UNION ALL).
+func TestSetOpsAreBinary(t *testing.T) {
+	values := func(vs ...int64) *plan.Node {
+		n := &plan.Node{Op: plan.OpValues, Cols: []plan.ColRef{{QID: 1}}, Types: []datum.TypeID{datum.TInt}}
+		for _, v := range vs {
+			n.Rows = append(n.Rows, []expr.Expr{expr.NewConst(datum.NewInt(v))})
+		}
+		return n
 	}
-	res = mustExec(t, db, "SELECT a FROM l EXCEPT SELECT a FROM r")
-	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
-		t.Fatalf("except distinct = %v", res.Rows)
+	node := func(op string, all bool, ins ...*plan.Node) *plan.Node {
+		return &plan.Node{Op: op, All: all, Inputs: ins, Cols: ins[0].Cols, Types: ins[0].Types}
+	}
+	run := func(n *plan.Node) (string, error) {
+		s, err := exec.NewBuilder(nil).Build(n, nil)
+		if err != nil {
+			return "", err
+		}
+		rows, err := exec.Run(exec.NewCtx(nil, nil), s)
+		var got []string
+		for _, row := range rows {
+			got = append(got, row[0].String())
+		}
+		return strings.Join(got, " "), err
+	}
+	for _, op := range []string{plan.OpInter, plan.OpExcept} {
+		n := node(op, false, values(1, 2), values(1), values(2))
+		if got, err := run(n); err == nil {
+			t.Errorf("3-input %s built and returned [%s]", op, got)
+		}
+		if rep := verify.Plan(&plan.Compiled{Root: n}); rep == nil || len(rep.Violations) == 0 {
+			t.Errorf("plan verification accepts a 3-input %s", op)
+		}
+	}
+	for _, c := range []struct {
+		n    *plan.Node
+		want string
+	}{
+		{node(plan.OpInter, false, values(1, 2, 2), values(2, 3)), "2"},
+		{node(plan.OpExcept, true, values(1, 2, 2), values(2, 3)), "1 2"},
+		{node(plan.OpUnion, true, values(1, 2), values(1), values(2)), "1 2 1 2"},
+	} {
+		if got, err := run(c.n); err != nil || got != c.want {
+			t.Errorf("%s = [%s], %v; want [%s]", c.n.Op, got, err, c.want)
+		}
 	}
 }
 

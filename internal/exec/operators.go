@@ -560,7 +560,7 @@ func (t *tempOp) Open(ctx *Ctx) error {
 		return err
 	}
 	t.reset(rows)
-	return t.mem.charge(ctx, rows)
+	return t.mem.charge(ctx, rowsBytes(rows))
 }
 
 func (t *tempOp) Close(ctx *Ctx) error {
@@ -599,7 +599,7 @@ func (s *sortOp) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	if err := s.mem.charge(ctx, rows); err != nil {
+	if err := s.mem.charge(ctx, rowsBytes(rows)); err != nil {
 		return err
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
@@ -646,7 +646,7 @@ func (s *sortOp) openTopN(ctx *Ctx) (err error) {
 		}
 	}
 	rows := h.sorted()
-	if err := s.mem.charge(ctx, rows); err != nil {
+	if err := s.mem.charge(ctx, rowsBytes(rows)); err != nil {
 		return err
 	}
 	s.reset(rows)
@@ -803,10 +803,7 @@ func (j *mergeJoinOp) Open(ctx *Ctx) error {
 		return err
 	}
 	j.li, j.rj, j.group, j.gi, j.lRow = 0, 0, nil, 0, nil
-	if err := j.mem.charge(ctx, j.lRows); err != nil {
-		return err
-	}
-	return j.mem.add(ctx, j.rRows...)
+	return j.mem.charge(ctx, rowsBytes(j.lRows)+rowsBytes(j.rRows))
 }
 
 func (j *mergeJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
@@ -894,25 +891,73 @@ func (j *mergeJoinOp) Close(ctx *Ctx) error {
 // ---------------------------------------------------------------------
 // GROUP, DISTINCT, set operations
 
-// groupOp is the hash aggregate: it drains its input's batches inside
-// Open, assigning each live row a group by its lane-direct grouping key
-// (byte-identical to RowKey), then folds each aggregate over the batch —
-// with a typed update kernel where one exists, else through the
-// aggregate's own expr.AggState (DISTINCT sets included) on the row
-// evaluators. The input's lifetime ends inside Open on every path.
-// The hash table, the key arena and the aggregate lanes stay with the
-// operator across executions; only the output rows are new each time.
+// keyTable is the executor's one row-keyed map, numbering keys densely
+// in first-seen order: groups, DISTINCT rows and aggregate values, set
+// operation and fixpoint rows, apply cache vectors. row and cols build a
+// key (the same bytes for the same values), a string only once inserted;
+// bytes totals the inserted keys, for the owner to charge to MaxMem.
+type keyTable struct {
+	ids   map[string]int
+	key   []byte
+	bytes int64
+}
+
+func (t *keyTable) row(r datum.Row) *keyTable {
+	t.key = datum.AppendRowKey(t.key[:0], r)
+	return t
+}
+
+func (t *keyTable) cols(b *datum.ColBatch, cols []int, i int) *keyTable {
+	t.key = b.AppendKeyCols(t.key[:0], cols, i)
+	return t
+}
+
+func (t *keyTable) find() (int, bool) {
+	id, ok := t.ids[string(t.key)]
+	return id, ok
+}
+
+// id finds the key, inserting it when absent; fresh reports an insert.
+func (t *keyTable) id() (id int, fresh bool) {
+	if id, ok := t.find(); ok {
+		return id, false
+	}
+	return t.insert(), true
+}
+
+// insert numbers the key, which find did not.
+func (t *keyTable) insert() int {
+	if t.ids == nil {
+		t.ids = map[string]int{}
+	}
+	t.ids[string(t.key)] = len(t.ids)
+	t.bytes += int64(len(t.key)) + 24 // the key, its string header, its id
+	return len(t.ids) - 1
+}
+
+// empty drops every key, keeping the capacity that held them.
+func (t *keyTable) empty() {
+	clear(t.ids)
+	t.bytes = 0
+}
+
+// groupOp is the hash aggregate, and DISTINCT as GROUP on every column
+// with no aggregates. It drains its input's batches inside Open, giving
+// each live row a group by its lane-direct key, then folds each
+// aggregate over the batch — with a typed update kernel where one
+// exists, else through the aggregate's own expr.AggState on the row
+// evaluators. Groups come out in first-seen order. The input's lifetime
+// ends inside Open on every path. The key tables, key values and
+// aggregate lanes stay with the operator across executions.
 type groupOp struct {
 	input     ColBatchStream
 	groupCols []int
 	aggs      []batchAgg
 
-	// groups maps a group's key bytes to its id; keys holds the key
-	// values, group gi's at [gi*len(groupCols), (gi+1)*len(groupCols)).
-	groups map[string]int
+	// groups numbers the groups by key; keys holds their values, group
+	// gi's at [gi*len(groupCols), (gi+1)*len(groupCols)).
+	groups keyTable
 	keys   []datum.Value
-	ngroup int
-	keyBuf []byte
 	gis    []int
 	rowCursor
 	mem memCharge
@@ -930,6 +975,7 @@ type batchAgg interface {
 	result(gi int) datum.Value
 }
 
+// buildGroup builds GROUP and DISTINCT nodes.
 func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
 	in, err := b.Build(n.Inputs[0], corr)
 	if err != nil {
@@ -942,21 +988,26 @@ func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 		if err != nil {
 			return nil, err
 		}
-		aggs[i] = &rowAgg{call: a, arg: arg, scratch: make(datum.Row, len(n.Inputs[0].Cols))}
 		if c, ok := asBoundCol(arg); ok && b.vec && !a.Distinct {
 			if ca, ok := newColAgg(a.Name, c.Slot); ok {
 				aggs[i] = ca
+				continue
 			}
 		}
+		aggs[i] = &rowAgg{call: a, arg: arg, scratch: make(datum.Row, len(n.Inputs[0].Cols))}
 	}
-	return &groupOp{input: asColBatchStream(in, slotTypes(n.Inputs[0])), groupCols: n.GroupCols, aggs: aggs}, nil
+	g := &groupOp{input: asColBatchStream(in, slotTypes(n.Inputs[0])), groupCols: n.GroupCols, aggs: aggs}
+	if n.Op == plan.OpDistinct {
+		g.groupCols = make([]int, len(n.Inputs[0].Cols))
+		for i := range g.groupCols {
+			g.groupCols[i] = i
+		}
+	}
+	return g, nil
 }
 
 func (g *groupOp) Open(ctx *Ctx) (err error) {
 	g.empty()
-	if g.groups == nil {
-		g.groups = map[string]int{}
-	}
 	if err := g.input.Open(ctx); err != nil {
 		// Close even after a failed Open: the input subtree may have
 		// opened children (and their storage iterators) before failing,
@@ -964,7 +1015,6 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 		return errors.Join(err, g.input.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, g.input.Close(ctx)) }()
-	w := len(g.groupCols)
 	for {
 		b, more, err := g.input.NextColBatch(ctx)
 		if err != nil {
@@ -976,12 +1026,8 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 			}
 			g.gis = g.gis[:0]
 			_ = b.EachLive(func(i int) error {
-				g.keyBuf = b.AppendKeyCols(g.keyBuf[:0], g.groupCols, i)
-				gi, ok := g.groups[string(g.keyBuf)]
-				if !ok {
-					gi = g.ngroup
-					g.ngroup++
-					g.groups[string(g.keyBuf)] = gi
+				gi, fresh := g.groups.cols(b, g.groupCols, i).id()
+				if fresh {
 					for _, c := range g.groupCols {
 						g.keys = append(g.keys, b.Vecs[c].ValueAt(i))
 					}
@@ -997,14 +1043,18 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 					return err
 				}
 			}
+			if err := g.charge(ctx, nil); err != nil {
+				return err
+			}
 		}
 		if !more {
 			break
 		}
 	}
-	// Scalar aggregation produces one row even for empty input.
-	if g.ngroup == 0 && w == 0 {
-		g.ngroup = 1
+	// Scalar aggregation (no columns) produces one row even for empty input.
+	ngroup, w := len(g.groups.ids), len(g.groupCols)
+	if ngroup == 0 && w == 0 {
+		ngroup = 1
 		for _, a := range g.aggs {
 			a.grow(1)
 		}
@@ -1012,8 +1062,8 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 	// The output rows are the result, so they are the one thing made
 	// anew: one arena for all of them.
 	rw := w + len(g.aggs)
-	arena := make([]datum.Value, g.ngroup*rw)
-	for gi := 0; gi < g.ngroup; gi++ {
+	arena := make([]datum.Value, ngroup*rw)
+	for gi := 0; gi < ngroup; gi++ {
 		row := arena[gi*rw : gi*rw+w : (gi+1)*rw]
 		copy(row, g.keys[gi*w:])
 		for _, a := range g.aggs {
@@ -1021,15 +1071,26 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 		}
 		g.rows = append(g.rows, row)
 	}
-	return g.mem.charge(ctx, g.rows)
+	return g.charge(ctx, g.rows)
+}
+
+// charge reserves the key tables (DISTINCT aggregates' too) and rows.
+func (g *groupOp) charge(ctx *Ctx, rows []datum.Row) error {
+	b := g.groups.bytes + rowsBytes(rows)
+	for _, a := range g.aggs {
+		if ra, ok := a.(*rowAgg); ok {
+			b += ra.seen.bytes
+		}
+	}
+	return g.mem.charge(ctx, b)
 }
 
 // empty drops the previous execution's groups, keeping the capacity
 // that held them.
 func (g *groupOp) empty() {
-	clear(g.groups)
+	g.groups.empty()
 	clear(g.keys)
-	g.keys, g.ngroup = g.keys[:0], 0
+	g.keys = g.keys[:0]
 	clear(g.rows)
 	g.reset(g.rows[:0])
 	for _, a := range g.aggs {
@@ -1045,28 +1106,25 @@ func (g *groupOp) Close(ctx *Ctx) error {
 
 // rowAgg is an aggregate no kernel covers — a DBC aggregate, a DISTINCT
 // one, or any aggregate of a kernels-off build: one expr.AggState per
-// group, plus its DISTINCT set, fed the argument's value for each live
-// row by the row evaluator over the scratch row.
+// group, fed the argument's value for each live row by the row
+// evaluator over the scratch row. A DISTINCT one folds each (group id,
+// value) pair once: seen numbers the pairs it has folded.
 type rowAgg struct {
-	call     *expr.AggCall
-	arg      expr.Expr
-	scratch  datum.Row
-	states   []expr.AggState
-	distinct []map[string]bool
+	call    *expr.AggCall
+	arg     expr.Expr
+	scratch datum.Row
+	states  []expr.AggState
+	seen    keyTable
 }
 
 func (a *rowAgg) reset() {
-	a.states, a.distinct = nil, nil
+	a.states = nil
+	a.seen.empty()
 }
 
 func (a *rowAgg) grow(n int) {
 	for len(a.states) < n {
 		a.states = append(a.states, a.call.Fn.NewState())
-		var seen map[string]bool
-		if a.call.Distinct {
-			seen = map[string]bool{}
-		}
-		a.distinct = append(a.distinct, seen)
 	}
 }
 
@@ -1079,12 +1137,10 @@ func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
 		if err != nil {
 			return err
 		}
-		if seen := a.distinct[gi]; seen != nil {
-			k := datum.RowKey(datum.Row{v})
-			if seen[k] {
+		if a.call.Distinct {
+			if _, fresh := a.seen.row(datum.Row{datum.NewInt(int64(gi)), v}).id(); !fresh {
 				return nil
 			}
-			seen[k] = true
 		}
 		return a.states[gi].Add(v)
 	})
@@ -1092,145 +1148,91 @@ func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
 
 func (a *rowAgg) result(gi int) datum.Value { return a.states[gi].Result() }
 
-type distinctOp struct {
-	input Stream
-	seen  map[string]bool
-}
-
-func (b *Builder) buildDistinct(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	in, err := b.Build(n.Inputs[0], corr)
-	if err != nil {
-		return nil, err
-	}
-	return &distinctOp{input: in}, nil
-}
-
-func (d *distinctOp) Open(ctx *Ctx) error {
-	d.seen = map[string]bool{}
-	return d.input.Open(ctx)
-}
-
-func (d *distinctOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	for {
-		row, ok, err := d.input.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		k := datum.RowKey(row)
-		if d.seen[k] {
-			continue
-		}
-		d.seen[k] = true
-		return row, true, nil
-	}
-}
-
-func (d *distinctOp) Close(ctx *Ctx) error {
-	d.seen = nil
-	return d.input.Close(ctx)
-}
-
 // setOp implements UNION / INTERSECT / EXCEPT with ALL (bag) and
-// DISTINCT (set) semantics.
+// DISTINCT (set) semantics, keying rows through one table. INTERSECT
+// and EXCEPT are binary.
 type setOp struct {
 	rowCursor
 	op     string
 	all    bool
 	inputs []Stream
+	keys   keyTable
+	counts []int
 	mem    memCharge
 }
 
 func (b *Builder) buildSetOp(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	var ins []Stream
-	for _, c := range n.Inputs {
-		s, err := b.Build(c, corr)
-		if err != nil {
-			return nil, err
-		}
-		ins = append(ins, s)
+	if n.Op != plan.OpUnion && len(n.Inputs) != 2 {
+		return nil, fmt.Errorf("exec: %s takes 2 inputs, not %d", n.Op, len(n.Inputs))
+	}
+	ins, err := b.buildInputs(n, corr)
+	if err != nil {
+		return nil, err
 	}
 	return &setOp{op: n.Op, all: n.All, inputs: ins}, nil
 }
 
 func (s *setOp) Open(ctx *Ctx) error {
-	collect := func(st Stream) ([]datum.Row, error) { return materialize(ctx, st) }
-	switch s.op {
-	case plan.OpUnion:
-		var rows []datum.Row
-		for _, in := range s.inputs {
-			r, err := collect(in)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r...)
-		}
-		if !s.all {
-			rows = dedup(rows)
-		}
-		s.reset(rows)
-	case plan.OpInter, plan.OpExcept:
-		left, err := collect(s.inputs[0])
+	s.keys.empty()
+	s.counts = s.counts[:0]
+	var rows []datum.Row
+	for i, in := range s.inputs {
+		r, err := materialize(ctx, in)
 		if err != nil {
 			return err
 		}
-		counts := map[string]int{}
-		for i := 1; i < len(s.inputs); i++ {
-			r, err := collect(s.inputs[i])
-			if err != nil {
-				return err
-			}
+		switch {
+		case s.op == plan.OpUnion && s.all:
+			rows = append(rows, r...)
+		case s.op == plan.OpUnion:
 			for _, row := range r {
-				counts[datum.RowKey(row)]++
-			}
-		}
-		var rows []datum.Row
-		if s.op == plan.OpInter {
-			for _, row := range left {
-				k := datum.RowKey(row)
-				if counts[k] > 0 {
-					if s.all {
-						counts[k]--
-					}
+				if _, fresh := s.keys.row(row).id(); fresh {
 					rows = append(rows, row)
 				}
 			}
-		} else {
-			for _, row := range left {
-				k := datum.RowKey(row)
-				if counts[k] > 0 {
-					if s.all {
-						counts[k]--
-						continue
-					}
-					continue
-				}
-				rows = append(rows, row)
-			}
+		case i == 0:
+			rows = r // the left input, matched against the right next
+		default:
+			rows = s.match(rows, r)
 		}
-		if !s.all {
-			rows = dedup(rows)
-		}
-		s.reset(rows)
 	}
-	return s.mem.charge(ctx, s.rows)
+	s.reset(rows)
+	return s.mem.charge(ctx, rowsBytes(rows)+s.keys.bytes)
 }
 
-func dedup(rows []datum.Row) []datum.Row {
-	seen := map[string]bool{}
-	var out []datum.Row
-	for _, r := range rows {
-		k := datum.RowKey(r)
-		if seen[k] {
-			continue
+// match counts the right rows per key, then keeps the left rows that
+// INTERSECT or EXCEPT keeps, in left order.
+func (s *setOp) match(left, right []datum.Row) []datum.Row {
+	for _, row := range right {
+		id, fresh := s.keys.row(row).id()
+		if fresh {
+			s.counts = append(s.counts, 0)
 		}
-		seen[k] = true
-		out = append(out, r)
+		s.counts[id]++
 	}
-	return out
+	inter, kept := s.op == plan.OpInter, left[:0]
+	for _, row := range left {
+		id, ok := s.keys.row(row).find()
+		matched := ok && s.counts[id] > 0
+		switch {
+		case matched && s.all:
+			s.counts[id]-- // one right row matches one left row
+		case matched && inter:
+			s.counts[id] = 0 // later copies find no match
+		case !matched && !s.all && !inter:
+			s.keys.insert() // later copies match the row kept
+			s.counts = append(s.counts, 1)
+		}
+		if matched == inter {
+			kept = append(kept, row)
+		}
+	}
+	return kept
 }
 
 func (s *setOp) Close(ctx *Ctx) error {
 	s.rows = nil
+	s.keys.empty()
 	s.mem.release(ctx)
 	return nil
 }
@@ -1292,14 +1294,12 @@ type tableFnOp struct {
 }
 
 func (b *Builder) buildTableFn(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	var ins []Stream
+	ins, err := b.buildInputs(n, corr)
+	if err != nil {
+		return nil, err
+	}
 	var inCols [][]expr.ColumnDef
 	for _, c := range n.Inputs {
-		s, err := b.Build(c, corr)
-		if err != nil {
-			return nil, err
-		}
-		ins = append(ins, s)
 		var defs []expr.ColumnDef
 		for i, cr := range c.Cols {
 			defs = append(defs, expr.ColumnDef{Name: fmt.Sprintf("C%d_%d", cr.QID, i), Type: c.Types[i]})
@@ -1337,7 +1337,7 @@ func (t *tableFnOp) Open(ctx *Ctx) error {
 		return err
 	}
 	t.reset(out.Rows)
-	return t.mem.charge(ctx, t.rows)
+	return t.mem.charge(ctx, rowsBytes(t.rows))
 }
 
 func (t *tableFnOp) Close(ctx *Ctx) error {
@@ -1359,13 +1359,9 @@ type chooseOp struct {
 }
 
 func (b *Builder) buildChoose(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	var alts []Stream
-	for _, c := range n.Inputs {
-		s, err := b.Build(c, corr)
-		if err != nil {
-			return nil, err
-		}
-		alts = append(alts, s)
+	alts, err := b.buildInputs(n, corr)
+	if err != nil {
+		return nil, err
 	}
 	env := envFromCols(nil, corr)
 	conds, err := env.bindAll(n.Exprs)

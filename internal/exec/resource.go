@@ -34,10 +34,10 @@ type Limits struct {
 	// at most one charge (see ResourceError.Used).
 	MaxRows int64
 	// MaxMem bounds the estimated bytes of state materialized at any one
-	// time by sorts, hash tables, temps, grouping and set operations,
-	// table-function results, recursive work tables, and the inner
-	// results a nested-loop join or subquery holds — the subquery cache
-	// of evaluate-on-demand included.
+	// time by sorts, hash tables, temps, grouping, DISTINCT and set
+	// operations, table-function results, recursive work tables, and the
+	// inner results a nested-loop join or subquery holds (the subquery
+	// cache included) — and the row keys any of them holds.
 	MaxMem int64
 	// Timeout bounds the statement's wall-clock execution time.
 	Timeout time.Duration
@@ -200,31 +200,27 @@ type memCharge struct {
 	bytes int64
 }
 
-// charge reserves the estimated size of rows, replacing any previous
-// reservation by this operator.
-func (m *memCharge) charge(ctx *Ctx, rows []datum.Row) error {
-	var b int64
-	for _, r := range rows {
-		b += datum.RowBytes(r)
-	}
-	return m.chargeBytes(ctx, b)
-}
-
-// chargeBytes is charge for state that is not a row slice.
-func (m *memCharge) chargeBytes(ctx *Ctx, b int64) error {
+// charge reserves b bytes, replacing any previous reservation by this
+// operator.
+func (m *memCharge) charge(ctx *Ctx, b int64) error {
 	m.release(ctx)
 	m.bytes = b
 	return ctx.Reserve(b)
 }
 
-// add reserves incrementally (recursive work tables grow row by row).
-func (m *memCharge) add(ctx *Ctx, rows ...datum.Row) error {
+// add reserves b bytes more (recursive work tables grow row by row).
+func (m *memCharge) add(ctx *Ctx, b int64) error {
+	m.bytes += b
+	return ctx.Reserve(b)
+}
+
+// rowsBytes estimates the in-memory size of rows.
+func rowsBytes(rows []datum.Row) int64 {
 	var b int64
 	for _, r := range rows {
 		b += datum.RowBytes(r)
 	}
-	m.bytes += b
-	return ctx.Reserve(b)
+	return b
 }
 
 // release returns the whole reservation.

@@ -242,17 +242,17 @@ func (f setFold) eval(ctx *Ctx, preds []expr.Expr, both *datum.Row, prefix datum
 // "evaluate-on-demand" mechanism of section 7: it builds the row's
 // correlation vector and runs the inner under it only when no row
 // since the last reset had the same vector. Results are cached by
-// vector value and charged to the memory budget while held. An
-// uncorrelated inner has one result per reset; its lookups are not
-// counted.
+// vector value and charged, with their keys, to the memory budget while
+// held. An uncorrelated inner has one result per reset; its lookups are
+// not counted.
 type innerRunner struct {
 	inner Stream
-	// corrRefs build the vector over the outer row; vec and key hold the
-	// current vector and its cache key.
+	// corrRefs build the vector over the outer row into vec; results[id]
+	// is the result under the vector cache numbers id.
 	corrRefs []expr.Expr
 	vec      datum.Row
-	key      []byte
-	cache    map[string][]datum.Row
+	cache    keyTable
+	results  [][]datum.Row
 	mem      memCharge
 	// hits/misses count correlated lookups since execution execID first
 	// reached the runner: re-opens within an execution accumulate.
@@ -284,7 +284,7 @@ func innerCorr(corrCols []plan.ColRef, corr map[plan.ColRef]int) map[plan.ColRef
 // environment of the rows the runner is handed.
 func newInnerRunner(inner Stream, corrCols []plan.ColRef, outer *bindEnv) (*innerRunner, error) {
 	r := &innerRunner{inner: inner, corrRefs: make([]expr.Expr, len(corrCols)),
-		vec: make(datum.Row, len(corrCols)), cache: map[string][]datum.Row{}}
+		vec: make(datum.Row, len(corrCols))}
 	for i, cr := range corrCols {
 		ref, err := outer.bind(expr.NewCol(cr.QID, cr.Ord, fmt.Sprintf("corr q%d.#%d", cr.QID, cr.Ord), 0))
 		if err != nil {
@@ -308,14 +308,13 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 		}
 		r.vec[i] = v
 	}
-	r.key = datum.AppendRowKey(r.key[:0], r.vec)
 	correlated := len(r.vec) > 0
-	if rows, ok := r.cache[string(r.key)]; ok {
+	if id, ok := r.cache.row(r.vec).find(); ok {
 		if correlated {
 			r.hits++
 			ctx.sh.subqHits.Add(1)
 		}
-		return rows, nil
+		return r.results[id], nil
 	}
 	// Only a correlated inner installs a vector: any other (an NLJN's
 	// inside a subquery's inner, say) keeps seeing the enclosing one.
@@ -332,11 +331,13 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(r.cache) >= maxCachedResults {
+	if len(r.cache.ids) >= maxCachedResults {
 		r.reset(ctx)
 	}
-	r.cache[string(r.key)] = rows
-	if err := r.mem.add(ctx, rows...); err != nil {
+	keyBytes := r.cache.bytes
+	r.cache.insert()
+	r.results = append(r.results, rows)
+	if err := r.mem.add(ctx, rowsBytes(rows)+r.cache.bytes-keyBytes); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -350,7 +351,9 @@ func (r *innerRunner) reset(ctx *Ctx) {
 		r.execID, r.hits, r.misses, r.mem = ctx.execID, 0, 0, memCharge{}
 	}
 	r.mem.release(ctx)
-	clear(r.cache)
+	r.cache.empty()
+	clear(r.results)
+	r.results = r.results[:0]
 }
 
 // ---------------------------------------------------------------------
@@ -460,17 +463,14 @@ type recUnionOp struct {
 	seed, rec Stream
 	boxID     int
 	linear    bool // exactly one RECREF → semi-naive (delta) evaluation
+	seen      keyTable
 
 	rowCursor
 	mem memCharge
 }
 
 func (b *Builder) buildRecUnion(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	seed, err := b.Build(n.Inputs[0], corr)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := b.Build(n.Inputs[1], corr)
+	ins, err := b.buildInputs(n, corr)
 	if err != nil {
 		return nil, err
 	}
@@ -482,32 +482,30 @@ func (b *Builder) buildRecUnion(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 		}
 		return true
 	})
-	return &recUnionOp{seed: seed, rec: rec, boxID: n.RecBoxID, linear: refs == 1}, nil
+	return &recUnionOp{seed: ins[0], rec: ins[1], boxID: n.RecBoxID, linear: refs == 1}, nil
 }
 
 func (r *recUnionOp) Open(ctx *Ctx) error {
 	const maxIterations = 1_000_000
-	seen := map[string]bool{}
+	r.seen.empty()
 	var total []datum.Row
-	add := func(rows []datum.Row) []datum.Row {
-		var fresh []datum.Row
+	// add appends and returns the rows new to the fixpoint, charged.
+	add := func(rows []datum.Row) ([]datum.Row, error) {
+		n, keyBytes := len(total), r.seen.bytes
 		for _, row := range rows {
-			k := datum.RowKey(row)
-			if seen[k] {
-				continue
+			if _, fresh := r.seen.row(row).id(); fresh {
+				total = append(total, row)
 			}
-			seen[k] = true
-			total = append(total, row)
-			fresh = append(fresh, row)
 		}
-		return fresh
+		added := total[n:len(total):len(total)]
+		return added, r.mem.add(ctx, rowsBytes(added)+r.seen.bytes-keyBytes)
 	}
 	seedRows, err := materialize(ctx, r.seed)
 	if err != nil {
 		return err
 	}
-	delta := add(seedRows)
-	if err := r.mem.add(ctx, delta...); err != nil {
+	delta, err := add(seedRows)
+	if err != nil {
 		return err
 	}
 	wt := &recWorkTable{useTotal: !r.linear}
@@ -528,8 +526,7 @@ func (r *recUnionOp) Open(ctx *Ctx) error {
 		if err != nil {
 			return err
 		}
-		delta = add(rows)
-		if err := r.mem.add(ctx, delta...); err != nil {
+		if delta, err = add(rows); err != nil {
 			return err
 		}
 	}
@@ -539,6 +536,7 @@ func (r *recUnionOp) Open(ctx *Ctx) error {
 
 func (r *recUnionOp) Close(ctx *Ctx) error {
 	r.rows = nil
+	r.seen.empty()
 	r.mem.release(ctx)
 	return nil
 }

@@ -17,11 +17,11 @@ var exactInputs = map[string]int{
 	plan.OpGroup: 1, plan.OpTemp: 1, plan.OpLimit: 1, plan.OpAccess: 1,
 	plan.OpGather: 1, plan.OpRepart: 1,
 	plan.OpInsert: 1, plan.OpUpdate: 1, plan.OpDelete: 1,
-	plan.OpNLJoin: 2, plan.OpSMJoin: 2, plan.OpHSJoin: 2, plan.OpSubq: 2,
+	plan.OpNLJoin: 2, plan.OpSMJoin: 2, plan.OpHSJoin: 2, plan.OpSubq: 2, plan.OpInter: 2, plan.OpExcept: 2,
 }
 
 var minInputs = map[string]int{
-	plan.OpUnion: 2, plan.OpInter: 2, plan.OpExcept: 2, plan.OpRecUnion: 2,
+	plan.OpUnion: 2, plan.OpRecUnion: 2,
 	plan.OpChoose: 1,
 }
 

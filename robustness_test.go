@@ -576,6 +576,41 @@ func TestMaxMem(t *testing.T) {
 	mustExec(t, db, `SELECT id FROM items ORDER BY qty`)
 }
 
+// TestBudgetChargesDistinctState: DISTINCT and a DISTINCT aggregate
+// charge the rows and keys they hold to MaxMem, as GROUP BY over the
+// same rows does: each fails on a 4 KiB budget and runs without one.
+func TestBudgetChargesDistinctState(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE w (k INT, s VARCHAR, g INT)")
+	var vals []string
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, 's%d', %d)", i%500, i%300, i%7))
+	}
+	mustExec(t, db, "INSERT INTO w VALUES "+strings.Join(vals, ", "))
+	for _, c := range []struct {
+		q    string
+		rows int
+	}{
+		{"SELECT DISTINCT k, s FROM w", 1500},
+		{"SELECT COUNT(DISTINCT s) FROM w", 1},
+		{"SELECT k, s FROM w GROUP BY k, s", 1500},
+	} {
+		setLimits(db, Limits{MaxMem: 4096})
+		_, err := db.Exec(c.q, nil)
+		var re *ResourceError
+		if !errors.As(err, &re) || re.Budget != "mem" {
+			t.Errorf("%s under MaxMem 4096: want a mem ResourceError, got %v", c.q, err)
+		}
+		setLimits(db, Limits{})
+		if res := mustExec(t, db, c.q); len(res.Rows) != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.q, len(res.Rows), c.rows)
+		}
+	}
+	if res := mustExec(t, db, "SELECT COUNT(DISTINCT s) FROM w"); res.Rows[0][0].Int() != 300 {
+		t.Errorf("COUNT(DISTINCT s) = %v, want 300", res.Rows[0][0])
+	}
+}
+
 // TestPanicContainment: a panic out of a DBC extension is converted at
 // the statement boundary into a structured QueryError naming the phase
 // (and operator when one is on the stack); the process survives and the
