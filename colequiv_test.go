@@ -272,7 +272,7 @@ func opTreeOf(root reflect.Value, onDecorator func(dec reflect.Value, inner stri
 	seen := map[uintptr]bool{}
 	var render func(v reflect.Value) string
 	// children collects the streams reachable from a struct's fields,
-	// through executor-private helper structs (repartPool and the like)
+	// through executor-private helper structs (exchange and the like)
 	// but not into other packages' data.
 	var children func(v reflect.Value, out *[]string)
 	children = func(v reflect.Value, out *[]string) {
@@ -519,9 +519,9 @@ func checkParallelBuild(t *testing.T, db *DB, q string) int {
 		return f
 	}
 	g := reflect.ValueOf(built)
-	cloned, clones := gather.Inputs[0], field(g, "workers")
+	cloned, clones := gather.Inputs[0], field(field(g, "ex"), "producers")
 	if repart != nil {
-		cloned, clones = repart.Inputs[0], field(field(g, "pool"), "producers")
+		cloned, clones = repart.Inputs[0], field(field(g, "repart"), "producers")
 	}
 	serial, err := b.Build(cloned, nil)
 	if err != nil {

@@ -393,12 +393,13 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 
 // buildTable drains the build input into bt, threads the chains and
 // arms the pushed join filter. The input's lifetime ends here: it is
-// closed before the first probe.
+// closed before the first probe, after a failed Open too, so the join's
+// Close closes only the probe input.
 func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
 	st := j.st
 	st.bt.Reset()
 	if err := j.build.Open(ctx); err != nil {
-		return err
+		return errors.Join(err, j.build.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, j.build.Close(ctx)) }()
 	for {
@@ -570,7 +571,7 @@ func (j *hashJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 func (j *hashJoinOp) Close(ctx *Ctx) error {
 	j.in = nil
 	j.mem.release(ctx)
-	err := errors.Join(j.probe.Close(ctx), j.build.Close(ctx))
+	err := j.probe.Close(ctx)
 	if j.filter != nil {
 		j.filter.ready.Store(false)
 	}

@@ -264,7 +264,7 @@ type Builder struct {
 	// never carries one.
 	morsel *morselBinding
 	// repart, when set, rebinds REPART plan nodes to a reader over one
-	// partition of a shared repartition pool (also per-worker state).
+	// partition of a shared REPART exchange (also per-worker state).
 	repart *repartBinding
 	// vec compiles kernels (see Vectorized): on in every builder but
 	// the equivalence reference's. It never decides which operator a

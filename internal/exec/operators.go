@@ -882,10 +882,11 @@ func sameLeftKey(a, b datum.Row, keys []int) bool {
 	return true
 }
 
+// Close closes no input: Open materialized and closed both.
 func (j *mergeJoinOp) Close(ctx *Ctx) error {
 	j.lRows, j.rRows, j.group = nil, nil, nil
 	j.mem.release(ctx)
-	return errors.Join(j.left.Close(ctx), j.right.Close(ctx))
+	return nil
 }
 
 // ---------------------------------------------------------------------

@@ -17,9 +17,10 @@ import (
 // (GATHER and hash REPARTition) over morsel-granular parallel table
 // scans. A GATHER plan node carries one child subtree; the builder
 // clones the subtree once per worker, replacing the designated scan
-// leaf with a morsel-claiming scan over a shared page dispenser, and
-// the gather operator runs the clones on worker goroutines that merge
-// through a bounded channel. The plan alone decides parallelism: an
+// leaf with a morsel-claiming scan over a shared page dispenser. One
+// exchange type runs every set of clones — a GATHER's workers and a
+// REPART's producers — on goroutines feeding bounded outboxes. The
+// plan alone decides parallelism: an
 // exchange always runs its workers concurrently, and the optimizer
 // plans none where that would be wrong (DML, fault-wrapped storage).
 
@@ -27,15 +28,16 @@ import (
 // field may be nil. Methods are nil-receiver-safe so operators can call
 // them unconditionally.
 type ParallelObs struct {
-	// ParallelStatement fires once per exchange Open (spine insertion
-	// produces at most one exchange per statement).
+	// ParallelStatement fires once per GATHER Open (spine insertion
+	// produces at most one GATHER per statement).
 	ParallelStatement func()
-	// WorkerStart/WorkerDone bracket each worker goroutine's life.
+	// WorkerStart/WorkerDone bracket each producer goroutine's life, a
+	// GATHER's workers and a REPART's producers alike.
 	WorkerStart, WorkerDone func()
-	// Batch observes the row count of each merged exchange batch.
+	// Batch observes the row count of each chunk a GATHER merges.
 	Batch func(rows int)
-	// Backpressure fires when a worker found the exchange channel full
-	// and had to block.
+	// Backpressure fires when a producer found an outbox full and had
+	// to block.
 	Backpressure func()
 }
 
@@ -127,218 +129,280 @@ type morselBinding struct {
 }
 
 // ---------------------------------------------------------------------
-// Exchange payloads
+// The exchange
 
-// exchangeChunk is how many rows a worker gathers before handing them
-// to an exchange channel: enough to amortize the channel operation,
-// few enough that consumers start early and LIMIT stops workers soon.
+// exchangeChunk is how many rows a producer collects for one outbox
+// before handing them over: enough to amortize the channel operation,
+// few enough that consumers start early and LIMIT stops producers soon.
 const exchangeChunk = 64
 
-// nextChunk refills buf (a worker-private, reused container) with up
-// to exchangeChunk rows pulled from s. A false second result marks s
-// exhausted; the final chunk may be short or empty. The rows are retainable, the
-// container is not: a sender copies it before the next refill.
-func nextChunk(ctx *Ctx, s Stream, buf []datum.Row) ([]datum.Row, bool, error) {
-	buf = buf[:0]
-	for len(buf) < exchangeChunk {
-		row, ok, err := s.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return buf, false, nil
-		}
-		buf = append(buf, row)
-	}
-	return buf, true, nil
-}
+// routing is how an exchange picks the outbox of a row. It is fixed at
+// build.
+type routing uint8
 
-// ---------------------------------------------------------------------
-// Hash repartitioning
+const (
+	// routeHash sends a row to outbox hash(keys) % DOP (REPART).
+	routeHash routing = iota
+	// routeOne sends every row to outbox 0 (unordered GATHER).
+	routeOne
+	// routeOwn sends a producer's rows to its own outbox and ends that
+	// outbox with a nil chunk (ordered GATHER): the merge must learn that
+	// one sorted run is over while the others still stream.
+	routeOwn
+)
 
-// repartBinding tells a worker's builder copy which partition of the
-// shared pool its REPART nodes read.
-type repartBinding struct {
-	pool *repartPool
-	part int
-}
-
-// repartPool redistributes the rows of one producer subtree across
-// partitions by key hash: DOP producer clones (sharing a morsel
-// dispenser at their scan leaf) each route every row they produce to
-// hash(key)%parts, and the worker owning partition i consumes exactly
-// the rows whose keys landed there — so grouping or deduplicating each
-// partition independently is globally correct.
-type repartPool struct {
+// exchange runs the producer clones of one plan subtree, each pulled on
+// its own goroutine, and routes every row they yield to one of its
+// outboxes. It is the one place exchange goroutines are started, fed,
+// failed and stopped; GATHER and REPART differ only in their route and
+// in how their readers consume the outboxes.
+//
+// A generation runs from start (its first reader's Open) to stop. The
+// outboxes close once every producer has returned, so a reader that
+// finds its outbox closed reads the final failure record.
+type exchange struct {
 	producers []Stream
-	keys      []int
-	parts     int
+	route     routing
+	keys      []int // routeHash's partitioning columns
 
-	mu      sync.Mutex
-	started bool
-	// chans carries row batches per partition.
-	chans []chan []datum.Row
-	done  chan struct{}
-	wg    sync.WaitGroup
-	err   error
+	mu       sync.Mutex
+	started  bool
+	err      error // the generation's first failure
+	outboxes []chan []datum.Row
+	// halted is closed when no reader needs more rows (a reader closed,
+	// a producer failed, or the generation stops): a producer blocked on
+	// a full outbox gives up.
+	halted chan struct{}
+	live   atomic.Int32 // producers still running; the last closes the outboxes
+	wg     sync.WaitGroup
+	rows   []int64 // rows each producer sent this generation
 }
 
-func newRepartPool(producers []Stream, keys []int, parts int) *repartPool {
-	return &repartPool{producers: producers, keys: keys, parts: parts}
-}
-
-// start launches the producers. It is called by every partition
-// reader's Open; the first call of a generation does the work.
-func (p *repartPool) start(ctx *Ctx) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.started {
+// start launches the generation's producers; later calls until stop
+// join it.
+func (x *exchange) start(ctx *Ctx) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.started {
 		return
 	}
-	p.started = true
-	p.err = nil
-	p.done = make(chan struct{})
-	p.chans = make([]chan []datum.Row, p.parts)
-	for i := range p.chans {
-		p.chans[i] = make(chan []datum.Row, len(p.producers))
+	x.started, x.err = true, nil
+	x.halted = make(chan struct{})
+	outs := len(x.producers)
+	if x.route == routeOne {
+		outs = 1
 	}
-	p.wg.Add(len(p.producers))
-	for _, ps := range p.producers {
-		go func(ps Stream) {
-			defer p.wg.Done()
-			pctx := ctx.child()
+	x.outboxes = make([]chan []datum.Row, outs)
+	// Room for one chunk per producer: each can run a chunk ahead of a
+	// slow reader before it feels backpressure.
+	for i := range x.outboxes {
+		x.outboxes[i] = make(chan []datum.Row, len(x.producers))
+	}
+	x.rows = make([]int64, len(x.producers))
+	x.live.Store(int32(len(x.producers)))
+	x.wg.Add(len(x.producers))
+	for p := range x.producers {
+		pctx := ctx.child()
+		go func() {
+			defer x.wg.Done()
 			pctx.par.workerStart()
 			defer pctx.par.workerDone()
-			if err := p.produce(pctx, ps); err != nil {
-				p.mu.Lock()
-				if p.err == nil {
-					p.err = err
+			if err := x.produce(pctx, p); err != nil {
+				x.mu.Lock()
+				if x.err == nil {
+					x.err = err
 				}
-				p.mu.Unlock()
-				// Stop sibling producers and scan workers promptly.
+				x.mu.Unlock()
+				x.halt()
+				// Stop the statement's other producers and scans promptly.
 				ctx.signalDone()
 			}
-		}(ps)
+			if x.live.Add(-1) == 0 {
+				for _, ch := range x.outboxes {
+					close(ch)
+				}
+			}
+		}()
 	}
-	// Close the partitions once every producer is finished.
-	//lint:ignore goroutine-hygiene joined transitively: it exits as soon as wg.Wait returns, and readers observe completion through the closed channels
-	go func() {
-		p.wg.Wait()
-		for _, ch := range p.chans {
-			close(ch)
-		}
-	}()
 }
 
-// produce drains one producer clone, routing rows into per-partition
-// outboxes flushed at batch granularity.
-// starburst:waits EXCHANGE
-func (p *repartPool) produce(ctx *Ctx, ps Stream) (err error) {
+// produce runs producer p for one generation: it opens the clone, routes
+// every row the clone yields into per-outbox chunks, and closes it. It
+// stops early, without error, once the statement needs no more rows or
+// the exchange is halted.
+func (x *exchange) produce(ctx *Ctx, p int) (err error) {
+	ps := x.producers[p]
 	if err := ps.Open(ctx); err != nil {
 		return errors.Join(err, ps.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, ps.Close(ctx)) }()
-	out := make([][]datum.Row, p.parts)
+	pending := make([][]datum.Row, len(x.outboxes))
 	flush := func(i int) bool {
-		if len(out[i]) == 0 {
+		chunk := pending[i]
+		if len(chunk) == 0 {
 			return true
 		}
-		b := out[i]
-		out[i] = nil
-		select {
-		case p.chans[i] <- b:
-			return true
-		default:
-			ctx.par.backpressure()
+		pending[i] = nil
+		atomic.AddInt64(&x.rows[p], int64(len(chunk)))
+		if x.route != routeHash {
+			ctx.par.batch(len(chunk)) // a GATHER's chunks are the merged batches
 		}
-		start := time.Now()
-		select {
-		case p.chans[i] <- b:
-			ctx.recordWait(obs.WaitExchange, start)
-			return true
-		case <-p.done:
-			ctx.recordWait(obs.WaitExchange, start)
-			return false
+		return x.send(ctx, i, chunk)
+	}
+	for !ctx.doneSignaled() {
+		row, ok, err := ps.Next(ctx)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		i := 0
+		switch x.route {
+		case routeHash:
+			i = int(datum.HashRow(row, x.keys) % uint64(len(x.outboxes)))
+		case routeOwn:
+			i = p
+		}
+		if pending[i] == nil {
+			pending[i] = make([]datum.Row, 0, exchangeChunk)
+		}
+		pending[i] = append(pending[i], row)
+		if len(pending[i]) == exchangeChunk && !flush(i) {
+			return nil
 		}
 	}
-	chunk := make([]datum.Row, 0, exchangeChunk)
-	for {
-		if ctx.doneSignaled() {
-			// Early termination (LIMIT satisfied or sibling failure):
-			// stop producing; readers see their channels close.
+	for i := range pending {
+		if !flush(i) {
 			return nil
 		}
-		batch, more, berr := nextChunk(ctx, ps, chunk)
-		if berr != nil {
-			return berr
-		}
-		for _, row := range batch {
-			i := int(datum.HashRow(row, p.keys) % uint64(p.parts))
-			out[i] = append(out[i], row)
-			if len(out[i]) >= exchangeChunk && !flush(i) {
-				return nil
-			}
-		}
-		if !more {
-			for i := range out {
-				if !flush(i) {
-					return nil
-				}
-			}
-			return nil
-		}
+	}
+	if x.route == routeOwn {
+		x.send(ctx, p, nil)
+	}
+	return nil
+}
+
+// send hands outbox i a chunk, the reader taking ownership of it. A
+// full outbox is backpressure: send waits for room, or reports false
+// once the exchange is halted.
+// starburst:waits EXCHANGE
+func (x *exchange) send(ctx *Ctx, i int, chunk []datum.Row) bool {
+	select {
+	case x.outboxes[i] <- chunk:
+		return true
+	default:
+		ctx.par.backpressure()
+	}
+	start := time.Now()
+	defer ctx.recordWait(obs.WaitExchange, start)
+	select {
+	case x.outboxes[i] <- chunk:
+		return true
+	case <-x.halted:
+		return false
 	}
 }
 
-// stop tears down a generation: unblocks and waits out producers, then
-// resets so the next Open can start fresh (exchange subtrees must stay
-// re-runnable like every other operator).
-// starburst:waits CANCEL_STALL
-func (p *repartPool) stop(ctx *Ctx) error {
-	p.mu.Lock()
-	if !p.started {
-		p.mu.Unlock()
+// halt tells the generation's producers that no more rows are needed.
+func (x *exchange) halt() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.halted == nil {
+		return
+	}
+	select {
+	case <-x.halted:
+	default:
+		close(x.halted)
+	}
+}
+
+// failure reports the generation's first failure so far; nil for the
+// exchange a plan does not have.
+func (x *exchange) failure() error {
+	if x == nil {
 		return nil
 	}
-	p.started = false
-	done, chans := p.done, p.chans
-	p.mu.Unlock()
-	close(done)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.err
+}
+
+// stop ends a generation: it halts and joins the producers, then resets
+// so the next Open starts afresh (exchange subtrees stay re-runnable
+// like every other operator). It returns the generation's failure. The
+// chunks left in the closed outboxes are garbage once nothing can send.
+// starburst:waits CANCEL_STALL
+func (x *exchange) stop(ctx *Ctx) error {
+	if x == nil {
+		return nil
+	}
+	x.mu.Lock()
+	started := x.started
+	x.mu.Unlock()
+	if !started {
+		return nil
+	}
+	x.halt()
 	stalled := ctx.doneSignaled()
 	start := time.Now()
-	p.wg.Wait()
-	for _, ch := range chans {
-		for range ch {
-		}
-	}
+	x.wg.Wait()
 	if stalled {
-		// The statement was cancelled (or terminated early) and had to
-		// wait here for its producers to notice and drain.
+		// The statement was cancelled (or ended early) and had to wait
+		// here for its producers to notice.
 		ctx.recordWait(obs.WaitCancelStall, start)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.chans, p.done = nil, nil
-	err := p.err
-	p.err = nil
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	err := x.err
+	x.started, x.err, x.outboxes, x.halted = false, nil, nil, nil
 	return err
 }
 
-// failure reports a producer error observed so far.
-func (p *repartPool) failure() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
+// inbox is a reader's place in one outbox: the unread rest of the chunk
+// it took last, and whether the outbox is over — closed, or ended by its
+// producer's nil chunk.
+type inbox struct {
+	rows []datum.Row
+	over bool
+}
+
+// fill takes chunks from ch until the inbox holds a row or ch is over,
+// and reports whether it holds one.
+func (in *inbox) fill(ch chan []datum.Row) bool {
+	for len(in.rows) == 0 && !in.over {
+		chunk, ok := <-ch
+		in.rows, in.over = chunk, !ok || chunk == nil
+	}
+	return len(in.rows) > 0
+}
+
+func (in *inbox) pop() datum.Row {
+	row := in.rows[0]
+	in.rows = in.rows[1:]
+	return row
+}
+
+// ---------------------------------------------------------------------
+// REPART
+
+// repartBinding tells a worker's builder copy which partition of the
+// shared REPART exchange its REPART nodes read.
+type repartBinding struct {
+	ex   *exchange
+	part int
 }
 
 // repartReaderOp is the consuming half of REPART: the worker-side
-// stream over one partition.
+// stream over one partition. The exchange's DOP producer clones (sharing
+// a morsel dispenser at their scan leaf) route each row to partition
+// hash(key) % DOP, so grouping or deduplicating each partition
+// independently is globally correct.
 type repartReaderOp struct {
-	pool *repartPool
+	ex   *exchange
 	part int
-
-	pending []datum.Row
-	pi      int
+	in   inbox
 }
 
 func (b *Builder) buildRepart(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -348,280 +412,103 @@ func (b *Builder) buildRepart(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 		// the producer subtree serves the node directly.
 		return b.Build(n.Inputs[0], corr)
 	}
-	return &repartReaderOp{pool: b.repart.pool, part: b.repart.part}, nil
+	return &repartReaderOp{ex: b.repart.ex, part: b.repart.part}, nil
 }
 
 func (r *repartReaderOp) Open(ctx *Ctx) error {
-	r.pending, r.pi = nil, 0
-	// First reader of the generation starts the pool; the rest join.
-	r.pool.start(ctx)
+	r.in = inbox{}
+	r.ex.start(ctx)
 	return nil
 }
 
 func (r *repartReaderOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	for {
-		if r.pi < len(r.pending) {
-			row := r.pending[r.pi]
-			r.pi++
-			return row, true, nil
-		}
-		batch, ok := <-r.pool.chans[r.part]
-		if !ok {
-			return nil, false, r.pool.failure()
-		}
-		r.pending, r.pi = batch, 0
+	if !r.in.fill(r.ex.outboxes[r.part]) {
+		return nil, false, r.ex.failure()
 	}
+	return r.in.pop(), true, nil
 }
 
+// Close halts the producers: a reader that closes before its partition
+// is over (its worker failed, or LIMIT was satisfied) must not leave a
+// producer blocked on a partition nobody reads. Halting after the
+// partition closed is harmless: every producer has returned.
 func (r *repartReaderOp) Close(ctx *Ctx) error {
-	r.pending = nil
-	r.pool.mu.Lock()
-	var ch chan []datum.Row
-	if r.pool.started && r.pool.chans != nil {
-		ch = r.pool.chans[r.part]
-	}
-	r.pool.mu.Unlock()
-	if ch != nil {
-		// This reader may be closing early (its worker failed or LIMIT
-		// was satisfied) while producers still hold batches for its
-		// partition; drain in the background so no producer blocks
-		// forever on a full channel nobody reads — that would deadlock
-		// the exchange's worker join. The goroutine exits when the
-		// producers finish (the pool's closer closes the channel).
-		//lint:ignore goroutine-hygiene bounded drain: exits when the producers close the channel; joining it here would block on the very producers it exists to unblock
-		go func() {
-			for range ch {
-			}
-		}()
-	}
+	r.in = inbox{}
+	r.ex.halt()
 	return nil
 }
 
 // ---------------------------------------------------------------------
 // GATHER
 
-// workerRowsReporter is implemented by exchange operators that can
-// break their row count down by worker; the stats decorator harvests it
-// at Close for EXPLAIN ANALYZE.
-type workerRowsReporter interface {
-	WorkerRowCounts() []int64
-}
-
-// gatherOp merges the outputs of its worker subtree clones. Unordered
-// gather forwards batches through one bounded channel as workers
-// produce them; ordered gather (merge keys set) lets each worker finish
-// its sorted run and then merges the runs with the same total-order
+// gatherOp merges the outputs of its worker subtree clones, the
+// producers of its exchange. Unordered, it reads the one outbox all
+// workers share; ordered (merge keys set), it streams a k-way merge over
+// the heads of the workers' own outboxes with the same total-order
 // comparator SORT uses, reproducing the serial ordering exactly.
 type gatherOp struct {
-	workers []Stream
-	src     *morselSource
-	pool    *repartPool
-	merge   []plan.SortKey
+	ex     *exchange
+	repart *exchange // the REPART exchange beneath, or nil
+	src    *morselSource
+	merge  []plan.SortKey
 
-	// Runtime state, reset every Open.
-	batches    chan []datum.Row
-	done       chan struct{}
-	wg         sync.WaitGroup
-	workerRows []int64
-	failedMu   sync.Mutex
-	failed     error
-	delivered  bool
-	pending    []datum.Row
-	pi         int
-	// Ordered mode: one finished sorted run per worker plus a cursor.
-	runs   [][]datum.Row
-	runPos []int
+	in        []inbox // one per outbox of ex
+	delivered bool    // this execution's failure has been surfaced
 }
 
 func (g *gatherOp) Open(ctx *Ctx) error {
-	g.pending, g.pi = nil, 0
-	g.runs, g.runPos = nil, nil
-	g.failed, g.delivered = nil, false
-	g.workerRows = make([]int64, len(g.workers))
+	g.delivered = false
 	g.src.reset()
 	ctx.par.statement()
-	g.done = make(chan struct{})
-	g.batches = make(chan []datum.Row, len(g.workers))
-	if g.merge != nil {
-		// Allocated before the workers spawn: they append into their
-		// private runs[i] slot concurrently.
-		g.runs = make([][]datum.Row, len(g.workers))
-		g.runPos = make([]int, len(g.workers))
-	}
-	g.wg.Add(len(g.workers))
-	for i, w := range g.workers {
-		go func(i int, w Stream) {
-			defer g.wg.Done()
-			wctx := ctx.child()
-			wctx.par.workerStart()
-			defer wctx.par.workerDone()
-			if err := g.runWorker(wctx, i, w); err != nil {
-				g.failedMu.Lock()
-				if g.failed == nil {
-					g.failed = err
-				}
-				g.failedMu.Unlock()
-				// Ask siblings (and any repart producers) to wind down.
-				wctx.signalDone()
-			}
-		}(i, w)
-	}
-	if g.merge == nil {
-		//lint:ignore goroutine-hygiene joined transitively: it exits as soon as wg.Wait returns, and the consumer observes completion through the closed batches channel
-		go func() {
-			g.wg.Wait()
-			close(g.batches)
-		}()
-		return nil
-	}
-	// Ordered gather is a barrier: every worker finishes its sorted run
-	// before merging starts.
-	g.wg.Wait()
-	close(g.batches) // unused in ordered mode; close for symmetry
-	g.failedMu.Lock()
-	err := g.failed
-	g.delivered = err != nil
-	g.failedMu.Unlock()
-	return err
-}
-
-// runWorker opens one worker clone, drains it batchwise into the merge
-// channel (unordered) or its private run (ordered), and closes it.
-// starburst:waits EXCHANGE
-func (g *gatherOp) runWorker(ctx *Ctx, i int, w Stream) (err error) {
-	if err := w.Open(ctx); err != nil {
-		return errors.Join(err, w.Close(ctx))
-	}
-	defer func() { err = errors.Join(err, w.Close(ctx)) }()
-	chunk := make([]datum.Row, 0, exchangeChunk)
-	for {
-		batch, more, berr := nextChunk(ctx, w, chunk)
-		if berr != nil {
-			return berr
-		}
-		if len(batch) > 0 {
-			atomic.AddInt64(&g.workerRows[i], int64(len(batch)))
-			ctx.par.batch(len(batch))
-			if g.merge != nil {
-				for _, row := range batch {
-					g.runs[i] = append(g.runs[i], row)
-				}
-			} else {
-				// The channel takes ownership, so hand over a fresh
-				// container (rows themselves are retainable by contract).
-				out := make([]datum.Row, len(batch))
-				copy(out, batch)
-				select {
-				case g.batches <- out:
-				default:
-					ctx.par.backpressure()
-					start := time.Now()
-					select {
-					case g.batches <- out:
-						ctx.recordWait(obs.WaitExchange, start)
-					case <-g.done:
-						ctx.recordWait(obs.WaitExchange, start)
-						return nil
-					}
-				}
-			}
-		}
-		if !more {
-			return nil
-		}
-		if ctx.doneSignaled() && g.merge == nil {
-			// No more rows needed (LIMIT satisfied or a sibling failed);
-			// stop draining. Ordered workers finish their run: the merge
-			// needs complete runs to stay deterministic.
-			return nil
-		}
-	}
+	g.ex.start(ctx)
+	g.in = make([]inbox, len(g.ex.outboxes))
+	return nil
 }
 
 func (g *gatherOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	if g.merge != nil {
-		return g.nextMerge()
-	}
-	for {
-		if g.pi < len(g.pending) {
-			row := g.pending[g.pi]
-			g.pi++
-			return row, true, nil
-		}
-		batch, ok := <-g.batches
-		if !ok {
-			g.failedMu.Lock()
-			err := g.failed
-			if err != nil {
-				if g.delivered {
-					err = nil // already surfaced once
-				}
-				g.delivered = true
-			}
-			g.failedMu.Unlock()
-			return nil, false, err
-		}
-		g.pending, g.pi = batch, 0
-	}
-}
-
-// nextMerge performs the k-way sorted merge over finished runs using
-// the same total-order comparator SORT uses.
-func (g *gatherOp) nextMerge() (datum.Row, bool, error) {
 	best := -1
-	for i := range g.runs {
-		if g.runPos[i] >= len(g.runs[i]) {
-			continue
-		}
-		if best < 0 || sortRowLess(g.merge, g.runs[i][g.runPos[i]], g.runs[best][g.runPos[best]]) {
+	for i := range g.in {
+		if g.in[i].fill(g.ex.outboxes[i]) && (best < 0 ||
+			sortRowLess(g.merge, g.in[i].rows[0], g.in[best].rows[0])) {
 			best = i
 		}
 	}
 	if best < 0 {
-		return nil, false, nil
+		return nil, false, g.report(g.ex.failure(), g.repart.failure())
 	}
-	row := g.runs[best][g.runPos[best]]
-	g.runPos[best]++
-	return row, true, nil
+	return g.in[best].pop(), true, nil
 }
 
-// Close joins the worker goroutines and drains the merge channel.
-// starburst:waits CANCEL_STALL
-func (g *gatherOp) Close(ctx *Ctx) (err error) {
-	if g.done != nil {
-		close(g.done)
+// Close stops the workers, then the REPART producers they read.
+func (g *gatherOp) Close(ctx *Ctx) error {
+	own := g.ex.stop(ctx)
+	beneath := g.repart.stop(ctx)
+	g.in = nil
+	return g.report(own, beneath)
+}
+
+// report surfaces an execution's failure at most once: the first
+// failure of the gather's own exchange, else that of the REPART
+// exchange beneath it, which a worker reading a partition usually
+// reports as its own too.
+func (g *gatherOp) report(own, beneath error) error {
+	if g.delivered {
+		return nil
 	}
-	stalled := ctx.doneSignaled()
-	start := time.Now()
-	g.wg.Wait()
-	// Cleared only now: workers select on the field until they exit.
-	g.done = nil
-	if g.batches != nil {
-		for range g.batches {
-		}
-		g.batches = nil
+	err := own
+	if err == nil {
+		err = beneath
 	}
-	if stalled {
-		ctx.recordWait(obs.WaitCancelStall, start)
-	}
-	g.failedMu.Lock()
-	if g.failed != nil && !g.delivered {
-		err = g.failed
-		g.delivered = true
-	}
-	g.failedMu.Unlock()
-	if g.pool != nil {
-		err = errors.Join(err, g.pool.stop(ctx))
-	}
-	g.pending, g.runs, g.runPos = nil, nil, nil
+	g.delivered = err != nil
 	return err
 }
 
-// WorkerRowCounts implements workerRowsReporter.
+// WorkerRowCounts reports the rows each worker sent in the last
+// execution; the stats decorator harvests them at Close.
 func (g *gatherOp) WorkerRowCounts() []int64 {
-	out := make([]int64, len(g.workerRows))
-	for i := range g.workerRows {
-		out[i] = atomic.LoadInt64(&g.workerRows[i])
+	out := make([]int64, len(g.ex.rows))
+	for i := range g.ex.rows {
+		out[i] = atomic.LoadInt64(&g.ex.rows[i])
 	}
 	return out
 }
@@ -646,9 +533,9 @@ func repartOf(n *plan.Node) *plan.Node {
 
 // buildGather builds the exchange: per-worker clones of the child
 // subtree wired to a shared morsel dispenser (and, for repartitioned
-// plans, a shared repartition pool). A scan leaf that cannot be split
-// into page ranges is an error: the optimizer never plans an exchange
-// over one.
+// plans, to the partitions of a REPART exchange whose producers share
+// the dispenser instead). A scan leaf that cannot be split into page
+// ranges is an error: the optimizer never plans an exchange over one.
 func (b *Builder) buildGather(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
 	if len(n.Inputs) != 1 {
 		return nil, fmt.Errorf("exec: GATHER needs exactly one input, has %d", len(n.Inputs))
@@ -670,26 +557,29 @@ func (b *Builder) buildGather(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	}
 	morsel := &morselBinding{node: leaf, src: src}
 
-	var pool *repartPool
+	var repart *exchange
 	if rep != nil {
-		producers := make([]Stream, dop)
-		for i := range producers {
+		repart = &exchange{producers: make([]Stream, dop), route: routeHash, keys: rep.GroupCols}
+		for i := range repart.producers {
 			pb := *b
 			pb.repart, pb.morsel = nil, morsel
 			ps, err := pb.Build(rep.Inputs[0], corr)
 			if err != nil {
 				return nil, err
 			}
-			producers[i] = ps
+			repart.producers[i] = ps
 		}
-		pool = newRepartPool(producers, rep.GroupCols, dop)
 	}
 
-	workers := make([]Stream, dop)
-	for i := range workers {
+	g := &gatherOp{ex: &exchange{producers: make([]Stream, dop), route: routeOne},
+		repart: repart, src: src}
+	if len(n.SortKeys) > 0 {
+		g.ex.route, g.merge = routeOwn, n.SortKeys
+	}
+	for i := range g.ex.producers {
 		wb := *b
-		if pool != nil {
-			wb.repart, wb.morsel = &repartBinding{pool: pool, part: i}, nil
+		if repart != nil {
+			wb.repart, wb.morsel = &repartBinding{ex: repart, part: i}, nil
 		} else {
 			wb.morsel = morsel
 		}
@@ -697,12 +587,7 @@ func (b *Builder) buildGather(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 		if err != nil {
 			return nil, err
 		}
-		workers[i] = ws
+		g.ex.producers[i] = ws
 	}
-
-	var merge []plan.SortKey
-	if len(n.SortKeys) > 0 {
-		merge = n.SortKeys
-	}
-	return &gatherOp{workers: workers, src: src, pool: pool, merge: merge}, nil
+	return g, nil
 }

@@ -100,7 +100,8 @@ func undecorated(s Stream) Stream {
 
 // statsOp is the decorator: it times Open/Next/Close, counts calls and
 // produced rows, samples the statement memory high-water mark, and
-// harvests subquery-cache and join-filter statistics at Close.
+// harvests subquery-cache, per-worker and join-filter statistics at
+// Close.
 type statsOp struct {
 	inner Stream
 	st    *obs.OpStats
@@ -115,13 +116,6 @@ type colStatsOp struct {
 }
 
 func (s *statsOp) decorated() Stream { return s.inner }
-
-// cacheStats is implemented by operators that evaluate subplans on
-// demand (applyOp); the decorator copies the statement-cumulative
-// totals at Close.
-type cacheStats interface {
-	CacheStats() (hits, misses int64)
-}
 
 func (s *statsOp) Open(ctx *Ctx) error {
 	start := time.Now()
@@ -171,22 +165,21 @@ func (s *statsOp) Close(ctx *Ctx) error {
 	err := s.inner.Close(ctx)
 	atomic.AddInt64(&s.st.Closes, 1)
 	atomic.AddInt64(&s.st.CloseNanos, time.Since(start).Nanoseconds())
-	if cs, ok := s.inner.(cacheStats); ok {
-		// Totals are statement-cumulative; storing (not adding) keeps a
-		// double Close from double counting.
-		hits, misses := cs.CacheStats()
-		atomic.StoreInt64(&s.st.CacheHits, hits)
-		atomic.StoreInt64(&s.st.CacheMisses, misses)
-	}
-	if wr, ok := s.inner.(workerRowsReporter); ok {
-		// Statement-cumulative, stored not added (same reason as above);
-		// safe unsynchronized because the exchange's Close joins its
-		// workers before returning.
-		s.st.WorkerRows = wr.WorkerRowCounts()
-	}
-	if cs, ok := s.inner.(*scanOp); ok && cs.jfDropped != 0 {
-		atomic.AddInt64(&s.st.JoinFiltered, cs.jfDropped)
-		cs.jfDropped = 0
+	switch op := s.inner.(type) {
+	case *applyOp:
+		// The runner's lookups over the whole execution; storing (not
+		// adding) keeps a double Close from double counting.
+		atomic.StoreInt64(&s.st.CacheHits, op.run.hits)
+		atomic.StoreInt64(&s.st.CacheMisses, op.run.misses)
+	case *gatherOp:
+		// Stored, not added (same reason); safe unsynchronized because
+		// the exchange's Close joins its workers before returning.
+		s.st.WorkerRows = op.WorkerRowCounts()
+	case *scanOp:
+		if op.jfDropped != 0 {
+			atomic.AddInt64(&s.st.JoinFiltered, op.jfDropped)
+			op.jfDropped = 0
+		}
 	}
 	return err
 }

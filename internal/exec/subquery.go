@@ -120,11 +120,6 @@ func (a *applyOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-// CacheStats reports the runner's correlated lookups over the whole
-// execution, re-opens included; the stats decorator harvests them at
-// Close.
-func (a *applyOp) CacheStats() (hits, misses int64) { return a.run.hits, a.run.misses }
-
 func (a *applyOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	for {
 		for a.pairing && a.ri < len(a.inner) {

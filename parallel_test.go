@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -251,8 +252,44 @@ func TestParallelLimit(t *testing.T) {
 // scan-join the optimizer parallelizes on genParallelDB.
 const parallelEligibleQuery = "SELECT x.k, x.v, y.v FROM ta x, tb y WHERE x.k = y.k AND x.v < 18"
 
+// exchangeQueries are one statement per exchange shape on genParallelDB
+// at DOP 4, each with the EXPLAIN text that shows the shape.
+var exchangeQueries = []struct{ q, shape string }{
+	{parallelEligibleQuery, "GATHER"},
+	{"SELECT x.k, COUNT(*) FROM ta x GROUP BY x.k", "REPART"},
+	{"SELECT DISTINCT x.v FROM ta x", "REPART"},
+	{"SELECT x.k, x.v FROM ta x ORDER BY x.k, x.v", "GATHER merge"},
+}
+
+// checkExchangeShape fails unless q plans the given exchange shape.
+func checkExchangeShape(t *testing.T, db *DB, q, shape string) {
+	t.Helper()
+	if plan := explainText(t, db, q); !strings.Contains(plan, shape) {
+		t.Fatalf("%s: plan has no %s; the test is vacuous:\n%s", q, shape, plan)
+	}
+}
+
+// checkExchangeWoundDown asserts that a statement left no exchange
+// worker behind: the worker gauge reads 0 and the goroutine count falls
+// back to what it was before the statement within two seconds.
+func checkExchangeWoundDown(t *testing.T, db *DB, q string, goroutines int) {
+	t.Helper()
+	if g := db.Metrics().Gauge(MetricParallelWorkers).Value(); g != 0 {
+		t.Fatalf("%s: leaked %d workers", q, g)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines 2s after the statement, %d before it", q, runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestParallelFaultMatrix drives parallel plans through the PR-2
 // robustness matrix: clean, faulted, cancelled, and budget-tripped.
+// The cancelled, budget-tripped and timeout legs run every exchange
+// shape: a plain GATHER, REPART under a GATHER, and an ordered GATHER.
 func TestParallelFaultMatrix(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		db := genParallelDB(t, 37)
@@ -319,53 +356,85 @@ func TestParallelFaultMatrix(t *testing.T) {
 	t.Run("cancelled", func(t *testing.T) {
 		db := genParallelDB(t, 43)
 		setDOP(db, 4)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := db.Query(ctx, parallelEligibleQuery, nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-		if g := db.Metrics().Gauge(MetricParallelWorkers).Value(); g != 0 {
-			t.Fatalf("cancelled statement leaked %d workers", g)
-		}
-		// The DB stays usable.
-		if _, err := db.Exec(parallelEligibleQuery, nil); err != nil {
-			t.Fatalf("statement after cancellation: %v", err)
+		for _, e := range exchangeQueries {
+			checkExchangeShape(t, db, e.q, e.shape)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			before := runtime.NumGoroutine()
+			_, err := db.Query(ctx, e.q, nil)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: want context.Canceled, got %v", e.q, err)
+			}
+			checkExchangeWoundDown(t, db, e.q, before)
+			// The DB stays usable.
+			if _, err := db.Exec(e.q, nil); err != nil {
+				t.Fatalf("%s after cancellation: %v", e.q, err)
+			}
 		}
 	})
 
 	t.Run("budget-tripped", func(t *testing.T) {
 		db := genParallelDB(t, 47)
 		setDOP(db, 4)
-		setLimits(db, Limits{MaxRows: 64})
-		_, err := db.Exec(parallelEligibleQuery, nil)
-		var rerr *ResourceError
-		if !errors.As(err, &rerr) || rerr.Budget != "rows" {
-			t.Fatalf("want rows ResourceError, got %v", err)
-		}
-		if g := db.Metrics().Gauge(MetricParallelWorkers).Value(); g != 0 {
-			t.Fatalf("budget-tripped statement leaked %d workers", g)
-		}
-		setLimits(db, Limits{})
-		if _, err := db.Exec(parallelEligibleQuery, nil); err != nil {
-			t.Fatalf("statement after budget trip: %v", err)
+		for _, e := range exchangeQueries {
+			checkExchangeShape(t, db, e.q, e.shape)
+			// ta holds 320 rows: the trip lands while workers still run.
+			setLimits(db, Limits{MaxRows: 64})
+			before := runtime.NumGoroutine()
+			_, err := db.Exec(e.q, nil)
+			var rerr *ResourceError
+			if !errors.As(err, &rerr) || rerr.Budget != "rows" {
+				t.Fatalf("%s: want rows ResourceError, got %v", e.q, err)
+			}
+			checkExchangeWoundDown(t, db, e.q, before)
+			setLimits(db, Limits{})
+			if _, err := db.Exec(e.q, nil); err != nil {
+				t.Fatalf("%s after budget trip: %v", e.q, err)
+			}
 		}
 	})
 
 	t.Run("timeout", func(t *testing.T) {
 		db := genParallelDB(t, 53)
 		setDOP(db, 4)
-		setLimits(db, Limits{Timeout: time.Nanosecond})
-		_, err := db.Exec(parallelEligibleQuery, nil)
-		var rerr *ResourceError
-		if !errors.As(err, &rerr) || rerr.Budget != "time" {
-			t.Fatalf("want time ResourceError, got %v", err)
-		}
-		setLimits(db, Limits{})
-		if g := db.Metrics().Gauge(MetricParallelWorkers).Value(); g != 0 {
-			t.Fatalf("timed-out statement leaked %d workers", g)
+		for _, e := range exchangeQueries {
+			checkExchangeShape(t, db, e.q, e.shape)
+			setLimits(db, Limits{Timeout: time.Nanosecond})
+			before := runtime.NumGoroutine()
+			_, err := db.Exec(e.q, nil)
+			var rerr *ResourceError
+			if !errors.As(err, &rerr) || rerr.Budget != "time" {
+				t.Fatalf("%s: want time ResourceError, got %v", e.q, err)
+			}
+			setLimits(db, Limits{})
+			checkExchangeWoundDown(t, db, e.q, before)
 		}
 	})
+}
+
+// TestParallelFailureReportedOnce: a failure inside an exchange reaches
+// the statement once, not once per exchange it crosses — a REPART
+// producer's budget trip surfaces through the partition reader's worker
+// and must not surface again when the GATHER stops the REPART exchange.
+func TestParallelFailureReportedOnce(t *testing.T) {
+	db := genParallelDB(t, 47)
+	setDOP(db, 4)
+	for _, q := range []string{
+		"SELECT x.k, COUNT(*) FROM ta x GROUP BY x.k",
+		"SELECT DISTINCT x.v FROM ta x",
+	} {
+		checkExchangeShape(t, db, q, "REPART")
+		setLimits(db, Limits{MaxRows: 50})
+		_, err := db.Exec(q, nil)
+		setLimits(db, Limits{})
+		var rerr *ResourceError
+		if !errors.As(err, &rerr) || rerr.Budget != "rows" {
+			t.Fatalf("%s: want rows ResourceError, got %v", q, err)
+		}
+		if n := strings.Count(err.Error(), "row budget exhausted"); n != 1 {
+			t.Fatalf("%s: the failure is reported %d times:\n%v", q, n, err)
+		}
+	}
 }
 
 // TestPreparedStmtFollowsParallelism: a prepared statement's plan is
@@ -523,4 +592,38 @@ func TestParallelStatsCumulative(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkStatsInvariants(t, instr, compiled.Root, prev)
+}
+
+// TestOperatorsCloseOncePerOpen: an operator closes only the inputs it
+// still holds open, so after a clean run every plan node was closed
+// exactly as often as it was opened — under each join method, and at
+// DOP 4 through both exchanges and the ordered merge.
+func TestOperatorsCloseOncePerOpen(t *testing.T) {
+	type runner func(*DB, *exec.Instrumentation, *plan.Compiled, map[string]Value, context.Context) ([]Row, error)
+	check := func(t *testing.T, db *DB, q string, run runner) {
+		t.Helper()
+		compiled := preparedPlan(q)(t, db)
+		instr := exec.NewInstrumentation()
+		if _, err := run(db, instr, compiled, nil, context.Background()); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		walkPlan(compiled.Root, func(n *plan.Node) {
+			if st := instr.OpStats(n); st != nil && st.Closes != st.Opens {
+				t.Errorf("%s: %s (%s) opened %d times, closed %d times", q, n.Op, instr.Kind(n), st.Opens, st.Closes)
+			}
+		})
+	}
+	for _, method := range []string{"NestedLoop", "HashJoin", "MergeJoin"} {
+		db := oneJoinMethodDB(t, method)
+		g := &queryGen{rng: rand.New(rand.NewSource(99))}
+		for i := 0; i < 60; i++ {
+			check(t, db, g.query(), runInstrumented)
+		}
+	}
+	db := genParallelDB(t, 67)
+	setDOP(db, 4)
+	for _, e := range exchangeQueries {
+		checkExchangeShape(t, db, e.q, e.shape)
+		check(t, db, e.q, runInstrumentedParallel)
+	}
 }
