@@ -47,12 +47,13 @@ func normalize(s string) string {
 }
 
 // runGolden executes script in a fresh shell (timing off, so output is
-// deterministic) and compares the normalized transcript with the golden
-// file. -update rewrites the golden.
-func runGolden(t *testing.T, name, script string) {
+// deterministic) over a database opened with opts and compares the
+// normalized transcript with the golden file. -update rewrites the
+// golden.
+func runGolden(t *testing.T, name, script string, opts ...starburst.Option) {
 	t.Helper()
 	var out bytes.Buffer
-	sh := &shell{db: starburst.Open(), out: &out, errOut: &out, timing: false}
+	sh := &shell{db: starburst.Open(opts...), out: &out, errOut: &out, timing: false}
 	if err := sh.runScript(setupSQL); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
@@ -103,6 +104,20 @@ EXPLAIN ANALYZE UPDATE inv SET qty = qty + 1 WHERE type = 'CPU';
 SELECT partno, qty FROM inv WHERE type = 'CPU';
 EXPLAIN ANALYZE DELETE FROM quot WHERE price > 90;
 SELECT partno FROM quot;`)
+}
+
+// TestGoldenAuditDML runs searched UPDATE and DELETE, on a table and
+// through a view over it, with every plan audited, as the -audit flag
+// does.
+func TestGoldenAuditDML(t *testing.T) {
+	runGolden(t, "audit_dml", `
+CREATE VIEW cpus (no, stock) AS SELECT partno, qty FROM inv WHERE type = 'CPU';
+UPDATE inv SET qty = qty + 1 WHERE partno = 2;
+UPDATE cpus SET stock = stock * 2 WHERE no IN (SELECT partno FROM quot WHERE price > 80);
+DELETE FROM cpus WHERE EXISTS (SELECT 1 FROM quot q WHERE q.partno = cpus.no AND q.price < 80);
+SELECT partno, qty, type FROM inv;
+DELETE FROM inv WHERE qty < (SELECT MAX(price) FROM quot);
+SELECT COUNT(*) FROM inv;`, starburst.WithSettings(starburst.Settings{Audit: true}))
 }
 
 func TestTimingToggle(t *testing.T) {

@@ -143,13 +143,19 @@ func (o *Optimizer) OptimizeConfig(g *qgm.Graph, tr *obs.Trace, cfg Config) (*pl
 		}
 	}
 	if g.Limit != nil {
+		props := root.Props
+		// A constant limit caps the estimate; a parameter's value is
+		// unknown at compile time.
+		if c, ok := g.Limit.(*expr.Const); ok && c.Val.Type() == datum.TInt {
+			props.Rows = min(props.Rows, float64(max(c.Val.Int(), 0)))
+		}
 		root = &plan.Node{
 			Op:        plan.OpLimit,
 			Inputs:    []*plan.Node{root},
 			Cols:      root.Cols,
 			Types:     root.Types,
 			LimitExpr: g.Limit,
-			Props:     root.Props,
+			Props:     props,
 		}
 	}
 	root = o.insertExchanges(root)

@@ -50,9 +50,9 @@ func TranslateStatement(cat *catalog.Catalog, stmt sql.Statement) (*Graph, error
 	case *sql.InsertStmt:
 		return translateInsert(cat, s)
 	case *sql.UpdateStmt:
-		return translateUpdate(cat, s)
+		return translateDML(cat, KindUpdate, s.Table, s.Alias, s.Sets, s.Where)
 	case *sql.DeleteStmt:
-		return translateDelete(cat, s)
+		return translateDML(cat, KindDelete, s.Table, s.Alias, nil, s.Where)
 	}
 	return nil, fmt.Errorf("qgm: statement %T has no QGM translation", stmt)
 }
@@ -726,6 +726,12 @@ func (t *Translator) translateBaseTable(x *sql.BaseTable, box *Box, sc *scope, q
 	if !ok {
 		return fmt.Errorf("qgm: unknown table %s", x.Name)
 	}
+	return sc.bind(identityBinding(alias, t.storedQuant(tbl, box, qtype, alias)))
+}
+
+// storedQuant adds a quantifier of box over the stored table's BASE box,
+// shared by every reference to the table in the graph.
+func (t *Translator) storedQuant(tbl *catalog.Table, box *Box, qtype, alias string) *Quantifier {
 	bb := t.base[tbl.Name]
 	if bb == nil {
 		bb = t.g.NewBox(KindBase)
@@ -735,8 +741,7 @@ func (t *Translator) translateBaseTable(x *sql.BaseTable, box *Box, sc *scope, q
 		}
 		t.base[tbl.Name] = bb
 	}
-	q := t.g.NewQuant(box, qtype, alias, bb)
-	return sc.bind(identityBinding(alias, q))
+	return t.g.NewQuant(box, qtype, alias, bb)
 }
 
 func (t *Translator) translateTableFunc(x *sql.TableFuncRef, box *Box, sc *scope) error {
@@ -1313,166 +1318,140 @@ func translateInsert(cat *catalog.Catalog, s *sql.InsertStmt) (*Graph, error) {
 	return t.g, t.g.Check()
 }
 
-// resolveUpdatableView maps an update/delete target that names a view
-// onto its base table, when unambiguous: the view must be a single
-// SELECT over one stored table with plain column projections and no
-// aggregation, duplicates handling or set operations (section 2:
-// "update through views will be allowed when the update is
-// unambiguous; otherwise an error will be returned").
-func resolveUpdatableView(cat *catalog.Catalog, name string) (*catalog.Table, sql.Expr, map[string]string, error) {
-	v, ok := cat.View(name)
-	if !ok {
-		return nil, nil, nil, nil // not a view
+// translateDML compiles UPDATE (sets non-nil) and DELETE into one box of
+// the given kind: an F quantifier over the target's BASE box, the search
+// condition as predicates, the SET expressions as head and TargetCols.
+// Every name in the statement resolves through the target's binding, as
+// in any query.
+func translateDML(cat *catalog.Catalog, kind, name, alias string, sets []sql.SetClause, where sql.Expr) (*Graph, error) {
+	t := &Translator{cat: cat, g: NewGraph(), base: map[string]*Box{}}
+	box := t.g.NewBox(kind)
+	if alias == "" {
+		alias = name
+	}
+	b, err := t.dmlTarget(box, name, alias)
+	if err != nil {
+		return nil, err
+	}
+	sc := newScope(nil)
+	sc.bindings = []*binding{b}
+	for _, set := range sets {
+		c, err := sc.resolve("", set.Col)
+		if err != nil {
+			return nil, fmt.Errorf("qgm: no updatable column %s in %s", set.Col, name)
+		}
+		e, err := t.translateScalar(set.Expr, sc, nil)
+		if err != nil {
+			return nil, err
+		}
+		box.TargetCols = append(box.TargetCols, c.Ord)
+		box.Head = append(box.Head, HeadCol{Name: strings.ToUpper(box.TargetTable.Cols[c.Ord].Name), Type: e.Type(), Expr: e})
+	}
+	if err := t.translateConjunctsDeferred(where, box, sc); err != nil {
+		return nil, err
+	}
+	t.g.Top = box
+	t.g.GC()
+	return t.g, t.g.Check()
+}
+
+// dmlTarget resolves an UPDATE/DELETE target to a quantifier of box over
+// a stored table's BASE box and returns the binding of alias to it. A
+// view target must be unambiguous (section 2: "update through views will
+// be allowed when the update is unambiguous; otherwise an error will be
+// returned"): one SELECT over one stored table, without a table
+// expression, aggregation, DISTINCT or LIMIT. Its WHERE becomes
+// predicates of box, translated under the view's own FROM alias, and
+// its plain column projections become the binding's names; computed
+// columns are neither updatable nor visible.
+func (t *Translator) dmlTarget(box *Box, name, alias string) (*binding, error) {
+	v, isView := t.cat.View(name)
+	if !isView {
+		tbl, ok := t.cat.Table(name)
+		if !ok {
+			return nil, fmt.Errorf("qgm: unknown table %s", name)
+		}
+		if tbl.System {
+			return nil, &catalog.SystemObjectError{Name: tbl.Name, Op: box.Kind}
+		}
+		box.TargetTable = tbl
+		return identityBinding(alias, t.storedQuant(tbl, box, ForEach, alias)), nil
 	}
 	q, err := sql.ParseQuery(v.Text)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("qgm: view %s: %w", name, err)
+		return nil, fmt.Errorf("qgm: view %s: %w", name, err)
 	}
 	core, ok := q.Body.(*sql.SelectCore)
-	if !ok || len(q.With) > 0 || core.Distinct || len(core.GroupBy) > 0 ||
+	if !ok || len(q.With) > 0 || q.Limit != nil || core.Distinct || len(core.GroupBy) > 0 ||
 		core.Having != nil || len(core.From) != 1 {
-		return nil, nil, nil, fmt.Errorf("qgm: view %s is not updatable (ambiguous update)", name)
+		return nil, fmt.Errorf("qgm: view %s is not updatable (ambiguous update)", name)
 	}
 	bt, ok := core.From[0].(*sql.BaseTable)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("qgm: view %s is not updatable (derived table)", name)
+		return nil, fmt.Errorf("qgm: view %s is not updatable (derived table)", name)
 	}
-	tbl, ok := cat.Table(bt.Name)
+	tbl, ok := t.cat.Table(bt.Name)
 	if !ok {
-		// View over a view: not supported for update.
-		return nil, nil, nil, fmt.Errorf("qgm: view %s is not updatable (nested view)", name)
+		return nil, fmt.Errorf("qgm: view %s is not updatable (nested view)", name)
 	}
-	// Column mapping: view output name -> base column name.
-	colMap := map[string]string{}
-	for i, item := range core.Items {
+	if tbl.System {
+		return nil, &catalog.SystemObjectError{Name: tbl.Name, Op: box.Kind}
+	}
+	box.TargetTable = tbl
+	quant := t.storedQuant(tbl, box, ForEach, alias)
+	from := bt.Alias
+	if from == "" {
+		from = bt.Name
+	}
+	vsc := newScope(nil)
+	vsc.bindings = []*binding{identityBinding(from, quant)}
+	if err := t.translateConjunctsDeferred(core.Where, box, vsc); err != nil {
+		return nil, fmt.Errorf("qgm: view %s: %w", name, err)
+	}
+	// Output columns in view order; ord -1 marks a computed column.
+	var names []string
+	var ords []int
+	for _, item := range core.Items {
 		if item.Star {
-			for _, c := range tbl.Cols {
-				colMap[strings.ToUpper(c.Name)] = strings.ToUpper(c.Name)
+			cols, err := t.expandStar(item.StarQualifier, vsc)
+			if err != nil {
+				return nil, fmt.Errorf("qgm: view %s: %w", name, err)
+			}
+			for _, hc := range cols {
+				names = append(names, hc.Name)
+				ords = append(ords, hc.Expr.(*expr.Col).Ord)
 			}
 			continue
 		}
-		id, ok := item.Expr.(*sql.Ident)
-		if !ok {
-			continue // computed columns are not updatable
+		ord := -1
+		if id, ok := item.Expr.(*sql.Ident); ok {
+			c, err := vsc.resolve(id.Qualifier, id.Name)
+			if err != nil {
+				return nil, fmt.Errorf("qgm: view %s: %w", name, err)
+			}
+			ord = c.Ord
+		} else if containsAggAST(item.Expr) {
+			return nil, fmt.Errorf("qgm: view %s is not updatable (ambiguous update)", name)
 		}
-		outName := item.Alias
-		if outName == "" {
-			outName = id.Name
-		}
-		if i < len(v.ColNames) && v.ColNames[i] != "" {
-			outName = v.ColNames[i]
-		}
-		colMap[strings.ToUpper(outName)] = strings.ToUpper(id.Name)
+		names = append(names, headName(item, nil, len(names)))
+		ords = append(ords, ord)
 	}
-	return tbl, core.Where, colMap, nil
-}
-
-func translateUpdate(cat *catalog.Catalog, s *sql.UpdateStmt) (*Graph, error) {
-	t := &Translator{cat: cat, g: NewGraph(), base: map[string]*Box{}}
-	tbl, viewWhere, colMap, err := resolveUpdatableView(cat, s.Table)
-	if err != nil {
-		return nil, err
-	}
-	if tbl == nil {
-		tt, ok := cat.Table(s.Table)
-		if !ok {
-			return nil, fmt.Errorf("qgm: unknown table %s", s.Table)
+	if len(v.ColNames) > 0 {
+		if len(v.ColNames) != len(names) {
+			return nil, fmt.Errorf("qgm: view %s: %d names for %d columns", v.Name, len(v.ColNames), len(names))
 		}
-		tbl = tt
-	}
-	if tbl.System {
-		return nil, &catalog.SystemObjectError{Name: tbl.Name, Op: "UPDATE"}
-	}
-	up := t.g.NewBox(KindUpdate)
-	up.TargetTable = tbl
-	sc := newScope(nil)
-	alias := s.Alias
-	if alias == "" {
-		alias = s.Table
-	}
-	if err := t.translateBaseTable(&sql.BaseTable{Name: tbl.Name, Alias: alias}, up, sc, ForEach); err != nil {
-		return nil, err
-	}
-	mapCol := func(name string) (string, error) {
-		if colMap == nil {
-			return name, nil
-		}
-		base, ok := colMap[strings.ToUpper(name)]
-		if !ok {
-			return "", fmt.Errorf("qgm: column %s is not updatable through view %s", name, s.Table)
-		}
-		return base, nil
-	}
-	for _, set := range s.Sets {
-		cn, err := mapCol(set.Col)
-		if err != nil {
-			return nil, err
-		}
-		ord := tbl.ColIndex(cn)
-		if ord < 0 {
-			return nil, fmt.Errorf("qgm: no column %s in %s", set.Col, tbl.Name)
-		}
-		e, err := t.translateScalarMapped(set.Expr, sc, nil, colMap)
-		if err != nil {
-			return nil, err
-		}
-		up.TargetCols = append(up.TargetCols, ord)
-		up.Head = append(up.Head, HeadCol{Name: strings.ToUpper(cn), Type: e.Type(), Expr: e})
-	}
-	if s.Where != nil {
-		if err := t.translateConjunctsMappedDeferred(s.Where, up, sc, colMap); err != nil {
-			return nil, err
+		for i, n := range v.ColNames {
+			names[i] = strings.ToUpper(n)
 		}
 	}
-	if viewWhere != nil {
-		if err := t.translateConjunctsDeferred(viewWhere, up, sc); err != nil {
-			return nil, err
+	b := &binding{alias: alias, q: quant}
+	for i, ord := range ords {
+		if ord >= 0 {
+			b.names = append(b.names, names[i])
+			b.ords = append(b.ords, ord)
 		}
 	}
-	t.g.Top = up
-	t.g.GC()
-	return t.g, t.g.Check()
-}
-
-func translateDelete(cat *catalog.Catalog, s *sql.DeleteStmt) (*Graph, error) {
-	t := &Translator{cat: cat, g: NewGraph(), base: map[string]*Box{}}
-	tbl, viewWhere, colMap, err := resolveUpdatableView(cat, s.Table)
-	if err != nil {
-		return nil, err
-	}
-	if tbl == nil {
-		tt, ok := cat.Table(s.Table)
-		if !ok {
-			return nil, fmt.Errorf("qgm: unknown table %s", s.Table)
-		}
-		tbl = tt
-	}
-	if tbl.System {
-		return nil, &catalog.SystemObjectError{Name: tbl.Name, Op: "DELETE"}
-	}
-	del := t.g.NewBox(KindDelete)
-	del.TargetTable = tbl
-	sc := newScope(nil)
-	alias := s.Alias
-	if alias == "" {
-		alias = s.Table
-	}
-	if err := t.translateBaseTable(&sql.BaseTable{Name: tbl.Name, Alias: alias}, del, sc, ForEach); err != nil {
-		return nil, err
-	}
-	if s.Where != nil {
-		if err := t.translateConjunctsMappedDeferred(s.Where, del, sc, colMap); err != nil {
-			return nil, err
-		}
-	}
-	if viewWhere != nil {
-		if err := t.translateConjunctsDeferred(viewWhere, del, sc); err != nil {
-			return nil, err
-		}
-	}
-	t.g.Top = del
-	t.g.GC()
-	return t.g, t.g.Check()
+	return b, nil
 }
 
 // translateConjunctsDeferred splits a DML search condition into
@@ -1498,64 +1477,6 @@ func (t *Translator) translateConjunctsDeferred(e sql.Expr, box *Box, sc *scope)
 	}
 	box.Preds = append(box.Preds, &Predicate{Expr: pe})
 	return nil
-}
-
-// translateScalarMapped translates an expression, first renaming
-// view-level column names to base-table names per colMap.
-func (t *Translator) translateScalarMapped(e sql.Expr, sc *scope, box *Box, colMap map[string]string) (expr.Expr, error) {
-	if colMap != nil {
-		var mapErr error
-		e = mapIdents(e, colMap, &mapErr)
-		if mapErr != nil {
-			return nil, mapErr
-		}
-	}
-	return t.translateScalar(e, sc, box)
-}
-
-func (t *Translator) translateConjunctsMappedDeferred(e sql.Expr, box *Box, sc *scope, colMap map[string]string) error {
-	if colMap != nil {
-		var mapErr error
-		e = mapIdents(e, colMap, &mapErr)
-		if mapErr != nil {
-			return mapErr
-		}
-	}
-	return t.translateConjunctsDeferred(e, box, sc)
-}
-
-// mapIdents rewrites identifier names through a view column map. Only
-// simple forms used in UPDATE/DELETE are covered.
-func mapIdents(e sql.Expr, colMap map[string]string, errp *error) sql.Expr {
-	switch x := e.(type) {
-	case *sql.Ident:
-		base, ok := colMap[strings.ToUpper(x.Name)]
-		if !ok {
-			*errp = fmt.Errorf("qgm: column %s not visible through view", x.Name)
-			return e
-		}
-		return &sql.Ident{Name: base}
-	case *sql.Binary:
-		return &sql.Binary{Op: x.Op, L: mapIdents(x.L, colMap, errp), R: mapIdents(x.R, colMap, errp)}
-	case *sql.Unary:
-		return &sql.Unary{Op: x.Op, E: mapIdents(x.E, colMap, errp)}
-	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{E: mapIdents(x.E, colMap, errp), Negated: x.Negated}
-	case *sql.LikeExpr:
-		return &sql.LikeExpr{E: mapIdents(x.E, colMap, errp), Pattern: x.Pattern, Negated: x.Negated}
-	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{E: mapIdents(x.E, colMap, errp),
-			Lo: mapIdents(x.Lo, colMap, errp), Hi: mapIdents(x.Hi, colMap, errp), Negated: x.Negated}
-	case *sql.InExpr:
-		if x.Query == nil {
-			in := &sql.InExpr{E: mapIdents(x.E, colMap, errp), Negated: x.Negated}
-			for _, le := range x.List {
-				in.List = append(in.List, mapIdents(le, colMap, errp))
-			}
-			return in
-		}
-	}
-	return e
 }
 
 // hiddenOrderCol appends a hidden head column computing the ORDER BY

@@ -369,8 +369,9 @@ type SetClause struct {
 	Expr Expr
 }
 
-// UpdateStmt is UPDATE t SET ... [WHERE ...]. Updates through views are
-// resolved during translation when unambiguous (section 2).
+// UpdateStmt is UPDATE t [alias] SET ... [WHERE ...]. Table may name a
+// stored table or an unambiguous view (section 2); translation binds it
+// and resolves every name in Sets and Where as in a query over it.
 type UpdateStmt struct {
 	Table string
 	Alias string
@@ -380,7 +381,8 @@ type UpdateStmt struct {
 
 func (*UpdateStmt) stmt() {}
 
-// DeleteStmt is DELETE FROM t [WHERE ...].
+// DeleteStmt is DELETE FROM t [alias] [WHERE ...]. Table names a stored
+// table or an unambiguous view, resolved as for UpdateStmt.
 type DeleteStmt struct {
 	Table string
 	Alias string

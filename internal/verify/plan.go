@@ -13,10 +13,11 @@ import (
 // are DBC extensions and are not shape-checked.
 var exactInputs = map[string]int{
 	plan.OpScan: 0, plan.OpIndex: 0, plan.OpValues: 0, plan.OpTableFn: 0, plan.OpRecRef: 0,
+	plan.OpUpdate: 0, plan.OpDelete: 0, // searched DML reads its own table
 	plan.OpFilter: 1, plan.OpProject: 1, plan.OpSort: 1, plan.OpDistinct: 1,
 	plan.OpGroup: 1, plan.OpTemp: 1, plan.OpLimit: 1, plan.OpAccess: 1,
 	plan.OpGather: 1, plan.OpRepart: 1,
-	plan.OpInsert: 1, plan.OpUpdate: 1, plan.OpDelete: 1,
+	plan.OpInsert: 1,
 	plan.OpNLJoin: 2, plan.OpSMJoin: 2, plan.OpHSJoin: 2, plan.OpSubq: 2, plan.OpInter: 2, plan.OpExcept: 2,
 }
 
@@ -160,9 +161,9 @@ func Plan(c *plan.Compiled) *Report {
 					}
 				}
 			}
-		case plan.OpScan, plan.OpIndex:
+		case plan.OpScan, plan.OpIndex, plan.OpInsert, plan.OpUpdate, plan.OpDelete:
 			if n.Table == nil {
-				add(path, "scan without a table")
+				add(path, "no table")
 			}
 		}
 		return true

@@ -235,6 +235,10 @@ func TestParallelLimit(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("LIMIT 7 returned %d rows", len(res.Rows))
 	}
+	// A constant limit caps the LIMIT node's estimate at k rows.
+	if plan := explainText(t, db, "SELECT x.k FROM ta x LIMIT 7"); !strings.Contains(plan, "LIMIT  {rows=7 ") {
+		t.Fatalf("LIMIT 7 estimate is not 7 rows:\n%s", plan)
+	}
 
 	serial := runAtDOP(t, db, 1, "SELECT x.k, x.v FROM ta x ORDER BY x.k, x.v LIMIT 11")
 	par := runAtDOP(t, db, 4, "SELECT x.k, x.v FROM ta x ORDER BY x.k, x.v LIMIT 11")
