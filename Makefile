@@ -68,8 +68,9 @@ examples:
 	@for d in examples/*/; do \
 		echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
-# stress is what race does not run: a fuzz smoke over random fault
-# schedules (race replays only the seed corpus), and the paths through
+# stress is what race does not run: fuzz smokes over random fault
+# schedules and over statement texts for the plan-cache key (race
+# replays only the seed corpora), and the paths through
 # pooled batches — equivalence, subquery re-opens, budgets, reuse —
 # repeated under the race detector, since a pooled batch outlives its
 # operator and the per-P pool hands it across goroutines, and DISK
@@ -98,6 +99,7 @@ examples:
 # MaxMem.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
+	$(GO) test ./ -run FuzzPlanKey -fuzz FuzzPlanKey -fuzztime 10s
 	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/
 

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	starburst "repro"
+	"repro/internal/sql"
 )
 
 func main() {
@@ -347,26 +348,30 @@ func (sh *shell) printTable(res *starburst.Result) {
 	}
 }
 
-// splitStatements splits on semicolons outside string literals.
+// splitStatements splits a script at the ';' tokens the Hydrogen
+// lexer finds, so a semicolon inside a string literal, a delimited
+// identifier or a comment does not split. Text the lexer rejects runs
+// as one statement, whose parse reports the error.
 func splitStatements(s string) []string {
 	var out []string
-	var cur strings.Builder
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	lex := sql.NewLexer(s)
+	start, tokens := 0, false
+	for {
+		t, err := lex.Next()
+		if err != nil {
+			return append(out, s[start:])
+		}
 		switch {
-		case c == '\'':
-			inStr = !inStr
-			cur.WriteByte(c)
-		case c == ';' && !inStr:
-			out = append(out, cur.String())
-			cur.Reset()
+		case t.Kind == sql.TokEOF:
+			if tokens {
+				out = append(out, s[start:])
+			}
+			return out
+		case t.Kind == sql.TokSymbol && t.Text == ";":
+			out = append(out, s[start:t.Pos])
+			start, tokens = t.Pos+1, false
 		default:
-			cur.WriteByte(c)
+			tokens = true
 		}
 	}
-	if strings.TrimSpace(cur.String()) != "" {
-		out = append(out, cur.String())
-	}
-	return out
 }

@@ -65,8 +65,9 @@ type Ctx struct {
 	goCtx context.Context
 	// limits are the armed per-statement budgets.
 	limits Limits
-	// started/deadline implement the statement timeout.
-	started, deadline time.Time
+	// deadline implements the statement timeout; the statement clock
+	// started Limits.Timeout before it (see elapsed).
+	deadline time.Time
 	// sh holds the statement-wide atomic counters (work ticks, memory,
 	// subquery-cache lookups, early-termination flag) shared with every
 	// worker child.
@@ -102,6 +103,9 @@ func NewCtx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
 	c.ec = expr.Context{Params: params, Exec: c}
 	return c
 }
+
+// SetArgs binds the statement's lifted VALUES cells (see expr.Arg).
+func (c *Ctx) SetArgs(args []datum.Value) { c.ec.Args = args }
 
 // SetDOP does nothing: a plan's GATHER nodes carry its degree of
 // parallelism, and an exchange always runs its workers concurrently.

@@ -99,8 +99,7 @@ func (c *Ctx) Arm(goCtx context.Context, limits Limits) {
 	c.goCtx = goCtx
 	c.limits = limits
 	if limits.Timeout > 0 {
-		c.started = time.Now()
-		c.deadline = c.started.Add(limits.Timeout)
+		c.deadline = time.Now().Add(limits.Timeout)
 	}
 }
 
@@ -132,17 +131,20 @@ func (c *Ctx) tickSlow(ticks int64) error {
 	return c.checkCancel()
 }
 
+// elapsed is the time since Arm started the statement clock.
+func (c *Ctx) elapsed() time.Duration { return time.Since(c.deadline) + c.limits.Timeout }
+
 // checkCancel is the unamortized cancellation/deadline check.
 func (c *Ctx) checkCancel() error {
 	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
 		return &ResourceError{Budget: "time",
-			Limit: int64(c.limits.Timeout), Used: int64(time.Since(c.started))}
+			Limit: int64(c.limits.Timeout), Used: int64(c.elapsed())}
 	}
 	if c.goCtx != nil {
 		if err := c.goCtx.Err(); err != nil {
 			if context.Cause(c.goCtx) == context.DeadlineExceeded && !c.deadline.IsZero() {
 				return &ResourceError{Budget: "time",
-					Limit: int64(c.limits.Timeout), Used: int64(time.Since(c.started))}
+					Limit: int64(c.limits.Timeout), Used: int64(c.elapsed())}
 			}
 			return err
 		}

@@ -39,6 +39,8 @@ type Expr interface {
 type Context struct {
 	// Params are host-language variables referenced by ParamExpr.
 	Params map[string]datum.Value
+	// Args are the statement's lifted VALUES cells, read by Arg.
+	Args []datum.Value
 	// Corr is the correlation vector: values of outer-query columns
 	// visible to a subquery's plan, read by Col nodes bound with
 	// Corr=true (evaluate-on-demand subqueries, section 7).
@@ -87,6 +89,25 @@ func (p *Param) Type() datum.TypeID          { return p.Typ }
 func (p *Param) String() string              { return ":" + p.Name }
 func (p *Param) Children() []Expr            { return nil }
 func (p *Param) WithChildren(ch []Expr) Expr { return p }
+
+// Arg is a VALUES cell lifted out of the statement text: the N-th
+// value of Context.Args, of the literal's type Typ. A plan with Args
+// serves every statement of its shape.
+type Arg struct {
+	N   int
+	Typ datum.TypeID
+}
+
+func (a *Arg) Eval(ctx *Context, _ datum.Row) (datum.Value, error) {
+	if ctx == nil || a.N >= len(ctx.Args) {
+		return datum.Null, fmt.Errorf("expr: unbound lifted value ?%d", a.N+1)
+	}
+	return ctx.Args[a.N], nil
+}
+func (a *Arg) Type() datum.TypeID          { return a.Typ }
+func (a *Arg) String() string              { return fmt.Sprintf("?%d", a.N+1) }
+func (a *Arg) Children() []Expr            { return nil }
+func (a *Arg) WithChildren(ch []Expr) Expr { return a }
 
 // ---------------------------------------------------------------------
 // Column references

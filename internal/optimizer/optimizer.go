@@ -161,6 +161,9 @@ func (o *Optimizer) OptimizeConfig(g *qgm.Graph, tr *obs.Trace, cfg Config) (*pl
 	root = o.insertExchanges(root)
 	out := &plan.Compiled{Root: root, Graph: g}
 	visible := g.Top.Head[:len(g.Top.Head)-g.HiddenOrderCols]
+	if k := g.Top.Kind; k == qgm.KindInsert || k == qgm.KindUpdate || k == qgm.KindDelete {
+		visible = nil // DML returns no rows: a head holds SET expressions
+	}
 	for _, hc := range visible {
 		out.OutputNames = append(out.OutputNames, hc.Name)
 		out.OutputTypes = append(out.OutputTypes, hc.Type)

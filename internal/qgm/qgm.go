@@ -379,36 +379,54 @@ func (g *Graph) GC() {
 	g.Boxes = kept
 }
 
+// Loc locates an expression slot of a box for diagnostics: its String
+// is "head[2] (NAME)", "pred[0]", "values[1][3]", ... Only a diagnostic
+// formats it, so walking a box's expressions builds no strings.
+type Loc struct {
+	Slot string // head, pred, groupby, values, tfarg or choosecond
+	I, J int    // the slot's index; J is a VALUES row's column
+	Name string // a head column's name
+}
+
+func (l Loc) String() string {
+	switch l.Slot {
+	case "head":
+		return fmt.Sprintf("head[%d] (%s)", l.I, l.Name)
+	case "values":
+		return fmt.Sprintf("values[%d][%d]", l.I, l.J)
+	}
+	return fmt.Sprintf("%s[%d]", l.Slot, l.I)
+}
+
 // VisitExprs calls f on every expression attached to the box — head
 // columns, predicates, grouping expressions, VALUES rows, table-function
-// scalar arguments, CHOOSE conditions — with a location label for
-// diagnostics ("head[2]", "pred[0]", "groupby[1]", ...). It is the one
+// scalar arguments, CHOOSE conditions — with its location. It is the one
 // enumeration of a box's expression slots: the structural checker, the
 // deep verifier and graph-walking rewrite primitives all share it, so a
 // new expression-bearing field added to Box needs updating only here.
-func (b *Box) VisitExprs(f func(loc string, e expr.Expr)) {
+func (b *Box) VisitExprs(f func(loc Loc, e expr.Expr)) {
 	for i, hc := range b.Head {
 		if hc.Expr != nil {
-			f(fmt.Sprintf("head[%d] (%s)", i, hc.Name), hc.Expr)
+			f(Loc{Slot: "head", I: i, Name: hc.Name}, hc.Expr)
 		}
 	}
 	for i, p := range b.Preds {
-		f(fmt.Sprintf("pred[%d]", i), p.Expr)
+		f(Loc{Slot: "pred", I: i}, p.Expr)
 	}
 	for i, ge := range b.GroupBy {
-		f(fmt.Sprintf("groupby[%d]", i), ge)
+		f(Loc{Slot: "groupby", I: i}, ge)
 	}
 	for ri, row := range b.Rows {
 		for ci, e := range row {
-			f(fmt.Sprintf("values[%d][%d]", ri, ci), e)
+			f(Loc{Slot: "values", I: ri, J: ci}, e)
 		}
 	}
 	for i, e := range b.TFScalarArgs {
-		f(fmt.Sprintf("tfarg[%d]", i), e)
+		f(Loc{Slot: "tfarg", I: i}, e)
 	}
 	for i, e := range b.ChooseConds {
 		if e != nil {
-			f(fmt.Sprintf("choosecond[%d]", i), e)
+			f(Loc{Slot: "choosecond", I: i}, e)
 		}
 	}
 }
@@ -474,7 +492,7 @@ func (g *Graph) StructuralCheck() error {
 		// in this box or an enclosing one (correlation); visibility is
 		// approximated by existence in the graph.
 		var err error
-		b.VisitExprs(func(loc string, e expr.Expr) {
+		b.VisitExprs(func(loc Loc, e expr.Expr) {
 			if err != nil {
 				return
 			}

@@ -644,17 +644,9 @@ func (t *Translator) translateTableRef(ref sql.TableRef, box *Box, sc *scope) er
 		// may be "correlated with other parts of the query" (section
 		// 2): siblings to its left are visible, and the optimizer
 		// applies such lateral quantifiers per outer tuple.
-		sub, err := t.translateSelect(x.Query, sc, false)
+		sub, err := t.subqueryBox(x.Query, sc, x.Cols)
 		if err != nil {
 			return err
-		}
-		if len(x.Cols) > 0 {
-			if len(x.Cols) != len(sub.Head) {
-				return fmt.Errorf("qgm: %d column names for %d columns", len(x.Cols), len(sub.Head))
-			}
-			for i, n := range x.Cols {
-				sub.Head[i].Name = strings.ToUpper(n)
-			}
 		}
 		alias := x.Alias
 		if alias == "" {
@@ -706,17 +698,9 @@ func (t *Translator) translateBaseTable(x *sql.BaseTable, box *Box, sc *scope, q
 		if err != nil {
 			return fmt.Errorf("qgm: view %s: %w", v.Name, err)
 		}
-		vbox, err := t.translateSelect(q, nil, false)
+		vbox, err := t.subqueryBox(q, nil, v.ColNames)
 		if err != nil {
 			return fmt.Errorf("qgm: view %s: %w", v.Name, err)
-		}
-		if len(v.ColNames) > 0 {
-			if len(v.ColNames) != len(vbox.Head) {
-				return fmt.Errorf("qgm: view %s: %d names for %d columns", v.Name, len(v.ColNames), len(vbox.Head))
-			}
-			for i, n := range v.ColNames {
-				vbox.Head[i].Name = strings.ToUpper(n)
-			}
 		}
 		qq := t.g.NewQuant(box, qtype, alias, vbox)
 		return sc.bind(identityBinding(alias, qq))
@@ -727,6 +711,34 @@ func (t *Translator) translateBaseTable(x *sql.BaseTable, box *Box, sc *scope, q
 		return fmt.Errorf("qgm: unknown table %s", x.Name)
 	}
 	return sc.bind(identityBinding(alias, t.storedQuant(tbl, box, qtype, alias)))
+}
+
+// TranslateView checks the definition of view name: it translates it
+// as the subquery every use of the view is.
+func TranslateView(cat *catalog.Catalog, name string, cols []string, q *sql.SelectStmt) error {
+	t := &Translator{cat: cat, g: NewGraph(), base: map[string]*Box{}, coreScopes: map[*Box]*scope{}}
+	if _, err := t.subqueryBox(q, nil, cols); err != nil {
+		return fmt.Errorf("qgm: view %s: %w", strings.ToUpper(name), err)
+	}
+	return nil
+}
+
+// subqueryBox translates q as a subquery — no ORDER BY or LIMIT — in
+// scope sc (nil for a view), naming its columns cols when given.
+func (t *Translator) subqueryBox(q *sql.SelectStmt, sc *scope, cols []string) (*Box, error) {
+	sub, err := t.translateSelect(q, sc, false)
+	if err != nil {
+		return nil, err
+	}
+	if len(cols) > 0 {
+		if len(cols) != len(sub.Head) {
+			return nil, fmt.Errorf("qgm: %d column names for %d columns", len(cols), len(sub.Head))
+		}
+		for i, n := range cols {
+			sub.Head[i].Name = strings.ToUpper(n)
+		}
+	}
+	return sub, nil
 }
 
 // storedQuant adds a quantifier of box over the stored table's BASE box,
@@ -1006,6 +1018,9 @@ func (t *Translator) translateScalar(e sql.Expr, sc *scope, box *Box) (expr.Expr
 	case *sql.Lit:
 		return expr.NewConst(x.Val), nil
 
+	case *sql.Slot:
+		return &expr.Arg{N: x.N, Typ: x.Typ}, nil
+
 	case *sql.ParamRef:
 		t.g.Params[x.Name] = true
 		return &expr.Param{Name: x.Name, Typ: datum.TString}, nil
@@ -1282,13 +1297,14 @@ func translateInsert(cat *catalog.Catalog, s *sql.InsertStmt) (*Graph, error) {
 		src = b
 	} else {
 		vb := t.g.NewBox(KindValues)
+		sc := newScope(nil)
 		for ri, row := range s.Rows {
 			if len(row) != len(cols) {
 				return nil, fmt.Errorf("qgm: VALUES row %d has %d values, want %d", ri+1, len(row), len(cols))
 			}
 			var exprs []expr.Expr
 			for ci, e := range row {
-				te, err := t.translateScalar(e, newScope(nil), nil)
+				te, err := t.translateScalar(e, sc, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -171,6 +171,16 @@ type Lit struct{ Val datum.Value }
 func (*Lit) expr()            {}
 func (l *Lit) String() string { return l.Val.String() }
 
+// Slot is a VALUES cell Key lifted out of the text: the N-th lifted
+// value, of the literal's type Typ.
+type Slot struct {
+	N   int
+	Typ datum.TypeID
+}
+
+func (*Slot) expr()            {}
+func (s *Slot) String() string { return marker(s.Typ) }
+
 // Ident is a possibly qualified column reference.
 type Ident struct {
 	Qualifier string // table or alias; empty when unqualified

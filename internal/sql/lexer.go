@@ -51,7 +51,9 @@ func (t Token) String() string {
 	}
 }
 
-var keywords = map[string]bool{}
+// keywords maps each keyword to itself, so a lookup yields the
+// canonical upper-case text without building it.
+var keywords = map[string]string{}
 
 func init() {
 	for _, k := range []string{
@@ -65,8 +67,29 @@ func init() {
 		"WHEN", "THEN", "ELSE", "END", "ANALYZE", "LIMIT", "EXPLAIN",
 		"BEGIN", "COMMIT", "ROLLBACK", "TRANSACTION", "WORK",
 	} {
-		keywords[k] = true
+		keywords[k] = k
 	}
+}
+
+// keyword returns the keyword an identifier spells in any case, or "".
+// It folds case in a stack buffer, so it allocates nothing.
+func keyword(word string) string {
+	var buf [16]byte
+	if len(word) > len(buf) {
+		return ""
+	}
+	for i := 0; i < len(word); i++ {
+		buf[i] = upper(word[i])
+	}
+	return keywords[string(buf[:len(word)])]
+}
+
+// upper folds an ASCII lower-case letter to upper case.
+func upper(c byte) byte {
+	if 'a' <= c && c <= 'z' {
+		return c - ('a' - 'A')
+	}
+	return c
 }
 
 // Lexer splits Hydrogen text into tokens.
@@ -80,23 +103,59 @@ func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
-	l.skipSpace()
-	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Pos: l.pos}, nil
+	kind, start, err := l.scan()
+	if err != nil {
+		return Token{}, err
+	}
+	text := l.src[start:l.pos]
+	switch {
+	case kind == TokKeyword:
+		text = keyword(text)
+	case kind == TokString:
+		text = unquote(text)
+	case kind == TokParam:
+		text = text[1:]
+	case kind == TokIdent && text[0] == '"':
+		text = text[1 : len(text)-1]
+	case text == "!=":
+		text = "<>"
+	}
+	return Token{Kind: kind, Text: text, Pos: start}, nil
+}
+
+// unquote is the value of a string literal's source text: quotes
+// stripped, doubled quotes undoubled, and copied, so that the value
+// does not pin the statement text.
+func unquote(raw string) string {
+	s := raw[1 : len(raw)-1]
+	if strings.Contains(s, "''") {
+		return strings.ReplaceAll(s, "''", "'")
+	}
+	return strings.Clone(s)
+}
+
+// scan moves past the next token, skipping space and comments, and
+// returns its kind and start offset: the token's source text is
+// src[start:pos], quotes and escapes included. It allocates nothing
+// but an error.
+func (l *Lexer) scan() (TokenKind, int, error) {
+	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
+		l.pos++
 	}
 	start := l.pos
+	if l.pos >= len(l.src) {
+		return TokEOF, start, nil
+	}
 	c := l.src[l.pos]
 	switch {
 	case isIdentStart(rune(c)):
 		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 			l.pos++
 		}
-		text := l.src[start:l.pos]
-		up := strings.ToUpper(text)
-		if keywords[up] {
-			return Token{Kind: TokKeyword, Text: up, Pos: start}, nil
+		if keyword(l.src[start:l.pos]) != "" {
+			return TokKeyword, start, nil
 		}
-		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
+		return TokIdent, start, nil
 
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		isFloat := false
@@ -119,84 +178,64 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			break
 		}
-		kind := TokInt
 		if isFloat {
-			kind = TokFloat
+			return TokFloat, start, nil
 		}
-		return Token{Kind: kind, Text: l.src[start:l.pos], Pos: start}, nil
+		return TokInt, start, nil
 
 	case c == '\'':
-		l.pos++
-		var b strings.Builder
-		for {
+		for l.pos++; ; l.pos++ {
 			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+				return 0, start, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
+			if l.src[l.pos] == '\'' {
 				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // escaped quote
-					b.WriteByte('\'')
-					l.pos += 2
+					l.pos++
 					continue
 				}
 				l.pos++
-				break
+				return TokString, start, nil
 			}
-			b.WriteByte(ch)
-			l.pos++
 		}
-		return Token{Kind: TokString, Text: b.String(), Pos: start}, nil
 
 	case c == '"': // delimited identifier
-		l.pos++
-		end := strings.IndexByte(l.src[l.pos:], '"')
+		end := strings.IndexByte(l.src[l.pos+1:], '"')
 		if end < 0 {
-			return Token{}, fmt.Errorf("sql: unterminated delimited identifier at offset %d", start)
+			return 0, start, fmt.Errorf("sql: unterminated delimited identifier at offset %d", start)
 		}
-		text := l.src[l.pos : l.pos+end]
-		l.pos += end + 1
-		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
+		l.pos += end + 2
+		return TokIdent, start, nil
 
 	case c == ':':
 		l.pos++
-		ns := l.pos
 		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 			l.pos++
 		}
-		if l.pos == ns {
-			return Token{}, fmt.Errorf("sql: empty parameter name at offset %d", start)
+		if l.pos == start+1 {
+			return 0, start, fmt.Errorf("sql: empty parameter name at offset %d", start)
 		}
-		return Token{Kind: TokParam, Text: l.src[ns:l.pos], Pos: start}, nil
+		return TokParam, start, nil
 
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
 		// Line comment.
 		for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 			l.pos++
 		}
-		return l.Next()
+		return l.scan()
 
 	default:
 		// Multi-character symbols first.
 		for _, sym := range []string{"<>", "!=", "<=", ">=", "||"} {
 			if strings.HasPrefix(l.src[l.pos:], sym) {
 				l.pos += len(sym)
-				if sym == "!=" {
-					sym = "<>"
-				}
-				return Token{Kind: TokSymbol, Text: sym, Pos: start}, nil
+				return TokSymbol, start, nil
 			}
 		}
 		if strings.ContainsRune("+-*/%(),.<>=;", rune(c)) {
 			l.pos++
-			return Token{Kind: TokSymbol, Text: string(c), Pos: start}, nil
+			return TokSymbol, start, nil
 		}
-		return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
-	}
-}
-
-func (l *Lexer) skipSpace() {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
+		return 0, start, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 	}
 }
 

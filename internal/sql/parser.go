@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/datum"
@@ -14,12 +13,19 @@ type Parser struct {
 	tok  Token // current token
 	peek *Token
 	src  string
+	// lifted holds the VALUES cells Key lifted out of src; nlift counts
+	// those parsed so far.
+	lifted Lifted
+	nlift  int
 }
 
 // Parse parses a single statement (an optional trailing semicolon is
 // consumed).
-func Parse(src string) (Statement, error) {
-	p := &Parser{lex: NewLexer(src), src: src}
+func Parse(src string) (Statement, error) { return ParseLifted(src, Lifted{}) }
+
+// ParseLifted is Parse with the cells Key(src) lifted parsed as Slots.
+func ParseLifted(src string, lifted Lifted) (Statement, error) {
+	p := &Parser{lex: NewLexer(src), src: src, lifted: lifted}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -1076,19 +1082,12 @@ func (p *Parser) parseUnary() (Expr, error) {
 
 func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
-	case p.tok.Kind == TokInt:
-		v, err := strconv.ParseInt(p.tok.Text, 10, 64)
-		if err != nil {
-			return nil, p.errorf("bad integer %s", p.tok.Text)
+	case p.tok.Kind == TokInt, p.tok.Kind == TokFloat:
+		v, ok := literal(p.tok.Kind, p.tok.Text, false)
+		if !ok {
+			return nil, p.errorf("bad %s %s", map[bool]string{true: "integer", false: "number"}[p.tok.Kind == TokInt], p.tok.Text)
 		}
-		return &Lit{Val: datum.NewInt(v)}, p.advance()
-
-	case p.tok.Kind == TokFloat:
-		v, err := strconv.ParseFloat(p.tok.Text, 64)
-		if err != nil {
-			return nil, p.errorf("bad number %s", p.tok.Text)
-		}
-		return &Lit{Val: datum.NewFloat(v)}, p.advance()
+		return &Lit{Val: v}, p.advance()
 
 	case p.tok.Kind == TokString:
 		return &Lit{Val: datum.NewString(p.tok.Text)}, p.advance()
@@ -1267,7 +1266,7 @@ func (p *Parser) parseInsert() (Statement, error) {
 			}
 			var row []Expr
 			for {
-				e, err := p.parseExpr()
+				e, err := p.parseCell()
 				if err != nil {
 					return nil, err
 				}
@@ -1296,6 +1295,22 @@ func (p *Parser) parseInsert() (Statement, error) {
 	}
 	ins.Query, err = p.parseSelectStmt()
 	return ins, err
+}
+
+// parseCell parses one VALUES cell: the next lifted value when Key
+// lifted the cell that starts here, else an expression.
+func (p *Parser) parseCell() (Expr, error) {
+	n := p.nlift
+	if n == len(p.lifted.At) || p.lifted.At[n] != p.tok.Pos {
+		return p.parseExpr()
+	}
+	p.nlift++
+	if p.isSymbol("-") {
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+	}
+	return &Slot{N: n, Typ: p.lifted.Args[n].Type()}, p.advance()
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {

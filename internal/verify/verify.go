@@ -181,24 +181,22 @@ func (c *checker) run() {
 	}
 }
 
+// subplanRef is a deferred-subquery box and where a box's expressions
+// reference it.
+type subplanRef struct {
+	Loc qgm.Loc
+	Box *qgm.Box
+}
+
 // subplanBoxes lists the deferred-subquery boxes referenced by the
 // box's expressions (with the location of the referencing expression).
-func subplanBoxes(b *qgm.Box) []struct {
-	Loc string
-	Box *qgm.Box
-} {
-	var out []struct {
-		Loc string
-		Box *qgm.Box
-	}
-	b.VisitExprs(func(loc string, e expr.Expr) {
+func subplanBoxes(b *qgm.Box) []subplanRef {
+	var out []subplanRef
+	b.VisitExprs(func(loc qgm.Loc, e expr.Expr) {
 		expr.Walk(e, func(x expr.Expr) bool {
 			if sp, ok := x.(*expr.Subplan); ok {
 				if ds, ok := sp.Aux.(*qgm.DeferredSubquery); ok && ds.Box != nil {
-					out = append(out, struct {
-						Loc string
-						Box *qgm.Box
-					}{loc, ds.Box})
+					out = append(out, subplanRef{loc, ds.Box})
 				}
 			}
 			return true
@@ -323,9 +321,9 @@ func (c *checker) inSubtree(root, b *qgm.Box) bool {
 // the expression computing them.
 func (c *checker) checkExprs(b *qgm.Box) {
 	path := c.pathOf[b]
-	b.VisitExprs(func(loc string, e expr.Expr) {
+	b.VisitExprs(func(loc qgm.Loc, e expr.Expr) {
 		if e == nil {
-			c.add(ClassStructure, path+" / "+loc, "nil expression")
+			c.add(ClassStructure, path+" / "+loc.String(), "nil expression")
 			return
 		}
 		for _, col := range expr.Cols(e) {
@@ -334,13 +332,13 @@ func (c *checker) checkExprs(b *qgm.Box) {
 			}
 			q, ok := c.ownerQ[col.QID]
 			if !ok {
-				c.add(ClassOrphanQID, path+" / "+loc,
+				c.add(ClassOrphanQID, path+" / "+loc.String(),
 					"column %s references nonexistent quantifier q%d", col.Name, col.QID)
 				continue
 			}
 			owner := c.ownerBox[col.QID]
 			if owner != b && !c.inSubtree(owner, b) {
-				c.add(ClassOrphanQID, path+" / "+loc,
+				c.add(ClassOrphanQID, path+" / "+loc.String(),
 					"column %s references q%d of %s, which is neither local nor an ancestor (out of scope)",
 					col.Name, col.QID, boxLabel(owner))
 				continue
@@ -349,14 +347,14 @@ func (c *checker) checkExprs(b *qgm.Box) {
 				continue // already reported as a structure violation
 			}
 			if col.Ord < 0 || col.Ord >= len(q.Input.Head) {
-				c.add(ClassOrdinal, path+" / "+loc,
+				c.add(ClassOrdinal, path+" / "+loc.String(),
 					"column %s ordinal %d out of range for q%d over %s (head has %d columns)",
 					col.Name, col.Ord, col.QID, boxLabel(q.Input), len(q.Input.Head))
 				continue
 			}
 			ht := q.Input.Head[col.Ord].Type
 			if !typesAgree(col.Typ, ht) {
-				c.add(ClassColType, path+" / "+loc,
+				c.add(ClassColType, path+" / "+loc.String(),
 					"column %s declares type %s but q%d.%d has type %s",
 					col.Name, datum.TypeName(col.Typ), col.QID, col.Ord, datum.TypeName(ht))
 			}
@@ -612,10 +610,10 @@ func (c *checker) checkDistinct(b *qgm.Box) {
 // aggregates.
 func (c *checker) checkAggregates(b *qgm.Box) {
 	path := c.pathOf[b]
-	flagNested := func(loc string, e expr.Expr) {
+	flagNested := func(loc qgm.Loc, suffix string, e expr.Expr) {
 		expr.Walk(e, func(x expr.Expr) bool {
 			if _, ok := x.(*expr.AggCall); ok {
-				c.add(ClassAggPlacement, path+" / "+loc,
+				c.add(ClassAggPlacement, path+" / "+loc.String()+suffix,
 					"aggregate call %s outside a GROUPBY head", x)
 				return false
 			}
@@ -623,22 +621,22 @@ func (c *checker) checkAggregates(b *qgm.Box) {
 		})
 	}
 	if b.Kind != qgm.KindGroupBy {
-		b.VisitExprs(func(loc string, e expr.Expr) { flagNested(loc, e) })
+		b.VisitExprs(func(loc qgm.Loc, e expr.Expr) { flagNested(loc, "", e) })
 		return
 	}
 	for i, hc := range b.Head {
-		loc := fmt.Sprintf("head[%d] (%s)", i, hc.Name)
+		loc := qgm.Loc{Slot: "head", I: i, Name: hc.Name}
 		if hc.Expr == nil {
-			c.add(ClassBoxShape, path+" / "+loc, "GROUPBY head column has no computing expression")
+			c.add(ClassBoxShape, path+" / "+loc.String(), "GROUPBY head column has no computing expression")
 			continue
 		}
 		if agg, isAgg := hc.Expr.(*expr.AggCall); isAgg {
 			if agg.Arg != nil {
-				flagNested(loc+" (argument)", agg.Arg)
+				flagNested(loc, " (argument)", agg.Arg)
 			}
 			continue // aggregate at root position: legal
 		}
-		flagNested(loc, hc.Expr)
+		flagNested(loc, "", hc.Expr)
 		matched := false
 		for _, ge := range b.GroupBy {
 			if expr.EqualExprs(hc.Expr, ge) {
@@ -647,14 +645,14 @@ func (c *checker) checkAggregates(b *qgm.Box) {
 			}
 		}
 		if !matched {
-			c.add(ClassAggPlacement, path+" / "+loc,
+			c.add(ClassAggPlacement, path+" / "+loc.String(),
 				"non-aggregate head expression %s is not one of the grouping expressions", hc.Expr)
 		}
 	}
 	for i, ge := range b.GroupBy {
-		flagNested(fmt.Sprintf("groupby[%d]", i), ge)
+		flagNested(qgm.Loc{Slot: "groupby", I: i}, "", ge)
 	}
 	for i := range b.Preds {
-		flagNested(fmt.Sprintf("pred[%d]", i), b.Preds[i].Expr)
+		flagNested(qgm.Loc{Slot: "pred", I: i}, "", b.Preds[i].Expr)
 	}
 }

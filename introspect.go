@@ -88,9 +88,9 @@ type stmtWaitAgg struct {
 }
 
 // stmtStatEntry accumulates pg_stat_statements-style totals for one
-// normalized statement text.
+// statement key.
 type stmtStatEntry struct {
-	name      string // normalized SQL (the plan cache's key text)
+	name      string // the statement key (sql.Key), as the plan cache keys it
 	kind      string
 	calls     int64
 	errs      int64
@@ -105,7 +105,7 @@ type stmtStatEntry struct {
 }
 
 // stmtStats is the DB-wide statement-statistics accumulator: always
-// on, bounded, keyed by normalized SQL.
+// on, bounded, keyed by statement key.
 type stmtStats struct {
 	mu sync.Mutex
 	m  map[string]*stmtStatEntry

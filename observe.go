@@ -155,7 +155,10 @@ func stmtKind(stmt sql.Statement) string {
 // fields are filled in as the statement progresses.
 type observation struct {
 	query string
-	norm  string // query normalized, for the plan cache and SYS.STATEMENTS
+	// norm is the statement key (sql.Key), for the plan cache and
+	// SYS.STATEMENTS; empty for a text with no tokens or that does not
+	// lex, which is neither looked up nor recorded.
+	norm  string
 	kind  string
 	start time.Time
 	// set is the Settings value the statement runs under.
@@ -196,8 +199,10 @@ func (db *DB) observe(o *observation, phase string, err error) {
 		// is enabled; see feedback.go).
 		folds = db.captureCardFeedback(o)
 	}
-	db.stmts.record(o.norm, o.kind, elapsed.Nanoseconds(), o.rows,
-		o.instr.MemHighWater(), o.cacheHit, err != nil, folds, &o.waits)
+	if o.norm != "" {
+		db.stmts.record(o.norm, o.kind, elapsed.Nanoseconds(), o.rows,
+			o.instr.MemHighWater(), o.cacheHit, err != nil, folds, &o.waits)
+	}
 	if exp := db.spanExporter(); exp != nil {
 		exp(db.buildSpan(o, err, elapsed))
 	}
@@ -271,10 +276,11 @@ func (db *DB) recordCtx(ctx *exec.Ctx, tr *obs.Trace) {
 // and table lookups read its pinned catalog generation. A plain
 // execution runs the operator tree idle in trees (nil: none), or builds
 // one, and parks it back after a clean run; an instrumented or
-// kernels-off execution builds a fresh tree and releases it.
+// kernels-off execution builds a fresh tree and releases it. params
+// bind the host variables, args the lifted VALUES cells.
 // starburst:locks db.adminMu:read
-func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees *treeSlot, params map[string]Value,
-	tr *obs.Trace, o *observation, tx *Tx, instrument bool) (*Result, error) {
+func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees *treeSlot,
+	params map[string]Value, args []Value, tr *obs.Trace, o *observation, tx *Tx, instrument bool) (*Result, error) {
 	if goCtx == nil {
 		goCtx = context.Background()
 	}
@@ -337,6 +343,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees 
 		}()
 	}
 	ctx := exec.NewCtx(tx.cat, params)
+	ctx.SetArgs(args)
 	ctx.Snap = tx.snapshot()
 	ctx.Txn = tx.ts
 	ctx.SetWaits(db.waitProf, &o.waits)
@@ -387,7 +394,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees 
 // starburst:locks db.adminMu:read
 func (db *DB) explainAnalyze(goCtx context.Context, compiled *plan.Compiled,
 	params map[string]Value, tr *obs.Trace, o *observation, tx *Tx) (*Result, error) {
-	res, err := db.runObserved(goCtx, compiled, nil, params, tr, o, tx, true)
+	res, err := db.runObserved(goCtx, compiled, nil, params, nil, tr, o, tx, true)
 	if err != nil {
 		return nil, err
 	}

@@ -96,6 +96,13 @@ func checkStatsInvariants(t *testing.T, instr *exec.Instrumentation, root *plan.
 // accumulate across several runs.
 func runInstrumented(db *DB, instr *exec.Instrumentation, compiled *plan.Compiled,
 	params map[string]Value, goCtx context.Context) ([]Row, error) {
+	return runInstrumentedArgs(db, instr, compiled, params, nil, goCtx)
+}
+
+// runInstrumentedArgs is runInstrumented binding args as the plan's
+// lifted VALUES cells (see liftedArgs).
+func runInstrumentedArgs(db *DB, instr *exec.Instrumentation, compiled *plan.Compiled,
+	params map[string]Value, args []Value, goCtx context.Context) ([]Row, error) {
 	if db.faults != nil {
 		db.faults.SetInterrupt(goCtx.Done())
 		defer db.faults.SetInterrupt(nil)
@@ -106,6 +113,7 @@ func runInstrumented(db *DB, instr *exec.Instrumentation, compiled *plan.Compile
 	}
 	tx := autoTx(db)
 	ctx := exec.NewCtx(tx.cat, params)
+	ctx.SetArgs(args)
 	ctx.Snap = tx.snapshot()
 	ctx.Txn = tx.ts
 	ctx.Arm(goCtx, db.Settings().Limits)
@@ -133,7 +141,7 @@ func TestAnalyzeInvariantsEveryOperator(t *testing.T) {
 
 			// Under the case's fault: the statement fails, stats stay sane.
 			db.InjectFaults(c.fault)
-			if _, err := runInstrumented(db, instr, compiled, c.params, context.Background()); err == nil {
+			if _, err := runInstrumentedArgs(db, instr, compiled, c.params, liftedArgs(c.sql), context.Background()); err == nil {
 				t.Fatal("statement succeeded despite injected fault")
 			}
 			prev = checkStatsInvariants(t, instr, compiled.Root, prev)
@@ -144,7 +152,7 @@ func TestAnalyzeInvariantsEveryOperator(t *testing.T) {
 			db.InjectFaults(&Fault{Table: c.fault.Table, Op: c.fault.Op,
 				After: c.fault.After, Latency: 5 * time.Second})
 			goCtx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-			if _, err := runInstrumented(db, instr, compiled, c.params, goCtx); err == nil {
+			if _, err := runInstrumentedArgs(db, instr, compiled, c.params, liftedArgs(c.sql), goCtx); err == nil {
 				t.Fatal("statement succeeded under a cancelled context")
 			}
 			cancel()
@@ -156,7 +164,7 @@ func TestAnalyzeInvariantsEveryOperator(t *testing.T) {
 			// the root's produced-row delta equals the result set each time.
 			prevRootRows := instr.OpStats(compiled.Root).Rows
 			for run := 0; run < 2; run++ {
-				rows, err := runInstrumented(db, instr, compiled, c.params, context.Background())
+				rows, err := runInstrumentedArgs(db, instr, compiled, c.params, liftedArgs(c.sql), context.Background())
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}

@@ -20,15 +20,22 @@ import (
 	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/storage"
 )
+
+// stmtKey is q's plan-cache key text.
+func stmtKey(q string) string {
+	key, _, _ := sql.Key(q)
+	return key
+}
 
 // idleTree returns the tree parked in db's plan cache for q under the
 // DB's settings, nil if none.
 func idleTree(db *DB, q string) *exec.Tree {
 	db.cache.mu.Lock()
 	defer db.cache.mu.Unlock()
-	el, ok := db.cache.byKey[planKey{normalizeSQL(q), db.fingerprint(db.snapshot())}]
+	el, ok := db.cache.byKey[planKey{stmtKey(q), db.fingerprint(db.snapshot())}]
 	if !ok {
 		return nil
 	}
@@ -265,7 +272,7 @@ func TestParkedTreeTwoSessions(t *testing.T) {
 	// execution would, let another execution build and park its own,
 	// then park the first. It finds the slot full and must die.
 	first, held := requireParked(t, db, q)
-	e := db.cache.byKey[planKey{normalizeSQL(q), db.fingerprint(db.snapshot())}].Value.(*cacheEntry)
+	e := db.cache.byKey[planKey{stmtKey(q), db.fingerprint(db.snapshot())}].Value.(*cacheEntry)
 	if e.trees.take() != first {
 		t.Fatal("take did not return the parked tree")
 	}
@@ -519,6 +526,7 @@ func TestCloseTwiceThenReopen(t *testing.T) {
 				// after, so both see the same data.
 				tx := autoTx(db)
 				ctx := exec.NewCtx(tx.cat, c.params)
+				ctx.SetArgs(liftedArgs(c.sql))
 				ctx.Snap, ctx.Txn = tx.snapshot(), tx.ts
 				if err := stream.Open(ctx); err != nil {
 					t.Fatal(err)

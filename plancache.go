@@ -3,7 +3,6 @@ package starburst
 import (
 	"container/list"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,8 +12,10 @@ import (
 )
 
 // This file is the shared plan cache: a bounded LRU of compiled plans
-// keyed by normalized statement text plus a fingerprint of every
-// setting that influences plan choice. The paper stresses that a
+// keyed by the statement key (sql.Key: the text's tokens, comments
+// dropped, with the bare literals of INSERT … VALUES cells lifted into
+// typed slots, so literal INSERTs of one shape share an entry) plus a
+// fingerprint of every setting that influences plan choice. The paper stresses that a
 // compiled plan is a reusable artifact — "the result of the compilation
 // stage can be stored for future use" (section 3) — and every
 // industrial descendant of Starburst leans on plan reuse to amortize
@@ -61,7 +62,7 @@ type PlanCacheStats struct {
 	Size, Capacity int
 }
 
-// planKey keys the plan cache: normalized statement text and fingerprint.
+// planKey keys the plan cache: statement key and settings fingerprint.
 type planKey struct{ text, fp string }
 
 // cacheEntry is one cached compilation.
@@ -251,8 +252,8 @@ func (c *planCache) reset() {
 	c.stats = PlanCacheStats{Capacity: c.cap}
 }
 
-// cacheEntryInfo is one SYS.PLAN_CACHE row: the normalized statement
-// text (the key without its settings fingerprint), the statement
+// cacheEntryInfo is one SYS.PLAN_CACHE row: the statement key (the
+// cache key without its settings fingerprint), the statement
 // kind, the catalog generation the plan compiled against, and the
 // entry's hit count.
 type cacheEntryInfo struct {
@@ -348,45 +349,4 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 		return PlanCacheStats{}
 	}
 	return db.cache.snapshot()
-}
-
-// normalizeSQL canonicalizes statement text for cache keying: outside
-// string literals, runs of whitespace collapse to one space and letters
-// fold to upper case (the dialect is case-insensitive there); inside
-// literals the text is preserved byte for byte. Two spellings of the
-// same statement therefore share a cache entry, while statements
-// differing only inside a literal still get distinct keys.
-func normalizeSQL(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	inStr := false
-	space := false
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		if inStr {
-			b.WriteByte(ch)
-			if ch == '\'' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case ch == '\'':
-			inStr = true
-			space = false
-			b.WriteByte(ch)
-		case ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r':
-			space = true
-		default:
-			if space && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			space = false
-			if 'a' <= ch && ch <= 'z' {
-				ch -= 'a' - 'A'
-			}
-			b.WriteByte(ch)
-		}
-	}
-	return b.String()
 }

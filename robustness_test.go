@@ -220,6 +220,14 @@ func preparedPlan(q string) func(*testing.T, *DB) *plan.Compiled {
 	}
 }
 
+// liftedArgs are the values of q's lifted VALUES cells, which a
+// harness running q's prepared plan outside the statement core binds
+// as the core does.
+func liftedArgs(q string) []datum.Value {
+	_, lifted, _ := sql.Key(q)
+	return lifted.Args
+}
+
 // faultMatrixCases is the operator-coverage table: every plan operator
 // exec.Build handles, with a statement exercising it.
 func faultMatrixCases() []mcase {
@@ -401,7 +409,7 @@ func TestFaultMatrix(t *testing.T) {
 			compiled := c.compilePlan(t, db)
 			before := snapshotAll(t, db)
 			db.InjectFaults(c.fault)
-			res, err := runPlan(db, compiled, c.params)
+			res, err := runPlanOf(db, c.sql, compiled, c.params)
 			if err == nil {
 				t.Fatalf("statement succeeded despite injected %s fault", c.fault.Op)
 			}
@@ -669,6 +677,7 @@ func TestDMLStreamReopen(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		tx := autoTx(db)
 		ctx := exec.NewCtx(tx.cat, nil)
+		ctx.SetArgs(liftedArgs(`INSERT INTO orders VALUES (50, 5, 5)`))
 		ctx.Snap = tx.snapshot()
 		ctx.Txn = tx.ts
 		if _, err := exec.Run(ctx, stream); err != nil {

@@ -45,7 +45,13 @@ func autoTx(db *DB) *Tx {
 // through the statement core, as a prepared statement already holding
 // it for the current catalog generation.
 func runPlan(db *DB, compiled *plan.Compiled, params map[string]Value) (*Result, error) {
-	st := &Stmt{db: db, query: "hand-built plan", compiled: compiled, kind: "SELECT", gen: db.cat.Version(), fp: db.fingerprint(db.snapshot())}
+	return runPlanOf(db, "hand-built plan", compiled, params)
+}
+
+// runPlanOf is runPlan for a plan compiled from q: the statement core
+// binds q's lifted VALUES cells, as it does when it runs q.
+func runPlanOf(db *DB, q string, compiled *plan.Compiled, params map[string]Value) (*Result, error) {
+	st := &Stmt{db: db, query: q, compiled: compiled, kind: "SELECT", gen: db.cat.Version(), fp: db.fingerprint(db.snapshot())}
 	return st.Query(context.Background(), params)
 }
 
@@ -59,7 +65,7 @@ func TestZeroSettingsIsDefault(t *testing.T) {
 		db.MustExec(`CREATE TABLE t (a INT)`, nil)
 		db.NewSession()
 		rows := db.MustExec(`SELECT state, dop, tracing, statements FROM SYS.SESSIONS`, nil).Rows
-		return fmt.Sprint(planKey{normalizeSQL(q), db.fingerprint(db.snapshot())}, rows)
+		return fmt.Sprint(planKey{stmtKey(q), db.fingerprint(db.snapshot())}, rows)
 	}
 	bare, zero := describe(Open(WithPlanCache(4))), describe(Open(WithPlanCache(4), WithSettings(Settings{})))
 	if bare != zero {

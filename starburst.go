@@ -373,7 +373,9 @@ func (db *DB) Exec(query string, params map[string]Value) (*Result, error) {
 func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly bool, params map[string]Value,
 	set *Settings, sess *Session, tx *Tx) (res *Result, err error) {
 	phase := "parse"
-	o := &observation{query: query, norm: normalizeSQL(query), kind: "INVALID", start: time.Now(), set: set}
+	o := &observation{query: query, kind: "INVALID", start: time.Now(), set: set}
+	var lifted sql.Lifted // the VALUES cells the key lifts out of query
+	o.norm, lifted, _ = sql.Key(query)
 	defer func() {
 		if !compileOnly {
 			db.observe(o, phase, err)
@@ -446,7 +448,7 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 	compiled, kind, trees := st.plan(cat.Version(), fp)
 	held := compiled != nil // the handle's own plan: nothing to store back
 	var key planKey
-	if compiled == nil && db.cache != nil {
+	if compiled == nil && db.cache != nil && o.norm != "" {
 		key = planKey{o.norm, fp}
 		if e, ok := db.cache.get(key, cat.Version()); ok {
 			compiled, kind, trees = e.compiled, e.kind, &e.trees
@@ -463,7 +465,7 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 		o.kind = kind
 	} else {
 		t0 := time.Now()
-		stmt, err = sql.Parse(query)
+		stmt, err = sql.ParseLifted(query, lifted)
 		tr.AddPhase(obs.PhaseParse, time.Since(t0))
 		if err != nil {
 			return nil, err
@@ -556,7 +558,7 @@ func (db *DB) query(goCtx context.Context, query string, st *Stmt, compileOnly b
 	if analyze {
 		return db.explainAnalyze(goCtx, compiled, params, tr, o, tx)
 	}
-	return db.runObserved(goCtx, compiled, trees, params, tr, o, tx, false)
+	return db.runObserved(goCtx, compiled, trees, params, lifted.Args, tr, o, tx, false)
 }
 
 // cacheableKind reports whether plans of this statement kind are worth
@@ -766,8 +768,8 @@ func (db *DB) execDDL(stmt sql.Statement) (*Result, error) {
 		}
 		return &Result{}, nil
 	case *sql.CreateViewStmt:
-		// Validate the definition by translating it once.
-		if _, err := qgm.Translate(db.cat, s.Query); err != nil {
+		// Refuse a definition no query over the view could use.
+		if err := qgm.TranslateView(db.cat, s.Name, s.Cols, s.Query); err != nil {
 			return nil, err
 		}
 		if err := db.cat.CreateView(s.Name, s.Cols, s.Text); err != nil {

@@ -396,6 +396,54 @@ func TestViews(t *testing.T) {
 	}
 }
 
+// TestCreateViewRefusesUnusableDefinitions: a definition no query over
+// the view could use is refused at CREATE VIEW, and nothing is stored.
+func TestCreateViewRefusesUnusableDefinitions(t *testing.T) {
+	db := paperDB(t)
+	for q, want := range map[string]string{
+		`CREATE VIEW m (x) AS SELECT partno, type FROM inventory`:           "1 column names for 2 columns",
+		`CREATE VIEW m (x, y, z) AS SELECT partno, type FROM inventory`:     "3 column names for 2 columns",
+		`CREATE VIEW m AS SELECT partno FROM inventory ORDER BY partno`:     "ORDER BY/LIMIT",
+		`CREATE VIEW m AS SELECT partno FROM inventory LIMIT 2`:             "ORDER BY/LIMIT",
+		`CREATE VIEW m AS SELECT nope FROM inventory`:                       "NOPE",
+		`CREATE VIEW m (x) AS SELECT type FROM inventory ORDER BY partno`:   "ORDER BY/LIMIT",
+		`CREATE VIEW m AS SELECT p FROM (SELECT partno p FROM inventory) d`: "",
+	} {
+		_, err := db.Exec(q, nil)
+		if want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", q, err)
+			}
+			mustExec(t, db, `SELECT COUNT(*) FROM m`)
+			mustExec(t, db, `DROP VIEW m`)
+			continue
+		}
+		if err == nil || !strings.Contains(strings.ToUpper(err.Error()), strings.ToUpper(want)) {
+			t.Errorf("%s: error %v, want one naming %q", q, err, want)
+		}
+		if _, ok := db.Catalog().View("m"); ok {
+			t.Errorf("%s: refused view was stored", q)
+		}
+	}
+}
+
+// TestDMLResultsHaveNoColumns: INSERT, UPDATE and DELETE report rows
+// affected and no result columns.
+func TestDMLResultsHaveNoColumns(t *testing.T) {
+	db := paperDB(t)
+	for _, q := range []string{
+		`INSERT INTO inventory VALUES (9, 1, 'NIC')`,
+		`INSERT INTO inventory SELECT partno + 100, onhand_qty, type FROM inventory`,
+		`UPDATE inventory SET onhand_qty = onhand_qty + 1, type = 'X' WHERE partno = 9`,
+		`DELETE FROM inventory WHERE partno > 100`,
+	} {
+		res := mustExec(t, db, q)
+		if len(res.Columns) != 0 || len(res.Rows) != 0 || res.Affected == 0 {
+			t.Errorf("%s: columns %q, %d rows, %d affected", q, res.Columns, len(res.Rows), res.Affected)
+		}
+	}
+}
+
 func TestTableExpressions(t *testing.T) {
 	db := paperDB(t)
 	res := mustExec(t, db, `WITH low (pno) AS
