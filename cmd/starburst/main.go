@@ -165,14 +165,25 @@ func (sh *shell) repl(in io.Reader) {
 		}
 		buf.WriteString(line)
 		buf.WriteString("\n")
-		if strings.Contains(line, ";") {
-			stmt := buf.String()
-			buf.Reset()
-			prompt = "starburst> "
+		// Run what the lexer ends with a ';' token; keep buffering the
+		// rest, also while it holds an unterminated literal. Text the
+		// lexer rejects otherwise runs at the line's ';', so that its
+		// parse reports the error.
+		stmts, rest, open, err := cutStatements(buf.String())
+		if err != nil && !strings.Contains(err.Error(), "unterminated") && strings.Contains(line, ";") {
+			stmts, open = append(stmts, rest), false
+		}
+		buf.Reset()
+		if open {
+			buf.WriteString(rest)
+		}
+		for _, stmt := range stmts {
 			if err := sh.execute(stmt); err != nil {
 				fmt.Fprintln(sh.out, "error:", err)
 			}
-		} else if buf.Len() > 0 {
+		}
+		prompt = "starburst> "
+		if buf.Len() > 0 {
 			prompt = "      ...> "
 		}
 	}
@@ -353,25 +364,32 @@ func (sh *shell) printTable(res *starburst.Result) {
 // identifier or a comment does not split. Text the lexer rejects runs
 // as one statement, whose parse reports the error.
 func splitStatements(s string) []string {
-	var out []string
+	out, rest, open, _ := cutStatements(s)
+	if open {
+		out = append(out, rest)
+	}
+	return out
+}
+
+// cutStatements cuts s at the ';' tokens the Hydrogen lexer finds:
+// stmts are the texts before each, rest the text after the last. open
+// reports whether rest holds a token or text the lexer rejects, with
+// err the lexer's error.
+func cutStatements(s string) (stmts []string, rest string, open bool, err error) {
 	lex := sql.NewLexer(s)
-	start, tokens := 0, false
+	start := 0
 	for {
 		t, err := lex.Next()
-		if err != nil {
-			return append(out, s[start:])
-		}
 		switch {
+		case err != nil:
+			return stmts, s[start:], true, err
 		case t.Kind == sql.TokEOF:
-			if tokens {
-				out = append(out, s[start:])
-			}
-			return out
+			return stmts, s[start:], open, nil
 		case t.Kind == sql.TokSymbol && t.Text == ";":
-			out = append(out, s[start:t.Pos])
-			start, tokens = t.Pos+1, false
+			stmts = append(stmts, s[start:t.Pos])
+			start, open = t.Pos+1, false
 		default:
-			tokens = true
+			open = true
 		}
 	}
 }

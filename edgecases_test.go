@@ -461,3 +461,18 @@ func TestScalarSubqueryEmptyIsNull(t *testing.T) {
 		t.Fatalf("empty scalar subquery must be NULL: %v", res.Rows[0])
 	}
 }
+
+// TestUTF8Identifiers: identifiers may hold any letter, and fold to
+// upper case as a whole: "xà" names the column XÀ, not X\xc3.
+func TestUTF8Identifiers(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE t (café INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (7)")
+	if res := mustExec(t, db, "SELECT CAFÉ FROM t"); len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
+		t.Fatalf("SELECT CAFÉ = %v", res.Rows)
+	}
+	mustExec(t, db, "CREATE TABLE u (xà INT)")
+	if res := mustExec(t, db, "SELECT * FROM u"); len(res.Columns) != 1 || res.Columns[0] != "XÀ" {
+		t.Fatalf("columns = %q, want [XÀ]", res.Columns)
+	}
+}

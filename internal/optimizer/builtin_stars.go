@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/datum"
 	"repro/internal/expr"
@@ -472,17 +473,95 @@ func hasEquiPred(ctx *Ctx, a Args) bool {
 	return len(equiKeys(a).ls) > 0
 }
 
-func joinCols(l, r *plan.Node) ([]plan.ColRef, []datum.TypeID) {
-	cols := append(append([]plan.ColRef(nil), l.Cols...), r.Cols...)
-	types := append(append([]datum.TypeID(nil), l.Types...), r.Types...)
-	return cols, types
-}
-
 func joinKind(a Args) string {
 	if a.JoinKind == "" {
 		return plan.KindRegular
 	}
 	return a.JoinKind
+}
+
+// offer is a JOIN candidate priced but not yet built, or, with node
+// set, one built already; cols is the layout its order slots index.
+type offer struct {
+	node     *plan.Node
+	props    plan.Props
+	cols     []plan.ColRef
+	op, kind string
+	in       [2]*plan.Node // a merge join's reference inputs until glued
+	preds    []expr.Expr   // NLJN: every predicate; HSJN, SMJN: the residual
+	ls, rs   []int
+	// A merge join's GLUE, evaluated only if it survives: for each
+	// input, the plans laid out like it (nil once glued), the order
+	// required of them and their equalities; and the enumeration's SORTs.
+	plans  [2][]*plan.Node
+	orders [2][]plan.SortKey
+	eqs    [2]*equalities
+	sorts  sortMemo
+}
+
+// offer appends o to the candidates unless they dominate it; with no
+// pricing hint (a nil c) it builds o at once.
+func (c *Candidates) offer(ctx *Ctx, o offer) ([]*plan.Node, error) {
+	o.cols = o.in[0].Cols
+	if c == nil {
+		var none Candidates
+		n, err := none.build(ctx, &o)
+		return []*plan.Node{n}, err
+	}
+	if !c.Dominates(o.props, o.cols) {
+		c.offers = append(c.offers, o)
+	}
+	return nil, nil
+}
+
+// build makes candidate o's node: the one path that builds join nodes.
+func (c *Candidates) build(ctx *Ctx, o *offer) (*plan.Node, error) {
+	if o.node != nil {
+		return o.node, nil
+	}
+	if err := glue(ctx, o); err != nil {
+		return nil, err
+	}
+	l, r := o.in[0], o.in[1]
+	if l == nil || r == nil {
+		return nil, fmt.Errorf("optimizer: GLUE built no input for a merge join it priced")
+	}
+	n := &plan.Node{Op: o.op, Inputs: []*plan.Node{l, r}, JoinKind: o.kind, EquiLeft: o.ls, EquiRight: o.rs,
+		JoinPred: expr.AndAll(o.preds), SortKeys: o.orders[0], Props: o.props}
+	// Joins over inputs laid out alike share one layout, if c keeps them.
+	k := layoutKey{unsafe.SliceData(l.Cols), unsafe.SliceData(r.Cols), len(l.Cols), len(r.Cols)}
+	if j := c.layouts[k]; j != nil {
+		n.Cols, n.Types = j.Cols, j.Types
+	} else if n.Cols, n.Types = append(slices.Clip(l.Cols), r.Cols...), append(slices.Clip(l.Types), r.Types...); c.layouts != nil {
+		c.layouts[k] = n
+	}
+	return n, nil
+}
+
+// layoutKey names a join's input layouts by their arrays and lengths.
+type layoutKey struct {
+	l, r   *plan.ColRef
+	nl, nr int
+}
+
+// glue evaluates GLUE on merge join o's inputs, unless they are glued
+// already; AddSort prices against AlreadyOrdered. An input GLUE yields
+// no plan for is left nil.
+func glue(ctx *Ctx, o *offer) error {
+	if o.plans[0] == nil {
+		return nil
+	}
+	g := ctx.Opt.candidates()
+	defer ctx.Opt.release(g)
+	for i := range o.in {
+		g.reset(o.eqs[i])
+		plans, err := ctx.Evaluate("GLUE", Args{Plans: o.plans[i], ReqOrder: o.orders[i], eq: o.eqs[i], sorts: o.sorts, Kept: g})
+		if err != nil {
+			return err
+		}
+		o.in[i], o.plans[i] = cheapest(plans), nil
+	}
+	return nil
 }
 
 func buildNLJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
@@ -492,25 +571,13 @@ func buildNLJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 		return nil, nil
 	}
 	sel := ctx.Opt.conjunctSelectivity(a.Preds)
-	var pred expr.Expr
 	for _, l := range a.Left {
-		props := ctx.Opt.costNLJoin(l.Props, r.Props, sel, len(a.Preds))
-		if a.Kept.Dominates(props, l.Cols) {
-			continue
+		n, err := a.Kept.offer(ctx, offer{props: ctx.Opt.costNLJoin(l.Props, r.Props, sel, len(a.Preds)),
+			op: plan.OpNLJoin, kind: joinKind(a), in: [2]*plan.Node{l, r}, preds: a.Preds})
+		if err != nil {
+			return nil, err
 		}
-		if pred == nil {
-			pred = expr.AndAll(a.Preds)
-		}
-		cols, types := joinCols(l, r)
-		out = append(out, &plan.Node{
-			Op:       plan.OpNLJoin,
-			Inputs:   []*plan.Node{l, r},
-			Cols:     cols,
-			Types:    types,
-			JoinKind: joinKind(a),
-			JoinPred: pred,
-			Props:    props,
-		})
+		out = append(out, n...)
 	}
 	return out, nil
 }
@@ -521,22 +588,8 @@ func buildHashJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 		return nil, nil
 	}
 	sel := ctx.Opt.conjunctSelectivity(a.Preds)
-	props := ctx.Opt.costFilter(ctx.Opt.costHashJoin(k.l.Props, k.r.Props, sel), k.residual)
-	if a.Kept.Dominates(props, k.l.Cols) {
-		return nil, nil
-	}
-	cols, types := joinCols(k.l, k.r)
-	return []*plan.Node{{
-		Op:        plan.OpHSJoin,
-		Inputs:    []*plan.Node{k.l, k.r},
-		Cols:      cols,
-		Types:     types,
-		JoinKind:  joinKind(a),
-		EquiLeft:  k.ls,
-		EquiRight: k.rs,
-		JoinPred:  expr.AndAll(k.residual),
-		Props:     props,
-	}}, nil
+	return a.Kept.offer(ctx, offer{props: ctx.Opt.costFilter(ctx.Opt.costHashJoin(k.l.Props, k.r.Props, sel), k.residual),
+		op: plan.OpHSJoin, kind: joinKind(a), in: [2]*plan.Node{k.l, k.r}, preds: k.residual, ls: k.ls, rs: k.rs})
 }
 
 // sameLayout keeps the plans whose columns sit in ref's slots, so that
@@ -557,44 +610,22 @@ func buildMergeJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 	// "The merge join requires its input table streams to be ordered by
 	// the join columns. Required properties are achieved by additional
 	// glue STARs." The key slots are the reference inputs', so GLUE
-	// sees only the plans laid out like them.
-	la := Args{Plans: sameLayout(a.Left, k.l), ReqOrder: k.lorder, eq: a.leftEq, sorts: a.sorts}
-	ra := Args{Plans: sameLayout(a.Right, k.r), ReqOrder: k.rorder, eq: a.rightEq, sorts: a.sorts}
-	sel := ctx.Opt.conjunctSelectivity(a.Preds)
-	// Price GLUE first, so that a dominated merge join adds no SORT.
-	lp, lok := ctx.Price("GLUE", la)
-	rp, rok := ctx.Price("GLUE", ra)
-	if lok && rok && a.Kept.Dominates(ctx.Opt.costMergeJoin(lp, rp, sel, k.lorder), k.l.Cols) {
-		return nil, nil
+	// sees only the plans laid out like them. It is priced here and
+	// evaluated only for a merge join that survives.
+	o := offer{op: plan.OpSMJoin, kind: joinKind(a), in: [2]*plan.Node{k.l, k.r}, preds: k.residual, ls: k.ls, rs: k.rs,
+		plans:  [2][]*plan.Node{sameLayout(a.Left, k.l), sameLayout(a.Right, k.r)},
+		orders: [2][]plan.SortKey{k.lorder, k.rorder}, eqs: [2]*equalities{a.leftEq, a.rightEq}, sorts: a.sorts}
+	lp, lok := ctx.Price("GLUE", Args{Plans: o.plans[0], ReqOrder: k.lorder, eq: a.leftEq})
+	rp, rok := ctx.Price("GLUE", Args{Plans: o.plans[1], ReqOrder: k.rorder, eq: a.rightEq})
+	if !lok || !rok {
+		// A GLUE alternative has no Price: glue now, price what it built.
+		if err := glue(ctx, &o); err != nil || o.in[0] == nil || o.in[1] == nil {
+			return nil, err
+		}
+		lp, rp = o.in[0].Props, o.in[1].Props
 	}
-	// AddSort prices against AlreadyOrdered.
-	la.Kept, ra.Kept = &Candidates{eq: la.eq}, &Candidates{eq: ra.eq}
-	lg, err := ctx.Evaluate("GLUE", la)
-	if err != nil {
-		return nil, err
-	}
-	rg, err := ctx.Evaluate("GLUE", ra)
-	l, r := cheapest(lg), cheapest(rg)
-	if err != nil || l == nil || r == nil {
-		return nil, err
-	}
-	props := ctx.Opt.costMergeJoin(l.Props, r.Props, sel, k.lorder)
-	if a.Kept.Dominates(props, l.Cols) {
-		return nil, nil
-	}
-	cols, types := joinCols(l, r)
-	return []*plan.Node{{
-		Op:        plan.OpSMJoin,
-		Inputs:    []*plan.Node{l, r},
-		Cols:      cols,
-		Types:     types,
-		JoinKind:  joinKind(a),
-		EquiLeft:  k.ls,
-		EquiRight: k.rs,
-		JoinPred:  expr.AndAll(k.residual),
-		SortKeys:  k.lorder,
-		Props:     props,
-	}}, nil
+	o.props = ctx.Opt.costMergeJoin(lp, rp, ctx.Opt.conjunctSelectivity(a.Preds), k.lorder)
+	return a.Kept.offer(ctx, o)
 }
 
 // ---------------------------------------------------------------------

@@ -57,16 +57,27 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 
 	best := make(map[uint32][]*plan.Node)
 
+	// kept holds a set's candidates until every split of it is priced,
+	// then builds the survivors; GLUE sorts an input at most once per
+	// key list (Args.sorts).
+	kept := o.candidates()
+	defer o.release(kept)
+	var keys joinKeys
+	sorts := sortMemo{}
+
 	// Single-iterator sets: access path selection via the ACCESS STAR.
 	for i, q := range quants {
-		plans, err := ctx.Evaluate("ACCESS", Args{Quant: q, Preds: scanPreds[q.QID]})
+		if _, err := ctx.Evaluate("ACCESS", Args{Quant: q, Preds: scanPreds[q.QID], Kept: kept}); err != nil {
+			return nil, err
+		}
+		plans, err := kept.settle(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if len(plans) == 0 {
 			return nil, fmt.Errorf("optimizer: no access plan for iterator %s", q.Name)
 		}
-		best[1<<uint32(i)] = prunePlans(plans, nil)
+		best[1<<uint32(i)] = plans
 	}
 
 	if n == 1 {
@@ -98,26 +109,15 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		return false
 	}
 
-	// JOIN prices candidates against the set's kept plans (Args.Kept),
-	// which it compares modulo the set's equalities; GLUE sorts an
-	// input at most once per key list (Args.sorts).
-	var kept Candidates
-	var keys joinKeys
-	sorts := sortMemo{}
 	join := func(s1, s2 uint32, np []expr.Expr) error {
 		l, r := best[s1], best[s2]
 		if len(l) == 0 || len(r) == 0 {
 			return nil
 		}
-		s := s1 | s2
-		kept.Plans, kept.eq = best[s], eqs.of(s)
-		a := Args{Left: l, Right: r, Preds: np, Kept: &kept, keys: &keys,
+		a := Args{Left: l, Right: r, Preds: np, Kept: kept, keys: &keys,
 			leftEq: eqs.of(s1), rightEq: eqs.of(s2), sorts: sorts}
-		if _, err := ctx.Evaluate("JOIN", a); err != nil {
-			return err
-		}
-		best[s] = prunePlans(kept.Plans, kept.eq)
-		return nil
+		_, err := ctx.Evaluate("JOIN", a)
+		return err
 	}
 
 	for size := 2; size <= n; size++ {
@@ -133,6 +133,7 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 					break
 				}
 				cart := o.AllowCartesian || pass == 1
+				kept.eq = eqs.of(s)
 				for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
 					rest := s &^ sub
 					if sub < rest {
@@ -152,6 +153,11 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 						return nil, err
 					}
 				}
+				plans, err := kept.settle(ctx)
+				if err != nil {
+					return nil, err
+				}
+				best[s] = plans
 			}
 		}
 	}
@@ -159,6 +165,24 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		return nil, fmt.Errorf("optimizer: enumerator found no plan for the full iterator set")
 	}
 	return best[full], nil
+}
+
+// candidates reuses the Candidates of a finished enumeration, so that
+// offer buffers and layout maps are allocated once per optimizer.
+func (o *Optimizer) candidates() *Candidates {
+	if n := len(o.spare); n > 0 {
+		c := o.spare[n-1]
+		o.spare = o.spare[:n-1]
+		return c
+	}
+	return &Candidates{layouts: map[layoutKey]*plan.Node{}}
+}
+
+// release empties c for candidates to reuse.
+func (o *Optimizer) release(c *Candidates) {
+	c.reset(nil)
+	clear(c.layouts)
+	o.spare = append(o.spare, c)
 }
 
 // equalities are the classes of columns that an iterator set's applied

@@ -43,6 +43,8 @@ type Optimizer struct {
 	graph      *qgm.Graph
 	memo       map[*qgm.Box]*plan.Node
 	inProgress map[*qgm.Box]bool
+	// spare are the emptied Candidates of finished join enumerations.
+	spare []*Candidates
 	// trace receives STAR expansion counts for the current compilation;
 	// nil when the caller is not tracing.
 	trace *obs.Trace

@@ -317,8 +317,10 @@ func TestDBCJoinMethodSTAR(t *testing.T) {
 	// E10/E14 extensibility: a DBC adds a new join method as one STAR
 	// alternative, without touching the evaluator or search strategy.
 	// The toy "FakeJoin" reports tiny cost, so the optimizer picks it
-	// for both joins, though it ignores the pricing hint (Args.Kept)
-	// that the built-in alternatives heed.
+	// for both joins. It ignores the pricing hint (Args.Kept) and builds
+	// its node at once, where the built-in alternatives offer priced
+	// candidates; Evaluate adds FakeJoin's node to those offers, and the
+	// enumerator settles them all in evaluation order.
 	c := testCatalog(t, 1000, 1000, 1000)
 	seen := false
 	compiled := optimize(t, c, "SELECT a.v FROM t0 a, t1 b, t2 c WHERE a.k = b.k AND b.v = c.v", func(o *Optimizer) {
@@ -327,7 +329,7 @@ func TestDBCJoinMethodSTAR(t *testing.T) {
 			Build: func(ctx *Ctx, a Args) ([]*plan.Node, error) {
 				seen = true
 				l, r := cheapest(a.Left), cheapest(a.Right)
-				cols, types := joinCols(l, r)
+				cols, types := slices.Concat(l.Cols, r.Cols), slices.Concat(l.Types, r.Types)
 				return []*plan.Node{{
 					Op: "FAKEJOIN", Inputs: []*plan.Node{l, r},
 					Cols: cols, Types: types,
@@ -494,13 +496,25 @@ func TestPrunePlansKeepsInterestingOrders(t *testing.T) {
 	}
 }
 
-// TestDominatesMirrorsPrunePlans: skipping, unbuilt, every candidate
-// that the kept plans dominate — Evaluate adds each alternative's
-// candidates to them before the next alternative runs — leaves
-// prunePlans' survivors and their order exactly as building them all
-// would. Small integer costs make ties common; the plans come in both
-// layouts of a two-iterator set, compared with and without an applied
-// equality between the iterators' columns.
+// prunePlans settles plans built in this order: the survivors of
+// pruning, in order.
+func prunePlans(plans []*plan.Node, eq *equalities) []*plan.Node {
+	c := Candidates{eq: eq}
+	c.add(plans)
+	out, err := c.settle(nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// TestDominatesMirrorsPrunePlans: skipping, unoffered, every candidate
+// that the pending ones dominate — Evaluate adds each alternative's
+// candidates to them before the next alternative runs — leaves the
+// survivors and their order exactly as offering them all would. Small
+// integer costs make ties common; the plans come in both layouts of a
+// two-iterator set, compared with and without an applied equality
+// between the iterators' columns.
 func TestDominatesMirrorsPrunePlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orders := [][]plan.SortKey{nil, {{Slot: 0}}, {{Slot: 1}}, {{Slot: 0}, {Slot: 1}}, {{Slot: 0, Desc: true}}}
@@ -513,10 +527,11 @@ func TestDominatesMirrorsPrunePlans(t *testing.T) {
 	for trial := 0; trial < 10000; trial++ {
 		eq := []*equalities{nil, joined}[trial%2]
 		kept := &Candidates{eq: eq}
+		var eager []*plan.Node
 		for i := rng.Intn(4); i > 0; i-- {
-			kept.Plans = append(kept.Plans, mk())
+			eager = append(eager, mk())
 		}
-		eager := append([]*plan.Node(nil), kept.Plans...)
+		kept.add(eager)
 		for alt := 1 + rng.Intn(3); alt > 0; alt-- {
 			var built []*plan.Node
 			for i := 1 + rng.Intn(3); i > 0; i-- {
@@ -529,11 +544,75 @@ func TestDominatesMirrorsPrunePlans(t *testing.T) {
 					built = append(built, p)
 				}
 			}
-			kept.Plans = append(kept.Plans, built...)
+			kept.add(built)
 		}
-		if got, want := prunePlans(kept.Plans, eq), prunePlans(eager, eq); !slices.Equal(got, want) {
+		got, err := kept.settle(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := prunePlans(eager, eq); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: priced survivors %v, eager %v", trial, props(got), props(want))
 		}
+	}
+}
+
+// TestOfferedMergeJoinsKeepPricedProps: a merge join is offered at the
+// price GLUE's prices give and, if it survives, built over the inputs
+// GLUE then builds; every SMJN must carry the props those inputs give.
+// A JOIN alternative that builds nothing sees, as its operands, the
+// survivors of every set a larger one is joined from; the chosen plan
+// holds the full set's. Indexes on K and V give GLUE ordered inputs
+// to choose from besides SORTs.
+func TestOfferedMergeJoinsKeepPricedProps(t *testing.T) {
+	c := testCatalog(t, 100, 300, 1000, 50)
+	for i := 0; i < 4; i++ {
+		for _, col := range []string{"K", "V"} {
+			if _, err := c.CreateIndex(fmt.Sprintf("T%d_%s", i, col), fmt.Sprintf("T%d", i), []string{col}, "", false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	smjns := 0
+	check := func(root *plan.Node) {
+		plan.Walk(root, func(n *plan.Node) bool {
+			if n.Op != plan.OpSMJoin {
+				return true
+			}
+			smjns++
+			l, r := n.Inputs[0].Props, n.Inputs[1].Props
+			want := (&Optimizer{}).costMergeJoin(l, r, 1, n.SortKeys)
+			if n.Props.Cost != want.Cost || !slices.Equal(n.Props.Order, n.SortKeys) {
+				t.Fatalf("SMJN props %+v over inputs %+v and %+v, want cost %v ordered on %v:\n%s",
+					n.Props, l, r, want.Cost, n.SortKeys, n)
+			}
+			return true
+		})
+	}
+	for _, q := range []string{
+		"SELECT a.v FROM t0 a, t1 b WHERE a.k = b.k",
+		"SELECT a.v FROM t0 a, t1 b, t2 c WHERE a.k = b.k AND b.v = c.v",
+		"SELECT a.v FROM t0 a, t1 b, t2 c, t3 d WHERE a.k = b.k AND b.k = c.k AND c.v = d.v ORDER BY 1",
+		"SELECT a.v FROM t0 a, t1 b, t2 c, t3 d WHERE a.v = b.v AND b.k = c.k AND a.k = d.v",
+	} {
+		for _, only := range []bool{false, true} {
+			root := optimize(t, c, q, func(o *Optimizer) {
+				if only {
+					o.Generator().RemoveAlternative("JOIN", "NestedLoop")
+					o.Generator().RemoveAlternative("JOIN", "HashJoin")
+				}
+				o.Generator().AddAlternative("JOIN", &Alternative{Name: "Inspect",
+					Build: func(ctx *Ctx, a Args) ([]*plan.Node, error) {
+						for _, p := range slices.Concat(a.Left, a.Right) {
+							check(p)
+						}
+						return nil, nil
+					}})
+			}).Root
+			check(root)
+		}
+	}
+	if smjns < 50 {
+		t.Fatalf("checked %d merge joins, want at least 50", smjns)
 	}
 }
 

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -29,11 +30,11 @@ type Args struct {
 	ReqOrder []plan.SortKey
 	// JoinKind carries the requested kind ("" = regular).
 	JoinKind string
-	// Kept is the pricing hint (nil: build every candidate): the plans
-	// the caller prunes the result with, for JOIN those kept for the
-	// iterator set. Evaluate appends each alternative's candidates to
-	// it; an alternative may skip, unbuilt, a candidate it Dominates
-	// (see prunePlans). Ignoring the hint costs only garbage.
+	// Kept is the pricing hint (nil: build every candidate at once): the
+	// candidates of the iterator set being enumerated. A built-in JOIN
+	// alternative appends a priced offer to it unless it Dominates the
+	// offer, Evaluate the nodes an alternative builds anyway; once every
+	// split of the set is priced, only the survivors are built (settle).
 	Kept *Candidates
 	// keys memoizes a JOIN evaluation's equiKeys.
 	keys *joinKeys
@@ -44,28 +45,88 @@ type Args struct {
 	sorts sortMemo
 }
 
-// Candidates are the plans a STAR evaluation's result is pruned with,
-// and the equalities prunePlans compares their orders modulo.
+// Candidates are those a STAR evaluation's result is pruned with, in
+// evaluation order, priced offers and built nodes alike; eq are the
+// equalities their orders compare modulo, and layouts the join layouts
+// of one enumeration (build).
 type Candidates struct {
-	Plans []*plan.Node
-	eq    *equalities
+	offers  []offer
+	eq      *equalities
+	layouts map[layoutKey]*plan.Node
 }
 
-// Dominates reports whether prunePlans drops a candidate with
-// properties p, whose order slots index layout cols, listed after c's
-// plans: one costs no more and has an order satisfying p's modulo c's
-// equalities. Comparing modulo equalities is still a preorder, so the
-// skip stays sound. A nil c (no pricing hint) dominates nothing.
+// Dominates reports whether settling drops a candidate with properties
+// p, whose order slots index layout cols, offered after c's: one costs
+// no more and has an order satisfying p's modulo c's equalities.
+// Comparing modulo equalities is still a preorder, so the skip stays
+// sound. A nil c (no pricing hint) dominates nothing.
 func (c *Candidates) Dominates(p plan.Props, cols []plan.ColRef) bool {
 	if c == nil {
 		return false
 	}
-	for _, q := range c.Plans {
-		if q.Props.Cost <= p.Cost && c.eq.orderSatisfies(q.Props.Order, q.Cols, p.Order, cols) {
+	for i := range c.offers {
+		if c.covers(&c.offers[i], p, cols) {
 			return true
 		}
 	}
 	return false
+}
+
+// covers reports whether q costs no more than p and has an order
+// satisfying p's.
+func (c *Candidates) covers(q *offer, p plan.Props, cols []plan.ColRef) bool {
+	return q.props.Cost <= p.Cost && c.eq.orderSatisfies(q.props.Order, q.cols, p.Order, cols)
+}
+
+// add appends built plans to the candidates (a nil c keeps nothing).
+func (c *Candidates) add(plans []*plan.Node) {
+	if c != nil {
+		for _, n := range plans {
+			c.offers = append(c.offers, offer{node: n, props: n.Props, cols: n.Cols})
+		}
+	}
+}
+
+// reset drops c's candidates and sets its equalities to eq.
+func (c *Candidates) reset(eq *equalities) {
+	clear(c.offers)
+	c.offers, c.eq = c.offers[:0], eq
+}
+
+// settle keeps, of the candidates, every one that is not dominated and
+// builds it: a candidate survives if no other has lower-or-equal cost
+// AND an order satisfying the survivor's (interesting orders keep more
+// expensive but usefully ordered plans alive). Orders compare through
+// each candidate's own layout modulo eq, the equalities the set's plans
+// have all applied: an order on a.k and one on b.k are one interesting
+// order once a.k = b.k is applied. The survivors come out in evaluation
+// order, and c is left empty.
+//
+// Domination is transitive (costs compare, reduced order prefixes nest,
+// ties break on position), so dropping a candidate that an earlier one
+// dominates changes no survivor: a pricing alternative may leave such a
+// candidate unoffered (Dominates).
+func (c *Candidates) settle(ctx *Ctx) ([]*plan.Node, error) {
+	var out []*plan.Node
+next:
+	for i := range c.offers {
+		p := &c.offers[i]
+		for j := range c.offers {
+			q := &c.offers[j]
+			// Tie-break deterministically on position to avoid mutual
+			// elimination of identical plans.
+			if j != i && c.covers(q, p.props, p.cols) && (q.props.Cost < p.props.Cost || j < i) {
+				continue next
+			}
+		}
+		n, err := c.build(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, n)
+	}
+	c.reset(c.eq)
+	return out, nil
 }
 
 // Alternative is one definition of a STAR: an optional applicability
@@ -215,10 +276,6 @@ func (ctx *Ctx) Evaluate(star string, a Args) ([]*plan.Node, error) {
 		ctx.Opt.trace.CountStar(star)
 	}
 	var out []*plan.Node
-	if a.Kept != nil {
-		out = a.Kept.Plans // candidates follow the kept plans
-	}
-	n := len(out)
 	for _, alt := range ctx.Gen.Strategy.Order(s.Alternatives) {
 		if !ctx.applies(alt, a) {
 			continue
@@ -227,12 +284,14 @@ func (ctx *Ctx) Evaluate(star string, a Args) ([]*plan.Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: STAR %s/%s: %w", star, alt.Name, err)
 		}
-		out = append(out, plans...)
-		if a.Kept != nil {
-			a.Kept.Plans = out
+		if out == nil {
+			out = slices.Clip(plans) // no copy of a lone alternative's plans
+		} else {
+			out = append(out, plans...)
 		}
+		a.Kept.add(plans)
 	}
-	return out[n:], nil
+	return out, nil
 }
 
 // applies reports whether an alternative passes rank and condition.
@@ -261,43 +320,6 @@ func (ctx *Ctx) Price(star string, a Args) (best plan.Props, ok bool) {
 		}
 	}
 	return best, ok
-}
-
-// prunePlans keeps, from a candidate set, every plan that is not
-// dominated: a plan survives if no other plan has lower-or-equal cost
-// AND an order satisfying the survivor's order (interesting orders keep
-// more expensive but usefully ordered plans alive). Orders compare
-// through each plan's own layout modulo eq, the equalities the set's
-// plans have all applied: an order on a.k and one on b.k are one
-// interesting order once a.k = b.k is applied.
-//
-// Domination is transitive (costs compare, reduced order prefixes nest,
-// ties break on position), so dropping a plan that an earlier one
-// dominates changes no survivor: a pricing alternative may skip such a
-// candidate unbuilt, and pruning after every split equals pruning once
-// per set.
-func prunePlans(cands []*plan.Node, eq *equalities) []*plan.Node {
-	var out []*plan.Node
-	for i, p := range cands {
-		dominated := false
-		for j, q := range cands {
-			if i == j {
-				continue
-			}
-			if q.Props.Cost <= p.Props.Cost && eq.orderSatisfies(q.Props.Order, q.Cols, p.Props.Order, p.Cols) {
-				// Tie-break deterministically on index to avoid mutual
-				// elimination of identical plans.
-				if q.Props.Cost < p.Props.Cost || j < i {
-					dominated = true
-					break
-				}
-			}
-		}
-		if !dominated {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // cheapest returns the lowest-cost plan of a set.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexical tokens.
@@ -139,19 +140,22 @@ func unquote(raw string) string {
 // src[start:pos], quotes and escapes included. It allocates nothing
 // but an error.
 func (l *Lexer) scan() (TokenKind, int, error) {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
+	for l.pos < len(l.src) {
+		r, n := l.peek()
+		if !unicode.IsSpace(r) {
+			break
+		}
+		l.pos += n
 	}
 	start := l.pos
 	if l.pos >= len(l.src) {
 		return TokEOF, start, nil
 	}
 	c := l.src[l.pos]
+	r, _ := l.peek()
 	switch {
-	case isIdentStart(rune(c)):
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-			l.pos++
-		}
+	case isIdentStart(r):
+		l.skipIdentParts()
 		if keyword(l.src[start:l.pos]) != "" {
 			return TokKeyword, start, nil
 		}
@@ -208,9 +212,7 @@ func (l *Lexer) scan() (TokenKind, int, error) {
 
 	case c == ':':
 		l.pos++
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-			l.pos++
-		}
+		l.skipIdentParts()
 		if l.pos == start+1 {
 			return 0, start, fmt.Errorf("sql: empty parameter name at offset %d", start)
 		}
@@ -235,7 +237,27 @@ func (l *Lexer) scan() (TokenKind, int, error) {
 			l.pos++
 			return TokSymbol, start, nil
 		}
-		return 0, start, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
+		return 0, start, fmt.Errorf("sql: unexpected character %q at offset %d", r, start)
+	}
+}
+
+// peek decodes the UTF-8 rune at the lexer's position and its width.
+func (l *Lexer) peek() (rune, int) {
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[l.pos:])
+}
+
+// skipIdentParts moves past the identifier characters at the lexer's
+// position.
+func (l *Lexer) skipIdentParts() {
+	for l.pos < len(l.src) {
+		r, n := l.peek()
+		if !isIdentPart(r) {
+			return
+		}
+		l.pos += n
 	}
 }
 

@@ -590,3 +590,24 @@ func TestKim82Queries(t *testing.T) {
 		t.Error("join form has two quantifiers")
 	}
 }
+
+// TestLexerUTF8Identifiers: identifiers and spaces are runes, not
+// bytes. "café" once failed on the second byte of é, and the second
+// byte of à (0xA0) passed for a no-break space, cutting "xà" short.
+func TestLexerUTF8Identifiers(t *testing.T) {
+	toks, err := Tokenize("CREATE TABLE u (café INT, xà INT) WHERE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks[4].Text != "café" || toks[7].Text != "xà" || toks[10].Text != "WHERE" {
+		t.Fatalf("tokens = %q", toks)
+	}
+	if key, _, ok := Key("select café, xà FROM t"); !ok || key != "SELECT CAFé, Xà FROM T" {
+		t.Fatalf("Key = %q, %v", key, ok)
+	}
+	for _, src := range []string{"SELECT €", "SELECT \xc3"} {
+		if _, err := Tokenize(src); err == nil {
+			t.Errorf("Tokenize(%q) succeeded", src)
+		}
+	}
+}

@@ -170,6 +170,7 @@ func FuzzPlanKey(f *testing.F) {
 		{"INSERT INTO t VALUES (1e309, 'unterminated)", "EXPLAIN INSERT INTO t VALUES (1)"},
 		{"INSERT INTO t SELECT 1, 'a' FROM u WHERE b IN (2, 'c')", "UPDATE t SET a = 1, b = 'x' WHERE c = -2"},
 		{"SELECT :a, :A FROM t WHERE x <> 1 AND y != 2", "INSERT INTO t VALUES (1) ; INSERT INTO t VALUES (2)"},
+		{"SELECT café, xà FROM t WHERE é = 'é'", "insert into ÉTÉ (Ça) values ('à', 1)"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
