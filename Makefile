@@ -29,16 +29,15 @@ race:
 # and DESIGN.md "Static analysis") over every module package, then the
 # analyzer fixture self-tests. The suite covers the original rules (qgm
 # mutation discipline, complete rewrite.Rule literals, no raw
-# datum.Value comparison, no naked panic in the execution engine, DML
-# through the transaction write log, worker-safe Ctx writes, the
-# context-first statement core) plus the call-graph concurrency
-# contracts: lock-discipline over the starburst:locks
-# annotations, goroutine-hygiene (joined goroutines, select-guarded
+# datum.Value comparison, no naked panic in the execution engine,
+# worker-safe Ctx writes, the context-first statement core) plus the
+# call-graph concurrency contracts: lock-discipline over the
+# starburst:locks annotations, goroutine-hygiene (joined goroutines, select-guarded
 # sends), error-discard (Close/IterErr/Rollback propagation),
 # budget-tick (row loops charge the execution budget), wait-event
 # (starburst:waits-annotated blocking sites must record the declared
 # wait events), and vector-boxing (columnar kernels stay unboxed and
-# respect the selection vector) — 13 rules. Findings are suppressible
+# respect the selection vector) — 12 rules. Findings are suppressible
 # only with a justified //lint:ignore.
 lint:
 	$(GO) run ./cmd/starburst-lint ./...

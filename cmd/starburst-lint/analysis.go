@@ -47,7 +47,6 @@ var analyzers = []*analyzer{
 	ruleLiteralAnalyzer,
 	datumCompareAnalyzer,
 	execPanicAnalyzer,
-	dmlDirectAnalyzer,
 	ctxSharedAnalyzer,
 	apiBypassAnalyzer,
 	lockDisciplineAnalyzer,

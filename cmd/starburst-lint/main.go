@@ -17,9 +17,6 @@
 //     / datum.RowKey.
 //   - exec-panic: no naked panic in internal/exec — operators return
 //     errors through the Stream.
-//   - dml-direct-mutate: no direct catalog.Insert / Update / Delete in
-//     internal/exec — DML mutates through the InsertTx / UpdateTx /
-//     DeleteTx transaction entry points.
 //   - ctx-shared-mutation: only the serial-only operator set may write
 //     non-atomic statement-wide Ctx fields.
 //   - api-bypass: in the root package, only the statement core

@@ -21,17 +21,13 @@ func colBenchDB(b *testing.B) *DB {
 	b.Helper()
 	db := Open()
 	mustExec(b, db, `CREATE TABLE cb (k INT, v INT, w INT)`)
-	tbl, _ := db.cat.Table("cb")
-	for i := 0; i < 32768; i++ {
-		row := datum.Row{
+	bulkLoad(b, db, "cb", 32768, func(i int) Row {
+		return Row{
 			datum.NewInt(int64(i)),
 			datum.NewInt(int64(i % 1024)),
 			datum.NewInt(int64(i % 11)),
 		}
-		if _, err := db.cat.Insert(tbl, row); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 	mustExec(b, db, "ANALYZE cb")
 	return db
 }

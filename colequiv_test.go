@@ -927,16 +927,8 @@ func joinDB(t testing.TB) *DB {
 		return fmt.Sprintf("%d, %s, %d, %d.5, 'n%d', %v", i, k, i%5, i%25, i%35, i%3 == 0)
 	})
 	mustExec(t, db, "INSERT INTO db VALUES (TRUE, 'yes'), (FALSE, 'no'), (NULL, 'unknown')")
-	user := func(table string, n int, row func(i int) Row) {
-		tbl, _ := db.Catalog().Table(table)
-		for i := 0; i < n; i++ {
-			if _, err := db.Catalog().Insert(tbl, row(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	user("fu", 50, func(i int) Row { return Row{NewInt(int64(i)), NewUser(jkey, int64(i%12))} })
-	user("du2", 8, func(i int) Row { return Row{NewUser(jkey, int64(i)), NewString(fmt.Sprint("u", i))} })
+	bulkLoad(t, db, "fu", 50, func(i int) Row { return Row{NewInt(int64(i)), NewUser(jkey, int64(i%12))} })
+	bulkLoad(t, db, "du2", 8, func(i int) Row { return Row{NewUser(jkey, int64(i)), NewString(fmt.Sprint("u", i))} })
 	insert("du", 31, func(i int) string {
 		if i == 30 {
 			return "NULL, 'nobody'"

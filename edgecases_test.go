@@ -333,12 +333,10 @@ func TestUserDefinedTypeColumnEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "CREATE TABLE prices (id INT, amount MONEY)")
-	tbl, _ := db.Catalog().Table("prices")
-	for i, cents := range []int64{500, 100, 300} {
-		if _, err := db.Catalog().Insert(tbl, Row{NewInt(int64(i)), newMoney(t, db, cents)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cents := []int64{500, 100, 300}
+	bulkLoad(t, db, "prices", len(cents), func(i int) Row {
+		return Row{NewInt(int64(i)), newMoney(t, db, cents[i])}
+	})
 	res := mustExec(t, db, "SELECT id FROM prices ORDER BY amount")
 	if !eqInts(intsOf(t, res, 0), []int64{1, 2, 0}) {
 		t.Fatalf("money order = %v", intsOf(t, res, 0))

@@ -575,31 +575,6 @@ func extractKey(row datum.Row, cols []int) datum.Row {
 	return k
 }
 
-// Insert stores a row in a table, enforcing NOT NULL and type
-// compatibility, coercing numerics, and maintaining every attachment.
-// The row is written frozen — visible to every snapshot — which is
-// what recovery, backfill and system paths want; transactional DML
-// goes through InsertTx.
-func (c *Catalog) Insert(t *Table, row datum.Row) (storage.RID, error) {
-	coerced, err := coerceRow(t, row)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	rid, err := t.Rel.Insert(coerced)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.At.Insert(extractKey(coerced, ix.KeyCols), rid); err != nil {
-			// Undo the record insert to keep table and attachments
-			// consistent (uniqueness violations surface here).
-			t.Rel.Delete(rid)
-			return storage.RID{}, err
-		}
-	}
-	return rid, nil
-}
-
 // coerceRow validates arity, NOT NULL and types, coercing numerics.
 func coerceRow(t *Table, row datum.Row) (datum.Row, error) {
 	if len(row) != len(t.Cols) {
@@ -631,49 +606,6 @@ func checkNotNull(t *Table, row datum.Row) error {
 		}
 	}
 	return nil
-}
-
-// Delete removes the record at rid and its index entries, physically
-// and for every snapshot (recovery and system paths; transactional DML
-// goes through DeleteTx).
-func (c *Catalog) Delete(t *Table, rid storage.RID) error {
-	row, ok := t.Rel.Fetch(rid)
-	if !ok {
-		return fmt.Errorf("catalog: %s: no record %s", t.Name, rid)
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.At.Delete(extractKey(row, ix.KeyCols), rid); err != nil {
-			return err
-		}
-	}
-	return t.Rel.Delete(rid)
-}
-
-// Update replaces the record at rid in place for every snapshot,
-// maintaining attachments (recovery and system paths; transactional
-// DML goes through UpdateTx).
-func (c *Catalog) Update(t *Table, rid storage.RID, newRow datum.Row) error {
-	old, ok := t.Rel.Fetch(rid)
-	if !ok {
-		return fmt.Errorf("catalog: %s: no record %s", t.Name, rid)
-	}
-	if err := checkNotNull(t, newRow); err != nil {
-		return err
-	}
-	for _, ix := range t.Indexes {
-		oldKey := extractKey(old, ix.KeyCols)
-		newKey := extractKey(newRow, ix.KeyCols)
-		if storage.CompareKeys(oldKey, newKey) == 0 {
-			continue
-		}
-		if err := ix.At.Delete(oldKey, rid); err != nil {
-			return err
-		}
-		if err := ix.At.Insert(newKey, rid); err != nil {
-			return err
-		}
-	}
-	return t.Rel.Update(rid, newRow)
 }
 
 // Analyze recomputes optimizer statistics for a table and publishes

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 func testCols() []Column {
@@ -68,26 +69,89 @@ func TestColIndex(t *testing.T) {
 	}
 }
 
+// txnEnv writes through the transactional path the way the engine
+// does: each transaction comes from one txn.Manager, and its commit
+// queues the written rows for the version GC.
+type txnEnv struct {
+	c *Catalog
+	m *txn.Manager
+}
+
+func newTxnEnv() *txnEnv { return &txnEnv{c: New(), m: txn.NewManager()} }
+
+func (e *txnEnv) begin() *TxnState { return NewTxnState(e.m.Begin(false)) }
+
+func (e *txnEnv) commit(t *testing.T, ts *TxnState) {
+	t.Helper()
+	if _, err := e.m.Commit(ts.Txn, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.c.EnqueueGC(ts)
+}
+
+// gc runs the version collector against the oldest active snapshot.
+func (e *txnEnv) gc(t *testing.T) {
+	t.Helper()
+	if err := e.c.RunGC(e.m.Horizon()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// load inserts rows in one committed transaction; the GC after the
+// commit freezes them.
+func (e *txnEnv) load(t *testing.T, tbl *Table, rows ...datum.Row) []storage.RID {
+	t.Helper()
+	ts := e.begin()
+	rids := make([]storage.RID, len(rows))
+	for i, row := range rows {
+		rid, err := e.c.InsertTx(tbl, row, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[i] = rid
+	}
+	e.commit(t, ts)
+	e.gc(t)
+	return rids
+}
+
+// lookup returns the RIDs an index entry points at for key.
+func lookup(ix *Index, key ...datum.Value) []storage.RID {
+	b := storage.Include(datum.Row(key))
+	it := ix.At.Search(b, b)
+	defer it.Close()
+	var rids []storage.RID
+	for {
+		e, ok := it.Next()
+		if !ok {
+			return rids
+		}
+		rids = append(rids, e.RID)
+	}
+}
+
 func TestInsertValidation(t *testing.T) {
-	c := New()
+	e := newTxnEnv()
+	c := e.c
 	tbl := mkTable(t, c, "T")
-	if _, err := c.Insert(tbl, datum.Row{datum.NewInt(1), datum.NewString("a"), datum.NewInt(5)}); err != nil {
+	ts := e.begin()
+	if _, err := c.InsertTx(tbl, datum.Row{datum.NewInt(1), datum.NewString("a"), datum.NewInt(5)}, ts); err != nil {
 		t.Fatal(err)
 	}
 	// NOT NULL.
-	if _, err := c.Insert(tbl, datum.Row{datum.Null, datum.NewString("a"), datum.NewInt(5)}); err == nil {
+	if _, err := c.InsertTx(tbl, datum.Row{datum.Null, datum.NewString("a"), datum.NewInt(5)}, ts); err == nil {
 		t.Error("NOT NULL violation must fail")
 	}
 	// Nullable NULL ok.
-	if _, err := c.Insert(tbl, datum.Row{datum.NewInt(2), datum.Null, datum.Null}); err != nil {
+	if _, err := c.InsertTx(tbl, datum.Row{datum.NewInt(2), datum.Null, datum.Null}, ts); err != nil {
 		t.Errorf("nullable NULL: %v", err)
 	}
 	// Width mismatch.
-	if _, err := c.Insert(tbl, datum.Row{datum.NewInt(3)}); err == nil {
+	if _, err := c.InsertTx(tbl, datum.Row{datum.NewInt(3)}, ts); err == nil {
 		t.Error("width mismatch must fail")
 	}
 	// Type coercion: float into INT column.
-	rid, err := c.Insert(tbl, datum.Row{datum.NewFloat(4.7), datum.NewString("x"), datum.NewInt(1)})
+	rid, err := c.InsertTx(tbl, datum.Row{datum.NewFloat(4.7), datum.NewString("x"), datum.NewInt(1)}, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,24 +160,35 @@ func TestInsertValidation(t *testing.T) {
 		t.Errorf("coerced value = %v", row[0])
 	}
 	// Incompatible type.
-	if _, err := c.Insert(tbl, datum.Row{datum.NewString("x"), datum.NewString("x"), datum.NewInt(1)}); err == nil {
+	if _, err := c.InsertTx(tbl, datum.Row{datum.NewString("x"), datum.NewString("x"), datum.NewInt(1)}, ts); err == nil {
 		t.Error("type mismatch must fail")
 	}
+	// A rejected row never reaches storage: only the three valid rows
+	// are stored, and an update image is held to NOT NULL too.
+	if n := tbl.Rel.RowCount(); n != 3 {
+		t.Errorf("%d records stored, want 3", n)
+	}
+	if err := c.UpdateTx(tbl, rid, datum.Row{datum.Null, datum.Null, datum.Null}, ts); err == nil {
+		t.Error("NOT NULL violation on update must fail")
+	}
+	e.commit(t, ts)
 }
 
 func TestIndexLifecycleAndMaintenance(t *testing.T) {
-	c := New()
+	e := newTxnEnv()
+	c := e.c
 	tbl := mkTable(t, c, "T")
 	// Rows inserted before the index exist; CreateIndex must backfill.
-	rid1, _ := c.Insert(tbl, datum.Row{datum.NewInt(1), datum.NewString("a"), datum.NewInt(10)})
-	c.Insert(tbl, datum.Row{datum.NewInt(2), datum.NewString("b"), datum.NewInt(20)})
+	rid1 := e.load(t, tbl,
+		datum.Row{datum.NewInt(1), datum.NewString("a"), datum.NewInt(10)},
+		datum.Row{datum.NewInt(2), datum.NewString("b"), datum.NewInt(20)})[0]
 
 	ix, err := c.CreateIndex("t_id", "T", []string{"id"}, "", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// DDL publishes a new copy-on-write generation; re-resolve the
-	// table so the index set is visible to the legacy DML helpers.
+	// table so the GC and later writers see its index set.
 	tbl, _ = c.Table("T")
 	if ix.Method != "BTREE" || !ix.Unique || ix.KeyCols[0] != 0 {
 		t.Errorf("index = %+v", ix)
@@ -122,39 +197,70 @@ func TestIndexLifecycleAndMaintenance(t *testing.T) {
 		t.Errorf("backfill: %d entries", ix.At.Len())
 	}
 	// Maintenance on insert.
-	rid3, err := c.Insert(tbl, datum.Row{datum.NewInt(3), datum.NewString("c"), datum.NewInt(30)})
+	ts := e.begin()
+	rid3, err := c.InsertTx(tbl, datum.Row{datum.NewInt(3), datum.NewString("c"), datum.NewInt(30)}, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix.At.Len() != 3 {
 		t.Error("index not maintained on insert")
 	}
-	// Unique violation rolls back the record insert.
+	e.commit(t, ts)
+	e.gc(t)
+
+	// A unique violation fails after the record is stored; rolling the
+	// statement back to its mark undoes the record.
+	ts = e.begin()
 	before := tbl.Rel.RowCount()
-	if _, err := c.Insert(tbl, datum.Row{datum.NewInt(3), datum.NewString("dup"), datum.NewInt(0)}); err == nil {
+	mark := ts.Mark()
+	if _, err := c.InsertTx(tbl, datum.Row{datum.NewInt(3), datum.NewString("dup"), datum.NewInt(0)}, ts); err == nil {
 		t.Error("unique violation must fail")
 	}
-	if tbl.Rel.RowCount() != before {
-		t.Error("failed insert must roll back the record")
-	}
-	// Maintenance on update (key change).
-	if err := c.Update(tbl, rid3, datum.Row{datum.NewInt(33), datum.NewString("c"), datum.NewInt(30)}); err != nil {
+	if err := ts.RollbackTo(c, mark); err != nil {
 		t.Fatal(err)
 	}
-	it := ix.At.Search(storage.Include(datum.Row{datum.NewInt(33)}), storage.Include(datum.Row{datum.NewInt(33)}))
-	if _, ok := it.Next(); !ok {
-		t.Error("updated key not in index")
+	if tbl.Rel.RowCount() != before || ix.At.Len() != 3 {
+		t.Errorf("after rollback: %d records, %d entries; want %d, 3", tbl.Rel.RowCount(), ix.At.Len(), before)
 	}
-	// Maintenance on delete.
-	if err := c.Delete(tbl, rid1); err != nil {
+
+	// A key-changing update makes the new key findable at once and
+	// leaves the old key linked for older snapshots until the GC.
+	reader := e.m.Begin(false)
+	if err := c.UpdateTx(tbl, rid3, datum.Row{datum.NewInt(33), datum.NewString("c"), datum.NewInt(30)}, ts); err != nil {
 		t.Fatal(err)
 	}
+	if got := lookup(ix, datum.NewInt(33)); len(got) != 1 || got[0] != rid3 {
+		t.Errorf("new key finds %v, want [%s]", got, rid3)
+	}
+	e.commit(t, ts)
+	e.gc(t) // the reader's snapshot predates the update: nothing is freed
+	if got := lookup(ix, datum.NewInt(3)); len(got) != 1 || got[0] != rid3 {
+		t.Errorf("old key finds %v while a reader needs it, want [%s]", got, rid3)
+	}
+	e.m.Finish(reader)
+	e.gc(t)
+	if got := lookup(ix, datum.NewInt(3)); len(got) != 0 {
+		t.Errorf("old key finds %v after GC, want none", got)
+	}
+
+	// A committed delete keeps its entry until the GC reaps the row.
+	ts = e.begin()
+	if err := c.DeleteTx(tbl, rid1, ts); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(t, ts)
+	if ix.At.Len() != 3 {
+		t.Errorf("committed delete: %d entries before GC, want 3", ix.At.Len())
+	}
+	e.gc(t)
 	if ix.At.Len() != 2 {
-		t.Error("index not maintained on delete")
+		t.Errorf("committed delete: %d entries after GC, want 2", ix.At.Len())
 	}
-	if err := c.Delete(tbl, rid1); err == nil {
-		t.Error("double delete must fail")
+	ts = e.begin()
+	if err := c.DeleteTx(tbl, rid1, ts); err == nil {
+		t.Error("deleting a reaped row must fail")
 	}
+	e.commit(t, ts)
 	// Errors.
 	if _, err := c.CreateIndex("t_id", "T", []string{"id"}, "", false); err == nil {
 		t.Error("duplicate index must fail")
@@ -213,12 +319,15 @@ func TestViews(t *testing.T) {
 }
 
 func TestAnalyze(t *testing.T) {
-	c := New()
+	e := newTxnEnv()
+	c := e.c
 	tbl := mkTable(t, c, "T")
+	var rows []datum.Row
 	for i := int64(0); i < 100; i++ {
 		name := datum.NewString("n" + string(rune('a'+i%5)))
-		c.Insert(tbl, datum.Row{datum.NewInt(i), name, datum.NewInt(i % 10)})
+		rows = append(rows, datum.Row{datum.NewInt(i), name, datum.NewInt(i % 10)})
 	}
+	e.load(t, tbl, rows...)
 	if err := c.Analyze(tbl); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -240,10 +349,12 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestAnalyzeWithNulls(t *testing.T) {
-	c := New()
+	e := newTxnEnv()
+	c := e.c
 	tbl := mkTable(t, c, "T")
-	c.Insert(tbl, datum.Row{datum.NewInt(1), datum.Null, datum.Null})
-	c.Insert(tbl, datum.Row{datum.NewInt(2), datum.Null, datum.NewInt(5)})
+	e.load(t, tbl,
+		datum.Row{datum.NewInt(1), datum.Null, datum.Null},
+		datum.Row{datum.NewInt(2), datum.Null, datum.NewInt(5)})
 	if err := c.Analyze(tbl); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -261,7 +372,8 @@ func TestAnalyzeWithNulls(t *testing.T) {
 
 func TestTablePerStorageManager(t *testing.T) {
 	// Corona must route each table to its own storage manager.
-	c := New()
+	e := newTxnEnv()
+	c := e.c
 	c.Storage.RegisterStorageManager(storage.NewFixedManager())
 	ht, err := c.CreateTable("H", []Column{{Name: "A", Type: datum.TInt}}, "")
 	if err != nil {
@@ -274,22 +386,23 @@ func TestTablePerStorageManager(t *testing.T) {
 	if ht.SM != "HEAP" || ft.SM != "FIXED" {
 		t.Errorf("SMs = %s, %s", ht.SM, ft.SM)
 	}
-	if _, err := c.Insert(ft, datum.Row{datum.NewInt(1)}); err != nil {
-		t.Fatal(err)
-	}
+	e.load(t, ft, datum.Row{datum.NewInt(1)})
 }
 
 func TestRTreeIndexThroughCatalog(t *testing.T) {
-	c := New()
+	e := newTxnEnv()
+	c := e.c
 	c.Storage.RegisterAccessMethod(storage.RTreeMethod{})
 	tbl, _ := c.CreateTable("PTS", []Column{
 		{Name: "ID", Type: datum.TInt},
 		{Name: "X", Type: datum.TFloat},
 		{Name: "Y", Type: datum.TFloat},
 	}, "")
+	var rows []datum.Row
 	for i := int64(0); i < 25; i++ {
-		c.Insert(tbl, datum.Row{datum.NewInt(i), datum.NewFloat(float64(i % 5)), datum.NewFloat(float64(i / 5))})
+		rows = append(rows, datum.Row{datum.NewInt(i), datum.NewFloat(float64(i % 5)), datum.NewFloat(float64(i / 5))})
 	}
+	e.load(t, tbl, rows...)
 	ix, err := c.CreateIndex("pts_xy", "PTS", []string{"X", "Y"}, "RTREE", false)
 	if err != nil {
 		t.Fatal(err)

@@ -427,14 +427,24 @@ type joinKeys struct {
 
 // equiKeys analyzes a JOIN evaluation once for all its alternatives,
 // in the memo the enumerator allots (other callers' Args: afresh). The
-// memo answers only for the very slices it analyzed, so an alternative
-// that evaluates JOIN on a modified copy of its Args gets its own.
+// memo answers only for the very slices it analyzed, in either
+// orientation, so an alternative that evaluates JOIN on a modified copy
+// of its Args gets its own.
 func equiKeys(a Args) *joinKeys {
 	k := a.keys
 	if k == nil {
 		k = &joinKeys{}
-	} else if k.l != nil && same(k.left, a.Left) && same(k.right, a.Right) && same(k.preds, a.Preds) {
-		return k
+	} else if k.l != nil && same(k.preds, a.Preds) {
+		if same(k.left, a.Left) && same(k.right, a.Right) {
+			return k
+		}
+		if same(k.left, a.Right) && same(k.right, a.Left) {
+			// The split the memo holds, reversed: the sides are disjoint,
+			// so each key pair swaps its slots and the residual stays.
+			k.left, k.right, k.l, k.r = k.right, k.left, k.r, k.l
+			k.ls, k.rs, k.lorder, k.rorder = k.rs, k.ls, k.rorder, k.lorder
+			return k
+		}
 	}
 	*k = joinKeys{left: a.Left, right: a.Right, preds: a.Preds, l: cheapest(a.Left), r: cheapest(a.Right)}
 	n := len(a.Preds)

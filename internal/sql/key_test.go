@@ -15,6 +15,10 @@ func TestKeyAllocatesNothingPerToken(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { Key(sel) }); n > 1 {
 		t.Errorf("keying a SELECT: %.0f allocations, want 1", n)
 	}
+	utf := `SELECT café, "Ça" FROM été WHERE xà = 'à' AND ÿ > 1`
+	if n := testing.AllocsPerRun(20, func() { Key(utf) }); n > 1 {
+		t.Errorf("keying a SELECT with non-ASCII names: %.0f allocations, want 1", n)
+	}
 	var b strings.Builder
 	b.WriteString("insert into t values ")
 	for r := 0; r < 50; r++ {
@@ -52,6 +56,10 @@ func TestKeyRendering(t *testing.T) {
 		"UPDATE t SET a = 1 WHERE b IN (1, 2)":                       "UPDATE T SET A = 1 WHERE B IN (1, 2)",
 		"DELETE FROM t WHERE a = -1":                                 "DELETE FROM T WHERE A = -1",
 		"INSERT INTO t VALUES ((SELECT 1 FROM u WHERE a IN (1, 2)))": "INSERT INTO T VALUES ((SELECT 1 FROM U WHERE A IN (1, 2)))",
+		// Names fold as the catalog folds them, non-ASCII letters too.
+		"SELECT café FROM t":                   "SELECT CAFÉ FROM T",
+		"SELECT CAFÉ FROM t":                   "SELECT CAFÉ FROM T",
+		`SELECT "ça", xà FROM t WHERE é = 'é'`: `SELECT "ÇA", XÀ FROM T WHERE É = 'é'`,
 	} {
 		key, _, ok := Key(src)
 		if !ok || key != want {

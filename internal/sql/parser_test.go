@@ -602,7 +602,7 @@ func TestLexerUTF8Identifiers(t *testing.T) {
 	if toks[4].Text != "café" || toks[7].Text != "xà" || toks[10].Text != "WHERE" {
 		t.Fatalf("tokens = %q", toks)
 	}
-	if key, _, ok := Key("select café, xà FROM t"); !ok || key != "SELECT CAFé, Xà FROM T" {
+	if key, _, ok := Key("select café, xà FROM t"); !ok || key != "SELECT CAFÉ, XÀ FROM T" {
 		t.Fatalf("Key = %q, %v", key, ok)
 	}
 	for _, src := range []string{"SELECT €", "SELECT \xc3"} {

@@ -48,7 +48,6 @@ type relation struct {
 var (
 	_ storage.Relation         = (*relation)(nil)
 	_ storage.PageRangeScanner = (*relation)(nil)
-	_ storage.Restorer         = (*relation)(nil)
 )
 
 // Insert implements storage.Relation.
@@ -81,20 +80,6 @@ func (r *relation) Update(rid storage.RID, row datum.Row) error {
 		return fmt.Errorf("disk: %s: %w", r.tf.name, err)
 	}
 	if err := r.s.updateRecord(r.tf, rid, rec); err != nil {
-		return err
-	}
-	r.stats.WritePage()
-	return nil
-}
-
-// Restore implements storage.Restorer: undo-log put-back of a deleted
-// record at its original RID.
-func (r *relation) Restore(rid storage.RID, row datum.Row) error {
-	rec, err := encodeRow(nil, row)
-	if err != nil {
-		return fmt.Errorf("disk: %s: %w", r.tf.name, err)
-	}
-	if err := r.s.restoreRecord(r.tf, rid, rec); err != nil {
 		return err
 	}
 	r.stats.WritePage()
@@ -143,15 +128,6 @@ func (r *relation) PageCount() int64 {
 	r.tf.mu.RLock()
 	defer r.tf.mu.RUnlock()
 	return r.tf.pages
-}
-
-// Truncate implements storage.Relation. The removal is logged like any
-// mutation; page files shrink at the next checkpoint.
-func (r *relation) Truncate() {
-	// The interface is infallible (the in-memory managers cannot fail);
-	// a WAL error here aborts the enclosing statement group instead, and
-	// a crash fault propagates by panic.
-	_ = r.s.truncateTable(r.tf)
 }
 
 // diskIterator streams a page range, pinning one page per call. Its

@@ -191,8 +191,8 @@ func (p page) insert(rec []byte) (int, bool) {
 }
 
 // insertAt installs rec at an exact slot number, growing the directory
-// (padding the gap with dead slots) as needed. Used by WAL replay and
-// Restorer put-back, where the slot is dictated by the record's RID.
+// (padding the gap with dead slots) as needed. Used by WAL replay,
+// where the slot is dictated by the record's RID.
 // Fails when the slot is already live or the record cannot fit.
 func (p page) insertAt(slot int, rec []byte) error {
 	if slot < 0 || slot > 0xffff {

@@ -231,8 +231,8 @@ func (p *pool) clean(fr *frame) {
 	fr.recLSN = 0
 }
 
-// dropTable discards every frame of a table (after DROP TABLE or
-// truncate-on-replay); dirty contents are intentionally lost.
+// dropTable discards every frame of a table (after DROP TABLE, or when
+// CREATE resets a table file); dirty contents are intentionally lost.
 func (p *pool) dropTable(table string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -148,11 +148,6 @@ type tableFile struct {
 	free    []int
 	lastIns int
 
-	// truncLSN is the LSN of the last logical truncate: pages whose
-	// pageLSN predates it read as empty. Physical file truncation
-	// happens at the next checkpoint.
-	truncLSN uint64
-
 	// pendingRepair marks pages that failed their checksum during
 	// recovery and await a full-page image from the WAL.
 	pendingRepair map[uint32]bool
@@ -729,11 +724,10 @@ func (s *Store) pin(tf *tableFile, pageNo uint32) (*frame, error) {
 	})
 }
 
-// loadPage reads one page into buf, resolving the three kinds of
-// "empty": never written (short or zero read), all-zero region, or
-// logically truncated (pageLSN below truncLSN). A checksum failure is
-// fatal in normal operation; during recovery it flags the page for
-// repair by a WAL full-page image.
+// loadPage reads one page into buf, resolving the two kinds of
+// "empty": never written (short or zero read) or all-zero region. A
+// checksum failure is fatal in normal operation; during recovery it
+// flags the page for repair by a WAL full-page image.
 func (s *Store) loadPage(tf *tableFile, pageNo uint32, buf []byte) error {
 	off := int64(pageNo) * int64(s.opts.PageSize)
 	n, _ := tf.file.ReadAt(buf, off)
@@ -746,10 +740,6 @@ func (s *Store) loadPage(tf *tableFile, pageNo uint32, buf []byte) error {
 	}
 	pg := newPage(buf)
 	if pg.dataStart() == 0 {
-		pg.init()
-		return nil
-	}
-	if pg.lsn() < tf.truncLSN {
 		pg.init()
 		return nil
 	}
@@ -903,63 +893,6 @@ func (s *Store) updateRecord(tf *tableFile, rid storage.RID, rec []byte) error {
 	})
 }
 
-// restoreRecord is undo-log put-back: reinsert a record at its exact
-// original RID. Logged as a plain insert with a dictated slot.
-func (s *Store) restoreRecord(tf *tableFile, rid storage.RID, rec []byte) error {
-	return s.runMutation(func(st *stmt) error {
-		tf.mu.Lock()
-		defer tf.mu.Unlock()
-		if rid.Page < 0 || rid.Slot < 0 {
-			return fmt.Errorf("disk: %s: bad restore RID %s", tf.name, rid)
-		}
-		for int64(len(tf.free)) <= int64(rid.Page) {
-			tf.free = append(tf.free, s.opts.PageSize-pageHeaderSize-slotSize)
-		}
-		if int64(len(tf.free)) > tf.pages {
-			tf.pages = int64(len(tf.free))
-		}
-		fr, err := s.pin(tf, uint32(rid.Page))
-		if err != nil {
-			return err
-		}
-		pg := newPage(fr.buf)
-		lsn, err := s.walAppend(tf.name, &walRecord{
-			kind: walInsert, stmtID: st.id, table: tf.name,
-			pageNo: uint32(rid.Page), slot: uint32(rid.Slot), data: rec,
-		})
-		if err != nil {
-			s.pool.unpin(fr, false, 0)
-			return err
-		}
-		if ierr := pg.insertAt(int(rid.Slot), rec); ierr != nil {
-			s.pool.unpin(fr, false, 0)
-			return fmt.Errorf("disk: restore %s %s: %w", tf.name, rid, ierr)
-		}
-		pg.setLSN(lsn)
-		st.wrote = true
-		tf.free[rid.Page] = pg.insertCapacity()
-		tf.rows++
-		s.pool.unpin(fr, true, lsn)
-		return nil
-	})
-}
-
-func (s *Store) truncateTable(tf *tableFile) error {
-	return s.runMutation(func(st *stmt) error {
-		tf.mu.Lock()
-		defer tf.mu.Unlock()
-		lsn, err := s.walAppend(tf.name, &walRecord{kind: walTruncate, stmtID: st.id, table: tf.name})
-		if err != nil {
-			return err
-		}
-		st.wrote = true
-		tf.truncLSN = lsn
-		tf.pages, tf.rows, tf.free, tf.lastIns = 0, 0, nil, 0
-		s.pool.dropTable(tf.name)
-		return nil
-	})
-}
-
 func (s *Store) fetchRecord(tf *tableFile, rid storage.RID) ([]byte, bool) {
 	if rid.Page < 0 || rid.Slot < 0 {
 		return nil, false
@@ -1004,7 +937,7 @@ func (s *Store) Checkpoint() error {
 //
 //  1. log a full-page image of every dirty frame (torn-page repair
 //     source), 2. fsync the WAL, 3. write the dirty pages back,
-//  4. truncate + fsync the data files, 5. write the catalog snapshot
+//  4. trim + fsync the data files, 5. write the catalog snapshot
 //     (tmp + rename), 6. rotate the WAL (tmp + rename).
 //
 // A crash at any point is recoverable: before step 6 the old WAL still
@@ -1083,8 +1016,10 @@ func (s *Store) checkpointLocked() error {
 		touched[tf] = true
 	}
 
-	// 4. Apply pending logical truncations physically, then fsync every
-	// touched file.
+	// 4. Trim any page file longer than its table's page count, then
+	// fsync every touched file. Pages only ever grow, so this is a
+	// guard: a longer file would hand its stale tail back as live pages
+	// when the next open adopts it.
 	s.mu.Lock()
 	all := make([]*tableFile, 0, len(s.tables))
 	for _, tf := range s.tables {
@@ -1252,7 +1187,7 @@ func (s *Store) Recover(applyDDL func(sqlText string) error) error {
 			if err := applyDDL(string(r.data)); err != nil {
 				return fmt.Errorf("disk: replay DDL %q: %w", r.data, err)
 			}
-		case walInsert, walDelete, walUpdate, walTruncate:
+		case walInsert, walDelete, walUpdate:
 			if !replayable(r.stmtID) {
 				continue
 			}
@@ -1281,9 +1216,6 @@ func (s *Store) replayFPI(r *walRecord) error {
 	img := newPage(r.data)
 	tf.mu.Lock()
 	defer tf.mu.Unlock()
-	if img.lsn() < tf.truncLSN {
-		return nil
-	}
 	fr, err := s.pin(tf, r.pageNo)
 	if err != nil {
 		return err
@@ -1311,12 +1243,6 @@ func (s *Store) replayData(r *walRecord) error {
 	}
 	tf.mu.Lock()
 	defer tf.mu.Unlock()
-	if r.kind == walTruncate {
-		tf.truncLSN = r.lsn
-		tf.pages, tf.rows, tf.free, tf.lastIns = 0, 0, nil, 0
-		s.pool.dropTable(tf.name)
-		return nil
-	}
 	if tf.pendingRepair[r.pageNo] {
 		// The page is damaged; a later FPI both repairs it and carries
 		// this record's effect.

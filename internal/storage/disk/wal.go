@@ -37,11 +37,12 @@ import (
 
 var walMagic = []byte("SBWALv1\n")
 
+// Kind 4 is retired and stays unused: renumbering a kind would misread
+// logs already on disk.
 const (
 	walInsert    = 1 // stmtID, table, page, slot, record bytes
 	walDelete    = 2 // stmtID, table, page, slot
 	walUpdate    = 3 // stmtID, table, page, slot, record bytes
-	walTruncate  = 4 // stmtID, table
 	walDDL       = 5 // stmtID, sql text
 	walCommit    = 6 // stmtID, txnID (0 = standalone statement)
 	walFPI       = 7 // table, page, full page image (checkpoint-only; no stmt)
@@ -69,9 +70,6 @@ func (r *walRecord) encode(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, r.txnID)
 	case walTxnCommit:
 		dst = binary.LittleEndian.AppendUint64(dst, r.txnID)
-	case walTruncate:
-		dst = binary.LittleEndian.AppendUint64(dst, r.stmtID)
-		dst = appendWalString(dst, r.table)
 	case walDDL:
 		dst = binary.LittleEndian.AppendUint64(dst, r.stmtID)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.data)))
@@ -187,10 +185,6 @@ func decodeWalRecord(payload []byte) (*walRecord, error) {
 		}
 	case walTxnCommit:
 		r.txnID, err = d.u64()
-	case walTruncate:
-		if r.stmtID, err = d.u64(); err == nil {
-			r.table, err = d.str()
-		}
 	case walDDL:
 		if r.stmtID, err = d.u64(); err == nil {
 			r.data, err = d.bytes()

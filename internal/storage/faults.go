@@ -313,13 +313,6 @@ func IterErr(it any) error {
 	return nil
 }
 
-// Restorer is an optional Relation capability: put a previously deleted
-// record back at its original RID. The undo log uses it so a rolled-back
-// DELETE restores the exact pre-statement scan order and RIDs.
-type Restorer interface {
-	Restore(rid RID, r datum.Row) error
-}
-
 // unwrap peels every decoration off v: each Unwrap() T it offers.
 func unwrap[T any](v T) T {
 	for {
@@ -468,18 +461,6 @@ func (r *FaultRelation) RowCount() int64 { return r.inner.RowCount() }
 
 // PageCount implements Relation.
 func (r *FaultRelation) PageCount() int64 { return r.inner.PageCount() }
-
-// Truncate implements Relation.
-func (r *FaultRelation) Truncate() { r.inner.Truncate() }
-
-// Restore forwards to the raw store when it supports restoration. The
-// undo path is never fault-checked: compensation must succeed.
-func (r *FaultRelation) Restore(rid RID, row datum.Row) error {
-	if res, ok := r.inner.(Restorer); ok {
-		return res.Restore(rid, row)
-	}
-	return fmt.Errorf("storage: %T cannot restore records", r.inner)
-}
 
 type faultRowIterator struct {
 	inner  RowIterator

@@ -147,28 +147,6 @@ func (h *heapRelation) Update(rid RID, r datum.Row) error {
 	return nil
 }
 
-// Restore implements Restorer: it puts a deleted record back into its
-// original slot, so a rolled-back DELETE reproduces the exact
-// pre-statement RIDs and scan order.
-func (h *heapRelation) Restore(rid RID, r datum.Row) error {
-	if err := h.check(r); err != nil {
-		return err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s, err := h.slot(rid)
-	if err != nil {
-		return err
-	}
-	if *s != nil {
-		return fmt.Errorf("storage: %s: slot %s is occupied", h.name, rid)
-	}
-	*s = r.Clone()
-	h.rowCount++
-	h.stats.WritePage()
-	return nil
-}
-
 func (h *heapRelation) Fetch(rid RID) (datum.Row, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -199,13 +177,6 @@ func (h *heapRelation) PageCount() int64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return int64(len(h.pages))
-}
-
-func (h *heapRelation) Truncate() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pages = nil
-	h.rowCount = 0
 }
 
 type heapIterator struct {

@@ -135,10 +135,10 @@ type PageRangeScanner interface {
 // Relation is a handle to a stored table, the unit a storage manager
 // manages. All built-in and DBC storage managers produce Relations.
 //
-// Stored rows are write-once. Insert, Update and Restore copy the row
-// they are handed and put the copy in the slot; nothing ever writes
-// into a stored row afterwards, an update replaces the slot's row
-// whole. So Fetch and the iterators may hand out the stored row itself:
+// Stored rows are write-once. Insert and Update copy the row they are
+// handed and put the copy in the slot; nothing ever writes into a
+// stored row afterwards, an update replaces the slot's row whole. So
+// Fetch and the iterators may hand out the stored row itself:
 // returned rows are read-only; retain freely. A caller that wants to
 // change one (a searched UPDATE building the new image) clones first.
 type Relation interface {
@@ -157,8 +157,6 @@ type Relation interface {
 	RowCount() int64
 	// PageCount reports the number of simulated pages occupied.
 	PageCount() int64
-	// Truncate removes all records.
-	Truncate()
 }
 
 // StorageManager creates Relations. DBCs register additional managers

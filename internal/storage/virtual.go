@@ -142,11 +142,6 @@ func (r *virtualRelation) PageCount() int64 {
 	return 1
 }
 
-func (r *virtualRelation) Truncate() {
-	// Read-only: TRUNCATE is rejected before reaching storage; nothing
-	// to do here (the interface offers no error return).
-}
-
 type virtualIterator struct {
 	rows []datum.Row
 	i    int

@@ -27,19 +27,15 @@ func mixedBenchDB(b *testing.B) *DB {
 	b.Helper()
 	db := Open()
 	mustExec(b, db, `CREATE TABLE mixed (k INT NOT NULL, v INT NOT NULL)`)
-	tbl, _ := db.cat.Table("mixed")
-	for i := 0; i < 256; i++ {
-		row := datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i))}
-		if _, err := db.cat.Insert(tbl, row); err != nil {
-			b.Fatal(err)
-		}
-	}
+	bulkLoad(b, db, "mixed", 256, func(i int) Row {
+		return Row{datum.NewInt(int64(i)), datum.NewInt(int64(i))}
+	})
 	mustExec(b, db, `ANALYZE mixed`)
 	// Wrap after seeding and ANALYZE so setup stays fast. ANALYZE
 	// published a fresh catalog generation with a cloned Table struct,
-	// so re-resolve before wrapping; later generations (the in-loop
+	// so resolve the table only now; later generations (the in-loop
 	// ANALYZE) clone the current struct and carry the wrapper along.
-	tbl, _ = db.cat.Table("mixed")
+	tbl, _ := db.cat.Table("mixed")
 	tbl.Rel = &slowRel{Relation: tbl.Rel, perPage: 300 * time.Microsecond}
 	return db
 }

@@ -96,12 +96,7 @@ func TestWideIntsGroupExactly(t *testing.T) {
 	wide := []int64{p53 - 1, p53, p53 + 1, -p53 - 1, -p53, -p53 + 1,
 		math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
 	insert := func(table string, vals []int64) {
-		tbl, _ := db.Catalog().Table(table)
-		for _, v := range vals {
-			if _, err := db.Catalog().Insert(tbl, Row{NewInt(v)}); err != nil {
-				t.Fatal(err)
-			}
-		}
+		bulkLoad(t, db, table, len(vals), func(i int) Row { return Row{NewInt(vals[i])} })
 	}
 	insert("W", wide)
 	insert("W", wide) // every value twice

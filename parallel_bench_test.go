@@ -42,22 +42,18 @@ func slowScanDB(b *testing.B, nRows int, perPage time.Duration) *DB {
 	b.Helper()
 	db := Open()
 	mustExec(b, db, `CREATE TABLE big (k INT, v INT)`)
-	tbl, _ := db.cat.Table("big")
-	for i := 0; i < nRows; i++ {
-		row := datum.Row{datum.NewInt(int64(i % 97)), datum.NewInt(int64(i % 1000))}
-		if _, err := db.cat.Insert(tbl, row); err != nil {
-			b.Fatal(err)
-		}
-	}
+	bulkLoad(b, db, "big", nRows, bigRow)
 	mustExec(b, db, "ANALYZE big")
 	// Wrap after ANALYZE so setup scans stay fast; compiled plans see
 	// the wrapper (eligibility is checked against Table.Rel). ANALYZE
 	// published a fresh catalog generation with a cloned Table struct,
-	// so re-resolve before wrapping — the pre-ANALYZE pointer is stale.
-	tbl, _ = db.cat.Table("big")
+	// so resolve the table only now.
+	tbl, _ := db.cat.Table("big")
 	tbl.Rel = &slowRel{Relation: tbl.Rel, perPage: perPage}
 	return db
 }
+
+func bigRow(i int) Row { return Row{datum.NewInt(int64(i % 97)), datum.NewInt(int64(i % 1000))} }
 
 const parallelBenchQuery = `SELECT k, v FROM big WHERE v < 900`
 
@@ -85,15 +81,9 @@ func BenchmarkParallelScanDOP4(b *testing.B) { benchParallelScan(b, 4) }
 func TestParallelBenchSanity(t *testing.T) {
 	db := Open()
 	mustExec(t, db, `CREATE TABLE big (k INT, v INT)`)
-	tbl, _ := db.cat.Table("big")
-	for i := 0; i < 1024; i++ {
-		row := datum.Row{datum.NewInt(int64(i % 97)), datum.NewInt(int64(i % 1000))}
-		if _, err := db.cat.Insert(tbl, row); err != nil {
-			t.Fatal(err)
-		}
-	}
+	bulkLoad(t, db, "big", 1024, bigRow)
 	mustExec(t, db, "ANALYZE big")
-	tbl, _ = db.cat.Table("big") // ANALYZE cloned the Table; re-resolve before wrapping
+	tbl, _ := db.cat.Table("big") // ANALYZE cloned the Table; resolve it only now
 	tbl.Rel = &slowRel{Relation: tbl.Rel, perPage: time.Microsecond}
 
 	want := canonical(runAtDOP(t, db, 1, parallelBenchQuery))

@@ -220,6 +220,23 @@ func TestPlanCacheKeyIgnoresComments(t *testing.T) {
 	}
 }
 
+// TestNonASCIINameCaseSharesPlan: SELECT café and SELECT CAFÉ name one
+// column, so the second is a hit on the plan the first compiled.
+func TestNonASCIINameCaseSharesPlan(t *testing.T) {
+	db := Open(WithPlanCache(16))
+	mustExec(t, db, "CREATE TABLE t (café INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (7)")
+	mustExec(t, db, "SELECT café FROM t")
+	before := db.PlanCacheStats()
+	res := mustExec(t, db, "SELECT CAFÉ FROM t")
+	if after := db.PlanCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("SELECT CAFÉ after SELECT café: cache %+v, was %+v; want one hit", after, before)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
+		t.Fatalf("SELECT CAFÉ = %v", res.Rows)
+	}
+}
+
 // tableOutcome is what a statement left behind: its error and phase, and
 // the table's contents with every value's type.
 func tableOutcome(db *DB, res *Result, err error) string {

@@ -339,8 +339,8 @@ func TestJoinEnumeratorAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2550 {
-		t.Fatalf("planning the 6-way chain allocated %.0f objects, want <= 2550", allocs)
+	if allocs > 2160 {
+		t.Fatalf("planning the 6-way chain allocated %.0f objects, want <= 2160", allocs)
 	}
 	t.Logf("6-way chain: %.0f allocations per OptimizeConfig", allocs)
 }

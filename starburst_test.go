@@ -55,6 +55,29 @@ func mustExec(t testing.TB, db *DB, q string) *Result {
 	return res
 }
 
+// bulkLoad loads n rows into a table through one explicit
+// transaction, bypassing the SQL front end; the GC after the commit
+// freezes them.
+func bulkLoad(t testing.TB, db *DB, table string, n int, row func(i int) Row) {
+	t.Helper()
+	tx, err := db.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, ok := tx.cat.Table(table)
+	if !ok {
+		t.Fatalf("no table %s", table)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := tx.cat.InsertTx(tbl, row(i), tx.ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func intsOf(t testing.TB, res *Result, col int) []int64 {
 	t.Helper()
 	var out []int64
