@@ -96,10 +96,14 @@ examples:
 # Budget pattern includes TestBudgetChargesDistinctState: DISTINCT, a
 # DISTINCT aggregate and GROUP BY charge their row-key tables to
 # MaxMem.
+#
+# One pass of STRESS_TESTS under -race takes about 145 s on two cores
+# and five took 811 s, over go test's default 10-minute timeout; the
+# explicit one leaves about twice the measured time.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test ./ -run FuzzPlanKey -fuzz FuzzPlanKey -fuzztime 10s
-	$(GO) test -race -count=5 -run '$(STRESS_TESTS)' ./
+	$(GO) test -race -count=5 -timeout 30m -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/
 
 STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel

@@ -99,9 +99,18 @@ var execSeq atomic.Uint64
 
 // NewCtx returns an execution context.
 func NewCtx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
-	c := &Ctx{Cat: cat, Params: params, sh: &shared{}, execID: execSeq.Add(1)}
-	c.ec = expr.Context{Params: params, Exec: c}
+	c := &Ctx{}
+	c.reset(cat, params, &shared{})
 	return c
+}
+
+// reset readies c for a new execution over cat with params bound: every
+// other field is zero, the shared record sh is zeroed, and the
+// execution gets a new execID.
+func (c *Ctx) reset(cat *catalog.Catalog, params map[string]datum.Value, sh *shared) {
+	*sh = shared{}
+	*c = Ctx{Cat: cat, Params: params, sh: sh, execID: execSeq.Add(1)}
+	c.ec = expr.Context{Params: params, Exec: c}
 }
 
 // SetArgs binds the statement's lifted VALUES cells (see expr.Arg).
@@ -428,8 +437,14 @@ func materialize(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
 // (batches and hash-join state from a sync.Pool) stay with the tree
 // until Release, the only place they go back. A Tree runs one
 // execution at a time, but its exchange workers acquire concurrently.
+// It also owns the context its executions run under (see Ctx), so
+// running a kept tree allocates no per-statement execution state.
 type Tree struct {
-	root     Stream
+	root Stream
+	// ctx and sh are the execution context and its shared record,
+	// readied by Ctx and emptied by Done.
+	ctx      Ctx
+	sh       shared
 	mu       sync.Mutex
 	holders  []pooledHolder
 	released int
@@ -450,6 +465,22 @@ func (t *Tree) Run(ctx *Ctx) ([]datum.Row, error) {
 	ctx.own = t
 	return materialize(ctx, t.root)
 }
+
+// Ctx readies the tree's own execution context for one run over cat
+// with params bound, as NewCtx would a new one, and returns it: the
+// shared counters start at zero and the new execID makes the state
+// operators keep across re-opens start over.
+func (t *Tree) Ctx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
+	t.ctx.reset(cat, params, &t.sh)
+	return &t.ctx
+}
+
+// Done ends the run on the tree's context: it drops every reference
+// into the finished statement — catalog, parameters, arguments,
+// transaction, cancellation, wait set, recursive work tables — so an
+// idle tree pins none of it. Call it after the run's results are read
+// and before the tree is parked or released.
+func (t *Tree) Done() { t.ctx = Ctx{} }
 
 // Release ends the tree's life: every pooled object its operators hold
 // goes back to its pool, once. Releasing again is a no-op; running the

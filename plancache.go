@@ -35,9 +35,12 @@ import (
 //     holds a tree at a time: an execution takes the idle tree or
 //     builds its own, and after a clean run parks it back or, when the
 //     slot is full again, releases it. The tree owns what its
-//     operators grew, so the pools serve fresh trees only. A parked
-//     tree's state is not charged to MaxMem between executions; it is
-//     bounded by one tree per entry, and dies with the entry.
+//     operators grew, so the pools serve fresh trees only, and the
+//     execution context its runs use: reset at the start of a run,
+//     emptied before the tree parks, so an idle entry pins no
+//     transaction. A parked tree's state is not charged to MaxMem
+//     between executions; it is bounded by one tree per entry, and dies
+//     with the entry.
 
 // Plan-cache metric names (see DB.Metrics).
 const (

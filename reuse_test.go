@@ -415,3 +415,49 @@ func TestReuseIndexScanCorrelatedReopen(t *testing.T) {
 	}
 	requireFlat(t, "39 ISCAN re-opens, 20 vs 160 accounts per branch", perReopens(20), perReopens(160))
 }
+
+// TestCachedStatementAllocations: a statement served from its parked
+// tree allocates only what it returns and, outside a transaction, the
+// implicit transaction it runs in. Its execution context lives with the
+// tree and its observation record is a finished statement's, so what
+// is left is the Result, the result slice and its row (a point SELECT
+// in an explicit transaction), plus the pinned catalog generation and
+// the transaction's begin in auto-commit, plus an UPDATE's version and
+// write-log entry. The bounds sit a size class or two above those.
+func TestCachedStatementAllocations(t *testing.T) {
+	db := acctDB(t, 20)
+	defer db.Close()
+	const sel = "SELECT bal FROM acct WHERE id = :k"
+	k := map[string]Value{"k": NewInt(777)}
+	requirePlan(t, db, sel, "ISCAN on acct", isAcctIndexScan)
+	tx := mustBegin(t, db)
+	inTx := medianBytes(func() {
+		res, err := tx.Exec(sel, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneRow(t)(res)
+	})
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	auto := medianBytesPerExec(t, db, sel, k, oneRow(t))
+	update := medianBytesPerExec(t, db, "UPDATE acct SET bal = bal + 1 WHERE id = :k", k, func(res *Result) {
+		if res.Affected != 1 {
+			t.Fatalf("UPDATE affected %d rows, want 1", res.Affected)
+		}
+	})
+	for _, c := range []struct {
+		what       string
+		got, bound uint64
+	}{
+		{"point SELECT in a transaction", inTx, 256},
+		{"point SELECT in auto-commit", auto, 512},
+		{"point UPDATE in auto-commit", update, 1152},
+	} {
+		t.Logf("%s: %d bytes per statement", c.what, c.got)
+		if c.got > c.bound {
+			t.Errorf("%s allocates %d bytes per statement, want at most %d", c.what, c.got, c.bound)
+		}
+	}
+}
