@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
+	"repro/internal/ident"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage/disk"
@@ -252,29 +253,31 @@ type snapSchema struct {
 }
 
 type snapTable struct {
-	Name    string      `json:"name"`
+	Name    ident.Text  `json:"name"`
 	Cols    []snapCol   `json:"cols"`
 	SM      string      `json:"sm"`
 	Indexes []snapIndex `json:"indexes,omitempty"`
 }
 
 type snapCol struct {
-	Name    string `json:"name"`
-	Type    string `json:"type"`
-	NotNull bool   `json:"notnull,omitempty"`
+	Name    ident.Text `json:"name"`
+	Type    string     `json:"type"`
+	NotNull bool       `json:"notnull,omitempty"`
 }
 
+// Names and view texts are ident.Texts, which keep bytes that are not
+// UTF-8 (a quoted name may hold one) through the JSON.
 type snapIndex struct {
-	Name   string   `json:"name"`
-	Cols   []string `json:"cols"`
-	Method string   `json:"method"`
-	Unique bool     `json:"unique,omitempty"`
+	Name   ident.Text   `json:"name"`
+	Cols   []ident.Text `json:"cols"`
+	Method string       `json:"method"`
+	Unique bool         `json:"unique,omitempty"`
 }
 
 type snapView struct {
-	Name string   `json:"name"`
-	Cols []string `json:"cols,omitempty"`
-	Text string   `json:"text"`
+	Name ident.Text   `json:"name"`
+	Cols []ident.Text `json:"cols,omitempty"`
+	Text ident.Text   `json:"text"`
 }
 
 // snapshotCatalog serializes the schema for the checkpoint. Called by
@@ -289,16 +292,16 @@ func (db *DB) snapshotCatalog() ([]byte, error) {
 			// persisted.
 			continue
 		}
-		st := snapTable{Name: t.Name, SM: t.SM}
+		st := snapTable{Name: ident.Text(t.Name), SM: t.SM}
 		for _, c := range t.Cols {
-			st.Cols = append(st.Cols, snapCol{Name: c.Name, Type: datum.TypeName(c.Type), NotNull: c.NotNull})
+			st.Cols = append(st.Cols, snapCol{Name: ident.Text(c.Name), Type: datum.TypeName(c.Type), NotNull: c.NotNull})
 		}
 		for _, ix := range t.Indexes {
-			cols := make([]string, len(ix.KeyCols))
+			cols := make([]ident.Text, len(ix.KeyCols))
 			for i, ord := range ix.KeyCols {
-				cols[i] = t.Cols[ord].Name
+				cols[i] = ident.Text(t.Cols[ord].Name)
 			}
-			st.Indexes = append(st.Indexes, snapIndex{Name: ix.Name, Cols: cols, Method: ix.Method, Unique: ix.Unique})
+			st.Indexes = append(st.Indexes, snapIndex{Name: ident.Text(ix.Name), Cols: cols, Method: ix.Method, Unique: ix.Unique})
 		}
 		snap.Tables = append(snap.Tables, st)
 	}
@@ -307,7 +310,7 @@ func (db *DB) snapshotCatalog() ([]byte, error) {
 		if !ok {
 			continue
 		}
-		snap.Views = append(snap.Views, snapView{Name: v.Name, Cols: v.ColNames, Text: v.Text})
+		snap.Views = append(snap.Views, snapView{Name: ident.Text(v.Name), Cols: ident.Texts(v.ColNames), Text: ident.Text(v.Text)})
 	}
 	return json.Marshal(snap)
 }
@@ -351,19 +354,19 @@ func (db *DB) recoverCatalog() error {
 				if !ok {
 					return fmt.Errorf("table %s column %s has unknown type %s (register user types before WithDataDir)", t.Name, c.Name, c.Type)
 				}
-				cols[i] = catalog.Column{Name: c.Name, Type: tid, NotNull: c.NotNull}
+				cols[i] = catalog.Column{Name: string(c.Name), Type: tid, NotNull: c.NotNull}
 			}
-			if _, err := db.cat.CreateTable(t.Name, cols, t.SM); err != nil {
+			if _, err := db.cat.CreateTable(string(t.Name), cols, t.SM); err != nil {
 				return fmt.Errorf("recreate table %s: %w", t.Name, err)
 			}
 			for _, ix := range t.Indexes {
 				replay.indexes = append(replay.indexes, pendingIndex{
-					name: ix.Name, table: t.Name, cols: ix.Cols, method: ix.Method, unique: ix.Unique,
+					name: string(ix.Name), table: string(t.Name), cols: ident.Strings(ix.Cols), method: ix.Method, unique: ix.Unique,
 				})
 			}
 		}
 		for _, v := range snap.Views {
-			if err := db.cat.CreateView(v.Name, v.Cols, v.Text); err != nil {
+			if err := db.cat.CreateView(string(v.Name), ident.Strings(v.Cols), string(v.Text)); err != nil {
 				return fmt.Errorf("recreate view %s: %w", v.Name, err)
 			}
 		}
@@ -396,7 +399,7 @@ func (db *DB) replayDDL(replay *replayState, sqlText string) error {
 	switch s := stmt.(type) {
 	case *sql.CreateIndexStmt:
 		replay.indexes = append(replay.indexes, pendingIndex{
-			name: strings.ToUpper(s.Name), table: strings.ToUpper(s.Table),
+			name: ident.Upper(s.Name), table: ident.Upper(s.Table),
 			cols: s.Cols, method: s.Method, unique: s.Unique,
 		})
 		return nil
@@ -404,12 +407,12 @@ func (db *DB) replayDDL(replay *replayState, sqlText string) error {
 		switch s.Kind {
 		case "INDEX":
 			replay.indexes = prunePending(replay.indexes, func(p pendingIndex) bool {
-				return strings.EqualFold(p.table, s.Table) && strings.EqualFold(p.name, s.Name)
+				return ident.Equal(p.table, s.Table) && ident.Equal(p.name, s.Name)
 			})
 			return nil
 		case "TABLE":
 			replay.indexes = prunePending(replay.indexes, func(p pendingIndex) bool {
-				return strings.EqualFold(p.table, s.Name)
+				return ident.Equal(p.table, s.Name)
 			})
 			if _, err := db.execDDL(stmt); err != nil {
 				return err

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/datum"
+	"repro/internal/ident"
 )
 
 // ScalarFunc is a scalar function: it takes field values from a single
@@ -130,7 +131,7 @@ func (r *Registry) RegisterScalar(f *ScalarFunc) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.scalar[strings.ToUpper(f.Name)] = f
+	r.scalar[ident.Upper(f.Name)] = f
 	return nil
 }
 
@@ -141,7 +142,7 @@ func (r *Registry) RegisterAggregate(f *AggregateFunc) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.agg[strings.ToUpper(f.Name)] = f
+	r.agg[ident.Upper(f.Name)] = f
 	return nil
 }
 
@@ -153,7 +154,7 @@ func (r *Registry) RegisterSetPredicate(f *SetPredicateFunc) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.setPred[strings.ToUpper(f.Name)] = f
+	r.setPred[ident.Upper(f.Name)] = f
 	return nil
 }
 
@@ -164,7 +165,7 @@ func (r *Registry) RegisterTableFunc(f *TableFunc) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tableFns[strings.ToUpper(f.Name)] = f
+	r.tableFns[ident.Upper(f.Name)] = f
 	return nil
 }
 
@@ -172,28 +173,28 @@ func (r *Registry) RegisterTableFunc(f *TableFunc) error {
 func (r *Registry) Scalar(name string) *ScalarFunc {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.scalar[strings.ToUpper(name)]
+	return r.scalar[ident.Upper(name)]
 }
 
 // Aggregate looks up an aggregate function.
 func (r *Registry) Aggregate(name string) *AggregateFunc {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.agg[strings.ToUpper(name)]
+	return r.agg[ident.Upper(name)]
 }
 
 // SetPredicate looks up a set predicate function.
 func (r *Registry) SetPredicate(name string) *SetPredicateFunc {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.setPred[strings.ToUpper(name)]
+	return r.setPred[ident.Upper(name)]
 }
 
 // Table looks up a table function.
 func (r *Registry) Table(name string) *TableFunc {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.tableFns[strings.ToUpper(name)]
+	return r.tableFns[ident.Upper(name)]
 }
 
 // Names lists registered function names of every kind, sorted, for

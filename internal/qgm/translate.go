@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/datum"
 	"repro/internal/expr"
+	"repro/internal/ident"
 	"repro/internal/sql"
 )
 
@@ -83,7 +84,7 @@ func newScope(parent *scope) *scope {
 
 func (s *scope) bind(b *binding) error {
 	for _, x := range s.bindings {
-		if strings.EqualFold(x.alias, b.alias) {
+		if ident.Equal(x.alias, b.alias) {
 			return fmt.Errorf("qgm: duplicate table alias %s", b.alias)
 		}
 	}
@@ -94,7 +95,7 @@ func (s *scope) bind(b *binding) error {
 // cte resolves a table-expression name through the scope chain.
 func (s *scope) cte(name string) *Box {
 	for sc := s; sc != nil; sc = sc.parent {
-		if b, ok := sc.ctes[strings.ToUpper(name)]; ok {
+		if b, ok := sc.ctes[ident.Upper(name)]; ok {
 			return b
 		}
 	}
@@ -104,11 +105,11 @@ func (s *scope) cte(name string) *Box {
 // resolve finds a column reference, searching the current scope first
 // and then enclosing scopes (correlation).
 func (s *scope) resolve(qual, name string) (*expr.Col, error) {
-	uname := strings.ToUpper(name)
+	uname := ident.Upper(name)
 	for sc := s; sc != nil; sc = sc.parent {
 		if qual != "" {
 			for _, b := range sc.bindings {
-				if strings.EqualFold(b.alias, qual) {
+				if ident.Equal(b.alias, qual) {
 					for i, n := range b.names {
 						if n == uname {
 							return colOf(b, i), nil
@@ -152,7 +153,7 @@ func colOf(b *binding, i int) *expr.Col {
 func (t *Translator) translateSelect(stmt *sql.SelectStmt, parent *scope, isTop bool) (*Box, error) {
 	sc := newScope(parent)
 	for _, cte := range stmt.With {
-		if sc.ctes[strings.ToUpper(cte.Name)] != nil {
+		if sc.ctes[ident.Upper(cte.Name)] != nil {
 			return nil, fmt.Errorf("qgm: duplicate table expression %s", cte.Name)
 		}
 		var box *Box
@@ -167,14 +168,14 @@ func (t *Translator) translateSelect(stmt *sql.SelectStmt, parent *scope, isTop 
 						cte.Name, len(cte.Cols), len(box.Head))
 				}
 				for i, n := range cte.Cols {
-					box.Head[i].Name = strings.ToUpper(n)
+					box.Head[i].Name = ident.Upper(n)
 				}
 			}
 		}
 		if err != nil {
 			return nil, err
 		}
-		sc.ctes[strings.ToUpper(cte.Name)] = box
+		sc.ctes[ident.Upper(cte.Name)] = box
 	}
 	box, err := t.translateQueryExpr(stmt.Body, sc)
 	if err != nil {
@@ -224,7 +225,7 @@ func resolveOrderKey(e sql.Expr, box *Box) (int, error) {
 		}
 	case *sql.Ident:
 		for i, hc := range box.Head {
-			if strings.EqualFold(hc.Name, x.Name) {
+			if ident.Equal(hc.Name, x.Name) {
 				return i, nil
 			}
 		}
@@ -258,7 +259,7 @@ func (t *Translator) translateRecursiveCTE(cte sql.CTE, sc *scope) (*Box, error)
 	for i, hc := range seed.Head {
 		name := hc.Name
 		if i < len(cte.Cols) {
-			name = strings.ToUpper(cte.Cols[i])
+			name = ident.Upper(cte.Cols[i])
 		}
 		u.Head[i] = HeadCol{Name: name, Type: hc.Type}
 	}
@@ -266,7 +267,7 @@ func (t *Translator) translateRecursiveCTE(cte sql.CTE, sc *scope) (*Box, error)
 
 	// Bind the name, then translate recursive branches.
 	inner := newScope(sc)
-	inner.ctes[strings.ToUpper(cte.Name)] = u
+	inner.ctes[ident.Upper(cte.Name)] = u
 	for _, br := range branches[1:] {
 		b, err := t.translateQueryExpr(br, inner)
 		if err != nil {
@@ -436,13 +437,13 @@ func (t *Translator) buildPlainHead(core *sql.SelectCore, box *Box, sc *scope) e
 
 func headName(item sql.SelectItem, e expr.Expr, ord int) string {
 	if item.Alias != "" {
-		return strings.ToUpper(item.Alias)
+		return ident.Upper(item.Alias)
 	}
 	if id, ok := item.Expr.(*sql.Ident); ok {
-		return strings.ToUpper(id.Name)
+		return ident.Upper(id.Name)
 	}
 	if fc, ok := item.Expr.(*sql.FuncCall); ok {
-		return strings.ToUpper(fc.Name)
+		return ident.Upper(fc.Name)
 	}
 	return fmt.Sprintf("COL%d", ord+1)
 }
@@ -451,7 +452,7 @@ func headName(item sql.SelectItem, e expr.Expr, ord int) string {
 func (t *Translator) expandStar(qual string, sc *scope) ([]HeadCol, error) {
 	var out []HeadCol
 	for _, b := range sc.bindings {
-		if qual != "" && !strings.EqualFold(b.alias, qual) {
+		if qual != "" && !ident.Equal(b.alias, qual) {
 			continue
 		}
 		for i, n := range b.names {
@@ -667,7 +668,7 @@ func (t *Translator) translateTableRef(ref sql.TableRef, box *Box, sc *scope) er
 func identityBinding(alias string, q *Quantifier) *binding {
 	b := &binding{alias: alias, q: q}
 	for i, hc := range q.Input.Head {
-		b.names = append(b.names, strings.ToUpper(hc.Name))
+		b.names = append(b.names, ident.Upper(hc.Name))
 		b.ords = append(b.ords, i)
 	}
 	return b
@@ -718,7 +719,7 @@ func (t *Translator) translateBaseTable(x *sql.BaseTable, box *Box, sc *scope, q
 func TranslateView(cat *catalog.Catalog, name string, cols []string, q *sql.SelectStmt) error {
 	t := &Translator{cat: cat, g: NewGraph(), base: map[string]*Box{}, coreScopes: map[*Box]*scope{}}
 	if _, err := t.subqueryBox(q, nil, cols); err != nil {
-		return fmt.Errorf("qgm: view %s: %w", strings.ToUpper(name), err)
+		return fmt.Errorf("qgm: view %s: %w", ident.Upper(name), err)
 	}
 	return nil
 }
@@ -735,7 +736,7 @@ func (t *Translator) subqueryBox(q *sql.SelectStmt, sc *scope, cols []string) (*
 			return nil, fmt.Errorf("qgm: %d column names for %d columns", len(cols), len(sub.Head))
 		}
 		for i, n := range cols {
-			sub.Head[i].Name = strings.ToUpper(n)
+			sub.Head[i].Name = ident.Upper(n)
 		}
 	}
 	return sub, nil
@@ -749,7 +750,7 @@ func (t *Translator) storedQuant(tbl *catalog.Table, box *Box, qtype, alias stri
 		bb = t.g.NewBox(KindBase)
 		bb.Table = tbl
 		for _, c := range tbl.Cols {
-			bb.Head = append(bb.Head, HeadCol{Name: strings.ToUpper(c.Name), Type: c.Type})
+			bb.Head = append(bb.Head, HeadCol{Name: ident.Upper(c.Name), Type: c.Type})
 		}
 		t.base[tbl.Name] = bb
 	}
@@ -800,7 +801,7 @@ func (t *Translator) translateTableFunc(x *sql.TableFuncRef, box *Box, sc *scope
 		return fmt.Errorf("qgm: %s: %w", tf.Name, err)
 	}
 	for _, c := range cols {
-		fnBox.Head = append(fnBox.Head, HeadCol{Name: strings.ToUpper(c.Name), Type: c.Type})
+		fnBox.Head = append(fnBox.Head, HeadCol{Name: ident.Upper(c.Name), Type: c.Type})
 	}
 	alias := x.Alias
 	if alias == "" {
@@ -1318,7 +1319,7 @@ func translateInsert(cat *catalog.Catalog, s *sql.InsertStmt) (*Graph, error) {
 			vb.Rows = append(vb.Rows, exprs)
 		}
 		for _, ord := range cols {
-			vb.Head = append(vb.Head, HeadCol{Name: strings.ToUpper(tbl.Cols[ord].Name), Type: tbl.Cols[ord].Type})
+			vb.Head = append(vb.Head, HeadCol{Name: ident.Upper(tbl.Cols[ord].Name), Type: tbl.Cols[ord].Type})
 		}
 		src = vb
 	}
@@ -1361,7 +1362,7 @@ func translateDML(cat *catalog.Catalog, kind, name, alias string, sets []sql.Set
 			return nil, err
 		}
 		box.TargetCols = append(box.TargetCols, c.Ord)
-		box.Head = append(box.Head, HeadCol{Name: strings.ToUpper(box.TargetTable.Cols[c.Ord].Name), Type: e.Type(), Expr: e})
+		box.Head = append(box.Head, HeadCol{Name: ident.Upper(box.TargetTable.Cols[c.Ord].Name), Type: e.Type(), Expr: e})
 	}
 	if err := t.translateConjunctsDeferred(where, box, sc); err != nil {
 		return nil, err
@@ -1457,7 +1458,7 @@ func (t *Translator) dmlTarget(box *Box, name, alias string) (*binding, error) {
 			return nil, fmt.Errorf("qgm: view %s: %d names for %d columns", v.Name, len(v.ColNames), len(names))
 		}
 		for i, n := range v.ColNames {
-			names[i] = strings.ToUpper(n)
+			names[i] = ident.Upper(n)
 		}
 	}
 	b := &binding{alias: alias, q: quant}

@@ -3,10 +3,9 @@ package sql
 import (
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/internal/datum"
+	"repro/internal/ident"
 )
 
 // Lifted is what Key lifts out of an INSERT … VALUES statement: the
@@ -46,7 +45,7 @@ func Key(src string) (key string, lifted Lifted, ok bool) {
 		if kind == TokString || kind == TokParam {
 			b.WriteString(text)
 		} else {
-			writeUpper(&b, text)
+			ident.WriteUpper(&b, text)
 		}
 		switch kw := keyword(text); {
 		case depth == 0 && kw != "":
@@ -97,28 +96,6 @@ func Key(src string) (key string, lifted Lifted, ok bool) {
 			return b.String(), lifted, true
 		}
 		open = token(kind, start)
-	}
-}
-
-// writeUpper writes text to b folded to upper case rune by rune, as
-// the catalog folds names, so case variants of a non-ASCII name share
-// a key. A byte that is not UTF-8 (a quoted name may hold one) is
-// written as it is, so texts that differ there never share a key.
-func writeUpper(b *strings.Builder, text string) {
-	for i := 0; i < len(text); {
-		c := text[i]
-		if c < utf8.RuneSelf {
-			b.WriteByte(upper(c))
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRuneInString(text[i:])
-		if r == utf8.RuneError && n == 1 {
-			b.WriteByte(c)
-		} else {
-			b.WriteRune(unicode.ToUpper(r))
-		}
-		i += n
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -33,7 +34,8 @@ import (
 //     fsyncs the data files, snapshots the catalog, and rotates the
 //     WAL.
 //
-// Lock order: Store.writeMu → Store.mu → tableFile.mu → pool.mu.
+// Lock order: Store.writeMu → Store.mu → tableFile.mu → pool.mu;
+// Store.waitsMu is a leaf.
 type Store struct {
 	fs   FS
 	dir  string
@@ -85,10 +87,14 @@ type Store struct {
 	// waitProf, when set, receives WAL and buffer-pool wait events
 	// (DB-wide, always on). stmtWaits additionally attributes WAL waits
 	// to the statement currently holding the write bracket — writeMu
-	// serializes writers, so one pointer is enough; reads of it race
-	// only with the engine swapping statements, hence the atomic.
+	// serializes writers, so one pointer is enough. waitsMu guards it
+	// from load to Record: a writer outside the bracket (the version
+	// GC joining the open group) may record a wait, and once the
+	// bracket detaches the set no wait lands in it, so the engine may
+	// reuse it.
 	waitProf  *obs.WaitProfile
-	stmtWaits atomic.Pointer[obs.WaitSet]
+	waitsMu   sync.Mutex
+	stmtWaits *obs.WaitSet
 }
 
 // Options configures a Store; zero values select defaults.
@@ -166,8 +172,31 @@ const (
 	catalogFileName = "catalog.json"
 )
 
-func tableFileName(name string) string {
-	return strings.ToLower(name) + ".tbl"
+// tableFileName is the page file of the table whose folded name is
+// key. A plain name — one whose lower-cased form folds back to key and
+// holds no '/', '%' or NUL — is its lower-cased self. Any other is
+// spelled byte by byte: ASCII letters lower-cased, digits and '_' kept,
+// every other byte as %XX. That covers a path separator and a letter
+// such as the Kelvin sign, which lower-cases to another name's 'k'. A
+// key holds no lower-case ASCII letter and a plain name no '%', so no
+// two keys share a file.
+func tableFileName(key string) string {
+	lower := ident.Lower(key)
+	if ident.Upper(lower) == key && !strings.ContainsAny(key, "/%\x00") {
+		return lower + ".tbl"
+	}
+	var b strings.Builder
+	for i := 0; i < len(key); i++ {
+		switch c := key[i]; {
+		case 'A' <= c && c <= 'Z':
+			b.WriteByte(c + ('a' - 'A'))
+		case '0' <= c && c <= '9' || c == '_':
+			b.WriteByte(c)
+		default:
+			fmt.Fprintf(&b, "%%%02X", c)
+		}
+	}
+	return b.String() + ".tbl"
 }
 
 // Open opens or creates a data directory. The returned store is in
@@ -367,30 +396,40 @@ func (s *Store) SetWaitObs(p *obs.WaitProfile) {
 
 // SetStmtWaits attributes subsequent WAL waits to ws (pass nil to
 // detach). The engine calls this inside the statement bracket, which
-// writeMu serializes, so a single slot suffices.
+// writeMu serializes, so a single slot suffices; the bracket detaches
+// the set when it resolves, and no wait is recorded in it after that.
 func (s *Store) SetStmtWaits(ws *obs.WaitSet) {
-	s.stmtWaits.Store(ws)
+	s.waitsMu.Lock()
+	s.stmtWaits = ws
+	s.waitsMu.Unlock()
 }
 
-// recordWait charges one elapsed wait to the store-wide profile and to
-// the statement currently holding the write bracket, if any.
-func (s *Store) recordWait(e obs.WaitEvent, start time.Time) {
+// recordWait charges one elapsed wait to the store-wide profile and,
+// when inStmt, to the statement currently holding the write bracket,
+// if any. A transaction's commit record is written outside every
+// bracket (inStmt false): its wait is the committing statement's
+// TXN_COMMIT, not the bracket holder's.
+func (s *Store) recordWait(e obs.WaitEvent, start time.Time, inStmt bool) {
 	if s.waitProf == nil {
 		return
 	}
 	d := time.Since(start).Nanoseconds()
 	s.waitProf.Record(e, d)
-	s.stmtWaits.Load().Record(e, d)
+	if inStmt {
+		s.waitsMu.Lock()
+		s.stmtWaits.Record(e, d)
+		s.waitsMu.Unlock()
+	}
 }
 
 // ---------------------------------------------------------------------
 // WAL plumbing
 
 // walAppend logs one record (no fsync) after clearing the WALAPPEND
-// fault point. Caller must not hold s.mu.
+// fault point; inStmt as for recordWait. Caller must not hold s.mu.
 //
 // starburst:waits WAL_APPEND
-func (s *Store) walAppend(table string, r *walRecord) (uint64, error) {
+func (s *Store) walAppend(table string, r *walRecord, inStmt bool) (uint64, error) {
 	if err := s.checkFault(table, storage.FaultWALAppend); err != nil {
 		return 0, err
 	}
@@ -400,7 +439,7 @@ func (s *Store) walAppend(table string, r *walRecord) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.recordWait(obs.WaitWALAppend, start)
+	defer s.recordWait(obs.WaitWALAppend, start, inStmt)
 	before := s.wal.bytes
 	lsn, err := s.wal.append(r)
 	if err != nil {
@@ -417,10 +456,10 @@ func (s *Store) walAppend(table string, r *walRecord) (uint64, error) {
 // short-circuit. The WALSYNC fault point is checked both before and
 // after the fsync: a crash in the window after the sync but before the
 // acknowledgment is exactly the "committed but never reported" case the
-// torture oracle must tolerate.
+// torture oracle must tolerate. inStmt as for recordWait.
 //
 // starburst:waits WAL_SYNC
-func (s *Store) walSync(table string) error {
+func (s *Store) walSync(table string, inStmt bool) error {
 	s.mu.Lock()
 	upTo := s.wal.nextLSN - 1
 	done := s.wal.syncedLSN >= upTo
@@ -441,7 +480,7 @@ func (s *Store) walSync(table string) error {
 		s.statWALSyncs++
 	}
 	s.mu.Unlock()
-	s.recordWait(obs.WaitWALSync, start)
+	s.recordWait(obs.WaitWALSync, start, inStmt)
 	if err != nil {
 		return err
 	}
@@ -489,7 +528,7 @@ func (s *Store) BeginTxnStmt(txnID int64) error {
 // covers the whole transaction. Always releases the statement bracket.
 func (s *Store) CommitStmt() error {
 	defer s.writeMu.Unlock()
-	defer s.stmtWaits.Store(nil) // before the bracket opens to the next statement
+	defer s.SetStmtWaits(nil) // before the bracket opens to the next statement
 	s.mu.Lock()
 	st := s.curStmt
 	s.curStmt = nil
@@ -503,13 +542,13 @@ func (s *Store) CommitStmt() error {
 	if !st.wrote {
 		return nil
 	}
-	if _, err := s.walAppend("", &walRecord{kind: walCommit, stmtID: st.id, txnID: st.txnID}); err != nil {
+	if _, err := s.walAppend("", &walRecord{kind: walCommit, stmtID: st.id, txnID: st.txnID}, true); err != nil {
 		return err
 	}
 	if st.txnID != 0 {
 		return nil
 	}
-	if err := s.walSync(""); err != nil {
+	if err := s.walSync("", true); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -538,10 +577,10 @@ func (s *Store) CommitTxn(txnID int64) error {
 	if s.crashed.Load() {
 		return ErrCrashed
 	}
-	if _, err := s.walAppend("", &walRecord{kind: walTxnCommit, txnID: uint64(txnID)}); err != nil {
+	if _, err := s.walAppend("", &walRecord{kind: walTxnCommit, txnID: uint64(txnID)}, false); err != nil {
 		return err
 	}
-	if err := s.walSync(""); err != nil {
+	if err := s.walSync("", false); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -578,7 +617,7 @@ func (s *Store) AbortTxn(txnID int64) {
 // the group's records never replay. Always releases the bracket.
 func (s *Store) AbortStmt() {
 	defer s.writeMu.Unlock()
-	defer s.stmtWaits.Store(nil)
+	defer s.SetStmtWaits(nil)
 	s.mu.Lock()
 	s.curStmt = nil
 	s.mu.Unlock()
@@ -596,7 +635,7 @@ func (s *Store) LogDDL(sqlText string) error {
 	if st == nil {
 		return errors.New("disk: LogDDL outside a statement")
 	}
-	if _, err := s.walAppend("", &walRecord{kind: walDDL, stmtID: st.id, data: []byte(sqlText)}); err != nil {
+	if _, err := s.walAppend("", &walRecord{kind: walDDL, stmtID: st.id, data: []byte(sqlText)}, true); err != nil {
 		return err
 	}
 	st.wrote = true
@@ -639,7 +678,7 @@ func (s *Store) createTable(name string, numCols int) (*tableFile, error) {
 	if s.crashed.Load() {
 		return nil, ErrCrashed
 	}
-	key := strings.ToUpper(name)
+	key := ident.Upper(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if tf, ok := s.tables[key]; ok {
@@ -689,7 +728,7 @@ func (s *Store) createTable(name string, numCols int) (*tableFile, error) {
 // The engine calls it after a DROP TABLE commits (and during replay of
 // one).
 func (s *Store) DropTableData(name string) error {
-	key := strings.ToUpper(name)
+	key := ident.Upper(name)
 	s.mu.Lock()
 	tf := s.tables[key]
 	delete(s.tables, key)
@@ -710,7 +749,7 @@ func (s *Store) DropTableData(name string) error {
 func (s *Store) table(name string) *tableFile {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tables[strings.ToUpper(name)]
+	return s.tables[ident.Upper(name)]
 }
 
 // ---------------------------------------------------------------------
@@ -776,7 +815,7 @@ func (s *Store) insertRecord(tf *tableFile, rec []byte) (storage.RID, error) {
 		lsn, err := s.walAppend(tf.name, &walRecord{
 			kind: walInsert, stmtID: st.id, table: tf.name,
 			pageNo: uint32(pageNo), slot: uint32(slot), data: rec,
-		})
+		}, true)
 		if err != nil {
 			s.pool.unpin(fr, false, 0)
 			return err
@@ -834,7 +873,7 @@ func (s *Store) deleteRecord(tf *tableFile, rid storage.RID) error {
 		lsn, err := s.walAppend(tf.name, &walRecord{
 			kind: walDelete, stmtID: st.id, table: tf.name,
 			pageNo: uint32(rid.Page), slot: uint32(rid.Slot),
-		})
+		}, true)
 		if err != nil {
 			s.pool.unpin(fr, false, 0)
 			return err
@@ -876,7 +915,7 @@ func (s *Store) updateRecord(tf *tableFile, rid storage.RID, rec []byte) error {
 		lsn, err := s.walAppend(tf.name, &walRecord{
 			kind: walUpdate, stmtID: st.id, table: tf.name,
 			pageNo: uint32(rid.Page), slot: uint32(rid.Slot), data: rec,
-		})
+		}, true)
 		if err != nil {
 			s.pool.unpin(fr, false, 0)
 			return err
@@ -993,7 +1032,7 @@ func (s *Store) checkpointLocked() error {
 
 	// 2. WAL fsync: the repair images are durable before any page file
 	// is touched.
-	if err := s.walSync(""); err != nil {
+	if err := s.walSync("", true); err != nil {
 		return err
 	}
 

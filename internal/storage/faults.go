@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/datum"
+	"repro/internal/ident"
 )
 
 // This file implements deterministic fault injection for the storage
@@ -152,7 +152,7 @@ func (fi *FaultInjector) Add(faults ...*Fault) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	for _, f := range faults {
-		f.Table = strings.ToUpper(f.Table)
+		f.Table = ident.Upper(f.Table)
 		f.seen, f.fired = 0, false
 		fi.faults = append(fi.faults, f)
 	}
@@ -415,7 +415,7 @@ func (fi *FaultInjector) WrapRelation(table string, rel Relation) Relation {
 	if w, ok := rel.(*FaultRelation); ok && w.fi == fi {
 		return rel
 	}
-	return &FaultRelation{inner: rel, table: strings.ToUpper(table), fi: fi}
+	return &FaultRelation{inner: rel, table: ident.Upper(table), fi: fi}
 }
 
 // Unwrap returns the undecorated relation.
@@ -507,7 +507,7 @@ func (fi *FaultInjector) WrapAttachment(owner string, at Attachment) Attachment 
 	if w, ok := at.(*FaultAttachment); ok && w.fi == fi {
 		return at
 	}
-	return &FaultAttachment{inner: at, owner: strings.ToUpper(owner), fi: fi}
+	return &FaultAttachment{inner: at, owner: ident.Upper(owner), fi: fi}
 }
 
 // Unwrap returns the undecorated attachment.
@@ -518,7 +518,7 @@ func (a *FaultAttachment) Owner() string { return a.owner }
 
 // SetOwner names the counter bucket; the catalog calls this after
 // CREATE INDEX, when the owning table is known.
-func (a *FaultAttachment) SetOwner(owner string) { a.owner = strings.ToUpper(owner) }
+func (a *FaultAttachment) SetOwner(owner string) { a.owner = ident.Upper(owner) }
 
 // Insert implements Attachment with an IXINSERT fault point.
 func (a *FaultAttachment) Insert(key datum.Row, rid RID) error {
