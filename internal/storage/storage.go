@@ -190,7 +190,10 @@ func Include(key datum.Row) Bound { return Bound{Key: key, Inclusive: true} }
 // Exclude constructs an exclusive bound.
 func Exclude(key datum.Row) Bound { return Bound{Key: key} }
 
-// Entry is a key/RID pair stored in an attachment.
+// Entry is a key/RID pair stored in an attachment. Key is read-only:
+// it may alias the attachment's own storage (the B-tree hands out its
+// stored key cells), which the attachment never writes afterwards, so
+// a caller may keep a key past later writes but must not write into it.
 type Entry struct {
 	Key datum.Row
 	RID RID
@@ -213,7 +216,9 @@ type Attachment interface {
 	Delete(key datum.Row, rid RID) error
 	// Search streams entries with key in [lo, hi] under the method's
 	// ordering. Unordered methods may reject range searches. It must
-	// not retain lo.Key or hi.Key, which callers reuse.
+	// not retain lo.Key or hi.Key, which callers reuse. The keys of the
+	// entries it yields are read-only and may alias the index's
+	// storage, which never changes them.
 	Search(lo, hi Bound) EntryIterator
 	// Len reports the number of entries.
 	Len() int64
