@@ -68,9 +68,10 @@ examples:
 		echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # stress is what race does not run: fuzz smokes over random fault
-# schedules, over statement texts for the plan-cache key and over
-# B-tree operation sequences checked against a sorted-slice model
-# (race replays only the seed corpora), and the paths through
+# schedules, over statement texts for the plan-cache key, over B-tree
+# operation sequences checked against a sorted-slice model and over WAL
+# record sequences written through the one reused frame buffer, then
+# cut or damaged (race replays only the seed corpora), and the paths through
 # pooled batches — equivalence, subquery re-opens, budgets, reuse —
 # repeated under the race detector, since a pooled batch outlives its
 # operator and the per-P pool hands it across goroutines, and DISK
@@ -89,7 +90,10 @@ examples:
 # TestInMemoryScanConformance); B-tree and R-tree re-searches race a
 # writer (TestSearchAgainRacingWriter), and B-tree keys a search handed
 # out must survive a writer splitting and compacting their leaves
-# (TestRetainedEntryKeysSurviveConcurrentWrites). The exchange tests
+# (TestRetainedEntryKeysSurviveConcurrentWrites). The DISK package
+# runs whole too: pool frames are recycled with their load signal, and
+# scans hand out interned strings that must outlive their pages
+# (TestScannedStringsSurviveEviction). The exchange tests
 # (TestParallel*) run too: every GATHER and REPART spawns worker
 # goroutines, whatever the statement, so their joins and drains get the
 # repeated race runs — the nested-loop apply operator inside workers
@@ -107,8 +111,9 @@ stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test ./ -run FuzzPlanKey -fuzz FuzzPlanKey -fuzztime 10s
 	$(GO) test ./internal/storage -run FuzzBTree -fuzz FuzzBTree -fuzztime 10s
+	$(GO) test ./internal/storage/disk -run FuzzWALFrames -fuzz FuzzWALFrames -fuzztime 10s
 	$(GO) test -race -count=5 -timeout 30m -run '$(STRESS_TESTS)' ./
-	$(GO) test -race -count=5 ./internal/storage/
+	$(GO) test -race -count=5 ./internal/storage/ ./internal/storage/disk/
 
 STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel
 

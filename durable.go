@@ -94,8 +94,19 @@ func (db *DB) attachStore(dir string, fsys disk.FS, opts disk.Options) {
 	db.dataDir = dir
 	st.SetWaitObs(db.waitProf)
 	st.SetSnapshot(db.snapshotCatalog)
+}
+
+// recoverStore recovers the attached data directory. Open calls it once
+// every option has run, so a replayed CREATE TABLE resolves an empty
+// USING clause against the default WithDefaultStorage set, as it did
+// when it first ran.
+func (db *DB) recoverStore() {
+	if db.store == nil || db.openErr != nil {
+		return
+	}
+	st := db.store
 	if err := db.recoverCatalog(); err != nil {
-		db.openErr = fmt.Errorf("starburst: recover %s: %w", dir, err)
+		db.openErr = fmt.Errorf("starburst: recover %s: %w", db.dataDir, err)
 		return
 	}
 	db.metrics.GaugeFunc(MetricBufferPoolHits, func() int64 { return st.Stats().PoolHits })
@@ -391,7 +402,7 @@ func (db *DB) recoverCatalog() error {
 // diverted into the pending list (built after data replay); DROPs prune
 // it so an index dropped later is never built.
 func (db *DB) replayDDL(replay *replayState, sqlText string) error {
-	//lint:ignore api-bypass WAL replay runs inside attachStore, before the DB is usable: the statement lock is not yet contended, the plan cache does not exist, and errors surface through openErr rather than QueryError
+	//lint:ignore api-bypass WAL replay runs inside Open, before the DB is usable: the statement lock is not yet contended, the plan cache does not exist, and errors surface through openErr rather than QueryError
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		return err

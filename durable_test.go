@@ -286,19 +286,21 @@ func TestDiskParallelScan(t *testing.T) {
 // TestDiskScanAllocationFlat: a cached scan+GROUP over a frozen DISK
 // table allocates the same bytes per execution whatever the table size
 // — records decode from pinned pages straight into the scan's pooled
-// lanes, with no row per record. The table is numeric, since each
-// STRING value still costs one copy as it leaves its page, and fits the
-// buffer pool, since each page load costs a frame handshake. The least
-// of 30 executions is compared: under the race detector the batch pool
-// drops a share of what it is given, and a dropped batch is regrown.
+// lanes, with no row per record. The table carries a STRING column of
+// five values, which the scan's interner decodes once each, and is at
+// least six times the buffer pool, so every page read is a pool miss
+// that recycles a frame. The least of 30 executions is compared: under
+// the race detector the batch pool drops a share of what it is given,
+// and a dropped batch is regrown.
 func TestDiskScanAllocationFlat(t *testing.T) {
-	const q = "SELECT g, COUNT(*), SUM(v), MAX(f) FROM d GROUP BY g"
+	const q = "SELECT g, COUNT(*), SUM(v), MAX(f), MIN(s) FROM d GROUP BY g"
+	const poolPages = 8
 	perExec := func(rows int) uint64 {
-		db := Open(withDataFS("data", disk.NewMemFS(), disk.Options{PageSize: 4096, PoolPages: 128}),
+		db := Open(withDataFS("data", disk.NewMemFS(), disk.Options{PageSize: 1024, PoolPages: poolPages}),
 			WithDefaultStorage("DISK"), WithPlanCache(8))
 		defer db.Close()
 		setDOP(db, 1)
-		mustExec(t, db, "CREATE TABLE d (g INT, v INT, f FLOAT, b BOOL)")
+		mustExec(t, db, "CREATE TABLE d (g INT, v INT, f FLOAT, b BOOL, s STRING)")
 		for lo := 0; lo < rows; lo += 500 {
 			var sb strings.Builder
 			sb.WriteString("INSERT INTO d VALUES ")
@@ -306,9 +308,13 @@ func TestDiskScanAllocationFlat(t *testing.T) {
 				if i > lo {
 					sb.WriteString(", ")
 				}
-				fmt.Fprintf(&sb, "(%d, %d, %d.5, %v)", i%7, i, i, i%2 == 0)
+				fmt.Fprintf(&sb, "(%d, %d, %d.5, %v, '%s')", i%7, i, i, i%2 == 0, []string{"AIR", "MAIL", "RAIL", "SHIP", "TRUCK"}[i%5])
 			}
 			mustExec(t, db, sb.String())
+		}
+		tbl, _ := db.Catalog().Table("d")
+		if pages := tbl.Rel.PageCount(); pages < 6*poolPages {
+			t.Fatalf("%d rows fill %d pages, not six times the %d-frame pool", rows, pages, poolPages)
 		}
 		mustExec(t, db, q)
 		least := uint64(math.MaxUint64)
@@ -487,24 +493,57 @@ func runTortureWorkload(t *testing.T, db *DB) (acked int, crashed bool) {
 	return acked, false
 }
 
-// oracleState replays the first p workload statements on a fresh
-// fault-free store and images the result.
-func tortureOracle(t *testing.T, p int) map[string][]string {
+// tortureConfig is a condition the crash workload runs under. hold
+// sets it up on a fresh DB and returns what ends it, which the oracle
+// calls after its replay so that its version GC catches up.
+type tortureConfig struct {
+	name string
+	hold func(t *testing.T, db *DB) (release func())
+}
+
+var tortureConfigs = []tortureConfig{
+	{"", func(*testing.T, *DB) func() { return func() {} }},
+	// One snapshot, taken before the first statement, is open across
+	// the whole workload: no deleted record leaves its page.
+	{"reader", func(t *testing.T, db *DB) func() {
+		tx, err := db.Begin(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}},
+	// The version GC does not run until after the crash.
+	{"gc-held", func(t *testing.T, db *DB) func() {
+		db.gcHeld = true
+		return func() { db.gcHeld = false; db.runGC() }
+	}},
+}
+
+// tortureOracle replays the first p workload statements under cfg on a
+// fresh fault-free store, ends cfg, and images the result.
+func tortureOracle(t *testing.T, cfg tortureConfig, p int) map[string][]string {
 	t.Helper()
 	db := diskDB(t, disk.NewMemFS())
+	release := cfg.hold(t, db)
 	for _, q := range tortureWorkload[:p] {
 		mustExec(t, db, q)
 	}
+	release()
 	return contentSnapshot(t, db)
 }
 
-// TestCrashRecoveryTorture is the acceptance gate: for each crash point
-// (WAL append, WAL sync, checkpoint page write, torn page write) and
-// every ordinal k until the schedule runs clean, kill the store
-// mid-workload, reopen, and require the recovered state to be identical
-// to a serial oracle replay of the committed prefix. The tolerance is
-// exactly one statement: a crash after the commit record is durable but
-// before the acknowledgment means acked ≤ committed ≤ acked+1.
+// TestCrashRecoveryTorture is the acceptance gate: for each condition
+// (tortureConfigs), each crash point (WAL append, WAL sync, checkpoint
+// page write, torn page write) and every ordinal k until the schedule
+// runs clean, kill the store mid-workload, reopen, and require the
+// recovered state to be identical to a serial oracle replay of the
+// committed prefix. The tolerance is exactly one statement: a crash
+// after the commit record is durable but before the acknowledgment
+// means acked ≤ committed ≤ acked+1.
 func TestCrashRecoveryTorture(t *testing.T) {
 	crashPoints := []struct {
 		name string
@@ -516,63 +555,69 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		{"page-write", FaultPageWrite, false},
 		{"torn-page", FaultPageWrite, true},
 	}
-	oracles := map[int]map[string][]string{}
-	oracle := func(p int) map[string][]string {
-		if s, ok := oracles[p]; ok {
+	for _, cfg := range tortureConfigs {
+		oracles := map[int]map[string][]string{}
+		oracle := func(p int) map[string][]string {
+			if s, ok := oracles[p]; ok {
+				return s
+			}
+			s := tortureOracle(t, cfg, p)
+			oracles[p] = s
 			return s
 		}
-		s := tortureOracle(t, p)
-		oracles[p] = s
-		return s
-	}
-
-	for _, cp := range crashPoints {
-		t.Run(cp.name, func(t *testing.T) {
-			fired := 0
-			for k := int64(0); k < 512; k++ {
-				fs := disk.NewMemFS()
-				db := diskDB(t, fs)
-				// Empty Table matches every table — including the commit
-				// and DDL records the store logs without one.
-				db.InjectFaults(&Fault{Op: cp.op, After: k, Crash: true, Torn: cp.torn})
-				acked, crashed := runTortureWorkload(t, db)
-				if !crashed {
-					if acked != len(tortureWorkload) {
-						t.Fatalf("k=%d: clean run acked %d/%d statements", k, acked, len(tortureWorkload))
-					}
-					if fired == 0 {
-						t.Fatalf("%s fault never fired", cp.op)
-					}
-					return // schedule exhausted: every ordinal covered
-				}
-				fired++
-
-				// The machine dies: all unsynced state vanishes.
-				fs.Crash()
-				rec := diskDB(t, fs)
-				got := contentSnapshot(t, rec)
-				if !reflect.DeepEqual(got, oracle(acked)) && !reflect.DeepEqual(got, oracle(acked+1)) {
-					t.Fatalf("%s k=%d: recovered state matches neither oracle(%d) nor oracle(%d):\ngot: %v\no%d: %v\no%d: %v",
-						cp.op, k, acked, acked+1, got, acked, oracle(acked), acked+1, oracle(acked+1))
-				}
-				checkIndexConsistency(t, rec)
-				if n := rec.Faults(); n != nil && n.OpenIterators() != 0 {
-					t.Fatalf("k=%d: %d iterators leaked across recovery", k, n.OpenIterators())
-				}
-				// The recovered store must be fully usable.
-				if acked >= 3 { // items exists
-					mustExec(t, rec, `INSERT INTO items VALUES (9000, 1, 'post')`)
-					res := mustExec(t, rec, `SELECT tag FROM items WHERE id = 9000`)
-					if len(res.Rows) != 1 {
-						t.Fatalf("k=%d: post-recovery statement lost: %v", k, res.Rows)
-					}
-				}
-				if err := rec.Close(); err != nil {
-					t.Fatalf("k=%d: close recovered db: %v", k, err)
-				}
+		for _, cp := range crashPoints {
+			name := cp.name
+			if cfg.name != "" {
+				name = cfg.name + "/" + name
 			}
-			t.Fatalf("%s crash schedule not exhausted after 512 ordinals", cp.op)
-		})
+			t.Run(name, func(t *testing.T) {
+				fired := 0
+				for k := int64(0); k < 512; k++ {
+					fs := disk.NewMemFS()
+					db := diskDB(t, fs)
+					cfg.hold(t, db)
+					// Empty Table matches every table — including the
+					// commit and DDL records the store logs without one.
+					db.InjectFaults(&Fault{Op: cp.op, After: k, Crash: true, Torn: cp.torn})
+					acked, crashed := runTortureWorkload(t, db)
+					if !crashed {
+						if acked != len(tortureWorkload) {
+							t.Fatalf("k=%d: clean run acked %d/%d statements", k, acked, len(tortureWorkload))
+						}
+						if fired == 0 {
+							t.Fatalf("%s fault never fired", cp.op)
+						}
+						return // schedule exhausted: every ordinal covered
+					}
+					fired++
+
+					// The machine dies: all unsynced state vanishes.
+					fs.Crash()
+					rec := diskDB(t, fs)
+					got := contentSnapshot(t, rec)
+					if !reflect.DeepEqual(got, oracle(acked)) && !reflect.DeepEqual(got, oracle(acked+1)) {
+						t.Fatalf("%s k=%d: recovered state matches neither oracle(%d) nor oracle(%d):\ngot: %v\no%d: %v\no%d: %v",
+							cp.op, k, acked, acked+1, got, acked, oracle(acked), acked+1, oracle(acked+1))
+					}
+					checkIndexConsistency(t, rec)
+					if n := rec.Faults(); n != nil && n.OpenIterators() != 0 {
+						t.Fatalf("k=%d: %d iterators leaked across recovery", k, n.OpenIterators())
+					}
+					// The recovered store must be fully usable.
+					if acked >= 3 { // items exists
+						mustExec(t, rec, `INSERT INTO items VALUES (9000, 1, 'post')`)
+						res := mustExec(t, rec, `SELECT tag FROM items WHERE id = 9000`)
+						if len(res.Rows) != 1 {
+							t.Fatalf("k=%d: post-recovery statement lost: %v", k, res.Rows)
+						}
+					}
+					if err := rec.Close(); err != nil {
+						t.Fatalf("k=%d: close recovered db: %v", k, err)
+					}
+				}
+				t.Fatalf("%s crash schedule not exhausted after 512 ordinals", cp.op)
+			})
+		}
 	}
 }
 
@@ -601,6 +646,112 @@ func TestCrashedStoreRefusesWork(t *testing.T) {
 	db2 := diskDB(t, fs)
 	mustExec(t, db2, `INSERT INTO t VALUES (3)`)
 	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteSurvivesCrashWithSnapshotOpen: an acknowledged DELETE is
+// durable while an open snapshot holds the version GC back, that is,
+// while the deleted record is still on its page. The DELETE logs a
+// tombstone in its own statement's WAL group, and recovery reaps it.
+// On OSFS the crash is a process kill: the DB is abandoned unclosed.
+func TestDeleteSurvivesCrashWithSnapshotOpen(t *testing.T) {
+	run := func(t *testing.T, dir string, fs disk.FS, crash func()) {
+		open := func() *DB {
+			db := Open(withDataFS(dir, fs, diskOpts), WithDefaultStorage("DISK"))
+			if err := db.OpenErr(); err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		check := func(db *DB, when string) {
+			t.Helper()
+			res := mustExec(t, db, `SELECT x FROM t`)
+			if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
+				t.Fatalf("%s: SELECT x FROM t = %v, want [[2]]", when, res.Rows)
+			}
+		}
+		db := open()
+		mustExec(t, db, `CREATE TABLE t (x INT)`)
+		mustExec(t, db, `INSERT INTO t VALUES (1), (2)`)
+		if err := db.Store().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		tx, err := db.Begin(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := tx.Exec(`SELECT x FROM t`, nil); err != nil || len(res.Rows) != 2 {
+			t.Fatalf("snapshot read: %v, %v", res, err)
+		}
+		mustExec(t, db, `DELETE FROM t WHERE x = 1`)
+		check(db, "before the crash")
+		crash()
+		rec := open()
+		check(rec, "after recovery")
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("MemFS", func(t *testing.T) {
+		fs := disk.NewMemFS()
+		run(t, "data", fs, fs.Crash)
+	})
+	t.Run("OSFS", func(t *testing.T) { run(t, t.TempDir(), disk.OSFS{}, func() {}) })
+}
+
+// TestVersionGCWritesItsOwnWALGroup: the version GC's page deletes go
+// in a WAL group of their own, logged without an fsync (the tombstone
+// each one reaps is durable already), and a GC pass that reaps nothing
+// writes nothing.
+func TestVersionGCWritesItsOwnWALGroup(t *testing.T) {
+	db := Open(withDataFS("data", disk.NewMemFS(), disk.Options{PageSize: 512, PoolPages: 64}), WithDefaultStorage("DISK"))
+	mustExec(t, db, `CREATE TABLE t (x INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1), (2)`)
+	step := func(q string, records, syncs int64) {
+		t.Helper()
+		before := db.Store().Stats()
+		mustExec(t, db, q)
+		after := db.Store().Stats()
+		if r, s := after.WALRecords-before.WALRecords, after.WALSyncs-before.WALSyncs; r != records || s != syncs {
+			t.Fatalf("%s: %d WAL records and %d fsyncs, want %d and %d", q, r, s, records, syncs)
+		}
+	}
+	step(`INSERT INTO t VALUES (3)`, 2, 1)        // insert, commit; the GC only freezes
+	step(`DELETE FROM t WHERE x = 1`, 4, 1)       // tombstone, commit; the GC's delete, commit
+	step(`UPDATE t SET x = 20 WHERE x = 2`, 2, 1) // update, commit
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCreateTableSurvivesCrashBeforeCheckpoint: a table created through
+// the default storage manager, with no checkpoint since, comes back
+// from a crash as a DISK table with its rows. Recovery replays its
+// CREATE TABLE once every option has run, so the empty USING clause
+// resolves against the default WithDefaultStorage sets, as it did when
+// the statement first ran.
+func TestCreateTableSurvivesCrashBeforeCheckpoint(t *testing.T) {
+	fs := disk.NewMemFS()
+	open := func() *DB {
+		db := Open(withDataFS("data", fs, disk.Options{}), WithDefaultStorage("DISK"))
+		if err := db.OpenErr(); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	mustExec(t, db, `CREATE TABLE t (x INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1), (2)`)
+	fs.Crash()
+	rec := open()
+	if tbl, ok := rec.Catalog().Table("t"); !ok || tbl.SM != disk.ManagerName {
+		t.Fatalf("recovered table t: %+v, want one under %s", tbl, disk.ManagerName)
+	}
+	if res := mustExec(t, rec, `SELECT x FROM t ORDER BY x`); len(res.Rows) != 2 {
+		t.Fatalf("recovered rows %v, want [[1] [2]]", res.Rows)
+	}
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -577,27 +577,26 @@ func extractKey(row datum.Row, cols []int) datum.Row {
 	return k
 }
 
-// coerceRow validates arity, NOT NULL and types, coercing numerics.
-func coerceRow(t *Table, row datum.Row) (datum.Row, error) {
+// coerceRow validates arity, NOT NULL and types, coercing numerics in
+// place.
+func coerceRow(t *Table, row datum.Row) error {
 	if len(row) != len(t.Cols) {
-		return nil, fmt.Errorf("catalog: %s: %d values for %d columns", t.Name, len(row), len(t.Cols))
+		return fmt.Errorf("catalog: %s: %d values for %d columns", t.Name, len(row), len(t.Cols))
 	}
-	coerced := make(datum.Row, len(row))
 	for i, v := range row {
 		if v.IsNull() {
 			if t.Cols[i].NotNull {
-				return nil, fmt.Errorf("catalog: %s.%s is NOT NULL", t.Name, t.Cols[i].Name)
+				return fmt.Errorf("catalog: %s.%s is NOT NULL", t.Name, t.Cols[i].Name)
 			}
-			coerced[i] = v
 			continue
 		}
 		cv, err := datum.Coerce(v, t.Cols[i].Type)
 		if err != nil {
-			return nil, fmt.Errorf("catalog: %s.%s: %w", t.Name, t.Cols[i].Name, err)
+			return fmt.Errorf("catalog: %s.%s: %w", t.Name, t.Cols[i].Name, err)
 		}
-		coerced[i] = cv
+		row[i] = cv
 	}
-	return coerced, nil
+	return nil
 }
 
 // checkNotNull enforces NOT NULL on an update image.

@@ -130,6 +130,29 @@ func lookup(ix *Index, key ...datum.Value) []storage.RID {
 	}
 }
 
+// TestInsertTxCoercesInPlace: InsertTx takes its row as a hand-over
+// and coerces it where it lies, so the executor can pass one scratch
+// row for every row of a statement; the stored record is a copy.
+func TestInsertTxCoercesInPlace(t *testing.T) {
+	e := newTxnEnv()
+	tbl, err := e.c.CreateTable("F", []Column{{Name: "X", Type: datum.TFloat}, {Name: "N", Type: datum.TString}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := datum.Row{datum.NewInt(3), datum.NewString("a")}
+	rid, err := e.c.InsertTx(tbl, row, e.begin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row[0].Type() != datum.TFloat || row[0].Float() != 3 {
+		t.Fatalf("the handed-over row holds %v (%s), want 3 coerced to FLOAT in place", row[0], datum.TypeName(row[0].Type()))
+	}
+	row[0], row[1] = datum.NewFloat(9), datum.NewString("b") // reused for a next row
+	if got, _ := tbl.Rel.Fetch(rid); got[0].Float() != 3 || got[1].Str() != "a" {
+		t.Fatalf("stored record %v changed with the row it was handed", got)
+	}
+}
+
 func TestInsertValidation(t *testing.T) {
 	e := newTxnEnv()
 	c := e.c

@@ -24,8 +24,11 @@ package catalog
 // the visible image whenever the table has unfrozen versions.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/datum"
 	"repro/internal/storage"
@@ -85,6 +88,10 @@ func (ts *TxnState) Writes() int { return len(ts.writes) }
 
 func (ts *TxnState) note(w txnWrite) { ts.writes = append(ts.writes, w) }
 
+// Grow makes room for n more logged writes, so a statement that knows
+// how many it will make grows the log once.
+func (ts *TxnState) Grow(n int) { ts.writes = slices.Grow(ts.writes, n) }
+
 // RollbackTo undoes the write log back to a Mark, in reverse order,
 // bypassing fault decoration. It keeps going past individual
 // compensation failures (joining them into the returned error): a
@@ -110,6 +117,9 @@ func (ts *TxnState) RollbackTo(c *Catalog, mark int) error {
 			}
 			tv.WriteUnlock()
 		case wRowDelete:
+			if tb, ok := storage.UnwrapRelation(t.Rel).(storage.Tombstoner); ok {
+				tb.Untombstone(w.rid)
+			}
 			tv.WriteLock()
 			if v := tv.LookupLocked(w.rid); v != nil {
 				if w.created {
@@ -203,14 +213,16 @@ func checkWriteConflict(v *txn.RowVersion, snap txn.Snapshot, table string) erro
 // (invisible to every other snapshot until commit), and entered into
 // every current attachment. The whole mutation runs inside the table's
 // version write lock, which keeps the count fast path sound and
-// serializes row writers per table.
+// serializes row writers per table. The row is handed over: it is
+// coerced in place, and the relation and attachments keep copies, so
+// the caller may reuse it for its next row — but must not pass a row it
+// read from a relation or an index.
 func (c *Catalog) InsertTx(t *Table, row datum.Row, ts *TxnState) (storage.RID, error) {
 	tv := t.MVCC
 	if tv == nil {
 		return storage.RID{}, &SystemObjectError{Name: t.Name, Op: "INSERT"}
 	}
-	coerced, err := coerceRow(t, row)
-	if err != nil {
+	if err := coerceRow(t, row); err != nil {
 		return storage.RID{}, err
 	}
 	cur, ok := c.currentTable(t.Name)
@@ -223,7 +235,7 @@ func (c *Catalog) InsertTx(t *Table, row datum.Row, ts *TxnState) (storage.RID, 
 	defer tv.WriteUnlock()
 
 	tv.AddCount(1)
-	rid, err := t.Rel.Insert(coerced)
+	rid, err := t.Rel.Insert(row)
 	if err != nil {
 		tv.AddCount(-1)
 		return storage.RID{}, err
@@ -234,7 +246,7 @@ func (c *Catalog) InsertTx(t *Table, row datum.Row, ts *TxnState) (storage.RID, 
 	ts.note(txnWrite{kind: wRowInsert, table: t.Name, rid: rid})
 
 	for _, ix := range cur.Indexes {
-		key := extractKey(coerced, ix.KeyCols)
+		key := extractKey(row, ix.KeyCols)
 		if err := c.insertEntry(cur, tv, ix, key, rid, ts); err != nil {
 			return storage.RID{}, err
 		}
@@ -245,7 +257,8 @@ func (c *Catalog) InsertTx(t *Table, row datum.Row, ts *TxnState) (storage.RID, 
 // DeleteTx tombstones the record at rid for ts.Txn: it sets the
 // version's xmax, leaving the record and its index entries physically
 // in place for older snapshots. The GC reaps them once no snapshot can
-// see the row.
+// see the row. A relation that logs deletions (storage.Tombstoner) is
+// told now, so the DELETE is as durable as its statement.
 func (c *Catalog) DeleteTx(t *Table, rid storage.RID, ts *TxnState) error {
 	tv := t.MVCC
 	if tv == nil {
@@ -260,20 +273,25 @@ func (c *Catalog) DeleteTx(t *Table, rid storage.RID, ts *TxnState) error {
 		return fmt.Errorf("catalog: %s: no record %s", t.Name, rid)
 	}
 	v := tv.LookupLocked(rid)
-	created := false
-	if v == nil {
-		// Frozen row: register an entry carrying only our tombstone.
-		v = txn.NewVersion(0)
-		tv.AddCount(1)
-		tv.PutLocked(rid, v)
-		created = true
-	} else {
+	if v != nil {
 		if dt, _ := v.Xmax(); dt == ts.Txn.ID {
 			return fmt.Errorf("catalog: %s: no record %s", t.Name, rid)
 		}
 		if err := checkWriteConflict(v, ts.Txn.Snap, t.Name); err != nil {
 			return err
 		}
+	}
+	if tb, ok := storage.UnwrapRelation(t.Rel).(storage.Tombstoner); ok {
+		if err := tb.Tombstone(rid); err != nil {
+			return err
+		}
+	}
+	created := v == nil
+	if created {
+		// Frozen row: register an entry carrying only our tombstone.
+		v = txn.NewVersion(0)
+		tv.AddCount(1)
+		tv.PutLocked(rid, v)
 	}
 	v.SetXmax(ts.Txn.ID, 0)
 	ts.Txn.Track(v)
@@ -502,21 +520,21 @@ type gcItem struct {
 // version cleanup. The engine calls it after Commit publishes.
 func (c *Catalog) EnqueueGC(ts *TxnState) {
 	l := c.live()
-	seen := map[gcItem]bool{}
 	var items []gcItem
 	for _, w := range ts.writes {
 		switch w.kind {
 		case wRowInsert, wRowUpdate, wRowDelete:
-			it := gcItem{table: w.table, rid: w.rid}
-			if !seen[it] {
-				seen[it] = true
-				items = append(items, it)
-			}
+			items = append(items, gcItem{table: w.table, rid: w.rid})
 		}
 	}
 	if len(items) == 0 {
 		return
 	}
+	// A row written twice is queued once.
+	slices.SortFunc(items, func(a, b gcItem) int {
+		return cmp.Or(strings.Compare(a.table, b.table), cmp.Compare(a.rid.Page, b.rid.Page), cmp.Compare(a.rid.Slot, b.rid.Slot))
+	})
+	items = slices.Compact(items)
 	l.gcMu.Lock()
 	l.gc = append(l.gc, items...)
 	l.gcMu.Unlock()

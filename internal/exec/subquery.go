@@ -608,12 +608,16 @@ func (i *insertOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	// error rolls the statement back to its savepoint (heap, version
 	// map and indexes).
 	mark := ctx.Txn.Mark()
+	ctx.Txn.Grow(len(rows) * (1 + len(t.Indexes)))
+	// One scratch row carries every row to InsertTx, which coerces it in
+	// place and stores a copy. A source row is never handed over: the
+	// Relation contract lets a scan hand out a stored row itself.
+	full := make(datum.Row, len(t.Cols))
 	var affected int64
 	for _, src := range rows {
 		if err := ctx.tick(); err != nil {
 			return nil, false, errors.Join(err, rollback(ctx, mark))
 		}
-		full := make(datum.Row, len(t.Cols))
 		for k := range full {
 			full[k] = datum.Null
 		}

@@ -26,7 +26,7 @@ type Lifted struct {
 // with one key therefore lex to the same tokens apart from the values
 // of lifted cells of the same kind, and share one plan. ok is false
 // when src does not lex. Key allocates the key and the lifted values,
-// nothing per token.
+// each array once, nothing per token.
 func Key(src string) (key string, lifted Lifted, ok bool) {
 	l := Lexer{src: src}
 	var b strings.Builder
@@ -50,7 +50,13 @@ func Key(src string) (key string, lifted Lifted, ok bool) {
 		switch kw := keyword(text); {
 		case depth == 0 && kw != "":
 			insert = insert || kw == "INSERT" && b.Len() == len(text)
-			values = values || insert && kw == "VALUES"
+			if insert && kw == "VALUES" && !values {
+				// Commas separate both cells and rows, so the commas
+				// after VALUES, plus one, bound the cells to lift.
+				values = true
+				n := strings.Count(src[l.pos:], ",") + 1
+				lifted = Lifted{Args: make([]datum.Value, 0, n), At: make([]int, 0, n)}
+			}
 		case text == "(":
 			depth++
 			return values && depth == 1

@@ -68,15 +68,36 @@ func encodeRow(dst []byte, row datum.Row) ([]byte, error) {
 // decodeRow parses numCols values from rec into a fresh row.
 func decodeRow(rec []byte, numCols int) (datum.Row, error) {
 	row := make(datum.Row, numCols)
-	if err := decodeInto(row, rec); err != nil {
+	if err := decodeInto(row, rec, nil); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
+// internCap bounds an interner; past it a new string is copied, as
+// without one.
+const internCap = 256
+
+// interner hands out one string per distinct byte sequence, so a
+// low-cardinality STRING column allocates per distinct value, not per
+// row. A nil interner copies every string.
+type interner map[string]string
+
+func (in interner) intern(b []byte) string {
+	if s, ok := in[string(b)]; ok { // the conversion does not allocate
+		return s
+	}
+	s := string(b)
+	if in != nil && len(in) < internCap {
+		in[s] = s
+	}
+	return s
+}
+
 // decodeInto parses len(row) values from rec into row, overwriting every
-// element. On error row holds a partial decode the caller must discard.
-func decodeInto(row datum.Row, rec []byte) error {
+// element; STRING values come from in. On error row holds a partial
+// decode the caller must discard.
+func decodeInto(row datum.Row, rec []byte, in interner) error {
 	pos := 0
 	for i := range row {
 		if pos >= len(rec) {
@@ -110,7 +131,7 @@ func decodeInto(row datum.Row, rec []byte) error {
 				return fmt.Errorf("disk: truncated string in record col %d", i)
 			}
 			pos += w
-			row[i] = datum.NewString(string(rec[pos : pos+int(n)]))
+			row[i] = datum.NewString(in.intern(rec[pos : pos+int(n)]))
 			pos += int(n)
 		default:
 			return fmt.Errorf("disk: unknown value tag %d in record col %d", tag, i)

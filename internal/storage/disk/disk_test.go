@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -793,5 +794,67 @@ func TestStoreDropTableDataRemovesFile(t *testing.T) {
 		if name == "data/t.tbl" {
 			t.Fatal("dropped table's page file still exists")
 		}
+	}
+}
+
+// TestStoreTombstonesReplay: a committed tombstone deletes its record
+// at recovery, across a checkpoint too; an uncommitted one does not; a
+// tombstone whose record the GC reaped leaves alone the record that
+// later took the slot; and recovery's own reaps are logged, so a second
+// crash after a slot is reused again replays cleanly.
+func TestStoreTombstonesReplay(t *testing.T) {
+	fs := NewMemFS()
+	s := testStore(t, fs)
+	tf, err := s.createTable("T", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertCommitted(t, s, tf, 1, 2, 3, 4)
+	rid := func(slot int32) storage.RID { return storage.RID{Page: 0, Slot: slot} }
+	group := func(begin func() error, f func() error) {
+		t.Helper()
+		if err := begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CommitStmt(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 2 is deleted and reaped, and 5 takes its slot.
+	group(s.BeginStmt, func() error { return s.tombstoneRecord(tf, rid(1)) })
+	group(s.BeginReap, func() error { return s.deleteRecord(tf, rid(1)) })
+	insertCommitted(t, s, tf, 5)
+	// 3 is deleted but stays on its page, as for an open snapshot,
+	// across a checkpoint.
+	group(s.BeginStmt, func() error { return s.tombstoneRecord(tf, rid(2)) })
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// 4's deletion never commits.
+	if err := s.BeginStmt(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.tombstoneRecord(tf, rid(3)); err != nil {
+		t.Fatal(err)
+	}
+	ids := func(s *Store, tf *tableFile) string {
+		got := tableIDs(t, s, tf)
+		slices.Sort(got)
+		return fmt.Sprint(got)
+	}
+	s, tf = reopen(t, fs)
+	if got := ids(s, tf); got != "[1 4 5]" {
+		t.Fatalf("after the first crash: ids %s, want [1 4 5]", got)
+	}
+	insertCommitted(t, s, tf, 6) // takes the slot recovery reaped
+	s, tf = reopen(t, fs)
+	if got := ids(s, tf); got != "[1 4 5 6]" {
+		t.Fatalf("after the second crash: ids %s, want [1 4 5 6]", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -48,6 +48,7 @@ type relation struct {
 var (
 	_ storage.Relation         = (*relation)(nil)
 	_ storage.PageRangeScanner = (*relation)(nil)
+	_ storage.Tombstoner       = (*relation)(nil)
 )
 
 // Insert implements storage.Relation.
@@ -72,6 +73,12 @@ func (r *relation) Delete(rid storage.RID) error {
 	r.stats.WritePage()
 	return nil
 }
+
+// Tombstone implements storage.Tombstoner.
+func (r *relation) Tombstone(rid storage.RID) error { return r.s.tombstoneRecord(r.tf, rid) }
+
+// Untombstone implements storage.Tombstoner.
+func (r *relation) Untombstone(rid storage.RID) { r.s.untombstone(r.tf.name, rid) }
 
 // Update implements storage.Relation.
 func (r *relation) Update(rid storage.RID, row datum.Row) error {
@@ -135,7 +142,9 @@ func (r *relation) PageCount() int64 {
 // reading it, so a cursor may switch between them mid-scan without
 // skipping or repeating a record: Next returns one record as a fresh
 // row, NextCols decodes records straight into column lanes through one
-// scratch row and may stop mid-page. Next reads ahead of nothing: the
+// scratch row and may stop mid-page. STRING values come from an
+// interner the iterator owns, so rows may share a string with earlier
+// rows of the scan. Next reads ahead of nothing: the
 // version layer resolves a record in the same step that reads it (see
 // txn.TableVersions.ReadNext), which a buffered image would defeat. One
 // simulated page read is counted per page, on first touch — the same
@@ -147,6 +156,7 @@ type diskIterator struct {
 	end  int64
 
 	scratch datum.Row
+	strs    interner
 	err     error
 }
 
@@ -166,7 +176,7 @@ func (it *diskIterator) readPage(emit func(storage.RID) bool) bool {
 	}
 	tf := it.r.tf
 	if it.scratch == nil {
-		it.scratch = make(datum.Row, tf.numCols)
+		it.scratch, it.strs = make(datum.Row, tf.numCols), interner{}
 	}
 	tf.mu.RLock()
 	defer tf.mu.RUnlock()
@@ -191,7 +201,7 @@ func (it *diskIterator) readPage(emit func(storage.RID) bool) bool {
 		if rec == nil {
 			continue
 		}
-		if derr := decodeInto(it.scratch, rec); derr != nil {
+		if derr := decodeInto(it.scratch, rec, it.strs); derr != nil {
 			it.err = fmt.Errorf("disk: %s page %d slot %d: %w", tf.name, it.page, slot, derr)
 			return false
 		}

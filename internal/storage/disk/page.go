@@ -297,13 +297,13 @@ func (p page) liveCount() int {
 
 // checksum computes the page CRC with the checksum field zeroed.
 func (p page) checksum() uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(p.buf[:offCRC])
-	var zero [4]byte
-	crc.Write(zero[:])
-	crc.Write(p.buf[offCRC+4:])
-	return crc.Sum32()
+	crc := crc32.Update(0, crc32.IEEETable, p.buf[:offCRC])
+	crc = crc32.Update(crc, crc32.IEEETable, zeroCRC[:])
+	return crc32.Update(crc, crc32.IEEETable, p.buf[offCRC+4:])
 }
+
+// zeroCRC stands in for the checksum field (a local array would escape).
+var zeroCRC [4]byte
 
 // seal stamps the stored checksum; call before writing the page out.
 func (p page) seal() {

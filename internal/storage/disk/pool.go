@@ -3,6 +3,7 @@ package disk
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -51,10 +52,13 @@ type frame struct {
 	dead   bool // evicted; no longer in the map
 	recLSN uint64
 
-	// ready is closed once the load that populated buf finished (check
-	// loadErr after waiting). A frame is published in the map before its
-	// page is read so concurrent getters coalesce on one load.
-	ready   chan struct{}
+	// loading is held while the load that populates buf runs, and loaded
+	// is set once it finished (check loadErr after either). A frame is
+	// published in the map before its page is read so concurrent getters
+	// coalesce on one load. Both are reused across the frame's lives: a
+	// frame is recycled only at zero pins, after every waiter returned.
+	loading sync.WaitGroup
+	loaded  atomic.Bool
 	loadErr error
 }
 
@@ -68,7 +72,8 @@ func newPool(capacity int) *pool {
 // get returns the pinned frame for key, loading the page via load on a
 // miss. The miss path publishes the frame before loading (so concurrent
 // getters coalesce on one read) and runs load outside the pool lock;
-// hitters wait on the ready channel before touching buf.
+// hitters wait for the frame's load before touching buf. A miss that
+// recycles a frame allocates nothing.
 //
 // starburst:waits BUFPOOL_LOAD BUFPOOL_WAIT
 func (p *pool) get(key frameKey, pageSize int, load func(buf []byte) error) (*frame, error) {
@@ -78,13 +83,9 @@ func (p *pool) get(key frameKey, pageSize int, load func(buf []byte) error) (*fr
 		fr.ref = true
 		p.hits++
 		p.mu.Unlock()
-		select {
-		case <-fr.ready:
-			// Fast path: the load already finished; a pure hit pays no
-			// clock reads.
-		default:
+		if !fr.loaded.Load() { // a pure hit pays no clock reads
 			start := time.Now()
-			<-fr.ready
+			fr.loading.Wait()
 			p.waitProf.Record(obs.WaitBufPoolWait, time.Since(start).Nanoseconds())
 		}
 		if fr.loadErr != nil {
@@ -99,7 +100,8 @@ func (p *pool) get(key frameKey, pageSize int, load func(buf []byte) error) (*fr
 	fr := p.allocFrame(key, pageSize)
 	fr.pins = 1
 	fr.ref = true
-	fr.ready = make(chan struct{})
+	fr.loaded.Store(false)
+	fr.loading.Add(1)
 	fr.loadErr = nil
 	p.frames[key] = fr
 	p.mu.Unlock()
@@ -111,7 +113,8 @@ func (p *pool) get(key frameKey, pageSize int, load func(buf []byte) error) (*fr
 	} else {
 		fr.loadErr = load(fr.buf)
 	}
-	close(fr.ready)
+	fr.loaded.Store(true)
+	fr.loading.Done()
 	if fr.loadErr != nil {
 		p.mu.Lock()
 		fr.pins--

@@ -54,8 +54,12 @@ type Store struct {
 	walFile File
 	tables  map[string]*tableFile
 	curStmt *stmt
+	stmtBuf stmt // what curStmt points at: writeMu serializes groups
 	nextID  uint64
 	fi      *storage.FaultInjector
+	// tombs holds the logged tombstones whose records are not yet
+	// reaped; a checkpoint carries them into the rotated log.
+	tombs map[tombKey]bool
 	// openTxns tracks explicit transactions with tagged statement groups
 	// in this WAL that have not yet committed or aborted. While any is
 	// open, checkpoints are deferred (ckptPending): the buffer pool holds
@@ -132,11 +136,19 @@ func (o *Options) defaults() {
 var ErrCrashed = errors.New("disk: store has crashed; reopen the data directory to recover")
 
 // stmt is one open statement group. txnID tags the group with its
-// owning explicit transaction; 0 means standalone (auto-commit).
+// owning explicit transaction; 0 means standalone (auto-commit). A reap
+// group (BeginReap) only deletes tombstoned records.
 type stmt struct {
 	id    uint64
 	txnID uint64
 	wrote bool
+	reap  bool
+}
+
+// tombKey names a tombstoned record.
+type tombKey struct {
+	table string
+	rid   storage.RID
 }
 
 // tableFile is the in-memory state of one table's page file.
@@ -229,6 +241,7 @@ func Open(dir string, fsys FS, opts Options) (*Store, error) {
 		pool:       newPool(opts.PoolPages),
 		walFile:    f,
 		tables:     map[string]*tableFile{},
+		tombs:      map[tombKey]bool{},
 		scanned:    recs,
 		attachMode: true,
 	}
@@ -499,7 +512,15 @@ func (s *Store) BeginStmt() error { return s.BeginTxnStmt(0) }
 // transaction (txnID != 0): the group's records replay after a crash
 // only if CommitTxn's record also reached the disk. txnID 0 is the
 // standalone auto-commit case (BeginStmt).
-func (s *Store) BeginTxnStmt(txnID int64) error {
+func (s *Store) BeginTxnStmt(txnID int64) error { return s.begin(txnID, false) }
+
+// BeginReap opens a group of the store's own for the version GC's page
+// deletes, which never join a user statement's group. Its CommitStmt
+// does not fsync: each record it deletes has a durable tombstone, so
+// recovery redoes a lost reap.
+func (s *Store) BeginReap() error { return s.begin(0, true) }
+
+func (s *Store) begin(txnID int64, reap bool) error {
 	if s.crashed.Load() {
 		return ErrCrashed
 	}
@@ -510,7 +531,8 @@ func (s *Store) BeginTxnStmt(txnID int64) error {
 	}
 	s.mu.Lock()
 	s.nextID++
-	s.curStmt = &stmt{id: s.nextID, txnID: uint64(txnID)}
+	s.stmtBuf = stmt{id: s.nextID, txnID: uint64(txnID), reap: reap}
+	s.curStmt = &s.stmtBuf
 	if txnID != 0 {
 		if s.openTxns == nil {
 			s.openTxns = map[uint64]bool{}
@@ -545,7 +567,7 @@ func (s *Store) CommitStmt() error {
 	if _, err := s.walAppend("", &walRecord{kind: walCommit, stmtID: st.id, txnID: st.txnID}, true); err != nil {
 		return err
 	}
-	if st.txnID != 0 {
+	if st.txnID != 0 || st.reap {
 		return nil
 	}
 	if err := s.walSync("", true); err != nil {
@@ -690,6 +712,7 @@ func (s *Store) createTable(name string, numCols int) (*tableFile, error) {
 		tf.numCols = numCols
 		tf.mu.Unlock()
 		s.pool.dropTable(key)
+		s.dropTombs(key)
 		if err := tf.file.Truncate(0); err != nil {
 			return nil, fmt.Errorf("disk: reset table %s: %w", key, err)
 		}
@@ -716,6 +739,7 @@ func (s *Store) createTable(name string, numCols int) (*tableFile, error) {
 		tf.pages = (size + ps - 1) / ps // free map and row count rebuilt by recovery
 	} else {
 		s.pool.dropTable(key)
+		s.dropTombs(key)
 		if err := f.Truncate(0); err != nil {
 			return nil, fmt.Errorf("disk: truncate table file %s: %w", path, err)
 		}
@@ -732,6 +756,7 @@ func (s *Store) DropTableData(name string) error {
 	s.mu.Lock()
 	tf := s.tables[key]
 	delete(s.tables, key)
+	s.dropTombs(key)
 	s.mu.Unlock()
 	if tf == nil {
 		return nil
@@ -855,7 +880,7 @@ func (tf *tableFile) choosePage(n int) int {
 }
 
 func (s *Store) deleteRecord(tf *tableFile, rid storage.RID) error {
-	return s.runMutation(func(st *stmt) error {
+	err := s.runMutation(func(st *stmt) error {
 		tf.mu.Lock()
 		defer tf.mu.Unlock()
 		if rid.Page < 0 || int64(rid.Page) >= tf.pages {
@@ -886,6 +911,47 @@ func (s *Store) deleteRecord(tf *tableFile, rid storage.RID) error {
 		s.pool.unpin(fr, true, lsn)
 		return nil
 	})
+	if err == nil {
+		s.untombstone(tf.name, rid)
+	}
+	return err
+}
+
+// tombstoneRecord logs a transaction's DELETE of the record at rid in
+// the open statement's group. The page keeps the record for snapshots
+// that still read it until the version GC reaps it.
+func (s *Store) tombstoneRecord(tf *tableFile, rid storage.RID) error {
+	return s.runMutation(func(st *stmt) error {
+		if _, err := s.walAppend(tf.name, &walRecord{
+			kind: walTombstone, stmtID: st.id, table: tf.name,
+			pageNo: uint32(rid.Page), slot: uint32(rid.Slot),
+		}, true); err != nil {
+			return err
+		}
+		st.wrote = true
+		s.mu.Lock()
+		s.tombs[tombKey{tf.name, rid}] = true
+		s.mu.Unlock()
+		return nil
+	})
+}
+
+// untombstone forgets the tombstone of a record that was reaped, or
+// whose DELETE rolled back (its group then never replays).
+func (s *Store) untombstone(table string, rid storage.RID) {
+	s.mu.Lock()
+	delete(s.tombs, tombKey{table, rid})
+	s.mu.Unlock()
+}
+
+// dropTombs forgets the tombstones of a dropped or reset table. Caller
+// holds s.mu.
+func (s *Store) dropTombs(table string) {
+	for k := range s.tombs {
+		if k.table == table {
+			delete(s.tombs, k)
+		}
+	}
 }
 
 func (s *Store) updateRecord(tf *tableFile, rid storage.RID, rec []byte) error {
@@ -1124,14 +1190,17 @@ func (s *Store) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("disk: rotate wal: %w", err)
 	}
+	nw.nextLSN = lastLSN + 1
+	if err := s.carryTombstones(nw); err != nil {
+		return fmt.Errorf("disk: rotate wal: %w", err)
+	}
 	if err := nf.Sync(); err != nil {
 		return fmt.Errorf("disk: rotate wal: %w", err)
 	}
+	nw.syncedLSN = nw.nextLSN - 1
 	if err := s.fs.Rename(tmp, filepath.Join(s.dir, walFileName)); err != nil {
 		return fmt.Errorf("disk: rotate wal: %w", err)
 	}
-	nw.nextLSN = lastLSN + 1
-	nw.syncedLSN = lastLSN
 	s.mu.Lock()
 	old := s.walFile
 	s.walFile = nf
@@ -1145,6 +1214,35 @@ func (s *Store) checkpointLocked() error {
 		return fmt.Errorf("disk: close rotated wal: %w", err)
 	}
 	return nil
+}
+
+// carryTombstones logs the tombstones not yet reaped into the rotated
+// log w as one committed group: the written-back pages still hold their
+// records, and the old log goes away. Caller holds writeMu.
+func (s *Store) carryTombstones(w *walWriter) error {
+	s.mu.Lock()
+	keys := make([]tombKey, 0, len(s.tombs))
+	for k := range s.tombs {
+		keys = append(keys, k)
+	}
+	s.nextID++
+	id := s.nextID
+	s.mu.Unlock()
+	if len(keys) == 0 {
+		return nil
+	}
+	for _, k := range keys {
+		r := walRecord{kind: walTombstone, stmtID: id, table: k.table, pageNo: uint32(k.rid.Page), slot: uint32(k.rid.Slot)}
+		if _, err := w.append(&r); err != nil {
+			return err
+		}
+	}
+	_, err := w.append(&walRecord{kind: walCommit, stmtID: id})
+	s.mu.Lock()
+	s.statWALBytes += w.bytes
+	s.statWALRecords += w.frames
+	s.mu.Unlock()
+	return err
 }
 
 // writeFileAtomic writes name under the data dir via tmp + fsync +
@@ -1226,9 +1324,16 @@ func (s *Store) Recover(applyDDL func(sqlText string) error) error {
 			if err := applyDDL(string(r.data)); err != nil {
 				return fmt.Errorf("disk: replay DDL %q: %w", r.data, err)
 			}
+		case walTombstone: // reaped at the end: a later full-page image may restore the record
+			if replayable(r.stmtID) {
+				s.tombs[tombKey{r.table, storage.RID{Page: int32(r.pageNo), Slot: int32(r.slot)}}] = true
+			}
 		case walInsert, walDelete, walUpdate:
 			if !replayable(r.stmtID) {
 				continue
+			}
+			if r.kind == walDelete { // the GC reaped it: its slot may hold a newer record
+				delete(s.tombs, tombKey{r.table, storage.RID{Page: int32(r.pageNo), Slot: int32(r.slot)}})
 			}
 			if err := s.replayData(r); err != nil {
 				return err
@@ -1238,7 +1343,35 @@ func (s *Store) Recover(applyDDL func(sqlText string) error) error {
 		}
 	}
 	s.scanned = nil
-	return s.finishRecovery()
+	if err := s.finishRecovery(); err != nil {
+		return err
+	}
+	return s.reapTombstones()
+}
+
+// reapTombstones deletes, in a reap group, the records of the committed
+// tombstones recovery found unreaped: no snapshot survives a crash. The
+// deletes are logged, so a later crash replays them before any insert
+// that reuses their slots.
+func (s *Store) reapTombstones() error {
+	if len(s.tombs) == 0 {
+		return nil
+	}
+	if err := s.BeginReap(); err != nil {
+		return err
+	}
+	for k := range s.tombs {
+		if tf := s.table(k.table); tf != nil {
+			if _, ok := s.fetchRecord(tf, k.rid); ok {
+				if err := s.deleteRecord(tf, k.rid); err != nil {
+					s.AbortStmt()
+					return err
+				}
+			}
+		}
+		delete(s.tombs, k)
+	}
+	return s.CommitStmt()
 }
 
 // replayFPI installs a checkpoint full-page image when the on-disk page

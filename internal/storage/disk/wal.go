@@ -31,6 +31,9 @@ import (
 // commits were logged. Untagged groups (txnID 0) are the standalone
 // auto-commit case and replay exactly as before.
 //
+// A tombstone logs a DELETE whose record stays on its page for older
+// snapshots until the version GC reaps it; recovery reaps it instead.
+//
 // A torn tail (short frame, bad length, or CRC mismatch) ends replay at
 // the last intact record, which is exactly the no-steal/fsync-on-commit
 // contract: anything after the torn point was never acknowledged.
@@ -47,6 +50,7 @@ const (
 	walCommit    = 6 // stmtID, txnID (0 = standalone statement)
 	walFPI       = 7 // table, page, full page image (checkpoint-only; no stmt)
 	walTxnCommit = 8 // txnID
+	walTombstone = 9 // stmtID, table, page, slot: a DELETE; the record stays
 )
 
 // walRecord is one decoded log record.
@@ -74,12 +78,12 @@ func (r *walRecord) encode(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, r.stmtID)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.data)))
 		dst = append(dst, r.data...)
-	case walInsert, walUpdate, walDelete:
+	case walInsert, walUpdate, walDelete, walTombstone:
 		dst = binary.LittleEndian.AppendUint64(dst, r.stmtID)
 		dst = appendWalString(dst, r.table)
 		dst = binary.LittleEndian.AppendUint32(dst, r.pageNo)
 		dst = binary.LittleEndian.AppendUint32(dst, r.slot)
-		if r.kind != walDelete {
+		if r.kind == walInsert || r.kind == walUpdate {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.data)))
 			dst = append(dst, r.data...)
 		}
@@ -101,123 +105,59 @@ func appendWalString(dst []byte, s string) []byte {
 
 var errWalTruncated = errors.New("disk: truncated wal payload")
 
+// walDecoder reads a payload front to back. The first read past its end
+// sets err, and every read from then on returns zero.
 type walDecoder struct {
 	buf []byte
 	pos int
+	err error
 }
 
-func (d *walDecoder) u8() (byte, error) {
-	if d.pos >= len(d.buf) {
-		return 0, errWalTruncated
+func (d *walDecoder) take(n int) []byte {
+	if d.err != nil || n > len(d.buf)-d.pos {
+		d.err = errWalTruncated
+		return nil
 	}
-	v := d.buf[d.pos]
-	d.pos++
-	return v, nil
+	d.pos += n
+	return d.buf[d.pos-n : d.pos]
 }
 
-func (d *walDecoder) u16() (uint16, error) {
-	if d.pos+2 > len(d.buf) {
-		return 0, errWalTruncated
+// uint reads an n-byte little-endian unsigned integer.
+func (d *walDecoder) uint(n int) uint64 {
+	var v uint64
+	for i, c := range d.take(n) {
+		v |= uint64(c) << (8 * i)
 	}
-	v := binary.LittleEndian.Uint16(d.buf[d.pos:])
-	d.pos += 2
-	return v, nil
+	return v
 }
 
-func (d *walDecoder) u32() (uint32, error) {
-	if d.pos+4 > len(d.buf) {
-		return 0, errWalTruncated
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.pos:])
-	d.pos += 4
-	return v, nil
-}
-
-func (d *walDecoder) u64() (uint64, error) {
-	if d.pos+8 > len(d.buf) {
-		return 0, errWalTruncated
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return v, nil
-}
-
-func (d *walDecoder) str() (string, error) {
-	n, err := d.u16()
-	if err != nil {
-		return "", err
-	}
-	if d.pos+int(n) > len(d.buf) {
-		return "", errWalTruncated
-	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s, nil
-}
-
-func (d *walDecoder) bytes() ([]byte, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if d.pos+int(n) > len(d.buf) {
-		return nil, errWalTruncated
-	}
-	b := append([]byte(nil), d.buf[d.pos:d.pos+int(n)]...)
-	d.pos += int(n)
-	return b, nil
-}
+func (d *walDecoder) str() string   { return string(d.take(int(d.uint(2)))) }
+func (d *walDecoder) bytes() []byte { return append([]byte(nil), d.take(int(d.uint(4)))...) }
 
 func decodeWalRecord(payload []byte) (*walRecord, error) {
 	d := &walDecoder{buf: payload}
-	r := &walRecord{}
-	var err error
-	if r.lsn, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if r.kind, err = d.u8(); err != nil {
-		return nil, err
-	}
+	r := &walRecord{lsn: d.uint(8), kind: byte(d.uint(1))}
 	switch r.kind {
 	case walCommit:
-		if r.stmtID, err = d.u64(); err == nil {
-			r.txnID, err = d.u64()
-		}
+		r.stmtID, r.txnID = d.uint(8), d.uint(8)
 	case walTxnCommit:
-		r.txnID, err = d.u64()
+		r.txnID = d.uint(8)
 	case walDDL:
-		if r.stmtID, err = d.u64(); err == nil {
-			r.data, err = d.bytes()
-		}
-	case walInsert, walUpdate, walDelete:
-		if r.stmtID, err = d.u64(); err != nil {
-			break
-		}
-		if r.table, err = d.str(); err != nil {
-			break
-		}
-		if r.pageNo, err = d.u32(); err != nil {
-			break
-		}
-		if r.slot, err = d.u32(); err != nil {
-			break
-		}
-		if r.kind != walDelete {
-			r.data, err = d.bytes()
+		r.stmtID, r.data = d.uint(8), d.bytes()
+	case walInsert, walUpdate, walDelete, walTombstone:
+		r.stmtID, r.table, r.pageNo, r.slot = d.uint(8), d.str(), uint32(d.uint(4)), uint32(d.uint(4))
+		if r.kind == walInsert || r.kind == walUpdate {
+			r.data = d.bytes()
 		}
 	case walFPI:
-		if r.table, err = d.str(); err != nil {
-			break
-		}
-		if r.pageNo, err = d.u32(); err != nil {
-			break
-		}
-		r.data, err = d.bytes()
+		r.table, r.pageNo, r.data = d.str(), uint32(d.uint(4)), d.bytes()
 	default:
-		return nil, fmt.Errorf("disk: unknown wal record kind %d", r.kind)
+		if d.err == nil {
+			return nil, fmt.Errorf("disk: unknown wal record kind %d", r.kind)
+		}
 	}
-	if err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	if d.pos != len(payload) {
 		return nil, fmt.Errorf("disk: %d trailing bytes in wal payload", len(payload)-d.pos)
@@ -233,6 +173,7 @@ type walWriter struct {
 	off       int64  // append position
 	nextLSN   uint64 // LSN the next record receives
 	syncedLSN uint64 // highest LSN known durable
+	frame     []byte // the frame being written; reused by every append
 
 	// I/O accounting, reported through Store.Stats.
 	bytes  int64
@@ -255,14 +196,17 @@ func newWalFile(f File) (*walWriter, error) {
 }
 
 // append assigns the next LSN, frames and writes the record (no fsync),
-// and returns the assigned LSN.
+// and returns the assigned LSN. The record is encoded straight into the
+// writer's one frame buffer behind a reserved header, which WriteAt
+// copies: a steady-state append allocates nothing. The caller holds the
+// lock that serializes the writer (Store.mu).
 func (w *walWriter) append(r *walRecord) (uint64, error) {
 	r.lsn = w.nextLSN
-	payload := r.encode(nil)
-	frame := make([]byte, 0, 8+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	frame := r.encode(append(w.frame[:0], make([]byte, 8)...))
+	payload := frame[8:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	w.frame = frame
 	if _, err := w.f.WriteAt(frame, w.off); err != nil {
 		return 0, fmt.Errorf("disk: wal append: %w", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datum"
 )
@@ -38,56 +39,44 @@ func (r RID) Less(o RID) bool {
 }
 
 // IOStats counts simulated I/O so experiments can observe access-path
-// behaviour. A DB owns one; all relations of that DB share it.
+// behaviour. A DB owns one; all relations of that DB share it. The
+// counters are atomic: a page or B-tree node visit costs one atomic add,
+// not a DB-wide lock that every session contends on.
 type IOStats struct {
-	mu         sync.Mutex
-	PageReads  int64
-	PageWrites int64
-	IndexReads int64
+	reads, writes, index atomic.Int64
 }
 
 // ReadPage records one simulated page read.
 func (s *IOStats) ReadPage() {
-	if s == nil {
-		return
+	if s != nil {
+		s.reads.Add(1)
 	}
-	s.mu.Lock()
-	s.PageReads++
-	s.mu.Unlock()
 }
 
 // WritePage records one simulated page write.
 func (s *IOStats) WritePage() {
-	if s == nil {
-		return
+	if s != nil {
+		s.writes.Add(1)
 	}
-	s.mu.Lock()
-	s.PageWrites++
-	s.mu.Unlock()
 }
 
 // ReadIndex records one simulated index node read.
 func (s *IOStats) ReadIndex() {
-	if s == nil {
-		return
+	if s != nil {
+		s.index.Add(1)
 	}
-	s.mu.Lock()
-	s.IndexReads++
-	s.mu.Unlock()
 }
 
 // Snapshot returns current counters.
 func (s *IOStats) Snapshot() (reads, writes, index int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.PageReads, s.PageWrites, s.IndexReads
+	return s.reads.Load(), s.writes.Load(), s.index.Load()
 }
 
 // Reset zeroes the counters.
 func (s *IOStats) Reset() {
-	s.mu.Lock()
-	s.PageReads, s.PageWrites, s.IndexReads = 0, 0, 0
-	s.mu.Unlock()
+	s.reads.Store(0)
+	s.writes.Store(0)
+	s.index.Store(0)
 }
 
 // RowIterator streams stored records. It is all a storage manager has
@@ -141,6 +130,8 @@ type PageRangeScanner interface {
 // Fetch and the iterators may hand out the stored row itself:
 // returned rows are read-only; retain freely. A caller that wants to
 // change one (a searched UPDATE building the new image) clones first.
+// STRING values handed out may share their bytes with other rows' (a
+// DISK scan interns them); that is safe because strings are immutable.
 type Relation interface {
 	// Insert stores a record and returns its RID.
 	Insert(r datum.Row) (RID, error)
@@ -157,6 +148,17 @@ type Relation interface {
 	RowCount() int64
 	// PageCount reports the number of simulated pages occupied.
 	PageCount() int64
+}
+
+// Tombstoner is implemented by a Relation that logs a transaction's
+// DELETE when it happens. The record itself stays until the version GC
+// reaps it through Delete, since older snapshots still read it; a
+// durable manager must still not bring it back after a crash.
+type Tombstoner interface {
+	// Tombstone records the deletion of the record at rid.
+	Tombstone(rid RID) error
+	// Untombstone withdraws a tombstone whose DELETE rolled back.
+	Untombstone(rid RID)
 }
 
 // StorageManager creates Relations. DBCs register additional managers

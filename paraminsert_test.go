@@ -97,3 +97,30 @@ func TestInsertValuesParamsTakeColumnTypes(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertSelectLeavesSourceRowsUntouched: INSERT passes InsertTx its
+// one scratch row, which InsertTx coerces in place, never a source row:
+// INSERT … SELECT over a HEAP table reads the stored rows themselves,
+// and coercing one would rewrite the source table.
+func TestInsertSelectLeavesSourceRowsUntouched(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE src (a INT, b STRING)`)
+	mustExec(t, db, `CREATE TABLE dst (a FLOAT, b STRING)`)
+	mustExec(t, db, `INSERT INTO src VALUES (1, 'x'), (2, 'y')`)
+	mustExec(t, db, `INSERT INTO dst SELECT * FROM src`)
+	for _, q := range []string{`SELECT a FROM src`, `SELECT a FROM dst`} {
+		res := mustExec(t, db, q+` ORDER BY a`)
+		want := datum.TInt
+		if q == `SELECT a FROM dst` {
+			want = datum.TFloat
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("%s: %v", q, res.Rows)
+		}
+		for _, r := range res.Rows {
+			if r[0].Type() != want {
+				t.Fatalf("%s: %v is %s, want %s", q, r[0], datum.TypeName(r[0].Type()), datum.TypeName(want))
+			}
+		}
+	}
+}

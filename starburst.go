@@ -206,6 +206,9 @@ type DB struct {
 	// against. Only tests set either, before running statements.
 	colWidth   int
 	kernelsOff bool
+	// gcHeld, set only by tests, makes runGC do nothing: the version GC
+	// is held back, as an open snapshot would hold it.
+	gcHeld bool
 
 	// obsState holds the observability knobs: metrics registry, phase
 	// tracing, slow-query log (see observe.go).
@@ -252,6 +255,7 @@ func Open(opts ...Option) *DB {
 	for _, opt := range opts {
 		opt(db)
 	}
+	db.recoverStore()
 	db.registerIntrospection()
 	db.describeMetrics()
 	return db

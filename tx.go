@@ -309,9 +309,25 @@ func (db *DB) finishAuto(tx *Tx, err error, ws *obs.WaitSet) error {
 
 // runGC opportunistically drains the version-cleanup queue against the
 // oldest active snapshot. Called after every commit and rollback;
-// cheap when the queue is empty.
+// cheap when the queue is empty. Against a durable store the GC's page
+// deletes run in a WAL group of their own, which writes nothing when
+// nothing is reaped.
 func (db *DB) runGC() {
-	if err := db.cat.RunGC(db.mgr.Horizon()); err != nil {
+	if db.gcHeld {
+		return
+	}
+	horizon := db.mgr.Horizon()
+	if db.store != nil {
+		if err := db.store.BeginReap(); err != nil {
+			return // the store crashed: nothing more can be reaped
+		}
+		defer func() {
+			if err := db.store.CommitStmt(); err != nil {
+				db.metrics.Counter(MetricGCErrors).Inc()
+			}
+		}()
+	}
+	if err := db.cat.RunGC(horizon); err != nil {
 		db.metrics.Counter(MetricGCErrors).Inc()
 	}
 }
