@@ -77,18 +77,19 @@ examples:
 # operator and the per-P pool hands it across goroutines, and DISK
 # scans racing a writer, which switch mid-page from the frozen read to
 # per-record version resolution; the star path's kept join state,
-# top-N and SUBQ fold row re-executed, and the re-searched ISCAN path —
-# a cached or correlated index read searching again into the entry
-# list its parked iterator owns (TestReuse*, TestTopNMatchesFullSort,
-# TestHashJoinMaxMem*); and parked operator trees (TestParked*: the
-# corpus through parked vs fresh trees, two sessions racing for one
-# slot, tree lifecycles, an IXSEARCH fault on a re-search). The storage
+# top-N and SUBQ fold row re-executed, and cached or correlated index
+# reads, each search taking the iterator an earlier one closed
+# (TestReuse*, TestTopNMatchesFullSort, TestHashJoinMaxMem*); and
+# parked operator trees (TestParked*: the corpus through parked vs
+# fresh trees, two sessions racing for one slot, tree lifecycles, an
+# IXSEARCH fault on a parked tree's index read). The storage
 # package runs whole: its one in-memory iterator (HEAP, and FIXED as a
 # HEAP configuration) is scanned through Next and NextCols beside
 # concurrent writers, and rows it handed out must survive them
 # (TestInMemoryScanRacingWriters, TestRetainedRowsSurviveConcurrentWrites,
-# TestInMemoryScanConformance); B-tree and R-tree re-searches race a
-# writer (TestSearchAgainRacingWriter), and B-tree keys a search handed
+# TestInMemoryScanConformance); B-tree and R-tree searches that reuse
+# a closed search's iterator race a writer (TestSearchRacingWriter),
+# and B-tree keys a search handed
 # out must survive a writer splitting and compacting their leaves
 # (TestRetainedEntryKeysSurviveConcurrentWrites). The DISK package
 # runs whole too: pool frames are recycled with their load signal, and

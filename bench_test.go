@@ -19,6 +19,7 @@ import (
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
+	"repro/internal/verify"
 )
 
 // benchDB builds a synthetic quotations/inventory database with the
@@ -678,7 +679,7 @@ func BenchmarkQGMTranslateAndCheck(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := g.Check(); err != nil {
+		if err := verify.Graph(g); err != nil {
 			b.Fatal(err)
 		}
 	}

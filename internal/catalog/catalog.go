@@ -199,9 +199,6 @@ func (c *Catalog) Pin() *Catalog {
 	return p
 }
 
-// Pinned reports whether c is a pinned read view.
-func (c *Catalog) Pinned() bool { return c.pinned != nil }
-
 // Version reports the schema/statistics generation: the pinned
 // generation's on a read view, the live one otherwise.
 func (c *Catalog) Version() int64 { return c.current().version }

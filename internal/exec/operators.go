@@ -139,9 +139,7 @@ type indexScanOp struct {
 	lo, hi  []expr.Expr
 	preds   []expr.Expr
 	it      storage.EntryIterator
-	// spent is the iterator Close closed, for Open to re-aim, and Open
-	// evaluates the bounds into loKey/hiKey: both live with the tree.
-	spent        storage.EntryIterator
+	// Open evaluates the bounds into loKey/hiKey, which live with the tree.
 	loKey, hiKey datum.Row
 }
 
@@ -196,7 +194,7 @@ func (s *indexScanOp) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	s.it, s.spent = storage.SearchAgain(s.at, s.spent, lo, hi), nil
+	s.it = s.at.Search(lo, hi)
 	return nil
 }
 
@@ -233,7 +231,7 @@ func (s *indexScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 func (s *indexScanOp) Close(ctx *Ctx) error {
 	if s.it != nil {
 		s.it.Close()
-		s.spent, s.it = s.it, nil
+		s.it = nil
 	}
 	return nil
 }

@@ -24,7 +24,7 @@ func TestAuditedPlans(t *testing.T) {
 		"DELETE FROM t0 WHERE EXISTS (SELECT 1 FROM t1 WHERE t1.k = t0.k)",
 	}
 	for _, q := range queries {
-		compiled := optimize(t, c, q, func(o *Optimizer) { o.Audit = true })
+		compiled := optimizeConfig(t, c, q, nil, Config{Audit: true})
 		if compiled.Root == nil {
 			t.Errorf("%s: nil plan root", q)
 		}

@@ -30,11 +30,6 @@ type Optimizer struct {
 	// default. Disconnected quantifier sets still get Cartesian
 	// products as a fallback so every query remains plannable.
 	AllowCartesian bool
-	// Audit verifies every chosen plan against the QGM head (arity,
-	// types, required order) and the per-operator shape invariants
-	// before returning it; failures surface as compile errors instead
-	// of wrong results at execution time.
-	Audit bool
 
 	// mu serializes Optimize calls: the memo, graph and trace fields
 	// are per-compilation state. Executing already-compiled plans is
@@ -61,13 +56,15 @@ type Optimizer struct {
 	cfg Config
 }
 
-// Config configures a single compilation; the zero value plans serially
-// with the optimizer-wide defaults.
+// Config configures a single compilation; the zero value plans serially,
+// unaudited, under the optimizer-wide search-space switches.
 type Config struct {
 	// DOP is the degree of parallelism to plan for; <= 1 plans serially.
 	DOP int
-	// Audit verifies this compilation's plan even when the
-	// optimizer-wide Audit default is off.
+	// Audit verifies the chosen plan against the QGM head (arity,
+	// types, required order) and the per-operator shape invariants
+	// before returning it; failures surface as compile errors instead
+	// of wrong results at execution time.
 	Audit bool
 }
 
@@ -84,14 +81,14 @@ func (o *Optimizer) Generator() *Generator { return o.gen }
 
 // Fingerprint summarizes everything on the optimizer's side that can
 // change which plan a compilation under cfg produces for a given QGM, or
-// whether it was verified: the search-space switches, audit mode
-// (optimizer-wide or cfg's), rank pruning, the STAR-array generation
-// and the parallel threshold. Plan caches fold it (together with the
-// degree of parallelism and the rewrite configuration) into their keys,
-// so two compilations share a cache entry only when they would have
-// produced the same plan. Being comparable, it can key a memo.
+// whether it was verified: the search-space switches, cfg's audit mode,
+// rank pruning, the STAR-array generation and the parallel threshold.
+// Plan caches fold it (together with the degree of parallelism and the
+// rewrite configuration) into their keys, so two compilations share a
+// cache entry only when they would have produced the same plan. Being
+// comparable, it can key a memo.
 func (o *Optimizer) Fingerprint(cfg Config) Fingerprint {
-	return Fingerprint{o.AllowBushy, o.AllowCartesian, o.Audit || cfg.Audit, o.gen.MaxRank,
+	return Fingerprint{o.AllowBushy, o.AllowCartesian, cfg.Audit, o.gen.MaxRank,
 		o.gen.Generation(), o.parThreshold.Load()}
 }
 
@@ -176,7 +173,7 @@ func (o *Optimizer) OptimizeConfig(g *qgm.Graph, tr *obs.Trace, cfg Config) (*pl
 			out.OutputTypes = append(out.OutputTypes, hc.Type)
 		}
 	}
-	if o.Audit || cfg.Audit {
+	if cfg.Audit {
 		if rep := verify.Plan(out); rep != nil {
 			return nil, fmt.Errorf("optimizer: plan audit failed: %w", rep)
 		}

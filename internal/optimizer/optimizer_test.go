@@ -15,6 +15,7 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/verify"
 )
 
 // testCatalog builds n tables T0..Tn-1 with columns (K INT, V INT, S
@@ -42,6 +43,12 @@ func testCatalog(t *testing.T, rowCounts ...int64) *catalog.Catalog {
 
 func optimize(t *testing.T, c *catalog.Catalog, src string, tune func(*Optimizer)) *plan.Compiled {
 	t.Helper()
+	return optimizeConfig(t, c, src, tune, Config{})
+}
+
+// optimizeConfig is optimize with the per-compilation configuration cfg.
+func optimizeConfig(t *testing.T, c *catalog.Catalog, src string, tune func(*Optimizer), cfg Config) *plan.Compiled {
+	t.Helper()
 	stmt, err := sql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +64,7 @@ func optimize(t *testing.T, c *catalog.Catalog, src string, tune func(*Optimizer
 	if tune != nil {
 		tune(o)
 	}
-	compiled, err := o.OptimizeConfig(g, nil, Config{})
+	compiled, err := o.OptimizeConfig(g, nil, cfg)
 	if err != nil {
 		t.Fatalf("optimize %q: %v", src, err)
 	}
@@ -412,7 +419,7 @@ func TestChooseEliminatedByCost(t *testing.T) {
 	ch := rewrite.WrapChoose(g, g.Top, alt)
 	g.Top = ch
 	g.GC()
-	if err := g.Check(); err != nil {
+	if err := verify.Graph(g); err != nil {
 		t.Fatal(err)
 	}
 	o := New(c)

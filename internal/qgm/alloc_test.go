@@ -9,7 +9,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/qgm"
 	"repro/internal/sql"
-	_ "repro/internal/verify" // Check runs the deep verifier, as in the engine
+	"repro/internal/verify"
 )
 
 // wideInsert builds a 17-column table and a 50-row literal INSERT into
@@ -70,7 +70,7 @@ func TestLiteralInsertAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := testing.AllocsPerRun(10, func() {
-		if err := g.Check(); err != nil {
+		if err := verify.Graph(g); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -431,91 +431,6 @@ func (b *Box) VisitExprs(f func(loc Loc, e expr.Expr)) {
 	}
 }
 
-// deepVerifier is installed by internal/verify (which cannot be imported
-// from here without a cycle). When present, Check delegates to it so the
-// deep semantic verifier is the single source of truth for QGM validity;
-// the built-in structural pass remains as the fallback for binaries that
-// do not link the verifier.
-var deepVerifier func(*Graph) error
-
-// RegisterVerifier installs the deep verifier Check delegates to.
-func RegisterVerifier(f func(*Graph) error) { deepVerifier = f }
-
-// Check validates consistency: every rule must transform a consistent
-// QGM into another consistent QGM, and the rule engine asserts this
-// between rule firings. When internal/verify is linked in, Check runs
-// its deep semantic verifier; otherwise it runs the structural pass.
-func (g *Graph) Check() error {
-	if deepVerifier != nil {
-		return deepVerifier(g)
-	}
-	return g.StructuralCheck()
-}
-
-// StructuralCheck is the minimal structural consistency pass: box and
-// quantifier registration, range-edge integrity, and resolvability of
-// every column reference in every expression slot (head, predicates,
-// group-by, VALUES rows, table-function arguments, CHOOSE conditions).
-func (g *Graph) StructuralCheck() error {
-	if g.Top == nil {
-		return fmt.Errorf("qgm: graph has no top box")
-	}
-	seen := map[*Box]bool{}
-	for _, b := range g.Boxes {
-		seen[b] = true
-	}
-	if !seen[g.Top] {
-		return fmt.Errorf("qgm: top box not registered")
-	}
-	qids := map[int]bool{}
-	for _, b := range g.Boxes {
-		for _, q := range b.Quants {
-			if qids[q.QID] {
-				return fmt.Errorf("qgm: duplicate quantifier id %d", q.QID)
-			}
-			qids[q.QID] = true
-			if q.Input == nil {
-				return fmt.Errorf("qgm: quantifier %s(q%d) in box %d has no range edge", q.Name, q.QID, b.ID)
-			}
-			if !seen[q.Input] {
-				return fmt.Errorf("qgm: quantifier q%d ranges over unregistered box", q.QID)
-			}
-		}
-	}
-	for _, b := range g.Boxes {
-		for i, p := range b.Preds {
-			if p == nil || p.Expr == nil {
-				return fmt.Errorf("qgm: box %d has a nil predicate (pred[%d])", b.ID, i)
-			}
-		}
-		// Every column reference must resolve to a quantifier visible
-		// in this box or an enclosing one (correlation); visibility is
-		// approximated by existence in the graph.
-		var err error
-		b.VisitExprs(func(loc Loc, e expr.Expr) {
-			if err != nil {
-				return
-			}
-			expr.Walk(e, func(x expr.Expr) bool {
-				if c, ok := x.(*expr.Col); ok && c.QID >= 0 {
-					if !qids[c.QID] {
-						err = fmt.Errorf("qgm: box %d %s references unknown quantifier q%d (%s)", b.ID, loc, c.QID, c.Name)
-						return false
-					}
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
-		}
-		if b.Kind == KindBase && b.Table == nil {
-			return fmt.Errorf("qgm: base box %d has no table", b.ID)
-		}
-	}
-	return nil
-}
-
 // String renders the graph in a stable textual form used by tests and
 // EXPLAIN output; the rendering of a box mirrors Figure 2's elements:
 // head, body iterators with types, and qualifier edges.
@@ -590,15 +505,6 @@ func (b *Box) HeadNames() []string {
 	out := make([]string, len(b.Head))
 	for i, hc := range b.Head {
 		out[i] = hc.Name
-	}
-	return out
-}
-
-// HeadTypes lists a box's output column types.
-func (b *Box) HeadTypes() []datum.TypeID {
-	out := make([]datum.TypeID, len(b.Head))
-	for i, hc := range b.Head {
-		out[i] = hc.Type
 	}
 	return out
 }

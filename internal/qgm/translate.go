@@ -35,9 +35,6 @@ func Translate(cat *catalog.Catalog, stmt *sql.SelectStmt) (*Graph, error) {
 	}
 	t.g.Top = top
 	t.g.GC()
-	if err := t.g.Check(); err != nil {
-		return nil, err
-	}
 	return t.g, nil
 }
 
@@ -1332,7 +1329,7 @@ func translateInsert(cat *catalog.Catalog, s *sql.InsertStmt) (*Graph, error) {
 	t.g.NewQuant(ins, ForEach, "", src)
 	t.g.Top = ins
 	t.g.GC()
-	return t.g, t.g.Check()
+	return t.g, nil
 }
 
 // translateDML compiles UPDATE (sets non-nil) and DELETE into one box of
@@ -1369,7 +1366,7 @@ func translateDML(cat *catalog.Catalog, kind, name, alias string, sets []sql.Set
 	}
 	t.g.Top = box
 	t.g.GC()
-	return t.g, t.g.Check()
+	return t.g, nil
 }
 
 // dmlTarget resolves an UPDATE/DELETE target to a quantifier of box over

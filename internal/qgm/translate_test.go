@@ -634,30 +634,6 @@ func TestUpdateThroughView(t *testing.T) {
 	}
 }
 
-func TestGraphCheckAndGC(t *testing.T) {
-	c := paperCatalog(t)
-	g := translate(t, c, paperQuery)
-	if err := g.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// Damage the graph: predicate referencing a bogus quantifier.
-	bad := &Predicate{Expr: expr.NewCol(999, 0, "ghost", datum.TInt)}
-	g.Top.Preds = append(g.Top.Preds, bad)
-	if err := g.Check(); err == nil {
-		t.Error("Check must detect dangling quantifier refs")
-	}
-	g.Top.Preds = g.Top.Preds[:len(g.Top.Preds)-1]
-
-	// GC: orphan box disappears.
-	orphan := g.NewBox(KindSelect)
-	_ = orphan
-	n := len(g.Boxes)
-	g.GC()
-	if len(g.Boxes) != n-1 {
-		t.Error("GC must remove orphan boxes")
-	}
-}
-
 func TestHostVariableParam(t *testing.T) {
 	c := paperCatalog(t)
 	g := translate(t, c, "SELECT partno FROM quotations WHERE price > :minprice")

@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/qgm"
 	"repro/internal/sql"
+	"repro/internal/verify"
 )
 
 func paperCatalog(t *testing.T, uniquePartno bool) *catalog.Catalog {
@@ -119,7 +120,7 @@ func TestFigure2bRewrite(t *testing.T) {
 			t.Errorf("rewritten QGM missing %q:\n%s", want, s)
 		}
 	}
-	if err := g.Check(); err != nil {
+	if err := verify.Graph(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,7 +342,7 @@ func TestProjectionPushdown(t *testing.T) {
 	if len(inner.Head) != 1 {
 		t.Errorf("inner head = %d cols, want 1 after trim\n%s", len(inner.Head), g)
 	}
-	if err := g.Check(); err != nil {
+	if err := verify.Graph(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -418,7 +419,7 @@ func TestBudgetStopsAtConsistentState(t *testing.T) {
 	if len(trace) != 1 {
 		t.Fatalf("budget 1: fired %d", len(trace))
 	}
-	if err := g.Check(); err != nil {
+	if err := verify.Graph(g); err != nil {
 		t.Fatalf("budget-stopped QGM must be consistent: %v", err)
 	}
 }
@@ -529,7 +530,7 @@ func TestCloneSubgraph(t *testing.T) {
 	if clone.Quants[0].Input != g.Top.Quants[0].Input {
 		t.Error("BASE boxes are shared, not cloned")
 	}
-	if err := g.Check(); err == nil {
+	if verify.Graph(g) == nil {
 		// Check fails only because clone isn't wired to top; wire it
 		// through CHOOSE and the graph must validate.
 		t.Log("graph valid before choose (clone reachable check skipped)")
@@ -537,7 +538,7 @@ func TestCloneSubgraph(t *testing.T) {
 	ch := WrapChoose(g, g.Top, clone)
 	g.Top = ch
 	g.GC()
-	if err := g.Check(); err != nil {
+	if err := verify.Graph(g); err != nil {
 		t.Fatalf("after WrapChoose: %v", err)
 	}
 	if ch.Kind != qgm.KindChoose || len(ch.Quants) != 2 {

@@ -314,7 +314,7 @@ func (t *btree) delete(n *btnode, key datum.Row, rid RID) (found, emptied bool) 
 }
 
 func (t *btree) Search(lo, hi Bound) EntryIterator {
-	return &sliceEntryIterator{from: t, entries: t.fill(lo, hi, nil)}
+	return searchWith(t.fill, lo, hi)
 }
 
 // fill appends the entries in [lo, hi] to out and returns it.

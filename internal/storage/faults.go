@@ -165,13 +165,6 @@ func (fi *FaultInjector) ClearFaults() {
 	fi.faults = nil
 }
 
-// ResetCounts zeroes the per-operation counters.
-func (fi *FaultInjector) ResetCounts() {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	fi.counts = map[CountKey]int64{}
-}
-
 // Counts snapshots the per-(table, op) operation counters.
 func (fi *FaultInjector) Counts() map[CountKey]int64 {
 	fi.mu.Lock()
@@ -570,17 +563,6 @@ func (it *faultEntryIterator) Close() {
 		it.at.fi.iterClosed()
 		it.inner.Close()
 	}
-}
-
-// searchAgain re-opens a closed iterator of at; faults stay per entry.
-func (it *faultEntryIterator) searchAgain(at Attachment, lo, hi Bound) bool {
-	if at != it.at || !it.closed {
-		return false
-	}
-	it.at.fi.iterOpened()
-	it.err, it.closed = nil, false
-	it.inner = SearchAgain(it.at.inner, it.inner, lo, hi)
-	return true
 }
 
 // Err reports the injected error that terminated the search, if any.

@@ -1,9 +1,10 @@
 package storage
 
-// Re-searching a closed index iterator (SearchAgain): a re-aimed
-// iterator must answer exactly what a fresh Search answers, whatever
-// the tree went through in between, and the fault wrappers must close
-// what they wrap exactly once.
+// Searching an index again: the B-tree and R-tree recycle the iterator a
+// closed search handed out, and a search that gets a recycled iterator
+// must answer exactly what one with a new entry list answers, whatever
+// the tree went through in between. The fault wrappers must close what
+// they wrap exactly once.
 
 import (
 	"fmt"
@@ -74,24 +75,40 @@ func researchCases() []researchCase {
 	}
 }
 
-// TestSearchAgainMatchesFreshSearch interleaves inserts (enough to
-// split B-tree leaves and R-tree nodes), deletes and searches; every
-// re-search of the closed iterator must return spent itself, holding
-// exactly what a fresh Search returns, bare and behind a fault wrapper.
-// An iterator of another attachment, an open wrapped iterator, or a
-// bare one offered to the wrapper falls back to a fresh search.
-func TestSearchAgainMatchesFreshSearch(t *testing.T) {
+// freshEntries is at's answer to [lo, hi] in a new entry list, not in
+// a recycled iterator's.
+func freshEntries(at Attachment, lo, hi Bound) []Entry {
+	return UnwrapAttachment(at).(interface {
+		fill(lo, hi Bound, out []Entry) []Entry
+	}).fill(lo, hi, nil)
+}
+
+// bareIterator peels the fault wrapper off it.
+func bareIterator(it EntryIterator) EntryIterator {
+	if f, ok := it.(*faultEntryIterator); ok {
+		return f.inner
+	}
+	return it
+}
+
+// TestSearchAfterCloseMatchesFreshSearch interleaves inserts (enough to
+// split B-tree leaves and R-tree nodes), deletes and searches. Each
+// round first leaves a whole-index search part-read and closed, so the
+// next Search can get its iterator back, entries and position and all;
+// that search must hold exactly what a new entry list holds, bare and
+// behind a fault wrapper. Most rounds must in fact reuse the iterator.
+func TestSearchAfterCloseMatchesFreshSearch(t *testing.T) {
 	for _, c := range researchCases() {
 		for _, wrapped := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/wrapped=%t", c.name, wrapped), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
 				fi := NewFaultInjector()
-				at, other := c.newAt(t), c.newAt(t)
+				at := c.newAt(t)
 				if wrapped {
 					at = fi.WrapAttachment("t", at)
 				}
 				var live []Entry
-				var spent EntryIterator
+				reused := 0
 				for round := 0; round < 200; round++ {
 					for i := rng.Intn(40); i > 0; i-- {
 						e := Entry{Key: c.key(rng), RID: RID{Page: int32(round), Slot: int32(i)}}
@@ -108,80 +125,166 @@ func TestSearchAgainMatchesFreshSearch(t *testing.T) {
 						live[j] = live[len(live)-1]
 						live = live[:len(live)-1]
 					}
+					spent := at.Search(Unbounded, Unbounded)
+					spent.Next()
+					spent.Close()
 					lo, hi := c.bounds(rng)
-					fresh := at.Search(lo, hi)
-					want := drain(fresh)
-					fresh.Close()
-					it := SearchAgain(at, spent, lo, hi)
-					if spent != nil && it != spent {
-						t.Fatalf("round %d: a closed iterator of the attachment was not re-aimed", round)
+					want := freshEntries(at, lo, hi)
+					it := at.Search(lo, hi)
+					if bareIterator(it) == bareIterator(spent) {
+						reused++
 					}
 					if got := drain(it); !sameEntries(got, want) {
-						t.Fatalf("round %d %v..%v: re-search returned %d entries, fresh search %d", round, lo, hi, len(got), len(want))
-					}
-					if wrapped {
-						if open := SearchAgain(at, it, lo, hi); open == it {
-							t.Fatalf("round %d: an open wrapped iterator was re-aimed", round)
-						} else {
-							open.Close()
-						}
+						t.Fatalf("round %d %v..%v: search after a close returned %d entries, a new list %d", round, lo, hi, len(got), len(want))
 					}
 					it.Close()
-					// Another attachment's iterator is no spent iterator of at.
-					foreign := other.Search(Unbounded, Unbounded)
-					foreign.Close()
-					if got := SearchAgain(at, foreign, lo, hi); got == foreign {
-						t.Fatalf("round %d: an iterator of another attachment was re-aimed", round)
-					} else {
-						got.Close()
-					}
-					spent = it
 				}
-				if wrapped {
-					if bare := SearchAgain(at.(*FaultAttachment).Unwrap(), spent, Unbounded, Unbounded); bare == spent {
-						t.Fatal("a wrapped iterator was re-aimed at the bare attachment")
-					}
-					if n := fi.OpenIterators(); n != 0 {
-						t.Fatalf("%d wrapped iterators left open", n)
-					}
+				if reused < 100 {
+					t.Fatalf("%d of 200 searches reused the closed iterator", reused)
+				}
+				if n := fi.OpenIterators(); n != 0 {
+					t.Fatalf("%d wrapped iterators left open", n)
 				}
 			})
 		}
 	}
 }
 
-// TestSearchAgainAllocatesNothing: once a B-tree search's entry list
-// has grown to its range, re-searching the range allocates nothing.
-func TestSearchAgainAllocatesNothing(t *testing.T) {
+// TestSearchAllocatesNothing: after one warm-up search, a B-tree point
+// lookup and a 10,000-entry range each allocate nothing, read to the
+// end and closed; an R-tree window allocates only its two window
+// slices.
+func TestSearchAllocatesNothing(t *testing.T) {
 	bt := newBTree(t, false)
-	for i := 0; i < 2000; i++ {
-		if err := bt.Insert(intRow(int64(i%100)), RID{Page: int32(i)}); err != nil {
+	for i := 0; i < 20000; i++ {
+		if err := bt.Insert(intRow(int64(i%2000)), RID{Page: int32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lo, hi := Include(intRow(10)), Include(intRow(30))
-	spent := bt.Search(lo, hi)
-	spent.Close()
-	allocs := testing.AllocsPerRun(50, func() {
-		it := SearchAgain(bt, spent, lo, hi)
-		n := 0
-		for _, ok := it.Next(); ok; _, ok = it.Next() {
-			n++
+	rt := newRTree(t)
+	for i := 0; i < 2000; i++ {
+		if err := rt.Insert(pt(float64(i%50), float64(i/50)), RID{Page: int32(i)}); err != nil {
+			t.Fatal(err)
 		}
-		if n != 21*20 {
-			t.Fatalf("%d entries, want %d", n, 21*20)
+	}
+	search := func(at Attachment, lo, hi Bound, want int) func() {
+		return func() {
+			it := at.Search(lo, hi)
+			n := 0
+			for _, ok := it.Next(); ok; _, ok = it.Next() {
+				n++
+			}
+			it.Close()
+			if n != want {
+				t.Fatalf("%d entries, want %d", n, want)
+			}
 		}
-		it.Close()
-	})
-	if allocs != 0 {
-		t.Fatalf("re-search allocated %.0f objects, want none", allocs)
+	}
+	for _, c := range []struct {
+		name   string
+		search func()
+		max    float64
+	}{
+		{"btree point", search(bt, Include(intRow(777)), Include(intRow(777)), 10), 0},
+		{"btree range", search(bt, Include(intRow(100)), Exclude(intRow(1100)), 10000), 0},
+		{"rtree window", search(rt, Include(pt(10, 10)), Include(pt(19, 19)), 100), 2},
+	} {
+		if n := testing.AllocsPerRun(20, c.search); n > c.max {
+			t.Errorf("%s: a search allocated %.0f objects, want at most %.0f", c.name, n, c.max)
+		}
 	}
 }
 
-// TestSearchAgainRacingWriter: re-searches racing a writer that splits
-// and shrinks the tree each see a consistent range: in bounds and (for
-// the B-tree) in key order.
-func TestSearchAgainRacingWriter(t *testing.T) {
+// TestCloseTwiceRecyclesOnce: an iterator closed twice goes back to the
+// pool once, so two searches open at the same time after it never
+// share one iterator, and each answers its own range.
+func TestCloseTwiceRecyclesOnce(t *testing.T) {
+	bt := newBTree(t, false)
+	for i := 0; i < 100; i++ {
+		if err := bt.Insert(intRow(int64(i)), RID{Page: int32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		it := bt.Search(Unbounded, Unbounded)
+		it.Close()
+		it.Close()
+		a := bt.Search(Include(intRow(10)), Include(intRow(19)))
+		b := bt.Search(Include(intRow(50)), Include(intRow(54)))
+		if a == b {
+			t.Fatalf("round %d: two open searches share one iterator", round)
+		}
+		if ka, kb := collectKeys(t, a), collectKeys(t, b); len(ka) != 10 || ka[0] != 10 || len(kb) != 5 || kb[0] != 50 {
+			t.Fatalf("round %d: searches returned %v and %v", round, ka, kb)
+		}
+	}
+}
+
+// TestKeptIteratorsBounded: of many iterators closed at once, at most
+// maxFreeIters wait for reuse, and one whose entry list outgrew
+// maxKeptEntries is not kept at all.
+func TestKeptIteratorsBounded(t *testing.T) {
+	bt := newBTree(t, false)
+	for i := 0; i < 2*maxKeptEntries; i++ {
+		if err := bt.Insert(intRow(int64(i)), RID{Page: int32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := make([]EntryIterator, 2*maxFreeIters)
+	for i := range open {
+		open[i] = bt.Search(Include(intRow(int64(i))), Include(intRow(int64(i))))
+	}
+	for _, it := range open {
+		it.Close()
+	}
+	entryIters.Lock()
+	kept := len(entryIters.free)
+	entryIters.Unlock()
+	if kept != maxFreeIters {
+		t.Fatalf("%d iterators kept, want %d", kept, maxFreeIters)
+	}
+	long := bt.Search(Unbounded, Unbounded)
+	long.Close()
+	it := bt.Search(Unbounded, Exclude(intRow(0)))
+	it.Close()
+	if it == long {
+		t.Fatal("an iterator that held every entry was kept")
+	}
+}
+
+// TestIterErrAfterClose: IterErr stays valid on a closed iterator: nil
+// for a recycled B-tree or R-tree iterator, and a fault wrapper's
+// injected error still.
+func TestIterErrAfterClose(t *testing.T) {
+	for _, at := range []Attachment{newBTree(t, false), newRTree(t)} {
+		key := intRow(1)
+		if _, ok := at.(*rtree); ok {
+			key = pt(1, 1)
+		}
+		if err := at.Insert(key, RID{}); err != nil {
+			t.Fatal(err)
+		}
+		it := at.Search(Unbounded, Unbounded)
+		drain(it)
+		it.Close()
+		if err := IterErr(it); err != nil {
+			t.Fatalf("%T: IterErr after Close: %v", at, err)
+		}
+		fi := NewFaultInjector()
+		fi.Add(&Fault{Table: "t", Op: FaultIxSearch, Err: "boom"})
+		it = fi.WrapAttachment("t", at).Search(Unbounded, Unbounded)
+		drain(it)
+		it.Close()
+		if err := IterErr(it); err == nil {
+			t.Fatalf("%T: a faulted search reads clean after Close", at)
+		}
+	}
+}
+
+// TestSearchRacingWriter: searches racing a writer that splits and
+// shrinks the tree, each taking the iterator the last one closed, see a
+// consistent range: in bounds and (for the B-tree) in key order.
+func TestSearchRacingWriter(t *testing.T) {
 	for _, c := range researchCases() {
 		t.Run(c.name, func(t *testing.T) {
 			at := c.newAt(t)
@@ -210,10 +313,9 @@ func TestSearchAgainRacingWriter(t *testing.T) {
 				}
 			}()
 			rng := rand.New(rand.NewSource(4))
-			var spent EntryIterator
 			for i := 0; i < 300; i++ {
 				lo, hi := c.bounds(rng)
-				it := SearchAgain(at, spent, lo, hi)
+				it := at.Search(lo, hi)
 				var prev datum.Row
 				for _, e := range drain(it) {
 					if c.name == "btree" {
@@ -227,7 +329,6 @@ func TestSearchAgainRacingWriter(t *testing.T) {
 					}
 				}
 				it.Close()
-				spent = it
 			}
 			wg.Wait()
 		})

@@ -274,7 +274,7 @@ func (t *rtree) delete(n *rtNode, box rect, rid RID) bool {
 // window-predicate extraction; exclusive spatial bounds are re-checked
 // by the residual predicate at execution.
 func (t *rtree) Search(lo, hi Bound) EntryIterator {
-	return &sliceEntryIterator{from: t, entries: t.fill(lo, hi, nil)}
+	return searchWith(t.fill, lo, hi)
 }
 
 // fill appends the entries in the window [lo, hi] to out and returns it.
@@ -327,38 +327,3 @@ func (t *rtree) Len() int64 {
 	defer t.mu.RUnlock()
 	return t.size
 }
-
-// filler is an attachment whose search materializes its answer: fill
-// appends the entries in [lo, hi] to out.
-type filler interface {
-	Attachment
-	fill(lo, hi Bound, out []Entry) []Entry
-}
-
-// sliceEntryIterator streams the entry list a search of from
-// materialized; it owns the list, and re-searching from refills it.
-type sliceEntryIterator struct {
-	from    filler
-	entries []Entry
-	i       int
-}
-
-func (it *sliceEntryIterator) searchAgain(at Attachment, lo, hi Bound) bool {
-	if at != it.from {
-		return false
-	}
-	it.entries, it.i = it.from.fill(lo, hi, it.entries[:0]), 0
-	return true
-}
-
-func (it *sliceEntryIterator) Next() (Entry, bool) {
-	if it.i >= len(it.entries) {
-		return Entry{}, false
-	}
-	e := it.entries[it.i]
-	it.i++
-	return e, true
-}
-
-// Close empties the list but keeps its capacity for a re-search.
-func (it *sliceEntryIterator) Close() { clear(it.entries); it.entries = it.entries[:0] }

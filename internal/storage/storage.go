@@ -202,7 +202,10 @@ type Entry struct {
 }
 
 // EntryIterator streams index entries in key order (where the access
-// method is ordered).
+// method is ordered). A caller must not use an iterator after Close,
+// except that IterErr(it) stays valid: it returns nil for the B-tree's
+// and R-tree's own iterators, which Close hands back for reuse, and a
+// fault wrapper's error as before.
 type EntryIterator interface {
 	Next() (Entry, bool)
 	Close()
@@ -226,20 +229,68 @@ type Attachment interface {
 	Len() int64
 }
 
-// reSearcher is an entry iterator that searchAgain re-aims, once
-// closed, at a search of the attachment it came from (else false).
-type reSearcher interface {
-	searchAgain(at Attachment, lo, hi Bound) bool
+// entryIters holds closed B-tree and R-tree iterators, newest on top,
+// for later searches to reuse: Search takes one, Close gives it back,
+// so a search whose entry list has grown to its range once allocates
+// nothing. It is a bounded stack, not a sync.Pool: under the race
+// detector a Pool drops a quarter of what it is given, and a correlated
+// index scan searches once per outer row. At most maxFreeIters wait,
+// none with room for more than maxKeptEntries entries, so the stack
+// pins at most 8 MiB.
+var entryIters struct {
+	sync.Mutex
+	free []*sliceEntryIterator
 }
 
-// SearchAgain is at.Search(lo, hi) for a caller holding spent, a closed
-// iterator of an earlier search of at: it refills spent's entry list and
-// returns spent when spent can be re-aimed, else falls back to Search.
-func SearchAgain(at Attachment, spent EntryIterator, lo, hi Bound) EntryIterator {
-	if r, ok := spent.(reSearcher); ok && r.searchAgain(at, lo, hi) {
-		return spent
+const maxFreeIters, maxKeptEntries = 16, 1 << 14
+
+// sliceEntryIterator streams the entry list a search materialized into
+// it; the list keeps its capacity from one search to the next.
+type sliceEntryIterator struct {
+	entries []Entry
+	i       int
+	closed  bool
+}
+
+// searchWith returns a recycled iterator holding the entries fill
+// appends for [lo, hi].
+func searchWith(fill func(lo, hi Bound, out []Entry) []Entry, lo, hi Bound) EntryIterator {
+	var it *sliceEntryIterator
+	entryIters.Lock()
+	if n := len(entryIters.free); n > 0 {
+		it, entryIters.free[n-1] = entryIters.free[n-1], nil
+		entryIters.free = entryIters.free[:n-1]
 	}
-	return at.Search(lo, hi)
+	entryIters.Unlock()
+	if it == nil {
+		it = new(sliceEntryIterator)
+	}
+	it.entries, it.closed = fill(lo, hi, it.entries), false
+	return it
+}
+
+func (it *sliceEntryIterator) Next() (Entry, bool) {
+	if it.i >= len(it.entries) {
+		return Entry{}, false
+	}
+	e := it.entries[it.i]
+	it.i++
+	return e, true
+}
+
+// Close empties the list, so no key cell stays pinned, and gives the
+// iterator back once, however often it is called.
+func (it *sliceEntryIterator) Close() {
+	if it.closed {
+		return
+	}
+	clear(it.entries)
+	it.entries, it.i, it.closed = it.entries[:0], 0, true
+	entryIters.Lock()
+	if len(entryIters.free) < maxFreeIters && cap(it.entries) <= maxKeptEntries {
+		entryIters.free = append(entryIters.free, it)
+	}
+	entryIters.Unlock()
 }
 
 // AccessMethodCaps describes what an access method can do; the

@@ -141,9 +141,6 @@ func NewManager() *Manager {
 	return &Manager{active: map[int64]*Txn{}}
 }
 
-// Watermark reports the newest committed timestamp.
-func (m *Manager) Watermark() int64 { return m.watermark.Load() }
-
 // Begin opens a transaction with a fresh snapshot at the current
 // watermark and registers it in the active set (which pins the GC
 // horizon at or below its snapshot). It must never run under the

@@ -2,18 +2,16 @@
 // query evaluation plans. Starburst's extensibility bet — arbitrary
 // parties adding rewrite rules and STARs — only works if the system can
 // prove each transformation left the QGM semantically well-formed, so
-// this package goes far beyond the structural pass in
-// qgm.StructuralCheck: head-column type consistency, column-ordinal
-// bounds, quantifier scoping and reachability, acyclicity (modulo
-// recursive unions), distinct-mode legality, setformer/quantifier type
-// legality, dangling-box and orphan-QID detection, and
-// aggregate/group-by placement. Every violation carries a
+// this package checks far more than structure: head-column type
+// consistency, column-ordinal bounds, quantifier scoping and
+// reachability, acyclicity (modulo recursive unions), distinct-mode
+// legality, setformer/quantifier type legality, dangling-box and
+// orphan-QID detection, and aggregate/group-by placement. Every violation carries a
 // box/quantifier path, not just a boolean.
 //
-// Importing this package (directly or via internal/rewrite) installs it
-// as the deep verifier behind qgm.(*Graph).Check, making it the single
-// source of truth for QGM validity wherever the rewrite engine is
-// linked.
+// It is the one QGM verifier: the engine's compile step runs Graph on
+// every translated statement, and the rewrite engine's audit mode runs
+// it after every rule firing.
 package verify
 
 import (
@@ -24,15 +22,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/qgm"
 )
-
-func init() {
-	qgm.RegisterVerifier(func(g *qgm.Graph) error {
-		if rep := Graph(g); rep != nil {
-			return rep
-		}
-		return nil
-	})
-}
 
 // Violation classes. Tests assert on these, so they are stable API.
 const (
@@ -94,21 +83,6 @@ func (r *Report) Has(class string) bool {
 		}
 	}
 	return false
-}
-
-// AsReport extracts a *Report from an error chain, or nil.
-func AsReport(err error) *Report {
-	for err != nil {
-		if r, ok := err.(*Report); ok {
-			return r
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil
-		}
-		err = u.Unwrap()
-	}
-	return nil
 }
 
 // Graph runs every semantic pass over g and returns the collected

@@ -201,22 +201,3 @@ func TestCorruptions(t *testing.T) {
 		})
 	}
 }
-
-// TestCheckDelegates: qgm.Graph.Check must report deep violations once
-// the verify package is linked (its init registers the deep verifier).
-func TestCheckDelegates(t *testing.T) {
-	c := paperCatalog(t)
-	g := translate(t, c, paperQuery)
-	firstCol(t, g.Top).Ord = 99
-	err := g.Check()
-	if err == nil {
-		t.Fatal("Check missed the corrupted ordinal")
-	}
-	rep := verify.AsReport(err)
-	if rep == nil {
-		t.Fatalf("Check returned %T, want *verify.Report", err)
-	}
-	if !rep.Has(verify.ClassOrdinal) {
-		t.Fatalf("want ordinal violation, got:\n%v", rep)
-	}
-}

@@ -590,9 +590,10 @@ func TestDroppedStmtReleasesTree(t *testing.T) {
 
 // TestParkedIndexScanFaultOnReSearch: an IXSEARCH fault armed to fire
 // past one execution's worth of index reads fires on the second
-// execution of a prepared ISCAN statement — the one that re-searches
-// into the parked tree's closed iterator — fails it with a FaultError,
-// leaks no iterator, and the next execution answers as before.
+// execution of a prepared ISCAN statement — the one that runs the
+// parked tree, whose ISCAN searches again on Open — fails it with a
+// FaultError, leaks no iterator, and the next execution answers as
+// before.
 func TestParkedIndexScanFaultOnReSearch(t *testing.T) {
 	db := acctDB(t, 20)
 	db.InjectFaults()

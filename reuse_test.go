@@ -391,8 +391,8 @@ func TestReuseIndexScanPointLookup(t *testing.T) {
 // re-opens its inner ISCAN once per outer row, each time over another
 // branch. What forty outer rows cost over one — thirty-nine re-opens,
 // with their subquery-cache entries — is the same whether a branch
-// holds 20 or 160 accounts: a re-open searches into the list the
-// operator already owns.
+// holds 20 or 160 accounts: a re-open's search takes the iterator,
+// and the entry list, the last one closed.
 func TestReuseIndexScanCorrelatedReopen(t *testing.T) {
 	perReopens := func(perBranch int) uint64 {
 		db := acctDB(t, perBranch)

@@ -23,6 +23,7 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/verify"
 )
 
 // robustDB builds the fixture schema for the robustness tests: items
@@ -343,7 +344,7 @@ func faultMatrixCases() []mcase {
 				}
 				g.Top = ch
 				g.GC()
-				if err := g.Check(); err != nil {
+				if err := verify.Graph(g); err != nil {
 					t.Fatal(err)
 				}
 				compiled, err := db.opt.OptimizeConfig(g, nil, optimizer.Config{})

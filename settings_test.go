@@ -120,9 +120,6 @@ func TestAuditIsPerStatement(t *testing.T) {
 			t.Fatalf("round %d, audited: want *AuditError naming drop-distinct, got %v", i, err)
 		}
 	}
-	if db.opt.Audit {
-		t.Fatal("a session's audit setting leaked into the optimizer-wide default")
-	}
 }
 
 // TestSettingsSwapUnderLoad: one goroutine keeps replacing the DB's
@@ -260,7 +257,6 @@ func TestFingerprintMemoFollowsEveryInput(t *testing.T) {
 		}, true, false},
 		{"AllowBushy", db, func() { db.Optimizer().AllowBushy = true }, true, true},
 		{"AllowCartesian", db, func() { db.Optimizer().AllowCartesian = true }, true, true},
-		{"optimizer Audit", db, func() { db.Optimizer().Audit = true }, true, true},
 		{"MaxRank", db, func() { db.Optimizer().Generator().MaxRank = 100 }, true, true},
 		{"STAR registration", db, func() { db.AddSTARAlternative("NEVER", &STARAlternative{Name: "never", Condition: never}) }, true, true},
 		{"parallel threshold", db, func() { db.opt.SetParallelThreshold(7) }, true, true},

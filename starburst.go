@@ -49,6 +49,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
 	"repro/internal/txn"
+	"repro/internal/verify"
 )
 
 // Re-exported core types, so DBC extensions are written against the
@@ -709,6 +710,11 @@ func (s *Stmt) Plan() string {
 func (db *DB) compile(cat *catalog.Catalog, stmt sql.Statement, phase *string, tr *obs.Trace, set *Settings, explain *strings.Builder) (*plan.Compiled, error) {
 	t0 := time.Now()
 	g, err := qgm.TranslateStatement(cat, stmt)
+	if err == nil {
+		if rep := verify.Graph(g); rep != nil {
+			err = rep
+		}
+	}
 	tr.AddPhase(obs.PhaseParse, time.Since(t0)) // semantic analysis counts as parsing
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/verify"
 )
 
 // paperDB builds the quotations/inventory database of the paper's
@@ -906,7 +907,7 @@ func TestRuntimeChoose(t *testing.T) {
 	}
 	g.Top = ch
 	g.GC()
-	if err := g.Check(); err != nil {
+	if err := verify.Graph(g); err != nil {
 		t.Fatal(err)
 	}
 	compiled, err := db.opt.OptimizeConfig(g, nil, optimizer.Config{})
