@@ -28,16 +28,15 @@ race:
 # lint runs the project-specific analyzer suite (see cmd/starburst-lint
 # and DESIGN.md "Static analysis") over every module package, then the
 # analyzer fixture self-tests. The suite covers the original rules (qgm
-# mutation discipline, complete rewrite.Rule literals, no raw
-# datum.Value comparison, no naked panic in the execution engine,
-# worker-safe Ctx writes, the context-first statement core) plus the
+# mutation discipline, no reflect.DeepEqual over datum.Value, no naked
+# panic in the execution engine, the context-first statement core) plus the
 # call-graph concurrency contracts: lock-discipline over the
 # starburst:locks annotations, goroutine-hygiene (joined goroutines, select-guarded
 # sends), error-discard (Close/IterErr/Rollback propagation),
 # budget-tick (row loops charge the execution budget), wait-event
 # (starburst:waits-annotated blocking sites must record the declared
 # wait events), and vector-boxing (columnar kernels stay unboxed and
-# respect the selection vector) — 12 rules. Findings are suppressible
+# respect the selection vector) — 10 rules. Findings are suppressible
 # only with a justified //lint:ignore.
 lint:
 	$(GO) run ./cmd/starburst-lint ./...

@@ -44,10 +44,8 @@ type analyzer struct {
 // not depend on it — diagnostics are globally sorted by position.
 var analyzers = []*analyzer{
 	qgmMutationAnalyzer,
-	ruleLiteralAnalyzer,
 	datumCompareAnalyzer,
 	execPanicAnalyzer,
-	ctxSharedAnalyzer,
 	apiBypassAnalyzer,
 	lockDisciplineAnalyzer,
 	goroutineHygieneAnalyzer,

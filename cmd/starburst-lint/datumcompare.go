@@ -2,24 +2,22 @@ package main
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// datum-compare flags every way of comparing datum.Values that bypasses
-// SQL semantics: == and != where either operand is a datum.Value,
-// reflect.DeepEqual over a type that contains one (Row and []Row
-// included), and map types keyed by a datum.Value or by a struct or
-// array that contains one. A Value is a tag, one 8-byte payload and one
-// pointer, and a STRING keeps its data pointer there, so all three
-// compare two equal strings by address: the answer is silently wrong
-// rather than a panic. They also ignore NULL and INT-vs-FLOAT promotion.
-// Code must go through datum.Compare / datum.Equal / datum.Identical,
-// and key maps by datum.RowKey or datum.Hash. The datum package itself
-// is exempt — it implements those primitives.
+// datum-compare flags reflect.DeepEqual over a type that contains a
+// datum.Value (Row and []Row included). A Value is a tag, one 8-byte
+// payload and one pointer, and a STRING keeps its data pointer there,
+// so DeepEqual compares two equal strings by address: the answer is
+// silently wrong rather than a panic. It also ignores NULL and
+// INT-vs-FLOAT promotion. Code must go through datum.Equal /
+// datum.RowsEqual / datum.Identical. == and != on Values, and map keys
+// holding one, need no rule: Value is not comparable, so the compiler
+// rejects them. The datum package itself is exempt — it implements
+// those primitives.
 var datumCompareAnalyzer = &analyzer{
 	name: "datum-compare",
-	doc:  "no ==, !=, reflect.DeepEqual or map keys on datum.Value; use datum.Compare / datum.Equal / datum.RowKey",
+	doc:  "no reflect.DeepEqual over datum.Value; use datum.Equal / datum.RowsEqual",
 	run:  runDatumCompare,
 }
 
@@ -38,38 +36,23 @@ func runDatumCompare(p *pass) {
 	}
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BinaryExpr:
-				if n.Op != token.EQL && n.Op != token.NEQ {
-					return true
-				}
-				for _, operand := range []ast.Expr{n.X, n.Y} {
-					if tv, ok := p.info.Types[operand]; ok && isValue(tv.Type) {
-						p.report(n.OpPos,
-							"datum.Value compared with %s; use datum.Compare or datum.Equal, which check the types first", n.Op)
-						break
-					}
-				}
-			case *ast.CallExpr:
-				se, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := p.info.Uses[se.Sel].(*types.Func)
-				if !ok || fn.Name() != "DeepEqual" || fn.Pkg() == nil || fn.Pkg().Path() != "reflect" {
-					return true
-				}
-				for _, arg := range n.Args {
-					if tv, ok := p.info.Types[arg]; ok && containsValue(tv.Type, isValue, true, map[types.Type]bool{}) {
-						p.report(n.Lparen,
-							"reflect.DeepEqual over %s, which holds datum.Values: STRING payloads compare by address; use datum.Equal / datum.RowsEqual", shortType(tv.Type))
-						break
-					}
-				}
-			case *ast.MapType:
-				if tv, ok := p.info.Types[n.Key]; ok && containsValue(tv.Type, isValue, false, map[types.Type]bool{}) {
-					p.report(n.Map,
-						"map keyed by %s, which holds datum.Values: STRING payloads compare by address; key by datum.RowKey or datum.Hash", shortType(tv.Type))
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			se, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := p.info.Uses[se.Sel].(*types.Func)
+			if !ok || fn.Name() != "DeepEqual" || fn.Pkg() == nil || fn.Pkg().Path() != "reflect" {
+				return true
+			}
+			for _, arg := range call.Args {
+				if tv, ok := p.info.Types[arg]; ok && containsValue(tv.Type, isValue, map[types.Type]bool{}) {
+					p.report(call.Lparen,
+						"reflect.DeepEqual over %s, which holds datum.Values: STRING payloads compare by address; use datum.Equal / datum.RowsEqual", shortType(tv.Type))
+					break
 				}
 			}
 			return true
@@ -77,10 +60,10 @@ func runDatumCompare(p *pass) {
 	}
 }
 
-// containsValue reports whether t holds a datum.Value inline: itself,
-// in a struct field or as an array element, and — when deep, as
-// reflect.DeepEqual follows them — behind pointers, slices and maps.
-func containsValue(t types.Type, isValue func(types.Type) bool, deep bool, seen map[types.Type]bool) bool {
+// containsValue reports whether t reaches a datum.Value the way
+// reflect.DeepEqual follows it: itself, in a struct field or array
+// element, and behind pointers, slices and maps.
+func containsValue(t types.Type, isValue func(types.Type) bool, seen map[types.Type]bool) bool {
 	if isValue(t) {
 		return true
 	}
@@ -91,18 +74,18 @@ func containsValue(t types.Type, isValue func(types.Type) bool, deep bool, seen 
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			if containsValue(u.Field(i).Type(), isValue, deep, seen) {
+			if containsValue(u.Field(i).Type(), isValue, seen) {
 				return true
 			}
 		}
 	case *types.Array:
-		return containsValue(u.Elem(), isValue, deep, seen)
+		return containsValue(u.Elem(), isValue, seen)
 	case *types.Slice:
-		return deep && containsValue(u.Elem(), isValue, deep, seen)
+		return containsValue(u.Elem(), isValue, seen)
 	case *types.Pointer:
-		return deep && containsValue(u.Elem(), isValue, deep, seen)
+		return containsValue(u.Elem(), isValue, seen)
 	case *types.Map:
-		return deep && (containsValue(u.Key(), isValue, deep, seen) || containsValue(u.Elem(), isValue, deep, seen))
+		return containsValue(u.Key(), isValue, seen) || containsValue(u.Elem(), isValue, seen)
 	}
 	return false
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -243,5 +244,61 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 	if a == "" {
 		t.Error("expected the goroutinehygiene fixture to produce diagnostics")
+	}
+}
+
+// TestRuleListsAgree: the analyzers registry, the fixture packages and
+// README's rule bullets name the same rules. A fixture directory is its
+// rule's name without dashes, optionally with a suffix for a second
+// fixture of the same rule (errordiscardfs).
+func TestRuleListsAgree(t *testing.T) {
+	var registry []string
+	for _, a := range analyzers {
+		registry = append(registry, a.name)
+	}
+	slices.Sort(registry)
+
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		if !slices.ContainsFunc(registry, func(name string) bool {
+			return strings.HasPrefix(e.Name(), strings.ReplaceAll(name, "-", ""))
+		}) {
+			t.Errorf("fixture testdata/src/%s belongs to no registered analyzer", e.Name())
+		}
+		fixtures[e.Name()] = true
+	}
+	for _, name := range registry {
+		if !fixtures[strings.ReplaceAll(name, "-", "")] {
+			t.Errorf("analyzer %s has no fixture testdata/src/%s", name, strings.ReplaceAll(name, "-", ""))
+		}
+	}
+
+	modRoot, _, err := findModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile(filepath.Join(modRoot, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Static checks: starburst-lint\n")
+	if !ok {
+		t.Fatal(`README.md has no "## Static checks: starburst-lint" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var documented []string
+	for _, m := range regexp.MustCompile(`(?m)^- \*\*([-a-z]+)\*\* —`).FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+	slices.Sort(documented)
+	if !slices.Equal(documented, registry) {
+		t.Errorf("README's rule bullets %v differ from the analyzers registry %v", documented, registry)
 	}
 }

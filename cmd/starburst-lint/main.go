@@ -2,23 +2,20 @@
 // Starburst reproduction: a small analyzer framework built on
 // go/parser and go/types (standard library only — no external analysis
 // frameworks), with a module-wide static call graph, that enforces
-// invariants the Go compiler cannot express. Each analyzer is a named
-// rule producing positioned diagnostics:
+// invariants the Go compiler cannot express (those it can — no == or
+// map keys on datum.Value, no plain write of a statement-wide exec.Ctx
+// counter — are left to it). Each analyzer is a named rule producing
+// positioned diagnostics:
 //
 //   - qgm-mutation: Box.Quants and Graph.Boxes must not be assigned
 //     directly outside internal/qgm; use the helper methods so the
 //     quantifier registry and GC reachability stay consistent.
-//   - rule-literal: every rewrite.Rule composite literal must supply
-//     both Condition and Action.
-//   - datum-compare: datum.Value must not be compared with == or !=,
-//     passed (or a Row holding it) to reflect.DeepEqual, or used in a
-//     map key — a STRING Value holds a data pointer, so all three
-//     compare equal strings by address; use datum.Compare / datum.Equal
-//     / datum.RowKey.
+//   - datum-compare: datum.Value must not be passed (or a Row holding
+//     it) to reflect.DeepEqual — a STRING Value holds a data pointer,
+//     which reflection compares by address; use datum.Equal /
+//     datum.RowsEqual.
 //   - exec-panic: no naked panic in internal/exec — operators return
 //     errors through the Stream.
-//   - ctx-shared-mutation: only the serial-only operator set may write
-//     non-atomic statement-wide Ctx fields.
 //   - api-bypass: in the root package, only the statement core
 //     (*DB).query may call sql.Parse, and only the transaction
 //     constructor (*DB).beginTx may mint transactions via

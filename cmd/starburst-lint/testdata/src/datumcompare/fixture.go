@@ -1,8 +1,7 @@
 //lintfixture:path repro/fixdatum
 
-// Package fixdatum seeds datum-compare violations: == / != on
-// datum.Value, reflect.DeepEqual over types holding Values, and map
-// types keyed by them.
+// Package fixdatum seeds datum-compare violations: reflect.DeepEqual
+// over types holding datum.Values.
 package fixdatum
 
 import (
@@ -11,23 +10,7 @@ import (
 	"repro/internal/datum"
 )
 
-func firing(a, b datum.Value) bool  { return a == b } // want datum-compare "use datum.Compare or datum.Equal"
-func firing2(a, b datum.Value) bool { return a != b } // want datum-compare "compared with !="
-
-func clean(a, b datum.Value) bool  { return datum.Equal(a, b) }
-func clean2(a, b datum.Value) bool { return a.Type() == b.Type() }
-
-func suppressed(a, b datum.Value) bool {
-	//lint:ignore datum-compare fixture: demonstrates a justified suppression
-	return a == b
-}
-
-// keyed holds a Value inline; snapshot holds one behind a slice.
-type keyed struct {
-	id int
-	v  datum.Value
-}
-
+// snapshot holds Values behind a slice.
 type snapshot struct {
 	name string
 	rows []datum.Row
@@ -43,14 +26,7 @@ func deepMap(a map[string]datum.Row, b any) bool { return reflect.DeepEqual(a, b
 func deepClean(a, b []string) bool  { return reflect.DeepEqual(a, b) }
 func rowsClean(a, b datum.Row) bool { return datum.RowsEqual(a, b) }
 
-var (
-	byValue  map[datum.Value]int       // want datum-compare "map keyed by"
-	byStruct = map[keyed]bool{}        // want datum-compare "key by datum.RowKey or datum.Hash"
-	byArray  map[[2]datum.Value]string // want datum-compare "map keyed by"
-
-	byPointer map[*datum.Value]int   // clean: a pointer key is identity, on purpose
-	byRowKey  map[string]datum.Value // clean: Values as map values
-	byID      map[int]keyed          // clean
-)
-
-func nested() map[int]map[datum.Value]bool { return nil } // want datum-compare "map keyed by"
+func suppressed(a, b datum.Row) bool {
+	//lint:ignore datum-compare fixture: demonstrates a justified suppression
+	return reflect.DeepEqual(a, b)
+}

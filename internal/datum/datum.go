@@ -43,11 +43,14 @@ const (
 // pointer-sized slot p. BOOL, INT and FLOAT keep their bits in n (FLOAT
 // as math.Float64bits); STRING keeps its data pointer in p and its
 // length in n; a user-defined type keeps a pointer to its heap-boxed
-// payload in p. Value is therefore not comparable with ==: two equal
-// STRING Values built from different allocations differ by address, and
-// reflect.DeepEqual and map keys see the same addresses. Use Equal,
-// Identical or Compare.
+// payload in p. Two equal STRING Values built from different
+// allocations therefore differ by address, so the zero-size func array
+// in front makes Value non-comparable: == and != on Values, and map
+// keys holding one, do not compile (and comparing two Values boxed in
+// an any panics). reflect.DeepEqual still sees the addresses. Use
+// Equal, Identical or Compare, and key maps by RowKey or Hash.
 type Value struct {
+	_   [0]func()
 	typ TypeID
 	n   uint64
 	p   unsafe.Pointer

@@ -22,13 +22,16 @@ func TestValueLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 24", got)
 	}
-	var names []string
 	rt := reflect.TypeOf(Value{})
+	if rt.Comparable() {
+		t.Fatal("Value is comparable; == and map keys would compare STRING payloads by address")
+	}
+	var names []string
 	for i := 0; i < rt.NumField(); i++ {
 		names = append(names, rt.Field(i).Name)
 	}
-	if got := strings.Join(names, ","); got != "typ,n,p" {
-		t.Fatalf("Value fields = %s, want typ,n,p", got)
+	if got := strings.Join(names, ","); got != "_,typ,n,p" {
+		t.Fatalf("Value fields = %s, want _,typ,n,p", got)
 	}
 }
 

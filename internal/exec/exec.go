@@ -49,10 +49,6 @@ type Ctx struct {
 	// rec holds the working tables of active recursive unions, keyed
 	// by QGM box id; nil until the first one opens.
 	rec map[int]*recWorkTable
-	// Affected counts rows touched by DML.
-	Affected int64
-	// Rollbacks counts write-log rollbacks taken by failing DML.
-	Rollbacks int64
 	// Snap is the MVCC visibility snapshot every scan resolves row
 	// versions against. The zero snapshot sees only frozen rows; the
 	// engine always arms a real one.
@@ -69,8 +65,8 @@ type Ctx struct {
 	// started Limits.Timeout before it (see elapsed).
 	deadline time.Time
 	// sh holds the statement-wide atomic counters (work ticks, memory,
-	// subquery-cache lookups, early-termination flag) shared with every
-	// worker child.
+	// subquery-cache lookups, DML rows and rollbacks, early-termination
+	// flag) shared with every worker child.
 	sh *shared
 	// colWidth overrides the columnar batch width; 0 means colBatchSize.
 	// Only tests set it (see SetColWidth).

@@ -87,6 +87,9 @@ type shared struct {
 	// subqHits/subqMisses count correlated inner-result cache lookups
 	// (evaluate-on-demand re-use, section 7); see SubqCache.
 	subqHits, subqMisses atomic.Int64
+	// affected counts rows touched by DML; rollbacks counts write-log
+	// rollbacks taken by failing DML.
+	affected, rollbacks atomic.Int64
 	// done is the "no more rows needed" signal: LIMIT sets it once its
 	// quota is filled so parallel scan workers stop draining their
 	// morsels. It is advisory — serial operators simply never look.
@@ -195,6 +198,12 @@ func (c *Ctx) MemUsed() int64 { return c.sh.memUsed.Load() }
 func (c *Ctx) SubqCache() (hits, misses int64) {
 	return c.sh.subqHits.Load(), c.sh.subqMisses.Load()
 }
+
+// Affected reports the rows the statement's DML touched.
+func (c *Ctx) Affected() int64 { return c.sh.affected.Load() }
+
+// Rollbacks reports the write-log rollbacks failing DML took.
+func (c *Ctx) Rollbacks() int64 { return c.sh.rollbacks.Load() }
 
 // memCharge tracks one operator's reservation so Open/Close pairs stay
 // balanced even when Open re-materializes.

@@ -567,7 +567,7 @@ func (r *recRefOp) Close(ctx *Ctx) error { return nil }
 // intact — only this statement's writes unwind.
 func rollback(ctx *Ctx, mark int) error {
 	if ctx.Txn.Writes() > mark {
-		ctx.Rollbacks++
+		ctx.sh.rollbacks.Add(1)
 	}
 	return ctx.Txn.RollbackTo(ctx.Cat, mark)
 }
@@ -629,7 +629,7 @@ func (i *insertOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		}
 		affected++
 	}
-	ctx.Affected += affected
+	ctx.sh.affected.Add(affected)
 	return nil, false, nil
 }
 
@@ -744,7 +744,7 @@ func (u *updateDeleteOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		}
 		affected++
 	}
-	ctx.Affected += affected
+	ctx.sh.affected.Add(affected)
 	return nil, false, nil
 }
 

@@ -171,7 +171,8 @@ func (o *Optimizer) parallelize(n *plan.Node, dop int) *plan.Node {
 
 // subtreeParallelSafe reports whether every operator of the subtree can
 // be cloned into concurrent workers: only dataflow operators, with no
-// DML (it writes serial-only Ctx state), no recursion, no runtime
+// DML (a statement's writes append to one transaction write log and
+// roll back to one savepoint as a unit), no recursion, no runtime
 // CHOOSE and no subqueries — neither SUBQ nodes nor expression
 // subplans. The executor could run a subquery per worker (every worker
 // builds its own apply operator and inner runner), but each worker's

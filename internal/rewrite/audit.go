@@ -9,9 +9,10 @@ import (
 )
 
 // AuditError reports that a rule firing left the QGM invalid while the
-// engine ran with Options.Audit. It names the offending rule and firing
-// index, carries the full verifier report, and includes a before/after
-// dump of the box the rule fired on so the mutation is visible.
+// engine ran with audit on (see Engine.Run). It names the offending
+// rule and firing index, carries the full verifier report, and includes
+// a before/after dump of the box the rule fired on so the mutation is
+// visible.
 type AuditError struct {
 	// Rule is the name of the offending rule.
 	Rule string

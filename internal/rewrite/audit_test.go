@@ -29,7 +29,7 @@ func TestAuditCleanOnDefaultRules(t *testing.T) {
 		c := paperCatalog(t, unique)
 		for _, q := range auditQueries {
 			g := translate(t, c, q)
-			if _, err := NewDefaultEngine().Rewrite(g, Options{Audit: true}); err != nil {
+			if _, err := NewDefaultEngine().Run(g, Options{}, true); err != nil {
 				t.Errorf("uniquePartno=%v %s: %v", unique, q, err)
 			}
 		}
@@ -58,7 +58,7 @@ func TestAuditCatchesIllegalDistinctTransition(t *testing.T) {
 	c := paperCatalog(t, false)
 	g := translate(t, c, "SELECT DISTINCT type FROM inventory")
 
-	trace, err := e.Rewrite(g, Options{Audit: true})
+	trace, err := e.Run(g, Options{}, true)
 	if err == nil {
 		t.Fatal("audit missed the ENFORCE→PERMIT transition")
 	}
@@ -117,7 +117,7 @@ func TestAuditCatchesGraphCorruption(t *testing.T) {
 	c := paperCatalog(t, false)
 	g := translate(t, c, "SELECT partno FROM inventory")
 
-	_, err := e.Rewrite(g, Options{Audit: true})
+	_, err := e.Run(g, Options{}, true)
 	var aerr *AuditError
 	if !errors.As(err, &aerr) {
 		t.Fatalf("audit missed the corrupted ordinal: %v", err)
@@ -139,11 +139,7 @@ func TestAuditRandomizedOrders(t *testing.T) {
 		for seed := int64(0); seed < 16; seed++ {
 			for _, q := range auditQueries {
 				g := translate(t, c, q)
-				if _, err := NewDefaultEngine().Rewrite(g, Options{
-					Strategy: Statistical,
-					Seed:     seed,
-					Audit:    true,
-				}); err != nil {
+				if _, err := NewDefaultEngine().Run(g, Options{Strategy: Statistical, Seed: seed}, true); err != nil {
 					t.Errorf("seed=%d uniquePartno=%v %s: %v", seed, unique, q, err)
 				}
 			}
@@ -163,11 +159,7 @@ func FuzzRewriteAudit(f *testing.F) {
 		q := auditQueries[int(pick)%len(auditQueries)]
 		c := paperCatalog(t, seed%2 == 0)
 		g := translate(t, c, q)
-		if _, err := NewDefaultEngine().Rewrite(g, Options{
-			Strategy: Statistical,
-			Seed:     seed,
-			Audit:    true,
-		}); err != nil {
+		if _, err := NewDefaultEngine().Run(g, Options{Strategy: Statistical, Seed: seed}, true); err != nil {
 			t.Fatalf("seed=%d query=%q: %v", seed, q, err)
 		}
 	})

@@ -89,13 +89,6 @@ type Options struct {
 	Classes []string
 	// Seed drives the Statistical strategy.
 	Seed int64
-	// Audit runs the deep semantic verifier after every firing and, on
-	// failure, returns a structured *AuditError naming the offending
-	// rule, the firing index, and a before/after dump of the box it
-	// mutated. It also enforces the distinct-mode transition lattice
-	// (PERMIT→ENFORCE only; PRESERVE frozen). Tests use it to prove each
-	// rule preserves consistency.
-	Audit bool
 }
 
 // Engine executes rewrite rules against QGM graphs. A DB owns one
@@ -118,11 +111,14 @@ func NewEngine() *Engine { return &Engine{} }
 // NewDefaultEngine returns an engine loaded with the base rules for the
 // built-in operations (view/operation merging, subquery-to-join,
 // predicate migration, projection push-down, redundant join
-// elimination).
+// elimination). It panics if a base rule is malformed: that is a
+// programming error, not a condition to run without the rule.
 func NewDefaultEngine() *Engine {
 	e := NewEngine()
 	for _, r := range BaseRules() {
-		e.Register(r)
+		if err := e.Register(r); err != nil {
+			panic(fmt.Sprintf("%v: base rule %q", err, r.Name))
+		}
 	}
 	return e
 }
@@ -137,9 +133,6 @@ func (e *Engine) Register(r *Rule) error {
 	e.generation.Add(1)
 	return nil
 }
-
-// Rules lists registered rules (for introspection and tests).
-func (e *Engine) Rules() []*Rule { return append([]*Rule(nil), e.rules...) }
 
 // Fired describes one rule firing, for EXPLAIN-style tracing.
 type Fired struct {
@@ -157,9 +150,17 @@ func FiringCounts(trace []Fired) map[string]int {
 	return out
 }
 
-// Rewrite runs rules to fixpoint (or budget exhaustion) and reports the
-// firing trace.
-func (e *Engine) Rewrite(g *qgm.Graph, opt Options) ([]Fired, error) {
+// Rewrite is Run without the audit.
+func (e *Engine) Rewrite(g *qgm.Graph, opt Options) ([]Fired, error) { return e.Run(g, opt, false) }
+
+// Run runs rules to fixpoint (or budget exhaustion) and reports the
+// firing trace. audit runs the deep semantic verifier after every
+// firing and, on failure, returns a structured *AuditError naming the
+// offending rule, the firing index, and a before/after dump of the box
+// it mutated. It also enforces the distinct-mode transition lattice
+// (PERMIT→ENFORCE only; PRESERVE frozen). Tests use it to prove each
+// rule preserves consistency.
+func (e *Engine) Run(g *qgm.Graph, opt Options, audit bool) ([]Fired, error) {
 	ctx := &Context{Graph: g}
 	active := e.activeRules(opt)
 	// Seed the rule-order RNG lazily: only the Statistical strategy
@@ -186,7 +187,7 @@ func (e *Engine) Rewrite(g *qgm.Graph, opt Options) ([]Fired, error) {
 				}
 				var before string
 				var modes map[*qgm.Box]qgm.DistinctMode
-				if opt.Audit {
+				if audit {
 					before = qgm.DumpBox(b, b == g.Top)
 					modes = distinctSnapshot(g)
 				}
@@ -194,7 +195,7 @@ func (e *Engine) Rewrite(g *qgm.Graph, opt Options) ([]Fired, error) {
 					return trace, fmt.Errorf("rewrite: rule %s on box %d: %w", r.Name, b.ID, err)
 				}
 				g.GC()
-				if opt.Audit {
+				if audit {
 					if aerr := auditFiring(g, r.Name, len(trace), b, before, modes); aerr != nil {
 						trace = append(trace, Fired{Rule: r.Name, Box: b.ID})
 						aerr.Trace = trace

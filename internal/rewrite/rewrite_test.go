@@ -52,8 +52,7 @@ func translate(t *testing.T, c *catalog.Catalog, src string) *qgm.Graph {
 
 func rewriteAll(t *testing.T, g *qgm.Graph, opt Options) []Fired {
 	t.Helper()
-	opt.Audit = true
-	trace, err := NewDefaultEngine().Rewrite(g, opt)
+	trace, err := NewDefaultEngine().Run(g, opt, true)
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
@@ -477,7 +476,7 @@ func TestDBCRuleRegistration(t *testing.T) {
 	}
 	c := paperCatalog(t, false)
 	g := translate(t, c, "SELECT partno FROM inventory WHERE TRUE AND type = 'CPU'")
-	trace, err := e.Rewrite(g, Options{Audit: true})
+	trace, err := e.Run(g, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +489,42 @@ func TestDBCRuleRegistration(t *testing.T) {
 	if !dropped {
 		t.Fatal("DBC rule must fire")
 	}
-	if err := e.Register(&Rule{Name: ""}); err == nil {
-		t.Error("invalid rule must be rejected")
+}
+
+// TestRegisterRejectsMalformedRules: a rule without a Name, Condition or
+// Action never enters the engine, so it can neither silently never fire
+// nor panic the engine mid-rewrite.
+func TestRegisterRejectsMalformedRules(t *testing.T) {
+	cond := func(*Context, *qgm.Box) bool { return false }
+	act := func(*Context, *qgm.Box) error { return nil }
+	for _, r := range []*Rule{
+		{Name: "noAction", Condition: cond},
+		{Name: "noCondition", Action: act},
+		{Name: "nilAction", Condition: cond, Action: nil},
+		{Condition: cond, Action: act},
+	} {
+		e := NewEngine()
+		if err := e.Register(r); err == nil {
+			t.Errorf("Register(%q) accepted a malformed rule", r.Name)
+		}
+		if len(e.rules) != 0 || e.Generation() != 0 {
+			t.Errorf("Register(%q) changed the rule set", r.Name)
+		}
+	}
+}
+
+// TestDefaultEngineHoldsBaseRules: NewDefaultEngine registers every
+// base rule, in order; a malformed one would panic it instead.
+func TestDefaultEngineHoldsBaseRules(t *testing.T) {
+	e := NewDefaultEngine()
+	base := BaseRules()
+	if len(e.rules) != len(base) {
+		t.Fatalf("default engine holds %d rules, BaseRules has %d", len(e.rules), len(base))
+	}
+	for i, r := range base {
+		if e.rules[i].Name != r.Name {
+			t.Errorf("rule %d = %s, want %s", i, e.rules[i].Name, r.Name)
+		}
 	}
 }
 

@@ -470,13 +470,8 @@ func testStore(t *testing.T, fs FS) *Store {
 	return s
 }
 
-func rowRec(t *testing.T, id int64, tag string) []byte {
-	t.Helper()
-	rec, err := encodeRow(nil, datum.Row{datum.NewInt(id), datum.NewString(tag)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
+func testRow(id int64, tag string) datum.Row {
+	return datum.Row{datum.NewInt(id), datum.NewString(tag)}
 }
 
 // insertCommitted inserts ids in one committed statement group.
@@ -486,7 +481,7 @@ func insertCommitted(t *testing.T, s *Store, tf *tableFile, ids ...int64) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		if _, err := s.insertRecord(tf, rowRec(t, id, fmt.Sprintf("tag-%d", id))); err != nil {
+		if _, err := s.insertRecord(tf, testRow(id, fmt.Sprintf("tag-%d", id))); err != nil {
 			s.AbortStmt()
 			t.Fatal(err)
 		}
@@ -555,7 +550,7 @@ func TestStoreCommittedSurvivesCrashUncommittedVanishes(t *testing.T) {
 	if err := s.BeginStmt(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.insertRecord(tf, rowRec(t, 99, "ghost")); err != nil {
+	if _, err := s.insertRecord(tf, testRow(99, "ghost")); err != nil {
 		t.Fatal(err)
 	}
 	// no CommitStmt — crash now
@@ -614,7 +609,7 @@ func TestStoreCheckpointThenCrashReplaysNothing(t *testing.T) {
 	if err := s.deleteRecord(tf, storage.RID{Page: 0, Slot: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.insertRecord(tf, rowRec(t, 5, "five")); err != nil {
+	if _, err := s.insertRecord(tf, testRow(5, "five")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CommitStmt(); err != nil {
@@ -644,7 +639,7 @@ func TestStoreUpdateReplay(t *testing.T) {
 	if err := s.BeginStmt(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.updateRecord(tf, storage.RID{Page: 0, Slot: 0}, rowRec(t, 10, "updated")); err != nil {
+	if err := s.updateRecord(tf, storage.RID{Page: 0, Slot: 0}, testRow(10, "updated")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CommitStmt(); err != nil {
@@ -738,7 +733,7 @@ func TestStoreCrashAtEveryWALAppend(t *testing.T) {
 				if err := s.BeginStmt(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.insertRecord(tf, rowRec(t, int64(g), "g")); err != nil {
+				if _, err := s.insertRecord(tf, testRow(int64(g), "g")); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.CommitStmt(); err != nil {

@@ -53,11 +53,7 @@ var (
 
 // Insert implements storage.Relation.
 func (r *relation) Insert(row datum.Row) (storage.RID, error) {
-	rec, err := encodeRow(nil, row)
-	if err != nil {
-		return storage.RID{}, fmt.Errorf("disk: %s: %w", r.tf.name, err)
-	}
-	rid, err := r.s.insertRecord(r.tf, rec)
+	rid, err := r.s.insertRecord(r.tf, row)
 	if err != nil {
 		return storage.RID{}, err
 	}
@@ -82,11 +78,7 @@ func (r *relation) Untombstone(rid storage.RID) { r.s.untombstone(r.tf.name, rid
 
 // Update implements storage.Relation.
 func (r *relation) Update(rid storage.RID, row datum.Row) error {
-	rec, err := encodeRow(nil, row)
-	if err != nil {
-		return fmt.Errorf("disk: %s: %w", r.tf.name, err)
-	}
-	if err := r.s.updateRecord(r.tf, rid, rec); err != nil {
+	if err := r.s.updateRecord(r.tf, rid, row); err != nil {
 		return err
 	}
 	r.stats.WritePage()

@@ -1,9 +1,10 @@
 package disk
 
 // Tests for what the read, log and write paths reuse instead of
-// allocating: the WAL writer's one frame buffer, recycled buffer-pool
-// frames, and the scan's string interner, whose strings must stay
-// right after the pages they were decoded from are gone.
+// allocating: the WAL writer's one frame buffer, each table's record
+// buffer, recycled buffer-pool frames, and the scan's string interner,
+// whose strings must stay right after the pages they were decoded from
+// are gone.
 
 import (
 	"bytes"
@@ -34,6 +35,46 @@ func TestWALAppendAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("a steady-state WAL append allocates %v times", n)
+	}
+}
+
+// TestRowWritesAllocationFree: inside an open statement, a row insert
+// or update encodes into the table's record buffer, which the page and
+// the WAL frame copy, so neither allocates.
+func TestRowWritesAllocationFree(t *testing.T) {
+	s, err := Open("data", NewMemFS(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := s.Manager().Create("T", 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := datum.Row{datum.NewInt(1), datum.NewString("a record's string")}
+	rid, err := rel.Insert(row) // sizes the record buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BeginStmt(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.AbortStmt()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := rel.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a row insert allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := rel.Update(rid, row); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a row update allocates %v times", n)
+	}
+	if got, ok := rel.Fetch(rid); !ok || !datum.RowsEqual(got, row) {
+		t.Fatalf("Fetch(%v) = %v, %v after the updates; want %v", rid, got, ok, row)
 	}
 }
 

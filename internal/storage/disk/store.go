@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/datum"
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -165,6 +166,9 @@ type tableFile struct {
 	// record. lastIns remembers the last page inserted into.
 	free    []int
 	lastIns int
+	// rec is the record buffer inserts and updates encode into; the page
+	// and the WAL frame copy it before tf.mu is released.
+	rec []byte
 
 	// pendingRepair marks pages that failed their checksum during
 	// recovery and await a full-page image from the WAL.
@@ -364,6 +368,9 @@ func (s *Store) checkFault(table string, op storage.FaultOp) error {
 	fi := s.fi
 	s.mu.Unlock()
 	err := fi.CheckOp(table, op)
+	if err == nil {
+		return nil // before ce, which errors.As moves to the heap
+	}
 	var ce *storage.CrashError
 	if errors.As(err, &ce) {
 		s.crash(ce)
@@ -821,15 +828,30 @@ func (s *Store) loadPage(tf *tableFile, pageNo uint32, buf []byte) error {
 // ---------------------------------------------------------------------
 // Mutations (called via the relation handles in manager.go)
 
-func (s *Store) insertRecord(tf *tableFile, rec []byte) (storage.RID, error) {
-	maxRec := s.opts.PageSize - pageHeaderSize - slotSize
-	if len(rec) > maxRec {
-		return storage.RID{}, fmt.Errorf("disk: record of %d bytes exceeds page capacity %d", len(rec), maxRec)
+// encode encodes row into tf.rec and returns the record. A record
+// larger than a page's capacity is an error and is not kept, so the
+// buffer never outgrows a page. Caller holds tf.mu.
+func (s *Store) encode(tf *tableFile, row datum.Row) ([]byte, error) {
+	rec, err := encodeRow(tf.rec[:0], row)
+	if err != nil {
+		return nil, fmt.Errorf("disk: %s: %w", tf.name, err)
 	}
+	if maxRec := s.opts.PageSize - pageHeaderSize - slotSize; len(rec) > maxRec {
+		return nil, fmt.Errorf("disk: record of %d bytes exceeds page capacity %d", len(rec), maxRec)
+	}
+	tf.rec = rec
+	return rec, nil
+}
+
+func (s *Store) insertRecord(tf *tableFile, row datum.Row) (storage.RID, error) {
 	var rid storage.RID
 	err := s.runMutation(func(st *stmt) error {
 		tf.mu.Lock()
 		defer tf.mu.Unlock()
+		rec, err := s.encode(tf, row)
+		if err != nil {
+			return err
+		}
 		pageNo := tf.choosePage(len(rec))
 		fr, err := s.pin(tf, uint32(pageNo))
 		if err != nil {
@@ -954,10 +976,14 @@ func (s *Store) dropTombs(table string) {
 	}
 }
 
-func (s *Store) updateRecord(tf *tableFile, rid storage.RID, rec []byte) error {
+func (s *Store) updateRecord(tf *tableFile, rid storage.RID, row datum.Row) error {
 	return s.runMutation(func(st *stmt) error {
 		tf.mu.Lock()
 		defer tf.mu.Unlock()
+		rec, err := s.encode(tf, row)
+		if err != nil {
+			return err
+		}
 		if rid.Page < 0 || int64(rid.Page) >= tf.pages {
 			return fmt.Errorf("disk: %s: no record %s", tf.name, rid)
 		}

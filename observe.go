@@ -252,10 +252,11 @@ func (db *DB) emitSlow(o *observation, elapsed time.Duration, err error) {
 // registry and the statement trace.
 func (db *DB) recordCtx(ctx *exec.Ctx, tr *obs.Trace) {
 	hits, misses := ctx.SubqCache()
+	rollbacks := ctx.Rollbacks()
 	if tr != nil {
 		tr.SubqHits += hits
 		tr.SubqMisses += misses
-		tr.Rollbacks += ctx.Rollbacks
+		tr.Rollbacks += rollbacks
 	}
 	if hits > 0 {
 		db.metrics.Counter(MetricSubqCacheHits).Add(hits)
@@ -263,8 +264,8 @@ func (db *DB) recordCtx(ctx *exec.Ctx, tr *obs.Trace) {
 	if misses > 0 {
 		db.metrics.Counter(MetricSubqCacheMisses).Add(misses)
 	}
-	if ctx.Rollbacks > 0 {
-		db.metrics.Counter(MetricRollbacks).Add(ctx.Rollbacks)
+	if rollbacks > 0 {
+		db.metrics.Counter(MetricRollbacks).Add(rollbacks)
 	}
 }
 
@@ -383,7 +384,7 @@ func (db *DB) runObserved(goCtx context.Context, compiled *plan.Compiled, trees 
 		return nil, err
 	}
 	clean = true
-	res := &Result{Columns: compiled.OutputNames, Rows: rows, Affected: ctx.Affected}
+	res := &Result{Columns: compiled.OutputNames, Rows: rows, Affected: ctx.Affected()}
 	if o.rows = res.Affected; o.rows == 0 {
 		o.rows = int64(len(rows))
 	}

@@ -551,7 +551,7 @@ func TestCloseTwiceThenReopen(t *testing.T) {
 						t.Fatalf("Close %d: %v", j+1, err)
 					}
 				}
-				runs[i] = fmt.Sprintf("%v affected=%d", sortedRows(rows), ctx.Affected)
+				runs[i] = fmt.Sprintf("%v affected=%d", sortedRows(rows), ctx.Affected())
 				_ = db.finishAuto(tx, errors.New("roll back"), nil)
 			}
 			if runs[0] != runs[1] {

@@ -684,8 +684,8 @@ func TestDMLStreamReopen(t *testing.T) {
 		if _, err := exec.Run(ctx, stream); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if ctx.Affected != 1 {
-			t.Fatalf("run %d: affected = %d", i, ctx.Affected)
+		if ctx.Affected() != 1 {
+			t.Fatalf("run %d: affected = %d", i, ctx.Affected())
 		}
 		if err := db.finishAuto(tx, nil, nil); err != nil {
 			t.Fatalf("run %d commit: %v", i, err)

@@ -50,8 +50,7 @@ type Settings struct {
 	// potentially lower runtime performance").
 	SkipRewrite bool
 	// Rewrite configures the query rewrite phase; the zero value runs
-	// all rule classes sequentially to fixpoint. Its Audit field is
-	// ignored: Audit below is the one switch for both compile phases.
+	// all rule classes sequentially to fixpoint.
 	Rewrite RewriteOptions
 	// Audit arms self-checking compilation: the rewrite engine runs the
 	// deep QGM verifier after every rule firing (returning a structured
@@ -74,13 +73,6 @@ func (s *Settings) dop() int { return max(1, s.Parallelism) }
 // optimizerConfig is the optimizer's share of the settings.
 func (s *Settings) optimizerConfig() optimizer.Config {
 	return optimizer.Config{DOP: s.dop(), Audit: s.Audit}
-}
-
-// rewriteOptions is the rewrite engine's share of the settings.
-func (s *Settings) rewriteOptions() RewriteOptions {
-	r := s.Rewrite
-	r.Audit = s.Audit
-	return r
 }
 
 // owned returns a copy of s sharing no slice with it: a caller's write
@@ -125,10 +117,10 @@ func (db *DB) fingerprint(set *Settings) string {
 	}
 	rw := "off"
 	if !set.SkipRewrite {
-		r := set.rewriteOptions()
-		rw = fmt.Sprintf("st%v,so%v,b%d,cls[%s],seed%d,aud%t,gen%d",
+		r := &set.Rewrite
+		rw = fmt.Sprintf("st%v,so%v,b%d,cls[%s],seed%d,gen%d",
 			r.Strategy, r.Search, r.Budget, strings.Join(r.Classes, "+"),
-			r.Seed, r.Audit, k.rwGen)
+			r.Seed, k.rwGen)
 	}
 	memo := k
 	memo.fp = fmt.Sprintf("dop=%d|rw=%s|opt=%+v", set.dop(), rw, k.opt)

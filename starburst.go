@@ -725,7 +725,7 @@ func (db *DB) compile(cat *catalog.Catalog, stmt sql.Statement, phase *string, t
 	if !set.SkipRewrite {
 		*phase = "rewrite"
 		t0 = time.Now()
-		trace, err := db.rewriter.Rewrite(g, set.rewriteOptions())
+		trace, err := db.rewriter.Run(g, set.Rewrite, set.Audit)
 		tr.AddPhase(obs.PhaseRewrite, time.Since(t0))
 		if err != nil {
 			return nil, err
