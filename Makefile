@@ -67,7 +67,9 @@ examples:
 		echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # stress is what race does not run: fuzz smokes over random fault
-# schedules, over statement texts for the plan-cache key, over B-tree
+# schedules, over statement texts for the plan-cache key (its shape,
+# and the key, lifted values and tokens against the reference key and
+# lexer in internal/sql/keyref_test.go), over B-tree
 # operation sequences checked against a sorted-slice model and over WAL
 # record sequences written through the one reused frame buffer, then
 # cut or damaged (race replays only the seed corpora), and the paths through
@@ -110,6 +112,7 @@ examples:
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
 	$(GO) test ./ -run FuzzPlanKey -fuzz FuzzPlanKey -fuzztime 10s
+	$(GO) test ./internal/sql -run FuzzKeyMatchesReference -fuzz FuzzKeyMatchesReference -fuzztime 10s
 	$(GO) test ./internal/storage -run FuzzBTree -fuzz FuzzBTree -fuzztime 10s
 	$(GO) test ./internal/storage/disk -run FuzzWALFrames -fuzz FuzzWALFrames -fuzztime 10s
 	$(GO) test -race -count=5 -timeout 30m -run '$(STRESS_TESTS)' ./

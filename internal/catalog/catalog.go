@@ -17,6 +17,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -609,9 +610,10 @@ func checkNotNull(t *Table, row datum.Row) error {
 // Analyze recomputes optimizer statistics for a table and publishes
 // them as a new schema generation (statistics are part of the
 // copy-on-write schema: a compiled plan's stats never change under
-// it). The scan error (surfaced through storage.IterErr — e.g. an
-// injected fault) aborts the refresh: stats computed from a partial
-// scan would silently skew every subsequent plan.
+// it). A column's distinct values are counted in a distinctSet. The
+// scan error (surfaced through storage.IterErr — e.g. an injected
+// fault) aborts the refresh: stats computed from a partial scan would
+// silently skew every subsequent plan.
 func (c *Catalog) Analyze(t *Table) error {
 	if t.System {
 		// Statistics over a SYS snapshot would be stale by the next
@@ -619,13 +621,14 @@ func (c *Catalog) Analyze(t *Table) error {
 		return &SystemObjectError{Name: t.Name, Op: "ANALYZE"}
 	}
 	n := len(t.Cols)
-	distinct := make([]map[string]bool, n)
+	distinct := make([]distinctSet, n)
 	mins := make([]datum.Value, n)
 	maxs := make([]datum.Value, n)
 	for i := range distinct {
-		distinct[i] = map[string]bool{}
+		distinct[i] = distinctSet{map[uint64]struct{}{}, map[int64]struct{}{}, map[string]struct{}{}, map[string]struct{}{}}
 		mins[i], maxs[i] = datum.Null, datum.Null
 	}
+	var buf []byte
 	rows := int64(0)
 	it := t.Rel.Scan()
 	defer it.Close()
@@ -642,7 +645,7 @@ func (c *Catalog) Analyze(t *Table) error {
 			if v.IsNull() {
 				continue
 			}
-			distinct[i][datum.RowKey(datum.Row{v})] = true
+			buf = distinct[i].add(v, buf)
 			if mins[i].IsNull() || datum.SortCompare(v, mins[i]) < 0 {
 				mins[i] = v
 			}
@@ -663,7 +666,7 @@ func (c *Catalog) Analyze(t *Table) error {
 		nt.Stats.ColMin = make([]datum.Value, n)
 		nt.Stats.ColMax = make([]datum.Value, n)
 		for i := range distinct {
-			nt.Stats.ColCard[i] = int64(len(distinct[i]))
+			nt.Stats.ColCard[i] = distinct[i].count()
 			nt.Stats.ColMin[i] = mins[i]
 			nt.Stats.ColMax[i] = maxs[i]
 		}
@@ -677,6 +680,47 @@ func (c *Catalog) Analyze(t *Table) error {
 	// the stale ones.
 	t.clearCardOverlays()
 	return nil
+}
+
+// distinctSet counts what keying each value by datum.RowKey would, in
+// sets typed by the key's form: a FLOAT, or an INT float64 holds
+// exactly (RowKey spells both as the float), by its float bits with -0
+// as +0 and every NaN as one NaN; any other INT and a STRING by
+// themselves; only BOOL and user-defined values by their RowKey bytes.
+type distinctSet struct {
+	nums       map[uint64]struct{}
+	ints       map[int64]struct{}
+	strs, keys map[string]struct{}
+}
+
+// add counts the non-NULL v; buf is scratch for a RowKey, returned for
+// reuse.
+func (d *distinctSet) add(v datum.Value, buf []byte) []byte {
+	switch t := v.Type(); {
+	case t == datum.TInt && float64(v.Int()) < 1<<63 && int64(float64(v.Int())) == v.Int(), t == datum.TFloat:
+		f := v.Float()
+		switch {
+		case f == 0:
+			f = 0
+		case f != f:
+			f = math.NaN()
+		}
+		d.nums[math.Float64bits(f)] = struct{}{}
+	case t == datum.TInt:
+		d.ints[v.Int()] = struct{}{}
+	case t == datum.TString:
+		d.strs[v.Str()] = struct{}{}
+	default:
+		buf = datum.AppendRowKey(buf[:0], datum.Row{v})
+		if _, ok := d.keys[string(buf)]; !ok {
+			d.keys[string(buf)] = struct{}{}
+		}
+	}
+	return buf
+}
+
+func (d *distinctSet) count() int64 {
+	return int64(len(d.nums) + len(d.ints) + len(d.strs) + len(d.keys))
 }
 
 // ---------------------------------------------------------------------

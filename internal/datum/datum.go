@@ -512,8 +512,9 @@ func RowsEqual(a, b Row) bool {
 }
 
 // RowKey builds a canonical string key for a row, consistent with
-// Identical: identical rows map to equal keys. ANALYZE counts distinct
-// values by it; the executor keys rows by AppendRowKey's same bytes.
+// Identical: identical rows map to equal keys. The executor keys rows
+// by AppendRowKey's same bytes; ANALYZE counts distinct values in typed
+// sets that tell values apart exactly as these keys do.
 func RowKey(r Row) string {
 	return string(AppendRowKey(make([]byte, 0, 16*len(r)), r))
 }

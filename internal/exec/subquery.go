@@ -575,7 +575,12 @@ func rollback(ctx *Ctx, mark int) error {
 type insertOp struct {
 	src  Stream
 	node *plan.Node
-	done bool
+	// values are the source's rows when it is a bare VALUES, which
+	// insertRow evaluates straight into full: no row is allocated per
+	// VALUES row.
+	values [][]expr.Expr
+	full   datum.Row // the scratch row insertRow fills
+	done   bool
 }
 
 func (b *Builder) buildInsert(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -583,7 +588,11 @@ func (b *Builder) buildInsert(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	if err != nil {
 		return nil, err
 	}
-	return &insertOp{src: src, node: n}, nil
+	i := &insertOp{src: src, node: n, full: make(datum.Row, len(n.Table.Cols))}
+	if v, ok := src.(*valuesOp); ok {
+		i.values = v.rows
+	}
+	return i, nil
 }
 
 func (i *insertOp) Open(ctx *Ctx) error {
@@ -596,41 +605,59 @@ func (i *insertOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		return nil, false, nil
 	}
 	i.done = true
-	rows, err := materialize(ctx, i.src)
-	if err != nil {
-		return nil, false, err
-	}
 	t := i.node.Table
 	if ctx.Txn == nil {
 		return nil, false, fmt.Errorf("exec: INSERT outside a transaction")
+	}
+	// Any other source is read whole before the first write, so that a
+	// source reading the target table never sees the statement's rows.
+	var rows []datum.Row
+	if i.values == nil {
+		var err error
+		if rows, err = materialize(ctx, i.src); err != nil {
+			return nil, false, err
+		}
 	}
 	// The statement is atomic: every mutation is write-logged, and any
 	// error rolls the statement back to its savepoint (heap, version
 	// map and indexes).
 	mark := ctx.Txn.Mark()
-	ctx.Txn.Grow(len(rows) * (1 + len(t.Indexes)))
-	// One scratch row carries every row to InsertTx, which coerces it in
-	// place and stores a copy. A source row is never handed over: the
-	// Relation contract lets a scan hand out a stored row itself.
-	full := make(datum.Row, len(t.Cols))
-	var affected int64
-	for _, src := range rows {
-		if err := ctx.tick(); err != nil {
+	n := max(len(rows), len(i.values))
+	ctx.Txn.Grow(n * (1 + len(t.Indexes)))
+	for r := 0; r < n; r++ {
+		err := ctx.tick()
+		if err == nil {
+			err = i.insertRow(ctx, rows, r)
+		}
+		if err != nil {
 			return nil, false, errors.Join(err, rollback(ctx, mark))
 		}
-		for k := range full {
-			full[k] = datum.Null
-		}
-		for k, ord := range i.node.TargetCols {
-			full[ord] = src[k]
-		}
-		if _, err := ctx.Cat.InsertTx(t, full, ctx.Txn); err != nil {
-			return nil, false, errors.Join(err, rollback(ctx, mark))
-		}
-		affected++
 	}
-	ctx.sh.affected.Add(affected)
+	ctx.sh.affected.Add(int64(n))
 	return nil, false, nil
+}
+
+// insertRow carries source row r, rows[r] or VALUES row r evaluated, to
+// InsertTx in the scratch row, which InsertTx coerces in place and
+// stores a copy of. A source row is never handed over: the Relation
+// contract lets a scan hand out a stored row itself.
+func (i *insertOp) insertRow(ctx *Ctx, rows []datum.Row, r int) error {
+	for k := range i.full {
+		i.full[k] = datum.Null
+	}
+	for k, ord := range i.node.TargetCols {
+		if i.values == nil {
+			i.full[ord] = rows[r][k]
+			continue
+		}
+		v, err := i.values[r][k].Eval(ctx.exprCtx(), nil)
+		if err != nil {
+			return err
+		}
+		i.full[ord] = v
+	}
+	_, err := ctx.Cat.InsertTx(i.node.Table, i.full, ctx.Txn)
+	return err
 }
 
 func (i *insertOp) Close(ctx *Ctx) error { return nil }

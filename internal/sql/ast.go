@@ -179,7 +179,7 @@ type Slot struct {
 }
 
 func (*Slot) expr()            {}
-func (s *Slot) String() string { return marker(s.Typ) }
+func (s *Slot) String() string { return markers[s.Typ] }
 
 // Ident is a possibly qualified column reference.
 type Ident struct {

@@ -42,15 +42,19 @@ func Key(src string) (key string, lifted Lifted, ok bool) {
 	token := func(kind TokenKind, start int) bool {
 		space(start)
 		text := src[start:l.pos]
-		if kind == TokString || kind == TokParam {
+		switch kind {
+		case TokString, TokParam, TokSymbol:
 			b.WriteString(text)
-		} else {
+		case TokKeyword:
+			text = keyword(text)
+			b.WriteString(text)
+		default:
 			ident.WriteUpper(&b, text)
 		}
-		switch kw := keyword(text); {
-		case depth == 0 && kw != "":
-			insert = insert || kw == "INSERT" && b.Len() == len(text)
-			if insert && kw == "VALUES" && !values {
+		switch {
+		case kind == TokKeyword && depth == 0:
+			insert = insert || text == "INSERT" && b.Len() == len(text)
+			if insert && text == "VALUES" && !values {
 				// Commas separate both cells and rows, so the commas
 				// after VALUES, plus one, bound the cells to lift.
 				values = true
@@ -67,32 +71,41 @@ func Key(src string) (key string, lifted Lifted, ok bool) {
 		}
 		return false
 	}
-	// lift lifts the VALUES cell that starts after l.pos when it is one
+	// lift keys the VALUES cell that starts after l.pos when it is one
 	// literal, or a minus and a number, whose value parses, and a ','
-	// or ')' ends it.
-	lift := func() {
-		peek := l
-		kind, at, _ := peek.scan()
+	// or ')' ends it: it writes the cell's marker and that symbol and
+	// moves past both in one scan (done), then reports, as token does,
+	// whether another cell starts. A cell it does not lift is keyed
+	// token by token.
+	lift := func() (done, next bool) {
+		cell := l
+		kind, at, _ := cell.scan()
 		start, neg := at, kind == TokSymbol && src[at] == '-'
 		if neg {
-			kind, start, _ = peek.scan()
+			kind, start, _ = cell.scan()
 		}
-		litEnd := peek.pos
-		next, nstart, err := peek.scan()
-		if err != nil || next != TokSymbol || src[nstart] != ',' && src[nstart] != ')' {
-			return
+		litEnd := cell.pos
+		sym, symAt, err := cell.scan()
+		if err != nil || sym != TokSymbol || src[symAt] != ',' && src[symAt] != ')' {
+			return false, false
 		}
-		if v, ok := literal(kind, src[start:litEnd], neg); ok {
-			space(at)
-			b.WriteString(marker(v.Type()))
-			lifted.Args = append(lifted.Args, v)
-			lifted.At = append(lifted.At, at)
-			l.pos, end = litEnd, litEnd
+		v, ok := literal(kind, src[start:litEnd], neg)
+		if !ok {
+			return false, false
 		}
+		space(at)
+		b.WriteString(markers[v.Type()])
+		lifted.Args = append(lifted.Args, v)
+		lifted.At = append(lifted.At, at)
+		l, end = cell, litEnd
+		return true, token(sym, symAt)
 	}
 	for open := false; ; end = l.pos {
 		if open {
-			lift()
+			if done, next := lift(); done {
+				open = next
+				continue
+			}
 		}
 		kind, start, err := l.scan()
 		if err != nil {
@@ -105,8 +118,8 @@ func Key(src string) (key string, lifted Lifted, ok bool) {
 	}
 }
 
-// marker is the key's text for a lifted cell of type t: ?I, ?F or ?S.
-func marker(t datum.TypeID) string { return "?" + datum.TypeName(t)[:1] }
+// markers are the key's texts for lifted cells, by type.
+var markers = [...]string{datum.TInt: "?I", datum.TFloat: "?F", datum.TString: "?S"}
 
 // literal is the value of an INT, FLOAT or STRING token's source text,
 // negated when neg; ok is false for any other token, a negated string,

@@ -226,14 +226,25 @@ func (l *Lexer) scan() (TokenKind, int, error) {
 		return l.scan()
 
 	default:
-		// Multi-character symbols first.
-		for _, sym := range []string{"<>", "!=", "<=", ">=", "||"} {
-			if strings.HasPrefix(l.src[l.pos:], sym) {
-				l.pos += len(sym)
+		// A two-character symbol (<>, !=, <=, >=, ||) starts with one
+		// of four characters.
+		if l.pos+1 < len(l.src) {
+			two := false
+			switch next := l.src[l.pos+1]; c {
+			case '<':
+				two = next == '>' || next == '='
+			case '!', '>':
+				two = next == '='
+			case '|':
+				two = next == '|'
+			}
+			if two {
+				l.pos += 2
 				return TokSymbol, start, nil
 			}
 		}
-		if strings.ContainsRune("+-*/%(),.<>=;", rune(c)) {
+		switch c {
+		case '+', '-', '*', '/', '%', '(', ')', ',', '.', '<', '>', '=', ';':
 			l.pos++
 			return TokSymbol, start, nil
 		}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datum"
 )
@@ -21,6 +22,38 @@ func liveHeap() int64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return int64(m.HeapAlloc)
+}
+
+// treeBytes is what t holds on the heap: every node reachable from the
+// root or on the leaf chain, with its cell, slot, separator, RID and
+// child arrays at their capacity and its separator rows' values (INT
+// keys own no further bytes).
+func treeBytes(t *btree) int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	const value, row = int64(unsafe.Sizeof(datum.Value{})), int64(unsafe.Sizeof(datum.Row(nil)))
+	seen := map[*btnode]bool{}
+	var size int64
+	var walk func(n *btnode)
+	walk = func(n *btnode) {
+		if n == nil || seen[n] {
+			return
+		}
+		seen[n] = true
+		size += int64(unsafe.Sizeof(*n)) + value*int64(cap(n.cells)) + 4*int64(cap(n.slots)) +
+			row*int64(cap(n.keys)) + int64(unsafe.Sizeof(RID{}))*int64(cap(n.rids)) + int64(unsafe.Sizeof(n))*int64(cap(n.children))
+		for _, k := range n.keys {
+			size += value * int64(cap(k))
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	for n := t.first; n != nil; n = n.next {
+		walk(n)
+	}
+	return size
 }
 
 // TestBTreeRetainedBytes bounds what an index entry of one INT key
@@ -64,10 +97,11 @@ func TestBTreeRetainedBytes(t *testing.T) {
 // TestBTreeSlidingWindowKeepsSize: a unique index holding a window of
 // 1,000 live keys (insert ascending, delete the oldest, as version GC
 // does to a queue-like table) keeps its size however far the window
-// slides, because a leaf that deletes empty leaves the tree.
+// slides, because a leaf that deletes empty leaves the tree. The size
+// is the tree's own (treeBytes), not the process heap, so nothing else
+// the test binary runs moves it.
 func TestBTreeSlidingWindowKeepsSize(t *testing.T) {
 	const live = 1000
-	base := liveHeap()
 	at, err := BTreeMethod{}.New([]datum.TypeID{datum.TInt}, true, &IOStats{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +122,11 @@ func TestBTreeSlidingWindowKeepsSize(t *testing.T) {
 			}
 			next++
 		}
-		return liveHeap() - base
+		return treeBytes(at.(*btree))
 	}
 	slide(live)
 	at50k := slide(50000)
 	at200k := slide(150000)
-	runtime.KeepAlive(at)
 	if at.Len() != live {
 		t.Fatalf("Len = %d, want %d", at.Len(), live)
 	}

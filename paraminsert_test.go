@@ -5,6 +5,7 @@ import (
 	gosql "database/sql"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -123,4 +124,117 @@ func TestInsertSelectLeavesSourceRowsUntouched(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestInsertSelectOfItselfDoublesTable: INSERT … SELECT reads its whole
+// source before it writes, so a table inserted into from itself
+// exactly doubles, whatever its size and indexes.
+func TestInsertSelectOfItselfDoublesTable(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE t (a INT, b STRING)`)
+	mustExec(t, db, `CREATE INDEX ta ON t (a)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, NULL)`)
+	for want := 6; want <= 3*1<<8; want *= 2 {
+		mustExec(t, db, `INSERT INTO t SELECT * FROM t`)
+		res := mustExec(t, db, `SELECT COUNT(*), SUM(a), COUNT(b) FROM t`)
+		got := fmt.Sprint(res.Rows[0])
+		if w := fmt.Sprint(datum.Row{NewInt(int64(want)), NewInt(int64(2 * want)), NewInt(int64(2 * want / 3))}); got != w {
+			t.Fatalf("after doubling to %d rows: COUNT(*), SUM(a), COUNT(b) = %s, want %s", want, got, w)
+		}
+	}
+}
+
+// TestInsertValuesErrorRollsBackEarlierRows: VALUES rows are inserted
+// as they are evaluated, so a row that fails to evaluate after others
+// went in rolls its statement back to none of them, and the
+// transaction it ran in commits without them.
+func TestInsertValuesErrorRollsBackEarlierRows(t *testing.T) {
+	db := Open(WithPlanCache(8))
+	mustExec(t, db, `CREATE TABLE t (a INT)`)
+	mustExec(t, db, `CREATE INDEX ta ON t (a)`)
+	tx, err := db.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{`INSERT INTO t VALUES (1), (2), (1/0)`, `INSERT INTO t VALUES (1), (2), (1/0)`, `INSERT INTO t VALUES (3)`} {
+		if _, err := tx.Exec(q, nil); (err == nil) != (q == `INSERT INTO t VALUES (3)`) {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]int64{`SELECT COUNT(*) FROM t`: 1, `SELECT COUNT(*) FROM t WHERE a = 1`: 0} {
+		if res := mustExec(t, db, q); fmt.Sprint(res.Rows[0]) != fmt.Sprint(datum.Row{NewInt(want)}) {
+			t.Fatalf("%s after the transaction: %v, want %d", q, res.Rows[0], want)
+		}
+	}
+}
+
+// TestInsertValuesAllocatesNoRows: a cached literal INSERT evaluates
+// each VALUES row straight into the insert's scratch row, so the
+// executor allocates no more for 50 rows than for one.
+func TestInsertValuesAllocatesNoRows(t *testing.T) {
+	db := Open(WithPlanCache(8))
+	mustExec(t, db, `CREATE TABLE t (a INT, b FLOAT, c STRING)`)
+	var rows []string
+	for r := range 50 {
+		rows = append(rows, fmt.Sprintf("(%d, %d.5, 'row')", r, r))
+	}
+	perExec := func(q string) float64 {
+		run := func() { mustExec(t, db, q) }
+		run() // compile and park the tree
+		run()
+		return execAllocs(t, 20, run)
+	}
+	one, fifty := perExec("INSERT INTO t VALUES "+rows[0]), perExec("INSERT INTO t VALUES "+strings.Join(rows, ", "))
+	t.Logf("executor allocations per INSERT: %.1f for 1 row, %.1f for 50", one, fifty)
+	if fifty > one {
+		t.Errorf("a cached 50-row INSERT makes %.1f executor allocations, a 1-row one %.1f; want no more", fifty, one)
+	}
+}
+
+// execAllocs runs run n times with every allocation profiled and
+// returns the objects per run that code of internal/exec allocated
+// itself (the first frame outside the runtime is an exec function).
+func execAllocs(t *testing.T, n int, run func()) float64 {
+	t.Helper()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	count := func() int64 {
+		// A collection publishes the allocations made before it.
+		runtime.GC()
+		runtime.GC()
+		recs := make([]runtime.MemProfileRecord, 1024)
+		for {
+			m, ok := runtime.MemProfile(recs, true)
+			if ok {
+				recs = recs[:m]
+				break
+			}
+			recs = make([]runtime.MemProfileRecord, m+1024)
+		}
+		var objs int64
+		for _, r := range recs {
+			frames := runtime.CallersFrames(r.Stack())
+			for {
+				f, more := frames.Next()
+				if !strings.HasPrefix(f.Function, "runtime.") {
+					if strings.HasPrefix(f.Function, "repro/internal/exec.") {
+						objs += r.AllocObjects
+					}
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return objs
+	}
+	before := count()
+	for range n {
+		run()
+	}
+	return float64(count()-before) / float64(n)
 }
