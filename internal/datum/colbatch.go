@@ -15,6 +15,7 @@ package datum
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -524,35 +525,29 @@ func (b *ColBatch) MemBytes() int64 {
 
 // MaterializeInto appends the live rows to dst as ordinary rows backed
 // by one fresh arena; the returned rows remain valid after the batch is
-// reused. This is the boundary from columnar to row execution. A nil
-// srcs materializes every column; otherwise the rows are the projection
-// AliasFrom(b, srcs, consts) would describe, read straight from b.
-func (b *ColBatch) MaterializeInto(dst []Row, srcs []int, consts []Value) []Row {
-	live := b.NumLive()
-	if live == 0 {
-		return dst
+// reused. This is the boundary from columnar to row execution.
+func (b *ColBatch) MaterializeInto(dst []Row) []Row {
+	live, w := b.NumLive(), len(b.Vecs)
+	arena := b.AppendValues(make([]Value, 0, live*w))
+	for i := range live {
+		dst = append(dst, arena[i*w:(i+1)*w:(i+1)*w])
 	}
-	w := len(srcs)
-	if srcs == nil {
-		w = len(b.Vecs)
+	return dst
+}
+
+// AppendValues appends the live rows' values to dst, row after row, and
+// returns it, filling a column at a time.
+func (b *ColBatch) AppendValues(dst []Value) []Value {
+	base, w := len(dst), len(b.Vecs)
+	dst = slices.Grow(dst, b.NumLive()*w)[:base+b.NumLive()*w]
+	for c := range b.Vecs {
+		v, k := &b.Vecs[c], base+c
+		_ = b.EachLive(func(i int) error {
+			dst[k] = v.ValueAt(i)
+			k += w
+			return nil
+		})
 	}
-	arena := make([]Value, live*w)
-	_ = b.EachLive(func(i int) error {
-		row := arena[:w:w]
-		arena = arena[w:]
-		for c := range row {
-			s := c
-			if srcs != nil {
-				if s = srcs[c]; s < 0 {
-					row[c] = consts[c]
-					continue
-				}
-			}
-			row[c] = b.Vecs[s].ValueAt(i)
-		}
-		dst = append(dst, row)
-		return nil
-	})
 	return dst
 }
 

@@ -139,7 +139,7 @@ func TestColBatchSelection(t *testing.T) {
 	if b.NumLive() != 3 {
 		t.Fatalf("live=%d want 3", b.NumLive())
 	}
-	rows := b.MaterializeInto(nil, nil, nil)
+	rows := b.MaterializeInto(nil)
 	if len(rows) != 3 || rows[0][0].Int() != 1 || rows[1][0].Int() != 4 || rows[2][0].Int() != 7 {
 		t.Fatalf("materialized %v", rows)
 	}
@@ -184,7 +184,7 @@ func TestColBatchMaterializeRetainable(t *testing.T) {
 	b := NewColBatch([]TypeID{TInt, TString})
 	b.AppendRow(Row{NewInt(1), NewString("one")})
 	b.AppendRow(Row{NewInt(2), NewString("two")})
-	rows := b.MaterializeInto(nil, nil, nil)
+	rows := b.MaterializeInto(nil)
 	b.Reset()
 	b.AppendRow(Row{NewInt(9), NewString("nine")})
 	if rows[0][0].Int() != 1 || rows[0][1].Str() != "one" ||
@@ -279,7 +279,7 @@ func TestAppendLiveMatchesRows(t *testing.T) {
 		acc.AppendLive(src)
 		want = append(want, rows...)
 	}
-	if got := acc.MaterializeInto(nil, nil, nil); len(got) != len(want) {
+	if got := acc.MaterializeInto(nil); len(got) != len(want) {
 		t.Fatalf("accumulated %d rows, want %d", len(got), len(want))
 	} else {
 		for i := range want {

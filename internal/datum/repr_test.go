@@ -127,7 +127,7 @@ func TestValueRoundTrips(t *testing.T) {
 				if !vec.ValueAt(1).IsNull() {
 					t.Fatalf("ColBatch(%s): NULL after the value lost", TypeName(typ))
 				}
-				if m := b.MaterializeInto(nil, nil, nil); !samePayload(m[0][0], c.raw) {
+				if m := b.MaterializeInto(nil); !samePayload(m[0][0], c.raw) {
 					t.Fatalf("ColBatch(%s) MaterializeInto: got %v", TypeName(typ), m[0][0])
 				}
 				if got, want := string(b.AppendKeyCols(nil, []int{0}, 0)), RowKey(Row{c.v}); got != want {

@@ -63,15 +63,10 @@ type colBatchSource interface {
 	NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error)
 }
 
-// rowFiller is a batch producer that can hand a row consumer its next
-// batch as rows without building that batch first (the alias
-// projection reads them straight from its input's batch).
-type rowFiller interface {
-	fillRows(ctx *Ctx, dst []datum.Row) ([]datum.Row, bool, error)
-}
-
-// rowFeed adapts a columnar producer to the Stream interface by
-// materializing each batch into retainable rows. The
+// rowFeed adapts a columnar producer to the Stream interface for the
+// consumers that pull Next one row at a time (an apply's outer, LIMIT,
+// an exchange producer) by materializing each batch into retainable
+// rows; materialize drains batches instead (see rowSlab.drain). The
 // rows slice is the reused batch container; trailing slots are cleared
 // before refill so it never pins rows from earlier batches.
 type rowFeed struct {
@@ -90,18 +85,12 @@ func (f *rowFeed) reset() {
 func (f *rowFeed) refill(ctx *Ctx, src colBatchSource) (bool, error) {
 	clear(f.rows)
 	f.rows, f.pos = f.rows[:0], 0
-	if rf, ok := src.(rowFiller); ok {
-		var more bool
-		var err error
-		f.rows, more, err = rf.fillRows(ctx, f.rows)
-		return more, err
-	}
 	b, more, err := src.NextColBatch(ctx)
 	if err != nil {
 		return false, err
 	}
 	if b != nil {
-		f.rows = b.MaterializeInto(f.rows, nil, nil)
+		f.rows = b.MaterializeInto(f.rows)
 	}
 	return more, nil
 }

@@ -81,8 +81,10 @@ type Ctx struct {
 	waitProf *obs.WaitProfile
 	waits    *obs.WaitSet
 	// own receives the pooled objects operators acquire (see Tree); nil
-	// leaves them to the garbage collector.
-	own *Tree
+	// leaves them to the garbage collector. stage is own's slab, nil on
+	// an exchange worker (see materialize).
+	own   *Tree
+	stage *rowSlab
 	// execID names the execution, worker children included: state an
 	// operator keeps across re-opens within one execution (an inner
 	// runner's counters, a subplan's cached results) is dropped when it
@@ -147,7 +149,7 @@ func (c *Ctx) recordWait(e obs.WaitEvent, start time.Time) {
 // read-only.
 func (c *Ctx) child() *Ctx {
 	nc := *c
-	nc.rec = nil
+	nc.rec, nc.stage = nil, nil
 	nc.ec.Exec = &nc
 	return &nc
 }
@@ -391,37 +393,99 @@ func Run(ctx *Ctx, s Stream) ([]datum.Row, error) {
 }
 
 // materialize drains a stream into a materialized result, charging one
-// work-budget tick per result row. On any failure — including a failing
-// Close — it returns a nil result, never partial rows beside a non-nil
-// error; Close always runs, and its error joins the Next error rather
-// than being discarded.
-func materialize(ctx *Ctx, s Stream) (rows []datum.Row, err error) {
+// work-budget tick per result row. It stages the rows in ctx.stage
+// (nested calls above the outer ones) or a pooled slab, then hands out
+// one exact-size block: a []datum.Row and, for a columnar stream, one
+// arena of the values copied out of its batches. On any failure —
+// including a failing Close — it returns a nil result, never partial
+// rows beside a non-nil error.
+func materialize(ctx *Ctx, s Stream) ([]datum.Row, error) {
+	sl := ctx.stage
+	if sl == nil {
+		sl = slabPool.Get().(*rowSlab)
+		defer slabPool.Put(sl)
+	}
+	first, v := len(sl.rows), len(sl.vals)
+	defer sl.truncate(first, v)
+	if err := sl.drain(ctx, s); err != nil || len(sl.rows) == first {
+		return nil, err
+	}
+	rows := make([]datum.Row, len(sl.rows)-first)
+	if len(sl.vals) == v {
+		copy(rows, sl.rows[first:])
+		return rows, nil
+	}
+	vals := append([]datum.Value(nil), sl.vals[v:]...)
+	for k, r := range sl.rows[first:] {
+		rows[k], vals = vals[:len(r):len(r)], vals[len(r):]
+	}
+	return rows, nil
+}
+
+// rowSlab stages drained rows: their headers, and the values of rows
+// copied out of batches, which those headers slice.
+type rowSlab struct {
+	rows []datum.Row
+	vals []datum.Value
+}
+
+// slabPool's vals start non-nil, so a zero-width row is empty, not nil.
+var slabPool = sync.Pool{New: func() any { return &rowSlab{vals: []datum.Value{}} }}
+
+// drain runs s once and appends its rows to sl, one work tick each: a
+// columnar stream's by batch, values copied, any other stream's by Next,
+// headers only. Close always runs, and its error joins the others.
+func (sl *rowSlab) drain(ctx *Ctx, s Stream) (err error) {
 	if err := s.Open(ctx); err != nil {
 		// Close even after a failed Open: a multi-input operator may have
 		// opened some children before the failure, and every Close is
 		// safe on a never-opened stream.
-		return nil, errors.Join(err, s.Close(ctx))
+		return errors.Join(err, s.Close(ctx))
 	}
-	defer func() {
-		cerr := s.Close(ctx)
-		if err = errors.Join(err, cerr); err != nil {
-			rows = nil
-		}
-	}()
-	var out []datum.Row
+	defer func() { err = errors.Join(err, s.Close(ctx)) }()
+	cs, batched := s.(ColBatchStream)
+	first, v, w := len(sl.rows), len(sl.vals), 0
 	for {
-		row, ok, err := s.Next(ctx)
+		if !batched {
+			row, ok, err := s.Next(ctx)
+			if err != nil || !ok {
+				return err
+			}
+			if err := ctx.tick(); err != nil {
+				return err
+			}
+			sl.rows = append(sl.rows, row)
+			continue
+		}
+		b, more, err := cs.NextColBatch(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if !ok {
-			return out, nil
+		if b != nil {
+			for range b.NumLive() {
+				if err := ctx.tick(); err != nil {
+					return err
+				}
+				sl.rows = append(sl.rows, nil)
+			}
+			sl.vals, w = b.AppendValues(sl.vals), len(b.Vecs)
 		}
-		if err := ctx.tick(); err != nil {
-			return nil, err
+		if !more {
+			// Carve once every value is in: vals moves as it grows.
+			for k := first; k < len(sl.rows); k, v = k+1, v+w {
+				sl.rows[k] = sl.vals[v : v+w : v+w]
+			}
+			return nil
 		}
-		out = append(out, row)
 	}
+}
+
+// truncate drops the staged rows and values past the first rows and
+// vals, keeping the capacity.
+func (sl *rowSlab) truncate(rows, vals int) {
+	clear(sl.rows[rows:])
+	clear(sl.vals[vals:])
+	sl.rows, sl.vals = sl.rows[:rows], sl.vals[:vals]
 }
 
 // ---------------------------------------------------------------------
@@ -439,8 +503,10 @@ type Tree struct {
 	root Stream
 	// ctx and sh are the execution context and its shared record,
 	// readied by Ctx and emptied by Done.
-	ctx      Ctx
-	sh       shared
+	ctx Ctx
+	sh  shared
+	// stage is the pooled slab materialize stages in (see Ctx.stage).
+	stage    *rowSlab
 	mu       sync.Mutex
 	holders  []pooledHolder
 	released int
@@ -459,7 +525,18 @@ func (b *Builder) BuildTree(n *plan.Node) (*Tree, error) {
 // their state for the next Run.
 func (t *Tree) Run(ctx *Ctx) ([]datum.Row, error) {
 	ctx.own = t
+	if t.stage == nil {
+		t.stage = slabPool.Get().(*rowSlab)
+		ctx.hold(t)
+	}
+	ctx.stage = t.stage
 	return materialize(ctx, t.root)
+}
+
+// releasePooled gives the stage back: materialize has emptied it.
+func (t *Tree) releasePooled() {
+	slabPool.Put(t.stage)
+	t.stage = nil
 }
 
 // Ctx readies the tree's own execution context for one run over cat
@@ -475,8 +552,18 @@ func (t *Tree) Ctx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
 // into the finished statement — catalog, parameters, arguments,
 // transaction, cancellation, wait set, recursive work tables — so an
 // idle tree pins none of it. Call it after the run's results are read
-// and before the tree is parked or released.
-func (t *Tree) Done() { t.ctx = Ctx{} }
+// and before the tree is parked or released; it empties the apply
+// caches too.
+func (t *Tree) Done() {
+	t.ctx = Ctx{}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, h := range t.holders {
+		if r, ok := h.(*innerRunner); ok {
+			r.park()
+		}
+	}
+}
 
 // Release ends the tree's life: every pooled object its operators hold
 // goes back to its pool, once. Releasing again is a no-op; running the

@@ -90,17 +90,17 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The join and both scans' batches: each recorded once, however
-	// often they re-opened.
-	if held, released := tree.Pooled(); held != 3 || released != 0 {
-		t.Fatalf("before the tree dies: %d held, %d released; want 3 and 0", held, released)
+	// The join, both scans' batches and the runner's result slab: each
+	// recorded once, however often they re-opened.
+	if held, released := tree.Pooled(); held != 4 || released != 0 {
+		t.Fatalf("before the tree dies: %d held, %d released; want 4 and 0", held, released)
 	}
 	tree.Release()
 	tree.Release()
-	if held, released := tree.Pooled(); held != 0 || released != 3 {
-		t.Fatalf("after the tree died twice: %d held, %d released; want 0 and 3", held, released)
+	if held, released := tree.Pooled(); held != 0 || released != 4 {
+		t.Fatalf("after the tree died twice: %d held, %d released; want 0 and 4", held, released)
 	}
-	if j.st != nil || probe.batch != nil || build.batch != nil {
+	if j.st != nil || probe.batch != nil || build.batch != nil || runner.slab != nil {
 		t.Fatal("a dead tree still holds pooled objects")
 	}
 	// A state put back twice would wait in the pool twice and come out of
@@ -172,7 +172,7 @@ func TestNestedBuildJoinFilterReopens(t *testing.T) {
 		}
 	}
 	tree.Release()
-	if held, released := tree.Pooled(); held != 0 || released != 5 {
-		t.Fatalf("dead tree: %d held, %d released; want 0 and 5 (two joins, three scans)", held, released)
+	if held, released := tree.Pooled(); held != 0 || released != 6 {
+		t.Fatalf("dead tree: %d held, %d released; want 0 and 6 (two joins, three scans, the result stage)", held, released)
 	}
 }

@@ -410,27 +410,6 @@ func (p *projectOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	return p.out, more, nil
 }
 
-// fillRows implements rowFiller: rows for a row consumer come straight
-// from the input batch, with no output batch in between.
-func (p *projectOp) fillRows(ctx *Ctx, dst []datum.Row) ([]datum.Row, bool, error) {
-	b, more, err := p.input.NextColBatch(ctx)
-	if err != nil || b == nil {
-		return dst, more, err
-	}
-	if p.srcs != nil {
-		return b.MaterializeInto(dst, p.srcs, p.consts), more, nil
-	}
-	w := len(p.rows.exprs)
-	arena := make([]datum.Value, b.NumLive()*w)
-	err = b.EachLive(func(i int) error {
-		row := arena[:w:w]
-		arena = arena[w:]
-		dst = append(dst, row)
-		return p.rows.eval(ctx, b, i, row)
-	})
-	return dst, more, err
-}
-
 // eval evaluates the projection of live row i of b into out.
 func (r *rowProjection) eval(ctx *Ctx, b *datum.ColBatch, i int, out datum.Row) error {
 	row, ec := loadRow(r.scratch, b, i), ctx.exprCtx()

@@ -248,7 +248,10 @@ type innerRunner struct {
 	vec      datum.Row
 	cache    keyTable
 	results  [][]datum.Row
-	mem      memCharge
+	// slab holds the cached results, recycled with the cache: they never
+	// leave the apply (a fold returns the outer row, pairing a copy).
+	slab *rowSlab
+	mem  memCharge
 	// hits/misses count correlated lookups since execution execID first
 	// reached the runner: re-opens within an execution accumulate.
 	hits, misses int64
@@ -311,6 +314,14 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 		}
 		return r.results[id], nil
 	}
+	// A full cache empties before the miss lands in the slab it shares.
+	if len(r.cache.ids) >= maxCachedResults {
+		r.reset(ctx)
+	}
+	if r.slab == nil {
+		r.slab = slabPool.Get().(*rowSlab)
+		ctx.hold(r)
+	}
 	// Only a correlated inner installs a vector: any other (an NLJN's
 	// inside a subquery's inner, say) keeps seeing the enclosing one.
 	var saved datum.Row
@@ -319,16 +330,15 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 		ctx.sh.subqMisses.Add(1)
 		saved = ctx.setCorr(r.vec)
 	}
-	rows, err := materialize(ctx, r.inner)
+	first := len(r.slab.rows)
+	err := r.slab.drain(ctx, r.inner)
 	if correlated {
 		ctx.setCorr(saved)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(r.cache.ids) >= maxCachedResults {
-		r.reset(ctx)
-	}
+	rows := r.slab.rows[first:len(r.slab.rows):len(r.slab.rows)]
 	keyBytes := r.cache.bytes
 	r.cache.insert()
 	r.results = append(r.results, rows)
@@ -346,9 +356,24 @@ func (r *innerRunner) reset(ctx *Ctx) {
 		r.execID, r.hits, r.misses, r.mem = ctx.execID, 0, 0, memCharge{}
 	}
 	r.mem.release(ctx)
+	r.park()
+}
+
+// park empties the cache and its slab, keeping their capacity: an idle
+// runner pins no value.
+func (r *innerRunner) park() {
 	r.cache.empty()
 	clear(r.results)
 	r.results = r.results[:0]
+	if r.slab != nil {
+		r.slab.truncate(0, 0)
+	}
+}
+
+func (r *innerRunner) releasePooled() {
+	r.park()
+	slabPool.Put(r.slab)
+	r.slab = nil
 }
 
 // ---------------------------------------------------------------------

@@ -199,9 +199,21 @@ func TestInsertValuesAllocatesNoRows(t *testing.T) {
 // itself (the first frame outside the runtime is an exec function).
 func execAllocs(t *testing.T, n int, run func()) float64 {
 	t.Helper()
+	objs, _ := allocProfile(t, n, run, func(funcs []string) bool {
+		return strings.HasPrefix(funcs[0], "repro/internal/exec.")
+	})
+	return objs
+}
+
+// allocProfile runs run n times with every allocation profiled and
+// returns the objects and bytes per run of the allocations whose stack
+// keep accepts: the function names of its frames outside the runtime,
+// innermost first.
+func allocProfile(t *testing.T, n int, run func(), keep func(funcs []string) bool) (objs, bytes float64) {
+	t.Helper()
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	count := func() int64 {
+	count := func() (objs, bytes int64) {
 		// A collection publishes the allocations made before it.
 		runtime.GC()
 		runtime.GC()
@@ -214,27 +226,28 @@ func execAllocs(t *testing.T, n int, run func()) float64 {
 			}
 			recs = make([]runtime.MemProfileRecord, m+1024)
 		}
-		var objs int64
+		var funcs []string
 		for _, r := range recs {
+			funcs = funcs[:0]
 			frames := runtime.CallersFrames(r.Stack())
-			for {
-				f, more := frames.Next()
-				if !strings.HasPrefix(f.Function, "runtime.") {
-					if strings.HasPrefix(f.Function, "repro/internal/exec.") {
-						objs += r.AllocObjects
-					}
-					break
-				}
-				if !more {
-					break
+			for more := true; more; {
+				var f runtime.Frame
+				f, more = frames.Next()
+				if len(funcs) > 0 || !strings.HasPrefix(f.Function, "runtime.") {
+					funcs = append(funcs, f.Function)
 				}
 			}
+			if len(funcs) > 0 && keep(funcs) {
+				objs += r.AllocObjects
+				bytes += r.AllocBytes
+			}
 		}
-		return objs
+		return objs, bytes
 	}
-	before := count()
+	o, b := count()
 	for range n {
 		run()
 	}
-	return float64(count()-before) / float64(n)
+	o2, b2 := count()
+	return float64(o2-o) / float64(n), float64(b2-b) / float64(n)
 }

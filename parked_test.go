@@ -860,3 +860,60 @@ func TestParkedObservationBesideCommit(t *testing.T) {
 		t.Fatalf("SYS.WAITS WAL_SYNC count of the auto-commit INSERT = %v, want at most %d", res.Rows, limit)
 	}
 }
+
+// TestParkedSlabsHoldNoValues: the slabs a tree stages its result in
+// and an apply keeps its cached inner results in stay with the parked
+// tree, but empty: no slot up to their capacity holds a row or a value,
+// so an idle tree pins no string of the statement that last ran. Each
+// slab is one of the tree's pooled objects and goes back with them
+// when DDL ends the tree.
+func TestParkedSlabsHoldNoValues(t *testing.T) {
+	db := Open(WithPlanCache(8))
+	mustExec(t, db, "CREATE TABLE ta (k INT, v INT, s STRING)")
+	mustExec(t, db, "CREATE TABLE tb (k INT, v INT, s STRING)")
+	loadRows(t, db, "ta", 200, func(i int) string { return fmt.Sprintf("%d, %d, 'a%d'", i, i%7, i%9) })
+	loadRows(t, db, "tb", 300, func(i int) string { return fmt.Sprintf("%d, %d, 'a%d'", i%50, i%11, i%13) })
+	for n, c := range []struct {
+		q     string
+		slabs int // the tree's and one per apply runner
+	}{
+		{"SELECT k, s FROM ta WHERE v < 5", 1},
+		{"SELECT k FROM ta WHERE s IN (SELECT s FROM tb WHERE tb.v > ta.v)", 2},
+		{"SELECT k FROM ta WHERE v = 3 OR s IN (SELECT s FROM tb WHERE tb.k = ta.k)", 2},
+	} {
+		for i := 0; i < 3; i++ {
+			if res := mustExec(t, db, c.q); len(res.Rows) == 0 {
+				t.Fatalf("%s: no rows; the check is vacuous", c.q)
+			}
+		}
+		tree, held := requireParked(t, db, c.q)
+		slabs := []reflect.Value{reflect.ValueOf(tree).Elem().FieldByName("stage")}
+		holders := reflect.ValueOf(tree).Elem().FieldByName("holders")
+		for i := range holders.Len() {
+			if h := holders.Index(i).Elem(); h.Type().String() == "*exec.innerRunner" {
+				slabs = append(slabs, h.Elem().FieldByName("slab"))
+			}
+		}
+		if len(slabs) != c.slabs {
+			t.Fatalf("%s: %d slabs, want %d", c.q, len(slabs), c.slabs)
+		}
+		for _, sl := range slabs {
+			if sl.IsNil() {
+				t.Fatalf("%s: the parked tree kept no slab", c.q)
+			}
+			for _, name := range []string{"rows", "vals"} {
+				f := sl.Elem().FieldByName(name)
+				if f.Len() != 0 || f.Cap() == 0 {
+					t.Fatalf("%s: a parked slab's %s has length %d and capacity %d; want 0 and some", c.q, name, f.Len(), f.Cap())
+				}
+				for j, all := 0, f.Slice(0, f.Cap()); j < all.Len(); j++ {
+					if !all.Index(j).IsZero() {
+						t.Fatalf("%s: a parked slab's %s keeps slot %d", c.q, name, j)
+					}
+				}
+			}
+		}
+		mustExec(t, db, fmt.Sprintf("CREATE TABLE z%d (a INT)", n))
+		requireReleased(t, c.q, tree, held)
+	}
+}
