@@ -70,9 +70,11 @@ examples:
 # schedules, over statement texts for the plan-cache key (its shape,
 # and the key, lifted values and tokens against the reference key and
 # lexer in internal/sql/keyref_test.go), over B-tree
-# operation sequences checked against a sorted-slice model and over WAL
+# operation sequences checked against a sorted-slice model, over WAL
 # record sequences written through the one reused frame buffer, then
-# cut or damaged (race replays only the seed corpora), and the paths through
+# cut or damaged, and over value sequences keyed through the executor's
+# one hash table against the RowKey map it replaced (FuzzKeyTable; race
+# replays only the seed corpora), and the paths through
 # pooled batches — equivalence, subquery re-opens, budgets, reuse —
 # repeated under the race detector, since a pooled batch outlives its
 # operator and the per-P pool hands it across goroutines, and DISK
@@ -103,8 +105,12 @@ examples:
 # every subquery flavor as a SUBQ node and as an expression subplan,
 # the two users of the one inner runner and set-predicate fold. The
 # Budget pattern includes TestBudgetChargesDistinctState: DISTINCT, a
-# DISTINCT aggregate and GROUP BY charge their row-key tables to
-# MaxMem.
+# DISTINCT aggregate and GROUP BY charge their hash tables' lanes to
+# MaxMem. A pooled hash table outlives the operator that keyed through
+# it, so GROUP, DISTINCT, the set operations, the recursion and the
+# apply cache re-execute under the race detector too: closed twice and
+# re-opened (TestCloseTwiceThenReopen), through parked trees
+# (TestParked*) and with their results kept (TestResultRowsSurvive*).
 #
 # One pass of STRESS_TESTS under -race takes about 145 s on two cores
 # and five took 811 s, over go test's default 10-minute timeout; the
@@ -115,10 +121,11 @@ stress:
 	$(GO) test ./internal/sql -run FuzzKeyMatchesReference -fuzz FuzzKeyMatchesReference -fuzztime 10s
 	$(GO) test ./internal/storage -run FuzzBTree -fuzz FuzzBTree -fuzztime 10s
 	$(GO) test ./internal/storage/disk -run FuzzWALFrames -fuzz FuzzWALFrames -fuzztime 10s
+	$(GO) test ./internal/exec -run FuzzKeyTable -fuzz FuzzKeyTable -fuzztime 10s
 	$(GO) test -race -count=5 -timeout 30m -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/ ./internal/storage/disk/
 
-STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel|TestResultRowsSurvive
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel|TestResultRowsSurvive|TestCloseTwiceThenReopen
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

@@ -6,10 +6,10 @@
 // convertible back to []Row at any operator boundary that is not
 // columnar-native.
 //
-// Hash and key helpers here are byte-identical to the row-oriented
-// Hash/HashRow/RowKey above: a hash computed from a vector lane must
-// agree with one computed from the boxed value, because a hash join
-// may meet a boxed vector on one side of a key and a typed lane on the
+// The lane hashes here are byte-identical to the row-oriented
+// Hash/HashRow: a hash computed from a vector lane must agree with one
+// computed from the boxed value, because the executor's hash table may
+// meet a boxed vector on one side of a key and a typed lane on the
 // other.
 package datum
 
@@ -501,24 +501,37 @@ func gatherLane[T any](dst, src []T, idx, at []int, n int) ([]T, bool) {
 	return dst, neg
 }
 
-// MemBytes is the memory the batch's rows take: lane lengths plus
-// string payloads, for the memory accounting of operators that buffer a
-// batch. Spare lane capacity is not counted, so the charge for the same
-// rows does not depend on what a reused batch held before.
-func (b *ColBatch) MemBytes() int64 {
+// MemBytes is the memory the batch's rows from lo on take: lane lengths
+// plus string payloads, for the memory accounting of operators that
+// buffer a batch (lo > 0 for one that charges rows as it appends them).
+// Spare lane capacity is not counted, so the charge for the same rows
+// does not depend on what a reused batch held before.
+func (b *ColBatch) MemBytes(lo int) int64 {
 	var n int64
 	for i := range b.Vecs {
 		v := &b.Vecs[i]
 		// One NULL bit per row: a reset bitmap keeps its words, so its
 		// length is history too.
-		n += int64(len(v.Ints))*8 + int64(len(v.Floats))*8 + int64(len(v.Bools)) +
-			int64(len(v.Strs))*16 + int64(len(v.Boxed))*valueSize + int64(v.Len()+63)/64*8
-		for _, s := range v.Strs {
+		n += int64(max(len(v.Ints)-lo, 0)+max(len(v.Floats)-lo, 0))*8 + int64(max(len(v.Bools)-lo, 0)) +
+			int64(max(len(v.Strs)-lo, 0))*16 + int64(max(len(v.Boxed)-lo, 0))*valueSize + int64(max(v.Len()-lo, 0)+63)/64*8
+		for _, s := range v.Strs[min(lo, len(v.Strs)):] {
 			n += int64(len(s))
 		}
-		for _, x := range v.Boxed {
+		for _, x := range v.Boxed[min(lo, len(v.Boxed)):] {
 			n += x.strLen()
 		}
+	}
+	return n
+}
+
+// CapBytes is the lane capacity b keeps, for an owner deciding whether
+// a batch is worth keeping between executions.
+func (b *ColBatch) CapBytes() int64 {
+	var n int64
+	for i := range b.Vecs {
+		v := &b.Vecs[i]
+		n += int64(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls))*8 + int64(cap(v.Bools)) +
+			int64(cap(v.Strs))*16 + int64(cap(v.Boxed))*valueSize
 	}
 	return n
 }
@@ -589,10 +602,14 @@ func hashBool(b bool) uint64 {
 }
 
 // hashNum hashes a number as FNV-1a over tag 2 and its little-endian
-// IEEE bits. -0 is mapped to +0 first, since Compare holds them equal.
+// IEEE bits. -0 is mapped to +0 and every NaN to one NaN first, since
+// Compare holds them equal.
 func hashNum(f float64) uint64 {
-	if f == 0 {
+	switch {
+	case f == 0:
 		f = 0
+	case f != f:
+		f = math.NaN()
 	}
 	u := math.Float64bits(f)
 	h := uint64(fnvOffset)
@@ -655,47 +672,9 @@ func (b *ColBatch) HashLive(cols []int, out []uint64, nullAny []bool) ([]uint64,
 }
 
 // ---------------------------------------------------------------------
-// Lane-direct grouping keys, byte-identical to RowKey.
+// RowKey's encoding.
 
-// AppendKeyCols appends the canonical grouping key of the given columns
-// of row i to buf, producing exactly the bytes RowKey would for a row
-// holding those values. The hash aggregate groups on it, so grouping
-// over lanes forms exactly the groups RowKey would.
-func (b *ColBatch) AppendKeyCols(buf []byte, cols []int, i int) []byte {
-	for _, c := range cols {
-		v := &b.Vecs[c]
-		if v.Boxed != nil {
-			buf = appendValueKey(buf, v.Boxed[i])
-			continue
-		}
-		if v.Nulls.Get(i) {
-			buf = append(buf, 'N', '|')
-			continue
-		}
-		switch v.Typ {
-		case TBool:
-			if v.Bools[i] {
-				buf = append(buf, 'T')
-			} else {
-				buf = append(buf, 'F')
-			}
-		case TInt:
-			buf = appendIntKey(buf, v.Ints[i])
-		case TFloat:
-			buf = appendFloatKey(buf, v.Floats[i])
-		case TString:
-			buf = append(buf, 's')
-			buf = strconv.AppendQuote(buf, v.Strs[i])
-		default:
-			buf = append(buf, 'N')
-		}
-		buf = append(buf, '|')
-	}
-	return buf
-}
-
-// appendValueKey appends one value's RowKey encoding; shared by RowKey
-// and AppendKeyCols so the two stay in lockstep.
+// appendValueKey appends one value's RowKey encoding.
 func appendValueKey(buf []byte, v Value) []byte {
 	switch v.typ {
 	case TNull:

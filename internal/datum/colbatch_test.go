@@ -109,24 +109,6 @@ func TestColBatchHashParity(t *testing.T) {
 	}
 }
 
-// TestColBatchKeyParity pins AppendKeyCols against RowKey, the contract
-// the columnar hash aggregate's grouping depends on.
-func TestColBatchKeyParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	types := []TypeID{TBool, TInt, TFloat, TString}
-	b, rows := fillBatch(rng, types, 300)
-	cols := []int{2, 0, 3, 1}
-	var buf []byte
-	for i, r := range rows {
-		key := Row{r[2], r[0], r[3], r[1]}
-		want := RowKey(key)
-		buf = b.AppendKeyCols(buf[:0], cols, i)
-		if string(buf) != want {
-			t.Fatalf("row %d: lane key %q != RowKey %q", i, buf, want)
-		}
-	}
-}
-
 func TestColBatchSelection(t *testing.T) {
 	b := NewColBatch([]TypeID{TInt})
 	for i := 0; i < 10; i++ {
@@ -172,9 +154,10 @@ func TestColBatchBoxedPromotion(t *testing.T) {
 		if h[i] != HashRow(Row{w}, []int{0}) {
 			t.Fatalf("boxed hash %d mismatch", i)
 		}
-		key := b.AppendKeyCols(nil, []int{0}, i)
-		if string(key) != RowKey(Row{w}) {
-			t.Fatalf("boxed key %d mismatch: %q vs %q", i, key, RowKey(Row{w}))
+		for j, x := range want {
+			if got := KeyEqual(v.ValueAt(i), v.ValueAt(j)); got != (RowKey(Row{w}) == RowKey(Row{x})) {
+				t.Fatalf("boxed KeyEqual(%d, %d) = %v, against RowKey", i, j, got)
+			}
 		}
 	}
 }
@@ -288,7 +271,7 @@ func TestAppendLiveMatchesRows(t *testing.T) {
 			}
 		}
 	}
-	if acc.MemBytes() <= 0 {
+	if acc.MemBytes(0) <= 0 {
 		t.Fatal("MemBytes of a filled batch is not positive")
 	}
 }

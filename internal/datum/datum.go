@@ -13,6 +13,7 @@
 package datum
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -333,45 +334,22 @@ func Coerce(v Value, t TypeID) (Value, error) {
 }
 
 // Compare orders two datums. ok is false when either side is NULL or the
-// types are incomparable; SQL predicates treat that as UNKNOWN.
-func Compare(a, b Value) (cmp int, ok bool) {
+// types are incomparable; SQL predicates treat that as UNKNOWN. Numbers
+// compare as cmp.Compare orders float64s: every NaN equals every NaN
+// and sorts below every other number, and -0 equals +0.
+func Compare(a, b Value) (c int, ok bool) {
 	if a.IsNull() || b.IsNull() {
 		return 0, false
 	}
 	switch {
 	case a.typ == TInt && b.typ == TInt:
-		switch ai, bi := a.asInt(), b.asInt(); {
-		case ai < bi:
-			return -1, true
-		case ai > bi:
-			return 1, true
-		}
-		return 0, true
+		return cmp.Compare(a.asInt(), b.asInt()), true
 	case (a.typ == TInt || a.typ == TFloat) && (b.typ == TInt || b.typ == TFloat):
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		}
-		return 0, true
+		return cmp.Compare(a.Float(), b.Float()), true
 	case a.typ == TString && b.typ == TString:
-		switch as, bs := a.asStr(), b.asStr(); {
-		case as < bs:
-			return -1, true
-		case as > bs:
-			return 1, true
-		}
-		return 0, true
+		return cmp.Compare(a.asStr(), b.asStr()), true
 	case a.typ == TBool && b.typ == TBool:
-		switch ab, bb := a.asBool(), b.asBool(); {
-		case !ab && bb:
-			return -1, true
-		case ab && !bb:
-			return 1, true
-		}
-		return 0, true
+		return cmp.Compare(a.n, b.n), true
 	case a.typ == b.typ && a.typ >= UserTypeBase:
 		td := lookupType(a.typ)
 		if td == nil {
@@ -399,13 +377,7 @@ func SortCompare(a, b Value) int {
 		return c
 	}
 	// Different incomparable types: order by TypeID for determinism.
-	switch {
-	case a.typ < b.typ:
-		return -1
-	case a.typ > b.typ:
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.typ, b.typ)
 }
 
 // Equal reports SQL equality; NULL = anything is not equal (UNKNOWN is
@@ -415,9 +387,9 @@ func Equal(a, b Value) bool {
 	return ok && c == 0
 }
 
-// Identical reports whether two datums are indistinguishable, treating
-// NULL as identical to NULL. Used by DISTINCT, GROUP BY and set
-// operations, which group NULLs together.
+// Identical reports whether two datums compare equal, treating NULL as
+// identical to NULL. Grouping is KeyEqual's, which also keeps apart the
+// INTs beyond 2^53 that compare equal to one FLOAT.
 func Identical(a, b Value) bool {
 	if a.IsNull() || b.IsNull() {
 		return a.IsNull() && b.IsNull()
@@ -427,6 +399,39 @@ func Identical(a, b Value) bool {
 		return false
 	}
 	return c == 0
+}
+
+// KeyEqual reports whether RowKey gives a and b the same key, without
+// building it: the equality of GROUP BY, DISTINCT, the set operations
+// and the executor's other keyed operators. NULL matches NULL, every NaN
+// every NaN and -0 +0; INT k matches FLOAT k only where float64 holds k
+// exactly, so INTs beyond 2^53 stay apart; user values match by text.
+func KeyEqual(a, b Value) bool {
+	switch {
+	case a.typ == TInt && b.typ == TInt:
+		return a.n == b.n
+	case (a.typ == TInt || a.typ == TFloat) && (b.typ == TInt || b.typ == TFloat):
+		af, aok := keyFloat(a)
+		bf, bok := keyFloat(b)
+		return aok && bok && (af == bf || af != af && bf != bf)
+	case a.typ >= UserTypeBase && b.typ >= UserTypeBase:
+		return a.String() == b.String()
+	case a.typ != b.typ:
+		return false
+	case a.typ == TString:
+		return a.asStr() == b.asStr()
+	}
+	return a.n == b.n // NULL, BOOL
+}
+
+// keyFloat is the float a numeric value's key spells; ok is false for
+// an INT float64 cannot hold, whose key is its decimal digits.
+func keyFloat(v Value) (f float64, ok bool) {
+	if v.typ == TFloat {
+		return v.asFloat(), true
+	}
+	f = float64(v.asInt())
+	return f, f < 1<<63 && int64(f) == v.asInt()
 }
 
 // Hash returns a hash consistent with Identical (grouping semantics):
@@ -512,9 +517,10 @@ func RowsEqual(a, b Row) bool {
 }
 
 // RowKey builds a canonical string key for a row, consistent with
-// Identical: identical rows map to equal keys. The executor keys rows
-// by AppendRowKey's same bytes; ANALYZE counts distinct values in typed
-// sets that tell values apart exactly as these keys do.
+// Identical: identical rows map to equal keys. KeyEqual is its equality
+// without the bytes, which the executor groups by; ANALYZE counts
+// distinct values in typed sets that tell values apart exactly as these
+// keys do.
 func RowKey(r Row) string {
 	return string(AppendRowKey(make([]byte, 0, 16*len(r)), r))
 }
@@ -524,9 +530,7 @@ func RowKey(r Row) string {
 // without allocating.
 func AppendRowKey(buf []byte, r Row) []byte {
 	for _, v := range r {
-		// INT uses the canonical numeric form shared with FLOAT; the
-		// per-value encoding lives in appendValueKey (colbatch.go) so the
-		// columnar key builder stays byte-identical.
+		// INT uses the canonical numeric form shared with FLOAT.
 		buf = appendValueKey(buf, v)
 	}
 	return buf

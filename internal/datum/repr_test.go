@@ -130,8 +130,8 @@ func TestValueRoundTrips(t *testing.T) {
 				if m := b.MaterializeInto(nil); !samePayload(m[0][0], c.raw) {
 					t.Fatalf("ColBatch(%s) MaterializeInto: got %v", TypeName(typ), m[0][0])
 				}
-				if got, want := string(b.AppendKeyCols(nil, []int{0}, 0)), RowKey(Row{c.v}); got != want {
-					t.Fatalf("ColBatch(%s) AppendKeyCols %q != RowKey %q", TypeName(typ), got, want)
+				if !KeyEqual(vec.ValueAt(0), c.v) || KeyEqual(vec.ValueAt(0), vec.ValueAt(1)) != c.v.IsNull() {
+					t.Fatalf("ColBatch(%s) KeyEqual: the value must match itself, and NULL only if NULL", TypeName(typ))
 				}
 				if got, want := vec.hashAt(0), Hash(c.v); got != want {
 					t.Fatalf("ColBatch(%s) hashAt %x != Hash %x", TypeName(typ), got, want)
@@ -174,10 +174,18 @@ func TestNumericKeysFollowCompare(t *testing.T) {
 			t.Errorf("INT %d and INT %d share the key %q", i, j, k)
 		}
 		keys[k] = i
-		b := NewColBatch([]TypeID{TInt})
-		b.AppendRow(Row{NewInt(i)})
-		if got := string(b.AppendKeyCols(nil, []int{0}, 0)); got != k {
-			t.Errorf("INT %d: lane key %q != RowKey %q", i, got, k)
+	}
+	// KeyEqual agrees with the keys pair by pair.
+	for _, i := range wide {
+		for _, j := range wide {
+			want := RowKey(Row{NewInt(i)}) == RowKey(Row{NewInt(j)})
+			if KeyEqual(NewInt(i), NewInt(j)) != want {
+				t.Errorf("INT %d, INT %d: KeyEqual disagrees with RowKey", i, j)
+			}
+			want = RowKey(Row{NewInt(i)}) == RowKey(Row{NewFloat(float64(j))})
+			if KeyEqual(NewInt(i), NewFloat(float64(j))) != want {
+				t.Errorf("INT %d, FLOAT %v: KeyEqual disagrees with RowKey", i, float64(j))
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestInnerRunnerChargesItsExecution(t *testing.T) {
 	if hits, misses := first.SubqCache(); hits != 1 || misses != 2 || run.hits != 1 || run.misses != 2 {
 		t.Fatalf("statement counted %d/%d, runner %d/%d; want 1 hit and 2 misses", hits, misses, run.hits, run.misses)
 	}
-	if got, want := first.MemUsed(), 2*result+run.cache.bytes; run.cache.bytes == 0 || got != want {
+	if got, want := first.MemUsed(), 2*result+run.cache.memBytes(); run.cache.memBytes() == 0 || got != want {
 		t.Fatalf("two cached results charge %d B, want %d", got, want)
 	}
 
@@ -44,7 +44,7 @@ func TestInnerRunnerChargesItsExecution(t *testing.T) {
 	if _, err := run.rows(second, datum.Row{datum.NewInt(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := second.MemUsed(), 1000+result+run.cache.bytes; run.cache.bytes == 0 || got != want {
+	if got, want := second.MemUsed(), 1000+result+run.cache.memBytes(); run.cache.memBytes() == 0 || got != want {
 		t.Fatalf("later execution holds %d B, want its own 1000 plus one result, %d", got, want)
 	}
 	if run.hits != 0 || run.misses != 1 {

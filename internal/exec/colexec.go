@@ -13,17 +13,17 @@
 //
 // Row-only children (ISCAN, SORT, the nested-loop apply that every
 // NLJN and SUBQ node builds, VALUES, and set operations and recursion,
-// which key rows through GROUP's table) enter a batch operator through
-// batchFeed, and a row-only parent pulls a batch operator through Next,
-// which materializes each batch into rows (rowFeed). Fault-wrapped,
-// durable and virtual relations whose iterators lack the ColScanner
-// capability are read row by row into vectors, so the fault, budget and
-// cancel machinery exercises the batch operators too.
+// which key rows through the hash table GROUP and the join use) enter a
+// batch operator through batchFeed, and a row-only parent pulls a batch
+// operator through Next, which materializes each batch into rows
+// (rowFeed). Fault-wrapped, durable and virtual relations whose
+// iterators lack the ColScanner capability are read row by row into
+// vectors, so the fault, budget and cancel machinery exercises the
+// batch operators too.
 package exec
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/datum"
@@ -222,8 +222,8 @@ func (p *predList) apply(ctx *Ctx, b *datum.ColBatch) error {
 
 // hashJoinOp is the one hash join, batch-native on both inputs. Open
 // drains the build input (plan Inputs[1]: the optimizer puts the
-// smaller side there) into one append-only ColBatch and threads a flat
-// hash → row-index chain over it. NextColBatch streams the probe input
+// smaller side there) into its hash table's lanes and threads the
+// table's chains over them. NextColBatch streams the probe input
 // (Inputs[0]) a batch at a time: hash the live rows, walk the chains
 // for candidate (probe row, build row) pairs, confirm them on the typed
 // key lanes, and emit the survivors as one ColBatch — in probe order,
@@ -248,9 +248,10 @@ type hashJoinOp struct {
 	// build rows' key hashes.
 	filter *joinFilter
 
-	// st is everything the join grows while it runs: the first Open
-	// takes it from joinStatePool, and it goes back when the tree dies.
-	st  *joinState
+	// st is everything the join grows while it runs: its build table,
+	// and the probe's buffers beside it. The first Open takes it from
+	// tablePool, and it goes back when the tree dies.
+	st  *hashTable
 	mem memCharge
 
 	// Probe state: the current probe batch and the live position the
@@ -261,58 +262,26 @@ type hashJoinOp struct {
 	feed rowFeed
 }
 
-// joinState is what a hash join grows. The join keeps it for the life
-// of its tree; the pool serves fresh trees. Build tables are larger
-// than leaf batches, so the state has a pool of its own rather than
-// sharing AcquireColBatch's.
-type joinState struct {
-	// Build table: rows [0, bt.Len()), their key hashes, and the chains.
-	// heads[h&mask] and next[r] hold a row index + 1, 0 ending the chain;
-	// chains run in build order and skip rows with a NULL key.
-	bt          datum.ColBatch
-	hashes      []uint64
-	heads, next []int32
-	// hashBuf/nullBuf hold the key hashes of the probe batch's live rows
-	// (nullBuf also the build rows' NULL-key marks while Open builds).
-	hashBuf []uint64
-	nullBuf []bool
-	// pairP/pairB hold one chunk's (probe row, build row) pairs; fillP/
-	// fillB the same after outer fill. own holds the lanes the join
-	// gathers into; out is the batch handed downstream, its Vecs header
-	// copies of own's or, for an aliased probe column, of the probe's.
+// joinBufs are what a hash join's probe grows, kept in its table.
+// pairP/pairB hold one chunk's (probe row, build row) pairs; fillP/fillB
+// the same after outer fill. own holds the lanes the join gathers into;
+// out is the batch handed downstream, its Vecs header copies of own's
+// or, for an aliased probe column, of the probe's. jf keeps the pushed
+// join filter's buffers between executions.
+type joinBufs struct {
 	pairP, pairB, fillP, fillB []int
 	own, out                   datum.ColBatch
-	// jf keeps the pushed join filter's buffers between executions.
-	jf joinFilterBufs
+	jf                         joinFilterBufs
 }
 
-var joinStatePool = sync.Pool{New: func() any {
-	// The NULL buffers start non-nil: HashLive skips a nil one.
-	return &joinState{
-		nullBuf: make([]bool, 0, colBatchSize),
-		jf:      joinFilterBufs{nullBuf: make([]bool, 0, colBatchSize)},
-	}
-}}
-
-// acquireJoinState takes a state from the pool, its build table and
-// lanes sized to the given types.
-func acquireJoinState(buildTypes, outTypes []datum.TypeID) *joinState {
-	st := joinStatePool.Get().(*joinState)
-	st.bt.SetTypes(buildTypes)
-	st.own.SetTypes(outTypes)
-	st.out.SetTypes(outTypes)
-	return st
-}
-
-// empty clears every string header and boxed value of the lanes st
-// owns, and drops the emitted batch's header copies instead of
-// resetting them (their lanes are someone else's), so a state between
+// empty clears every string header and boxed value of the lanes the
+// join owns, and drops the emitted batch's header copies instead of
+// resetting them (their lanes are someone else's), so a table between
 // executions pins no payload.
-func (st *joinState) empty() {
-	st.bt.Reset()
-	st.own.Reset()
-	clear(st.out.Vecs)
-	st.out.SetRows(0, nil)
+func (jb *joinBufs) empty() {
+	jb.own.Reset()
+	clear(jb.out.Vecs)
+	jb.out.SetRows(0, nil)
 }
 
 // slotTypes returns the vector types for a plan node's output slots. A
@@ -361,10 +330,12 @@ func (b *Builder) buildHashJoin(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 
 func (j *hashJoinOp) Open(ctx *Ctx) error {
 	if j.st == nil {
-		j.st = acquireJoinState(j.buildTypes, j.outTypes)
+		j.st = acquireTable(j.buildTypes, j.rKeys)
+		j.st.join.own.SetTypes(j.outTypes)
+		j.st.join.out.SetTypes(j.outTypes)
 		ctx.hold(j)
 		if j.filter != nil {
-			j.filter.joinFilterBufs = j.st.jf
+			j.filter.joinFilterBufs = j.st.join.jf
 		}
 	}
 	if j.filter != nil {
@@ -380,13 +351,13 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	return j.buildTable(ctx)
 }
 
-// buildTable drains the build input into bt, threads the chains and
-// arms the pushed join filter. The input's lifetime ends here: it is
-// closed before the first probe, after a failed Open too, so the join's
-// Close closes only the probe input.
+// buildTable drains the build input into the table, threads its chains
+// and arms the pushed join filter. The input's lifetime ends here: it
+// is closed before the first probe, after a failed Open too, so the
+// join's Close closes only the probe input.
 func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
 	st := j.st
-	st.bt.Reset()
+	st.empty()
 	if err := j.build.Open(ctx); err != nil {
 		return errors.Join(err, j.build.Close(ctx))
 	}
@@ -400,35 +371,17 @@ func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
 			if err := ctx.tickRows(b.NumLive()); err != nil {
 				return err
 			}
-			st.bt.AppendLive(b)
+			st.rows.AppendLive(b)
 		}
 		if !more {
 			break
 		}
 	}
-	n := st.bt.Len()
-	st.hashes, st.nullBuf = st.bt.HashLive(j.rKeys, st.hashes[:0], st.nullBuf[:0])
-	buckets := 16
-	for buckets < 2*n {
-		buckets <<= 1
-	}
-	if cap(st.heads) < buckets {
-		st.heads = make([]int32, buckets)
-	}
-	if cap(st.next) < n {
-		st.next = make([]int32, n)
-	}
-	st.heads, st.next = st.heads[:buckets], st.next[:n]
-	clear(st.heads)
-	joinChainKernel(st.hashes, st.nullBuf, st.heads, st.next)
+	st.build()
 	if j.filter != nil {
 		j.filter.populate(st.hashes, st.nullBuf)
 	}
-	// Charge what the build holds, not the capacity a pooled state kept
-	// from an earlier, larger join: the budget must not depend on which
-	// statements ran before.
-	return j.mem.charge(ctx, st.bt.MemBytes()+
-		int64(len(st.hashes))*8+int64(len(st.heads)+len(st.next))*4)
+	return j.mem.charge(ctx, st.memBytes())
 }
 
 func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
@@ -451,11 +404,12 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 		// One chunk of output: the pairs of the next probe rows, up to
 		// about a batch width of them.
 		from := j.pos
+		jb := &st.join
 		pp, pb, to := joinProbeKernel(st.hashBuf, st.nullBuf, j.in.Sel, from, ctx.colBatchWidth(),
-			st.hashes, st.heads, st.next, st.pairP[:0], st.pairB[:0])
-		st.pairP, st.pairB, j.pos = pp, pb, to
+			st.hashes, st.heads, st.next, jb.pairP[:0], jb.pairB[:0])
+		jb.pairP, jb.pairB, j.pos = pp, pb, to
 		cands := len(pp)
-		pp, pb = j.matchKeys(pp, pb)
+		pp, pb = st.match(j.in, j.lKeys, pp, pb)
 		if len(pp) > 0 && !j.residual.empty() {
 			// The residual runs over the emitted pairs, and what it leaves
 			// of an inner join is the output. An outer join needs the
@@ -463,12 +417,12 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			// its candidates are gathered, never aliased, so the selection
 			// vector indexes the pair list.
 			j.emit(pp, pb, !outer)
-			if err := j.residual.apply(ctx, &st.out); err != nil {
+			if err := j.residual.apply(ctx, &jb.out); err != nil {
 				return nil, false, err
 			}
-			sel := st.out.Sel
+			sel := jb.out.Sel
 			if !outer && len(sel) > 0 {
-				return &st.out, true, nil
+				return &jb.out, true, nil
 			}
 			if outer {
 				for k, s := range sel {
@@ -478,8 +432,8 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			pp, pb = pp[:len(sel)], pb[:len(sel)]
 		}
 		if outer {
-			pp, pb = outerFillKernel(pp, pb, j.in.Sel, from, to, st.fillP[:0], st.fillB[:0])
-			st.fillP, st.fillB = pp, pb
+			pp, pb = outerFillKernel(pp, pb, j.in.Sel, from, to, jb.fillP[:0], jb.fillB[:0])
+			jb.fillP, jb.fillB = pp, pb
 		}
 		if len(pp) == 0 {
 			// Nothing survived: charge the pairs considered, so a join
@@ -490,37 +444,8 @@ func (j *hashJoinOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 			continue
 		}
 		j.emit(pp, pb, true)
-		return &st.out, true, nil
+		return &jb.out, true, nil
 	}
-}
-
-// matchKeys compacts the hash-equal candidate pairs to those whose
-// keys are equal, one key column at a time on the typed lanes. NULL
-// keys never get here: a NULL probe key is skipped by the probe
-// kernel, a NULL build key is in no chain.
-func (j *hashJoinOp) matchKeys(pp, pb []int) ([]int, []int) {
-	for k, lk := range j.lKeys {
-		pv, bv := &j.in.Vecs[lk], &j.st.bt.Vecs[j.rKeys[k]]
-		switch {
-		case pv.Boxed != nil || bv.Boxed != nil:
-			pp, pb = joinEqGeneric(pv, bv, pp, pb)
-		case pv.Typ == datum.TInt && bv.Typ == datum.TInt:
-			pp, pb = joinEqKernel(pv.Ints, bv.Ints, pp, pb)
-		case pv.Typ == datum.TFloat && bv.Typ == datum.TFloat:
-			pp, pb = joinEqKernel(pv.Floats, bv.Floats, pp, pb)
-		case pv.Typ == datum.TInt && bv.Typ == datum.TFloat:
-			pp, pb = joinEqNumKernel(pv.Ints, bv.Floats, pp, pb)
-		case pv.Typ == datum.TFloat && bv.Typ == datum.TInt:
-			pp, pb = joinEqNumKernel(pv.Floats, bv.Ints, pp, pb)
-		case pv.Typ == datum.TString && bv.Typ == datum.TString:
-			pp, pb = joinEqKernel(pv.Strs, bv.Strs, pp, pb)
-		case pv.Typ == datum.TBool && bv.Typ == datum.TBool:
-			pp, pb = joinEqBoolKernel(pv.Bools, bv.Bools, pp, pb)
-		default:
-			pp, pb = joinEqGeneric(pv, bv, pp, pb)
-		}
-	}
-	return pp, pb
 }
 
 // emit assembles out from the pairs: row k joins probe row pp[k] with
@@ -533,7 +458,7 @@ func (j *hashJoinOp) emit(pp, pb []int, alias bool) {
 		alias = pp[k] != pp[k-1]
 	}
 	st, n, at := j.st, len(pp), []int(nil)
-	own, out := st.own.Vecs, st.out.Vecs
+	own, out := st.join.own.Vecs, st.join.out.Vecs
 	if alias {
 		n, at = j.in.Len(), pp
 		copy(out[:j.lw], j.in.Vecs)
@@ -543,18 +468,18 @@ func (j *hashJoinOp) emit(pp, pb []int, alias bool) {
 			out[c] = own[c]
 		}
 	}
-	for c := range st.bt.Vecs {
-		own[j.lw+c].Gather(&st.bt.Vecs[c], pb, at, n)
+	for c := range st.rows.Vecs {
+		own[j.lw+c].Gather(&st.rows.Vecs[c], pb, at, n)
 		out[j.lw+c] = own[j.lw+c]
 	}
-	st.out.SetRows(n, at)
+	st.join.out.SetRows(n, at)
 }
 
 func (j *hashJoinOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 	return j.feed.next(ctx, j)
 }
 
-// Close is idempotent. It keeps the state, emptied, for the next Open;
+// Close is idempotent. It keeps the table, emptied, for the next Open;
 // the filter goes inactive once the probe side (and the scan hosting
 // it) has closed.
 func (j *hashJoinOp) Close(ctx *Ctx) error {
@@ -570,13 +495,25 @@ func (j *hashJoinOp) Close(ctx *Ctx) error {
 	return err
 }
 
-// releasePooled gives the state back, with the filter buffers it lent.
+// park drops a table that outgrew maxParkedBytes, with the filter
+// buffers it lent.
+func (j *hashJoinOp) park() bool {
+	if j.st.keep() {
+		return true
+	}
+	if j.filter != nil {
+		j.filter.joinFilterBufs = joinFilterBufs{}
+	}
+	j.st = nil
+	return false
+}
+
+// releasePooled gives the table back, with the filter buffers it lent.
 func (j *hashJoinOp) releasePooled() {
 	if j.filter != nil {
-		j.st.jf, j.filter.joinFilterBufs = j.filter.joinFilterBufs, joinFilterBufs{}
+		j.st.join.jf, j.filter.joinFilterBufs = j.filter.joinFilterBufs, joinFilterBufs{}
 	}
-	j.st.empty()
-	joinStatePool.Put(j.st)
+	releaseTable(j.st)
 	j.st = nil
 }
 

@@ -137,15 +137,9 @@ func cmpMask(op expr.CmpOp) uint {
 	return 0b110 // OpGe
 }
 
-func cmp3[T cmp.Ordered](a, b T) uint {
-	switch {
-	case a < b:
-		return 0
-	case a > b:
-		return 2
-	}
-	return 1
-}
+// cmp3 is datum.Compare's three-way order on one lane type: a NaN
+// equals a NaN and sorts below every other number.
+func cmp3[T cmp.Ordered](a, b T) uint { return uint(cmp.Compare(a, b) + 1) }
 
 // alwaysFalsePred rejects every row (comparison against a NULL literal).
 type alwaysFalsePred struct{}
@@ -415,13 +409,14 @@ func filterBoolsKernel(op expr.CmpOp, la, lb []bool, na, nb datum.NullBitmap, n 
 // row index, pb[k] the build-table row it is paired with; both ascend
 // in probe order, then build order.
 
-// joinChainKernel threads the build chains: heads[h&mask] and next[r]
-// hold a row index + 1, 0 ending the chain. Walking rows backwards
-// leaves every chain in build order. Rows with a NULL key stay out.
+// joinChainKernel threads the hash table's chains: heads[h&mask] and
+// next[r] hold a row index + 1, 0 ending the chain. Walking rows
+// backwards leaves every chain in row order. Rows nulls marks (a NULL
+// join key) stay out; a nil nulls threads every row.
 func joinChainKernel(hashes []uint64, nulls []bool, heads, next []int32) {
 	mask := uint64(len(heads) - 1)
 	for r := len(hashes) - 1; r >= 0; r-- {
-		if nulls[r] {
+		if nulls != nil && nulls[r] {
 			continue
 		}
 		b := hashes[r] & mask

@@ -480,6 +480,12 @@ func (sl *rowSlab) drain(ctx *Ctx, s Stream) (err error) {
 	}
 }
 
+// keep reports whether an idle owner keeps the slab (see
+// maxParkedBytes).
+func (sl *rowSlab) keep() bool {
+	return sl == nil || int64(cap(sl.rows)+cap(sl.vals))*24 <= maxParkedBytes
+}
+
 // truncate drops the staged rows and values past the first rows and
 // vals, keeping the capacity.
 func (sl *rowSlab) truncate(rows, vals int) {
@@ -539,6 +545,15 @@ func (t *Tree) releasePooled() {
 	t.stage = nil
 }
 
+// park drops a stage that outgrew maxParkedBytes.
+func (t *Tree) park() bool {
+	if t.stage.keep() {
+		return true
+	}
+	t.stage = nil
+	return false
+}
+
 // Ctx readies the tree's own execution context for one run over cat
 // with params bound, as NewCtx would a new one, and returns it: the
 // shared counters start at zero and the new execID makes the state
@@ -552,18 +567,36 @@ func (t *Tree) Ctx(cat *catalog.Catalog, params map[string]datum.Value) *Ctx {
 // into the finished statement — catalog, parameters, arguments,
 // transaction, cancellation, wait set, recursive work tables — so an
 // idle tree pins none of it. Call it after the run's results are read
-// and before the tree is parked or released; it empties the apply
-// caches too.
+// and before the tree is parked or released. It empties the apply
+// caches too, and drops (counting them released) the buffers that
+// outgrew maxParkedBytes: the result stage, runner slabs, hash tables.
 func (t *Tree) Done() {
 	t.ctx = Ctx{}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	kept := t.holders[:0]
 	for _, h := range t.holders {
-		if r, ok := h.(*innerRunner); ok {
-			r.park()
+		if p, ok := h.(parker); ok && !p.park() {
+			t.released++
+			continue
 		}
+		kept = append(kept, h)
 	}
+	clear(t.holders[len(kept):])
+	t.holders = kept
 }
+
+// maxParkedBytes bounds each buffer an idle tree keeps: its result
+// stage, an apply runner's slab and each hash table. A larger one is
+// dropped when the tree parks rather than pooled, so neither the tree
+// nor the pool holds memory sized by the largest execution it saw.
+const maxParkedBytes = 12 << 20
+
+// parker is a pooled holder that keeps state between executions: park
+// empties what must not outlive one and reports whether the holder
+// still holds its pooled objects, false when it dropped them for
+// outgrowing maxParkedBytes.
+type parker interface{ park() bool }
 
 // Release ends the tree's life: every pooled object its operators hold
 // goes back to its pool, once. Releasing again is a no-op; running the

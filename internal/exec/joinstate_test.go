@@ -62,7 +62,7 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 	ctx := NewCtx(nil, nil)
 	ctx.own = &tree
 	ctx.SetColWidth(2)
-	var kept *joinState
+	var kept *hashTable
 	for _, c := range []int64{0, 7, 15, 7, 20, 3} {
 		rows, err := runner.rows(ctx, datum.Row{datum.NewInt(c)})
 		if err != nil {
@@ -90,23 +90,23 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The join, both scans' batches and the runner's result slab: each
-	// recorded once, however often they re-opened.
-	if held, released := tree.Pooled(); held != 4 || released != 0 {
-		t.Fatalf("before the tree dies: %d held, %d released; want 4 and 0", held, released)
+	// The join, both scans' batches, the runner's result slab and its
+	// cache table: each recorded once, however often they re-opened.
+	if held, released := tree.Pooled(); held != 5 || released != 0 {
+		t.Fatalf("before the tree dies: %d held, %d released; want 5 and 0", held, released)
 	}
 	tree.Release()
 	tree.Release()
-	if held, released := tree.Pooled(); held != 0 || released != 4 {
-		t.Fatalf("after the tree died twice: %d held, %d released; want 0 and 4", held, released)
+	if held, released := tree.Pooled(); held != 0 || released != 5 {
+		t.Fatalf("after the tree died twice: %d held, %d released; want 0 and 5", held, released)
 	}
-	if j.st != nil || probe.batch != nil || build.batch != nil || runner.slab != nil {
+	if j.st != nil || probe.batch != nil || build.batch != nil || runner.slab != nil || runner.cache.hashTable != nil {
 		t.Fatal("a dead tree still holds pooled objects")
 	}
 	// A state put back twice would wait in the pool twice and come out of
 	// it twice. The pool may also drop what it is given; that only makes
 	// the check weaker, never wrong.
-	if a, b := joinStatePool.Get(), joinStatePool.Get(); a == b {
+	if a, b := tablePool.Get(), tablePool.Get(); a == b {
 		t.Fatal("the pool handed out one join state twice: it was released twice")
 	}
 }

@@ -555,9 +555,12 @@ type sortOp struct {
 	types []datum.TypeID
 	keys  []plan.SortKey
 	// limit is the bound of a LIMIT directly above, nil under any other
-	// parent; with it, Open is a top-N (see openTopN).
-	limit expr.Expr
-	mem   memCharge
+	// parent; with it, Open is a top-N (see openTopN), whose heap and
+	// scratch row the operator keeps across executions.
+	limit   expr.Expr
+	top     topHeap
+	scratch datum.Row
+	mem     memCharge
 }
 
 func (b *Builder) buildSort(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -588,10 +591,10 @@ func (s *sortOp) Open(ctx *Ctx) error {
 
 // openTopN is SORT under LIMIT k. It drains the input's batches through
 // a heap of the k least rows so far, so only the rows LIMIT returns are
-// copied out of the input and charged to the memory budget. It produces
-// exactly the first k rows of the stable full sort: a row enters a full
-// heap only if it sorts strictly before the heap's worst, and kept rows
-// that tie break by arrival.
+// copied out of the heap, into one result block, and charged to the
+// memory budget. It produces exactly the first k rows of the stable full
+// sort: a row enters a full heap only if it sorts strictly before the
+// heap's worst, and kept rows that tie break by arrival.
 func (s *sortOp) openTopN(ctx *Ctx) (err error) {
 	k, err := evalLimit(ctx, s.limit)
 	if err != nil {
@@ -602,8 +605,11 @@ func (s *sortOp) openTopN(ctx *Ctx) (err error) {
 		return errors.Join(err, in.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, in.Close(ctx)) }()
-	h := topHeap{keys: s.keys, k: int(max(k, 0))}
-	scratch := make(datum.Row, len(s.types))
+	h := &s.top
+	h.start(s.keys, int(max(k, 0)), len(s.types))
+	if s.scratch == nil {
+		s.scratch = make(datum.Row, len(s.types))
+	}
 	for {
 		b, more, err := in.NextColBatch(ctx)
 		if err != nil {
@@ -614,7 +620,7 @@ func (s *sortOp) openTopN(ctx *Ctx) (err error) {
 				return err
 			}
 			_ = b.EachLive(func(i int) error {
-				h.offer(loadRow(scratch, b, i))
+				h.offer(loadRow(s.scratch, b, i))
 				return nil
 			})
 		}
@@ -631,26 +637,37 @@ func (s *sortOp) openTopN(ctx *Ctx) (err error) {
 }
 
 // topHeap holds the k least rows offered so far under sortRowLess, ties
-// broken by arrival. Once k rows are kept it is a container/heap ordered
-// worst-first, so the root is the row the next better one replaces.
+// broken by arrival, in an arena it keeps across executions. Once k rows
+// are kept it is a container/heap ordered worst-first, so the root is
+// the row the next better one replaces.
 type topHeap struct {
 	keys  []plan.SortKey
-	k     int
+	k, w  int
 	ents  []topEntry
 	seq   int
 	arena []datum.Value
 }
 
+// topEntry is a kept row: the one at arena[off:off+w].
 type topEntry struct {
-	row datum.Row
-	seq int
+	off, seq int
 }
 
+// start empties the heap for k rows w values wide.
+func (h *topHeap) start(keys []plan.SortKey, k, w int) {
+	clear(h.arena)
+	h.keys, h.k, h.w, h.seq = keys, k, w, 0
+	h.ents, h.arena = h.ents[:0], h.arena[:0]
+}
+
+func (h *topHeap) row(e topEntry) datum.Row { return h.arena[e.off : e.off+h.w] }
+
 func (h *topHeap) less(a, b topEntry) bool {
-	if sortRowLess(h.keys, a.row, b.row) {
+	ra, rb := h.row(a), h.row(b)
+	if sortRowLess(h.keys, ra, rb) {
 		return true
 	}
-	return !sortRowLess(h.keys, b.row, a.row) && a.seq < b.seq
+	return !sortRowLess(h.keys, rb, ra) && a.seq < b.seq
 }
 
 func (h *topHeap) Len() int           { return len(h.ents) }
@@ -663,38 +680,35 @@ func (h *topHeap) Push(any) {}
 func (h *topHeap) Pop() any { return nil }
 
 // offer considers row, which the caller reuses: a row that is kept is
-// copied into a slot the heap owns.
+// copied into the arena.
 func (h *topHeap) offer(row datum.Row) {
 	h.seq++
 	if len(h.ents) < h.k {
-		w := len(row)
-		if len(h.arena) < w {
-			h.arena = make([]datum.Value, min(h.k-len(h.ents), 256)*w)
-		}
-		e := topEntry{row: h.arena[:w:w], seq: h.seq}
-		h.arena = h.arena[w:]
-		copy(e.row, row)
-		h.ents = append(h.ents, e)
+		h.ents = append(h.ents, topEntry{off: len(h.arena), seq: h.seq})
+		h.arena = append(h.arena, row...)
 		if len(h.ents) == h.k {
 			heap.Init(h)
 		}
 		return
 	}
-	if h.k == 0 || !sortRowLess(h.keys, row, h.ents[0].row) {
+	if h.k == 0 || !sortRowLess(h.keys, row, h.row(h.ents[0])) {
 		return
 	}
-	// The root was never handed out: overwrite its slot in place.
-	copy(h.ents[0].row, row)
+	copy(h.row(h.ents[0]), row)
 	h.ents[0].seq = h.seq
 	heap.Fix(h, 0)
 }
 
-// sorted returns the kept rows in order.
+// sorted returns the kept rows in order, copied into one block: sorting
+// by Less puts the worst first, so the block fills from its end.
 func (h *topHeap) sorted() []datum.Row {
-	sort.Slice(h.ents, func(i, j int) bool { return h.less(h.ents[i], h.ents[j]) })
-	rows := make([]datum.Row, len(h.ents))
+	sort.Sort(h)
+	n := len(h.ents)
+	rows, vals := make([]datum.Row, n), make([]datum.Value, n*h.w)
 	for i, e := range h.ents {
-		rows[i] = e.row
+		r := vals[(n-1-i)*h.w : (n-i)*h.w : (n-i)*h.w]
+		copy(r, h.row(e))
+		rows[n-1-i] = r
 	}
 	return rows
 }
@@ -728,6 +742,7 @@ func sortRowLess(keys []plan.SortKey, a, b datum.Row) bool {
 
 func (s *sortOp) Close(ctx *Ctx) error {
 	s.rows = nil
+	clear(s.top.arena)
 	s.mem.release(ctx)
 	return nil
 }
@@ -869,74 +884,22 @@ func (j *mergeJoinOp) Close(ctx *Ctx) error {
 // ---------------------------------------------------------------------
 // GROUP, DISTINCT, set operations
 
-// keyTable is the executor's one row-keyed map, numbering keys densely
-// in first-seen order: groups, DISTINCT rows and aggregate values, set
-// operation and fixpoint rows, apply cache vectors. row and cols build a
-// key (the same bytes for the same values), a string only once inserted;
-// bytes totals the inserted keys, for the owner to charge to MaxMem.
-type keyTable struct {
-	ids   map[string]int
-	key   []byte
-	bytes int64
-}
-
-func (t *keyTable) row(r datum.Row) *keyTable {
-	t.key = datum.AppendRowKey(t.key[:0], r)
-	return t
-}
-
-func (t *keyTable) cols(b *datum.ColBatch, cols []int, i int) *keyTable {
-	t.key = b.AppendKeyCols(t.key[:0], cols, i)
-	return t
-}
-
-func (t *keyTable) find() (int, bool) {
-	id, ok := t.ids[string(t.key)]
-	return id, ok
-}
-
-// id finds the key, inserting it when absent; fresh reports an insert.
-func (t *keyTable) id() (id int, fresh bool) {
-	if id, ok := t.find(); ok {
-		return id, false
-	}
-	return t.insert(), true
-}
-
-// insert numbers the key, which find did not.
-func (t *keyTable) insert() int {
-	if t.ids == nil {
-		t.ids = map[string]int{}
-	}
-	t.ids[string(t.key)] = len(t.ids)
-	t.bytes += int64(len(t.key)) + 24 // the key, its string header, its id
-	return len(t.ids) - 1
-}
-
-// empty drops every key, keeping the capacity that held them.
-func (t *keyTable) empty() {
-	clear(t.ids)
-	t.bytes = 0
-}
-
 // groupOp is the hash aggregate, and DISTINCT as GROUP on every column
-// with no aggregates. It drains its input's batches inside Open, giving
-// each live row a group by its lane-direct key, then folds each
-// aggregate over the batch — with a typed update kernel where one
-// exists, else through the aggregate's own expr.AggState on the row
-// evaluators. Groups come out in first-seen order. The input's lifetime
-// ends inside Open on every path. The key tables, key values and
+// with no aggregates. It drains its input's batches inside Open, keying
+// each batch's live rows through its hash table (a scalar aggregate has
+// none: every row is group 0), then folds each aggregate over the batch
+// — with a typed update kernel where one exists, else through the
+// aggregate's own expr.AggState on the row evaluators. Groups come out
+// in first-seen order, their keys read from the table's lanes. The
+// input's lifetime ends inside Open on every path. The table and the
 // aggregate lanes stay with the operator across executions.
 type groupOp struct {
 	input     ColBatchStream
 	groupCols []int
+	keyTypes  []datum.TypeID
 	aggs      []batchAgg
-
-	// groups numbers the groups by key; keys holds their values, group
-	// gi's at [gi*len(groupCols), (gi+1)*len(groupCols)).
-	groups keyTable
-	keys   []datum.Value
-	gis    []int
+	groups    tableHold
+	zeros     []int // a scalar aggregate's group ids
 	rowCursor
 	mem memCharge
 }
@@ -974,18 +937,26 @@ func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 		}
 		aggs[i] = &rowAgg{call: a, arg: arg, scratch: make(datum.Row, len(n.Inputs[0].Cols))}
 	}
-	g := &groupOp{input: asColBatchStream(in, slotTypes(n.Inputs[0])), groupCols: n.GroupCols, aggs: aggs}
+	types := slotTypes(n.Inputs[0])
+	g := &groupOp{input: asColBatchStream(in, types), groupCols: n.GroupCols, aggs: aggs}
 	if n.Op == plan.OpDistinct {
-		g.groupCols = make([]int, len(n.Inputs[0].Cols))
-		for i := range g.groupCols {
-			g.groupCols[i] = i
-		}
+		g.groupCols = seq(len(types))
+	}
+	for _, c := range g.groupCols {
+		g.keyTypes = append(g.keyTypes, types[c])
 	}
 	return g, nil
 }
 
 func (g *groupOp) Open(ctx *Ctx) (err error) {
 	g.empty()
+	if len(g.groupCols) > 0 {
+		g.groups.get(ctx, g.keyTypes)
+	} else {
+		for _, a := range g.aggs {
+			a.grow(1)
+		}
+	}
 	if err := g.input.Open(ctx); err != nil {
 		// Close even after a failed Open: the input subtree may have
 		// opened children (and their storage iterators) before failing,
@@ -1002,26 +973,7 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 			if err := ctx.tickRows(b.NumLive()); err != nil {
 				return err
 			}
-			g.gis = g.gis[:0]
-			_ = b.EachLive(func(i int) error {
-				gi, fresh := g.groups.cols(b, g.groupCols, i).id()
-				if fresh {
-					for _, c := range g.groupCols {
-						g.keys = append(g.keys, b.Vecs[c].ValueAt(i))
-					}
-					for _, a := range g.aggs {
-						a.grow(gi + 1)
-					}
-				}
-				g.gis = append(g.gis, gi)
-				return nil
-			})
-			for _, a := range g.aggs {
-				if err := a.update(ctx, b, g.gis); err != nil {
-					return err
-				}
-			}
-			if err := g.charge(ctx, nil); err != nil {
+			if err := g.update(ctx, b); err != nil {
 				return err
 			}
 		}
@@ -1029,21 +981,19 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 			break
 		}
 	}
-	// Scalar aggregation (no columns) produces one row even for empty input.
-	ngroup, w := len(g.groups.ids), len(g.groupCols)
-	if ngroup == 0 && w == 0 {
-		ngroup = 1
-		for _, a := range g.aggs {
-			a.grow(1)
-		}
-	}
 	// The output rows are the result, so they are the one thing made
 	// anew: one arena for all of them.
+	ngroup, w := 1, len(g.groupCols)
+	if w > 0 {
+		ngroup = g.groups.len()
+	}
 	rw := w + len(g.aggs)
 	arena := make([]datum.Value, ngroup*rw)
 	for gi := 0; gi < ngroup; gi++ {
-		row := arena[gi*rw : gi*rw+w : (gi+1)*rw]
-		copy(row, g.keys[gi*w:])
+		row := arena[gi*rw : gi*rw : (gi+1)*rw]
+		for k := range w {
+			row = append(row, g.groups.rows.Vecs[k].ValueAt(gi))
+		}
 		for _, a := range g.aggs {
 			row = append(row, a.result(gi))
 		}
@@ -1052,12 +1002,34 @@ func (g *groupOp) Open(ctx *Ctx) (err error) {
 	return g.charge(ctx, g.rows)
 }
 
-// charge reserves the key tables (DISTINCT aggregates' too) and rows.
+// update keys b's live rows and folds them into the aggregates.
+func (g *groupOp) update(ctx *Ctx, b *datum.ColBatch) error {
+	var gis []int
+	if len(g.groupCols) > 0 {
+		gis = g.groups.ids(b, g.groupCols)
+		for _, a := range g.aggs {
+			a.grow(g.groups.len())
+		}
+	} else {
+		for len(g.zeros) < b.NumLive() {
+			g.zeros = append(g.zeros, 0)
+		}
+		gis = g.zeros[:b.NumLive()]
+	}
+	for _, a := range g.aggs {
+		if err := a.update(ctx, b, gis); err != nil {
+			return err
+		}
+	}
+	return g.charge(ctx, nil)
+}
+
+// charge reserves the hash tables (DISTINCT aggregates' too) and rows.
 func (g *groupOp) charge(ctx *Ctx, rows []datum.Row) error {
-	b := g.groups.bytes + rowsBytes(rows)
+	b := rowsBytes(rows) + g.groups.memBytes()
 	for _, a := range g.aggs {
 		if ra, ok := a.(*rowAgg); ok {
-			b += ra.seen.bytes
+			b += ra.seen.memBytes()
 		}
 	}
 	return g.mem.charge(ctx, b)
@@ -1067,8 +1039,6 @@ func (g *groupOp) charge(ctx *Ctx, rows []datum.Row) error {
 // that held them.
 func (g *groupOp) empty() {
 	g.groups.empty()
-	clear(g.keys)
-	g.keys = g.keys[:0]
 	clear(g.rows)
 	g.reset(g.rows[:0])
 	for _, a := range g.aggs {
@@ -1092,8 +1062,14 @@ type rowAgg struct {
 	arg     expr.Expr
 	scratch datum.Row
 	states  []expr.AggState
-	seen    keyTable
+	seen    tableHold
+	pair    datum.Row
+	ids     []int
 }
+
+// seenTypes are the lanes of a DISTINCT aggregate's (group id, value)
+// pairs: the values' are boxed, since any type may arrive.
+var seenTypes = []datum.TypeID{datum.TInt, datum.TNull}
 
 func (a *rowAgg) reset() {
 	a.states = nil
@@ -1107,6 +1083,9 @@ func (a *rowAgg) grow(n int) {
 }
 
 func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
+	if a.call.Distinct && a.pair == nil {
+		a.pair = make(datum.Row, 2)
+	}
 	ec, j := ctx.exprCtx(), 0
 	return b.EachLive(func(i int) error {
 		gi := gis[j]
@@ -1116,7 +1095,10 @@ func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
 			return err
 		}
 		if a.call.Distinct {
-			if _, fresh := a.seen.row(datum.Row{datum.NewInt(int64(gi)), v}).id(); !fresh {
+			seen := a.seen.get(ctx, seenTypes)
+			n := seen.len()
+			a.pair[0], a.pair[1] = datum.NewInt(int64(gi)), v
+			if a.ids = seen.rowIDs(a.ids[:0], a.pair); a.ids[0] < n {
 				return nil
 			}
 		}
@@ -1127,14 +1109,16 @@ func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
 func (a *rowAgg) result(gi int) datum.Value { return a.states[gi].Result() }
 
 // setOp implements UNION / INTERSECT / EXCEPT with ALL (bag) and
-// DISTINCT (set) semantics, keying rows through one table. INTERSECT
-// and EXCEPT are binary.
+// DISTINCT (set) semantics, keying rows through one hash table.
+// INTERSECT and EXCEPT are binary.
 type setOp struct {
 	rowCursor
 	op     string
 	all    bool
 	inputs []Stream
-	keys   keyTable
+	types  []datum.TypeID
+	keys   tableHold
+	ids    []int
 	counts []int
 	mem    memCharge
 }
@@ -1147,12 +1131,11 @@ func (b *Builder) buildSetOp(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 	if err != nil {
 		return nil, err
 	}
-	return &setOp{op: n.Op, all: n.All, inputs: ins}, nil
+	return &setOp{op: n.Op, all: n.All, inputs: ins, types: slotTypes(n)}, nil
 }
 
 func (s *setOp) Open(ctx *Ctx) error {
 	s.keys.empty()
-	s.counts = s.counts[:0]
 	var rows []datum.Row
 	for i, in := range s.inputs {
 		r, err := materialize(ctx, in)
@@ -1163,43 +1146,45 @@ func (s *setOp) Open(ctx *Ctx) error {
 		case s.op == plan.OpUnion && s.all:
 			rows = append(rows, r...)
 		case s.op == plan.OpUnion:
-			for _, row := range r {
-				if _, fresh := s.keys.row(row).id(); fresh {
-					rows = append(rows, row)
+			keys := s.keys.get(ctx, s.types)
+			next := keys.len()
+			s.ids = keys.rowIDs(s.ids[:0], r...)
+			for k, id := range s.ids {
+				if id == next {
+					rows = append(rows, r[k])
+					next++
 				}
 			}
 		case i == 0:
 			rows = r // the left input, matched against the right next
 		default:
-			rows = s.match(rows, r)
+			rows = s.match(s.keys.get(ctx, s.types), rows, r)
 		}
 	}
 	s.reset(rows)
-	return s.mem.charge(ctx, rowsBytes(rows)+s.keys.bytes)
+	return s.mem.charge(ctx, rowsBytes(rows)+s.keys.memBytes())
 }
 
 // match counts the right rows per key, then keeps the left rows that
-// INTERSECT or EXCEPT keeps, in left order.
-func (s *setOp) match(left, right []datum.Row) []datum.Row {
-	for _, row := range right {
-		id, fresh := s.keys.row(row).id()
-		if fresh {
-			s.counts = append(s.counts, 0)
-		}
+// INTERSECT or EXCEPT keeps, in left order. A left key the right lacks
+// counts 0, so its later copies find no match either.
+func (s *setOp) match(keys *hashTable, left, right []datum.Row) []datum.Row {
+	s.ids = keys.rowIDs(keys.rowIDs(s.ids[:0], right...), left...)
+	s.counts = append(s.counts[:0], make([]int, keys.len())...)
+	for _, id := range s.ids[:len(right)] {
 		s.counts[id]++
 	}
 	inter, kept := s.op == plan.OpInter, left[:0]
-	for _, row := range left {
-		id, ok := s.keys.row(row).find()
-		matched := ok && s.counts[id] > 0
+	for k, row := range left {
+		id := s.ids[len(right)+k]
+		matched := s.counts[id] > 0
 		switch {
 		case matched && s.all:
 			s.counts[id]-- // one right row matches one left row
 		case matched && inter:
 			s.counts[id] = 0 // later copies find no match
 		case !matched && !s.all && !inter:
-			s.keys.insert() // later copies match the row kept
-			s.counts = append(s.counts, 1)
+			s.counts[id] = 1 // later copies match the row kept
 		}
 		if matched == inter {
 			kept = append(kept, row)

@@ -243,10 +243,13 @@ func (f setFold) eval(ctx *Ctx, preds []expr.Expr, both *datum.Row, prefix datum
 type innerRunner struct {
 	inner Stream
 	// corrRefs build the vector over the outer row into vec; results[id]
-	// is the result under the vector cache numbers id.
+	// is the result under the vector cache numbers id. The cache's lanes
+	// are boxed: the vector's types are the outer rows'.
 	corrRefs []expr.Expr
 	vec      datum.Row
-	cache    keyTable
+	types    []datum.TypeID
+	cache    tableHold
+	ids      []int
 	results  [][]datum.Row
 	// slab holds the cached results, recycled with the cache: they never
 	// leave the apply (a fold returns the outer row, pairing a copy).
@@ -282,7 +285,7 @@ func innerCorr(corrCols []plan.ColRef, corr map[plan.ColRef]int) map[plan.ColRef
 // environment of the rows the runner is handed.
 func newInnerRunner(inner Stream, corrCols []plan.ColRef, outer *bindEnv) (*innerRunner, error) {
 	r := &innerRunner{inner: inner, corrRefs: make([]expr.Expr, len(corrCols)),
-		vec: make(datum.Row, len(corrCols))}
+		vec: make(datum.Row, len(corrCols)), types: make([]datum.TypeID, len(corrCols))}
 	for i, cr := range corrCols {
 		ref, err := outer.bind(expr.NewCol(cr.QID, cr.Ord, fmt.Sprintf("corr q%d.#%d", cr.QID, cr.Ord), 0))
 		if err != nil {
@@ -307,7 +310,10 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 		r.vec[i] = v
 	}
 	correlated := len(r.vec) > 0
-	if id, ok := r.cache.row(r.vec).find(); ok {
+	cache := r.cache.get(ctx, r.types)
+	n, keyBytes := cache.len(), cache.memBytes()
+	r.ids = cache.rowIDs(r.ids[:0], r.vec)
+	if id := r.ids[0]; id < n {
 		if correlated {
 			r.hits++
 			ctx.sh.subqHits.Add(1)
@@ -315,8 +321,10 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 		return r.results[id], nil
 	}
 	// A full cache empties before the miss lands in the slab it shares.
-	if len(r.cache.ids) >= maxCachedResults {
+	if n >= maxCachedResults {
 		r.reset(ctx)
+		cache.rowIDs(r.ids[:0], r.vec)
+		keyBytes = 0
 	}
 	if r.slab == nil {
 		r.slab = slabPool.Get().(*rowSlab)
@@ -336,13 +344,13 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 		ctx.setCorr(saved)
 	}
 	if err != nil {
+		// The vector is keyed, its result is not: start over.
+		r.reset(ctx)
 		return nil, err
 	}
 	rows := r.slab.rows[first:len(r.slab.rows):len(r.slab.rows)]
-	keyBytes := r.cache.bytes
-	r.cache.insert()
 	r.results = append(r.results, rows)
-	if err := r.mem.add(ctx, rowsBytes(rows)+r.cache.bytes-keyBytes); err != nil {
+	if err := r.mem.add(ctx, rowsBytes(rows)+cache.memBytes()-keyBytes); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -356,22 +364,33 @@ func (r *innerRunner) reset(ctx *Ctx) {
 		r.execID, r.hits, r.misses, r.mem = ctx.execID, 0, 0, memCharge{}
 	}
 	r.mem.release(ctx)
-	r.park()
+	r.empty()
 }
 
-// park empties the cache and its slab, keeping their capacity: an idle
+// empty empties the cache and its slab, keeping their capacity: an idle
 // runner pins no value.
-func (r *innerRunner) park() {
-	r.cache.empty()
+func (r *innerRunner) empty() {
 	clear(r.results)
 	r.results = r.results[:0]
+	r.cache.empty()
 	if r.slab != nil {
 		r.slab.truncate(0, 0)
 	}
 }
 
+// park empties the runner for an idle tree, dropping a slab that
+// outgrew maxParkedBytes.
+func (r *innerRunner) park() bool {
+	r.empty()
+	if r.slab.keep() {
+		return true
+	}
+	r.slab = nil
+	return false
+}
+
 func (r *innerRunner) releasePooled() {
-	r.park()
+	r.empty()
 	slabPool.Put(r.slab)
 	r.slab = nil
 }
@@ -483,7 +502,9 @@ type recUnionOp struct {
 	seed, rec Stream
 	boxID     int
 	linear    bool // exactly one RECREF → semi-naive (delta) evaluation
-	seen      keyTable
+	types     []datum.TypeID
+	seen      tableHold
+	ids       []int
 
 	rowCursor
 	mem memCharge
@@ -502,23 +523,26 @@ func (b *Builder) buildRecUnion(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 		}
 		return true
 	})
-	return &recUnionOp{seed: ins[0], rec: ins[1], boxID: n.RecBoxID, linear: refs == 1}, nil
+	return &recUnionOp{seed: ins[0], rec: ins[1], boxID: n.RecBoxID, linear: refs == 1, types: slotTypes(n)}, nil
 }
 
 func (r *recUnionOp) Open(ctx *Ctx) error {
 	const maxIterations = 1_000_000
-	r.seen.empty()
+	seen := r.seen.get(ctx, r.types)
+	seen.empty()
 	var total []datum.Row
 	// add appends and returns the rows new to the fixpoint, charged.
 	add := func(rows []datum.Row) ([]datum.Row, error) {
-		n, keyBytes := len(total), r.seen.bytes
-		for _, row := range rows {
-			if _, fresh := r.seen.row(row).id(); fresh {
-				total = append(total, row)
+		n, next, keyBytes := len(total), seen.len(), seen.memBytes()
+		r.ids = seen.rowIDs(r.ids[:0], rows...)
+		for k, id := range r.ids {
+			if id == next {
+				total = append(total, rows[k])
+				next++
 			}
 		}
 		added := total[n:len(total):len(total)]
-		return added, r.mem.add(ctx, rowsBytes(added)+r.seen.bytes-keyBytes)
+		return added, r.mem.add(ctx, rowsBytes(added)+seen.memBytes()-keyBytes)
 	}
 	seedRows, err := materialize(ctx, r.seed)
 	if err != nil {

@@ -84,7 +84,79 @@ func TestNegativeZeroAgreesWithEquality(t *testing.T) {
 		{"SELECT COUNT(*) FROM (SELECT x FROM f UNION SELECT y FROM g) u", "301"},
 		{"SELECT COUNT(*) FROM (SELECT x FROM f INTERSECT SELECT y FROM g) i", "301"},
 		{"SELECT COUNT(*) FROM (SELECT x FROM f EXCEPT SELECT y FROM g) e", "0"},
+		// INT k and FLOAT k are one key.
+		{"SELECT 1 UNION SELECT 1.0", "1"},
+		{"SELECT COUNT(DISTINCT x) FROM (SELECT x FROM f UNION ALL SELECT y FROM g) u", "301"},
 	})
+}
+
+// TestNaNAgreesWithEquality: a NaN has one place in Compare's order —
+// equal to every NaN, below every other number — so the filter kernels,
+// every join method, SORT and grouping give one answer. Before, `=`
+// held a NaN equal to every number while HSJN paired it only with
+// itself.
+func TestNaNAgreesWithEquality(t *testing.T) {
+	for _, method := range []string{"HashJoin", "NestedLoop", "MergeJoin"} {
+		t.Run(method, func(t *testing.T) {
+			db := Open()
+			g := db.Optimizer().Generator()
+			for _, m := range []string{"HashJoin", "NestedLoop", "MergeJoin"} {
+				if m != method {
+					g.RemoveAlternative("JOIN", m)
+				}
+			}
+			mustExec(t, db, "CREATE TABLE f (x FLOAT)")
+			mustExec(t, db, "CREATE TABLE h (y FLOAT)")
+			mustExec(t, db, "INSERT INTO f VALUES (1.0), (2.0)")
+			// 1e308*10 is +Inf, and Inf - Inf is NaN.
+			mustExec(t, db, "INSERT INTO f SELECT x*1e308*10 - x*1e308*10 FROM f WHERE x = 1.0")
+			// h's NaN has the other sign bit: its hash must not tell.
+			mustExec(t, db, "INSERT INTO h SELECT x FROM f WHERE x > 0")
+			mustExec(t, db, "INSERT INTO h SELECT -(x*1e308*10 - x*1e308*10) FROM f WHERE x = 1.0")
+			bits := func(table string) (b uint64) {
+				for _, r := range mustExec(t, db, "SELECT * FROM "+table).Rows {
+					if f := r[0].Float(); f != f {
+						b = math.Float64bits(f)
+					}
+				}
+				return b
+			}
+			if bits("f") == bits("h") {
+				t.Fatalf("f and h hold NaNs of the same bits %x; the case is vacuous", bits("f"))
+			}
+			join := "SELECT COUNT(*) FROM f, h WHERE x = y"
+			if ops := plan.CollectOps(preparedPlan(join)(t, db).Root); ops[map[string]string{
+				"HashJoin": plan.OpHSJoin, "NestedLoop": plan.OpNLJoin, "MergeJoin": plan.OpSMJoin}[method]] == 0 {
+				t.Fatalf("%s: plan has no %s join; the case is vacuous", join, method)
+			}
+			checkKeyCases(t, db, []keyCase{
+				{"SELECT COUNT(*) FROM f WHERE x = 1.0", "1"},
+				{"SELECT COUNT(*) FROM f WHERE x = 2.0", "1"},
+				{"SELECT COUNT(*) FROM f WHERE x <> 1.0", "2"},
+				{"SELECT COUNT(*) FROM f WHERE x < 1.0", "1"},
+				{join, "3"},
+				{"SELECT x, y FROM f, h WHERE x = y AND x > 1.5", "2,2"},
+				{"SELECT COUNT(*) FROM f GROUP BY x", "1 1 1"},
+				{"SELECT COUNT(*) FROM (SELECT x FROM f INTERSECT SELECT y FROM h) i", "3"},
+			})
+			if got := renderRows(mustExec(t, db, "SELECT x FROM f ORDER BY x")); got != "NaN 1 2" {
+				t.Errorf("ORDER BY x: %s, want NaN below every number", got)
+			}
+		})
+	}
+}
+
+// renderRows renders a result's rows in order, space-joined.
+func renderRows(res *Result) string {
+	var rows []string
+	for _, r := range res.Rows {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			cells[j] = v.String()
+		}
+		rows = append(rows, strings.Join(cells, ","))
+	}
+	return strings.Join(rows, " ")
 }
 
 func TestWideIntsGroupExactly(t *testing.T) {
@@ -118,5 +190,6 @@ func TestWideIntsGroupExactly(t *testing.T) {
 		{"SELECT COUNT(*) FROM (SELECT x FROM w EXCEPT SELECT x FROM w2) e", fmt.Sprint(n - 2)},
 		// INT k and FLOAT k still share a key where float64 holds k.
 		{"SELECT COUNT(*) FROM (SELECT x FROM w UNION SELECT x FROM wf) u", fmt.Sprint(n)},
+		{"SELECT COUNT(DISTINCT x) FROM (SELECT x FROM w UNION ALL SELECT x FROM wf) u", fmt.Sprint(n)},
 	})
 }

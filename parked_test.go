@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -915,5 +916,67 @@ func TestParkedSlabsHoldNoValues(t *testing.T) {
 		}
 		mustExec(t, db, fmt.Sprintf("CREATE TABLE z%d (a INT)", n))
 		requireReleased(t, c.q, tree, held)
+	}
+}
+
+// TestParkedTreeDropsLargeBuffers: a cached statement returning 100,000
+// rows parks without its result stage, which outgrew the cap on what an
+// idle tree keeps (so do GROUP's table and the apply's slab under the
+// same cap); a small one parks with everything it holds. Each dropped
+// buffer counts as released, so released == held still balances when
+// the tree dies.
+func TestParkedTreeDropsLargeBuffers(t *testing.T) {
+	db := Open(WithPlanCache(8))
+	mustExec(t, db, "CREATE TABLE big (k INT, v INT, w INT, x INT, y INT, z INT)")
+	bulkLoad(t, db, "BIG", 100000, func(i int) Row {
+		j := int64(i)
+		return Row{NewInt(j), NewInt(j % 7), NewInt(j % 5), NewInt(j % 3), NewInt(j % 11), NewInt(j % 13)}
+	})
+	const large, small = "SELECT k, v, w, x, y, z FROM big WHERE v >= 0", "SELECT k FROM big WHERE k < 10"
+	for _, c := range []struct {
+		q       string
+		rows    int
+		dropped int
+	}{{large, 100000, 1}, {small, 10, 0}} {
+		for i := 1; i <= 3; i++ {
+			if res := mustExec(t, db, c.q); len(res.Rows) != c.rows {
+				t.Fatalf("%s: %d rows, want %d", c.q, len(res.Rows), c.rows)
+			}
+			held, released := idleTree(db, c.q).Pooled()
+			if held == 0 || released != i*c.dropped {
+				t.Fatalf("%s, run %d: the parked tree holds %d and released %d pooled objects; want some and %d",
+					c.q, i, held, released, i*c.dropped)
+			}
+		}
+	}
+	tr := idleTree(db, large)
+	held, released := tr.Pooled()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireReleased(t, "close", tr, held+released)
+}
+
+// TestParkedKeyTablesAllocateNothing: re-executed through its parked
+// tree, each keyed operator — GROUP, DISTINCT, INTERSECT and the apply
+// cache — keys its rows in the hash table it kept, allocating nothing
+// inside it.
+func TestParkedKeyTablesAllocateNothing(t *testing.T) {
+	db := joinReuseDB(t, 200)
+	for _, q := range []string{
+		"SELECT v, COUNT(*) FROM p GROUP BY v",
+		"SELECT DISTINCT w FROM b",
+		"SELECT v FROM p INTERSECT SELECT k FROM b",
+		"SELECT k FROM b WHERE k IN (SELECT v FROM p WHERE p.k < b.k)",
+	} {
+		run := func() { mustExec(t, db, q) }
+		run()
+		run()
+		objs, bytes := allocProfile(t, 10, run, func(funcs []string) bool {
+			return strings.Contains(strings.Join(funcs, " "), "(*hashTable).")
+		})
+		if objs != 0 {
+			t.Errorf("%s: %.1f objects (%.0f B) allocated per execution inside the hash table; want none", q, objs, bytes)
+		}
 	}
 }
