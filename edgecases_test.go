@@ -590,3 +590,20 @@ func TestUTF8Identifiers(t *testing.T) {
 		t.Fatalf("columns = %q, want [XÀ]", res.Columns)
 	}
 }
+
+// TestScalarAggregateEstimatesOneRow: an aggregate without GROUP BY
+// yields exactly one row, whatever its input, and EXPLAIN estimates
+// exactly that.
+func TestScalarAggregateEstimatesOneRow(t *testing.T) {
+	db := paperDB(t)
+	text := planText(t, db, "SELECT COUNT(*) FROM quotations")
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "GROUP") {
+			if !strings.Contains(line, "{rows=1 ") {
+				t.Fatalf("scalar aggregate not estimated at one row:\n%s", text)
+			}
+			return
+		}
+	}
+	t.Fatalf("no GROUP in the plan:\n%s", text)
+}

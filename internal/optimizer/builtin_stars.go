@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
 
 	"repro/internal/datum"
 	"repro/internal/expr"
@@ -93,7 +92,7 @@ func BuiltinSTARs() []*STAR {
 		{Name: "GLUE", Alternatives: []*Alternative{
 			{Name: "AlreadyOrdered", Rank: 1, Build: func(ctx *Ctx, a Args) ([]*plan.Node, error) {
 				if p := cheapestWithOrder(a.Plans, a.ReqOrder, a.eq); p != nil {
-					return []*plan.Node{p}, nil
+					return ctx.Opt.work().one(p), nil
 				}
 				return nil, nil
 			}, Price: func(ctx *Ctx, a Args) (plan.Props, bool) {
@@ -107,7 +106,8 @@ func BuiltinSTARs() []*STAR {
 				if p == nil || a.Kept.Dominates(costSort(p.Props, a.ReqOrder), p.Cols) {
 					return nil, nil // an already-ordered plan is no dearer
 				}
-				return []*plan.Node{a.sorts.sort(p, a.ReqOrder)}, nil
+				w := ctx.Opt.work()
+				return w.one(w.sort(p, a.ReqOrder)), nil
 			}, Price: func(ctx *Ctx, a Args) (plan.Props, bool) {
 				if p := cheapest(a.Plans); p != nil {
 					return costSort(p.Props, a.ReqOrder), true
@@ -415,7 +415,8 @@ func buildRecRef(ctx *Ctx, a Args) ([]*plan.Node, error) {
 // Join alternatives
 
 // joinKeys is a JOIN evaluation's equi-join analysis against its
-// reference inputs l = cheapest(Left) and r = cheapest(Right).
+// reference inputs l = cheapest(Left) and r = cheapest(Right); the key
+// slots and orders come from the slabs slots and orders (nil: the heap).
 type joinKeys struct {
 	left, right    []*plan.Node // the Args analyzed
 	preds          []expr.Expr
@@ -423,6 +424,8 @@ type joinKeys struct {
 	ls, rs         []int
 	lorder, rorder []plan.SortKey // the merge join's required orders
 	residual       []expr.Expr
+	slots          *slab[int]
+	orders         *slab[plan.SortKey]
 }
 
 // equiKeys analyzes a JOIN evaluation once for all its alternatives,
@@ -446,9 +449,10 @@ func equiKeys(a Args) *joinKeys {
 			return k
 		}
 	}
-	*k = joinKeys{left: a.Left, right: a.Right, preds: a.Preds, l: cheapest(a.Left), r: cheapest(a.Right)}
+	*k = joinKeys{left: a.Left, right: a.Right, preds: a.Preds, l: cheapest(a.Left), r: cheapest(a.Right),
+		slots: k.slots, orders: k.orders}
 	n := len(a.Preds)
-	slots, orders := make([]int, 2*n), make([]plan.SortKey, 2*n)
+	slots, orders := k.slots.alloc(2*n), k.orders.alloc(2*n)
 	k.ls, k.rs, k.lorder, k.rorder = slots[:0:n], slots[n:n], orders[:0:n], orders[n:n]
 	for _, p := range a.Preds {
 		// Test the Col = Col shape first: it holds no subplan.
@@ -502,11 +506,10 @@ type offer struct {
 	ls, rs   []int
 	// A merge join's GLUE, evaluated only if it survives: for each
 	// input, the plans laid out like it (nil once glued), the order
-	// required of them and their equalities; and the enumeration's SORTs.
+	// required of them and their equalities.
 	plans  [2][]*plan.Node
 	orders [2][]plan.SortKey
 	eqs    [2]*equalities
-	sorts  sortMemo
 }
 
 // offer appends o to the candidates unless they dominate it; with no
@@ -514,8 +517,7 @@ type offer struct {
 func (c *Candidates) offer(ctx *Ctx, o offer) ([]*plan.Node, error) {
 	o.cols = o.in[0].Cols
 	if c == nil {
-		var none Candidates
-		n, err := none.build(ctx, &o)
+		n, err := build(ctx, &o)
 		return []*plan.Node{n}, err
 	}
 	if !c.Dominates(o.props, o.cols) {
@@ -524,8 +526,9 @@ func (c *Candidates) offer(ctx *Ctx, o offer) ([]*plan.Node, error) {
 	return nil, nil
 }
 
-// build makes candidate o's node: the one path that builds join nodes.
-func (c *Candidates) build(ctx *Ctx, o *offer) (*plan.Node, error) {
+// build makes candidate o's node, in the scratch: the one path that
+// builds join nodes.
+func build(ctx *Ctx, o *offer) (*plan.Node, error) {
 	if o.node != nil {
 		return o.node, nil
 	}
@@ -536,22 +539,20 @@ func (c *Candidates) build(ctx *Ctx, o *offer) (*plan.Node, error) {
 	if l == nil || r == nil {
 		return nil, fmt.Errorf("optimizer: GLUE built no input for a merge join it priced")
 	}
-	n := &plan.Node{Op: o.op, Inputs: []*plan.Node{l, r}, JoinKind: o.kind, EquiLeft: o.ls, EquiRight: o.rs,
+	w := ctx.Opt.work()
+	n := w.node()
+	*n = plan.Node{Op: o.op, Inputs: w.ptrs.alloc(2), Cols: concat(&w.cols, l.Cols, r.Cols),
+		Types: concat(&w.types, l.Types, r.Types), JoinKind: o.kind, EquiLeft: o.ls, EquiRight: o.rs,
 		JoinPred: expr.AndAll(o.preds), SortKeys: o.orders[0], Props: o.props}
-	// Joins over inputs laid out alike share one layout, if c keeps them.
-	k := layoutKey{unsafe.SliceData(l.Cols), unsafe.SliceData(r.Cols), len(l.Cols), len(r.Cols)}
-	if j := c.layouts[k]; j != nil {
-		n.Cols, n.Types = j.Cols, j.Types
-	} else if n.Cols, n.Types = append(slices.Clip(l.Cols), r.Cols...), append(slices.Clip(l.Types), r.Types...); c.layouts != nil {
-		c.layouts[k] = n
-	}
+	n.Inputs[0], n.Inputs[1] = l, r
 	return n, nil
 }
 
-// layoutKey names a join's input layouts by their arrays and lengths.
-type layoutKey struct {
-	l, r   *plan.ColRef
-	nl, nr int
+// concat returns x and y end to end in s.
+func concat[T any](s *slab[T], x, y []T) []T {
+	out := s.alloc(len(x) + len(y))
+	copy(out[copy(out, x):], y)
+	return out
 }
 
 // glue evaluates GLUE on merge join o's inputs, unless they are glued
@@ -565,7 +566,7 @@ func glue(ctx *Ctx, o *offer) error {
 	defer ctx.Opt.release(g)
 	for i := range o.in {
 		g.reset(o.eqs[i])
-		plans, err := ctx.Evaluate("GLUE", Args{Plans: o.plans[i], ReqOrder: o.orders[i], eq: o.eqs[i], sorts: o.sorts, Kept: g})
+		plans, err := ctx.Evaluate("GLUE", Args{Plans: o.plans[i], ReqOrder: o.orders[i], eq: o.eqs[i], Kept: g})
 		if err != nil {
 			return err
 		}
@@ -624,7 +625,7 @@ func buildMergeJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 	// evaluated only for a merge join that survives.
 	o := offer{op: plan.OpSMJoin, kind: joinKind(a), in: [2]*plan.Node{k.l, k.r}, preds: k.residual, ls: k.ls, rs: k.rs,
 		plans:  [2][]*plan.Node{sameLayout(a.Left, k.l), sameLayout(a.Right, k.r)},
-		orders: [2][]plan.SortKey{k.lorder, k.rorder}, eqs: [2]*equalities{a.leftEq, a.rightEq}, sorts: a.sorts}
+		orders: [2][]plan.SortKey{k.lorder, k.rorder}, eqs: [2]*equalities{a.leftEq, a.rightEq}}
 	lp, lok := ctx.Price("GLUE", Args{Plans: o.plans[0], ReqOrder: k.lorder, eq: a.leftEq})
 	rp, rok := ctx.Price("GLUE", Args{Plans: o.plans[1], ReqOrder: k.rorder, eq: a.rightEq})
 	if !lok || !rok {
@@ -1012,7 +1013,7 @@ func buildGroupBy(ctx *Ctx, a Args) ([]*plan.Node, error) {
 		Types:     types,
 		GroupCols: groupSlots,
 		Aggs:      aggs,
-		Props:     costGroup(in.Props, len(aggs)),
+		Props:     costGroup(in.Props, len(groupSlots), len(aggs)),
 	}}, nil
 }
 

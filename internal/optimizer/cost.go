@@ -310,8 +310,13 @@ func (o *Optimizer) costMergeJoin(l, r plan.Props, joinSel float64, keys []plan.
 	}
 }
 
-func costGroup(in plan.Props, nAggs int) plan.Props {
-	groups := math.Max(1, in.Rows/3) // heuristic group count
+// costGroup prices grouping on nGroupCols columns: without any, a
+// scalar aggregate yields exactly one row.
+func costGroup(in plan.Props, nGroupCols, nAggs int) plan.Props {
+	groups := 1.0
+	if nGroupCols > 0 {
+		groups = math.Max(1, in.Rows/3) // heuristic group count
+	}
 	return plan.Props{
 		Rows: groups,
 		Cost: in.Cost + in.Rows*(costHashCPU+float64(nAggs)*costRowCPU),

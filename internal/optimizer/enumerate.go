@@ -27,43 +27,54 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 	if n > 20 {
 		return nil, fmt.Errorf("optimizer: %d-way join exceeds the enumerator's 20-iterator limit", n)
 	}
-	qidBit := map[int]uint{}
-	for i, q := range quants {
-		qidBit[q.QID] = uint(i)
-	}
+	w := o.work()
 
 	// predMask computes the local iterator bits a predicate references;
 	// foreign (correlation) references contribute no bits.
 	predMask := func(p expr.Expr) uint32 {
 		var m uint32
-		for qid := range expr.QIDs(p) {
-			if b, ok := qidBit[qid]; ok {
-				m |= 1 << b
+		expr.Walk(p, func(x expr.Expr) bool {
+			if c, ok := x.(*expr.Col); ok {
+				for i, q := range quants {
+					if q.QID == c.QID {
+						m |= 1 << uint(i)
+					}
+				}
 			}
-		}
+			return true
+		})
 		return m
 	}
 	type predInfo struct {
 		e expr.Expr
 		m uint32
 	}
-	var preds []predInfo
-	var eqs setEqualities
-	for _, p := range joinPreds {
+	preds := make([]predInfo, len(joinPreds))
+	eqs := setEqualities{eqs: &w.eqs, reps: &w.ints}
+	for i, p := range joinPreds {
 		m := predMask(p)
-		preds = append(preds, predInfo{p, m})
+		preds[i] = predInfo{p, m}
 		eqs.add(p, m)
 	}
 
-	best := make(map[uint32][]*plan.Node)
+	full := uint32(1<<uint32(n)) - 1
+	// sets holds each iterator set's surviving plans and equalities,
+	// indexed by its bits.
+	sets := w.sets.alloc(int(full) + 1)
+	eqOf := func(s uint32) *equalities {
+		st := &sets[s]
+		if !st.eqDone {
+			st.eq, st.eqDone = eqs.of(s), true
+		}
+		return st.eq
+	}
 
 	// kept holds a set's candidates until every split of it is priced,
 	// then builds the survivors; GLUE sorts an input at most once per
-	// key list (Args.sorts).
+	// key list (scratch.sort).
 	kept := o.candidates()
 	defer o.release(kept)
-	var keys joinKeys
-	sorts := sortMemo{}
+	keys := joinKeys{slots: &w.ints, orders: &w.keys}
 
 	// Single-iterator sets: access path selection via the ACCESS STAR.
 	for i, q := range quants {
@@ -77,22 +88,27 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 		if len(plans) == 0 {
 			return nil, fmt.Errorf("optimizer: no access plan for iterator %s", q.Name)
 		}
-		best[1<<uint32(i)] = plans
+		sets[1<<uint32(i)].plans = plans
 	}
 
 	if n == 1 {
-		return best[1], nil
+		return sets[1].plans, nil
 	}
-
-	full := uint32(1<<uint32(n)) - 1
 
 	// newPreds lists predicates first applicable at exactly this
 	// combination (covered by the union, by neither side alone).
 	newPreds := func(s1, s2 uint32) []expr.Expr {
-		var out []expr.Expr
 		s := s1 | s2
+		applies := func(m uint32) bool { return m != 0 && m&^s == 0 && m&^s1 != 0 && m&^s2 != 0 }
+		k := 0
 		for _, pi := range preds {
-			if pi.m != 0 && pi.m&^s == 0 && pi.m&^s1 != 0 && pi.m&^s2 != 0 {
+			if applies(pi.m) {
+				k++
+			}
+		}
+		out := w.exprs.alloc(k)[:0]
+		for _, pi := range preds {
+			if applies(pi.m) {
 				out = append(out, pi.e)
 			}
 		}
@@ -110,12 +126,12 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 	}
 
 	join := func(s1, s2 uint32, np []expr.Expr) error {
-		l, r := best[s1], best[s2]
+		l, r := sets[s1].plans, sets[s2].plans
 		if len(l) == 0 || len(r) == 0 {
 			return nil
 		}
 		a := Args{Left: l, Right: r, Preds: np, Kept: kept, keys: &keys,
-			leftEq: eqs.of(s1), rightEq: eqs.of(s2), sorts: sorts}
+			leftEq: eqOf(s1), rightEq: eqOf(s2)}
 		_, err := ctx.Evaluate("JOIN", a)
 		return err
 	}
@@ -129,11 +145,11 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 			// Cartesian products are enabled); pass 2 is the fallback
 			// that keeps disconnected sets plannable.
 			for pass := 0; pass < 2; pass++ {
-				if pass == 1 && (o.AllowCartesian || len(best[s]) > 0) {
+				if pass == 1 && (o.AllowCartesian || len(sets[s].plans) > 0) {
 					break
 				}
 				cart := o.AllowCartesian || pass == 1
-				kept.eq = eqs.of(s)
+				kept.eq = eqOf(s)
 				for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
 					rest := s &^ sub
 					if sub < rest {
@@ -157,31 +173,43 @@ func (o *Optimizer) enumerateJoins(ctx *Ctx, quants []*qgm.Quantifier,
 				if err != nil {
 					return nil, err
 				}
-				best[s] = plans
+				sets[s].plans = plans
 			}
 		}
 	}
-	if len(best[full]) == 0 {
+	if len(sets[full].plans) == 0 {
 		return nil, fmt.Errorf("optimizer: enumerator found no plan for the full iterator set")
 	}
-	return best[full], nil
+	return sets[full].plans, nil
+}
+
+// iterSet is the enumerator's state for one iterator set: its surviving
+// plans and, once eqDone, its equalities.
+type iterSet struct {
+	plans  []*plan.Node
+	eq     *equalities
+	eqDone bool
 }
 
 // candidates reuses the Candidates of a finished enumeration, so that
-// offer buffers and layout maps are allocated once per optimizer.
+// offer buffers are allocated once per optimizer; their plan lists are
+// the scratch's.
 func (o *Optimizer) candidates() *Candidates {
+	var c *Candidates
 	if n := len(o.spare); n > 0 {
-		c := o.spare[n-1]
+		c = o.spare[n-1]
 		o.spare = o.spare[:n-1]
-		return c
+	} else {
+		c = &Candidates{}
 	}
-	return &Candidates{layouts: map[layoutKey]*plan.Node{}}
+	c.lists = &o.work().ptrs
+	return c
 }
 
 // release empties c for candidates to reuse.
 func (o *Optimizer) release(c *Candidates) {
 	c.reset(nil)
-	clear(c.layouts)
+	c.lists = nil
 	o.spare = append(o.spare, c)
 }
 
@@ -247,12 +275,13 @@ func (e *equalities) names(keys []plan.SortKey, cols []plan.ColRef, c plan.ColRe
 	return false
 }
 
-// setEqualities memoizes the equalities of each iterator set of one
-// enumeration.
+// setEqualities derives the equalities of the iterator sets of one
+// enumeration, in the slabs eqs and reps (nil: on the heap).
 type setEqualities struct {
 	cols  []plan.ColRef
 	edges []eqEdge
-	memo  map[uint32]*equalities
+	eqs   *slab[equalities]
+	reps  *slab[int]
 }
 
 // eqEdge is a Col = Col join predicate between two iterators: the
@@ -293,19 +322,14 @@ func (se *setEqualities) index(c *expr.Col) int {
 // columns of one iterator that a third one equates are equal only in
 // the sets that hold all three.
 func (se *setEqualities) of(s uint32) *equalities {
-	if len(se.edges) == 0 {
-		return nil
-	}
-	if e, ok := se.memo[s]; ok {
-		return e
-	}
 	var e *equalities
 	for _, ed := range se.edges {
 		if ed.m&^s != 0 {
 			continue
 		}
 		if e == nil {
-			e = &equalities{cols: se.cols, rep: make([]int, len(se.cols))}
+			e = &se.eqs.alloc(1)[0]
+			e.cols, e.rep = se.cols, se.reps.alloc(len(se.cols))
 			for i := range e.rep {
 				e.rep[i] = i
 			}
@@ -317,10 +341,6 @@ func (se *setEqualities) of(s uint32) *equalities {
 			e.rep[i] = e.find(i)
 		}
 	}
-	if se.memo == nil {
-		se.memo = map[uint32]*equalities{}
-	}
-	se.memo[s] = e
 	return e
 }
 

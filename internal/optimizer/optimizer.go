@@ -3,7 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +39,9 @@ type Optimizer struct {
 	inProgress map[*qgm.Box]bool
 	// spare are the emptied Candidates of finished join enumerations.
 	spare []*Candidates
+	// scratch is the join enumerator's working memory (scratch.go); nil
+	// until the first join enumeration.
+	scratch *scratch
 	// trace receives STAR expansion counts for the current compilation;
 	// nil when the caller is not tracing.
 	trace *obs.Trace
@@ -107,7 +109,7 @@ func (o *Optimizer) OptimizeConfig(g *qgm.Graph, tr *obs.Trace, cfg Config) (*pl
 	defer o.mu.Unlock()
 	o.trace = tr
 	o.cfg = cfg
-	defer func() { o.trace = nil; o.cfg = Config{} }()
+	defer func() { o.trace = nil; o.cfg = Config{}; o.resetScratch() }()
 	o.graph = g
 	o.memo = map[*qgm.Box]*plan.Node{}
 	o.inProgress = map[*qgm.Box]bool{}
@@ -197,7 +199,7 @@ func (o *Optimizer) PlanBox(b *qgm.Box) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	best := cheapest(plans)
+	best := o.scratch.keep(cheapest(plans))
 	if best == nil {
 		return nil, fmt.Errorf("optimizer: no plan for box %d (%s)", b.ID, b.Kind)
 	}
@@ -248,26 +250,6 @@ func sortNode(in *plan.Node, keys []plan.SortKey) *plan.Node {
 		SortKeys: keys,
 		Props:    costSort(in.Props, keys),
 	}
-}
-
-// sortMemo holds, by input, the SORTs that GLUE built during one join
-// enumeration: the splits of a set, and the sets that share an input,
-// require the same orders of it again and again.
-type sortMemo map[*plan.Node][]*plan.Node
-
-// sort returns a SORT of in on keys, the memo's if it has one. A nil
-// memo builds afresh.
-func (m sortMemo) sort(in *plan.Node, keys []plan.SortKey) *plan.Node {
-	for _, s := range m[in] {
-		if slices.Equal(s.SortKeys, keys) {
-			return s
-		}
-	}
-	s := sortNode(in, keys)
-	if m != nil {
-		m[in] = append(m[in], s)
-	}
-	return s
 }
 
 func filterNode(o *Optimizer, in *plan.Node, preds []expr.Expr) *plan.Node {

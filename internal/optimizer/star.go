@@ -22,9 +22,14 @@ type Args struct {
 	// Preds are the predicates this invocation should apply.
 	Preds []expr.Expr
 	// Left and Right are alternative plans for each join operand
-	// (JOIN star).
+	// (JOIN star). They, and the slices that hold them, are valid only
+	// during the compilation: the join enumerator builds them in
+	// scratch memory that the next compilation reuses. An alternative
+	// may return them inside new nodes, which the optimizer copies out
+	// with the chosen plan, but must not keep them after it returns.
 	Left, Right []*plan.Node
-	// Plans are candidate plans for GLUE to enforce properties on.
+	// Plans are candidate plans for GLUE to enforce properties on,
+	// valid only during the compilation like Left and Right.
 	Plans []*plan.Node
 	// ReqOrder is the order GLUE must achieve.
 	ReqOrder []plan.SortKey
@@ -41,18 +46,16 @@ type Args struct {
 	// eq are the equalities GLUE's Plans have applied, leftEq and
 	// rightEq those of JOIN's Left and Right (nil: none known).
 	eq, leftEq, rightEq *equalities
-	// sorts holds the SORTs GLUE built in this join enumeration.
-	sorts sortMemo
 }
 
 // Candidates are those a STAR evaluation's result is pruned with, in
 // evaluation order, priced offers and built nodes alike; eq are the
-// equalities their orders compare modulo, and layouts the join layouts
-// of one enumeration (build).
+// equalities their orders compare modulo, and lists the slab settle
+// hands out its plan lists from (nil: the heap).
 type Candidates struct {
-	offers  []offer
-	eq      *equalities
-	layouts map[layoutKey]*plan.Node
+	offers []offer
+	eq     *equalities
+	lists  *slab[*plan.Node]
 }
 
 // Dominates reports whether settling drops a candidate with properties
@@ -107,7 +110,7 @@ func (c *Candidates) reset(eq *equalities) {
 // dominates changes no survivor: a pricing alternative may leave such a
 // candidate unoffered (Dominates).
 func (c *Candidates) settle(ctx *Ctx) ([]*plan.Node, error) {
-	var out []*plan.Node
+	out := c.lists.alloc(len(c.offers))[:0]
 next:
 	for i := range c.offers {
 		p := &c.offers[i]
@@ -119,7 +122,7 @@ next:
 				continue next
 			}
 		}
-		n, err := c.build(ctx, p)
+		n, err := build(ctx, p)
 		if err != nil {
 			return nil, err
 		}

@@ -309,7 +309,11 @@ func (db *DB) RegisterTableFunc(f *TableFunc) error { return db.cat.Funcs.Regist
 // RegisterRewriteRule adds a DBC query rewrite rule.
 func (db *DB) RegisterRewriteRule(r *RewriteRule) error { return db.rewriter.Register(r) }
 
-// AddSTARAlternative extends the optimizer's STAR array.
+// AddSTARAlternative extends the optimizer's STAR array. The input
+// plans an alternative is passed (OptArgs.Left, Right and Plans) are
+// valid only during the compilation that passes them: the alternative
+// may return them inside new nodes, but must not keep them after it
+// returns, since later compilations reuse their memory.
 func (db *DB) AddSTARAlternative(star string, alt *STARAlternative) {
 	db.opt.Generator().AddAlternative(star, alt)
 }
