@@ -110,10 +110,17 @@ examples:
 # it, so GROUP, DISTINCT, the set operations, the recursion and the
 # apply cache re-execute under the race detector too: closed twice and
 # re-opened (TestCloseTwiceThenReopen), through parked trees
-# (TestParked*) and with their results kept (TestResultRowsSurvive*).
+# (TestParked*, TestParkedStagingAllocatesFixed's 120,000-row INTERSECT
+# and recursion among them) and with their results kept
+# (TestResultRowsSurvive*). GROUP, DISTINCT, the set operations and the
+# recursion hand out views of the lanes they hold, so the key tables'
+# equivalence cases (-0/+0, NaN payloads, INT k beside FLOAT k,
+# +-2^53+-1: TestNegativeZeroAgreesWithEquality,
+# TestNaNAgreesWithEquality, TestWideIntsGroupExactly) run under it
+# too, at DOP 1 and 4.
 #
-# One pass of STRESS_TESTS under -race takes about 145 s on two cores
-# and five took 811 s, over go test's default 10-minute timeout; the
+# One pass of STRESS_TESTS under -race takes about 170 s on two cores
+# and five took 842 s, over go test's default 10-minute timeout; the
 # explicit one leaves about twice the measured time.
 stress:
 	$(GO) test ./ -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime 10s
@@ -125,7 +132,7 @@ stress:
 	$(GO) test -race -count=5 -timeout 30m -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/ ./internal/storage/disk/
 
-STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel|TestResultRowsSurvive|TestCloseTwiceThenReopen
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel|TestResultRowsSurvive|TestCloseTwiceThenReopen|AgreesWithEquality|TestWideIntsGroupExactly
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

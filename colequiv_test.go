@@ -221,6 +221,16 @@ func filterOverSort(t *testing.T, db *DB) *plan.Compiled {
 	return &compiled
 }
 
+// tempOverScan compiles "SELECT k, v, s FROM ta WHERE v > 2" and puts
+// a TEMP over it: the optimizer plans no TEMP of its own.
+func tempOverScan(t *testing.T, db *DB) *plan.Compiled {
+	t.Helper()
+	compiled := *preparedPlan("SELECT k, v, s FROM ta WHERE v > 2")(t, db)
+	root := compiled.Root
+	compiled.Root = &plan.Node{Op: plan.OpTemp, Inputs: []*plan.Node{root}, Cols: root.Cols, Types: root.Types}
+	return &compiled
+}
+
 // TestColumnarEquivalenceCorpus runs the corpus through every
 // execution mode, serial and parallel, against the row-evaluator
 // serial baseline.
@@ -372,17 +382,21 @@ func isKernel(name string) bool {
 }
 
 // TestOneOperatorPerLOLEPOP: the operator a SCAN, FILTER, PROJECT,
-// GROUP or DISTINCT node gets depends neither on whether its
-// expressions compile to kernels nor on its child's protocol. Each
-// statement — over base tables, ISCAN, SORT and subqueries — builds the
-// same operator tree with kernels on and off, every such node is
-// scanOp, filterOp, projectOp or groupOp (DISTINCT is GROUP on every
-// column), and the kernels-off build holds no kernel.
+// GROUP, DISTINCT, set operation, RECUNION, RECREF or TEMP node gets
+// depends neither on whether its expressions compile to kernels nor on
+// its child's protocol. Each statement — over base tables, ISCAN, SORT
+// and subqueries, and a hand-built TEMP — builds the same operator tree
+// with kernels on and off, every such node is scanOp, filterOp,
+// projectOp, groupOp (DISTINCT is GROUP on every column), setOp (UNION,
+// INTERSECT, EXCEPT, and TEMP as a one-input UNION ALL), recUnionOp or
+// recRefOp, and the kernels-off build holds no kernel.
 func TestOneOperatorPerLOLEPOP(t *testing.T) {
 	db := equivDB(t)
 	setDOP(db, 1)
 	op := map[string]string{plan.OpScan: "scanOp", plan.OpFilter: "filterOp",
-		plan.OpProject: "projectOp", plan.OpGroup: "groupOp", plan.OpDistinct: "groupOp"}
+		plan.OpProject: "projectOp", plan.OpGroup: "groupOp", plan.OpDistinct: "groupOp",
+		plan.OpUnion: "setOp", plan.OpInter: "setOp", plan.OpExcept: "setOp", plan.OpTemp: "setOp",
+		plan.OpRecUnion: "recUnionOp", plan.OpRecRef: "recRefOp"}
 	sql := func(q string, skipRewrite bool) func(*testing.T, *DB) *plan.Compiled {
 		return func(t *testing.T, db *DB) *plan.Compiled {
 			setSkipRewrite(db, skipRewrite)
@@ -407,6 +421,12 @@ func TestOneOperatorPerLOLEPOP(t *testing.T) {
 		{"FILTER over SORT", filterOverSort, []string{plan.OpSort, plan.OpFilter}},
 		{"correlated scan", sql(correlatedScanQuery, true), []string{plan.OpSubq, plan.OpScan}},
 		{"FILTER over SUBQ", sql(filterOverSubqQuery, true), []string{plan.OpSubq, plan.OpFilter}},
+		{"UNION", sql("SELECT k, s FROM ta WHERE v > 5 UNION SELECT k, s FROM tn", false), []string{plan.OpUnion}},
+		{"INTERSECT", sql("SELECT k FROM ta INTERSECT ALL SELECT k FROM tb WHERE v < 8", false), []string{plan.OpInter}},
+		{"EXCEPT", sql("SELECT k FROM tn EXCEPT SELECT k FROM ta", false), []string{plan.OpExcept}},
+		{"recursion", sql("WITH RECURSIVE r(k) AS (SELECT k FROM ta WHERE k < 2 UNION SELECT r.k + 1 FROM r WHERE r.k < 9) SELECT k FROM r", false),
+			[]string{plan.OpRecUnion, plan.OpRecRef}},
+		{"TEMP", tempOverScan, []string{plan.OpTemp, plan.OpScan}},
 	} {
 		compiled := c.compile(t, db)
 		ops := plan.CollectOps(compiled.Root)

@@ -368,6 +368,38 @@ func (b *ColBatch) AliasFrom(src *ColBatch, srcs []int, consts []Value) {
 	b.n = src.n
 }
 
+// Window makes b a view of src's rows [lo, hi), all live: header
+// copies of src's lanes cut to those rows, capacity too, so an append
+// to b never writes into src, and the NULL marks copied into bitmaps b
+// keeps. b dies with src; Reset or Release on it would empty src.
+func (b *ColBatch) Window(src *ColBatch, lo, hi int) {
+	if len(b.Vecs) != len(src.Vecs) {
+		b.Vecs = make([]ColVec, len(src.Vecs))
+	}
+	for c := range src.Vecs {
+		s, v := &src.Vecs[c], &b.Vecs[c]
+		*v = ColVec{Typ: s.Typ, Nulls: v.Nulls[:0]}
+		switch {
+		case s.Boxed != nil:
+			v.Boxed = s.Boxed[lo:hi:hi]
+		case s.Typ == TBool:
+			v.Bools = s.Bools[lo:hi:hi]
+		case s.Typ == TInt:
+			v.Ints = s.Ints[lo:hi:hi]
+		case s.Typ == TFloat:
+			v.Floats = s.Floats[lo:hi:hi]
+		case s.Typ == TString:
+			v.Strs = s.Strs[lo:hi:hi]
+		}
+		for i := lo; i < min(hi, len(s.Nulls)*64); i++ {
+			if s.Nulls.Get(i) {
+				v.Nulls.Set(i - lo)
+			}
+		}
+	}
+	b.Sel, b.n = nil, hi-lo
+}
+
 // SetRows declares the batch to hold n rows with selection sel, for
 // producers that assemble Vecs lane by lane (Gather, header copies)
 // rather than through AppendRow.

@@ -322,6 +322,41 @@ func TestGatherDenseAndScattered(t *testing.T) {
 	}
 }
 
+// TestWindowViewsLanes: a window over any range of a batch — typed,
+// boxed and NULL-bearing columns, ranges off the bitmap's word
+// boundaries — reads the source's rows, all live, and an append to the
+// view leaves the source's rows beyond the range untouched.
+func TestWindowViewsLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	types := []TypeID{TBool, TInt, TFloat, TString, TInt}
+	src, rows := fillBatch(rng, types, 300)
+	src.Vecs[4].promote() // column 4 is boxed
+	var view ColBatch
+	for round := 0; round < 40; round++ {
+		lo := rng.Intn(len(rows))
+		hi := lo + rng.Intn(len(rows)-lo+1)
+		view.Window(src, lo, hi)
+		if view.Len() != hi-lo || view.NumLive() != hi-lo || view.Sel != nil {
+			t.Fatalf("round %d: window [%d, %d) has %d rows, %d live", round, lo, hi, view.Len(), view.NumLive())
+		}
+		for k := lo; k < hi; k++ {
+			for c := range types {
+				if got := view.Vecs[c].ValueAt(k - lo); !Identical(got, rows[k][c]) {
+					t.Fatalf("round %d: row %d col %d = %v, want %v", round, k, c, got, rows[k][c])
+				}
+			}
+		}
+		if hi < len(rows) {
+			view.AppendRow(Row{NewBool(true), NewInt(7), NewFloat(7), NewString("x"), NewInt(7)})
+			for c := range types {
+				if got := src.Vecs[c].ValueAt(hi); !Identical(got, rows[hi][c]) {
+					t.Fatalf("round %d: appending to the view changed source row %d col %d to %v", round, hi, c, got)
+				}
+			}
+		}
+	}
+}
+
 // TestReleasedBatchReusesLanes: a released batch comes back from
 // AcquireColBatch — asked for other types — empty, with the requested
 // types and the lane capacity it had, and while it waits in the pool it

@@ -1,25 +1,24 @@
 // The batch protocol and what every batch operator shares. SCAN,
-// FILTER, PROJECT, GROUP (DISTINCT is GROUP on every column) and the
-// hash join are one operator each, and each runs on ColBatches — typed
-// column vectors plus a selection vector. What an operator computes is
-// compiled once, at plan refinement, into fused per-type kernels where
-// one exists (see colkernels.go); whatever no kernel covers —
-// arithmetic, LIKE, function calls, subplans, correlated columns,
-// DISTINCT and DBC aggregates — runs on the row evaluators inside the
-// same operator, one live row at a time over a reused scratch row. A
-// Builder with kernels off (Vectorized(false)) runs every predicate and
-// aggregate that way: the reference the equivalence corpus checks the
-// kernels against.
+// FILTER, PROJECT, GROUP (DISTINCT is GROUP on every column), the hash
+// join, the set operations (TEMP is a one-input UNION ALL) and the
+// recursive pair are one operator each, and each runs on ColBatches —
+// typed column vectors plus a selection vector. What an operator
+// computes is compiled once, at plan refinement, into fused per-type
+// kernels where one exists (see colkernels.go); whatever no kernel
+// covers — arithmetic, LIKE, function calls, subplans, correlated
+// columns, DISTINCT and DBC aggregates — runs on the row evaluators
+// inside the same operator, one live row at a time over a reused
+// scratch row. A Builder with kernels off (Vectorized(false)) runs
+// every predicate and aggregate that way: the reference the equivalence
+// corpus checks the kernels against.
 //
 // Row-only children (ISCAN, SORT, the nested-loop apply that every
-// NLJN and SUBQ node builds, VALUES, and set operations and recursion,
-// which key rows through the hash table GROUP and the join use) enter a
-// batch operator through batchFeed, and a row-only parent pulls a batch
-// operator through Next, which materializes each batch into rows
-// (rowFeed). Fault-wrapped, durable and virtual relations whose
-// iterators lack the ColScanner capability are read row by row into
-// vectors, so the fault, budget and cancel machinery exercises the
-// batch operators too.
+// NLJN and SUBQ node builds, VALUES) enter a batch operator through
+// batchFeed, and a row-only parent pulls a batch operator through Next,
+// which materializes each batch into rows (rowFeed). Fault-wrapped,
+// durable and virtual relations whose iterators lack the ColScanner
+// capability are read row by row into vectors, so the fault, budget and
+// cancel machinery exercises the batch operators too.
 package exec
 
 import (
@@ -77,9 +76,7 @@ type rowFeed struct {
 
 func (f *rowFeed) reset() {
 	clear(f.rows)
-	f.rows = f.rows[:0]
-	f.pos = 0
-	f.done = false
+	*f = rowFeed{rows: f.rows[:0]}
 }
 
 func (f *rowFeed) refill(ctx *Ctx, src colBatchSource) (bool, error) {
@@ -113,13 +110,11 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 
 // batchFeed is rowFeed's mirror: it adapts a row producer (ISCAN, SORT,
 // a subquery, ...) to the columnar protocol by decomposing its rows
-// into one batch, so a batch operator has a single input shape. The
-// batch is pooled: the feed owns every lane, keeps it across Close and
-// gives it back when its tree dies.
+// into one pooled batch, so a batch operator has a single input shape.
 type batchFeed struct {
 	Stream
 	types []datum.TypeID
-	batch *datum.ColBatch
+	batch batchHold
 }
 
 // asColBatchStream returns s itself when it is columnar, else s behind
@@ -132,34 +127,147 @@ func asColBatchStream(s Stream, types []datum.TypeID) ColBatchStream {
 }
 
 func (f *batchFeed) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
-	if f.batch == nil {
-		f.batch = datum.AcquireColBatch(f.types)
-		ctx.hold(f)
-	}
-	f.batch.Reset()
-	for max := ctx.colBatchWidth(); f.batch.Len() < max; {
+	b := f.batch.get(ctx, f.types)
+	for max := ctx.colBatchWidth(); b.Len() < max; {
 		row, ok, err := f.Stream.Next(ctx)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			return f.batch, false, nil
+			return b, false, nil
 		}
-		f.batch.AppendRow(row)
+		b.AppendRow(row)
 	}
-	return f.batch, true, nil
+	return b, true, nil
 }
 
 func (f *batchFeed) Close(ctx *Ctx) error {
-	if f.batch != nil {
-		f.batch.Reset()
-	}
+	f.batch.empty()
 	return f.Stream.Close(ctx)
 }
 
-func (f *batchFeed) releasePooled() {
-	f.batch.Release()
-	f.batch = nil
+// drainBatches runs in once, handing f each batch with live rows once
+// they are charged to the work budget: in one tick, as a batch operator
+// charges, or with rowTicks one tick each, as materialize does. Close
+// always runs, after a failed Open too (a multi-input operator may have
+// opened some children before failing), and its error joins the others.
+func drainBatches(ctx *Ctx, in ColBatchStream, rowTicks bool, f func(b *datum.ColBatch) error) (err error) {
+	if err := in.Open(ctx); err != nil {
+		return errors.Join(err, in.Close(ctx))
+	}
+	defer func() { err = errors.Join(err, in.Close(ctx)) }()
+	for {
+		b, more, err := in.NextColBatch(ctx)
+		if err != nil {
+			return err
+		}
+		if b != nil && b.NumLive() > 0 {
+			step := b.NumLive()
+			if rowTicks {
+				step = 1
+			}
+			for k := b.NumLive(); k > 0; k -= step {
+				if err := ctx.tickRows(step); err != nil {
+					return err
+				}
+			}
+			if err := f(b); err != nil {
+				return err
+			}
+		}
+		if !more {
+			return nil
+		}
+	}
+}
+
+// batchHold is an operator's hold on a pooled batch whose every lane it
+// owns: taken at first use, dropped on park once it outgrew
+// maxParkedBytes, given back when the tree dies. get returns it empty.
+type batchHold struct{ *datum.ColBatch }
+
+func (h *batchHold) get(ctx *Ctx, types []datum.TypeID) *datum.ColBatch {
+	if h.ColBatch == nil {
+		h.ColBatch = datum.AcquireColBatch(types)
+		ctx.hold(h)
+	}
+	h.Reset()
+	return h.ColBatch
+}
+
+// empty drops the rows and keeps the lanes: an idle batch pins no payload.
+func (h *batchHold) empty() {
+	if h.ColBatch != nil {
+		h.Reset()
+	}
+}
+
+func (h *batchHold) park() bool {
+	if h.CapBytes() > maxParkedBytes {
+		h.ColBatch = nil
+	}
+	return h.ColBatch != nil
+}
+
+func (h *batchHold) releasePooled() {
+	h.Release()
+	h.ColBatch = nil
+}
+
+// window serves what an operator computed whole at Open — its hash
+// table's lanes, or a batch it drained its input into — as views
+// (datum.ColBatch.Window) of at most a batch width of live rows: rows
+// [pos, end) of src, or the rows its selection entries [pos, end) name.
+type window struct {
+	src      *datum.ColBatch
+	pos, end int
+	out      datum.ColBatch
+	feed     rowFeed
+}
+
+// serve points the window at src's rows, or selection entries, [lo, hi).
+func (w *window) serve(src *datum.ColBatch, lo, hi int) {
+	w.src, w.pos, w.end = src, lo, hi
+	w.feed.reset()
+}
+
+func (w *window) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	if w.pos >= w.end {
+		return nil, false, nil
+	}
+	lo, n := w.pos, ctx.colBatchWidth()
+	if sel := w.src.Sel; sel != nil {
+		// The live rows less than a batch width past the first: their
+		// entries, rebased in place, are the view's selection vector.
+		base, k := sel[lo], lo
+		for ; k < w.end && sel[k]-base < n; k++ {
+			sel[k] -= base
+		}
+		w.out.Window(w.src, base, base+sel[k-1]+1)
+		w.out.Sel, w.pos = sel[lo:k:k], k
+	} else {
+		w.pos = min(lo+n, w.end)
+		w.out.Window(w.src, lo, w.pos)
+	}
+	return &w.out, w.pos < w.end, nil
+}
+
+func (w *window) Next(ctx *Ctx) (datum.Row, bool, error) {
+	return w.feed.next(ctx, w)
+}
+
+// drop forgets src and its lanes, so an idle operator pins no payload.
+func (w *window) drop() {
+	w.serve(nil, 0, 0)
+	for c := range w.out.Vecs {
+		w.out.Vecs[c] = datum.ColVec{Nulls: w.out.Vecs[c].Nulls[:0]}
+	}
+	w.out.Sel = nil
+}
+
+func (w *window) Close(*Ctx) error {
+	w.drop()
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -348,34 +456,17 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	if err := j.probe.Open(ctx); err != nil {
 		return err
 	}
-	return j.buildTable(ctx)
-}
-
-// buildTable drains the build input into the table, threads its chains
-// and arms the pushed join filter. The input's lifetime ends here: it
-// is closed before the first probe, after a failed Open too, so the
-// join's Close closes only the probe input.
-func (j *hashJoinOp) buildTable(ctx *Ctx) (err error) {
+	// The build input's lifetime ends here, drained into the table: it is
+	// closed before the first probe, after a failed Open too, so the
+	// join's Close closes only the probe input.
 	st := j.st
 	st.empty()
-	if err := j.build.Open(ctx); err != nil {
-		return errors.Join(err, j.build.Close(ctx))
-	}
-	defer func() { err = errors.Join(err, j.build.Close(ctx)) }()
-	for {
-		b, more, err := j.build.NextColBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if b != nil && b.NumLive() > 0 {
-			if err := ctx.tickRows(b.NumLive()); err != nil {
-				return err
-			}
-			st.rows.AppendLive(b)
-		}
-		if !more {
-			break
-		}
+	err := drainBatches(ctx, j.build, false, func(b *datum.ColBatch) error {
+		st.rows.AppendLive(b)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	st.build()
 	if j.filter != nil {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +47,9 @@ type Ctx struct {
 	// query column values for the subplan being evaluated — and is
 	// written only by setCorr.
 	ec expr.Context
-	// rec holds the working tables of active recursive unions, keyed
-	// by QGM box id; nil until the first one opens.
-	rec map[int]*recWorkTable
+	// rec holds the active recursive unions, whose working tables RECREF
+	// reads, keyed by QGM box id; nil until the first one opens.
+	rec map[int]*recUnionOp
 	// Snap is the MVCC visibility snapshot every scan resolves row
 	// versions against. The zero snapshot sees only frozen rows; the
 	// engine always arms a real one.
@@ -166,14 +167,6 @@ func (c *Ctx) setCorr(corr datum.Row) datum.Row {
 	saved := c.ec.Corr
 	c.ec.Corr = corr
 	return saved
-}
-
-type recWorkTable struct {
-	delta []datum.Row
-	total []datum.Row
-	// useTotal switches RECREF reads from the delta (semi-naive, linear
-	// recursion) to the whole accumulated table (non-linear recursion).
-	useTotal bool
 }
 
 // ---------------------------------------------------------------------
@@ -337,7 +330,7 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 		return b.buildMergeJoin(n, corr)
 	case plan.OpGroup, plan.OpDistinct:
 		return b.buildGroup(n, corr)
-	case plan.OpUnion, plan.OpInter, plan.OpExcept:
+	case plan.OpUnion, plan.OpInter, plan.OpExcept, plan.OpTemp:
 		return b.buildSetOp(n, corr)
 	case plan.OpValues:
 		return b.buildValues(n, corr)
@@ -349,12 +342,6 @@ func (b *Builder) buildNode(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 		return &recRefOp{boxID: n.RecBoxID}, nil
 	case plan.OpLimit:
 		return b.buildLimit(n, corr)
-	case plan.OpTemp:
-		in, err := b.Build(n.Inputs[0], corr)
-		if err != nil {
-			return nil, err
-		}
-		return &tempOp{input: in}, nil
 	case plan.OpInsert:
 		return b.buildInsert(n, corr)
 	case plan.OpUpdate, plan.OpDelete:
@@ -436,47 +423,32 @@ var slabPool = sync.Pool{New: func() any { return &rowSlab{vals: []datum.Value{}
 // columnar stream's by batch, values copied, any other stream's by Next,
 // headers only. Close always runs, and its error joins the others.
 func (sl *rowSlab) drain(ctx *Ctx, s Stream) (err error) {
+	if cs, ok := s.(ColBatchStream); ok {
+		first, v, w := len(sl.rows), len(sl.vals), 0
+		err := drainBatches(ctx, cs, true, func(b *datum.ColBatch) error {
+			sl.rows = slices.Grow(sl.rows, b.NumLive())[:len(sl.rows)+b.NumLive()]
+			sl.vals, w = b.AppendValues(sl.vals), len(b.Vecs)
+			return nil
+		})
+		// Carve once every value is in: vals moves as it grows.
+		for k := first; err == nil && k < len(sl.rows); k, v = k+1, v+w {
+			sl.rows[k] = sl.vals[v : v+w : v+w]
+		}
+		return err
+	}
 	if err := s.Open(ctx); err != nil {
-		// Close even after a failed Open: a multi-input operator may have
-		// opened some children before the failure, and every Close is
-		// safe on a never-opened stream.
 		return errors.Join(err, s.Close(ctx))
 	}
 	defer func() { err = errors.Join(err, s.Close(ctx)) }()
-	cs, batched := s.(ColBatchStream)
-	first, v, w := len(sl.rows), len(sl.vals), 0
 	for {
-		if !batched {
-			row, ok, err := s.Next(ctx)
-			if err != nil || !ok {
-				return err
-			}
-			if err := ctx.tick(); err != nil {
-				return err
-			}
-			sl.rows = append(sl.rows, row)
-			continue
-		}
-		b, more, err := cs.NextColBatch(ctx)
-		if err != nil {
+		row, ok, err := s.Next(ctx)
+		if err != nil || !ok {
 			return err
 		}
-		if b != nil {
-			for range b.NumLive() {
-				if err := ctx.tick(); err != nil {
-					return err
-				}
-				sl.rows = append(sl.rows, nil)
-			}
-			sl.vals, w = b.AppendValues(sl.vals), len(b.Vecs)
+		if err := ctx.tick(); err != nil {
+			return err
 		}
-		if !more {
-			// Carve once every value is in: vals moves as it grows.
-			for k := first; k < len(sl.rows); k, v = k+1, v+w {
-				sl.rows[k] = sl.vals[v : v+w : v+w]
-			}
-			return nil
-		}
+		sl.rows = append(sl.rows, row)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // keys left out, for a probe that matches SQL `=` (match); ids finds or
 // inserts keys under RowKey's equality (datum.KeyEqual) and numbers them
 // densely in first-seen order, for GROUP, DISTINCT, DISTINCT aggregates,
-// set operations, the recursion's fixpoint and the apply cache. A table
-// comes from tablePool, keeps its capacity across Close and goes back
-// when its tree dies.
+// set operations, the recursion's fixpoint and the apply cache; GROUP,
+// DISTINCT, UNION and the fixpoint serve its lanes as their output. A
+// table comes from tablePool, keeps its capacity across Close and goes
+// back when its tree dies.
 type hashTable struct {
 	rows        datum.ColBatch
 	keys        []int // the key lanes of rows
@@ -24,7 +25,7 @@ type hashTable struct {
 	heads, next []int32
 	bytes       int64 // what rows, hashes and next hold
 	// Scratch: a probed or keyed batch's hashes and NULL marks, ids'
-	// result, and the batch rowIDs stages rows in.
+	// result, and the batch rowID stages its row in.
 	hashBuf []uint64
 	nullBuf []bool
 	idBuf   []int
@@ -63,14 +64,14 @@ func seq(n int) []int {
 	return s
 }
 
-// tableHold is an operator's hold on a table keyed by all its lanes:
-// taken at first use, dropped on park once it outgrew maxParkedBytes,
-// given back when the tree dies.
+// tableHold is an operator's hold on a table keyed by its first keys
+// lanes: taken at first use, dropped on park once it outgrew
+// maxParkedBytes, given back when the tree dies.
 type tableHold struct{ *hashTable }
 
-func (h *tableHold) get(ctx *Ctx, types []datum.TypeID) *hashTable {
+func (h *tableHold) get(ctx *Ctx, types []datum.TypeID, keys int) *hashTable {
 	if h.hashTable == nil {
-		h.hashTable = acquireTable(types, seq(len(types)))
+		h.hashTable = acquireTable(types, seq(keys))
 		ctx.hold(h)
 	}
 	return h.hashTable
@@ -113,7 +114,7 @@ func (t *hashTable) memBytes() int64 {
 
 // keep reports whether an idle tree keeps the table (see maxParkedBytes).
 func (t *hashTable) keep() bool {
-	return t.rows.CapBytes()+int64(cap(t.hashes))*8+int64(cap(t.heads)+cap(t.next))*4 <= maxParkedBytes
+	return t.rows.CapBytes()+int64(cap(t.hashes)+cap(t.hashBuf)+cap(t.idBuf))*8+int64(cap(t.heads)+cap(t.next))*4 <= maxParkedBytes
 }
 
 // thread sizes heads to buckets, a power of two, and chains every row
@@ -187,18 +188,12 @@ next:
 	return r
 }
 
-// rowIDs appends the ids of rows (ids' rules) to dst, staging them a
-// batch width at a time.
-func (t *hashTable) rowIDs(dst []int, rows ...datum.Row) []int {
-	for len(rows) > 0 {
-		n := min(len(rows), colBatchSize)
-		t.one.Reset()
-		for _, r := range rows[:n] {
-			t.one.AppendRow(r)
-		}
-		dst, rows = append(dst, t.ids(&t.one, t.keys)...), rows[n:]
-	}
-	return dst
+// rowID returns the id of row's key (ids' rules), inserting it when the
+// table has not seen it.
+func (t *hashTable) rowID(row datum.Row) int {
+	t.one.Reset()
+	t.one.AppendRow(row)
+	return t.ids(&t.one, t.keys)[0]
 }
 
 // match compacts the hash-equal candidate pairs (row pp[k] of the probe

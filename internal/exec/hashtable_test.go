@@ -3,7 +3,7 @@ package exec
 // The hash table's grouping against the map it replaced: keyTable, a
 // map from RowKey bytes to a dense id in first-seen order, kept here as
 // the reference. Over typed and boxed lanes, with and without selection
-// vectors, through ids and rowIDs, the table must form exactly the
+// vectors, through ids and rowID, the table must form exactly the
 // reference's groups in the same order, and its lanes must hold each
 // group's first-seen key.
 
@@ -123,15 +123,15 @@ func checkKeyTable(t *testing.T, rows []datum.Row, tableTypes, inTypes []datum.T
 			}
 		}
 	}
-	// rowIDs keys every row, afresh.
+	// rowID keys every row, afresh.
 	var fresh keyTable
-	var want []int
-	for _, r := range rows {
-		want = append(want, fresh.id(r))
-	}
+	var want, got []int
 	tab.empty()
-	if got := tab.rowIDs(nil, rows...); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("rowIDs %v, want %v", got, want)
+	for _, r := range rows {
+		want, got = append(want, fresh.id(r)), append(got, tab.rowID(r))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rowID %v, want %v", got, want)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestHashJoinStateReleasedOnce(t *testing.T) {
 	if held, released := tree.Pooled(); held != 0 || released != 5 {
 		t.Fatalf("after the tree died twice: %d held, %d released; want 0 and 5", held, released)
 	}
-	if j.st != nil || probe.batch != nil || build.batch != nil || runner.slab != nil || runner.cache.hashTable != nil {
+	if j.st != nil || probe.batch.ColBatch != nil || build.batch.ColBatch != nil || runner.slab != nil || runner.cache.hashTable != nil {
 		t.Fatal("a dead tree still holds pooled objects")
 	}
 	// A state put back twice would wait in the pool twice and come out of

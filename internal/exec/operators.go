@@ -2,8 +2,8 @@ package exec
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/datum"
@@ -25,11 +25,10 @@ func indexKeyOf(row datum.Row, cols []int) datum.Row {
 // ---------------------------------------------------------------------
 // SCAN
 
-// scanOp reads a stored table straight into column vectors and narrows
-// each batch with its pushed-down predicates and, when a hash join
+// scanOp reads a stored table straight into one pooled batch and
+// narrows it with its pushed-down predicates and, when a hash join
 // above pushed one, a join filter, emitting batches that are already
-// filtered. Its fill batch is pooled: the scan owns every lane, keeps
-// it across Close and gives it back when its tree dies.
+// filtered.
 type scanOp struct {
 	cur   tableCursor
 	types []datum.TypeID
@@ -44,7 +43,7 @@ type scanOp struct {
 	// decorator last harvested it (see statsOp.Close).
 	jfDropped int64
 
-	batch *datum.ColBatch
+	batch batchHold
 	feed  rowFeed
 }
 
@@ -64,27 +63,23 @@ func (s *scanOp) Open(ctx *Ctx) error {
 }
 
 func (s *scanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
-	if s.batch == nil {
-		s.batch = datum.AcquireColBatch(s.types)
-		ctx.hold(s)
-	}
 	max := ctx.colBatchWidth()
 	for {
-		s.batch.Reset()
-		k, err := s.cur.fill(ctx, s.batch, max)
+		b := s.batch.get(ctx, s.types)
+		k, err := s.cur.fill(ctx, b, max)
 		if err != nil || k == 0 {
 			return nil, false, err
 		}
-		if err := s.preds.apply(ctx, s.batch); err != nil {
+		if err := s.preds.apply(ctx, b); err != nil {
 			return nil, false, err
 		}
 		if s.jf != nil {
-			before := s.batch.NumLive()
-			s.applyJoinFilter()
-			s.jfDropped += int64(before - s.batch.NumLive())
+			before := b.NumLive()
+			s.applyJoinFilter(b)
+			s.jfDropped += int64(before - b.NumLive())
 		}
-		if s.batch.NumLive() > 0 {
-			return s.batch, true, nil
+		if b.NumLive() > 0 {
+			return b, true, nil
 		}
 		// Entire chunk filtered out; keep pulling. The cursor's budget
 		// ticks keep budgets and cancellation responsive across empty
@@ -92,12 +87,11 @@ func (s *scanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	}
 }
 
-func (s *scanOp) applyJoinFilter() {
+func (s *scanOp) applyJoinFilter(b *datum.ColBatch) {
 	f := s.jf
 	if !f.ready.Load() {
 		return
 	}
-	b := s.batch
 	f.hashBuf, f.nullBuf = b.HashLive(s.jfKeys, f.hashBuf[:0], f.nullBuf[:0])
 	keep, j := b.SelBuf(), 0
 	_ = b.EachLive(func(i int) error {
@@ -117,15 +111,8 @@ func (s *scanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 
 func (s *scanOp) Close(ctx *Ctx) error {
 	s.cur.close()
-	if s.batch != nil {
-		s.batch.Reset()
-	}
+	s.batch.empty()
 	return nil
-}
-
-func (s *scanOp) releasePooled() {
-	s.batch.Release()
-	s.batch = nil
 }
 
 // ---------------------------------------------------------------------
@@ -237,7 +224,7 @@ func (s *indexScanOp) Close(ctx *Ctx) error {
 }
 
 // ---------------------------------------------------------------------
-// ACCESS (identity relabel), FILTER, PROJECT, LIMIT, TEMP
+// ACCESS (identity relabel), FILTER, PROJECT, LIMIT
 
 // buildAccess builds no operator: ACCESS only renames its input's
 // columns, which slot binding has already resolved, so the node is
@@ -309,8 +296,7 @@ func (f *filterOp) Close(ctx *Ctx) error { return f.input.Close(ctx) }
 // no data: its output batch is header copies of the input's vectors
 // plus owned constant vectors, and a row consumer gets its rows read
 // straight from the input batch. Any other projection runs the row
-// evaluators once per live row into a batch of its own, which it owns
-// outright and so takes from the pool, keeping it until its tree dies.
+// evaluators once per live row into a pooled batch of its own.
 type projectOp struct {
 	input ColBatchStream
 	types []datum.TypeID
@@ -319,10 +305,11 @@ type projectOp struct {
 	// neither. pushJoinFilter remaps key slots through them.
 	srcs   []int
 	consts []datum.Value
-	// rows runs a projection without an alias plan.
-	rows *rowProjection
-	out  *datum.ColBatch
-	feed rowFeed
+	// rows runs a projection without an alias plan, into out.
+	rows  *rowProjection
+	alias *datum.ColBatch
+	out   batchHold
+	feed  rowFeed
 }
 
 // rowProjection is a projection on the row evaluators: exprs read the
@@ -386,28 +373,24 @@ func (p *projectOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 		return nil, more, err
 	}
 	if p.srcs != nil {
-		if p.out == nil {
-			p.out = datum.NewColBatch(p.types)
+		if p.alias == nil {
+			p.alias = datum.NewColBatch(p.types)
 		}
-		p.out.AliasFrom(b, p.srcs, p.consts)
-		return p.out, more, nil
+		p.alias.AliasFrom(b, p.srcs, p.consts)
+		return p.alias, more, nil
 	}
-	if p.out == nil {
-		p.out = datum.AcquireColBatch(p.types)
-		ctx.hold(p)
-	}
-	p.out.Reset()
+	out := p.out.get(ctx, p.types)
 	err = b.EachLive(func(i int) error {
 		if err := p.rows.eval(ctx, b, i, p.rows.vals); err != nil {
 			return err
 		}
-		p.out.AppendRow(p.rows.vals)
+		out.AppendRow(p.rows.vals)
 		return nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return p.out, more, nil
+	return out, more, nil
 }
 
 // eval evaluates the projection of live row i of b into out.
@@ -428,15 +411,8 @@ func (p *projectOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 }
 
 func (p *projectOp) Close(ctx *Ctx) error {
-	if p.rows != nil && p.out != nil {
-		p.out.Reset()
-	}
+	p.out.empty()
 	return p.input.Close(ctx)
-}
-
-func (p *projectOp) releasePooled() {
-	p.out.Release()
-	p.out = nil
 }
 
 type limitOp struct {
@@ -500,10 +476,8 @@ func (l *limitOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 
 func (l *limitOp) Close(ctx *Ctx) error { return l.input.Close(ctx) }
 
-// rowCursor is the read position over a result materialized at Open;
-// the operators that compute their whole output up front (TEMP, SORT,
-// GROUP, set operations, table functions, recursion) embed it as their
-// Next.
+// rowCursor is the read position over rows materialized at Open; SORT
+// and TABLEFN embed it as their Next.
 type rowCursor struct {
 	rows []datum.Row
 	pos  int
@@ -519,31 +493,6 @@ func (c *rowCursor) Next(*Ctx) (datum.Row, bool, error) {
 	r := c.rows[c.pos]
 	c.pos++
 	return r, true, nil
-}
-
-// tempOp materializes its input at Open. It re-materializes on every
-// Open: a cached copy would go stale whenever the subtree depends on
-// per-execution state — correlation values of an enclosing subquery, or
-// the delta of a recursive fixpoint iteration.
-type tempOp struct {
-	rowCursor
-	input Stream
-	mem   memCharge
-}
-
-func (t *tempOp) Open(ctx *Ctx) error {
-	rows, err := materialize(ctx, t.input)
-	if err != nil {
-		return err
-	}
-	t.reset(rows)
-	return t.mem.charge(ctx, rowsBytes(rows))
-}
-
-func (t *tempOp) Close(ctx *Ctx) error {
-	t.rows = nil
-	t.mem.release(ctx)
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -595,38 +544,24 @@ func (s *sortOp) Open(ctx *Ctx) error {
 // memory budget. It produces exactly the first k rows of the stable full
 // sort: a row enters a full heap only if it sorts strictly before the
 // heap's worst, and kept rows that tie break by arrival.
-func (s *sortOp) openTopN(ctx *Ctx) (err error) {
+func (s *sortOp) openTopN(ctx *Ctx) error {
 	k, err := evalLimit(ctx, s.limit)
 	if err != nil {
 		return err
 	}
-	in := asColBatchStream(s.input, s.types)
-	if err := in.Open(ctx); err != nil {
-		return errors.Join(err, in.Close(ctx))
-	}
-	defer func() { err = errors.Join(err, in.Close(ctx)) }()
 	h := &s.top
 	h.start(s.keys, int(max(k, 0)), len(s.types))
 	if s.scratch == nil {
 		s.scratch = make(datum.Row, len(s.types))
 	}
-	for {
-		b, more, err := in.NextColBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if b != nil && b.NumLive() > 0 {
-			if err := ctx.tickRows(b.NumLive()); err != nil {
-				return err
-			}
-			_ = b.EachLive(func(i int) error {
-				h.offer(loadRow(s.scratch, b, i))
-				return nil
-			})
-		}
-		if !more {
-			break
-		}
+	err = drainBatches(ctx, asColBatchStream(s.input, s.types), false, func(b *datum.ColBatch) error {
+		return b.EachLive(func(i int) error {
+			h.offer(loadRow(s.scratch, b, i))
+			return nil
+		})
+	})
+	if err != nil {
+		return err
 	}
 	rows := h.sorted()
 	if err := s.mem.charge(ctx, rowsBytes(rows)); err != nil {
@@ -886,21 +821,22 @@ func (j *mergeJoinOp) Close(ctx *Ctx) error {
 
 // groupOp is the hash aggregate, and DISTINCT as GROUP on every column
 // with no aggregates. It drains its input's batches inside Open, keying
-// each batch's live rows through its hash table (a scalar aggregate has
-// none: every row is group 0), then folds each aggregate over the batch
-// — with a typed update kernel where one exists, else through the
-// aggregate's own expr.AggState on the row evaluators. Groups come out
-// in first-seen order, their keys read from the table's lanes. The
-// input's lifetime ends inside Open on every path. The table and the
-// aggregate lanes stay with the operator across executions.
+// each batch's live rows through its hash table (a scalar aggregate
+// keys none: every row is group 0), then folds each aggregate over the
+// batch — with a typed update kernel where one exists, else through the
+// aggregate's own expr.AggState on the row evaluators. The table is the
+// output: its key lanes hold the groups in first-seen order, and Open
+// fills each aggregate's lane beside them. The input's lifetime ends
+// inside Open on every path; the table and the aggregate state stay
+// with the operator across executions.
 type groupOp struct {
 	input     ColBatchStream
 	groupCols []int
-	keyTypes  []datum.TypeID
+	types     []datum.TypeID // the output's: the keys', then the aggregates'
 	aggs      []batchAgg
 	groups    tableHold
 	zeros     []int // a scalar aggregate's group ids
-	rowCursor
+	window
 	mem memCharge
 }
 
@@ -938,68 +874,36 @@ func (b *Builder) buildGroup(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 		aggs[i] = &rowAgg{call: a, arg: arg, scratch: make(datum.Row, len(n.Inputs[0].Cols))}
 	}
 	types := slotTypes(n.Inputs[0])
-	g := &groupOp{input: asColBatchStream(in, types), groupCols: n.GroupCols, aggs: aggs}
+	g := &groupOp{input: asColBatchStream(in, types), groupCols: n.GroupCols, types: slotTypes(n), aggs: aggs}
 	if n.Op == plan.OpDistinct {
 		g.groupCols = seq(len(types))
-	}
-	for _, c := range g.groupCols {
-		g.keyTypes = append(g.keyTypes, types[c])
 	}
 	return g, nil
 }
 
-func (g *groupOp) Open(ctx *Ctx) (err error) {
+func (g *groupOp) Open(ctx *Ctx) error {
 	g.empty()
-	if len(g.groupCols) > 0 {
-		g.groups.get(ctx, g.keyTypes)
-	} else {
+	t, w := g.groups.get(ctx, g.types, len(g.groupCols)), len(g.groupCols)
+	if w == 0 { // a scalar aggregate: one group, rows or none
+		t.rows.SetRows(1, nil)
 		for _, a := range g.aggs {
 			a.grow(1)
 		}
 	}
-	if err := g.input.Open(ctx); err != nil {
-		// Close even after a failed Open: the input subtree may have
-		// opened children (and their storage iterators) before failing,
-		// and groupOp.Close does not cascade.
-		return errors.Join(err, g.input.Close(ctx))
+	err := drainBatches(ctx, g.input, false, func(b *datum.ColBatch) error {
+		return g.update(ctx, b)
+	})
+	if err != nil {
+		return err
 	}
-	defer func() { err = errors.Join(err, g.input.Close(ctx)) }()
-	for {
-		b, more, err := g.input.NextColBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if b != nil && b.NumLive() > 0 {
-			if err := ctx.tickRows(b.NumLive()); err != nil {
-				return err
-			}
-			if err := g.update(ctx, b); err != nil {
-				return err
-			}
-		}
-		if !more {
-			break
+	for k, a := range g.aggs {
+		for gi := range t.len() {
+			t.rows.Vecs[w+k].AppendValue(a.result(gi))
 		}
 	}
-	// The output rows are the result, so they are the one thing made
-	// anew: one arena for all of them.
-	ngroup, w := 1, len(g.groupCols)
-	if w > 0 {
-		ngroup = g.groups.len()
-	}
-	rw := w + len(g.aggs)
-	arena := make([]datum.Value, ngroup*rw)
-	for gi := 0; gi < ngroup; gi++ {
-		row := arena[gi*rw : gi*rw : (gi+1)*rw]
-		for k := range w {
-			row = append(row, g.groups.rows.Vecs[k].ValueAt(gi))
-		}
-		for _, a := range g.aggs {
-			row = append(row, a.result(gi))
-		}
-		g.rows = append(g.rows, row)
-	}
-	return g.charge(ctx, g.rows)
+	t.bytes = t.rows.MemBytes(0) + 12*int64(len(t.hashes))
+	g.serve(&t.rows, 0, t.len())
+	return g.charge(ctx)
 }
 
 // update keys b's live rows and folds them into the aggregates.
@@ -1011,22 +915,20 @@ func (g *groupOp) update(ctx *Ctx, b *datum.ColBatch) error {
 			a.grow(g.groups.len())
 		}
 	} else {
-		for len(g.zeros) < b.NumLive() {
-			g.zeros = append(g.zeros, 0)
-		}
-		gis = g.zeros[:b.NumLive()]
+		g.zeros = slices.Grow(g.zeros[:0], b.NumLive())[:b.NumLive()] // never written: group 0
+		gis = g.zeros
 	}
 	for _, a := range g.aggs {
 		if err := a.update(ctx, b, gis); err != nil {
 			return err
 		}
 	}
-	return g.charge(ctx, nil)
+	return g.charge(ctx)
 }
 
-// charge reserves the hash tables (DISTINCT aggregates' too) and rows.
-func (g *groupOp) charge(ctx *Ctx, rows []datum.Row) error {
-	b := rowsBytes(rows) + g.groups.memBytes()
+// charge reserves the hash tables, DISTINCT aggregates' too.
+func (g *groupOp) charge(ctx *Ctx) error {
+	b := g.groups.memBytes()
 	for _, a := range g.aggs {
 		if ra, ok := a.(*rowAgg); ok {
 			b += ra.seen.memBytes()
@@ -1039,8 +941,7 @@ func (g *groupOp) charge(ctx *Ctx, rows []datum.Row) error {
 // that held them.
 func (g *groupOp) empty() {
 	g.groups.empty()
-	clear(g.rows)
-	g.reset(g.rows[:0])
+	g.drop()
 	for _, a := range g.aggs {
 		a.reset()
 	}
@@ -1064,7 +965,6 @@ type rowAgg struct {
 	states  []expr.AggState
 	seen    tableHold
 	pair    datum.Row
-	ids     []int
 }
 
 // seenTypes are the lanes of a DISTINCT aggregate's (group id, value)
@@ -1095,10 +995,10 @@ func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
 			return err
 		}
 		if a.call.Distinct {
-			seen := a.seen.get(ctx, seenTypes)
+			seen := a.seen.get(ctx, seenTypes, len(seenTypes))
 			n := seen.len()
 			a.pair[0], a.pair[1] = datum.NewInt(int64(gi)), v
-			if a.ids = seen.rowIDs(a.ids[:0], a.pair); a.ids[0] < n {
+			if seen.rowID(a.pair) < n {
 				return nil
 			}
 		}
@@ -1109,74 +1009,93 @@ func (a *rowAgg) update(ctx *Ctx, b *datum.ColBatch, gis []int) error {
 func (a *rowAgg) result(gi int) datum.Value { return a.states[gi].Result() }
 
 // setOp implements UNION / INTERSECT / EXCEPT with ALL (bag) and
-// DISTINCT (set) semantics, keying rows through one hash table.
-// INTERSECT and EXCEPT are binary.
+// DISTINCT (set) semantics, draining its inputs by batch and keying
+// their rows through one hash table, and TEMP, a UNION ALL of one
+// input. UNION ALL emits the batch it drains its inputs into, UNION the
+// table's lanes; INTERSECT and EXCEPT (binary) hold the left input's
+// batch and emit the rows a selection over it keeps. Every Open drains
+// afresh: an input may depend on per-execution state (an enclosing
+// subquery's correlation values, a fixpoint iteration's delta).
 type setOp struct {
-	rowCursor
 	op     string
 	all    bool
-	inputs []Stream
+	inputs []ColBatchStream
 	types  []datum.TypeID
 	keys   tableHold
-	ids    []int
+	held   batchHold
 	counts []int
-	mem    memCharge
+	window
+	mem memCharge
 }
 
 func (b *Builder) buildSetOp(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
-	if n.Op != plan.OpUnion && len(n.Inputs) != 2 {
+	if (n.Op == plan.OpInter || n.Op == plan.OpExcept) && len(n.Inputs) != 2 {
 		return nil, fmt.Errorf("exec: %s takes 2 inputs, not %d", n.Op, len(n.Inputs))
 	}
 	ins, err := b.buildInputs(n, corr)
 	if err != nil {
 		return nil, err
 	}
-	return &setOp{op: n.Op, all: n.All, inputs: ins, types: slotTypes(n)}, nil
+	s := &setOp{op: n.Op, all: n.All, types: slotTypes(n)}
+	for _, in := range ins {
+		s.inputs = append(s.inputs, asColBatchStream(in, s.types))
+	}
+	return s, nil
 }
 
 func (s *setOp) Open(ctx *Ctx) error {
+	s.drop()
 	s.keys.empty()
-	var rows []datum.Row
+	if s.op == plan.OpUnion && !s.all {
+		keys := s.keys.get(ctx, s.types, len(s.types))
+		for _, in := range s.inputs {
+			if err := drainBatches(ctx, in, true, func(b *datum.ColBatch) error {
+				keys.ids(b, keys.keys)
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+		s.serve(&keys.rows, 0, keys.len())
+		return s.mem.charge(ctx, keys.memBytes())
+	}
+	held := s.held.get(ctx, s.types)
 	for i, in := range s.inputs {
-		r, err := materialize(ctx, in)
-		if err != nil {
+		if i > 0 && s.op != plan.OpUnion {
+			return s.match(ctx, held, in)
+		}
+		if err := drainBatches(ctx, in, true, func(b *datum.ColBatch) error {
+			held.AppendLive(b)
+			return nil
+		}); err != nil {
 			return err
 		}
-		switch {
-		case s.op == plan.OpUnion && s.all:
-			rows = append(rows, r...)
-		case s.op == plan.OpUnion:
-			keys := s.keys.get(ctx, s.types)
-			next := keys.len()
-			s.ids = keys.rowIDs(s.ids[:0], r...)
-			for k, id := range s.ids {
-				if id == next {
-					rows = append(rows, r[k])
-					next++
-				}
-			}
-		case i == 0:
-			rows = r // the left input, matched against the right next
-		default:
-			rows = s.match(s.keys.get(ctx, s.types), rows, r)
-		}
 	}
-	s.reset(rows)
-	return s.mem.charge(ctx, rowsBytes(rows)+s.keys.memBytes())
+	s.serve(held, 0, held.Len())
+	return s.mem.charge(ctx, held.MemBytes(0))
 }
 
-// match counts the right rows per key, then keeps the left rows that
-// INTERSECT or EXCEPT keeps, in left order. A left key the right lacks
-// counts 0, so its later copies find no match either.
-func (s *setOp) match(keys *hashTable, left, right []datum.Row) []datum.Row {
-	s.ids = keys.rowIDs(keys.rowIDs(s.ids[:0], right...), left...)
-	s.counts = append(s.counts[:0], make([]int, keys.len())...)
-	for _, id := range s.ids[:len(right)] {
-		s.counts[id]++
+// match counts the right input's rows per key, then selects the left
+// rows that INTERSECT or EXCEPT keeps, in left order. A left key the
+// right lacks counts 0, so its later copies find no match either.
+func (s *setOp) match(ctx *Ctx, left *datum.ColBatch, right ColBatchStream) error {
+	keys := s.keys.get(ctx, s.types, len(s.types))
+	s.counts = s.counts[:0]
+	clear(s.counts[:cap(s.counts)]) // so that growing within it adds zeros
+	err := drainBatches(ctx, right, true, func(b *datum.ColBatch) error {
+		ids := keys.ids(b, keys.keys)
+		s.counts = slices.Grow(s.counts, keys.len()-len(s.counts))[:keys.len()]
+		for _, id := range ids {
+			s.counts[id]++
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	inter, kept := s.op == plan.OpInter, left[:0]
-	for k, row := range left {
-		id := s.ids[len(right)+k]
+	ids, inter, kept := keys.ids(left, keys.keys), s.op == plan.OpInter, left.SelBuf()
+	s.counts = slices.Grow(s.counts, keys.len()-len(s.counts))[:keys.len()]
+	for k, id := range ids {
 		matched := s.counts[id] > 0
 		switch {
 		case matched && s.all:
@@ -1187,15 +1106,18 @@ func (s *setOp) match(keys *hashTable, left, right []datum.Row) []datum.Row {
 			s.counts[id] = 1 // later copies match the row kept
 		}
 		if matched == inter {
-			kept = append(kept, row)
+			kept = append(kept, k)
 		}
 	}
-	return kept
+	left.Sel = kept
+	s.serve(left, 0, len(kept))
+	return s.mem.charge(ctx, left.MemBytes(0)+keys.memBytes())
 }
 
 func (s *setOp) Close(ctx *Ctx) error {
-	s.rows = nil
+	s.drop()
 	s.keys.empty()
+	s.held.empty()
 	s.mem.release(ctx)
 	return nil
 }

@@ -219,7 +219,7 @@ func (m *memCharge) charge(ctx *Ctx, b int64) error {
 	return ctx.Reserve(b)
 }
 
-// add reserves b bytes more (recursive work tables grow row by row).
+// add reserves b bytes more (an apply's cache grows result by result).
 func (m *memCharge) add(ctx *Ctx, b int64) error {
 	m.bytes += b
 	return ctx.Reserve(b)

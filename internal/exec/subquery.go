@@ -249,7 +249,6 @@ type innerRunner struct {
 	vec      datum.Row
 	types    []datum.TypeID
 	cache    tableHold
-	ids      []int
 	results  [][]datum.Row
 	// slab holds the cached results, recycled with the cache: they never
 	// leave the apply (a fold returns the outer row, pairing a copy).
@@ -310,10 +309,9 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 		r.vec[i] = v
 	}
 	correlated := len(r.vec) > 0
-	cache := r.cache.get(ctx, r.types)
+	cache := r.cache.get(ctx, r.types, len(r.types))
 	n, keyBytes := cache.len(), cache.memBytes()
-	r.ids = cache.rowIDs(r.ids[:0], r.vec)
-	if id := r.ids[0]; id < n {
+	if id := cache.rowID(r.vec); id < n {
 		if correlated {
 			r.hits++
 			ctx.sh.subqHits.Add(1)
@@ -323,7 +321,7 @@ func (r *innerRunner) rows(ctx *Ctx, outer datum.Row) ([]datum.Row, error) {
 	// A full cache empties before the miss lands in the slab it shares.
 	if n >= maxCachedResults {
 		r.reset(ctx)
-		cache.rowIDs(r.ids[:0], r.vec)
+		cache.rowID(r.vec)
 		keyBytes = 0
 	}
 	if r.slab == nil {
@@ -495,18 +493,23 @@ func (b *Builder) subplanClosure(info *plan.SubplanInfo, env *bindEnv, corr map[
 }
 
 // ---------------------------------------------------------------------
-// Recursion: RECUNION computes the fixpoint of its recursive branches,
-// RECREF reads the working table.
+// Recursion: RECUNION computes the fixpoint of its recursive branch,
+// RECREF reads the working table. The fixpoint's rows are its seen
+// table's lanes, the seed's first. The seed's and each iteration's
+// output is drained into a held batch and keyed once its branch has
+// closed, so no batch RECREF handed out aliases lanes being appended to.
 
 type recUnionOp struct {
-	seed, rec Stream
+	seed, rec ColBatchStream
 	boxID     int
 	linear    bool // exactly one RECREF → semi-naive (delta) evaluation
 	types     []datum.TypeID
 	seen      tableHold
-	ids       []int
-
-	rowCursor
+	out       batchHold // an iteration's output
+	// RECREF reads rows [lo, hi) of seen: what the last iteration added,
+	// or (lo 0) every row so far in a non-linear recursion.
+	lo, hi int
+	window
 	mem memCharge
 }
 
@@ -523,87 +526,71 @@ func (b *Builder) buildRecUnion(n *plan.Node, corr map[plan.ColRef]int) (Stream,
 		}
 		return true
 	})
-	return &recUnionOp{seed: ins[0], rec: ins[1], boxID: n.RecBoxID, linear: refs == 1, types: slotTypes(n)}, nil
+	types := slotTypes(n)
+	return &recUnionOp{seed: asColBatchStream(ins[0], types), rec: asColBatchStream(ins[1], types),
+		boxID: n.RecBoxID, linear: refs == 1, types: types}, nil
 }
 
 func (r *recUnionOp) Open(ctx *Ctx) error {
 	const maxIterations = 1_000_000
-	seen := r.seen.get(ctx, r.types)
+	r.drop()
+	seen := r.seen.get(ctx, r.types, len(r.types))
 	seen.empty()
-	var total []datum.Row
-	// add appends and returns the rows new to the fixpoint, charged.
-	add := func(rows []datum.Row) ([]datum.Row, error) {
-		n, next, keyBytes := len(total), seen.len(), seen.memBytes()
-		r.ids = seen.rowIDs(r.ids[:0], rows...)
-		for k, id := range r.ids {
-			if id == next {
-				total = append(total, rows[k])
-				next++
-			}
-		}
-		added := total[n:len(total):len(total)]
-		return added, r.mem.add(ctx, rowsBytes(added)+seen.memBytes()-keyBytes)
-	}
-	seedRows, err := materialize(ctx, r.seed)
-	if err != nil {
-		return err
-	}
-	delta, err := add(seedRows)
-	if err != nil {
-		return err
-	}
-	wt := &recWorkTable{useTotal: !r.linear}
 	if ctx.rec == nil {
-		ctx.rec = map[int]*recWorkTable{}
+		ctx.rec = map[int]*recUnionOp{}
 	}
 	prev := ctx.rec[r.boxID]
-	ctx.rec[r.boxID] = wt
+	ctx.rec[r.boxID] = r
 	defer func() { ctx.rec[r.boxID] = prev }()
-
-	for iter := 0; len(delta) > 0; iter++ {
+	r.lo, r.hi = 0, 0
+	for iter, in := 0, r.seed; ; iter, in = iter+1, r.rec {
 		if iter > maxIterations {
 			return fmt.Errorf("exec: recursive query exceeded %d iterations", maxIterations)
 		}
-		wt.delta = delta
-		wt.total = total
-		rows, err := materialize(ctx, r.rec)
-		if err != nil {
+		out, lo := r.out.get(ctx, r.types), seen.len()
+		if err := drainBatches(ctx, in, true, func(b *datum.ColBatch) error {
+			out.AppendLive(b)
+			return nil
+		}); err != nil {
 			return err
 		}
-		if delta, err = add(rows); err != nil {
+		seen.ids(out, seen.keys)
+		if err := r.mem.charge(ctx, seen.memBytes()+out.MemBytes(0)); err != nil {
 			return err
+		}
+		if seen.len() == lo {
+			break
+		}
+		if r.hi = seen.len(); r.linear {
+			r.lo = lo
 		}
 	}
-	r.reset(total)
+	r.serve(&seen.rows, 0, seen.len())
 	return nil
 }
 
 func (r *recUnionOp) Close(ctx *Ctx) error {
-	r.rows = nil
+	r.drop()
 	r.seen.empty()
+	r.out.empty()
 	r.mem.release(ctx)
 	return nil
 }
 
+// recRefOp serves its fixpoint's working table; Close is the window's.
 type recRefOp struct {
-	rowCursor
 	boxID int
+	window
 }
 
 func (r *recRefOp) Open(ctx *Ctx) error {
-	wt := ctx.rec[r.boxID]
-	if wt == nil {
+	u := ctx.rec[r.boxID]
+	if u == nil {
 		return fmt.Errorf("exec: recursive reference outside its fixpoint (box %d)", r.boxID)
 	}
-	if wt.useTotal {
-		r.reset(wt.total)
-	} else {
-		r.reset(wt.delta)
-	}
+	r.serve(&u.seen.rows, u.lo, u.hi)
 	return nil
 }
-
-func (r *recRefOp) Close(ctx *Ctx) error { return nil }
 
 // ---------------------------------------------------------------------
 // DML executors. Updates and deletes run in two phases (identify, then

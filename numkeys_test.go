@@ -84,9 +84,14 @@ func TestNegativeZeroAgreesWithEquality(t *testing.T) {
 		{"SELECT COUNT(*) FROM (SELECT x FROM f UNION SELECT y FROM g) u", "301"},
 		{"SELECT COUNT(*) FROM (SELECT x FROM f INTERSECT SELECT y FROM g) i", "301"},
 		{"SELECT COUNT(*) FROM (SELECT x FROM f EXCEPT SELECT y FROM g) e", "0"},
+		{"SELECT COUNT(*) FROM (SELECT x FROM h INTERSECT ALL SELECT x FROM h WHERE x = 0) i", "4"},
+		{"SELECT COUNT(*) FROM (SELECT x FROM h EXCEPT ALL SELECT y FROM g WHERE y < 2) e", "4"},
+		// The fixpoint keys -x, which is +0 for -0, as the row it has.
+		{"WITH RECURSIVE r(x) AS (SELECT x FROM h WHERE x = 0 UNION SELECT -x FROM r) SELECT COUNT(*) FROM r", "1"},
 		// INT k and FLOAT k are one key.
 		{"SELECT 1 UNION SELECT 1.0", "1"},
 		{"SELECT COUNT(DISTINCT x) FROM (SELECT x FROM f UNION ALL SELECT y FROM g) u", "301"},
+		{"WITH RECURSIVE r(x) AS (SELECT y FROM g WHERE y < 3 UNION SELECT x + 0.0 FROM r) SELECT COUNT(*) FROM r", "3"},
 	})
 }
 
@@ -138,6 +143,10 @@ func TestNaNAgreesWithEquality(t *testing.T) {
 				{"SELECT x, y FROM f, h WHERE x = y AND x > 1.5", "2,2"},
 				{"SELECT COUNT(*) FROM f GROUP BY x", "1 1 1"},
 				{"SELECT COUNT(*) FROM (SELECT x FROM f INTERSECT SELECT y FROM h) i", "3"},
+				{"SELECT COUNT(*) FROM (SELECT x FROM f INTERSECT ALL SELECT y FROM h) i", "3"},
+				{"SELECT COUNT(*) FROM (SELECT x FROM f EXCEPT ALL SELECT y FROM h WHERE y < 1.5) e", "1"},
+				// The fixpoint meets h's NaN as the NaN it has.
+				{"WITH RECURSIVE r(x) AS (SELECT x FROM f UNION SELECT y FROM h, r WHERE y = x) SELECT COUNT(*) FROM r", "3"},
 			})
 			if got := renderRows(mustExec(t, db, "SELECT x FROM f ORDER BY x")); got != "NaN 1 2" {
 				t.Errorf("ORDER BY x: %s, want NaN below every number", got)
@@ -188,6 +197,11 @@ func TestWideIntsGroupExactly(t *testing.T) {
 		{"SELECT COUNT(*) FROM (SELECT x FROM w UNION SELECT x FROM w2) u", fmt.Sprint(n)},
 		{"SELECT x FROM w INTERSECT SELECT x FROM w2", "9007199254740993 9223372036854775807"},
 		{"SELECT COUNT(*) FROM (SELECT x FROM w EXCEPT SELECT x FROM w2) e", fmt.Sprint(n - 2)},
+		{"SELECT x FROM w INTERSECT ALL SELECT x FROM w2", "9007199254740993 9223372036854775807"},
+		{"SELECT COUNT(*) FROM (SELECT x FROM w EXCEPT ALL SELECT x FROM w2) e", fmt.Sprint(2*n - 2)},
+		// 2^53 + 1 steps down to 2^53 - 1, each a key of its own.
+		{"WITH RECURSIVE r(x) AS (SELECT x FROM w2 UNION SELECT x - 1 FROM r WHERE x > 9007199254740991 AND x < 9007199254740994) SELECT x FROM r",
+			"9007199254740991 9007199254740992 9007199254740993 9223372036854775807"},
 		// INT k and FLOAT k still share a key where float64 holds k.
 		{"SELECT COUNT(*) FROM (SELECT x FROM w UNION SELECT x FROM wf) u", fmt.Sprint(n)},
 		{"SELECT COUNT(DISTINCT x) FROM (SELECT x FROM w UNION ALL SELECT x FROM wf) u", fmt.Sprint(n)},

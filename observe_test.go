@@ -69,7 +69,7 @@ func checkStatsInvariants(t *testing.T, instr *exec.Instrumentation, root *plan.
 		}
 		perCall := int64(1)
 		switch instr.Kind(n) {
-		case "scanOp", "filterOp", "projectOp", "hashJoinOp":
+		case "scanOp", "filterOp", "projectOp", "hashJoinOp", "groupOp", "setOp", "recUnionOp", "recRefOp":
 			perCall = 1024 // batch producers; none of these joins fans out past a batch
 		}
 		if st.Rows > st.Nexts*perCall {

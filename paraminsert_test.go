@@ -5,7 +5,9 @@ import (
 	gosql "database/sql"
 	"errors"
 	"fmt"
+	"path"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,7 +201,7 @@ func TestInsertValuesAllocatesNoRows(t *testing.T) {
 // itself (the first frame outside the runtime is an exec function).
 func execAllocs(t *testing.T, n int, run func()) float64 {
 	t.Helper()
-	objs, _ := allocProfile(t, n, run, func(funcs []string) bool {
+	objs, _, _ := allocProfile(t, n, run, func(funcs []string) bool {
 		return strings.HasPrefix(funcs[0], "repro/internal/exec.")
 	})
 	return objs
@@ -208,12 +210,14 @@ func execAllocs(t *testing.T, n int, run func()) float64 {
 // allocProfile runs run n times with every allocation profiled and
 // returns the objects and bytes per run of the allocations whose stack
 // keep accepts: the function names of its frames outside the runtime,
-// innermost first.
-func allocProfile(t *testing.T, n int, run func(), keep func(funcs []string) bool) (objs, bytes float64) {
+// innermost first. stacks names each such stack that allocated in the
+// runs, every frame with its line, and its object count.
+func allocProfile(t *testing.T, n int, run func(), keep func(funcs []string) bool) (objs, bytes float64, stacks []string) {
 	t.Helper()
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	count := func() (objs, bytes int64) {
+	count := func() (objs, bytes int64, byStack map[[32]uintptr]int64) {
+		byStack = map[[32]uintptr]int64{}
 		// A collection publishes the allocations made before it.
 		runtime.GC()
 		runtime.GC()
@@ -229,25 +233,51 @@ func allocProfile(t *testing.T, n int, run func(), keep func(funcs []string) boo
 		var funcs []string
 		for _, r := range recs {
 			funcs = funcs[:0]
-			frames := runtime.CallersFrames(r.Stack())
+			frames, innermost := runtime.CallersFrames(r.Stack()), ""
 			for more := true; more; {
 				var f runtime.Frame
 				f, more = frames.Next()
+				if innermost == "" {
+					innermost = f.Function
+				}
 				if len(funcs) > 0 || !strings.HasPrefix(f.Function, "runtime.") {
 					funcs = append(funcs, f.Function)
 				}
 			}
+			// Under the race detector the runtime now and then rebuilds a
+			// type assertion's or type switch's cache of the concrete
+			// types it met (runtime.typeAssert, runtime.interfaceSwitch:
+			// about once in 1024 cache misses), so an assertion allocates,
+			// at random, where the code allocates nothing.
+			if raceEnabled && (innermost == "runtime.typeAssert" || innermost == "runtime.interfaceSwitch") {
+				continue
+			}
 			if len(funcs) > 0 && keep(funcs) {
 				objs += r.AllocObjects
 				bytes += r.AllocBytes
+				byStack[r.Stack0] += r.AllocObjects
 			}
 		}
-		return objs, bytes
+		return objs, bytes, byStack
 	}
-	o, b := count()
+	o, b, before := count()
 	for range n {
 		run()
 	}
-	o2, b2 := count()
-	return float64(o2-o) / float64(n), float64(b2-b) / float64(n)
+	o2, b2, after := count()
+	for pcs, k := range after {
+		if k <= before[pcs] {
+			continue
+		}
+		var where []string
+		frames := runtime.CallersFrames((&runtime.MemProfileRecord{Stack0: pcs}).Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			where = append(where, fmt.Sprintf("%s (%s:%d)", f.Function, path.Base(f.File), f.Line))
+		}
+		stacks = append(stacks, fmt.Sprintf("%d objects: %s", k-before[pcs], strings.Join(where, " < ")))
+	}
+	slices.Sort(stacks)
+	return float64(o2-o) / float64(n), float64(b2-b) / float64(n), stacks
 }

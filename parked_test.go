@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -972,11 +973,57 @@ func TestParkedKeyTablesAllocateNothing(t *testing.T) {
 		run := func() { mustExec(t, db, q) }
 		run()
 		run()
-		objs, bytes := allocProfile(t, 10, run, func(funcs []string) bool {
+		objs, bytes, _ := allocProfile(t, 10, run, func(funcs []string) bool {
 			return strings.Contains(strings.Join(funcs, " "), "(*hashTable).")
 		})
 		if objs != 0 {
 			t.Errorf("%s: %.1f objects (%.0f B) allocated per execution inside the hash table; want none", q, objs, bytes)
+		}
+	}
+}
+
+// TestParkedStagingAllocatesFixed: an INTERSECT and a recursion over
+// 120,000 rows of four INT columns, re-executed through their parked
+// trees, allocate a small fixed amount per execution. They key their
+// inputs by batch into a hash table and hold batches that stay under
+// maxParkedBytes, where staged copies of the rows they read would be
+// made anew at every execution (the INTERSECT's two inputs are nearly
+// twice the cap as rows).
+func TestParkedStagingAllocatesFixed(t *testing.T) {
+	const n = 120000
+	db := Open(WithPlanCache(8))
+	for _, tb := range []string{"s4", "t4"} {
+		mustExec(t, db, "CREATE TABLE "+tb+" (a INT, b INT, c INT, d INT)")
+		bulkLoad(t, db, strings.ToUpper(tb), n, func(i int) Row {
+			return Row{NewInt(int64(i)), NewInt(int64(i % 7)), NewInt(int64(i % 5)), NewInt(int64(i % 3))}
+		})
+	}
+	for _, c := range []struct{ q, want string }{
+		{"SELECT COUNT(*) FROM (SELECT a, b, c, d FROM s4 INTERSECT SELECT a, b, c, d FROM t4) i", fmt.Sprint(n)},
+		{"WITH RECURSIVE r(a, b, c, d) AS (SELECT a, b, c, d FROM s4 WHERE a < 1000 UNION SELECT a + 1000, b, c, d FROM r WHERE a < 119000) SELECT COUNT(*) FROM r", fmt.Sprint(n)},
+	} {
+		run := func() {
+			if got := renderRows(mustExec(t, db, c.q)); got != c.want {
+				t.Fatalf("%s: %s, want %s", c.q, got, c.want)
+			}
+		}
+		run() // compile and park the tree
+		run()
+		if _, released := idleTree(db, c.q).Pooled(); released != 0 {
+			t.Errorf("%s: the parked tree dropped %d pooled objects that outgrew the cap; want none", c.q, released)
+		}
+		least := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			run()
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+		}
+		t.Logf("%s: %d B per execution", c.q, least)
+		if least > 64<<10 {
+			t.Errorf("%s: %d B allocated per parked execution; want at most 64 KiB", c.q, least)
 		}
 	}
 }

@@ -288,12 +288,13 @@ func resultBytes(rows []Row) float64 {
 // TestStarAllocationTracksResult runs star_scan's eight statements
 // cached at 1x and 4x the fact table and profiles every allocation: the
 // bytes allocated under the executor per execution of a parked tree
-// stay within 15% plus 3 KiB of the result's exact-size block, and the
-// inner results of S7's correlated IN, recycled in the apply's slab,
-// allocate nothing at all. The bound is what GROUP's per-execution keys
-// and output rows (S4, S5) and the top-N heap's copies (S6) need beside
-// the result; results grown row by row (S8) or re-materialized per
-// cache miss (S7) exceed it.
+// stay within 15% plus 3 KiB of the result's exact-size block, and
+// nothing at all is allocated under GROUP (S1, S3, S4, S5: its output
+// is its hash table's lanes), under S6's top-N beside the rows it
+// returns, or under S7's apply runner, which recycles its inner results
+// in its slab. The bound is what the top-N heap's copies (S6) need
+// beside the result; results grown row by row (S8) or re-materialized
+// per cache miss (S7) exceed it.
 func TestStarAllocationTracksResult(t *testing.T) {
 	const slack, ratio = 3072, 1.15
 	for _, facts := range []int{6000, 24000} {
@@ -303,7 +304,7 @@ func TestStarAllocationTracksResult(t *testing.T) {
 			run := func() { res = mustExec(t, db, q) }
 			run() // compile and park the tree
 			run()
-			_, execBytes := allocProfile(t, 10, run, func(funcs []string) bool {
+			_, execBytes, _ := allocProfile(t, 10, run, func(funcs []string) bool {
 				return strings.Contains(strings.Join(funcs, " "), "repro/internal/exec.")
 			})
 			want := resultBytes(res.Rows)
@@ -312,21 +313,22 @@ func TestStarAllocationTracksResult(t *testing.T) {
 				t.Errorf("S%d at %d facts: the executor allocates %.0f B per execution for a %.0f B result; want at most %.0f",
 					i+1, facts, execBytes, want, want*ratio+slack)
 			}
-			// What the executor itself allocates under S6's top-N, the
-			// result block it copies out aside, and under S7's apply
-			// runner: the scans' storage iterators are not results.
-			under := map[int]string{5: "(*sortOp).openTopN", 6: "(*innerRunner).rows"}[i]
+			// What the executor itself allocates under GROUP, under S6's
+			// top-N, the result block it copies out aside, and under S7's
+			// apply runner: the scans' storage iterators are not results.
+			under := map[int]string{0: "(*groupOp)", 2: "(*groupOp)", 3: "(*groupOp)", 4: "(*groupOp)",
+				5: "(*sortOp).openTopN", 6: "(*innerRunner).rows"}[i]
 			if under == "" {
 				continue
 			}
-			objs, bytes := allocProfile(t, 10, run, func(funcs []string) bool {
+			objs, bytes, stacks := allocProfile(t, 10, run, func(funcs []string) bool {
 				return (strings.HasPrefix(funcs[0], "repro/internal/exec.") || strings.HasPrefix(funcs[0], "repro/internal/datum.")) &&
 					!strings.HasSuffix(funcs[0], "(*topHeap).sorted") &&
 					strings.Contains(strings.Join(funcs, " "), under)
 			})
 			if objs != 0 {
-				t.Errorf("S%d at %d facts: %.1f objects (%.0f B) allocated per execution under %s; want none",
-					i+1, facts, objs, bytes, under)
+				t.Errorf("S%d at %d facts: %.1f objects (%.0f B) allocated per execution under %s; want none:\n%s",
+					i+1, facts, objs, bytes, under, strings.Join(stacks, "\n"))
 			}
 		}
 	}
