@@ -73,8 +73,10 @@ examples:
 # operation sequences checked against a sorted-slice model, over WAL
 # record sequences written through the one reused frame buffer, then
 # cut or damaged, and over value sequences keyed through the executor's
-# one hash table against the RowKey map it replaced (FuzzKeyTable; race
-# replays only the seed corpora), and the paths through
+# one hash table against the RowKey map it replaced (FuzzKeyTable), and
+# corrupted QGM graphs through the verifier against its pre-reuse
+# reference (FuzzVerifyMatchesReference; race replays only the seed
+# corpora), and the paths through
 # pooled batches — equivalence, subquery re-opens, budgets, reuse —
 # repeated under the race detector, since a pooled batch outlives its
 # operator and the per-P pool hands it across goroutines, and DISK
@@ -117,7 +119,9 @@ examples:
 # equivalence cases (-0/+0, NaN payloads, INT k beside FLOAT k,
 # +-2^53+-1: TestNegativeZeroAgreesWithEquality,
 # TestNaNAgreesWithEquality, TestWideIntsGroupExactly) run under it
-# too, at DOP 1 and 4.
+# too, at DOP 1 and 4. The QGM verifier checks in state it reuses
+# across calls, so two goroutines verify distinct graphs at once, and
+# the graphs must be collectable afterwards (TestVerifyConcurrentGraphs).
 #
 # One pass of STRESS_TESTS under -race takes about 170 s on two cores
 # and five took 842 s, over go test's default 10-minute timeout; the
@@ -129,10 +133,11 @@ stress:
 	$(GO) test ./internal/storage -run FuzzBTree -fuzz FuzzBTree -fuzztime 10s
 	$(GO) test ./internal/storage/disk -run FuzzWALFrames -fuzz FuzzWALFrames -fuzztime 10s
 	$(GO) test ./internal/exec -run FuzzKeyTable -fuzz FuzzKeyTable -fuzztime 10s
+	$(GO) test ./internal/verify -run FuzzVerifyMatchesReference -fuzz FuzzVerifyMatchesReference -fuzztime 10s
 	$(GO) test -race -count=5 -timeout 30m -run '$(STRESS_TESTS)' ./
 	$(GO) test -race -count=5 ./internal/storage/ ./internal/storage/disk/
 
-STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel|TestResultRowsSurvive|TestCloseTwiceThenReopen|AgreesWithEquality|TestWideIntsGroupExactly
+STRESS_TESTS = Equivalence|TestSubqueryFlavors|TestSubqueryPathsAgree|TestORSubquery|TestDMLWithSubqueries|Budget|TestBatchReuse|TestReuse|TestTopNMatchesFullSort|TestHashJoinMaxMem|TestDiskScanVersionSwitchStress|TestParked|TestParallel|TestResultRowsSurvive|TestCloseTwiceThenReopen|AgreesWithEquality|TestWideIntsGroupExactly|TestVerifyConcurrentGraphs
 
 # check is the full gate CI runs: formatting, vet (the nested benchmark
 # module included), build, race-enabled tests, the lint suite

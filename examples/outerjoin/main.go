@@ -53,36 +53,30 @@ func pushThroughPF() *rewrite.Rule {
 				continue
 			}
 			for _, p := range b.Preds {
-				refs := p.QIDs()
-				if len(refs) != 1 || !refs[q.QID] {
+				if !expr.RefersOnlyTo(p.Expr, q.QID) {
 					continue
 				}
 				// Does every referenced output column come from a PF
 				// setformer column, and does that setformer range over
 				// a SELECT box we can land the predicate in?
 				var pf *qgm.Quantifier
-				ok := true
-				for _, c := range expr.Cols(p.Expr) {
-					if c.QID != q.QID {
-						continue
+				ok := expr.Walk(p.Expr, func(x expr.Expr) bool {
+					c, isCol := x.(*expr.Col)
+					if !isCol {
+						return true
 					}
 					src, isCol := oj.Head[c.Ord].Expr.(*expr.Col)
 					if !isCol {
-						ok = false
-						break
+						return false
 					}
 					srcQ := oj.FindQuant(src.QID)
 					if srcQ == nil || srcQ.Type != qgm.PreserveForeach ||
-						srcQ.Input.Kind != qgm.KindSelect {
-						ok = false
-						break
-					}
-					if pf != nil && pf != srcQ {
-						ok = false
-						break
+						srcQ.Input.Kind != qgm.KindSelect || (pf != nil && pf != srcQ) {
+						return false
 					}
 					pf = srcQ
-				}
+					return true
+				})
 				if ok && pf != nil {
 					if _, sole := ctx.SoleRanger(pf.Input); sole != nil {
 						return p, q, pf

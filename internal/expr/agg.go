@@ -59,12 +59,14 @@ func (a *AggCall) String() string {
 	return fmt.Sprintf("%s(%s%s)", a.Name, d, a.Arg)
 }
 
-func (a *AggCall) Children() []Expr {
+func (a *AggCall) NumChildren() int {
 	if a.Arg == nil {
-		return nil
+		return 0
 	}
-	return []Expr{a.Arg}
+	return 1
 }
+
+func (a *AggCall) Child(int) Expr { return a.Arg }
 
 func (a *AggCall) WithChildren(ch []Expr) Expr {
 	out := *a
@@ -76,15 +78,10 @@ func (a *AggCall) WithChildren(ch []Expr) Expr {
 
 // HasAggregate reports whether the tree contains an aggregate call.
 func HasAggregate(e Expr) bool {
-	found := false
-	Walk(e, func(x Expr) bool {
-		if _, ok := x.(*AggCall); ok {
-			found = true
-			return false
-		}
-		return true
+	return !Walk(e, func(x Expr) bool {
+		_, ok := x.(*AggCall)
+		return !ok
 	})
-	return found
 }
 
 // CollectAggregates returns every aggregate call in the tree, in

@@ -27,10 +27,13 @@ type Expr interface {
 	Type() datum.TypeID
 	// String renders the expression for EXPLAIN and QGM dumps.
 	String() string
-	// Children returns the direct sub-expressions.
-	Children() []Expr
+	// NumChildren reports how many direct sub-expressions there are;
+	// Child returns the i-th, for 0 <= i < NumChildren(). Walks visit
+	// children through them without building a slice.
+	NumChildren() int
+	Child(i int) Expr
 	// WithChildren builds a copy with replaced sub-expressions. The
-	// slice must have the same length as Children().
+	// slice must have NumChildren() entries, in Child order.
 	WithChildren(ch []Expr) Expr
 }
 
@@ -64,7 +67,8 @@ func NewConst(v datum.Value) *Const { return &Const{Val: v} }
 func (c *Const) Eval(*Context, datum.Row) (datum.Value, error) { return c.Val, nil }
 func (c *Const) Type() datum.TypeID                            { return c.Val.Type() }
 func (c *Const) String() string                                { return c.Val.String() }
-func (c *Const) Children() []Expr                              { return nil }
+func (c *Const) NumChildren() int                              { return 0 }
+func (c *Const) Child(int) Expr                                { return nil }
 func (c *Const) WithChildren(ch []Expr) Expr                   { return c }
 
 // Param is a reference to a host-language variable (":name"), resolved
@@ -87,7 +91,8 @@ func (p *Param) Eval(ctx *Context, _ datum.Row) (datum.Value, error) {
 }
 func (p *Param) Type() datum.TypeID          { return p.Typ }
 func (p *Param) String() string              { return ":" + p.Name }
-func (p *Param) Children() []Expr            { return nil }
+func (p *Param) NumChildren() int            { return 0 }
+func (p *Param) Child(int) Expr              { return nil }
 func (p *Param) WithChildren(ch []Expr) Expr { return p }
 
 // Arg is a VALUES cell lifted out of the statement text: the N-th
@@ -106,7 +111,8 @@ func (a *Arg) Eval(ctx *Context, _ datum.Row) (datum.Value, error) {
 }
 func (a *Arg) Type() datum.TypeID          { return a.Typ }
 func (a *Arg) String() string              { return fmt.Sprintf("?%d", a.N+1) }
-func (a *Arg) Children() []Expr            { return nil }
+func (a *Arg) NumChildren() int            { return 0 }
+func (a *Arg) Child(int) Expr              { return nil }
 func (a *Arg) WithChildren(ch []Expr) Expr { return a }
 
 // ---------------------------------------------------------------------
@@ -158,7 +164,8 @@ func (c *Col) String() string {
 	}
 	return fmt.Sprintf("q%d.#%d", c.QID, c.Ord)
 }
-func (c *Col) Children() []Expr            { return nil }
+func (c *Col) NumChildren() int            { return 0 }
+func (c *Col) Child(int) Expr              { return nil }
 func (c *Col) WithChildren(ch []Expr) Expr { return c }
 
 // ---------------------------------------------------------------------
@@ -223,7 +230,8 @@ func (a *Arith) Type() datum.TypeID {
 func (a *Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
 }
-func (a *Arith) Children() []Expr { return []Expr{a.L, a.R} }
+func (a *Arith) NumChildren() int { return 2 }
+func (a *Arith) Child(i int) Expr { return [2]Expr{a.L, a.R}[i] }
 func (a *Arith) WithChildren(ch []Expr) Expr {
 	return &Arith{Op: a.Op, L: ch[0], R: ch[1]}
 }
@@ -240,7 +248,8 @@ func (n *Neg) Eval(ctx *Context, row datum.Row) (datum.Value, error) {
 }
 func (n *Neg) Type() datum.TypeID          { return n.E.Type() }
 func (n *Neg) String() string              { return "-" + n.E.String() }
-func (n *Neg) Children() []Expr            { return []Expr{n.E} }
+func (n *Neg) NumChildren() int            { return 1 }
+func (n *Neg) Child(int) Expr              { return n.E }
 func (n *Neg) WithChildren(ch []Expr) Expr { return &Neg{E: ch[0]} }
 
 // CmpOp identifies a comparison operator.
@@ -322,7 +331,8 @@ func (c *Cmp) Type() datum.TypeID { return datum.TBool }
 func (c *Cmp) String() string {
 	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
 }
-func (c *Cmp) Children() []Expr { return []Expr{c.L, c.R} }
+func (c *Cmp) NumChildren() int { return 2 }
+func (c *Cmp) Child(i int) Expr { return [2]Expr{c.L, c.R}[i] }
 func (c *Cmp) WithChildren(ch []Expr) Expr {
 	return &Cmp{Op: c.Op, L: ch[0], R: ch[1]}
 }
@@ -350,7 +360,8 @@ func (a *And) Eval(ctx *Context, row datum.Row) (datum.Value, error) {
 }
 func (a *And) Type() datum.TypeID          { return datum.TBool }
 func (a *And) String() string              { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
-func (a *And) Children() []Expr            { return []Expr{a.L, a.R} }
+func (a *And) NumChildren() int            { return 2 }
+func (a *And) Child(i int) Expr            { return [2]Expr{a.L, a.R}[i] }
 func (a *And) WithChildren(ch []Expr) Expr { return &And{L: ch[0], R: ch[1]} }
 
 // Or is disjunction under Kleene logic.
@@ -373,7 +384,8 @@ func (o *Or) Eval(ctx *Context, row datum.Row) (datum.Value, error) {
 }
 func (o *Or) Type() datum.TypeID          { return datum.TBool }
 func (o *Or) String() string              { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
-func (o *Or) Children() []Expr            { return []Expr{o.L, o.R} }
+func (o *Or) NumChildren() int            { return 2 }
+func (o *Or) Child(i int) Expr            { return [2]Expr{o.L, o.R}[i] }
 func (o *Or) WithChildren(ch []Expr) Expr { return &Or{L: ch[0], R: ch[1]} }
 
 // Not is negation under Kleene logic.
@@ -388,7 +400,8 @@ func (n *Not) Eval(ctx *Context, row datum.Row) (datum.Value, error) {
 }
 func (n *Not) Type() datum.TypeID          { return datum.TBool }
 func (n *Not) String() string              { return fmt.Sprintf("NOT (%s)", n.E) }
-func (n *Not) Children() []Expr            { return []Expr{n.E} }
+func (n *Not) NumChildren() int            { return 1 }
+func (n *Not) Child(int) Expr              { return n.E }
 func (n *Not) WithChildren(ch []Expr) Expr { return &Not{E: ch[0]} }
 
 // IsNull tests for SQL NULL; with Negated it is IS NOT NULL. Unlike
@@ -412,7 +425,8 @@ func (i *IsNull) String() string {
 	}
 	return fmt.Sprintf("%s IS NULL", i.E)
 }
-func (i *IsNull) Children() []Expr { return []Expr{i.E} }
+func (i *IsNull) NumChildren() int { return 1 }
+func (i *IsNull) Child(int) Expr   { return i.E }
 func (i *IsNull) WithChildren(ch []Expr) Expr {
 	return &IsNull{E: ch[0], Negated: i.Negated}
 }
@@ -479,7 +493,8 @@ func (l *Like) String() string {
 	}
 	return fmt.Sprintf("%s %s %s", l.E, op, l.Pattern)
 }
-func (l *Like) Children() []Expr { return []Expr{l.E, l.Pattern} }
+func (l *Like) NumChildren() int { return 2 }
+func (l *Like) Child(i int) Expr { return [2]Expr{l.E, l.Pattern}[i] }
 func (l *Like) WithChildren(ch []Expr) Expr {
 	return &Like{E: ch[0], Pattern: ch[1], Negated: l.Negated}
 }
@@ -529,11 +544,12 @@ func (in *InList) String() string {
 	}
 	return fmt.Sprintf("%s %s (%s)", in.E, op, strings.Join(parts, ", "))
 }
-func (in *InList) Children() []Expr {
-	ch := make([]Expr, 0, len(in.List)+1)
-	ch = append(ch, in.E)
-	ch = append(ch, in.List...)
-	return ch
+func (in *InList) NumChildren() int { return 1 + len(in.List) }
+func (in *InList) Child(i int) Expr {
+	if i == 0 {
+		return in.E
+	}
+	return in.List[i-1]
 }
 func (in *InList) WithChildren(ch []Expr) Expr {
 	return &InList{E: ch[0], List: ch[1:], Negated: in.Negated}
@@ -586,15 +602,17 @@ func (c *Case) String() string {
 	b.WriteString(" END")
 	return b.String()
 }
-func (c *Case) Children() []Expr {
-	var ch []Expr
-	for _, w := range c.Whens {
-		ch = append(ch, w.Cond, w.Result)
-	}
+func (c *Case) NumChildren() int {
 	if c.Else != nil {
-		ch = append(ch, c.Else)
+		return 2*len(c.Whens) + 1
 	}
-	return ch
+	return 2 * len(c.Whens)
+}
+func (c *Case) Child(i int) Expr {
+	if i == 2*len(c.Whens) {
+		return c.Else
+	}
+	return [2]Expr{c.Whens[i/2].Cond, c.Whens[i/2].Result}[i%2]
 }
 func (c *Case) WithChildren(ch []Expr) Expr {
 	out := &Case{Whens: make([]When, len(c.Whens))}
@@ -658,7 +676,8 @@ func (f *Func) String() string {
 	}
 	return fmt.Sprintf("%s(%s)", f.Name, strings.Join(parts, ", "))
 }
-func (f *Func) Children() []Expr { return f.Args }
+func (f *Func) NumChildren() int { return len(f.Args) }
+func (f *Func) Child(i int) Expr { return f.Args[i] }
 func (f *Func) WithChildren(ch []Expr) Expr {
 	return &Func{Name: f.Name, Fn: f.Fn, Args: ch, typ: f.typ}
 }
@@ -684,7 +703,8 @@ func (s *Subplan) Eval(ctx *Context, row datum.Row) (datum.Value, error) {
 }
 func (s *Subplan) Type() datum.TypeID          { return s.Typ }
 func (s *Subplan) String() string              { return "(" + s.Label + ")" }
-func (s *Subplan) Children() []Expr            { return nil }
+func (s *Subplan) NumChildren() int            { return 0 }
+func (s *Subplan) Child(int) Expr              { return nil }
 func (s *Subplan) WithChildren(ch []Expr) Expr { return s }
 
 // ---------------------------------------------------------------------
@@ -699,8 +719,8 @@ func Walk(e Expr, f func(Expr) bool) bool {
 	if !f(e) {
 		return false
 	}
-	for _, c := range e.Children() {
-		if !Walk(c, f) {
+	for i, n := 0, e.NumChildren(); i < n; i++ {
+		if !Walk(e.Child(i), f) {
 			return false
 		}
 	}
@@ -708,47 +728,47 @@ func Walk(e Expr, f func(Expr) bool) bool {
 }
 
 // Transform rebuilds the tree bottom-up, replacing each node with
-// f(node-with-transformed-children).
+// f(node-with-transformed-children). A node is copied, and a child
+// slice built, only when one of its children changed.
 func Transform(e Expr, f func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
 	}
-	ch := e.Children()
-	if len(ch) > 0 {
-		nch := make([]Expr, len(ch))
-		changed := false
-		for i, c := range ch {
-			nch[i] = Transform(c, f)
-			if nch[i] != c {
-				changed = true
+	var nch []Expr
+	for i, n := 0, e.NumChildren(); i < n; i++ {
+		c := e.Child(i)
+		t := Transform(c, f)
+		if t != c && nch == nil {
+			nch = make([]Expr, n)
+			for j := 0; j < i; j++ {
+				nch[j] = e.Child(j)
 			}
 		}
-		if changed {
-			e = e.WithChildren(nch)
+		if nch != nil {
+			nch[i] = t
 		}
+	}
+	if nch != nil {
+		e = e.WithChildren(nch)
 	}
 	return f(e)
 }
 
-// Cols returns every column reference in the tree.
-func Cols(e Expr) []*Col {
-	var out []*Col
-	Walk(e, func(x Expr) bool {
-		if c, ok := x.(*Col); ok {
-			out = append(out, c)
-		}
-		return true
+// RefersTo reports whether the tree references quantifier qid.
+func RefersTo(e Expr, qid int) bool {
+	return !Walk(e, func(x Expr) bool {
+		c, ok := x.(*Col)
+		return !ok || c.QID != qid
 	})
-	return out
 }
 
-// QIDs returns the set of quantifier ids referenced by the expression.
-func QIDs(e Expr) map[int]bool {
-	out := map[int]bool{}
-	for _, c := range Cols(e) {
-		out[c.QID] = true
-	}
-	return out
+// RefersOnlyTo reports whether the tree references quantifier qid and
+// no other.
+func RefersOnlyTo(e Expr, qid int) bool {
+	return RefersTo(e, qid) && Walk(e, func(x Expr) bool {
+		c, ok := x.(*Col)
+		return !ok || c.QID == qid
+	})
 }
 
 // Bind assigns execution slots to every column reference, producing a
@@ -838,13 +858,8 @@ func EqualExprs(a, b Expr) bool {
 // HasSubplan reports whether the tree contains an unrefined or refined
 // Subplan node; such predicates cannot be pushed into storage scans.
 func HasSubplan(e Expr) bool {
-	found := false
-	Walk(e, func(x Expr) bool {
-		if _, ok := x.(*Subplan); ok {
-			found = true
-			return false
-		}
-		return true
+	return !Walk(e, func(x Expr) bool {
+		_, ok := x.(*Subplan)
+		return !ok
 	})
-	return found
 }

@@ -582,19 +582,33 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// colsOf returns every column reference in the tree.
+func colsOf(e Expr) []*Col {
+	var out []*Col
+	Walk(e, func(x Expr) bool {
+		if c, ok := x.(*Col); ok {
+			out = append(out, c)
+		}
+		return true
+	})
+	return out
+}
+
 func TestWalkTransformCols(t *testing.T) {
 	c1, c2 := NewCol(1, 0, "Q1.A", datum.TInt), NewCol(2, 1, "Q2.B", datum.TInt)
 	e := &And{
 		L: &Cmp{Op: OpEq, L: c1, R: c2},
 		R: &Cmp{Op: OpGt, L: c1, R: NewConst(datum.NewInt(5))},
 	}
-	cols := Cols(e)
+	cols := colsOf(e)
 	if len(cols) != 3 {
 		t.Fatalf("Cols = %d, want 3", len(cols))
 	}
-	qids := QIDs(e)
-	if !qids[1] || !qids[2] || len(qids) != 2 {
-		t.Errorf("QIDs = %v", qids)
+	if !RefersTo(e, 1) || !RefersTo(e, 2) || RefersTo(e, 3) {
+		t.Error("RefersTo wrong")
+	}
+	if RefersOnlyTo(e, 1) || !RefersOnlyTo(e.R, 1) || RefersOnlyTo(NewConst(datum.NewInt(5)), 1) {
+		t.Error("RefersOnlyTo wrong")
 	}
 	// Count nodes via Walk.
 	n := 0
@@ -615,14 +629,14 @@ func TestWalkTransformCols(t *testing.T) {
 		}
 		return nil
 	})
-	if len(Cols(e2)) != 2 {
+	if len(colsOf(e2)) != 2 {
 		t.Error("substitution did not replace column")
 	}
 	if strings.Contains(e2.String(), "Q2.B") {
 		t.Errorf("substituted expr still mentions Q2.B: %s", e2)
 	}
 	// Original untouched.
-	if len(Cols(e)) != 3 {
+	if len(colsOf(e)) != 3 {
 		t.Error("Transform must not mutate the original")
 	}
 }
@@ -739,7 +753,11 @@ func TestWithChildrenRoundTrip(t *testing.T) {
 		&Subplan{Label: "s", Typ: datum.TBool},
 	}
 	for _, n := range nodes {
-		rebuilt := n.WithChildren(n.Children())
+		ch := make([]Expr, n.NumChildren())
+		for i := range ch {
+			ch[i] = n.Child(i)
+		}
+		rebuilt := n.WithChildren(ch)
 		if rebuilt.String() != n.String() {
 			t.Errorf("%T: round trip %q != %q", n, rebuilt.String(), n.String())
 		}
@@ -752,5 +770,48 @@ func TestWithChildrenRoundTrip(t *testing.T) {
 		if got := Transform(n, func(e Expr) Expr { return e }); got.String() != n.String() {
 			t.Errorf("%T: identity transform changed tree", n)
 		}
+	}
+}
+
+// TestWalkAllocatesNothing: a walk visits children through NumChildren
+// and Child, so walking a tree, or transforming it without a change,
+// allocates nothing.
+func TestWalkAllocatesNothing(t *testing.T) {
+	a := NewCol(1, 0, "A", datum.TInt)
+	s := NewCol(1, 1, "S", datum.TString)
+	one := NewConst(datum.NewInt(1))
+	tree := &Or{
+		L: &And{L: &Cmp{Op: OpLt, L: a, R: one}, R: &Like{E: s, Pattern: NewConst(datum.NewString("C%"))}},
+		R: &Cmp{Op: OpEq, L: s, R: &Case{
+			Whens: []When{{Cond: &Cmp{Op: OpGt, L: a, R: one}, Result: NewConst(datum.NewString("HIGH"))}},
+			Else:  NewConst(datum.NewString("LOW")),
+		}},
+	}
+	nodes := 0
+	if n := testing.AllocsPerRun(20, func() {
+		nodes = 0
+		Walk(tree, func(Expr) bool { nodes++; return true })
+	}); n != 0 {
+		t.Errorf("Walk: %.1f allocations, want 0", n)
+	}
+	if nodes != 16 {
+		t.Errorf("Walk visited %d nodes, want 16", nodes)
+	}
+	if n := testing.AllocsPerRun(20, func() { Transform(tree, func(e Expr) Expr { return e }) }); n != 0 {
+		t.Errorf("identity Transform: %.1f allocations, want 0", n)
+	}
+	// A change copies the nodes on its path and nothing else.
+	got := Transform(tree, func(e Expr) Expr {
+		if c, ok := e.(*Col); ok && c.Name == "A" {
+			return NewCol(2, 0, "B", datum.TInt)
+		}
+		return e
+	})
+	want := "((B < 1 AND S LIKE 'C%') OR S = CASE WHEN B > 1 THEN 'HIGH' ELSE 'LOW' END)"
+	if got.String() != want {
+		t.Errorf("Transform = %s, want %s", got, want)
+	}
+	if or := got.(*Or); or.L.(*And).R != tree.L.(*And).R {
+		t.Error("Transform copied a subtree that did not change")
 	}
 }

@@ -270,10 +270,10 @@ func orNullExpr(e expr.Expr) expr.Expr {
 // operator-with-column-on-left), requiring the other side to be free of
 // qid (constants, parameters, or correlation columns).
 func sargSides(cmp *expr.Cmp, qid int) (*expr.Col, expr.Expr, expr.CmpOp) {
-	if c, ok := cmp.L.(*expr.Col); ok && c.QID == qid && !expr.QIDs(cmp.R)[qid] {
+	if c, ok := cmp.L.(*expr.Col); ok && c.QID == qid && !expr.RefersTo(cmp.R, qid) {
 		return c, cmp.R, cmp.Op
 	}
-	if c, ok := cmp.R.(*expr.Col); ok && c.QID == qid && !expr.QIDs(cmp.L)[qid] {
+	if c, ok := cmp.R.(*expr.Col); ok && c.QID == qid && !expr.RefersTo(cmp.L, qid) {
 		return c, cmp.L, cmp.Op.Flip()
 	}
 	return nil, nil, 0
@@ -735,13 +735,15 @@ func (o *Optimizer) planSelectBody(ctx *Ctx, b *qgm.Box) (*plan.Node, error) {
 			residual = append(residual, p.Expr)
 			continue
 		}
-		local := localQIDs(p.Expr, b)
 		var subRefs []int
 		nSet := 0
 		oneSet := -1
 		touchesLateral := false
-		for qid := range local {
-			switch {
+		for _, q := range b.Quants {
+			if !expr.RefersTo(p.Expr, q.QID) {
+				continue // foreign references are correlation
+			}
+			switch qid := q.QID; {
 			case subqQID[qid]:
 				subRefs = append(subRefs, qid)
 			case lateralQID[qid]:
@@ -823,8 +825,8 @@ func (o *Optimizer) planSelectBody(ctx *Ctx, b *qgm.Box) (*plan.Node, error) {
 			var still []expr.Expr
 			for _, p := range pendingLateral {
 				ok := true
-				for qid := range localQIDs(p, b) {
-					if qid != q.QID && !applied[qid] {
+				for _, lq := range b.Quants {
+					if lq.QID != q.QID && !applied[lq.QID] && expr.RefersTo(p, lq.QID) {
 						ok = false
 						break
 					}
@@ -1137,15 +1139,14 @@ func buildOuterJoin(ctx *Ctx, a Args) ([]*plan.Node, error) {
 	var joinPreds []expr.Expr
 	var innerJoin []expr.Expr
 	for _, p := range b.Preds {
-		local := localQIDs(p.Expr, b)
 		onlyInner := true
 		n := 0
 		one := -1
-		for qid := range local {
-			n++
-			one = qid
-			if !innerQID[qid] {
-				onlyInner = false
+		for _, q := range b.Quants {
+			if expr.RefersTo(p.Expr, q.QID) {
+				n++
+				one = q.QID
+				onlyInner = onlyInner && innerQID[q.QID]
 			}
 		}
 		switch {

@@ -109,9 +109,6 @@ func (o *Optimizer) colRange(c *expr.Col) (datum.Value, datum.Value, bool) {
 }
 
 // selectivity estimates the fraction of rows satisfying a predicate.
-// localQIDs, when non-nil, restricts which column references count as
-// local (foreign references are correlation parameters, treated as
-// constants).
 func (o *Optimizer) selectivity(e expr.Expr) float64 {
 	switch x := e.(type) {
 	case *expr.And:

@@ -266,18 +266,6 @@ func filterNode(o *Optimizer, in *plan.Node, preds []expr.Expr) *plan.Node {
 	}
 }
 
-// localQIDs intersects an expression's quantifier references with a
-// box's own quantifiers; foreign references are correlation.
-func localQIDs(e expr.Expr, b *qgm.Box) map[int]bool {
-	out := map[int]bool{}
-	for qid := range expr.QIDs(e) {
-		if b.FindQuant(qid) != nil {
-			out[qid] = true
-		}
-	}
-	return out
-}
-
 // subtreeReferences reports whether the subgraph under start contains a
 // quantifier ranging over target (detects recursive references).
 func subtreeReferences(start, target *qgm.Box) bool {

@@ -102,9 +102,6 @@ type Predicate struct {
 	Expr expr.Expr
 }
 
-// QIDs returns the quantifier ids referenced by the predicate.
-func (p *Predicate) QIDs() map[int]bool { return expr.QIDs(p.Expr) }
-
 // DistinctMode describes a box's duplicate handling, needed by the
 // operation-merging rewrite rule (the paper's Rule 2 conditions mention
 // Tl.distinct and OP2.eliminate-duplicate). The three modes form the

@@ -98,9 +98,8 @@ func TestFigure2aQGM(t *testing.T) {
 	if len(top.Preds) != 1 {
 		t.Fatalf("outer preds = %d, want 1", len(top.Preds))
 	}
-	qids := top.Preds[0].QIDs()
-	if !qids[q1.QID] || !qids[q2.QID] {
-		t.Errorf("IN predicate connects %v, want {%d,%d}", qids, q1.QID, q2.QID)
+	if e := top.Preds[0].Expr; !expr.RefersTo(e, q1.QID) || !expr.RefersTo(e, q2.QID) {
+		t.Errorf("IN predicate %s, want it to connect q%d and q%d", e, q1.QID, q2.QID)
 	}
 	// Inner box: setformer Q3 over inventory, two conjuncts — one a
 	// loop on Q3, one a correlation edge to Q1.
@@ -116,11 +115,10 @@ func TestFigure2aQGM(t *testing.T) {
 	}
 	var sawCorrelated, sawLocal bool
 	for _, p := range inner.Preds {
-		ids := p.QIDs()
-		if ids[q1.QID] && ids[q3.QID] {
+		if expr.RefersTo(p.Expr, q1.QID) && expr.RefersTo(p.Expr, q3.QID) {
 			sawCorrelated = true
 		}
-		if len(ids) == 1 && ids[q3.QID] {
+		if expr.RefersOnlyTo(p.Expr, q3.QID) {
 			sawLocal = true
 		}
 	}

@@ -16,6 +16,7 @@ package rewrite
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -163,24 +164,35 @@ func (e *Engine) Rewrite(g *qgm.Graph, opt Options) ([]Fired, error) { return e.
 func (e *Engine) Run(g *qgm.Graph, opt Options, audit bool) ([]Fired, error) {
 	ctx := &Context{Graph: g}
 	active := e.activeRules(opt)
-	// Seed the rule-order RNG lazily: only the Statistical strategy
-	// draws from it, and seeding math/rand costs ~10µs — too much to
-	// pay on every statement's rewrite phase.
+	// The Sequential and Priority orders hold for the whole run. Seed
+	// the RNG lazily: only the Statistical strategy draws from it, once
+	// per box, and seeding math/rand costs ~10µs — too much to pay on
+	// every statement's rewrite phase.
+	order := active
 	var rng *rand.Rand
-	if opt.Strategy == Statistical {
+	switch opt.Strategy {
+	case Priority:
+		order = append([]*Rule(nil), active...)
+		sort.SliceStable(order, func(i, j int) bool { return order[i].Priority > order[j].Priority })
+	case Statistical:
 		rng = rand.New(rand.NewSource(opt.Seed + 1))
+		order = make([]*Rule, 0, len(active))
 	}
 	var trace []Fired
+	var buf [16]*qgm.Box
+	boxes := buf[:0]
 
 	for {
 		if opt.Budget > 0 && len(trace) >= opt.Budget {
 			return trace, nil // stop at a consistent state
 		}
-		boxes := e.searchOrder(g, opt.Search)
+		boxes = searchOrder(g, opt.Search, boxes)
 		fired := false
 	boxLoop:
 		for _, b := range boxes {
-			order := e.ruleOrder(active, opt.Strategy, rng)
+			if rng != nil {
+				order = shuffle(active, rng, order)
+			}
 			for _, r := range order {
 				if !r.Condition(ctx, b) {
 					continue
@@ -230,76 +242,63 @@ func (e *Engine) activeRules(opt Options) []*Rule {
 	return out
 }
 
-func (e *Engine) ruleOrder(rules []*Rule, s Strategy, rng *rand.Rand) []*Rule {
-	out := append([]*Rule(nil), rules...)
-	switch s {
-	case Sequential:
-		// registration order
-	case Priority:
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	case Statistical:
-		// Weighted shuffle: each rule's weight is priority+1.
-		total := 0
-		for _, r := range out {
-			total += r.Priority + 1
-		}
-		var shuffled []*Rule
-		remaining := append([]*Rule(nil), out...)
-		for len(remaining) > 0 {
-			pick := rng.Intn(total)
-			acc := 0
-			for i, r := range remaining {
-				acc += r.Priority + 1
-				if pick < acc {
-					shuffled = append(shuffled, r)
-					total -= r.Priority + 1
-					remaining = append(remaining[:i], remaining[i+1:]...)
-					break
-				}
+// shuffle draws a weighted shuffle of rules into buf, each rule's
+// weight its priority+1.
+func shuffle(rules []*Rule, rng *rand.Rand, buf []*Rule) []*Rule {
+	total := 0
+	for _, r := range rules {
+		total += r.Priority + 1
+	}
+	out := append(buf[:0], rules...)
+	for remaining := out; len(remaining) > 0; remaining = remaining[1:] {
+		pick := rng.Intn(total)
+		acc := 0
+		for i, r := range remaining {
+			acc += r.Priority + 1
+			if pick < acc {
+				// Move r to the front, keeping the others in order.
+				copy(remaining[1:i+1], remaining[:i])
+				remaining[0] = r
+				total -= r.Priority + 1
+				break
 			}
 		}
-		out = shuffled
 	}
 	return out
 }
 
-// searchOrder lists boxes reachable from the top in the requested
-// browse order; DepthFirst is top-down preorder, BreadthFirst is level
-// order.
-func (e *Engine) searchOrder(g *qgm.Graph, order SearchOrder) []*qgm.Box {
+// searchOrder lists into out the boxes reachable from the top in the
+// requested browse order; DepthFirst is top-down preorder, BreadthFirst
+// is level order. out serves every pass of a run; a box is seen once
+// it is listed.
+func searchOrder(g *qgm.Graph, order SearchOrder, out []*qgm.Box) []*qgm.Box {
+	out = out[:0]
 	if g.Top == nil {
-		return nil
+		return out
 	}
-	seen := map[*qgm.Box]bool{}
-	var out []*qgm.Box
 	switch order {
 	case DepthFirst:
-		var dfs func(b *qgm.Box)
-		dfs = func(b *qgm.Box) {
-			if b == nil || seen[b] {
-				return
-			}
-			seen[b] = true
-			out = append(out, b)
-			for _, q := range b.Quants {
-				dfs(q.Input)
-			}
-		}
-		dfs(g.Top)
+		return dfs(g.Top, out)
 	case BreadthFirst:
-		queue := []*qgm.Box{g.Top}
-		seen[g.Top] = true
-		for len(queue) > 0 {
-			b := queue[0]
-			queue = queue[1:]
-			out = append(out, b)
-			for _, q := range b.Quants {
-				if q.Input != nil && !seen[q.Input] {
-					seen[q.Input] = true
-					queue = append(queue, q.Input)
+		out = append(out, g.Top)
+		for i := 0; i < len(out); i++ {
+			for _, q := range out[i].Quants {
+				if q.Input != nil && !slices.Contains(out, q.Input) {
+					out = append(out, q.Input)
 				}
 			}
 		}
+	}
+	return out
+}
+
+func dfs(b *qgm.Box, out []*qgm.Box) []*qgm.Box {
+	if b == nil || slices.Contains(out, b) {
+		return out
+	}
+	out = append(out, b)
+	for _, q := range b.Quants {
+		out = dfs(q.Input, out)
 	}
 	return out
 }

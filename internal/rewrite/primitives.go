@@ -82,14 +82,13 @@ func PredicatePushable(ctx *Context, box *qgm.Box, p *qgm.Predicate, q *qgm.Quan
 	if expr.HasSubplan(p.Expr) || expr.HasAggregate(p.Expr) {
 		return false
 	}
-	refs := p.QIDs()
-	if !refs[q.QID] {
+	if !expr.RefersTo(p.Expr, q.QID) {
 		return false
 	}
 	// Every referenced quantifier must be either q itself or belong to
 	// an enclosing box (correlation), i.e. not one of box's others.
 	for _, other := range box.Quants {
-		if other.QID != q.QID && refs[other.QID] {
+		if other.QID != q.QID && expr.RefersTo(p.Expr, other.QID) {
 			return false
 		}
 	}
@@ -279,7 +278,7 @@ func equalityBoundCol(e expr.Expr, qid int) (int, bool) {
 		if !ok || c.QID != qid {
 			return 0, false
 		}
-		if expr.QIDs(other)[qid] {
+		if expr.RefersTo(other, qid) {
 			return 0, false
 		}
 		return c.Ord, true
@@ -299,18 +298,17 @@ func EqualityLinkFor(box *qgm.Box, q *qgm.Quantifier) *qgm.Predicate {
 		if !ok || cmp.Op != expr.OpEq {
 			continue
 		}
-		refs := p.QIDs()
-		if !refs[q.QID] {
+		if !expr.RefersTo(p.Expr, q.QID) {
 			continue
 		}
 		isQCol := func(e expr.Expr) bool {
 			c, ok := e.(*expr.Col)
 			return ok && c.QID == q.QID && c.Ord == 0
 		}
-		if isQCol(cmp.L) && !expr.QIDs(cmp.R)[q.QID] {
+		if isQCol(cmp.L) && !expr.RefersTo(cmp.R, q.QID) {
 			return p
 		}
-		if isQCol(cmp.R) && !expr.QIDs(cmp.L)[q.QID] {
+		if isQCol(cmp.R) && !expr.RefersTo(cmp.L, q.QID) {
 			return p
 		}
 	}

@@ -48,17 +48,17 @@ func RecursiveSelectionPushdownRule() *Rule {
 				if expr.HasSubplan(p.Expr) || expr.HasAggregate(p.Expr) {
 					continue
 				}
-				refs := p.QIDs()
-				if len(refs) != 1 || !refs[q.QID] {
+				if !expr.RefersOnlyTo(p.Expr, q.QID) {
 					continue
 				}
 				// Which output ordinals does the predicate touch?
 				ords := map[int]bool{}
-				for _, c := range expr.Cols(p.Expr) {
-					if c.QID == q.QID {
+				expr.Walk(p.Expr, func(x expr.Expr) bool {
+					if c, ok := x.(*expr.Col); ok {
 						ords[c.Ord] = true
 					}
-				}
+					return true
+				})
 				if propagatesUnchanged(u, ords) && seedsCanReceive(ctx, u) {
 					return p, q
 				}

@@ -549,10 +549,10 @@ func TestCloneSubgraph(t *testing.T) {
 	q1Clone := clone.Quants[0]
 	foundCorrelation := false
 	for _, p := range innerClone.Preds {
-		if p.QIDs()[q1Clone.QID] {
+		if expr.RefersTo(p.Expr, q1Clone.QID) {
 			foundCorrelation = true
 		}
-		if p.QIDs()[g.Top.Quants[0].QID] {
+		if expr.RefersTo(p.Expr, g.Top.Quants[0].QID) {
 			t.Error("cloned subquery still references the original outer quantifier")
 		}
 	}

@@ -299,17 +299,13 @@ func PredicateIntoGroupByRule() *Rule {
 				if expr.HasSubplan(p.Expr) || expr.HasAggregate(p.Expr) {
 					continue
 				}
-				refs := p.QIDs()
-				if len(refs) != 1 || !refs[q.QID] {
+				if !expr.RefersOnlyTo(p.Expr, q.QID) {
 					continue
 				}
-				onlyGroupCols := true
-				for _, c := range expr.Cols(p.Expr) {
-					if c.QID == q.QID && c.Ord >= nGroup {
-						onlyGroupCols = false
-						break
-					}
-				}
+				onlyGroupCols := expr.Walk(p.Expr, func(x expr.Expr) bool {
+					c, ok := x.(*expr.Col)
+					return !ok || c.Ord < nGroup
+				})
 				if onlyGroupCols {
 					return p, q
 				}

@@ -17,6 +17,7 @@ package verify
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/datum"
 	"repro/internal/expr"
@@ -86,46 +87,145 @@ func (r *Report) Has(class string) bool {
 }
 
 // Graph runs every semantic pass over g and returns the collected
-// violations, or nil when the graph is well-formed.
+// violations, or nil when the graph is well-formed. It checks in state
+// an earlier call left behind, so a graph that passes allocates
+// nothing; a returned *Report shares nothing with that state.
 func Graph(g *qgm.Graph) *Report {
-	c := &checker{
-		g:          g,
-		registered: map[*qgm.Box]bool{},
-		pathOf:     map[*qgm.Box]string{},
-		ownerQ:     map[int]*qgm.Quantifier{},
-		ownerBox:   map[int]*qgm.Box{},
-		subtree:    map[*qgm.Box]map[*qgm.Box]bool{},
+	var c *checker
+	spare.Lock()
+	if n := len(spare.free); n > 0 {
+		c, spare.free[n-1], spare.free = spare.free[n-1], nil, spare.free[:n-1]
 	}
+	spare.Unlock()
+	if c == nil {
+		c = &checker{byBox: map[*qgm.Box]*boxState{}, byQID: map[int]*qgm.Box{}}
+	}
+	c.g = g
 	c.run()
-	if len(c.report.Violations) == 0 {
-		return nil
+	var rep *Report
+	if len(c.violations) > 0 {
+		rep = &Report{Violations: c.violations}
 	}
-	return &c.report
+	// Clear every box and quantifier pointer before giving c back.
+	for _, s := range c.byID {
+		*s = boxState{}
+	}
+	clear(c.boxes)
+	clear(c.byBox)
+	clear(c.owners)
+	clear(c.byQID)
+	c.g, c.violations, c.boxes, c.marked, c.stamp = nil, nil, c.boxes[:0], nil, 0
+	spare.Lock()
+	if len(spare.free) < maxSpare {
+		spare.free = append(spare.free, c)
+	}
+	spare.Unlock()
+	return rep
 }
+
+// spare holds idle checkers, newest on top. It is a bounded stack, not
+// a sync.Pool: under the race detector a Pool drops a quarter of what
+// it is given. An idle checker refers to no box, so it pins no graph.
+var spare struct {
+	sync.Mutex
+	free []*checker
+}
+
+// maxSpare bounds the idle checkers, maxDenseID the box IDs and QIDs a
+// checker indexes by slice; larger ones, and a second box with one ID,
+// go to its maps.
+const maxSpare, maxDenseID = 4, 1 << 10
 
 type checker struct {
-	g      *qgm.Graph
-	report Report
-
-	registered map[*qgm.Box]bool
+	g          *qgm.Graph
+	violations []Violation
 	// boxes is every box reachable from the top, including deferred
 	// subquery subtrees (reachable only through expr.Subplan payloads),
-	// in discovery order.
+	// in discovery order, then the dangling boxes.
 	boxes []*qgm.Box
-	// pathOf locates each reachable box for diagnostics.
-	pathOf map[*qgm.Box]string
-	// viaSubplan marks boxes reachable only through subplan edges;
-	// after GC these are legitimately unregistered.
-	viaSubplan map[*qgm.Box]bool
-	ownerQ     map[int]*qgm.Quantifier
-	ownerBox   map[int]*qgm.Box
-	// subtree memoizes reachability sets for the correlation scope check.
-	subtree map[*qgm.Box]map[*qgm.Box]bool
+	byID  []*boxState
+	byBox map[*qgm.Box]*boxState
+	// owners holds the box owning each quantifier at its QID.
+	owners []*qgm.Box
+	byQID  map[int]*qgm.Box
+	// marked is the root of the last subtree marked for the correlation
+	// scope check; the boxes in it carry mark == stamp.
+	marked *qgm.Box
+	stamp  int
 }
 
-func (c *checker) add(class, path, format string, args ...any) {
-	c.report.Violations = append(c.report.Violations,
-		Violation{Class: class, Path: path, Msg: fmt.Sprintf(format, args...)})
+type boxState struct {
+	box                                    *qgm.Box
+	registered, visited, onStack, dangling bool
+	// viaSubplan marks boxes reachable only through subplan edges;
+	// after GC these are legitimately unregistered.
+	viaSubplan bool
+	// via is the edge discovery first reached the box over: its path.
+	via  edge
+	mark int
+}
+
+// edge leads from a box to an input: over quantifier qid, or, for a
+// deferred subquery, from the expression at loc.
+type edge struct {
+	from    *qgm.Box
+	qid     int
+	subplan bool
+	loc     qgm.Loc
+}
+
+// state returns b's state: at its ID while box IDs are dense and
+// distinct, as a graph's are, else in byBox.
+func (c *checker) state(b *qgm.Box) *boxState {
+	for b.ID >= len(c.byID) && b.ID < maxDenseID {
+		c.byID = append(c.byID, new(boxState))
+	}
+	if b.ID >= 0 && b.ID < len(c.byID) && (c.byID[b.ID].box == nil || c.byID[b.ID].box == b) {
+		c.byID[b.ID].box = b
+		return c.byID[b.ID]
+	}
+	if c.byBox[b] == nil {
+		c.byBox[b] = &boxState{box: b}
+	}
+	return c.byBox[b]
+}
+
+// owner returns the box owning quantifier id qid, if any.
+func (c *checker) owner(qid int) *qgm.Box {
+	if qid >= 0 && qid < len(c.owners) {
+		return c.owners[qid]
+	}
+	return c.byQID[qid]
+}
+
+// add records a violation at the path of box at followed by suffix, or
+// at suffix alone when at is nil: paths are built only for violations.
+func (c *checker) add(class string, at *qgm.Box, suffix, format string, args ...any) {
+	if at != nil {
+		suffix = c.path(at) + suffix
+	}
+	c.violations = append(c.violations,
+		Violation{Class: class, Path: suffix, Msg: fmt.Sprintf(format, args...)})
+}
+
+// path locates a box from the top along its discovery edges.
+func (c *checker) path(b *qgm.Box) string {
+	switch s := c.state(b); {
+	case s.dangling:
+		return boxLabel(b) + " (dangling)"
+	case s.via.from == nil:
+		return boxLabel(b) + " (top)"
+	default:
+		return c.path(s.via.from) + s.via.suffix(b)
+	}
+}
+
+// suffix is what the edge adds to the path of its source box.
+func (e edge) suffix(to *qgm.Box) string {
+	if e.subplan {
+		return fmt.Sprintf(" / %s / subplan %s", e.loc, boxLabel(to))
+	}
+	return fmt.Sprintf(" / q%d / %s", e.qid, boxLabel(to))
 }
 
 func boxLabel(b *qgm.Box) string { return fmt.Sprintf("box %d (%s)", b.ID, b.Kind) }
@@ -133,17 +233,17 @@ func boxLabel(b *qgm.Box) string { return fmt.Sprintf("box %d (%s)", b.ID, b.Kin
 func (c *checker) run() {
 	g := c.g
 	if g.Top == nil {
-		c.add(ClassStructure, "graph", "graph has no top box")
+		c.add(ClassStructure, nil, "graph", "graph has no top box")
 		return
 	}
 	for _, b := range g.Boxes {
-		c.registered[b] = true
+		c.state(b).registered = true
 	}
-	if !c.registered[g.Top] {
-		c.add(ClassStructure, boxLabel(g.Top), "top box not registered")
+	if !c.state(g.Top).registered {
+		c.add(ClassStructure, nil, boxLabel(g.Top), "top box not registered")
 	}
 
-	c.discover()
+	c.discover(g.Top, edge{}, false)
 	c.checkDangling()
 	c.collectQuants()
 	for _, b := range c.boxes {
@@ -155,95 +255,74 @@ func (c *checker) run() {
 	}
 }
 
-// subplanRef is a deferred-subquery box and where a box's expressions
-// reference it.
-type subplanRef struct {
-	Loc qgm.Loc
-	Box *qgm.Box
-}
-
-// subplanBoxes lists the deferred-subquery boxes referenced by the
-// box's expressions (with the location of the referencing expression).
-func subplanBoxes(b *qgm.Box) []subplanRef {
-	var out []subplanRef
+// eachSubplan calls f on every deferred-subquery box the box's
+// expressions reference, with the location of the referencing
+// expression.
+func eachSubplan(b *qgm.Box, f func(loc qgm.Loc, sub *qgm.Box)) {
 	b.VisitExprs(func(loc qgm.Loc, e expr.Expr) {
 		expr.Walk(e, func(x expr.Expr) bool {
 			if sp, ok := x.(*expr.Subplan); ok {
 				if ds, ok := sp.Aux.(*qgm.DeferredSubquery); ok && ds.Box != nil {
-					out = append(out, subplanRef{loc, ds.Box})
+					f(loc, ds.Box)
 				}
 			}
 			return true
 		})
 	})
-	return out
 }
 
-// discover walks the graph from the top along range edges and deferred
-// subplan edges, recording paths and detecting illegal cycles. A back
-// edge is legal only when it closes on a recursive UNION box (the
-// fixpoint reference of a recursive table expression).
-func (c *checker) discover() {
-	c.viaSubplan = map[*qgm.Box]bool{}
-	onStack := map[*qgm.Box]bool{}
-	visited := map[*qgm.Box]bool{}
-
-	var walk func(b *qgm.Box, path string, deferred bool)
-	walk = func(b *qgm.Box, path string, deferred bool) {
-		if onStack[b] {
-			if b.Kind == qgm.KindUnion && b.Recursive {
-				return // legal fixpoint back edge
-			}
-			c.add(ClassCycle, path, "cyclic box reference closes on %s, which is not a recursive UNION", boxLabel(b))
-			return
+// discover walks the graph from b, reached over via, along range edges
+// and deferred subplan edges, recording each box's discovery edge and
+// detecting illegal cycles. A back edge is legal only when it closes on
+// a recursive UNION box (the fixpoint reference of a recursive table
+// expression).
+func (c *checker) discover(b *qgm.Box, via edge, deferred bool) {
+	s := c.state(b)
+	if s.onStack {
+		if b.Kind == qgm.KindUnion && b.Recursive {
+			return // legal fixpoint back edge
 		}
-		if visited[b] {
-			if !deferred {
-				c.viaSubplan[b] = false
-			}
-			return
-		}
-		visited[b] = true
-		c.viaSubplan[b] = deferred
-		c.boxes = append(c.boxes, b)
-		c.pathOf[b] = path
-		onStack[b] = true
-		for _, q := range b.Quants {
-			if q.Input == nil {
-				c.add(ClassStructure, path, "quantifier %s(q%d) has no range edge", q.Name, q.QID)
-				continue
-			}
-			walk(q.Input, fmt.Sprintf("%s / q%d / %s", path, q.QID, boxLabel(q.Input)), deferred)
-		}
-		for _, sp := range subplanBoxes(b) {
-			walk(sp.Box, fmt.Sprintf("%s / %s / subplan %s", path, sp.Loc, boxLabel(sp.Box)), true)
-		}
-		onStack[b] = false
+		c.add(ClassCycle, via.from, via.suffix(b),
+			"cyclic box reference closes on %s, which is not a recursive UNION", boxLabel(b))
+		return
 	}
-	walk(c.g.Top, boxLabel(c.g.Top)+" (top)", false)
+	if s.visited {
+		if !deferred {
+			s.viaSubplan = false
+		}
+		return
+	}
+	s.visited, s.viaSubplan, s.via, s.onStack = true, deferred, via, true
+	c.boxes = append(c.boxes, b)
+	for _, q := range b.Quants {
+		if q.Input == nil {
+			c.add(ClassStructure, b, "", "quantifier %s(q%d) has no range edge", q.Name, q.QID)
+			continue
+		}
+		c.discover(q.Input, edge{from: b, qid: q.QID}, deferred)
+	}
+	eachSubplan(b, func(loc qgm.Loc, sub *qgm.Box) {
+		c.discover(sub, edge{from: b, subplan: true, loc: loc}, true)
+	})
+	s.onStack = false
 }
 
 // checkDangling flags registered boxes unreachable from the top, and
 // quantifier-reachable boxes that are unregistered (deferred subquery
 // subtrees are exempt: GC legitimately strips them after translation).
 func (c *checker) checkDangling() {
-	reach := map[*qgm.Box]bool{}
-	for _, b := range c.boxes {
-		reach[b] = true
-	}
 	for _, b := range c.g.Boxes {
-		if !reach[b] {
-			c.add(ClassDanglingBox, boxLabel(b), "registered box is unreachable from the top box")
+		if s := c.state(b); !s.visited {
+			c.add(ClassDanglingBox, nil, boxLabel(b), "registered box is unreachable from the top box")
 			// Still give its quantifiers owners so column references
 			// into it are diagnosed as scope errors, not crashes.
 			c.boxes = append(c.boxes, b)
-			c.pathOf[b] = boxLabel(b) + " (dangling)"
-			c.viaSubplan[b] = true
+			s.dangling, s.viaSubplan = true, true
 		}
 	}
 	for _, b := range c.boxes {
-		if !c.registered[b] && !c.viaSubplan[b] {
-			c.add(ClassStructure, c.pathOf[b], "box reachable via range edges is not registered in the graph")
+		if s := c.state(b); !s.registered && !s.viaSubplan {
+			c.add(ClassStructure, b, "", "box reachable via range edges is not registered in the graph")
 		}
 	}
 }
@@ -251,40 +330,48 @@ func (c *checker) checkDangling() {
 func (c *checker) collectQuants() {
 	for _, b := range c.boxes {
 		for _, q := range b.Quants {
-			if prev, dup := c.ownerQ[q.QID]; dup {
-				c.add(ClassStructure, c.pathOf[b],
-					"duplicate quantifier id q%d (also %s in %s)", q.QID, prev.Name, boxLabel(c.ownerBox[q.QID]))
+			if o := c.owner(q.QID); o != nil {
+				c.add(ClassStructure, b, "",
+					"duplicate quantifier id q%d (also %s in %s)", q.QID, o.FindQuant(q.QID).Name, boxLabel(o))
 				continue
 			}
-			c.ownerQ[q.QID] = q
-			c.ownerBox[q.QID] = b
+			for q.QID >= len(c.owners) && q.QID < maxDenseID {
+				c.owners = append(c.owners, nil)
+			}
+			if q.QID >= 0 && q.QID < len(c.owners) {
+				c.owners[q.QID] = b
+			} else {
+				c.byQID[q.QID] = b
+			}
 		}
 	}
 }
 
 // inSubtree reports whether b lies in the subtree rooted at root
-// (range edges plus deferred subplan edges), memoized per root.
+// (range edges plus deferred subplan edges). It marks the subtree of
+// the root it was last asked about.
 func (c *checker) inSubtree(root, b *qgm.Box) bool {
-	set, ok := c.subtree[root]
-	if !ok {
-		set = map[*qgm.Box]bool{}
-		var mark func(x *qgm.Box)
-		mark = func(x *qgm.Box) {
-			if x == nil || set[x] {
-				return
-			}
-			set[x] = true
-			for _, q := range x.Quants {
-				mark(q.Input)
-			}
-			for _, sp := range subplanBoxes(x) {
-				mark(sp.Box)
-			}
-		}
-		mark(root)
-		c.subtree[root] = set
+	if root != c.marked {
+		c.marked = root
+		c.stamp++
+		c.mark(root)
 	}
-	return set[b]
+	return c.state(b).mark == c.stamp
+}
+
+func (c *checker) mark(x *qgm.Box) {
+	if x == nil {
+		return
+	}
+	s := c.state(x)
+	if s.mark == c.stamp {
+		return
+	}
+	s.mark = c.stamp
+	for _, q := range x.Quants {
+		c.mark(q.Input)
+	}
+	eachSubplan(x, func(_ qgm.Loc, sub *qgm.Box) { c.mark(sub) })
 }
 
 // checkExprs validates every column reference of every expression slot:
@@ -294,59 +381,60 @@ func (c *checker) inSubtree(root, b *qgm.Box) bool {
 // the column it names. Head columns must also agree with the type of
 // the expression computing them.
 func (c *checker) checkExprs(b *qgm.Box) {
-	path := c.pathOf[b]
 	b.VisitExprs(func(loc qgm.Loc, e expr.Expr) {
 		if e == nil {
-			c.add(ClassStructure, path+" / "+loc.String(), "nil expression")
+			c.add(ClassStructure, b, " / "+loc.String(), "nil expression")
 			return
 		}
-		for _, col := range expr.Cols(e) {
-			if col.QID < 0 {
-				continue // already slot-bound (executor-phase reference)
+		expr.Walk(e, func(x expr.Expr) bool {
+			if col, ok := x.(*expr.Col); ok && col.QID >= 0 { // QID < 0: already slot-bound
+				c.checkCol(b, loc, col)
 			}
-			q, ok := c.ownerQ[col.QID]
-			if !ok {
-				c.add(ClassOrphanQID, path+" / "+loc.String(),
-					"column %s references nonexistent quantifier q%d", col.Name, col.QID)
-				continue
-			}
-			owner := c.ownerBox[col.QID]
-			if owner != b && !c.inSubtree(owner, b) {
-				c.add(ClassOrphanQID, path+" / "+loc.String(),
-					"column %s references q%d of %s, which is neither local nor an ancestor (out of scope)",
-					col.Name, col.QID, boxLabel(owner))
-				continue
-			}
-			if q.Input == nil {
-				continue // already reported as a structure violation
-			}
-			if col.Ord < 0 || col.Ord >= len(q.Input.Head) {
-				c.add(ClassOrdinal, path+" / "+loc.String(),
-					"column %s ordinal %d out of range for q%d over %s (head has %d columns)",
-					col.Name, col.Ord, col.QID, boxLabel(q.Input), len(q.Input.Head))
-				continue
-			}
-			ht := q.Input.Head[col.Ord].Type
-			if !typesAgree(col.Typ, ht) {
-				c.add(ClassColType, path+" / "+loc.String(),
-					"column %s declares type %s but q%d.%d has type %s",
-					col.Name, datum.TypeName(col.Typ), col.QID, col.Ord, datum.TypeName(ht))
-			}
-		}
+			return true
+		})
 	})
 	for i, hc := range b.Head {
 		if hc.Expr == nil {
 			continue
 		}
 		if et := hc.Expr.Type(); !typesAgree(et, hc.Type) {
-			c.add(ClassHeadType, fmt.Sprintf("%s / head[%d] (%s)", path, i, hc.Name),
+			c.add(ClassHeadType, b, fmt.Sprintf(" / head[%d] (%s)", i, hc.Name),
 				"head column declares type %s but its expression computes %s",
 				datum.TypeName(hc.Type), datum.TypeName(et))
 		}
 	}
 	for i, p := range b.Preds {
 		if p == nil || p.Expr == nil {
-			c.add(ClassStructure, fmt.Sprintf("%s / pred[%d]", path, i), "nil predicate")
+			c.add(ClassStructure, b, fmt.Sprintf(" / pred[%d]", i), "nil predicate")
+		}
+	}
+}
+
+func (c *checker) checkCol(b *qgm.Box, loc qgm.Loc, col *expr.Col) {
+	owner := c.owner(col.QID)
+	var in *qgm.Box
+	if owner != nil {
+		in = owner.FindQuant(col.QID).Input
+	}
+	switch {
+	case owner == nil:
+		c.add(ClassOrphanQID, b, " / "+loc.String(),
+			"column %s references nonexistent quantifier q%d", col.Name, col.QID)
+	case owner != b && !c.inSubtree(owner, b):
+		c.add(ClassOrphanQID, b, " / "+loc.String(),
+			"column %s references q%d of %s, which is neither local nor an ancestor (out of scope)",
+			col.Name, col.QID, boxLabel(owner))
+	case in == nil:
+		// already reported as a structure violation
+	case col.Ord < 0 || col.Ord >= len(in.Head):
+		c.add(ClassOrdinal, b, " / "+loc.String(),
+			"column %s ordinal %d out of range for q%d over %s (head has %d columns)",
+			col.Name, col.Ord, col.QID, boxLabel(in), len(in.Head))
+	default:
+		if ht := in.Head[col.Ord].Type; !typesAgree(col.Typ, ht) {
+			c.add(ClassColType, b, " / "+loc.String(),
+				"column %s declares type %s but q%d.%d has type %s",
+				col.Name, datum.TypeName(col.Typ), col.QID, col.Ord, datum.TypeName(ht))
 		}
 	}
 }
@@ -367,43 +455,44 @@ func typesAgree(a, b datum.TypeID) bool {
 // names its own set-predicate function. PF appears only in outer-join
 // boxes.
 func (c *checker) checkQuantTypes(b *qgm.Box) {
-	path := c.pathOf[b]
 	for _, q := range b.Quants {
-		qpath := fmt.Sprintf("%s / quant %s(q%d)", path, q.Name, q.QID)
+		bad := func(format string, args ...any) {
+			c.add(ClassQuantType, b, fmt.Sprintf(" / quant %s(q%d)", q.Name, q.QID), format, args...)
+		}
 		switch q.Type {
 		case qgm.ForEach, qgm.PreserveForeach:
 			if q.SetPred != "" {
-				c.add(ClassQuantType, qpath, "setformer %s carries set predicate %q", q.Type, q.SetPred)
+				bad("setformer %s carries set predicate %q", q.Type, q.SetPred)
 			}
 			if q.Negated {
-				c.add(ClassQuantType, qpath, "setformer %s cannot be negated", q.Type)
+				bad("setformer %s cannot be negated", q.Type)
 			}
 			if q.Type == qgm.PreserveForeach && b.Kind != qgm.KindOuterJoin {
-				c.add(ClassQuantType, qpath, "PF quantifier outside a %s box", qgm.KindOuterJoin)
+				bad("PF quantifier outside a %s box", qgm.KindOuterJoin)
 			}
 		case qgm.QExists:
 			if q.SetPred != "ANY" {
-				c.add(ClassQuantType, qpath, "existential quantifier must fold with ANY, has %q", q.SetPred)
+				bad("existential quantifier must fold with ANY, has %q", q.SetPred)
 			}
 		case qgm.QAll:
 			if q.SetPred != "ALL" {
-				c.add(ClassQuantType, qpath, "universal quantifier must fold with ALL, has %q", q.SetPred)
+				bad("universal quantifier must fold with ALL, has %q", q.SetPred)
 			}
 		case qgm.QScalar:
 			if q.SetPred != "" {
-				c.add(ClassQuantType, qpath, "scalar quantifier carries set predicate %q", q.SetPred)
+				bad("scalar quantifier carries set predicate %q", q.SetPred)
 			}
 			if q.Negated {
-				c.add(ClassQuantType, qpath, "scalar quantifier cannot be negated")
+				bad("scalar quantifier cannot be negated")
 			}
 			if q.Input != nil && len(q.Input.Head) != 1 {
-				c.add(ClassQuantType, qpath, "scalar quantifier input must have one column, has %d", len(q.Input.Head))
+				bad("scalar quantifier input must have one column, has %d", len(q.Input.Head))
 			}
 		default:
 			// DBC-defined quantifier: by convention its type names its
 			// set-predicate function.
 			if q.SetPred != q.Type {
-				c.add(ClassQuantType, qpath, "custom quantifier %s must fold with set predicate %q, has %q",
+				bad("custom quantifier %s must fold with set predicate %q, has %q",
 					q.Type, q.Type, q.SetPred)
 			}
 		}
@@ -412,56 +501,55 @@ func (c *checker) checkQuantTypes(b *qgm.Box) {
 
 // checkShape enforces per-kind body invariants.
 func (c *checker) checkShape(b *qgm.Box) {
-	path := c.pathOf[b]
 	switch b.Kind {
 	case qgm.KindSelect, qgm.KindOuterJoin:
 		for i, hc := range b.Head {
 			if hc.Expr == nil {
-				c.add(ClassBoxShape, fmt.Sprintf("%s / head[%d] (%s)", path, i, hc.Name),
+				c.add(ClassBoxShape, b, fmt.Sprintf(" / head[%d] (%s)", i, hc.Name),
 					"%s head column has no computing expression", b.Kind)
 			}
 		}
 	case qgm.KindGroupBy:
 		if len(b.Quants) != 1 {
-			c.add(ClassBoxShape, path, "GROUPBY box must have exactly one quantifier, has %d", len(b.Quants))
+			c.add(ClassBoxShape, b, "", "GROUPBY box must have exactly one quantifier, has %d", len(b.Quants))
 		} else if b.Quants[0].Type != qgm.ForEach {
-			c.add(ClassBoxShape, path, "GROUPBY quantifier must be a setformer (F), is %s", b.Quants[0].Type)
+			c.add(ClassBoxShape, b, "", "GROUPBY quantifier must be a setformer (F), is %s", b.Quants[0].Type)
 		}
 	case qgm.KindUnion, qgm.KindIntersect, qgm.KindExcept:
 		if len(b.Quants) < 2 {
-			c.add(ClassBoxShape, path, "%s box must have at least two operands, has %d", b.Kind, len(b.Quants))
+			c.add(ClassBoxShape, b, "", "%s box must have at least two operands, has %d", b.Kind, len(b.Quants))
 		}
 		for _, q := range b.Quants {
 			if q.Type != qgm.ForEach {
-				c.add(ClassBoxShape, path, "%s operand q%d must be a setformer (F), is %s", b.Kind, q.QID, q.Type)
+				c.add(ClassBoxShape, b, "", "%s operand q%d must be a setformer (F), is %s", b.Kind, q.QID, q.Type)
 			}
 			if q.Input != nil && len(q.Input.Head) != len(b.Head) {
-				c.add(ClassBoxShape, path, "%s operand q%d has %d columns, box head has %d",
+				c.add(ClassBoxShape, b, "", "%s operand q%d has %d columns, box head has %d",
 					b.Kind, q.QID, len(q.Input.Head), len(b.Head))
 			}
 		}
 		if b.Recursive && b.Kind != qgm.KindUnion {
-			c.add(ClassBoxShape, path, "recursive flag on a %s box (only UNION can be a fixpoint)", b.Kind)
+			c.add(ClassBoxShape, b, "", "recursive flag on a %s box (only UNION can be a fixpoint)", b.Kind)
 		}
 	case qgm.KindBase:
 		if b.Table == nil {
-			c.add(ClassBoxShape, path, "base box has no catalog table")
+			c.add(ClassBoxShape, b, "", "base box has no catalog table")
 			break
 		}
 		if len(b.Quants) != 0 || len(b.Preds) != 0 {
-			c.add(ClassBoxShape, path, "base box must have no quantifiers or predicates")
+			c.add(ClassBoxShape, b, "", "base box must have no quantifiers or predicates")
 		}
 		if len(b.Head) != len(b.Table.Cols) {
-			c.add(ClassBoxShape, path, "base box head has %d columns, table %s has %d",
+			c.add(ClassBoxShape, b, "", "base box head has %d columns, table %s has %d",
 				len(b.Head), b.Table.Name, len(b.Table.Cols))
 		}
 	case qgm.KindValues:
 		if len(b.Quants) != 0 {
-			c.add(ClassBoxShape, path, "VALUES box must have no quantifiers")
+			c.add(ClassBoxShape, b, "", "VALUES box must have no quantifiers")
 		}
 		for ri, row := range b.Rows {
 			if len(row) != len(b.Head) {
-				c.add(ClassBoxShape, fmt.Sprintf("%s / values[%d]", path, ri),
+				c.add(ClassBoxShape, b, fmt.Sprintf(" / values[%d]", ri),
 					"row has %d values, head has %d columns", len(row), len(b.Head))
 				continue
 			}
@@ -470,7 +558,7 @@ func (c *checker) checkShape(b *qgm.Box) {
 					continue
 				}
 				if !typesAgree(e.Type(), b.Head[ci].Type) {
-					c.add(ClassHeadType, fmt.Sprintf("%s / values[%d][%d]", path, ri, ci),
+					c.add(ClassHeadType, b, fmt.Sprintf(" / values[%d][%d]", ri, ci),
 						"value of type %s in column %s of type %s",
 						datum.TypeName(e.Type()), b.Head[ci].Name, datum.TypeName(b.Head[ci].Type))
 				}
@@ -478,34 +566,34 @@ func (c *checker) checkShape(b *qgm.Box) {
 		}
 	case qgm.KindTableFn:
 		if b.TableFn == nil {
-			c.add(ClassBoxShape, path, "TABLEFN box has no table function")
+			c.add(ClassBoxShape, b, "", "TABLEFN box has no table function")
 		}
 	case qgm.KindChoose:
 		if len(b.Quants) == 0 {
-			c.add(ClassBoxShape, path, "CHOOSE box has no alternatives")
+			c.add(ClassBoxShape, b, "", "CHOOSE box has no alternatives")
 		}
 		if len(b.ChooseConds) != 0 && len(b.ChooseConds) != len(b.Quants) {
-			c.add(ClassBoxShape, path, "CHOOSE has %d conditions for %d alternatives",
+			c.add(ClassBoxShape, b, "", "CHOOSE has %d conditions for %d alternatives",
 				len(b.ChooseConds), len(b.Quants))
 		}
 		for _, q := range b.Quants {
 			if q.Input != nil && len(q.Input.Head) != len(b.Head) {
-				c.add(ClassBoxShape, path, "CHOOSE alternative q%d has %d columns, box head has %d",
+				c.add(ClassBoxShape, b, "", "CHOOSE alternative q%d has %d columns, box head has %d",
 					q.QID, len(q.Input.Head), len(b.Head))
 			}
 		}
 	case qgm.KindInsert:
 		c.checkDML(b)
 		if len(b.Quants) != 1 {
-			c.add(ClassBoxShape, path, "INSERT box must have exactly one source quantifier, has %d", len(b.Quants))
+			c.add(ClassBoxShape, b, "", "INSERT box must have exactly one source quantifier, has %d", len(b.Quants))
 		} else if src := b.Quants[0].Input; src != nil && len(src.Head) != len(b.TargetCols) {
-			c.add(ClassBoxShape, path, "INSERT source has %d columns for %d target columns",
+			c.add(ClassBoxShape, b, "", "INSERT source has %d columns for %d target columns",
 				len(src.Head), len(b.TargetCols))
 		}
 	case qgm.KindUpdate:
 		c.checkDML(b)
 		if len(b.Head) != len(b.TargetCols) {
-			c.add(ClassBoxShape, path, "UPDATE has %d SET expressions for %d target columns",
+			c.add(ClassBoxShape, b, "", "UPDATE has %d SET expressions for %d target columns",
 				len(b.Head), len(b.TargetCols))
 		}
 	case qgm.KindDelete:
@@ -514,23 +602,22 @@ func (c *checker) checkShape(b *qgm.Box) {
 	if b.Recursive && b.Kind != qgm.KindUnion {
 		// Covered for set ops above; catch remaining kinds too.
 		if b.Kind != qgm.KindIntersect && b.Kind != qgm.KindExcept {
-			c.add(ClassBoxShape, path, "recursive flag on a %s box (only UNION can be a fixpoint)", b.Kind)
+			c.add(ClassBoxShape, b, "", "recursive flag on a %s box (only UNION can be a fixpoint)", b.Kind)
 		}
 	}
 }
 
 func (c *checker) checkDML(b *qgm.Box) {
-	path := c.pathOf[b]
 	if b != c.g.Top {
-		c.add(ClassBoxShape, path, "%s box may only appear as the top box", b.Kind)
+		c.add(ClassBoxShape, b, "", "%s box may only appear as the top box", b.Kind)
 	}
 	if b.TargetTable == nil {
-		c.add(ClassBoxShape, path, "%s box has no target table", b.Kind)
+		c.add(ClassBoxShape, b, "", "%s box has no target table", b.Kind)
 		return
 	}
 	for _, ord := range b.TargetCols {
 		if ord < 0 || ord >= len(b.TargetTable.Cols) {
-			c.add(ClassOrdinal, path, "target column ordinal %d out of range for table %s (%d columns)",
+			c.add(ClassOrdinal, b, "", "target column ordinal %d out of range for table %s (%d columns)",
 				ord, b.TargetTable.Name, len(b.TargetTable.Cols))
 		}
 	}
@@ -542,37 +629,36 @@ func (c *checker) checkDML(b *qgm.Box) {
 // property of rule firings and is checked by the rewrite engine's audit
 // mode, which compares modes before and after each firing.)
 func (c *checker) checkDistinct(b *qgm.Box) {
-	path := c.pathOf[b]
 	switch b.Distinct {
 	case qgm.EnforceDistinct:
 		switch b.Kind {
 		case qgm.KindSelect, qgm.KindGroupBy:
 		case qgm.KindUnion, qgm.KindIntersect, qgm.KindExcept:
 			if b.SetAll {
-				c.add(ClassDistinct, path, "%s ALL contradicts ENFORCE distinct mode", b.Kind)
+				c.add(ClassDistinct, b, "", "%s ALL contradicts ENFORCE distinct mode", b.Kind)
 			}
 		default:
-			c.add(ClassDistinct, path, "ENFORCE distinct mode on a %s box", b.Kind)
+			c.add(ClassDistinct, b, "", "ENFORCE distinct mode on a %s box", b.Kind)
 		}
 	case qgm.PreserveDuplicates:
 		switch b.Kind {
 		case qgm.KindGroupBy:
-			c.add(ClassDistinct, path, "PRESERVE distinct mode on a GROUPBY box (output has no duplicates)")
+			c.add(ClassDistinct, b, "", "PRESERVE distinct mode on a GROUPBY box (output has no duplicates)")
 		case qgm.KindUnion, qgm.KindIntersect, qgm.KindExcept:
 			if !b.SetAll {
-				c.add(ClassDistinct, path, "PRESERVE distinct mode on a duplicate-eliminating %s", b.Kind)
+				c.add(ClassDistinct, b, "", "PRESERVE distinct mode on a duplicate-eliminating %s", b.Kind)
 			}
 		}
 	}
 	switch b.Kind {
 	case qgm.KindUnion, qgm.KindIntersect, qgm.KindExcept:
 		if !b.SetAll && b.Distinct != qgm.EnforceDistinct {
-			c.add(ClassDistinct, path, "duplicate-eliminating %s must carry ENFORCE distinct mode, has %s",
+			c.add(ClassDistinct, b, "", "duplicate-eliminating %s must carry ENFORCE distinct mode, has %s",
 				b.Kind, b.Distinct)
 		}
 	}
 	if b.Recursive && b.Distinct != qgm.EnforceDistinct {
-		c.add(ClassDistinct, path, "recursive UNION must enforce distinctness for the fixpoint to terminate")
+		c.add(ClassDistinct, b, "", "recursive UNION must enforce distinctness for the fixpoint to terminate")
 	}
 }
 
@@ -583,11 +669,10 @@ func (c *checker) checkDistinct(b *qgm.Box) {
 // grouping expressions, and grouping expressions themselves contain no
 // aggregates.
 func (c *checker) checkAggregates(b *qgm.Box) {
-	path := c.pathOf[b]
 	flagNested := func(loc qgm.Loc, suffix string, e expr.Expr) {
 		expr.Walk(e, func(x expr.Expr) bool {
 			if _, ok := x.(*expr.AggCall); ok {
-				c.add(ClassAggPlacement, path+" / "+loc.String()+suffix,
+				c.add(ClassAggPlacement, b, " / "+loc.String()+suffix,
 					"aggregate call %s outside a GROUPBY head", x)
 				return false
 			}
@@ -601,7 +686,7 @@ func (c *checker) checkAggregates(b *qgm.Box) {
 	for i, hc := range b.Head {
 		loc := qgm.Loc{Slot: "head", I: i, Name: hc.Name}
 		if hc.Expr == nil {
-			c.add(ClassBoxShape, path+" / "+loc.String(), "GROUPBY head column has no computing expression")
+			c.add(ClassBoxShape, b, " / "+loc.String(), "GROUPBY head column has no computing expression")
 			continue
 		}
 		if agg, isAgg := hc.Expr.(*expr.AggCall); isAgg {
@@ -619,7 +704,7 @@ func (c *checker) checkAggregates(b *qgm.Box) {
 			}
 		}
 		if !matched {
-			c.add(ClassAggPlacement, path+" / "+loc.String(),
+			c.add(ClassAggPlacement, b, " / "+loc.String(),
 				"non-aggregate head expression %s is not one of the grouping expressions", hc.Expr)
 		}
 	}
