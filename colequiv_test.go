@@ -382,21 +382,25 @@ func isKernel(name string) bool {
 }
 
 // TestOneOperatorPerLOLEPOP: the operator a SCAN, FILTER, PROJECT,
-// GROUP, DISTINCT, set operation, RECUNION, RECREF or TEMP node gets
-// depends neither on whether its expressions compile to kernels nor on
-// its child's protocol. Each statement — over base tables, ISCAN, SORT
-// and subqueries, and a hand-built TEMP — builds the same operator tree
+// GROUP, DISTINCT, set operation, RECUNION, RECREF, TEMP, SORT, LIMIT,
+// TABLEFN or CHOOSE node gets depends neither on whether its
+// expressions compile to kernels nor on its child's protocol. Each
+// statement — over base tables, ISCAN, SORT and subqueries, a
+// hand-built TEMP and a guarded CHOOSE — builds the same operator tree
 // with kernels on and off, every such node is scanOp, filterOp,
 // projectOp, groupOp (DISTINCT is GROUP on every column), setOp (UNION,
-// INTERSECT, EXCEPT, and TEMP as a one-input UNION ALL), recUnionOp or
-// recRefOp, and the kernels-off build holds no kernel.
+// INTERSECT, EXCEPT, and TEMP as a one-input UNION ALL), recUnionOp,
+// recRefOp, sortOp (full and top-N), limitOp, tableFnOp or chooseOp and
+// produces batches, and the kernels-off build holds no kernel.
 func TestOneOperatorPerLOLEPOP(t *testing.T) {
 	db := equivDB(t)
 	setDOP(db, 1)
+	registerSample(t, db)
 	op := map[string]string{plan.OpScan: "scanOp", plan.OpFilter: "filterOp",
 		plan.OpProject: "projectOp", plan.OpGroup: "groupOp", plan.OpDistinct: "groupOp",
 		plan.OpUnion: "setOp", plan.OpInter: "setOp", plan.OpExcept: "setOp", plan.OpTemp: "setOp",
-		plan.OpRecUnion: "recUnionOp", plan.OpRecRef: "recRefOp"}
+		plan.OpRecUnion: "recUnionOp", plan.OpRecRef: "recRefOp", plan.OpSort: "sortOp",
+		plan.OpLimit: "limitOp", plan.OpTableFn: "tableFnOp", plan.OpChoose: "chooseOp"}
 	sql := func(q string, skipRewrite bool) func(*testing.T, *DB) *plan.Compiled {
 		return func(t *testing.T, db *DB) *plan.Compiled {
 			setSkipRewrite(db, skipRewrite)
@@ -427,6 +431,11 @@ func TestOneOperatorPerLOLEPOP(t *testing.T) {
 		{"recursion", sql("WITH RECURSIVE r(k) AS (SELECT k FROM ta WHERE k < 2 UNION SELECT r.k + 1 FROM r WHERE r.k < 9) SELECT k FROM r", false),
 			[]string{plan.OpRecUnion, plan.OpRecRef}},
 		{"TEMP", tempOverScan, []string{plan.OpTemp, plan.OpScan}},
+		{"ORDER BY", sql("SELECT k, v, s FROM ta ORDER BY v, k", false), []string{plan.OpSort}},
+		{"ORDER BY LIMIT", sql("SELECT k, v FROM ta ORDER BY v DESC, k LIMIT 3", false), []string{plan.OpLimit, plan.OpSort}},
+		{"LIMIT", sql("SELECT k, v FROM ta LIMIT 4", false), []string{plan.OpLimit, plan.OpScan}},
+		{"TABLEFN", sql("SELECT k, v FROM SAMPLE(ta, 5) x", false), []string{plan.OpTableFn}},
+		{"CHOOSE", guardedChoose("SELECT k, v FROM ta WHERE s = 's1'", "s2"), []string{plan.OpChoose}},
 	} {
 		compiled := c.compile(t, db)
 		ops := plan.CollectOps(compiled.Root)
@@ -442,10 +451,19 @@ func TestOneOperatorPerLOLEPOP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			trees[i] = opTree(st, nil)
+			// The decorator over an operator is a colStatsOp exactly when
+			// the operator produces batches.
+			batches := map[string]bool{}
+			trees[i] = opTree(st, func(dec reflect.Value, inner string) {
+				batches[inner] = dec.Type().Elem().Name() == "colStatsOp"
+			})
 			walkPlan(compiled.Root, func(n *plan.Node) {
-				if want, ok := op[n.Op]; ok && instr.Kind(n) != want {
+				want, ok := op[n.Op]
+				if ok && instr.Kind(n) != want {
 					t.Fatalf("%s (kernels %v): %s node built %s, want %s", c.name, vec, n.Op, instr.Kind(n), want)
+				}
+				if ok && !batches[want] {
+					t.Fatalf("%s (kernels %v): %s node's %s is not a ColBatchStream", c.name, vec, n.Op, want)
 				}
 			})
 			for name := range execTypes(st) {
@@ -1139,6 +1157,8 @@ func TestRowBudgetContract(t *testing.T) {
 		{"group", "SELECT s, COUNT(*), SUM(v) FROM r GROUP BY s", false},
 		{"hashjoin", "SELECT a.k, b.s FROM r a, r b WHERE a.v = b.v", false},
 		{"topn", "SELECT k, v, s FROM r ORDER BY v DESC, k LIMIT 20", false},
+		{"sort", "SELECT k, v, s FROM r ORDER BY v DESC, k", false},
+		{"limit", "SELECT k, v, s FROM r LIMIT 2500", false},
 	} {
 		setSkipRewrite(db, c.skipRewrite)
 		for _, width := range []int{2, 1024} {

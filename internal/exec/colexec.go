@@ -1,20 +1,20 @@
 // The batch protocol and what every batch operator shares. SCAN,
 // FILTER, PROJECT, GROUP (DISTINCT is GROUP on every column), the hash
-// join, the set operations (TEMP is a one-input UNION ALL) and the
-// recursive pair are one operator each, and each runs on ColBatches —
-// typed column vectors plus a selection vector. What an operator
-// computes is compiled once, at plan refinement, into fused per-type
-// kernels where one exists (see colkernels.go); whatever no kernel
-// covers — arithmetic, LIKE, function calls, subplans, correlated
-// columns, DISTINCT and DBC aggregates — runs on the row evaluators
-// inside the same operator, one live row at a time over a reused
-// scratch row. A Builder with kernels off (Vectorized(false)) runs
-// every predicate and aggregate that way: the reference the equivalence
-// corpus checks the kernels against.
+// join, the set operations (TEMP is a one-input UNION ALL), the
+// recursive pair, SORT (full or top-N), LIMIT, TABLEFN and CHOOSE are
+// one operator each, and each runs on ColBatches — typed column vectors
+// plus a selection vector. What an operator computes is compiled once,
+// at plan refinement, into fused per-type kernels where one exists (see
+// colkernels.go); whatever no kernel covers — arithmetic, LIKE,
+// function calls, subplans, correlated columns, DISTINCT and DBC
+// aggregates — runs on the row evaluators inside the same operator, one
+// live row at a time over a reused scratch row. A Builder with kernels
+// off (Vectorized(false)) runs every predicate and aggregate that way:
+// the reference the equivalence corpus checks the kernels against.
 //
-// Row-only children (ISCAN, SORT, the nested-loop apply that every
-// NLJN and SUBQ node builds, VALUES) enter a batch operator through
-// batchFeed, and a row-only parent pulls a batch operator through Next,
+// Row-only children (ISCAN, the nested-loop apply that every NLJN and
+// SUBQ node builds, merge join, the exchange readers) enter a batch
+// operator through batchFeed, and a row-only parent pulls one by Next,
 // which materializes each batch into rows (rowFeed). Fault-wrapped,
 // durable and virtual relations whose iterators lack the ColScanner
 // capability are read row by row into vectors, so the fault, budget and
@@ -63,8 +63,8 @@ type colBatchSource interface {
 }
 
 // rowFeed adapts a columnar producer to the Stream interface for the
-// consumers that pull Next one row at a time (an apply's outer, LIMIT,
-// an exchange producer) by materializing each batch into retainable
+// consumers that pull Next one row at a time (an apply's outer, an
+// exchange producer) by materializing each batch into retainable
 // rows; materialize drains batches instead (see rowSlab.drain). The
 // rows slice is the reused batch container; trailing slots are cleared
 // before refill so it never pins rows from earlier batches.
@@ -108,13 +108,16 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 	return r, true, nil
 }
 
-// batchFeed is rowFeed's mirror: it adapts a row producer (ISCAN, SORT,
-// a subquery, ...) to the columnar protocol by decomposing its rows
+// batchFeed is rowFeed's mirror: it adapts a row producer (ISCAN, the
+// apply, GATHER, ...) to the columnar protocol by decomposing its rows
 // into one pooled batch, so a batch operator has a single input shape.
+// Under a LIMIT, left is the LIMIT's quota: a batch holds no more rows
+// than it still needs.
 type batchFeed struct {
 	Stream
 	types []datum.TypeID
 	batch batchHold
+	left  *int64
 }
 
 // asColBatchStream returns s itself when it is columnar, else s behind
@@ -127,8 +130,11 @@ func asColBatchStream(s Stream, types []datum.TypeID) ColBatchStream {
 }
 
 func (f *batchFeed) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
-	b := f.batch.get(ctx, f.types)
-	for max := ctx.colBatchWidth(); b.Len() < max; {
+	b, max := f.batch.get(ctx, f.types), int64(ctx.colBatchWidth())
+	if f.left != nil {
+		max = min(max, *f.left)
+	}
+	for int64(b.Len()) < max {
 		row, ok, err := f.Stream.Next(ctx)
 		if err != nil {
 			return nil, false, err

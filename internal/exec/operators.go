@@ -1,10 +1,8 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/datum"
 	"repro/internal/expr"
@@ -415,10 +413,15 @@ func (p *projectOp) Close(ctx *Ctx) error {
 	return p.input.Close(ctx)
 }
 
+// limitOp passes its input's batches through until its quota fills: it
+// cuts the batch that fills it by its selection vector and signals the
+// statement done. A row-only input (GATHER, the apply) enters through a
+// batchFeed that reads no more rows than the quota still needs.
 type limitOp struct {
-	input Stream
+	input ColBatchStream
 	nExpr expr.Expr
 	left  int64
+	feed  rowFeed
 }
 
 func (b *Builder) buildLimit(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -435,7 +438,11 @@ func (b *Builder) buildLimit(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 		// A SORT right below needs to produce only the rows LIMIT returns.
 		s.limit = ne
 	}
-	return &limitOp{input: in, nExpr: ne}, nil
+	l := &limitOp{input: asColBatchStream(in, slotTypes(n.Inputs[0])), nExpr: ne}
+	if f, ok := l.input.(*batchFeed); ok {
+		f.left = &l.left
+	}
+	return l, nil
 }
 
 // evalLimit evaluates a LIMIT bound, which must be an integer.
@@ -451,65 +458,67 @@ func evalLimit(ctx *Ctx, e expr.Expr) (int64, error) {
 }
 
 func (l *limitOp) Open(ctx *Ctx) (err error) {
+	l.feed.reset()
 	if l.left, err = evalLimit(ctx, l.nExpr); err != nil {
 		return err
 	}
 	return l.input.Open(ctx)
 }
 
-func (l *limitOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+func (l *limitOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
 	if l.left <= 0 {
 		return nil, false, nil
 	}
-	row, ok, err := l.input.Next(ctx)
-	if err != nil || !ok {
+	b, more, err := l.input.NextColBatch(ctx)
+	if err != nil || b == nil {
 		return nil, false, err
 	}
-	l.left--
-	if l.left <= 0 {
-		// Quota filled: tell the rest of the statement no more rows are
-		// needed, so parallel scan workers stop draining their morsels.
-		ctx.signalDone()
+	if n := int64(b.NumLive()); n < l.left {
+		l.left -= n
+		return b, more, nil
+	} else if n > l.left {
+		sel := b.Sel
+		if sel == nil {
+			sel = b.SelBuf()
+			for i := range int(l.left) {
+				sel = append(sel, i)
+			}
+		}
+		b.Sel = sel[:l.left]
 	}
-	return row, true, nil
+	// Quota filled: tell the rest of the statement no more rows are
+	// needed, so parallel scan workers stop draining their morsels.
+	l.left = 0
+	ctx.signalDone()
+	return b, false, nil
+}
+
+func (l *limitOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+	return l.feed.next(ctx, l)
 }
 
 func (l *limitOp) Close(ctx *Ctx) error { return l.input.Close(ctx) }
 
-// rowCursor is the read position over rows materialized at Open; SORT
-// and TABLEFN embed it as their Next.
-type rowCursor struct {
-	rows []datum.Row
-	pos  int
-}
-
-// reset points the cursor at the start of rows.
-func (c *rowCursor) reset(rows []datum.Row) { c.rows, c.pos = rows, 0 }
-
-func (c *rowCursor) Next(*Ctx) (datum.Row, bool, error) {
-	if c.pos >= len(c.rows) {
-		return nil, false, nil
-	}
-	r := c.rows[c.pos]
-	c.pos++
-	return r, true, nil
-}
-
 // ---------------------------------------------------------------------
 // SORT
 
+// sortOp is SORT, full or, under a LIMIT k, top-N, in one pass over
+// lanes. Open drains the input's batches into a held batch. Under a
+// bound k it drops each arriving row that does not sort before the k-th
+// row kept so far, and once the batch holds more than 2k rows it prunes
+// back to the k least; a full sort never prunes. A prune, and the final
+// order, gather the buffer's rows through a sorted permutation into the
+// spare held batch, which becomes the buffer; the window serves the
+// last. Both batches stay with the operator across executions.
 type sortOp struct {
-	rowCursor
-	input Stream
+	input ColBatchStream
 	types []datum.TypeID
 	keys  []plan.SortKey
-	// limit is the bound of a LIMIT directly above, nil under any other
-	// parent; with it, Open is a top-N (see openTopN), whose heap and
-	// scratch row the operator keeps across executions.
-	limit   expr.Expr
-	top     topHeap
-	scratch datum.Row
-	mem     memCharge
+	limit expr.Expr // the bound of a LIMIT directly above, else nil
+	buf   batchHold
+	spare batchHold
+	window
+	mem memCharge
 }
 
 func (b *Builder) buildSort(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -517,167 +526,126 @@ func (b *Builder) buildSort(n *plan.Node, corr map[plan.ColRef]int) (Stream, err
 	if err != nil {
 		return nil, err
 	}
-	return &sortOp{input: in, types: slotTypes(n.Inputs[0]), keys: n.SortKeys}, nil
+	types := slotTypes(n.Inputs[0])
+	return &sortOp{input: asColBatchStream(in, types), types: types, keys: n.SortKeys}, nil
 }
 
+// Open sorts the input. The order is sortRowLess's, ties kept in arrival
+// order, so a top-N returns exactly the first k rows of the full sort:
+// rows the pruning keeps precede every later arrival, and a later
+// arrival that ties the k-th kept row sorts after it.
 func (s *sortOp) Open(ctx *Ctx) error {
+	s.drop()
+	k := int64(1<<63 - 1) // no LIMIT: no bound
 	if s.limit != nil {
-		return s.openTopN(ctx)
-	}
-	rows, err := materialize(ctx, s.input)
-	if err != nil {
-		return err
-	}
-	if err := s.mem.charge(ctx, rowsBytes(rows)); err != nil {
-		return err
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return sortRowLess(s.keys, rows[i], rows[j])
-	})
-	s.reset(rows)
-	return nil
-}
-
-// openTopN is SORT under LIMIT k. It drains the input's batches through
-// a heap of the k least rows so far, so only the rows LIMIT returns are
-// copied out of the heap, into one result block, and charged to the
-// memory budget. It produces exactly the first k rows of the stable full
-// sort: a row enters a full heap only if it sorts strictly before the
-// heap's worst, and kept rows that tie break by arrival.
-func (s *sortOp) openTopN(ctx *Ctx) error {
-	k, err := evalLimit(ctx, s.limit)
-	if err != nil {
-		return err
-	}
-	h := &s.top
-	h.start(s.keys, int(max(k, 0)), len(s.types))
-	if s.scratch == nil {
-		s.scratch = make(datum.Row, len(s.types))
-	}
-	err = drainBatches(ctx, asColBatchStream(s.input, s.types), false, func(b *datum.ColBatch) error {
-		return b.EachLive(func(i int) error {
-			h.offer(loadRow(s.scratch, b, i))
-			return nil
-		})
-	})
-	if err != nil {
-		return err
-	}
-	rows := h.sorted()
-	if err := s.mem.charge(ctx, rowsBytes(rows)); err != nil {
-		return err
-	}
-	s.reset(rows)
-	return nil
-}
-
-// topHeap holds the k least rows offered so far under sortRowLess, ties
-// broken by arrival, in an arena it keeps across executions. Once k rows
-// are kept it is a container/heap ordered worst-first, so the root is
-// the row the next better one replaces.
-type topHeap struct {
-	keys  []plan.SortKey
-	k, w  int
-	ents  []topEntry
-	seq   int
-	arena []datum.Value
-}
-
-// topEntry is a kept row: the one at arena[off:off+w].
-type topEntry struct {
-	off, seq int
-}
-
-// start empties the heap for k rows w values wide.
-func (h *topHeap) start(keys []plan.SortKey, k, w int) {
-	clear(h.arena)
-	h.keys, h.k, h.w, h.seq = keys, k, w, 0
-	h.ents, h.arena = h.ents[:0], h.arena[:0]
-}
-
-func (h *topHeap) row(e topEntry) datum.Row { return h.arena[e.off : e.off+h.w] }
-
-func (h *topHeap) less(a, b topEntry) bool {
-	ra, rb := h.row(a), h.row(b)
-	if sortRowLess(h.keys, ra, rb) {
-		return true
-	}
-	return !sortRowLess(h.keys, rb, ra) && a.seq < b.seq
-}
-
-func (h *topHeap) Len() int           { return len(h.ents) }
-func (h *topHeap) Less(i, j int) bool { return h.less(h.ents[j], h.ents[i]) }
-func (h *topHeap) Swap(i, j int)      { h.ents[i], h.ents[j] = h.ents[j], h.ents[i] }
-
-// Push and Pop are never called: entries are appended before heap.Init,
-// and a replacement overwrites the root and calls heap.Fix.
-func (h *topHeap) Push(any) {}
-func (h *topHeap) Pop() any { return nil }
-
-// offer considers row, which the caller reuses: a row that is kept is
-// copied into the arena.
-func (h *topHeap) offer(row datum.Row) {
-	h.seq++
-	if len(h.ents) < h.k {
-		h.ents = append(h.ents, topEntry{off: len(h.arena), seq: h.seq})
-		h.arena = append(h.arena, row...)
-		if len(h.ents) == h.k {
-			heap.Init(h)
+		n, err := evalLimit(ctx, s.limit)
+		if err != nil {
+			return err
 		}
-		return
+		k = max(n, 0)
 	}
-	if h.k == 0 || !sortRowLess(h.keys, row, h.row(h.ents[0])) {
-		return
+	s.mem.release(ctx)
+	buf, full := s.buf.get(ctx, s.types), false
+	err := drainBatches(ctx, s.input, false, func(b *datum.ColBatch) error {
+		if k == 0 {
+			return nil
+		}
+		if full {
+			// buf's first k rows are the k least so far, in order.
+			keep, last := b.SelBuf(), laneRow{buf, int(k) - 1}
+			_ = b.EachLive(func(i int) error {
+				if sortCompare(s.keys, len(s.types), laneRow{b, i}, last, laneAt) < 0 {
+					keep = append(keep, i)
+				}
+				return nil
+			})
+			b.Sel = keep
+		}
+		from := buf.Len()
+		buf.AppendLive(b)
+		if int64(buf.Len())-k <= k {
+			return s.mem.add(ctx, buf.MemBytes(from))
+		}
+		buf, full = s.order(ctx, int(k)), true
+		return s.mem.charge(ctx, buf.MemBytes(0))
+	})
+	if err != nil {
+		return err
 	}
-	copy(h.row(h.ents[0]), row)
-	h.ents[0].seq = h.seq
-	heap.Fix(h, 0)
+	buf = s.order(ctx, int(min(k, int64(buf.Len()))))
+	s.spare.empty()
+	s.serve(buf, 0, buf.Len())
+	return s.mem.charge(ctx, buf.MemBytes(0))
 }
 
-// sorted returns the kept rows in order, copied into one block: sorting
-// by Less puts the worst first, so the block fills from its end.
-func (h *topHeap) sorted() []datum.Row {
-	sort.Sort(h)
-	n := len(h.ents)
-	rows, vals := make([]datum.Row, n), make([]datum.Value, n*h.w)
-	for i, e := range h.ents {
-		r := vals[(n-1-i)*h.w : (n-i)*h.w : (n-i)*h.w]
-		copy(r, h.row(e))
-		rows[n-1-i] = r
+// order gathers the buffer's n least rows, in order, into the spare
+// batch and makes it the buffer, which it returns.
+func (s *sortOp) order(ctx *Ctx, n int) *datum.ColBatch {
+	buf := s.buf.ColBatch
+	perm := buf.SelBuf()
+	for i := range buf.Len() {
+		perm = append(perm, i)
 	}
-	return rows
+	slices.SortFunc(perm, func(i, j int) int {
+		if c := sortCompare(s.keys, len(s.types), laneRow{buf, i}, laneRow{buf, j}, laneAt); c != 0 {
+			return c
+		}
+		return i - j
+	})
+	out := s.spare.get(ctx, s.types)
+	for c := range out.Vecs {
+		out.Vecs[c].Gather(&buf.Vecs[c], perm[:n], nil, n)
+	}
+	out.SetRows(n, nil)
+	s.buf.ColBatch, s.spare.ColBatch = out, buf
+	return out
 }
 
-// sortRowLess is the total order shared by SORT and the GATHER sorted
-// merge: the declared keys first, then every remaining slot as a
-// tiebreak. The tiebreak makes the order a function of row content
-// alone, so a DOP=4 merge of per-worker sorted runs reproduces exactly
-// the DOP=1 ordering even among equal-key rows.
+// laneRow is row i of batch b, as sortCompare reads it.
+type laneRow struct {
+	b *datum.ColBatch
+	i int
+}
+
+func laneAt(r laneRow, slot int) datum.Value { return r.b.Vecs[slot].ValueAt(r.i) }
+
+func rowAt(r datum.Row, slot int) datum.Value { return r[slot] }
+
+// sortRowLess is sortCompare over rows, as the GATHER sorted merge
+// compares the heads of its workers' runs.
 func sortRowLess(keys []plan.SortKey, a, b datum.Row) bool {
+	return sortCompare(keys, min(len(a), len(b)), a, b, rowAt) < 0
+}
+
+// sortCompare is the total order shared by SORT and the GATHER sorted
+// merge, over two rows w slots wide whose slots at reads: the declared
+// keys first, then every slot as a tiebreak. The tiebreak makes the
+// order a function of row content alone, so a DOP=4 merge of per-worker
+// sorted runs reproduces exactly the DOP=1 ordering even among
+// equal-key rows.
+func sortCompare[R any](keys []plan.SortKey, w int, a, b R, at func(R, int) datum.Value) int {
 	for _, k := range keys {
-		c := datum.SortCompare(a[k.Slot], b[k.Slot])
+		c := datum.SortCompare(at(a, k.Slot), at(b, k.Slot))
 		if c == 0 {
 			continue
 		}
 		if k.Desc {
-			return c > 0
+			return -c
 		}
-		return c < 0
+		return c
 	}
-	for i := range a {
-		if i >= len(b) {
-			break
-		}
-		if c := datum.SortCompare(a[i], b[i]); c != 0 {
-			return c < 0
+	for i := range w {
+		if c := datum.SortCompare(at(a, i), at(b, i)); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 func (s *sortOp) Close(ctx *Ctx) error {
-	s.rows = nil
-	clear(s.top.arena)
+	s.drop()
+	s.buf.empty()
+	s.spare.empty()
 	s.mem.release(ctx)
 	return nil
 }
@@ -1168,13 +1136,18 @@ func (v *valuesOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 
 func (v *valuesOp) Close(ctx *Ctx) error { return nil }
 
+// tableFnOp is TABLEFN: Open materializes its inputs, calls the
+// function, and copies the rows it returns into a held batch, which the
+// window serves.
 type tableFnOp struct {
 	fn     *expr.TableFunc
 	args   []expr.Expr
 	inputs []Stream
 	inCols [][]expr.ColumnDef
+	types  []datum.TypeID
 
-	rowCursor
+	held batchHold
+	window
 	mem memCharge
 }
 
@@ -1196,10 +1169,11 @@ func (b *Builder) buildTableFn(n *plan.Node, corr map[plan.ColRef]int) (Stream, 
 	if err != nil {
 		return nil, err
 	}
-	return &tableFnOp{fn: n.TableFn, args: args, inputs: ins, inCols: inCols}, nil
+	return &tableFnOp{fn: n.TableFn, args: args, inputs: ins, inCols: inCols, types: slotTypes(n)}, nil
 }
 
 func (t *tableFnOp) Open(ctx *Ctx) error {
+	t.drop()
 	var rels []*expr.Relation
 	for i, in := range t.inputs {
 		rows, err := materialize(ctx, in)
@@ -1221,12 +1195,20 @@ func (t *tableFnOp) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	t.reset(out.Rows)
-	return t.mem.charge(ctx, rowsBytes(t.rows))
+	held := t.held.get(ctx, t.types)
+	for _, r := range out.Rows {
+		if len(r) != len(t.types) {
+			return fmt.Errorf("exec: table function %s returned a row of %d columns, want %d", t.fn.Name, len(r), len(t.types))
+		}
+		held.AppendRow(r)
+	}
+	t.serve(held, 0, held.Len())
+	return t.mem.charge(ctx, held.MemBytes(0))
 }
 
 func (t *tableFnOp) Close(ctx *Ctx) error {
-	t.rows = nil
+	t.drop()
+	t.held.empty()
 	t.mem.release(ctx)
 	return nil
 }
@@ -1238,9 +1220,9 @@ func (t *tableFnOp) Close(ctx *Ctx) error {
 // executed, the last is the default.
 
 type chooseOp struct {
-	alts   []Stream
+	alts   []ColBatchStream
 	conds  []expr.Expr
-	active Stream
+	active ColBatchStream
 }
 
 func (b *Builder) buildChoose(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -1256,7 +1238,11 @@ func (b *Builder) buildChoose(n *plan.Node, corr map[plan.ColRef]int) (Stream, e
 	if len(alts) == 1 {
 		return alts[0], nil
 	}
-	return &chooseOp{alts: alts, conds: conds}, nil
+	c := &chooseOp{conds: conds}
+	for i, alt := range alts {
+		c.alts = append(c.alts, asColBatchStream(alt, slotTypes(n.Inputs[i])))
+	}
+	return c, nil
 }
 
 func (c *chooseOp) Open(ctx *Ctx) error {
@@ -1276,6 +1262,12 @@ func (c *chooseOp) Open(ctx *Ctx) error {
 		}
 	}
 	return c.active.Open(ctx)
+}
+
+// NextColBatch forwards the chosen alternative's batches, and Next its
+// rows: a consumer pulls through one of the two.
+func (c *chooseOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	return c.active.NextColBatch(ctx)
 }
 
 func (c *chooseOp) Next(ctx *Ctx) (datum.Row, bool, error) {

@@ -27,6 +27,9 @@ import (
 // rewritten plus helper queries over it.
 type Context struct {
 	Graph *qgm.Graph
+	// used and qids are usedOrdinals' buffers, reused across calls.
+	used []bool
+	qids []int
 }
 
 // SoleRanger returns the unique quantifier ranging over box, or nil if

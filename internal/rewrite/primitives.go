@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/qgm"
@@ -114,43 +115,64 @@ func PushPredicate(ctx *Context, box *qgm.Box, p *qgm.Predicate, q *qgm.Quantifi
 	return fmt.Errorf("rewrite: predicate not found in box %d", box.ID)
 }
 
-// usedOrdinals computes which output columns of box are referenced by
-// any ranger (head, predicates, grouping) anywhere in the graph. A
-// GROUPBY box's grouping columns always count as used: its head is the
-// grouping columns followed by the aggregates, and the GROUP operator
-// is built from that layout.
-func usedOrdinals(ctx *Context, box *qgm.Box) map[int]bool {
-	used := map[int]bool{}
+// usedOrdinals reports which output columns of box are referenced by
+// any ranger (head, predicates, grouping) anywhere in the graph: used[i]
+// for column i, and n, how many columns are referenced. A GROUPBY box's
+// grouping columns always count as used: its head is the grouping
+// columns followed by the aggregates, and the GROUP operator is built
+// from that layout. It walks the graph once, matching a column against
+// every ranger's quantifier, and used is ctx's buffer, which the next
+// call overwrites.
+func usedOrdinals(ctx *Context, box *qgm.Box) (used []bool, n int) {
+	ctx.qids = ctx.qids[:0]
+	for _, b := range ctx.Graph.Boxes {
+		for _, q := range b.Quants {
+			if q.Input == box {
+				ctx.qids = append(ctx.qids, q.QID)
+			}
+		}
+	}
+	used = slices.Grow(ctx.used[:0], len(box.Head))[:len(box.Head)]
+	clear(used)
+	mark := func(ord int) {
+		if ord < 0 {
+			return
+		}
+		if k := len(used); ord >= k {
+			used = slices.Grow(used, ord+1-k)[:ord+1]
+			clear(used[k:])
+		}
+		if !used[ord] {
+			used[ord] = true
+			n++
+		}
+	}
 	if box.Kind == qgm.KindGroupBy {
 		for i := range box.GroupBy {
-			used[i] = true
+			mark(i)
 		}
 	}
-	visit := func(e expr.Expr, qid int) {
-		expr.Walk(e, func(x expr.Expr) bool {
-			if c, ok := x.(*expr.Col); ok && c.QID == qid {
-				used[c.Ord] = true
+	if len(ctx.qids) > 0 {
+		visit := func(x expr.Expr) bool {
+			if c, ok := x.(*expr.Col); ok && slices.Contains(ctx.qids, c.QID) {
+				mark(c.Ord)
 			}
 			return true
-		})
-	}
-	for _, r := range ctx.Graph.RangersOver(box) {
-		qid := r.Quant.QID
+		}
 		for _, b := range ctx.Graph.Boxes {
 			for _, hc := range b.Head {
-				if hc.Expr != nil {
-					visit(hc.Expr, qid)
-				}
+				expr.Walk(hc.Expr, visit)
 			}
 			for _, p := range b.Preds {
-				visit(p.Expr, qid)
+				expr.Walk(p.Expr, visit)
 			}
 			for _, ge := range b.GroupBy {
-				visit(ge, qid)
+				expr.Walk(ge, visit)
 			}
 		}
 	}
-	return used
+	ctx.used = used
+	return used, n
 }
 
 // TrimHead removes unused output columns from a derived box and remaps
@@ -164,11 +186,11 @@ func TrimHead(ctx *Context, box *qgm.Box) (bool, error) {
 	if box.Distinct == qgm.EnforceDistinct {
 		return false, nil
 	}
-	used := usedOrdinals(ctx, box)
-	if len(used) == len(box.Head) {
+	used, n := usedOrdinals(ctx, box)
+	if n == len(box.Head) {
 		return false, nil
 	}
-	if len(used) == 0 {
+	if n == 0 {
 		// Keep one column: empty heads are not meaningful tables.
 		used[0] = true
 	}

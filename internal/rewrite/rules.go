@@ -368,8 +368,7 @@ func ProjectionPushdownRule() *Rule {
 			if lower.Distinct == qgm.EnforceDistinct {
 				continue
 			}
-			used := usedOrdinals(ctx, lower)
-			if len(used) > 0 && len(used) < len(lower.Head) {
+			if _, n := usedOrdinals(ctx, lower); n > 0 && n < len(lower.Head) {
 				return true
 			}
 		}

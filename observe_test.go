@@ -69,7 +69,8 @@ func checkStatsInvariants(t *testing.T, instr *exec.Instrumentation, root *plan.
 		}
 		perCall := int64(1)
 		switch instr.Kind(n) {
-		case "scanOp", "filterOp", "projectOp", "hashJoinOp", "groupOp", "setOp", "recUnionOp", "recRefOp":
+		case "scanOp", "filterOp", "projectOp", "hashJoinOp", "groupOp", "setOp", "recUnionOp", "recRefOp",
+			"sortOp", "limitOp", "tableFnOp", "chooseOp":
 			perCall = 1024 // batch producers; none of these joins fans out past a batch
 		}
 		if st.Rows > st.Nexts*perCall {

@@ -223,7 +223,8 @@ func TestParallelOrderByExactOrder(t *testing.T) {
 }
 
 // TestParallelLimit checks LIMIT semantics and early termination above
-// an exchange: exact row counts, and exact rows for ORDER BY + LIMIT.
+// an exchange: exact row counts, exact rows for ORDER BY + LIMIT, and a
+// LIMIT that takes from the GATHER below it only the rows it returns.
 func TestParallelLimit(t *testing.T) {
 	db := genParallelDB(t, 19)
 	setDOP(db, 4)
@@ -248,6 +249,28 @@ func TestParallelLimit(t *testing.T) {
 	for i := range serial.Rows {
 		if datum.RowKey(serial.Rows[i]) != datum.RowKey(par.Rows[i]) {
 			t.Fatalf("ORDER BY LIMIT row %d differs", i)
+		}
+	}
+
+	// A LIMIT that pulled whole batches from the GATHER would read all
+	// 320 rows of ta.
+	setDOP(db, 4)
+	for _, c := range []struct {
+		q    string
+		rows int
+	}{
+		{"SELECT x.k FROM ta x LIMIT 7", 7},
+		{"SELECT x.k, x.v FROM ta x ORDER BY x.k, x.v LIMIT 11", 11},
+	} {
+		text := explainText(t, db, "ANALYZE "+c.q)
+		gather := ""
+		for _, line := range strings.Split(text, "\n") {
+			if strings.Contains(line, "GATHER") {
+				gather = line
+			}
+		}
+		if !strings.Contains(gather, fmt.Sprintf("(actual rows=%d ", c.rows)) {
+			t.Fatalf("%s: want the GATHER at actual rows=%d:\n%s", c.q, c.rows, text)
 		}
 	}
 }

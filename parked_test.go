@@ -494,7 +494,7 @@ func TestParkedTreeSurvivesGC(t *testing.T) {
 // TestCloseTwiceThenReopen: every operator of the fault matrix, plus a
 // hash join whose build input is a hash join hosting a pushed join
 // filter (star_scan's S5 shape, whose inner join is closed once by the
-// outer build and once by its own Close), runs Open, drain, Close,
+// outer build and once by its own Close) and a top-N, runs Open, drain, Close,
 // Close, Open, drain on one built tree and returns the same rows both
 // times: Close is idempotent and keeps nothing that the next Open does
 // not reset.
@@ -505,7 +505,8 @@ func TestCloseTwiceThenReopen(t *testing.T) {
 		g.RemoveAlternative("JOIN", "MergeJoin")
 	}
 	cases := append(faultMatrixCases(), mcase{name: "hash-join-nested-build", op: plan.OpHSJoin,
-		sql: `SELECT i.id, o.n, e.dst FROM items i, orders o, edges e WHERE i.id = o.item AND o.oid = e.src`, setup: hashOnly})
+		sql: `SELECT i.id, o.n, e.dst FROM items i, orders o, edges e WHERE i.id = o.item AND o.oid = e.src`, setup: hashOnly},
+		mcase{name: "top-n", op: plan.OpSort, sql: `SELECT id, qty FROM items ORDER BY qty DESC, id LIMIT 2`})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			db := robustDB(t)
@@ -923,7 +924,9 @@ func TestParkedSlabsHoldNoValues(t *testing.T) {
 // TestParkedTreeDropsLargeBuffers: a cached statement returning 100,000
 // rows parks without its result stage, which outgrew the cap on what an
 // idle tree keeps (so do GROUP's table and the apply's slab under the
-// same cap); a small one parks with everything it holds. Each dropped
+// same cap); a full ORDER BY of 100,000 rows 20 columns wide parks
+// without the stage and without SORT's two held batches, which outgrew
+// it too; a small one parks with everything it holds. Each dropped
 // buffer counts as released, so released == held still balances when
 // the tree dies.
 func TestParkedTreeDropsLargeBuffers(t *testing.T) {
@@ -934,11 +937,14 @@ func TestParkedTreeDropsLargeBuffers(t *testing.T) {
 		return Row{NewInt(j), NewInt(j % 7), NewInt(j % 5), NewInt(j % 3), NewInt(j % 11), NewInt(j % 13)}
 	})
 	const large, small = "SELECT k, v, w, x, y, z FROM big WHERE v >= 0", "SELECT k FROM big WHERE k < 10"
+	const sorted = "SELECT k, v, w, x, y, z, k + 1, v + 1, w + 1, x + 1, y + 1, z + 1, " +
+		"k + 2, v + 2, w + 2, x + 2, y + 2, z + 2, k + 3, v + 3 FROM big ORDER BY v, k DESC"
+	requirePlan(t, db, sorted, "SORT", func(n *plan.Node) bool { return n.Op == plan.OpSort })
 	for _, c := range []struct {
 		q       string
 		rows    int
 		dropped int
-	}{{large, 100000, 1}, {small, 10, 0}} {
+	}{{large, 100000, 1}, {sorted, 100000, 3}, {small, 10, 0}} {
 		for i := 1; i <= 3; i++ {
 			if res := mustExec(t, db, c.q); len(res.Rows) != c.rows {
 				t.Fatalf("%s: %d rows, want %d", c.q, len(res.Rows), c.rows)

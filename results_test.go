@@ -290,11 +290,10 @@ func resultBytes(rows []Row) float64 {
 // bytes allocated under the executor per execution of a parked tree
 // stay within 15% plus 3 KiB of the result's exact-size block, and
 // nothing at all is allocated under GROUP (S1, S3, S4, S5: its output
-// is its hash table's lanes), under S6's top-N beside the rows it
-// returns, or under S7's apply runner, which recycles its inner results
-// in its slab. The bound is what the top-N heap's copies (S6) need
-// beside the result; results grown row by row (S8) or re-materialized
-// per cache miss (S7) exceed it.
+// is its hash table's lanes), under S6's SORT (a top-N serving views of
+// the batch it sorted into), or under S7's apply runner, which recycles
+// its inner results in its slab. Results grown row by row (S8) or
+// re-materialized per cache miss (S7) exceed the bound.
 func TestStarAllocationTracksResult(t *testing.T) {
 	const slack, ratio = 3072, 1.15
 	for _, facts := range []int{6000, 24000} {
@@ -314,16 +313,15 @@ func TestStarAllocationTracksResult(t *testing.T) {
 					i+1, facts, execBytes, want, want*ratio+slack)
 			}
 			// What the executor itself allocates under GROUP, under S6's
-			// top-N, the result block it copies out aside, and under S7's
-			// apply runner: the scans' storage iterators are not results.
+			// SORT and under S7's apply runner: the scans' storage
+			// iterators are not results.
 			under := map[int]string{0: "(*groupOp)", 2: "(*groupOp)", 3: "(*groupOp)", 4: "(*groupOp)",
-				5: "(*sortOp).openTopN", 6: "(*innerRunner).rows"}[i]
+				5: "(*sortOp)", 6: "(*innerRunner).rows"}[i]
 			if under == "" {
 				continue
 			}
 			objs, bytes, stacks := allocProfile(t, 10, run, func(funcs []string) bool {
 				return (strings.HasPrefix(funcs[0], "repro/internal/exec.") || strings.HasPrefix(funcs[0], "repro/internal/datum.")) &&
-					!strings.HasSuffix(funcs[0], "(*topHeap).sorted") &&
 					strings.Contains(strings.Join(funcs, " "), under)
 			})
 			if objs != 0 {

@@ -2,16 +2,19 @@ package starburst
 
 // Per-execution state on the star path: a cached plan re-opens its
 // parked operator tree every execution, so what the tree grows — the
-// hash join's tables, the top-N heap, the SUBQ fold row — must stay
+// hash join's tables, the top-N's batches, the SUBQ fold row — must stay
 // with the tree or stay bounded by what the statement returns.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -215,45 +218,105 @@ func TestHashJoinMaxMemIgnoresPoolHistory(t *testing.T) {
 	check("after a ten times larger join")
 }
 
-// TestTopNMatchesFullSort: SORT under LIMIT k returns exactly the first
-// k rows of the full sort, over rows with duplicates and NULLs, for k in
-// {0, 1, 7, n, n+5}, ascending and descending keys, LIMIT as a literal
-// and as a parameter, at batch widths 2 and 1024.
+// sortRowLessReference is the order SORT kept when it still sorted rows
+// with sort.SliceStable: the declared keys first, then every remaining
+// slot as a tiebreak.
+func sortRowLessReference(keys []plan.SortKey, a, b datum.Row) bool {
+	for _, k := range keys {
+		c := datum.SortCompare(a[k.Slot], b[k.Slot])
+		if c == 0 {
+			continue
+		}
+		if k.Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	for i := range a {
+		if i >= len(b) {
+			break
+		}
+		if c := datum.SortCompare(a[i], b[i]); c != 0 {
+			return c < 0
+		}
+	}
+	return false
+}
+
+// exactRows renders rows with every float as its bits, so that -0 and
+// +0, and NaNs of different payloads, stay apart.
+func exactRows(rows []Row) string {
+	var sb strings.Builder
+	for _, r := range rows {
+		for _, v := range r {
+			if v.Type() == datum.TFloat {
+				fmt.Fprintf(&sb, "%x|", math.Float64bits(v.Float()))
+			} else {
+				sb.WriteString(datum.RowKey(Row{v}) + "|")
+			}
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+// TestTopNMatchesFullSort: SORT, full and under LIMIT k, returns the
+// rows of an unordered SELECT as sort.SliceStable orders them under a
+// copy of sortRowLess as it was, cut to the first k — equal rows in
+// arrival order. The keys hold NULLs, strings, -0 beside +0 and NaNs of
+// three payloads; keys ascend and descend; k is a literal and a
+// parameter, from 0 past n, and at the top-N's prune edges for each
+// batch width (width-1, width, 2*width+1); the widths are 1, 2, 3 and
+// 1024. At DOP 4, through a GATHER's sorted merge, every answer equals
+// DOP 1's.
 func TestTopNMatchesFullSort(t *testing.T) {
 	db := Open(WithPlanCache(64))
 	setDOP(db, 1)
+	db.opt.SetParallelThreshold(1)
 	defer func() { db.colWidth = 0 }()
 	mustExec(t, db, "CREATE TABLE tt (a INT, b STRING, c FLOAT)")
 	rng := rand.New(rand.NewSource(41))
-	const n = 300
-	loadRows(t, db, "tt", n, func(int) string {
-		a, b, c := fmt.Sprint(rng.Intn(6)), fmt.Sprintf("'b%d'", rng.Intn(4)), fmt.Sprint(float64(rng.Intn(5))/2)
-		if rng.Intn(5) == 0 {
-			a = "NULL"
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001),
+		math.Float64frombits(0xfff8000000000002), 0.5, 1, 2}
+	const n = 600
+	bulkLoad(t, db, "TT", n, func(int) Row {
+		r := Row{NewInt(int64(rng.Intn(4))), NewString(fmt.Sprintf("b%d", rng.Intn(3))), NewFloat(floats[rng.Intn(len(floats))])}
+		for c, p := range []int{5, 6, 9} {
+			if rng.Intn(p) == 0 {
+				r[c] = Null
+			}
 		}
-		if rng.Intn(6) == 0 {
-			b = "NULL"
-		}
-		if rng.Intn(7) == 0 {
-			c = "NULL"
-		}
-		return a + ", " + b + ", " + c
+		return r
 	})
-	render := func(rows []Row) string {
-		var s string
-		for _, r := range rows {
-			s += datum.RowKey(r) + "\n"
-		}
-		return s
-	}
-	for _, order := range []string{"a, b", "a DESC, c", "c DESC, a DESC, b"} {
-		base := "SELECT a, b, c FROM tt ORDER BY " + order
-		full := mustExec(t, db, base).Rows
+	mustExec(t, db, "ANALYZE tt")
+	unordered := mustExec(t, db, "SELECT a, b, c FROM tt").Rows
+	for _, order := range []struct {
+		sql  string
+		keys []plan.SortKey
+	}{
+		{"a, b", []plan.SortKey{{Slot: 0}, {Slot: 1}}},
+		{"a DESC, c", []plan.SortKey{{Slot: 0, Desc: true}, {Slot: 2}}},
+		{"c DESC, a DESC, b", []plan.SortKey{{Slot: 2, Desc: true}, {Slot: 0, Desc: true}, {Slot: 1}}},
+		{"c, b", []plan.SortKey{{Slot: 2}, {Slot: 1}}},
+	} {
+		base := "SELECT a, b, c FROM tt ORDER BY " + order.sql
+		ref := slices.Clone(unordered)
+		sort.SliceStable(ref, func(i, j int) bool { return sortRowLessReference(order.keys, ref[i], ref[j]) })
 		requirePlan(t, db, base+" LIMIT 7", "LIMIT over SORT", isTopN)
-		for _, k := range []int{0, 1, 7, n, n + 5} {
-			want := render(full[:min(k, n)])
-			for _, width := range []int{2, 1024} {
-				db.colWidth = width
+		run := func(q string, params map[string]Value) []Row {
+			res, err := db.Exec(q, params)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			return res.Rows
+		}
+		for _, width := range []int{1, 2, 3, 1024} {
+			db.colWidth = width
+			if got, want := exactRows(run(base, nil)), exactRows(ref); got != want {
+				t.Fatalf("%s (width %d): the sort differs from the reference\nwant:\n%sgot:\n%s", base, width, want, got)
+			}
+			for _, k := range []int{0, 1, 7, width - 1, width, 2*width + 1, n, n + 5} {
+				want := exactRows(ref[:min(max(k, 0), n)])
 				for _, c := range []struct {
 					q      string
 					params map[string]Value
@@ -261,18 +324,35 @@ func TestTopNMatchesFullSort(t *testing.T) {
 					{fmt.Sprintf("%s LIMIT %d", base, k), nil},
 					{base + " LIMIT :k", map[string]Value{"k": NewInt(int64(k))}},
 				} {
-					res, err := db.Exec(c.q, c.params)
-					if err != nil {
-						t.Fatalf("%s: %v", c.q, err)
-					}
-					if got := render(res.Rows); got != want {
-						t.Fatalf("%s (k=%d, width %d): top-N differs from the full sort\nwant:\n%sgot:\n%s", c.q, k, width, want, got)
+					if got := exactRows(run(c.q, c.params)); got != want {
+						t.Fatalf("%s (k=%d, width %d): top-N differs from the reference\nwant:\n%sgot:\n%s", c.q, k, width, want, got)
 					}
 				}
 			}
-			db.colWidth = 0
+		}
+		db.colWidth = 0
+		// The GATHER merge keeps the first worker's row among equal ones,
+		// so at DOP 4 rows compare by key, which -0 and +0 share.
+		for _, q := range []string{base, base + " LIMIT 7", base + " LIMIT 100"} {
+			serial := renderKeys(run(q, nil))
+			setDOP(db, 4)
+			requirePlan(t, db, q, "GATHER", func(n *plan.Node) bool { return n.Op == plan.OpGather })
+			par := renderKeys(run(q, nil))
+			setDOP(db, 1)
+			if par != serial {
+				t.Fatalf("%s: DOP 4 differs from DOP 1\nDOP 1:\n%sDOP 4:\n%s", q, serial, par)
+			}
 		}
 	}
+}
+
+// renderKeys renders rows by their keys, one a line.
+func renderKeys(rows []Row) string {
+	var sb strings.Builder
+	for _, r := range rows {
+		sb.WriteString(datum.RowKey(r) + "\n")
+	}
+	return sb.String()
 }
 
 // TestReuseAcrossConcurrentSessions: two sessions run the two-, three-

@@ -229,6 +229,49 @@ func liftedArgs(q string) []datum.Value {
 	return lifted.Args
 }
 
+// guardedChoose compiles q, whose predicates compare with string
+// constants, as a CHOOSE of two alternatives: q itself when the
+// parameter :want is 'cpu', else a copy of q whose string constants are
+// alt.
+func guardedChoose(q, alt string) func(*testing.T, *DB) *plan.Compiled {
+	return func(t *testing.T, db *DB) *plan.Compiled {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := qgm.TranslateStatement(db.cat, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := rewrite.CloneSubgraph(g, g.Top)
+		for _, p := range other.Preds {
+			p.Expr = expr.Transform(p.Expr, func(x expr.Expr) expr.Expr {
+				if c, ok := x.(*expr.Const); ok && c.Val.Type() == datum.TString {
+					return expr.NewConst(datum.NewString(alt))
+				}
+				return x
+			})
+		}
+		ch := rewrite.WrapChoose(g, g.Top, other)
+		ch.ChooseConds = []expr.Expr{
+			&expr.Cmp{Op: expr.OpEq,
+				L: &expr.Param{Name: "want", Typ: datum.TString},
+				R: expr.NewConst(datum.NewString("cpu"))},
+			nil,
+		}
+		g.Top = ch
+		g.GC()
+		if err := verify.Graph(g); err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := db.opt.OptimizeConfig(g, nil, optimizer.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return compiled
+	}
+}
+
 // faultMatrixCases is the operator-coverage table: every plan operator
 // exec.Build handles, with a statement exercising it.
 func faultMatrixCases() []mcase {
@@ -317,42 +360,7 @@ func faultMatrixCases() []mcase {
 		{name: "choose", op: plan.OpChoose,
 			fault:  scanFault("items"),
 			params: map[string]Value{"want": NewString("cpu")},
-			build: func(t *testing.T, db *DB) *plan.Compiled {
-				stmt, err := sql.Parse(`SELECT id FROM items WHERE tag = 'CPU'`)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g, err := qgm.TranslateStatement(db.cat, stmt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				alt := rewrite.CloneSubgraph(g, g.Top)
-				for _, p := range alt.Preds {
-					p.Expr = expr.Transform(p.Expr, func(x expr.Expr) expr.Expr {
-						if c, ok := x.(*expr.Const); ok && c.Val.Type() == datum.TString {
-							return expr.NewConst(datum.NewString("DISK"))
-						}
-						return x
-					})
-				}
-				ch := rewrite.WrapChoose(g, g.Top, alt)
-				ch.ChooseConds = []expr.Expr{
-					&expr.Cmp{Op: expr.OpEq,
-						L: &expr.Param{Name: "want", Typ: datum.TString},
-						R: expr.NewConst(datum.NewString("cpu"))},
-					nil,
-				}
-				g.Top = ch
-				g.GC()
-				if err := verify.Graph(g); err != nil {
-					t.Fatal(err)
-				}
-				compiled, err := db.opt.OptimizeConfig(g, nil, optimizer.Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return compiled
-			}},
+			build:  guardedChoose(`SELECT id FROM items WHERE tag = 'CPU'`, "DISK")},
 		{name: "temp", op: plan.OpTemp,
 			fault: scanFault("items"),
 			build: func(t *testing.T, db *DB) *plan.Compiled {

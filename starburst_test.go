@@ -742,6 +742,22 @@ func TestSampleTableFunctionEndToEnd(t *testing.T) {
 	if res.Rows[0][0].Int() != 6 {
 		t.Fatalf("sample of subquery = %v", res.Rows[0][0])
 	}
+	// A function whose rows are narrower than the columns it declared
+	// fails the statement.
+	if err := db.RegisterTableFunc(&TableFunc{
+		Name: "NARROW", NumTables: 1,
+		OutputCols: func(in [][]ColumnDef, _ []Value) ([]ColumnDef, error) {
+			return in[0], nil
+		},
+		Eval: func(in []*Relation, _ []Value) (*Relation, error) {
+			return &Relation{Cols: in[0].Cols, Rows: []Row{{NewInt(1)}}}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("SELECT * FROM NARROW(quotations) s", nil); err == nil || !strings.Contains(err.Error(), "returned a row of 1 columns") {
+		t.Fatalf("a table function returning short rows: got %v", err)
+	}
 }
 
 func TestScalarFuncAndTypeExtension(t *testing.T) {
