@@ -90,9 +90,10 @@ examples:
 # IXSEARCH fault on a parked tree's index read). The storage
 # package runs whole: its one in-memory iterator (HEAP, and FIXED as a
 # HEAP configuration) is scanned through Next and NextCols beside
-# concurrent writers, and rows it handed out must survive them
+# concurrent writers that update its lanes in place, and Fetch copies
+# and batches it filled must survive them
 # (TestInMemoryScanRacingWriters, TestRetainedRowsSurviveConcurrentWrites,
-# TestInMemoryScanConformance); B-tree and R-tree searches that reuse
+# TestInMemoryScanConformance, TestRelationConformance); B-tree and R-tree searches that reuse
 # a closed search's iterator race a writer (TestSearchRacingWriter),
 # and B-tree keys a search handed
 # out must survive a writer splitting and compacting their leaves

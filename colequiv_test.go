@@ -381,22 +381,23 @@ func isKernel(name string) bool {
 	return name == "colAgg" || strings.HasSuffix(name, "Pred")
 }
 
-// TestOneOperatorPerLOLEPOP: the operator a SCAN, FILTER, PROJECT,
-// GROUP, DISTINCT, set operation, RECUNION, RECREF, TEMP, SORT, LIMIT,
-// TABLEFN or CHOOSE node gets depends neither on whether its
-// expressions compile to kernels nor on its child's protocol. Each
+// TestOneOperatorPerLOLEPOP: the operator a SCAN, ISCAN, FILTER,
+// PROJECT, GROUP, DISTINCT, set operation, RECUNION, RECREF, TEMP,
+// SORT, LIMIT, TABLEFN or CHOOSE node gets depends neither on whether
+// its expressions compile to kernels nor on its child's protocol. Each
 // statement — over base tables, ISCAN, SORT and subqueries, a
 // hand-built TEMP and a guarded CHOOSE — builds the same operator tree
-// with kernels on and off, every such node is scanOp, filterOp,
-// projectOp, groupOp (DISTINCT is GROUP on every column), setOp (UNION,
-// INTERSECT, EXCEPT, and TEMP as a one-input UNION ALL), recUnionOp,
-// recRefOp, sortOp (full and top-N), limitOp, tableFnOp or chooseOp and
-// produces batches, and the kernels-off build holds no kernel.
+// with kernels on and off, every such node is scanOp, indexScanOp,
+// filterOp, projectOp, groupOp (DISTINCT is GROUP on every column),
+// setOp (UNION, INTERSECT, EXCEPT, and TEMP as a one-input UNION ALL),
+// recUnionOp, recRefOp, sortOp (full and top-N), limitOp, tableFnOp or
+// chooseOp and produces batches, and the kernels-off build holds no
+// kernel.
 func TestOneOperatorPerLOLEPOP(t *testing.T) {
 	db := equivDB(t)
 	setDOP(db, 1)
 	registerSample(t, db)
-	op := map[string]string{plan.OpScan: "scanOp", plan.OpFilter: "filterOp",
+	op := map[string]string{plan.OpScan: "scanOp", plan.OpIndex: "indexScanOp", plan.OpFilter: "filterOp",
 		plan.OpProject: "projectOp", plan.OpGroup: "groupOp", plan.OpDistinct: "groupOp",
 		plan.OpUnion: "setOp", plan.OpInter: "setOp", plan.OpExcept: "setOp", plan.OpTemp: "setOp",
 		plan.OpRecUnion: "recUnionOp", plan.OpRecRef: "recRefOp", plan.OpSort: "sortOp",

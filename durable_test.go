@@ -283,16 +283,25 @@ func TestDiskParallelScan(t *testing.T) {
 	}
 }
 
-// TestDiskScanAllocationFlat: a cached scan+GROUP over a frozen DISK
-// table allocates the same bytes per execution whatever the table size
-// — records decode from pinned pages straight into the scan's pooled
-// lanes, with no row per record. The table carries a STRING column of
-// five values, which the scan's interner decodes once each, and is at
-// least six times the buffer pool, so every page read is a pool miss
-// that recycles a frame. The least of 30 executions is compared: under
-// the race detector the batch pool drops a share of what it is given,
-// and a dropped batch is regrown.
+// TestDiskScanAllocationFlat: a cached scan+GROUP over a DISK table
+// allocates the same bytes per execution whatever the table size —
+// records decode from pinned pages straight into the scan's pooled
+// lanes, with no row per record. Frozen, the scan reads through
+// NextCols; versioned (an open transaction holds an uncommitted update)
+// it resolves each record through Next, which hands out the iterator's
+// scratch row. The table carries a STRING column of five values, which
+// the scan's interner decodes once each, and is at least six times the
+// buffer pool, so every page read is a pool miss that recycles a frame.
+// The least of 30 executions is compared: under the race detector the
+// batch pool drops a share of what it is given, and a dropped batch is
+// regrown.
 func TestDiskScanAllocationFlat(t *testing.T) {
+	for _, versioned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("versioned=%v", versioned), func(t *testing.T) { diskScanAllocationFlat(t, versioned) })
+	}
+}
+
+func diskScanAllocationFlat(t *testing.T, versioned bool) {
 	const q = "SELECT g, COUNT(*), SUM(v), MAX(f), MIN(s) FROM d GROUP BY g"
 	const poolPages = 8
 	perExec := func(rows int) uint64 {
@@ -315,6 +324,19 @@ func TestDiskScanAllocationFlat(t *testing.T) {
 		tbl, _ := db.Catalog().Table("d")
 		if pages := tbl.Rel.PageCount(); pages < 6*poolPages {
 			t.Fatalf("%d rows fill %d pages, not six times the %d-frame pool", rows, pages, poolPages)
+		}
+		if versioned {
+			tx, err := db.Begin(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Rollback()
+			if _, err := tx.Exec("UPDATE d SET v = v + 1 WHERE v = 0", nil); err != nil {
+				t.Fatal(err)
+			}
+			if tbl.MVCC.Count() == 0 {
+				t.Fatal("the open update left no version: the scans would read frozen")
+			}
 		}
 		mustExec(t, db, q)
 		least := uint64(math.MaxUint64)

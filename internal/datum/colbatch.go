@@ -188,6 +188,33 @@ func (v *ColVec) AppendValue(x Value) {
 	}
 }
 
+// SetValue overwrites element i with x. As in AppendValue, a value the
+// lane cannot hold promotes the vector to boxed representation.
+func (v *ColVec) SetValue(i int, x Value) {
+	if v.Boxed == nil && x.typ != TNull && x.typ != v.Typ {
+		v.promote()
+	}
+	if v.Boxed != nil {
+		v.Boxed[i] = x
+		return
+	}
+	switch v.Typ { // a NULL's payload is zero: its slot holds the zero value
+	case TBool:
+		v.Bools[i] = x.asBool()
+	case TInt:
+		v.Ints[i] = x.asInt()
+	case TFloat:
+		v.Floats[i] = x.asFloat()
+	case TString:
+		v.Strs[i] = x.asStr()
+	}
+	if x.typ == TNull {
+		v.Nulls.Set(i)
+	} else if w := i >> 6; w < len(v.Nulls) {
+		v.Nulls[w] &^= 1 << (uint(i) & 63)
+	}
+}
+
 // ValueAt boxes element i back into a Value. This is the row-adaptation
 // path; kernels read lanes directly instead.
 func (v *ColVec) ValueAt(i int) Value {
@@ -413,19 +440,28 @@ func (b *ColBatch) SetRows(n int, sel []int) {
 // table). b's selection vector must be nil.
 func (b *ColBatch) AppendLive(src *ColBatch) {
 	for c := range b.Vecs {
-		b.Vecs[c].appendFrom(&src.Vecs[c], src.Sel, src.n)
+		b.Vecs[c].appendFrom(&src.Vecs[c], src.Sel, 0, src.n)
 	}
 	b.n += src.NumLive()
 }
 
-// appendFrom appends src's live elements (sel, or the first n when sel
-// is nil). Same-typed lanes copy directly; a boxed or differently typed
-// side goes element by element through AppendValue, which promotes as
-// needed.
-func (v *ColVec) appendFrom(src *ColVec, sel []int, n int) {
+// AppendRange appends rows [lo, hi) of cols, one vector per column of
+// b, lane to lane, as the in-memory heap copies a run of a page.
+func (b *ColBatch) AppendRange(cols []ColVec, lo, hi int) {
+	for c := range b.Vecs {
+		b.Vecs[c].appendFrom(&cols[c], nil, lo, hi)
+	}
+	b.n += hi - lo
+}
+
+// appendFrom appends src's elements sel names, or its elements [lo, hi)
+// when sel is nil. Same-typed lanes copy directly; a boxed or
+// differently typed side goes element by element through AppendValue,
+// which promotes as needed.
+func (v *ColVec) appendFrom(src *ColVec, sel []int, lo, hi int) {
 	if v.Boxed != nil || src.Boxed != nil || v.Typ != src.Typ {
 		if sel == nil {
-			for i := 0; i < n; i++ {
+			for i := lo; i < hi; i++ {
 				v.AppendValue(src.ValueAt(i))
 			}
 			return
@@ -438,21 +474,21 @@ func (v *ColVec) appendFrom(src *ColVec, sel []int, n int) {
 	base := v.Len()
 	switch v.Typ {
 	case TBool:
-		v.Bools = appendLane(v.Bools, src.Bools, sel, n)
+		v.Bools = appendLane(v.Bools, src.Bools, sel, lo, hi)
 	case TInt:
-		v.Ints = appendLane(v.Ints, src.Ints, sel, n)
+		v.Ints = appendLane(v.Ints, src.Ints, sel, lo, hi)
 	case TFloat:
-		v.Floats = appendLane(v.Floats, src.Floats, sel, n)
+		v.Floats = appendLane(v.Floats, src.Floats, sel, lo, hi)
 	case TString:
-		v.Strs = appendLane(v.Strs, src.Strs, sel, n)
+		v.Strs = appendLane(v.Strs, src.Strs, sel, lo, hi)
 	}
-	if !src.Nulls.Any(n) {
+	if !src.Nulls.Any(hi) {
 		return
 	}
 	if sel == nil {
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			if src.Nulls.Get(i) {
-				v.Nulls.Set(base + i)
+				v.Nulls.Set(base + i - lo)
 			}
 		}
 		return
@@ -464,9 +500,9 @@ func (v *ColVec) appendFrom(src *ColVec, sel []int, n int) {
 	}
 }
 
-func appendLane[T any](dst, src []T, sel []int, n int) []T {
+func appendLane[T any](dst, src []T, sel []int, lo, hi int) []T {
 	if sel == nil {
-		return append(dst, src[:n]...)
+		return append(dst, src[lo:hi]...)
 	}
 	for _, i := range sel {
 		dst = append(dst, src[i])

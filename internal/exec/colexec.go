@@ -12,8 +12,8 @@
 // off (Vectorized(false)) runs every predicate and aggregate that way:
 // the reference the equivalence corpus checks the kernels against.
 //
-// Row-only children (ISCAN, the nested-loop apply that every NLJN and
-// SUBQ node builds, merge join, the exchange readers) enter a batch
+// Row-only children (the nested-loop apply that every NLJN and SUBQ
+// node builds, merge join, the exchange readers) enter a batch
 // operator through batchFeed, and a row-only parent pulls one by Next,
 // which materializes each batch into rows (rowFeed). Fault-wrapped,
 // durable and virtual relations whose iterators lack the ColScanner
@@ -108,8 +108,8 @@ func (f *rowFeed) next(ctx *Ctx, src colBatchSource) (datum.Row, bool, error) {
 	return r, true, nil
 }
 
-// batchFeed is rowFeed's mirror: it adapts a row producer (ISCAN, the
-// apply, GATHER, ...) to the columnar protocol by decomposing its rows
+// batchFeed is rowFeed's mirror: it adapts a row producer (the apply,
+// GATHER, ...) to the columnar protocol by decomposing its rows
 // into one pooled batch, so a batch operator has a single input shape.
 // Under a LIMIT, left is the LIMIT's quota: a batch holds no more rows
 // than it still needs.

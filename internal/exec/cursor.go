@@ -23,6 +23,10 @@ type tableCursor struct {
 	src *morselSource
 
 	it storage.RowIterator
+	// spare is a closed whole-relation iterator that can rewind
+	// (storage.Rewinder): the next open re-aims it instead of asking
+	// for a fresh one, so a correlated re-open allocates nothing.
+	spare storage.RowIterator
 	// last marks it as the final iterator; a morsel cursor learns that
 	// only when a claim comes up empty.
 	last bool
@@ -42,7 +46,10 @@ func (b *Builder) cursorFor(n *plan.Node) tableCursor {
 func (c *tableCursor) open() {
 	c.close()
 	c.last = c.src == nil
-	if c.last {
+	if r, ok := c.spare.(storage.Rewinder); ok && c.last {
+		r.Rewind()
+		c.it, c.spare = c.spare, nil
+	} else if c.last {
 		c.it = c.rel.Scan()
 	}
 }
@@ -50,6 +57,9 @@ func (c *tableCursor) open() {
 func (c *tableCursor) close() {
 	if c.it != nil {
 		c.it.Close()
+		if _, ok := c.it.(storage.Rewinder); ok && c.src == nil {
+			c.spare = c.it
+		}
 		c.it = nil
 	}
 }

@@ -11,15 +11,6 @@ import (
 	"repro/internal/txn"
 )
 
-// indexKeyOf projects a row onto an index's key columns.
-func indexKeyOf(row datum.Row, cols []int) datum.Row {
-	k := make(datum.Row, len(cols))
-	for i, c := range cols {
-		k[i] = row[c]
-	}
-	return k
-}
-
 // ---------------------------------------------------------------------
 // SCAN
 
@@ -116,16 +107,28 @@ func (s *scanOp) Close(ctx *Ctx) error {
 // ---------------------------------------------------------------------
 // ISCAN: index range/window access with RID fetch
 
+// indexScanOp fetches each record an index search yields into one
+// reused row (storage.RowFiller), resolves it, and appends the visible
+// ones its predicates accept to the batch it holds, so no consumer
+// keeps a row storage will overwrite and a lookup allocates nothing.
 type indexScanOp struct {
 	rel     storage.Relation
 	tv      *txn.TableVersions
 	at      storage.Attachment
 	keyCols []int
+	types   []datum.TypeID
 	lo, hi  []expr.Expr
 	preds   []expr.Expr
 	it      storage.EntryIterator
-	// Open evaluates the bounds into loKey/hiKey, which live with the tree.
-	loKey, hiKey datum.Row
+	// Open evaluates the bounds into loKey/hiKey, which live with the
+	// tree, as do the row a fetch fills and the key an image in flux
+	// projects.
+	loKey, hiKey, row, key datum.Row
+	// left, when a LIMIT above set it, is the LIMIT's quota: a batch
+	// holds no more rows than it still needs.
+	left  *int64
+	batch batchHold
+	feed  rowFeed
 }
 
 func (b *Builder) buildIndexScan(n *plan.Node, corr map[plan.ColRef]int) (Stream, error) {
@@ -147,9 +150,10 @@ func (b *Builder) buildIndexScan(n *plan.Node, corr map[plan.ColRef]int) (Stream
 	}
 	return &indexScanOp{
 		rel: n.Table.Rel, tv: n.Table.MVCC,
-		at: n.Index.At, keyCols: n.Index.KeyCols,
+		at: n.Index.At, keyCols: n.Index.KeyCols, types: slotTypes(n),
 		lo: lo, hi: hi, preds: preds,
 		loKey: make(datum.Row, len(lo)), hiKey: make(datum.Row, len(hi)),
+		row: make(datum.Row, len(n.Table.Cols)),
 	}, nil
 }
 
@@ -179,20 +183,28 @@ func (s *indexScanOp) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
+	s.feed.reset()
 	s.it = s.at.Search(lo, hi)
 	return nil
 }
 
-func (s *indexScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
-	for {
+func (s *indexScanOp) NextColBatch(ctx *Ctx) (*datum.ColBatch, bool, error) {
+	b, max := s.batch.get(ctx, s.types), int64(ctx.colBatchWidth())
+	if s.left != nil {
+		max = min(max, *s.left)
+	}
+	for int64(b.Len()) < max {
 		e, ok := s.it.Next()
 		if !ok {
-			return nil, false, storage.IterErr(s.it)
+			if err := storage.IterErr(s.it); err != nil {
+				return nil, false, err
+			}
+			return b, false, nil
 		}
 		if err := ctx.tick(); err != nil {
 			return nil, false, err
 		}
-		row, inFlux, live := s.tv.Fetch(s.rel, e.RID, ctx.Snap)
+		row, inFlux, live := s.tv.Fetch(s.rel, e.RID, ctx.Snap, s.row)
 		if !live {
 			continue // entry for a deleted record, or for a row this snapshot does not see
 		}
@@ -200,17 +212,30 @@ func (s *indexScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
 		// plus stale old keys); only the entry matching the visible
 		// image's key yields the row, so each visible row surfaces
 		// exactly once.
-		if inFlux && storage.CompareKeys(indexKeyOf(row, s.keyCols), e.Key) != 0 {
-			continue
+		if inFlux {
+			if s.key == nil {
+				s.key = make(datum.Row, len(s.keyCols))
+			}
+			for i, c := range s.keyCols {
+				s.key[i] = row[c]
+			}
+			if storage.CompareKeys(s.key, e.Key) != 0 {
+				continue
+			}
 		}
 		match, err := evalPreds(ctx, s.preds, row)
 		if err != nil {
 			return nil, false, err
 		}
 		if match {
-			return row, true, nil
+			b.AppendRow(row)
 		}
 	}
+	return b, true, nil
+}
+
+func (s *indexScanOp) Next(ctx *Ctx) (datum.Row, bool, error) {
+	return s.feed.next(ctx, s)
 }
 
 func (s *indexScanOp) Close(ctx *Ctx) error {
@@ -218,6 +243,7 @@ func (s *indexScanOp) Close(ctx *Ctx) error {
 		s.it.Close()
 		s.it = nil
 	}
+	s.batch.empty()
 	return nil
 }
 
@@ -415,8 +441,8 @@ func (p *projectOp) Close(ctx *Ctx) error {
 
 // limitOp passes its input's batches through until its quota fills: it
 // cuts the batch that fills it by its selection vector and signals the
-// statement done. A row-only input (GATHER, the apply) enters through a
-// batchFeed that reads no more rows than the quota still needs.
+// statement done. ISCAN, and a row-only input (GATHER, the apply)
+// through a batchFeed, read no more rows than the quota still needs.
 type limitOp struct {
 	input ColBatchStream
 	nExpr expr.Expr
@@ -441,6 +467,9 @@ func (b *Builder) buildLimit(n *plan.Node, corr map[plan.ColRef]int) (Stream, er
 	l := &limitOp{input: asColBatchStream(in, slotTypes(n.Inputs[0])), nExpr: ne}
 	if f, ok := l.input.(*batchFeed); ok {
 		f.left = &l.left
+	}
+	if s, ok := undecorated(in).(*indexScanOp); ok {
+		s.left = &l.left
 	}
 	return l, nil
 }

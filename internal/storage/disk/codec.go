@@ -65,15 +65,6 @@ func encodeRow(dst []byte, row datum.Row) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRow parses numCols values from rec into a fresh row.
-func decodeRow(rec []byte, numCols int) (datum.Row, error) {
-	row := make(datum.Row, numCols)
-	if err := decodeInto(row, rec, nil); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
 // internCap bounds an interner; past it a new string is copied, as
 // without one.
 const internCap = 256

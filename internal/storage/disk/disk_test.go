@@ -853,3 +853,12 @@ func TestStoreTombstonesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// decodeRow parses numCols values from rec into a fresh row.
+func decodeRow(rec []byte, numCols int) (datum.Row, error) {
+	row := make(datum.Row, numCols)
+	if err := decodeInto(row, rec, nil); err != nil {
+		return nil, err
+	}
+	return row, nil
+}

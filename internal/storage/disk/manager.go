@@ -2,7 +2,6 @@ package disk
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/storage"
@@ -49,6 +48,7 @@ var (
 	_ storage.Relation         = (*relation)(nil)
 	_ storage.PageRangeScanner = (*relation)(nil)
 	_ storage.Tombstoner       = (*relation)(nil)
+	_ storage.RowFiller        = (*relation)(nil)
 )
 
 // Insert implements storage.Relation.
@@ -87,16 +87,17 @@ func (r *relation) Update(rid storage.RID, row datum.Row) error {
 
 // Fetch implements storage.Relation.
 func (r *relation) Fetch(rid storage.RID) (datum.Row, bool) {
-	rec, ok := r.s.fetchRecord(r.tf, rid)
-	if !ok {
-		return nil, false
+	row := make(datum.Row, r.tf.numCols)
+	return row, r.FetchInto(rid, row)
+}
+
+// FetchInto implements storage.RowFiller, decoding from the pinned page.
+func (r *relation) FetchInto(rid storage.RID, dst datum.Row) bool {
+	if !r.s.fetchInto(r.tf, rid, dst) {
+		return false
 	}
 	r.stats.ReadPage()
-	row, err := decodeRow(rec, r.tf.numCols)
-	if err != nil {
-		return nil, false
-	}
-	return row, true
+	return true
 }
 
 // Scan implements storage.Relation. The page range is fixed at open;
@@ -132,11 +133,11 @@ func (r *relation) PageCount() int64 {
 // diskIterator streams a page range, pinning one page per call. Its
 // position is a page and the next slot on it, shared by both ways of
 // reading it, so a cursor may switch between them mid-scan without
-// skipping or repeating a record: Next returns one record as a fresh
-// row, NextCols decodes records straight into column lanes through one
-// scratch row and may stop mid-page. STRING values come from an
-// interner the iterator owns, so rows may share a string with earlier
-// rows of the scan. Next reads ahead of nothing: the
+// skipping or repeating a record: Next decodes a record into the
+// iterator's scratch row and hands that out, NextCols decodes records
+// through it into column lanes and may stop mid-page. STRING values
+// come from an interner the iterator owns, so rows may share a string
+// with earlier rows of the scan. Next reads ahead of nothing: the
 // version layer resolves a record in the same step that reads it (see
 // txn.TableVersions.ReadNext), which a buffered image would defeat. One
 // simulated page read is counted per page, on first touch — the same
@@ -207,8 +208,8 @@ func (it *diskIterator) readPage(emit func(storage.RID) bool) bool {
 	return true
 }
 
-// Next implements storage.RowIterator. Rows are fresh: callers may
-// retain them.
+// Next implements storage.RowIterator: the row is the iterator's
+// scratch row, valid until its next call.
 func (it *diskIterator) Next() (datum.Row, storage.RID, bool) {
 	var rid storage.RID
 	found := false
@@ -221,7 +222,7 @@ func (it *diskIterator) Next() (datum.Row, storage.RID, bool) {
 	if !found {
 		return nil, storage.RID{}, false
 	}
-	return slices.Clone(it.scratch), rid, true
+	return it.scratch, rid, true
 }
 
 // NextCols implements storage.ColScanner.

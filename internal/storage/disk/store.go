@@ -1024,25 +1024,24 @@ func (s *Store) updateRecord(tf *tableFile, rid storage.RID, row datum.Row) erro
 	})
 }
 
-func (s *Store) fetchRecord(tf *tableFile, rid storage.RID) ([]byte, bool) {
+// fetchInto decodes the record at rid into dst while its page is
+// pinned; a nil dst only asks whether there is a record.
+func (s *Store) fetchInto(tf *tableFile, rid storage.RID, dst datum.Row) bool {
 	if rid.Page < 0 || rid.Slot < 0 {
-		return nil, false
+		return false
 	}
 	tf.mu.RLock()
 	defer tf.mu.RUnlock()
 	if int64(rid.Page) >= tf.pages {
-		return nil, false
+		return false
 	}
 	fr, err := s.pin(tf, uint32(rid.Page))
 	if err != nil {
-		return nil, false
+		return false
 	}
 	defer s.pool.unpin(fr, false, 0)
 	rec := newPage(fr.buf).record(int(rid.Slot))
-	if rec == nil {
-		return nil, false
-	}
-	return append([]byte(nil), rec...), true
+	return rec != nil && (dst == nil || decodeInto(dst, rec, nil) == nil)
 }
 
 // ---------------------------------------------------------------------
@@ -1388,7 +1387,7 @@ func (s *Store) reapTombstones() error {
 	}
 	for k := range s.tombs {
 		if tf := s.table(k.table); tf != nil {
-			if _, ok := s.fetchRecord(tf, k.rid); ok {
+			if s.fetchInto(tf, k.rid, nil) {
 				if err := s.deleteRecord(tf, k.rid); err != nil {
 					s.AbortStmt()
 					return err

@@ -86,8 +86,8 @@ type RowIterator interface {
 	// Next returns the next record, its RID, and whether one was
 	// produced. Next cannot fail; a fallible iterator reports a deferred
 	// error through an Err method that the consumer reads (IterErr) once
-	// Next reports exhaustion. The returned row is read-only and may be
-	// retained freely (see Relation).
+	// Next reports exhaustion. The returned row is read-only and valid
+	// until the iterator's next call (see Relation).
 	Next() (datum.Row, RID, bool)
 	// Close releases iterator resources.
 	Close()
@@ -99,12 +99,12 @@ type RowIterator interface {
 // vectors of b, appending after whatever b already holds, and return
 // how many rows were appended. Zero means exhaustion (a ColScanner
 // never returns a zero count with records remaining). The vectors are
-// the arena — values land in typed lanes with no per-row allocation.
-// Page-read accounting is identical to tuple iteration, and a
-// ColScanner shares one scan position with Next, so the two may be
+// the arena — values are copied into typed lanes with no per-row
+// allocation. Page-read accounting is identical to tuple iteration, and
+// a ColScanner shares one scan position with Next, so the two may be
 // interleaved. The one in-memory iterator (HEAP, and FIXED as a HEAP
-// configuration), whose Next and NextCols share one scan step, and the
-// DISK iterator (which decodes pinned pages straight into the vectors)
+// configuration), which copies runs of its page lanes, and the DISK
+// iterator (which decodes pinned pages straight into the vectors)
 // implement it; iterators that do not (fault-wrapped decorations,
 // VIRTUAL, DBC extensions) are drained through Next into the same
 // vectors.
@@ -124,14 +124,13 @@ type PageRangeScanner interface {
 // Relation is a handle to a stored table, the unit a storage manager
 // manages. All built-in and DBC storage managers produce Relations.
 //
-// Stored rows are write-once. Insert and Update copy the row they are
-// handed and put the copy in the slot; nothing ever writes into a
-// stored row afterwards, an update replaces the slot's row whole. So
-// Fetch and the iterators may hand out the stored row itself:
-// returned rows are read-only; retain freely. A caller that wants to
-// change one (a searched UPDATE building the new image) clones first.
-// STRING values handed out may share their bytes with other rows' (a
-// DISK scan interns them); that is safe because strings are immutable.
+// Insert and Update copy the row they are handed. What a relation
+// stores it may overwrite in place (HEAP's lanes), so no read path hands
+// it out: NextCols copies records into the batch's lanes, never aliasing
+// them; Next assembles into a row the iterator owns, valid until its
+// next call; Fetch returns a row the caller owns, and FetchInto
+// (RowFiller) fills one without allocating. STRING values handed out may
+// share bytes with storage and each other (strings are immutable).
 type Relation interface {
 	// Insert stores a record and returns its RID.
 	Insert(r datum.Row) (RID, error)
@@ -148,6 +147,19 @@ type Relation interface {
 	RowCount() int64
 	// PageCount reports the number of simulated pages occupied.
 	PageCount() int64
+}
+
+// RowFiller is an optional Relation capability: FetchInto fills dst,
+// one value per column, with the record at rid, allocating nothing, and
+// reports whether there was one. HEAP, FIXED and DISK implement it.
+type RowFiller interface {
+	FetchInto(rid RID, dst datum.Row) bool
+}
+
+// Rewinder is an optional RowIterator capability: Rewind restarts it as
+// a fresh Scan or ScanPages would, even after Close, for reuse.
+type Rewinder interface {
+	Rewind()
 }
 
 // Tombstoner is implemented by a Relation that logs a transaction's

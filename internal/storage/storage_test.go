@@ -702,15 +702,16 @@ func ExampleRegistry() {
 	// Output: [BTREE RTREE]
 }
 
-// TestRetainedRowsSurviveConcurrentWrites pins the read-only-row
-// contract on storage.Relation: the HEAP and FIXED read paths hand out
-// the stored row itself, so a row retained from a scan or a Fetch must
-// stay byte-identical while other goroutines Update and Delete the
-// same RIDs and re-insert their records — the writers replace the
-// slot, they never write into the row a reader holds. Run under -race:
-// a writer touching a handed-out row would be a reported data race as
-// well as a mismatch.
+// TestRetainedRowsSurviveConcurrentWrites pins what the Relation
+// contract lets a reader keep: a row Fetch returned and a batch NextCols
+// filled are the reader's own. HEAP and FIXED write a record's lanes in
+// place on Update, so each kept row and batch must stay identical while
+// other goroutines Update and Delete the same RIDs and re-insert their
+// records — a read path that aliased the stored lanes would show the
+// writers' values here. Run under -race: a writer touching a handed-out
+// row or lane is a reported data race as well as a mismatch.
 func TestRetainedRowsSurviveConcurrentWrites(t *testing.T) {
+	types := []datum.TypeID{datum.TInt, datum.TInt}
 	for _, m := range []StorageManager{NewHeapManager(4), NewFixedManager()} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rel, err := m.Create("T", 2, &IOStats{})
@@ -725,19 +726,33 @@ func TestRetainedRowsSurviveConcurrentWrites(t *testing.T) {
 				}
 			}
 			type held struct{ row, want datum.Row }
-			var retained []held
-			retain := func(row datum.Row) {
-				retained = append(retained, held{row, row.Clone()})
+			var rows []held
+			type heldBatch struct {
+				b    *datum.ColBatch
+				want []datum.Row
 			}
-			it := rel.Scan()
-			for {
-				row, _, ok := it.Next()
-				if !ok {
-					break
+			var batches []heldBatch
+			// read keeps one scan's worth: batches NextCols filled, and a
+			// Fetch at every RID Next found.
+			read := func() {
+				it := rel.Scan()
+				for {
+					b := datum.NewColBatch(types)
+					if it.(ColScanner).NextCols(b, 8) == 0 {
+						break
+					}
+					batches = append(batches, heldBatch{b, b.MaterializeInto(nil)})
+					_, rid, ok := it.Next()
+					if !ok {
+						break
+					}
+					if row, ok := rel.Fetch(rid); ok {
+						rows = append(rows, held{row, row.Clone()})
+					}
 				}
-				retain(row)
+				it.Close()
 			}
-			it.Close()
+			read()
 
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
@@ -769,27 +784,22 @@ func TestRetainedRowsSurviveConcurrentWrites(t *testing.T) {
 					}
 				}(w)
 			}
-			// Readers keep retaining fresh images, from scans and from
-			// fetches at the RIDs the scans found, while the writers run.
-			var fetched []held
-			for round := 0; round < 20; round++ {
-				it := rel.Scan()
-				for {
-					row, rid, ok := it.Next()
-					if !ok {
-						break
-					}
-					fetched = append(fetched, held{row, row.Clone()})
-					if row, ok := rel.Fetch(rid); ok {
-						fetched = append(fetched, held{row, row.Clone()})
-					}
-				}
-				it.Close()
+			// Readers keep filling batches and fetching while the writers
+			// run.
+			for range 20 {
+				read()
 			}
 			wg.Wait()
-			for _, h := range append(retained, fetched...) {
+			for _, h := range rows {
 				if !datum.RowsEqual(h.row, h.want) {
-					t.Fatalf("retained row changed under concurrent writes: %v, was %v", h.row, h.want)
+					t.Fatalf("fetched row changed under concurrent writes: %v, was %v", h.row, h.want)
+				}
+			}
+			for _, h := range batches {
+				for i, row := range h.b.MaterializeInto(nil) {
+					if !datum.RowsEqual(row, h.want[i]) {
+						t.Fatalf("batch row changed under concurrent writes: %v, was %v", row, h.want[i])
+					}
 				}
 			}
 		})

@@ -344,15 +344,23 @@ func (tv *TableVersions) ReadFrozen(it storage.RowIterator, b *datum.ColBatch, m
 	return n, true
 }
 
-// Fetch reads the record at rid and resolves it against snap, as one
-// step for the reason ReadNext gives. live is false when the record is
-// gone or snap sees no image of it; versioned reports that the row
-// carried a version entry, i.e. may be in flux: an index reader must
-// then re-check the returned image against the key it followed.
-func (tv *TableVersions) Fetch(rel storage.Relation, rid storage.RID, snap Snapshot) (row datum.Row, versioned, live bool) {
+// Fetch reads the record at rid into dst, through storage.RowFiller,
+// and resolves it against snap, as one step for the reason ReadNext
+// gives. The row returned is dst, a prior image, or, from a relation
+// without the RowFiller capability, a fresh row from its Fetch. live is
+// false when the record is gone or snap sees no image of it; versioned
+// reports that the row carried a version entry, i.e. may be in flux: an
+// index reader must then re-check the returned image against the key
+// it followed.
+func (tv *TableVersions) Fetch(rel storage.Relation, rid storage.RID, snap Snapshot, dst datum.Row) (row datum.Row, versioned, live bool) {
 	tv.rlock()
 	defer tv.runlock()
-	row, ok := rel.Fetch(rid)
+	var ok bool
+	if f, filler := rel.(storage.RowFiller); filler {
+		row, ok = dst, f.FetchInto(rid, dst)
+	} else {
+		row, ok = rel.Fetch(rid)
+	}
 	if !ok {
 		return nil, false, false
 	}

@@ -235,18 +235,18 @@ func TestReadsHoldTheVersionLock(t *testing.T) {
 		t.Fatalf("ReadNext yielded %d records, want 7", seen)
 	}
 
-	if row, versioned, live := tv.Fetch(p, aborted, snap); live || !versioned {
+	if row, versioned, live := tv.Fetch(p, aborted, snap, nil); live || !versioned {
 		t.Fatalf("Fetch of an uncommitted row = (%v, versioned=%v, live=%v)", row, versioned, live)
 	}
-	if row, versioned, live := tv.Fetch(p, aborted, Snapshot{TS: 10, Own: 7}); !live || !versioned || row[0].Int() != 99 {
+	if row, versioned, live := tv.Fetch(p, aborted, Snapshot{TS: 10, Own: 7}, nil); !live || !versioned || row[0].Int() != 99 {
 		t.Fatalf("Fetch of an own write = (%v, versioned=%v, live=%v)", row, versioned, live)
 	}
-	if row, versioned, live := tv.Fetch(p, storage.RID{Page: 0, Slot: 2}, snap); !live || versioned || row[0].Int() != 2 {
+	if row, versioned, live := tv.Fetch(p, storage.RID{Page: 0, Slot: 2}, snap, nil); !live || versioned || row[0].Int() != 2 {
 		t.Fatalf("Fetch of a frozen row = (%v, versioned=%v, live=%v)", row, versioned, live)
 	}
 
 	rollback(t, rel, tv, aborted)
-	if _, _, live := tv.Fetch(p, aborted, snap); live {
+	if _, _, live := tv.Fetch(p, aborted, snap, nil); live {
 		t.Fatal("Fetch of a rolled-back record reports it live")
 	}
 	p.RowIterator = rel.Scan()
@@ -466,7 +466,7 @@ func TestNoDirtyReadUnderUpdateRollback(t *testing.T) {
 			defer wg.Done()
 			for running() {
 				for _, rid := range []storage.RID{frozen, versioned} {
-					if row, _, live := tv.Fetch(rel, rid, snap); !live || row[0].Int() >= aborted {
+					if row, _, live := tv.Fetch(rel, rid, snap, make(datum.Row, 1)); !live || row[0].Int() >= aborted {
 						t.Errorf("Fetch of %v = (%v, live=%v) during update/rollback", rid, row, live)
 						return
 					}

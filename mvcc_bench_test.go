@@ -18,9 +18,8 @@ import (
 // ANALYZE as the DDL representative. Each statement runs against its
 // own snapshot, so scans overlap each other and every writer's
 // statement, and writers on disjoint keys overlap too. (The replay of
-// the retired DB-wide RWMutex this was once paired with is recorded in
-// BENCH_PR10.json; bench/'s oltp_mixed workload is the standing
-// measure.)
+// the retired DB-wide RWMutex this was once paired with is gone;
+// bench/'s oltp_mixed workload is the standing measure.)
 const mixedGoroutines = 8
 
 func mixedBenchDB(b *testing.B) *DB {

@@ -292,7 +292,9 @@ func resultBytes(rows []Row) float64 {
 // nothing at all is allocated under GROUP (S1, S3, S4, S5: its output
 // is its hash table's lanes), under S6's SORT (a top-N serving views of
 // the batch it sorted into), or under S7's apply runner, which recycles
-// its inner results in its slab. Results grown row by row (S8) or
+// its inner results in its slab. S7's correlated re-opens of its HEAP
+// inner scan rewind the iterator they have (storage.Rewinder), so no
+// heapRelation.Scan allocates either. Results grown row by row (S8) or
 // re-materialized per cache miss (S7) exceed the bound.
 func TestStarAllocationTracksResult(t *testing.T) {
 	const slack, ratio = 3072, 1.15
@@ -327,6 +329,16 @@ func TestStarAllocationTracksResult(t *testing.T) {
 			if objs != 0 {
 				t.Errorf("S%d at %d facts: %.1f objects (%.0f B) allocated per execution under %s; want none:\n%s",
 					i+1, facts, objs, bytes, under, strings.Join(stacks, "\n"))
+			}
+			if i != 6 {
+				continue
+			}
+			objs, bytes, stacks = allocProfile(t, 10, run, func(funcs []string) bool {
+				return funcs[0] == "repro/internal/storage.(*heapRelation).Scan"
+			})
+			if objs != 0 {
+				t.Errorf("S7 at %d facts: %.1f HEAP iterators (%.0f B) allocated per execution; want none:\n%s",
+					facts, objs, bytes, strings.Join(stacks, "\n"))
 			}
 		}
 	}

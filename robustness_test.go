@@ -126,7 +126,7 @@ func checkIndexConsistency(tb testing.TB, db *DB) {
 			if !ok {
 				break
 			}
-			rows[fmt.Sprintf("%v", rid)] = row
+			rows[fmt.Sprintf("%v", rid)] = row.Clone() // Next's row is the iterator's until its next call
 			n++
 		}
 		it.Close()
